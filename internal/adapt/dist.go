@@ -28,10 +28,6 @@ import (
 // package takes the block 48–63, after core's 32–47.
 const CodecPlanBatch mpi.CodecID = 48
 
-// tagPlans carries evaluated plan batches to rank 0; loadbal's stealing
-// protocol owns the 100+ tag range.
-const tagPlans = 200
-
 // planBatch is one evaluation chunk's result in flight to the root.
 type planBatch struct {
 	Chunk int32
@@ -43,7 +39,7 @@ func init() {
 }
 
 // evaluateDist is evaluate with the chunk loop distributed over an
-// in-process world via the work-stealing balancer.
+// in-process world through the shared scatter/collect executor.
 func (e *engine) evaluateDist(kind opKind) ([]*opPlan, error) {
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
@@ -51,68 +47,28 @@ func (e *engine) evaluateDist(kind opKind) ([]*opPlan, error) {
 	world := mpi.NewWorld(ranks)
 	defer world.Close(nil)
 	world.SetTracer(e.opt.Tracer)
-	win := world.NewWindow(ranks)
 
 	tasks := make([]loadbal.Task, chunks)
-	total := 0.0
-	for c := 0; c < chunks; c++ {
-		from, to := c*evalChunk, min((c+1)*evalChunk, n)
-		tasks[c] = loadbal.Task{
-			ID:   int32(c),
-			Cost: float64(to - from),
-			Vals: []float64{float64(c), float64(kind), float64(from), float64(to)},
-		}
-		total += tasks[c].Cost
+	for c := range tasks {
+		tasks[c] = loadbal.Task{ID: int32(c), Cost: float64(min((c+1)*evalChunk, n) - c*evalChunk)}
 	}
-	initial := make([][]loadbal.Task, ranks)
-	for i, t := range tasks {
-		initial[i%ranks] = append(initial[i%ranks], t)
-	}
-
-	results := make([][]*opPlan, chunks)
-	collected := 0
-	lb := loadbal.DefaultOptions(total, ranks)
+	lb := loadbal.DefaultOptions(float64(n), ranks)
 	lb.Tracer = e.opt.Tracer
-	ctx := context.Background()
-	err := world.RunCtx(ctx, func(c *mpi.Comm) error {
-		_, err := loadbal.Run(ctx, c, win, initial[c.Rank()], chunks, lb, func(task loadbal.Task) {
+	batches, _, err := loadbal.Scatter(context.Background(), world, tasks, lb,
+		func(_ *mpi.Comm, t loadbal.Task) (loadbal.Result, error) {
 			s1 := make([]int32, 0, maxRing)
 			s2 := make([]int32, 0, maxRing)
-			chunk := int32(task.Vals[0])
-			k := opKind(task.Vals[1])
-			from, to := int(task.Vals[2]), int(task.Vals[3])
-			batch := &planBatch{Chunk: chunk, Plans: e.evalRange(k, from, to, s1, s2)}
-			_ = c.SendRef(0, tagPlans, batch, batch.wireBytes())
+			from := int(t.ID) * evalChunk
+			return &planBatch{Chunk: t.ID, Plans: e.evalRange(kind, from, min(from+evalChunk, n), s1, s2)}, nil
 		})
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			return nil
-		}
-		// The balancer's termination protocol means every task has sent
-		// its batch to us (per-pair FIFO: a rank's batch precedes its
-		// completion notice), so the mailbox drains without blocking.
-		for collected < chunks {
-			ref, _, _, ok := c.TryRecvRef(mpi.AnySource, tagPlans)
-			if !ok {
-				return fmt.Errorf("adapt: collected %d of %d plan batches", collected, chunks)
-			}
-			b, ok := ref.(*planBatch)
-			if !ok {
-				return fmt.Errorf("adapt: unexpected plan payload %T", ref)
-			}
-			results[b.Chunk] = b.Plans
-			collected++
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, fmt.Errorf("adapt: distributed evaluation: %w", err)
 	}
+	// Concatenating in chunk order restores the exact order local
+	// evaluation produces.
 	var out []*opPlan
-	for _, r := range results {
-		out = append(out, r...)
+	for _, b := range batches {
+		out = append(out, b.(*planBatch).Plans...)
 	}
 	return out, nil
 }
@@ -239,6 +195,9 @@ func decodePlanBatch(b []byte) (any, error) {
 		p := &opPlan{}
 		p.Kind = opKind(r.u8())
 		flags := r.u8()
+		if flags&^3 != 0 {
+			return nil, fmt.Errorf("adapt: plan %d carries unknown flag bits %#x", i, flags)
+		}
 		p.Bnd = flags&1 != 0
 		p.Mid = flags&2 != 0
 		p.E = int8(r.u8())
@@ -287,9 +246,11 @@ func decodePlanBatch(b []byte) (any, error) {
 // 24 (met) + 4 (cavity count) + 10 (patches) + 34 (dying refs).
 const planWireFixed = 112
 
-// wireBytes is the serialized size of the batch, charged to the
-// communication-volume statistics by SendRef.
-func (b *planBatch) wireBytes() int {
+func (b *planBatch) TaskID() int32 { return b.Chunk }
+
+// WireBytes is the serialized size of the batch, charged to the
+// communication-volume statistics by the executor's SendRef.
+func (b *planBatch) WireBytes() int {
 	n := 8
 	for _, p := range b.Plans {
 		n += planWireFixed + 4*len(p.Cav)

@@ -308,7 +308,7 @@ func TestPlanBatchCodecRoundTrip(t *testing.T) {
 		},
 	}
 	b := encodePlanBatch(in, nil)
-	if got, want := len(b), in.wireBytes(); got != want {
+	if got, want := len(b), in.WireBytes(); got != want {
 		t.Fatalf("encoded %d bytes, wireBytes claims %d", got, want)
 	}
 	ref, err := decodePlanBatch(b)

@@ -2,8 +2,8 @@ package core
 
 // The optional audit stage: post-merge invariant verification of the final
 // mesh over the internal/audit check registry. Element-local checks are
-// chunked into jobs and fanned out across the ranks under the same
-// work-stealing balancer the meshing phases use; each rank ships its typed
+// chunked into jobs and fanned out across the ranks through runPhase, the
+// same executor the meshing phases use; each rank ships its typed
 // violation findings and per-job measurements back to the root, which
 // reduces them into one audit.Report. A failed audit surfaces as a
 // *PhaseError for the "audit" stage wrapping an *audit.Error, attributed
@@ -11,9 +11,6 @@ package core
 // other stage failure follows.
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"time"
 
 	"pamg2d/internal/audit"
@@ -63,7 +60,7 @@ func runAudit(rc *RunCtx) error {
 	// so PlanJobs' skip list is not needed separately.
 	jobs, _ := audit.PlanJobs(s, checks, auditChunk(s.Mesh.NumTriangles(), cfg.Ranks, cfg.SubdomainsPerRank))
 
-	results, err := runAuditJobs(rc, s, jobs)
+	results, err := auditFanOut(rc, s, jobs)
 	if err != nil {
 		return err
 	}
@@ -82,9 +79,6 @@ func runAudit(rc *RunCtx) error {
 			}
 			applicable = true
 			r := results[ji]
-			if r == nil {
-				continue
-			}
 			st.Wall += r.wall
 			st.Allocs += r.allocs
 			st.Elements += j.Elements()
@@ -126,7 +120,9 @@ type auditJobResult struct {
 	violations []audit.Violation
 }
 
-func (r *auditJobResult) wireBytes() int {
+func (r *auditJobResult) TaskID() int32 { return r.job }
+
+func (r *auditJobResult) WireBytes() int {
 	n := 32
 	for _, v := range r.violations {
 		n += 24 + len(v.Check) + len(v.Detail)
@@ -134,19 +130,12 @@ func (r *auditJobResult) wireBytes() int {
 	return n
 }
 
-// runAuditJobs executes the audit jobs under the load balancer on a fresh
-// world, mirroring runDistributed: jobs are dealt round-robin, stolen as
-// needed, and each rank sends its findings to the root. The snapshot and
-// job list are shared read-only (Prepare ran before the fan-out); only the
-// job index travels in the task vector.
-func runAuditJobs(rc *RunCtx, s *audit.Snapshot, jobs []audit.Job) ([]*auditJobResult, error) {
-	cfg := rc.cfg
-	hook := cfg.TaskHook
+// auditFanOut runs the audit jobs through runPhase, the executor every
+// distributed stage shares. The snapshot and job list are shared
+// read-only (Prepare ran before the fan-out); only the job index travels
+// in the task vector.
+func auditFanOut(rc *RunCtx, s *audit.Snapshot, jobs []audit.Job) ([]*auditJobResult, error) {
 	tr := rc.tracer
-	world := rc.newWorld()
-	world.SetTracer(tr)
-	win := world.NewWindow(cfg.Ranks)
-
 	tasks := make([]loadbal.Task, len(jobs))
 	for i, j := range jobs {
 		tasks[i] = loadbal.Task{
@@ -155,149 +144,31 @@ func runAuditJobs(rc *RunCtx, s *audit.Snapshot, jobs []audit.Job) ([]*auditJobR
 			Vals: []float64{kindAudit, float64(i)},
 		}
 	}
-	initial := make([][]loadbal.Task, cfg.Ranks)
-	for i, t := range tasks {
-		initial[i%cfg.Ranks] = append(initial[i%cfg.Ranks], t)
-	}
-
-	var mu sync.Mutex
-	balStats := make([]loadbal.Stats, cfg.Ranks)
-	perRank := make([]RankStat, cfg.Ranks)
-	var taskErr *PhaseError
-
-	opt := loadbal.DefaultOptions(totalCost(tasks), cfg.Ranks)
-	opt.Tracer = tr
-	wireRecovery(&opt, world, tasks, initial)
-	err := world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
-		bs, err := loadbal.Run(rc.ctx, c, win, initial[c.Rank()], len(tasks), opt, func(task loadbal.Task) {
-			if hook != nil {
-				if herr := hook(StageAudit, kindAudit); herr != nil {
-					mu.Lock()
-					if taskErr == nil {
-						taskErr = &PhaseError{Stage: StageAudit, Rank: c.Rank(), Err: fmt.Errorf("job %d: %w", task.ID, herr)}
-					}
-					mu.Unlock()
-					res := &auditJobResult{job: task.ID}
-					_ = c.SendRef(0, tagResult, res, res.wireBytes())
-					return
-				}
-			}
-			ji := int(task.Vals[1])
-			j := jobs[ji]
-			rep := audit.NewReporter(j.Check.Name(), c.Rank())
-			sp := tr.Begin(c.Rank(), trace.CatAudit, StageAudit+"/"+j.Check.Name())
-			t0 := time.Now()
-			a0 := mallocCount()
-			j.Check.Run(s, j.From, j.To, rep)
-			// The allocation delta is read off the process-global counter, so
-			// concurrent jobs bleed into each other's numbers; the per-check
-			// totals are best-effort under parallel execution and exact at
-			// Ranks=1.
-			dt := time.Since(t0)
-			res := &auditJobResult{
-				job:        task.ID,
-				wall:       dt,
-				allocs:     mallocCount() - a0,
-				count:      rep.Count(),
-				violations: rep.Violations(),
-			}
-			if tr.Enabled() {
-				sp.End(trace.I("job", int(task.ID)),
-					trace.I("elements", j.Elements()),
-					trace.I("violations", rep.Count()))
-				tr.Metrics().Observe("audit.job_seconds", dt.Seconds())
-			}
-			mu.Lock()
-			perRank[c.Rank()].Tasks++
-			perRank[c.Rank()].Busy += dt
-			mu.Unlock()
-			_ = c.SendRef(0, tagResult, res, res.wireBytes())
-		})
-		mu.Lock()
-		balStats[c.Rank()] = bs
-		mu.Unlock()
-		return err
-	})
-	// Error precedence mirrors runDistributed: cancellation, then
-	// rank/world failures, then the first injected task failure.
-	if rc.ctx.Err() != nil {
-		return nil, &PhaseError{Stage: StageAudit, Rank: -1, Err: context.Cause(rc.ctx)}
-	}
-	if err != nil {
-		return nil, phaseError(StageAudit, err)
-	}
-	mu.Lock()
-	firstTaskErr := taskErr
-	mu.Unlock()
-	// Mirror runDistributed: a local task failure must survive to the
-	// cross-process agreement below, or the other processes would hang in
-	// the collective waiting for this one.
-	if firstTaskErr != nil && !world.MultiProcess() {
-		return nil, firstTaskErr
-	}
-
-	results := make([]*auditJobResult, len(jobs))
-	collected := 0
-	agreedErrRank := -1
-	err = world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			for collected < len(jobs) {
-				ref, _, _, ok := c.TryRecvRef(mpi.AnySource, tagResult)
-				if !ok {
-					break
-				}
-				// Re-queued jobs may deliver duplicate findings; the first
-				// arrival wins (jobs are deterministic, so they agree).
-				if r, ok := ref.(*auditJobResult); ok {
-					ji := int(r.job)
-					if ji < 0 || ji >= len(jobs) || results[ji] != nil {
-						continue
-					}
-					results[ji] = r
-					collected++
-				}
-			}
+	return runPhase(rc, StageAudit, tasks, func(c *mpi.Comm, task loadbal.Task) (*auditJobResult, error) {
+		j := jobs[int(task.Vals[1])]
+		rep := audit.NewReporter(j.Check.Name(), c.Rank())
+		sp := tr.Begin(c.Rank(), trace.CatAudit, StageAudit+"/"+j.Check.Name())
+		t0 := time.Now()
+		a0 := mallocCount()
+		j.Check.Run(s, j.From, j.To, rep)
+		// The allocation delta is read off the process-global counter, so
+		// concurrent jobs bleed into each other's numbers; the per-check
+		// totals are best-effort under parallel execution and exact at
+		// Ranks=1.
+		dt := time.Since(t0)
+		res := &auditJobResult{
+			job:        task.ID,
+			wall:       dt,
+			allocs:     mallocCount() - a0,
+			count:      rep.Count(),
+			violations: rep.Violations(),
 		}
-		if !world.MultiProcess() {
-			return nil
+		if tr.Enabled() {
+			sp.End(trace.I("job", int(task.ID)),
+				trace.I("elements", j.Elements()),
+				trace.I("violations", rep.Count()))
+			tr.Metrics().Observe("audit.job_seconds", dt.Seconds())
 		}
-		// Star-shaped failure agreement, then the root's re-distribution of
-		// the reduced findings so every process folds the identical report.
-		mu.Lock()
-		localFail := taskErr != nil
-		mu.Unlock()
-		rank, aerr := agreePhase(rc, c, localFail, func() ([]byte, error) {
-			if collected != len(jobs) {
-				return nil, fmt.Errorf("collected %d of %d audit job results", collected, len(jobs))
-			}
-			return encodeAuditResults(results), nil
-		}, func(body []byte) error {
-			if derr := decodeAuditResultsInto(body, results); derr != nil {
-				return derr
-			}
-			collected = len(jobs)
-			return nil
-		})
-		agreedErrRank = rank
-		return aerr
+		return res, nil
 	})
-	if rc.ctx.Err() != nil {
-		return nil, &PhaseError{Stage: StageAudit, Rank: -1, Err: context.Cause(rc.ctx)}
-	}
-	if err != nil {
-		return nil, phaseError(StageAudit, err)
-	}
-	if firstTaskErr != nil {
-		return nil, firstTaskErr
-	}
-	if agreedErrRank >= 0 {
-		return nil, &PhaseError{Stage: StageAudit, Rank: agreedErrRank, Err: fmt.Errorf("audit job failed on rank %d", agreedErrRank)}
-	}
-	if collected != len(jobs) {
-		return nil, &PhaseError{Stage: StageAudit, Rank: -1, Err: fmt.Errorf("collected %d of %d audit job results", collected, len(jobs))}
-	}
-	rc.foldBalancer(perRank, balStats)
-	rc.wireMsgs += world.Stats().Messages.Load()
-	rc.wireBytes += world.Stats().Bytes.Load()
-	return results, nil
 }

@@ -4,8 +4,8 @@ package core
 // the mpi block reserved for core (32–47). In-process they never run —
 // results travel as pointers — but over a multi-process fabric every
 // rank-to-root result send serializes through these, and the root's
-// result re-broadcast packs the collected arrays with the same entry
-// encoders so both directions share one format.
+// result re-distribution packs the collected list with the same entry
+// codecs (encodeResultList) so both directions share one format.
 
 import (
 	"encoding/binary"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pamg2d/internal/audit"
+	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/trace"
 )
@@ -159,93 +160,70 @@ func init() {
 	)
 }
 
-// encodeResults packs the root's collected per-task result arrays for the
-// post-collection broadcast that keeps every process's pipeline state
-// identical in multi-process runs.
-func encodeResults(results [][]float64) []byte {
+// encodeResultList packs a phase's collected results for the agreement's
+// distribute leg, which keeps every process's pipeline state identical in
+// multi-process runs: a u32 count, then per entry the u16 id of its
+// registered mpi codec, a u32 length and the codec's encoding — the same
+// bytes the entry crossed the wire in on its way to the root.
+func encodeResultList(results []loadbal.Result) ([]byte, error) {
 	n := 4
 	for _, r := range results {
-		n += 4 + 8*len(r)
-	}
-	dst := make([]byte, 0, n)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(results)))
-	for _, r := range results {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r)))
-		for _, v := range r {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		if r != nil {
+			n += 6 + r.WireBytes()
 		}
 	}
-	return dst
-}
-
-// decodeResultsInto unpacks an encodeResults payload into results, which
-// must already have the task count's length.
-func decodeResultsInto(b []byte, results [][]float64) error {
-	c := &auditCursor{b: b}
-	if n := int(c.u32()); c.err == nil && n != len(results) {
-		return fmt.Errorf("core: result broadcast carries %d tasks, want %d", n, len(results))
-	}
-	for i := range results {
-		nv := int(int32(c.u32()))
-		if c.err != nil {
-			return c.err
-		}
-		if nv < 0 || c.off+8*nv > len(b) {
-			return fmt.Errorf("core: truncated result broadcast at task %d", i)
-		}
-		var vals []float64
-		if nv > 0 {
-			vals = make([]float64, nv)
-			for k := range vals {
-				vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[c.off+8*k:]))
-			}
-		}
-		c.off += 8 * nv
-		results[i] = vals
-	}
-	if c.err != nil {
-		return c.err
-	}
-	if c.off != len(b) {
-		return fmt.Errorf("core: %d trailing bytes after result broadcast", len(b)-c.off)
-	}
-	return nil
-}
-
-// encodeAuditResults / decodeAuditResultsInto are the audit stage's
-// counterpart of the result broadcast, reusing the per-entry codec.
-func encodeAuditResults(results []*auditJobResult) []byte {
-	dst := binary.LittleEndian.AppendUint32(nil, uint32(len(results)))
-	for _, r := range results {
-		entry := encodeAuditResultRef(r, nil)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entry)))
-		dst = append(dst, entry...)
-	}
-	return dst
-}
-
-func decodeAuditResultsInto(b []byte, results []*auditJobResult) error {
-	c := &auditCursor{b: b}
-	if n := int(c.u32()); c.err == nil && n != len(results) {
-		return fmt.Errorf("core: audit broadcast carries %d jobs, want %d", n, len(results))
-	}
-	for i := range results {
-		n := int(int32(c.u32()))
-		if c.err != nil {
-			return c.err
-		}
-		if n < 0 || c.off+n > len(b) {
-			return fmt.Errorf("core: truncated audit broadcast at job %d", i)
-		}
-		ref, err := decodeAuditResultRef(b[c.off : c.off+n])
+	dst := binary.LittleEndian.AppendUint32(make([]byte, 0, n), uint32(len(results)))
+	for i, r := range results {
+		head := len(dst)
+		dst = append(dst, 0, 0, 0, 0, 0, 0)
+		id, out, err := mpi.EncodeRef(r, dst)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("core: result %d: %w", i, err)
 		}
-		c.off += n
-		results[i] = ref.(*auditJobResult)
+		dst = out
+		binary.LittleEndian.PutUint16(dst[head:], uint16(id))
+		binary.LittleEndian.PutUint32(dst[head+2:], uint32(len(dst)-head-6))
 	}
-	if c.off != len(b) {
-		return fmt.Errorf("core: %d trailing bytes after audit broadcast", len(b)-c.off)
+	return dst, nil
+}
+
+// decodeResultList is encodeResultList's inverse. The bytes crossed a
+// process boundary, so every length is checked against what is left
+// before anything is allocated, and each entry goes through its codec's
+// own validating decoder.
+func decodeResultList(b []byte) ([]loadbal.Result, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("core: result list of %d bytes, want >= 4", len(b))
 	}
-	return nil
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n > len(b)/6 {
+		return nil, fmt.Errorf("core: result list claims %d entries in %d bytes", n, len(b))
+	}
+	out := make([]loadbal.Result, 0, n)
+	for i := 0; i < n; i++ {
+		if len(b) < 6 {
+			return nil, fmt.Errorf("core: truncated result list at entry %d", i)
+		}
+		id := mpi.CodecID(binary.LittleEndian.Uint16(b))
+		size := int(binary.LittleEndian.Uint32(b[2:]))
+		b = b[6:]
+		if size > len(b) {
+			return nil, fmt.Errorf("core: result list entry %d claims %d of %d bytes", i, size, len(b))
+		}
+		ref, err := mpi.DecodeRef(id, b[:size])
+		if err != nil {
+			return nil, fmt.Errorf("core: result list entry %d: %w", i, err)
+		}
+		r, ok := ref.(loadbal.Result)
+		if !ok {
+			return nil, fmt.Errorf("core: result list entry %d decodes to %T, not a task result", i, ref)
+		}
+		out = append(out, r)
+		b = b[size:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after result list", len(b))
+	}
+	return out, nil
 }

@@ -1,0 +1,85 @@
+package core
+
+// Bridges for the external core_test package, which must sit outside
+// package core to import internal/adapt (adapt imports core) and so get
+// every result codec registered behind the result-list packer.
+
+import (
+	"context"
+	"testing"
+
+	"pamg2d/internal/audit"
+	"pamg2d/internal/loadbal"
+	"pamg2d/internal/mpi"
+)
+
+var (
+	EncodeResultList = encodeResultList
+	DecodeResultList = decodeResultList
+)
+
+// RealResultLists runs a meshing phase (the Figure 8 boundary-layer
+// leaves) and the audit fan-out over a mesh with one flipped triangle on
+// a 2-process loopback TCP fabric, and returns the result lists the
+// worker process received in the agreement, re-encoded — the bytes that
+// crossed the wire, since the packer's encoding is canonical.
+func RealResultLists(t testing.TB) [][]byte {
+	t.Helper()
+	const ranks = 2
+	res, err := Generate(smallConfig(1))
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	flipped := &res.Mesh.Triangles[7]
+	flipped[0], flipped[1] = flipped[1], flipped[0]
+	snap := &audit.Snapshot{Mesh: res.Mesh}
+	snap.Prepare()
+	jobs, _ := audit.PlanJobs(snap, audit.Structural(), 256)
+	tasks := fig08Tasks(t)[:4] // small seeds keep the fuzzer's mutations cheap
+	g, err := smallConfig(1).Geometry.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tctx := taskCtx{frame: g.Farfield.BBox()}
+
+	lists := make([][][]byte, ranks)
+	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
+		cfg := DefaultConfig()
+		cfg.Ranks = ranks
+		cfg.Fabric = cl
+		out := &Result{}
+		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &out.Stats, res: out}
+		tris, err := runPhase(rc, StageBLTriangulation, tasks, func(_ *mpi.Comm, task loadbal.Task) (*taskResult, error) {
+			out, err := processTaskCtx(task.Vals, tctx)
+			return &taskResult{id: task.ID, tris: out}, err
+		})
+		if err != nil {
+			return err
+		}
+		findings, err := auditFanOut(rc, snap, jobs)
+		if err != nil {
+			return err
+		}
+		meshList, err := packList(tris)
+		if err != nil {
+			return err
+		}
+		auditList, err := packList(findings)
+		lists[cl.Rank()] = [][]byte{meshList, auditList}
+		return err
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("process %d: %v", r, err)
+		}
+	}
+	return lists[1]
+}
+
+func packList[R loadbal.Result](rs []R) ([]byte, error) {
+	list := make([]loadbal.Result, len(rs))
+	for i, r := range rs {
+		list[i] = r
+	}
+	return encodeResultList(list)
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ import (
 
 // runOnFabric runs fn as one SPMD process per loopback-TCP cluster member
 // and returns the per-process errors.
-func runOnFabric(t *testing.T, ranks int, fn func(i int, cl *mpi.Cluster) error) []error {
+func runOnFabric(t testing.TB, ranks int, fn func(i int, cl *mpi.Cluster) error) []error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	t.Cleanup(cancel)
@@ -100,7 +101,7 @@ func TestGenerateTCPByteIdentical(t *testing.T) {
 // of a NACA 0012 decomposed into projection subdomains, one BL-leaf task
 // per subdomain — the same task form the bl-triangulation stage feeds the
 // balancer.
-func fig08Tasks(t *testing.T) []loadbal.Task {
+func fig08Tasks(t testing.TB) []loadbal.Task {
 	t.Helper()
 	cfg := airfoil.Single(airfoil.NACA0012, 96, 20)
 	g, err := cfg.Graph()
@@ -146,14 +147,14 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 	}
 	tctx := taskCtx{frame: g.Farfield.BBox()}
 
-	want, err := runDistributed(mk(nil), StageBLTriangulation, tasks, tctx)
+	want, err := runMeshPhase(mk(nil), StageBLTriangulation, tasks, tctx)
 	if err != nil {
-		t.Fatalf("in-process runDistributed: %v", err)
+		t.Fatalf("in-process runMeshPhase: %v", err)
 	}
 
 	all := make([][][]float64, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
-		got, err := runDistributed(mk(cl), StageBLTriangulation, tasks, tctx)
+		got, err := runMeshPhase(mk(cl), StageBLTriangulation, tasks, tctx)
 		all[i] = got
 		return err
 	})
@@ -220,12 +221,80 @@ func TestGenerateTCPTaskFailureAgreement(t *testing.T) {
 	}
 }
 
+// TestTaskPanicAttribution panics inside one task of a meshing stage and
+// of the audit stage, in-process and over TCP: the executor must capture
+// the panic and every process must fail the stage attributed to the
+// executing rank with the panic value in the error — not report a missing
+// result or blame the root.
+func TestTaskPanicAttribution(t *testing.T) {
+	panicOnceIn := func(stage string) func(string, int) error {
+		var once sync.Once
+		return func(s string, kind int) error {
+			if s == stage {
+				once.Do(func() { panic("kaboom") })
+			}
+			return nil
+		}
+	}
+	check := func(t *testing.T, who string, err error, stage string, rank int) {
+		t.Helper()
+		var pe *PhaseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: %T (%v), want *PhaseError", who, err, err)
+		}
+		if pe.Stage != stage {
+			t.Errorf("%s: stage %q, want %q", who, pe.Stage, stage)
+		}
+		if rank >= 0 && pe.Rank != rank {
+			t.Errorf("%s: rank %d, want %d", who, pe.Rank, rank)
+		}
+		if pe.Rank < 0 || !strings.Contains(err.Error(), "kaboom") {
+			t.Errorf("%s: error lost the executing rank or the panic value: %v", who, err)
+		}
+	}
+	for _, stage := range []string{StageInviscid, StageAudit} {
+		t.Run(stage+"/inproc", func(t *testing.T) {
+			cfg := smallConfig(4)
+			cfg.Audit = true
+			cfg.TaskHook = panicOnceIn(stage)
+			_, err := Generate(cfg)
+			check(t, "run", err, stage, -1)
+			var pv *loadbal.PanicError
+			if !errors.As(err, &pv) || pv.Value != "kaboom" {
+				t.Errorf("error does not wrap the panic value: %v", err)
+			}
+		})
+		t.Run(stage+"/tcp", func(t *testing.T) {
+			errs := runOnFabric(t, 2, func(i int, cl *mpi.Cluster) error {
+				c := smallConfig(2)
+				c.Audit = true
+				c.Fabric = cl
+				if i == 1 {
+					c.TaskHook = panicOnceIn(stage)
+				}
+				_, err := GenerateContext(context.Background(), c)
+				return err
+			})
+			for i, err := range errs {
+				check(t, fmt.Sprintf("process %d", i), err, stage, 1)
+			}
+		})
+	}
+}
+
 // TestGenerateTCPDegradedRun kills one worker process mid-run (its
-// fabric connections reset, the SIGKILL stand-in) and checks the
-// survivors complete the audited pipeline degraded: the run succeeds,
-// the audit is clean, the loss is recorded in Stats.Resilience, and the
-// surviving processes agree on the mesh bytes.
+// fabric connections reset, the SIGKILL stand-in) during each distributed
+// stage that shares the executor's recovery path — the audit stage
+// included — and checks the survivors complete the audited pipeline
+// degraded: the run succeeds, the audit is clean, the loss is recorded in
+// Stats.Resilience, and the surviving processes agree on the mesh bytes.
 func TestGenerateTCPDegradedRun(t *testing.T) {
+	for _, stage := range []string{StageBLTriangulation, StageInviscid, StageAudit} {
+		t.Run(stage, func(t *testing.T) { degradedRun(t, stage) })
+	}
+}
+
+func degradedRun(t *testing.T, killStage string) {
 	const ranks = 4
 	const victim = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -256,7 +325,7 @@ func TestGenerateTCPDegradedRun(t *testing.T) {
 			c.Fabric = cl
 			if r == victim {
 				c.TaskHook = func(stage string, kind int) error {
-					if stage == StageInviscid {
+					if stage == killStage {
 						// Vanish mid-task: connections reset while this rank
 						// still owns unfinished work, then park so the
 						// completion is never sent.

@@ -1,0 +1,42 @@
+package core_test
+
+import (
+	"bytes"
+	"testing"
+
+	_ "pamg2d/internal/adapt" // registers the plan-batch codec (48)
+	"pamg2d/internal/core"
+)
+
+// FuzzResultListDecode hammers the result-list packer — the one parser of
+// the multi-process agreement's payload — with every registered result
+// codec behind it (core's task and audit results, adapt's plan batches):
+// arbitrary bytes must never panic or allocate beyond their own size, and
+// anything accepted must re-encode to the identical bytes.
+func FuzzResultListDecode(f *testing.F) {
+	for _, list := range core.RealResultLists(f) {
+		f.Add(list)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{255, 255, 255, 255})
+	// One entry each: an empty task result, an audit result claiming a
+	// violation it does not carry, an empty plan batch, an all-zero plan.
+	f.Add([]byte{1, 0, 0, 0, 32, 0, 4, 0, 0, 0, 9, 0, 0, 0})
+	f.Add(append([]byte{1, 0, 0, 0, 33, 0, 28, 0, 0, 0}, append(make([]byte, 24), 1, 0, 0, 0)...))
+	f.Add([]byte{1, 0, 0, 0, 48, 0, 8, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(append([]byte{1, 0, 0, 0, 48, 0, 120, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0}, make([]byte, 112)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		list, err := core.DecodeResultList(b)
+		if err != nil {
+			return
+		}
+		again, err := core.EncodeResultList(list)
+		if err != nil {
+			t.Fatalf("accepted list of %d entries does not re-encode: %v", len(list), err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(again))
+		}
+	})
+}

@@ -293,13 +293,13 @@ type mergeFunc func(results [][]float64) error
 
 // prepareFunc builds a distributed stage's task list and shared task
 // context and returns the merge that will fold the results. Splitting
-// preparation (encoding) from merging is what lets one generic executor —
-// runDistributed — serve all three distributed phases.
+// preparation (encoding) from merging is what lets one executor —
+// runMeshPhase over runPhase — serve all three meshing phases.
 type prepareFunc func(rc *RunCtx) (tasks []loadbal.Task, tctx taskCtx, merge mergeFunc, err error)
 
-// distStage is a distributed phase: prepare encodes the tasks, the shared
-// runDistributed executor runs them under the load balancer, merge folds
-// the results back into the run state.
+// distStage is a distributed meshing phase: prepare encodes the tasks,
+// runMeshPhase runs them under the load balancer, merge folds the results
+// back into the run state.
 type distStage struct {
 	name    string
 	prepare prepareFunc
@@ -312,7 +312,7 @@ func (s *distStage) Run(rc *RunCtx) error {
 	if err != nil {
 		return err
 	}
-	results, err := runDistributed(rc, s.name, tasks, tctx)
+	results, err := runMeshPhase(rc, s.name, tasks, tctx)
 	if err != nil {
 		return err
 	}

@@ -73,18 +73,15 @@ type Options struct {
 	// the local queue cost as a counter series. Disabled (nil) costs the
 	// hot paths a single nil check.
 	Tracer *trace.Tracer
-	// Assign is the initial task→owner map of the caller's deal. With
-	// Assign and Lookup set, the root of a multi-process run tracks task
-	// ownership (grants re-report via tagMoved) and, when a rank dies,
-	// re-materializes its unfinished tasks through Lookup onto the root's
-	// own queue — stealing then redistributes them across the survivors.
-	// Re-queued tasks execute at-least-once: a task granted moments before
-	// the granter died may run twice, which is safe because every task is
+	// deal is the initial per-rank distribution, set by Scatter on
+	// multi-process worlds to arm dead-rank recovery: the root tracks task
+	// ownership from it (grants re-report via tagMoved) and, when a rank
+	// dies, re-queues that rank's unfinished tasks onto its own queue —
+	// stealing then redistributes them across the survivors. Re-queued
+	// tasks execute at-least-once: a task granted moments before the
+	// granter died may run twice, which is safe because every task is
 	// deterministic and completions are de-duplicated by ID.
-	Assign map[int32]int
-	// Lookup re-materializes a task by ID for the re-queue path (the
-	// caller holds the full task list; the root only learns IDs).
-	Lookup func(id int32) (Task, bool)
+	deal [][]Task
 }
 
 // DefaultOptions returns the tuning used by the pipeline.
@@ -98,7 +95,8 @@ func DefaultOptions(totalCost float64, ranks int) Options {
 // Stats reports per-rank balancer behavior.
 type Stats struct {
 	Processed     int
-	Failed        int // tasks whose process callback panicked
+	Failed        int           // tasks whose process callback panicked or, under Scatter, whose exec failed
+	Busy          time.Duration // summed exec time (filled by Scatter; Run alone leaves it zero)
 	StealRequests int
 	StealsGranted int // requests this rank satisfied for others
 	StealsGotten  int // tasks this rank received from others
@@ -238,10 +236,10 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 
 	multi := c.World().MultiProcess()
 	// Dead-rank recovery is root-side state: the ownership map starts as
-	// the caller's deal and grant acknowledgements keep it fresh, so when
+	// the initial deal and grant acknowledgements keep it fresh, so when
 	// a rank dies the root knows exactly which unfinished tasks to
 	// re-materialize onto the survivors.
-	recoverOn := multi && c.Rank() == 0 && opt.Lookup != nil && opt.Assign != nil
+	recoverOn := multi && c.Rank() == 0 && opt.deal != nil
 
 	var stats Stats
 	var statsMu sync.Mutex
@@ -324,10 +322,12 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 		awaitingGrant := false
 		awaitingFrom := -1
 		lastLoad := math.NaN() // NaN compares unequal, forcing the first sample
-		// Root-side recovery state: current owner per unfinished task,
-		// completions seen by ID, ranks whose death is already handled, and
-		// the first-death timestamp for the recovery-wall stat.
+		// Root-side recovery state: current owner per unfinished task, the
+		// tasks by ID for re-materialization, completions seen by ID, ranks
+		// whose death is already handled, and the first-death timestamp for
+		// the recovery-wall stat.
 		var owner map[int32]int
+		var byID map[int32]Task
 		var doneID map[int32]bool
 		var handledDead []bool
 		var recoveryStart time.Time
@@ -342,9 +342,13 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			}
 		}()
 		if recoverOn {
-			owner = make(map[int32]int, len(opt.Assign))
-			for id, r := range opt.Assign {
-				owner[id] = r
+			owner = make(map[int32]int, totalTasks)
+			byID = make(map[int32]Task, totalTasks)
+			for r, share := range opt.deal {
+				for _, t := range share {
+					owner[t.ID] = r
+					byID[t.ID] = t
+				}
 			}
 			doneID = make(map[int32]bool, totalTasks)
 			handledDead = make([]bool, c.Size())
@@ -483,7 +487,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						if own != r {
 							continue
 						}
-						t, ok := opt.Lookup(id)
+						t, ok := byID[id]
 						if !ok {
 							continue
 						}

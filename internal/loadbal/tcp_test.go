@@ -183,21 +183,12 @@ func TestRecoveryOverTCP(t *testing.T) {
 
 	// Every process computes the identical deal (the SPMD contract) and
 	// the root additionally learns the ownership map from it.
-	byID := map[int32]Task{}
-	assign := map[int32]int{}
 	initial := make([][]Task, ranks)
 	for i := 0; i < total; i++ {
 		tk := Task{ID: int32(i), Cost: 20, Vals: []float64{float64(i), 0.5}}
-		byID[tk.ID] = tk
-		assign[tk.ID] = i % ranks
 		initial[i%ranks] = append(initial[i%ranks], tk)
 	}
-	opt := Options{
-		StealBelow: 1,
-		Poll:       100 * time.Microsecond,
-		Assign:     assign,
-		Lookup:     func(id int32) (Task, bool) { tk, ok := byID[id]; return tk, ok },
-	}
+	opt := Options{StealBelow: 1, Poll: 100 * time.Microsecond, deal: initial}
 
 	victimStarted := make(chan struct{})
 	var startOnce sync.Once

@@ -197,18 +197,22 @@ func TestCloseReleasesPooledPayloads(t *testing.T) {
 	}
 }
 
-// TestReduceReleasesBufferOnSendFailure covers the collective error path:
-// a non-root Reduce whose send fails must put its encode buffer back.
-func TestReduceReleasesBufferOnSendFailure(t *testing.T) {
+// TestFailedSendKeepsBufferOwnership covers the send error path: a Send
+// that fails on a torn-down world never took the pooled buffer, so the
+// sender's own release keeps pool gets and puts balanced (no leak, no
+// double put).
+func TestFailedSendKeepsBufferOwnership(t *testing.T) {
 	g0, p0 := PoolCounters()
 	world := NewWorld(2)
 	world.Close(nil)
 	c := &Comm{world: world, rank: 1}
-	if _, err := c.Reduce(context.Background(), 0, 5, []float64{1, 2}, OpSum); !errors.Is(err, ErrWorldClosed) {
-		t.Fatalf("Reduce on a closed world returned %v", err)
+	buf := EncodeFloatsPooled([]float64{1, 2})
+	if err := c.Send(0, 5, buf); !errors.Is(err, ErrWorldClosed) {
+		t.Fatalf("Send on a closed world returned %v", err)
 	}
+	PutBytes(buf)
 	g1, p1 := PoolCounters()
 	if gets, puts := g1-g0, p1-p0; gets != puts {
-		t.Errorf("pool leak in failed Reduce: %d gets, %d puts", gets, puts)
+		t.Errorf("pool imbalance after failed Send: %d gets, %d puts", gets, puts)
 	}
 }

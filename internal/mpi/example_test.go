@@ -7,18 +7,22 @@ import (
 	"pamg2d/internal/mpi"
 )
 
-// ExampleComm_Gather collects one value from every rank at the root, the
-// pattern the paper uses to gather boundary-layer coordinates.
-func ExampleComm_Gather() {
+// ExampleComm_Send collects one value from every rank at the root over
+// point-to-point messages, the pattern the paper uses to gather
+// boundary-layer coordinates.
+func ExampleComm_Send() {
 	world := mpi.NewWorld(4)
 	err := world.Run(func(c *mpi.Comm) {
-		payload := mpi.EncodeFloats([]float64{float64(c.Rank() * 10)})
-		parts, err := c.Gather(context.Background(), 0, 1, payload)
-		if err != nil || c.Rank() != 0 {
+		if c.Rank() != 0 {
+			c.Send(0, 1, mpi.EncodeFloats([]float64{float64(c.Rank() * 10)}))
 			return
 		}
 		var sum float64
-		for _, p := range parts {
+		for r := 1; r < c.Size(); r++ {
+			p, _, _, err := c.Recv(context.Background(), r, 1)
+			if err != nil {
+				return
+			}
 			sum += mpi.DecodeFloats(p)[0]
 		}
 		fmt.Println("sum at root:", sum)

@@ -26,7 +26,9 @@ const (
 	frameBarrierEnter
 	frameBarrierRelease
 	frameWinPut
-	frameWinAdd
+	// Kind 6 was the window accumulate op; the number stays reserved so the
+	// later kinds keep their wire values, and the decoder rejects it.
+	_
 	frameWinGet
 	frameWinGetReply
 	// framePing / framePong are the clock-alignment exchange: a ping
@@ -134,7 +136,7 @@ func appendFrame(dst []byte, f frame) []byte {
 	case frameBarrierEnter, frameBarrierRelease:
 		dst = appendU64(dst, f.seq)
 		dst = appendI32(dst, f.rank)
-	case frameWinPut, frameWinAdd:
+	case frameWinPut:
 		dst = appendI32(dst, f.win)
 		dst = appendI32(dst, f.slot)
 		dst = appendF64(dst, f.val)
@@ -273,7 +275,7 @@ func decodeFrameBody(b []byte) (frame, error) {
 		if f.rank, err = c.i32(); err != nil {
 			return f, err
 		}
-	case frameWinPut, frameWinAdd:
+	case frameWinPut:
 		if f.win, err = c.i32(); err != nil {
 			return f, err
 		}

@@ -22,7 +22,7 @@ func frameEqual(a, b frame) bool {
 		return a.rank == b.rank && a.cause == b.cause
 	case frameBarrierEnter, frameBarrierRelease:
 		return a.seq == b.seq && a.rank == b.rank
-	case frameWinPut, frameWinAdd:
+	case frameWinPut:
 		return a.win == b.win && a.slot == b.slot &&
 			math.Float64bits(a.val) == math.Float64bits(b.val)
 	case frameWinGet:
@@ -53,7 +53,7 @@ func frameEqual(a, b frame) bool {
 
 func randomFrame(rng *rand.Rand) frame {
 	kinds := []byte{frameMsg, frameWorldClose, frameBarrierEnter, frameBarrierRelease,
-		frameWinPut, frameWinAdd, frameWinGet, frameWinGetReply,
+		frameWinPut, frameWinGet, frameWinGetReply,
 		framePing, framePong, frameTelemetry, frameHeartbeat, frameRankDead}
 	f := frame{kind: kinds[rng.Intn(len(kinds))], epoch: rng.Uint64()}
 	switch f.kind {
@@ -73,7 +73,7 @@ func randomFrame(rng *rand.Rand) frame {
 	case frameBarrierEnter, frameBarrierRelease:
 		f.seq = rng.Uint64()
 		f.rank = rng.Int31n(1 << 20)
-	case frameWinPut, frameWinAdd:
+	case frameWinPut:
 		f.win = rng.Int31n(1 << 10)
 		f.slot = rng.Int31n(1 << 10)
 		f.val = rng.NormFloat64()
@@ -185,6 +185,9 @@ func TestFrameDecodeRejects(t *testing.T) {
 			b = appendI32(b, 1)
 			return append(b, bytes.Repeat([]byte{'x'}, maxCauseLen+1)...)
 		}(),
+		// Kind 6 is reserved (it was the window accumulate op): a
+		// well-formed old frame must not decode.
+		"retired win add": append([]byte{6}, make([]byte, 24)...),
 	}
 	for name, body := range cases {
 		if _, err := decodeFrameBody(body); err == nil {

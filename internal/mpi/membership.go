@@ -222,8 +222,8 @@ func (n *tcpNode) startHeartbeats() {
 
 // Membership state on a World. Wire worlds distinguish ranks that were
 // already dead when the world was minted (bornDead: the world simply
-// plans around them — collectives run over the survivors) from a death
-// that happened while the world was open (failure: partial collective
+// plans around them — the barrier runs over the survivors) from a death
+// that happened while the world was open (failure: partial exchange
 // state cannot be trusted, so blocking operations fail fast with the
 // *RankDeadError and the caller re-plans on a fresh world). In-process
 // worlds never populate any of this — every membership check short-
@@ -288,17 +288,6 @@ func (w *World) Alive(r int) bool {
 	ok := w.dead == nil || w.dead[r] == nil
 	w.memMu.Unlock()
 	return ok
-}
-
-// LiveRanks returns the live rank ids in ascending order.
-func (w *World) LiveRanks() []int {
-	out := make([]int, 0, w.n)
-	for r := 0; r < w.n; r++ {
-		if w.Alive(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // liveCount returns the number of live ranks.

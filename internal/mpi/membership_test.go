@@ -126,8 +126,9 @@ func TestBarrierOverSurvivors(t *testing.T) {
 }
 
 // TestCollectivesOverSurvivors mints fresh worlds after a death (the
-// recovery path's re-plan step) and checks Allreduce, Bcast, Gather and
-// Barrier all complete over the two survivors of a 3-rank fabric.
+// recovery path's re-plan step) and checks a root<->worker exchange and
+// the Barrier complete over the two survivors of a 3-rank fabric, while
+// a send to the born-dead rank fails fast with the typed error.
 func TestCollectivesOverSurvivors(t *testing.T) {
 	ctx := context.Background()
 	cls := loopbackByRank(t, 3)
@@ -146,41 +147,49 @@ func TestCollectivesOverSurvivors(t *testing.T) {
 		t.Fatalf("fresh world live view: alive(2)=%v liveCount=%d, want false/2", w0.Alive(2), w0.liveCount())
 	}
 
-	run := func(w *World, rank int, out *[]float64, errp *error) func() {
-		return func() {
-			*errp = w.RunCtx(ctx, func(c *Comm) error {
-				v, err := c.Allreduce(ctx, 10, []float64{float64(rank + 1)}, OpSum)
+	run := func(w *World, errp *error) {
+		*errp = w.RunCtx(ctx, func(c *Comm) error {
+			var de *RankDeadError
+			if err := c.Send(2, 5, []byte{1}); !errors.As(err, &de) || de.Rank != 2 {
+				t.Errorf("rank %d send to born-dead rank returned %v, want RankDeadError{2}", c.Rank(), err)
+			}
+			// Star exchange over the live set: worker -> root, root -> worker.
+			if c.Rank() == 0 {
+				b, _, _, err := c.Recv(ctx, 1, 10)
 				if err != nil {
 					return err
 				}
-				*out = v
-				b, err := c.Bcast(ctx, 0, 20, []byte{42})
+				if len(b) != 1 || b[0] != 7 {
+					t.Errorf("root got %v from rank 1, want [7]", b)
+				}
+				PutBytes(b)
+				if err := c.Send(1, 20, []byte{42}); err != nil {
+					return err
+				}
+			} else {
+				if err := c.Send(0, 10, []byte{7}); err != nil {
+					return err
+				}
+				b, _, _, err := c.Recv(ctx, 0, 20)
 				if err != nil {
 					return err
 				}
 				if len(b) != 1 || b[0] != 42 {
-					t.Errorf("rank %d bcast got %v", rank, b)
+					t.Errorf("rank 1 got %v from root, want [42]", b)
 				}
-				if _, err := c.Gather(ctx, 0, 30, []byte{byte(rank)}); err != nil {
-					return err
-				}
-				return c.Barrier()
-			})
-		}
+				PutBytes(b)
+			}
+			return c.Barrier()
+		})
 	}
 	var wg sync.WaitGroup
-	var v0, v1 []float64
 	var e0, e1 error
 	wg.Add(2)
-	go func() { defer wg.Done(); run(w0, 0, &v0, &e0)() }()
-	go func() { defer wg.Done(); run(w1, 1, &v1, &e1)() }()
+	go func() { defer wg.Done(); run(w0, &e0) }()
+	go func() { defer wg.Done(); run(w1, &e1) }()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
-		t.Fatalf("survivor collectives failed: rank0=%v rank1=%v", e0, e1)
-	}
-	// Sum over survivors only: 1 + 2.
-	if len(v0) != 1 || v0[0] != 3 || len(v1) != 1 || v1[0] != 3 {
-		t.Errorf("allreduce over survivors = %v / %v, want [3]", v0, v1)
+		t.Fatalf("survivor exchange failed: rank0=%v rank1=%v", e0, e1)
 	}
 }
 

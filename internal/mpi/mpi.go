@@ -1,6 +1,6 @@
 // Package mpi is an in-process message-passing runtime with the shape of
 // the MPI subset the paper uses: ranks with point-to-point Send/Recv,
-// barriers, gather, and one-sided remote-memory-access windows (MPI_Put /
+// barriers, and one-sided remote-memory-access windows (MPI_Put /
 // MPI_Get on an MPI_Win) for the load-balancing work-estimate table. Ranks
 // run as goroutines in one address space; semantics (rank addressing, tag
 // matching, window atomicity) match the distributed original, so the
@@ -208,6 +208,9 @@ func NewWorld(n int) *World {
 	}
 	return w
 }
+
+// Size returns the number of ranks in the world.
+func (w *World) Size() int { return w.n }
 
 // Stats returns the world's traffic counters.
 func (w *World) Stats() *Stats { return w.stats }
@@ -624,27 +627,6 @@ func (c *Comm) Barrier() error {
 	return nil
 }
 
-// Gather sends each rank's data to the root, which receives them in rank
-// order; non-root ranks return nil. This mirrors the paper's gather of
-// boundary-layer point coordinates at the root. The root's wait honors
-// ctx. The root expects one contribution per live rank, so a gather over
-// a degraded world completes with the dead ranks' slots left nil.
-func (c *Comm) Gather(ctx context.Context, root, tag int, data []byte) ([][]byte, error) {
-	if c.rank != root {
-		return nil, c.Send(root, tag, data)
-	}
-	out := make([][]byte, c.world.n)
-	out[root] = data
-	for i := 0; i < c.world.liveCount()-1; i++ {
-		d, src, _, err := c.Recv(ctx, AnySource, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = d
-	}
-	return out, nil
-}
-
 // barrier is a reusable n-party barrier.
 type barrier struct {
 	mu     sync.Mutex
@@ -750,19 +732,14 @@ func (w *World) windowAt(it pendItem) *Window {
 	return nil
 }
 
-// applyWinStore applies a remote Put (accumulate=false) or Add to the
-// hosted copy.
-func (w *World) applyWinStore(it pendItem, accumulate bool) {
+// applyWinPut applies a remote Put to the hosted copy.
+func (w *World) applyWinPut(it pendItem) {
 	win := w.windowAt(it)
 	if win == nil || it.slot >= len(win.data) {
 		return
 	}
 	win.mu.Lock()
-	if accumulate {
-		win.data[it.slot] += it.val
-	} else {
-		win.data[it.slot] = it.val
-	}
+	win.data[it.slot] = it.val
 	win.mu.Unlock()
 }
 
@@ -813,23 +790,6 @@ func (win *Window) Get() []float64 {
 	return out
 }
 
-// Add atomically accumulates into a slot (MPI_Accumulate with MPI_SUM).
-func (win *Window) Add(idx int, delta float64) {
-	win.world.stats.Puts.Add(1)
-	if !win.host {
-		wire, _ := win.world.cl.tcp.sendCtrl(0, frame{
-			kind: frameWinAdd, epoch: win.world.epoch,
-			win: int32(win.idx), slot: int32(idx), val: delta,
-		})
-		win.world.stats.Bytes.Add(int64(wire))
-		return
-	}
-	win.world.stats.Bytes.Add(8)
-	win.mu.Lock()
-	win.data[idx] += delta
-	win.mu.Unlock()
-}
-
 // Encoding helpers for typed payloads.
 
 // EncodeFloats packs a float64 slice little-endian.
@@ -856,22 +816,4 @@ func decodeFloatsInto(out []float64, b []byte) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-}
-
-// EncodeInts packs an int32 slice little-endian.
-func EncodeInts(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
-
-// DecodeInts unpacks a payload written by EncodeInts.
-func DecodeInts(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
 }

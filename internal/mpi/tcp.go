@@ -211,7 +211,7 @@ func (n *tcpNode) dispatch(f frame) error {
 				copy(m.data, f.payload)
 			}
 		} else {
-			ref, err := decodeRef(f.codec, f.payload)
+			ref, err := DecodeRef(f.codec, f.payload)
 			if err != nil {
 				return err
 			}
@@ -243,7 +243,7 @@ func (n *tcpNode) dispatch(f frame) error {
 			ch <- int64(f.req)
 		}
 	case frameTelemetry:
-		ref, err := decodeRef(f.codec, f.payload)
+		ref, err := DecodeRef(f.codec, f.payload)
 		if err != nil {
 			return err
 		}
@@ -260,7 +260,7 @@ func (n *tcpNode) dispatch(f frame) error {
 			return nil
 		}
 		n.rankDied(int(f.rank), fmt.Errorf("mpi: reported dead by a peer: %s", f.cause))
-	case frameWorldClose, frameBarrierEnter, frameBarrierRelease, frameWinPut, frameWinAdd, frameWinGet:
+	case frameWorldClose, frameBarrierEnter, frameBarrierRelease, frameWinPut, frameWinGet:
 		n.deliver(f.epoch, pendItem{
 			kind: f.kind, win: int(f.win), slot: int(f.slot), val: f.val,
 			seq: f.seq, req: f.req, rank: int(f.rank), cause: f.cause,
@@ -300,9 +300,7 @@ func (n *tcpNode) apply(w *World, it pendItem) {
 	case frameBarrierRelease:
 		w.cb.release(it.seq)
 	case frameWinPut:
-		w.applyWinStore(it, false)
-	case frameWinAdd:
-		w.applyWinStore(it, true)
+		w.applyWinPut(it)
 	case frameWinGet:
 		w.applyWinGet(it)
 	}

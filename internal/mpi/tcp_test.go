@@ -157,13 +157,12 @@ func TestTCPWindow(t *testing.T) {
 	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
 		win := c.World().NewWindow(c.Size())
 		win.Put(c.Rank(), float64(10*(c.Rank()+1)))
-		win.Add(c.Rank(), 1)
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		// Windows are eventually consistent across the wire: the barrier
 		// orders rank entry, not frame application, so poll briefly.
-		want := []float64{11, 21, 31}
+		want := []float64{10, 20, 30}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			got := win.Get()
@@ -189,58 +188,76 @@ func TestTCPWindow(t *testing.T) {
 	}
 }
 
+// TestTCPCollectives drives the collective traffic shapes the pipeline
+// hand-rolls over point-to-point primitives — fan-in to a root from any
+// source, fan-out of one payload from a non-zero root, a rank-ordered
+// gather — across a 4-process wire, then closes with the barrier.
 func TestTCPCollectives(t *testing.T) {
 	clusters := loopback(t, 4)
 	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
 		ctx := context.Background()
-		// Reduce at root 0.
-		in := []float64{float64(c.Rank() + 1), 1}
-		sum, err := c.Reduce(ctx, 0, 40, in, OpSum)
-		if err != nil {
-			return err
+		// Fan-in: every worker contributes a float vector to root 0.
+		if c.Rank() != 0 {
+			if err := c.Send(0, 40, EncodeFloats([]float64{float64(c.Rank() + 1), 1})); err != nil {
+				return err
+			}
+		} else {
+			sum := []float64{1, 1}
+			for i := 1; i < c.Size(); i++ {
+				d, _, _, err := c.Recv(ctx, AnySource, 40)
+				if err != nil {
+					return err
+				}
+				v := DecodeFloats(d)
+				PutBytes(d)
+				sum[0] += v[0]
+				sum[1] += v[1]
+			}
+			if sum[0] != 10 || sum[1] != 4 {
+				return fmt.Errorf("fan-in got %v", sum)
+			}
 		}
-		if c.Rank() == 0 && (sum[0] != 10 || sum[1] != 4) {
-			return fmt.Errorf("reduce got %v", sum)
-		}
-		// Allreduce visible everywhere.
-		all, err := c.Allreduce(ctx, 42, []float64{float64(c.Rank())}, OpMax)
-		if err != nil {
-			return err
-		}
-		if all[0] != 3 {
-			return fmt.Errorf("allreduce got %v", all)
-		}
-		// Bcast from a non-zero root.
-		var payload []byte
+		// Fan-out from a non-zero root.
 		if c.Rank() == 2 {
-			payload = []byte("tree")
-		}
-		d, err := c.Bcast(ctx, 2, 44, payload)
-		if err != nil {
-			return err
-		}
-		if string(d) != "tree" {
-			return fmt.Errorf("bcast got %q", d)
-		}
-		if c.Rank() != 2 {
+			for r := 0; r < c.Size(); r++ {
+				if r == 2 {
+					continue
+				}
+				if err := c.Send(r, 44, []byte("tree")); err != nil {
+					return err
+				}
+			}
+		} else {
+			d, _, _, err := c.Recv(ctx, 2, 44)
+			if err != nil {
+				return err
+			}
+			if string(d) != "tree" {
+				return fmt.Errorf("fan-out got %q", d)
+			}
 			PutBytes(d)
 		}
-		// Gather at root 1.
-		parts, err := c.Gather(ctx, 1, 46, []byte{byte('a' + c.Rank())})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			for r, p := range parts {
+		// Rank-ordered gather at root 1.
+		if c.Rank() != 1 {
+			if err := c.Send(1, 46, []byte{byte('a' + c.Rank())}); err != nil {
+				return err
+			}
+		} else {
+			for r := 0; r < c.Size(); r++ {
+				if r == 1 {
+					continue
+				}
+				p, _, _, err := c.Recv(ctx, r, 46)
+				if err != nil {
+					return err
+				}
 				if string(p) != string(byte('a'+r)) {
 					return fmt.Errorf("gather rank %d got %q", r, p)
 				}
-				if r != 1 {
-					PutBytes(p)
-				}
+				PutBytes(p)
 			}
 		}
-		return nil
+		return c.Barrier()
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -284,8 +301,7 @@ func TestTCPRemoteFailurePropagates(t *testing.T) {
 func TestTCPCancelReleasesPooledPayloads(t *testing.T) {
 	gets0, puts0 := PoolCounters()
 	clusters := loopback(t, 2)
-	stall := make(chan struct{})
-	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
+	runSPMD(context.Background(), clusters, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 50; i++ {
 				buf := GetBytes(256)
@@ -296,7 +312,8 @@ func TestTCPCancelReleasesPooledPayloads(t *testing.T) {
 			}
 			return errors.New("teardown with queued payloads")
 		}
-		// Receive a few, release them, then block until teardown.
+		// Receive a few, release them, then block until teardown (rank 0's
+		// failure closes the world under the pending receive).
 		for i := 0; i < 3; i++ {
 			d, _, _, err := c.Recv(context.Background(), 0, 11)
 			if err != nil {
@@ -304,15 +321,12 @@ func TestTCPCancelReleasesPooledPayloads(t *testing.T) {
 			}
 			PutBytes(d)
 		}
-		<-stall
 		_, _, _, err := c.Recv(context.Background(), 0, 99)
 		if !errors.Is(err, ErrWorldClosed) {
 			return fmt.Errorf("want closed world, got %v", err)
 		}
 		return nil
 	})
-	close(stall)
-	_ = errs
 	for _, cl := range clusters {
 		cl.Close()
 	}
