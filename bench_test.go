@@ -9,7 +9,6 @@ package pamg2d
 import (
 	"context"
 	"io"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -538,20 +537,12 @@ func BenchmarkAblationCutAxis(b *testing.B) {
 
 // BenchmarkPushButton measures the complete push-button pipeline at
 // several rank counts (functional concurrency on this machine, not
-// speedup — see BenchmarkFig11StrongScaling for the scaling study). The
-// -kwN variants turn on the intra-rank parallel Delaunay kernel; their
-// speedup is only meaningful at GOMAXPROCS > 1, so cmd/benchreport keys
-// its comparisons on (name, GOMAXPROCS, kernel workers).
+// speedup — see BenchmarkFig11StrongScaling for the scaling study).
 func BenchmarkPushButton(b *testing.B) {
-	for _, c := range []struct{ ranks, kw int }{{1, 1}, {2, 1}, {4, 1}, {1, 2}, {1, 4}} {
-		name := rankName(c.ranks)
-		if c.kw > 1 {
-			name += "-kw" + strconv.Itoa(c.kw)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, ranks := range []int{1, 2, 4} {
+		b.Run(rankName(ranks), func(b *testing.B) {
 			cfg := benchConfig()
-			cfg.Ranks = c.ranks
-			cfg.KernelWorkers = c.kw
+			cfg.Ranks = ranks
 			var tris int
 			for i := 0; i < b.N; i++ {
 				res, err := core.Generate(cfg)
@@ -681,32 +672,21 @@ func TestAuditedWorkloads(t *testing.T) {
 		{"Fig08", fig08},
 	}
 	for _, w := range workloads {
-		for _, c := range []struct{ ranks, kw int }{{1, 1}, {4, 1}, {1, 4}, {4, 4}} {
-			ranks := c.ranks
-			if w.name == "Fig08" && c.kw > 1 {
-				continue // the kernel-parallel audit gate runs on PushButton
-			}
-			if testing.Short() && (w.name == "Fig08" || ranks > 1 || c.kw > 1) {
+		for _, ranks := range []int{1, 4} {
+			if testing.Short() && (w.name == "Fig08" || ranks > 1) {
 				continue
 			}
 			cfg := w.cfg
 			cfg.Ranks = ranks
-			cfg.KernelWorkers = c.kw
 			cfg.Audit = true
 			res, err := core.Generate(cfg)
 			if err != nil {
-				t.Fatalf("%s/%d ranks/kw%d: audited run failed: %v", w.name, ranks, c.kw, err)
+				t.Fatalf("%s/%d ranks: audited run failed: %v", w.name, ranks, err)
 			}
 			if !res.Stats.Audit.Ok() {
-				t.Fatalf("%s/%d ranks/kw%d: violations: %v", w.name, ranks, c.kw, res.Stats.Audit.Violations)
+				t.Fatalf("%s/%d ranks: violations: %v", w.name, ranks, res.Stats.Audit.Violations)
 			}
-			if c.kw > 1 && res.Stats.Kernel.Workers != c.kw {
-				t.Fatalf("%s/%d ranks/kw%d: kernel stats report %d workers", w.name, ranks, c.kw, res.Stats.Kernel.Workers)
-			}
-			if c.kw > 1 && res.Stats.Kernel.Inserted == 0 {
-				t.Fatalf("%s/%d ranks/kw%d: parallel kernel committed nothing: %+v", w.name, ranks, c.kw, res.Stats.Kernel)
-			}
-			if w.name == "PushButton" && ranks == 1 && c.kw == 1 {
+			if w.name == "PushButton" && ranks == 1 {
 				frac := float64(res.Stats.Times.Audit) / float64(res.Stats.Times.Total)
 				if frac >= 0.30 {
 					t.Errorf("audit overhead %.1f%% of total wall time, want < 30%%", 100*frac)

@@ -41,32 +41,18 @@ import (
 )
 
 // benchResult is one benchmark's measured cost, the same triple `go test
-// -bench -benchmem` prints, plus the Delaunay kernel worker count the run
-// used. Recording the worker count per result keeps comparisons honest:
-// the guard only ever compares measurements taken with the same kernel
-// parallelism (entries written before the field existed are sequential,
-// so a missing/zero value normalizes to 1).
+// -bench -benchmem` prints.
 type benchResult struct {
-	Iterations    int   `json:"iterations"`
-	NsPerOp       int64 `json:"ns_per_op"`
-	BytesPerOp    int64 `json:"bytes_per_op"`
-	AllocsPerOp   int64 `json:"allocs_per_op"`
-	KernelWorkers int   `json:"kernel_workers,omitempty"`
+	Iterations  int   `json:"iterations"`
+	NsPerOp     int64 `json:"ns_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
 	// Service-load columns, present only on Meshd/load entries ingested
 	// from a meshload summary (-load): requests per second through a live
 	// meshd plus the client-observed latency percentiles.
 	ThroughputRPS float64 `json:"throughput_rps,omitempty"`
 	P50Ms         float64 `json:"p50_ms,omitempty"`
 	P99Ms         float64 `json:"p99_ms,omitempty"`
-}
-
-// kwOf returns a result's kernel worker count with the pre-field entries
-// (which all measured the sequential kernel) normalized to 1.
-func kwOf(r benchResult) int {
-	if r.KernelWorkers < 1 {
-		return 1
-	}
-	return r.KernelWorkers
 }
 
 // entry is one labeled measurement of the whole suite.
@@ -143,20 +129,7 @@ func run(ctx context.Context, args []string) error {
 	for _, ranks := range []int{1, 2, 4} {
 		name := fmt.Sprintf("PushButton/%d-ranks", ranks)
 		fmt.Fprintf(os.Stderr, "running %s...\n", name)
-		r, err := runPushButton(ctx, ranks, 1, false, false, *benchtime)
-		if err != nil {
-			return err
-		}
-		e.Benchmarks[name] = r
-	}
-	// The -kwN runs turn on the intra-rank parallel Delaunay kernel inside
-	// the single-rank pipeline. Their speedup is only meaningful when
-	// GOMAXPROCS > 1 (the entry records it), and the per-result worker
-	// count keeps them out of the sequential entries' comparisons.
-	for _, kw := range []int{2, 4} {
-		name := fmt.Sprintf("PushButton/1-ranks-kw%d", kw)
-		fmt.Fprintf(os.Stderr, "running %s...\n", name)
-		r, err := runPushButton(ctx, 1, kw, false, false, *benchtime)
+		r, err := runPushButton(ctx, ranks, false, false, *benchtime)
 		if err != nil {
 			return err
 		}
@@ -166,7 +139,7 @@ func run(ctx context.Context, args []string) error {
 	// PushButton/1-ranks plus the invariant-audit stage. The allocation
 	// guard stays on the unaudited single-rank entry.
 	fmt.Fprintln(os.Stderr, "running PushButton/1-ranks-audit...")
-	ra, err := runPushButton(ctx, 1, 1, true, false, *benchtime)
+	ra, err := runPushButton(ctx, 1, true, false, *benchtime)
 	if err != nil {
 		return err
 	}
@@ -177,7 +150,7 @@ func run(ctx context.Context, args []string) error {
 	// guard itself stays on the untraced entry, which is what proves the
 	// disabled tracer allocation-neutral.
 	fmt.Fprintln(os.Stderr, "running PushButton/1-ranks-traced...")
-	rt, err := runPushButton(ctx, 1, 1, false, true, *benchtime)
+	rt, err := runPushButton(ctx, 1, false, true, *benchtime)
 	if err != nil {
 		return err
 	}
@@ -336,8 +309,7 @@ const guardBench = "PushButton/1-ranks"
 
 // checkGuard compares the fresh measurement of guardBench against the most
 // recent prior entry that recorded it under comparable conditions: same
-// GOMAXPROCS and the same kernel worker count (a kw4 run must never gate
-// against a kw1 baseline, nor a multi-core run against a single-core one).
+// GOMAXPROCS (a multi-core run must never gate against a single-core one).
 // Wall time is too noisy to gate on, but allocation counts are
 // near-deterministic, so the guard fails when bytes/op or allocs/op grow
 // by more than 10% plus a small absolute slack.
@@ -351,7 +323,7 @@ func checkGuard(rep *report, e entry) error {
 			continue
 		}
 		prev, ok := rep.Entries[i].Benchmarks[guardBench]
-		if !ok || kwOf(prev) != kwOf(cur) {
+		if !ok {
 			continue
 		}
 		label := rep.Entries[i].Label
@@ -365,8 +337,8 @@ func checkGuard(rep *report, e entry) error {
 			guardBench, label, cur.BytesPerOp, cur.AllocsPerOp)
 		return nil
 	}
-	return fmt.Errorf("guard: no prior %s entry at GOMAXPROCS=%d kw%d to compare against",
-		guardBench, e.GOMAXPROCS, kwOf(cur))
+	return fmt.Errorf("guard: no prior %s entry at GOMAXPROCS=%d to compare against",
+		guardBench, e.GOMAXPROCS)
 }
 
 func neutral(label, what string, prev, cur int64) error {
@@ -380,16 +352,13 @@ func neutral(label, what string, prev, cur int64) error {
 
 // runPushButton measures the full pipeline at the given rank count on the
 // shared scaled-down configuration (identical to BenchmarkPushButton; with
-// audit set, to BenchmarkPushButtonAudited). kw is the Delaunay kernel
-// worker count, recorded in the result so the guard compares like with
-// like. With traced set, every iteration runs under a fresh span tracer so
-// the measurement includes the recorder's full cost (buffer growth
-// included). A canceled ctx aborts between (and, via the stage engine,
-// inside) iterations.
-func runPushButton(ctx context.Context, ranks, kw int, audit, traced bool, benchtime time.Duration) (benchResult, error) {
+// audit set, to BenchmarkPushButtonAudited). With traced set, every
+// iteration runs under a fresh span tracer so the measurement includes the
+// recorder's full cost (buffer growth included). A canceled ctx aborts
+// between (and, via the stage engine, inside) iterations.
+func runPushButton(ctx context.Context, ranks int, audit, traced bool, benchtime time.Duration) (benchResult, error) {
 	cfg := benchcfg.PushButton()
 	cfg.Ranks = ranks
-	cfg.KernelWorkers = kw
 	cfg.Audit = audit
 	var genErr error
 	r := bench(benchtime, func(b *testing.B) {
@@ -404,9 +373,7 @@ func runPushButton(ctx context.Context, ranks, kw int, audit, traced bool, bench
 			}
 		}
 	})
-	res := toResult(r)
-	res.KernelWorkers = kw
-	return res, genErr
+	return toResult(r), genErr
 }
 
 // runPushButtonTCP measures the full pipeline over a loopback TCP fabric

@@ -75,7 +75,7 @@ func postMesh(t *testing.T, url string, body string) (*http.Response, []byte) {
 func TestServeConcurrentAuditedCached(t *testing.T) {
 	ts, _ := newTestServer(t,
 		core.EngineConfig{Ranks: 2, MaxConcurrent: 4},
-		serverOptions{KernelWorkers: 1})
+		serverOptions{})
 
 	ns := []int{20, 24}
 	want := make(map[int][]byte)
@@ -473,8 +473,21 @@ func TestRunStatusMapping(t *testing.T) {
 		},
 		{name: "deadline", err: fmt.Errorf("run: %w", context.DeadlineExceeded), status: http.StatusGatewayTimeout},
 		{name: "canceled", err: context.Canceled, status: 499},
-		{name: "audit", err: errors.New("audit: 2 finding(s)"), audit: true, status: http.StatusUnprocessableEntity},
-		{name: "audit without flag", err: errors.New("audit: 2 finding(s)"), status: http.StatusInternalServerError},
+		{
+			name:  "audit",
+			err:   fmt.Errorf("run: %w", &core.PhaseError{Stage: core.StageAudit, Rank: -1, Err: errors.New("2 finding(s)")}),
+			audit: true, status: http.StatusUnprocessableEntity,
+		},
+		{
+			name:   "audit without flag",
+			err:    &core.PhaseError{Stage: core.StageAudit, Rank: -1, Err: errors.New("2 finding(s)")},
+			status: http.StatusInternalServerError,
+		},
+		{
+			name:  "audit only in the text",
+			err:   &core.PhaseError{Stage: core.StageInviscid, Rank: 1, Err: errors.New("audit log unwritable")},
+			audit: true, status: http.StatusInternalServerError,
+		},
 		{name: "other", err: errors.New("boom"), status: http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -44,7 +44,7 @@ func runAdapt(cfg core.Config, m *mesh.Mesh, iso bool, tracer *trace.Tracer, std
 		return nil, err
 	}
 	opt := adapt.Options{
-		Workers:  cfg.KernelWorkers,
+		Workers:  cfg.Ranks,
 		Ranks:    cfg.Ranks,
 		Tracer:   tracer,
 		Resample: resample,

@@ -45,8 +45,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		writePoly   = fs.String("write-poly", "", "also write the generated PSLG to this .poly file")
 		nHalf       = fs.Int("n", 64, "surface resolution (half-points per element)")
 		ranks       = fs.Int("ranks", 4, "MPI ranks (goroutines with -transport inproc, processes with tcp)")
-		kernelW     = fs.Int("kernel-workers", 1, "Delaunay insertion goroutines per task (1 = sequential, 0 = NumCPU)")
-		kernelSh    = fs.Bool("kernel-shuffle", false, "BRIO round-shuffled insertion batches in the parallel kernel (cuts conflict retries on clustered points)")
 		transport   = fs.String("transport", "inproc", "rank transport: inproc | tcp (spawns ranks-1 worker processes)")
 		listen      = fs.String("listen", "127.0.0.1:0", "launcher listen address for -transport tcp")
 		spawn       = fs.Int("spawn", -1, "worker processes the launcher forks locally (-1 = ranks-1; 0 = all workers join by hand)")
@@ -182,8 +180,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.Gradation = *gradation
 	cfg.HMax = *hmax
 	cfg.Ranks = *ranks
-	cfg.KernelWorkers = *kernelW
-	cfg.KernelShuffle = *kernelSh
 	cfg.Audit = *auditRun
 	switch *kernel {
 	case "ruppert":
@@ -399,10 +395,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			len(st.Tasks), cfg.Ranks, st.Messages, st.BytesOnWire)
 		fmt.Fprintf(stderr, "time                 total %v (BL %v, parallel %v)\n",
 			st.Times.Total.Round(1e6), st.Times.Boundary.Round(1e6), st.Times.Parallel.Round(1e6))
-		if st.Kernel.Workers > 1 {
-			fmt.Fprintf(stderr, "kernel               %d workers: %d inserted in %d rounds, %d conflict retries, %d sequential\n",
-				st.Kernel.Workers, st.Kernel.Inserted, st.Kernel.Rounds, st.Kernel.Conflicts, st.Kernel.Sequential)
-		}
 		if st.Steals.Requests > 0 || st.Steals.Gotten > 0 {
 			fmt.Fprintf(stderr, "steals               %d of %d requests granted, %v total idle\n",
 				st.Steals.Granted, st.Steals.Requests, st.Steals.Idle.Round(1e6))

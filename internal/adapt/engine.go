@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 
-	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/metric"
@@ -52,12 +51,8 @@ type Options struct {
 	// MaxSweeps caps the operator sweeps; 0 resolves to 20.
 	MaxSweeps int
 	// Workers is the number of evaluation/commit goroutines; 0 resolves
-	// to the pool size (or 1 without a pool). The result is identical
-	// for every worker count.
+	// to 1. The result is identical for every worker count.
 	Workers int
-	// Pool, when non-nil, runs phase jobs on a shared persistent worker
-	// team instead of spawning goroutines per pass.
-	Pool *delaunay.WorkerPool
 	// Ranks > 1 distributes plan evaluation over an in-process MPI world
 	// via the loadbal work-stealing scheduler; selection and commit stay
 	// on the root. 0 and 1 evaluate locally.
@@ -124,11 +119,7 @@ func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, erro
 		opt.MaxSweeps = 20
 	}
 	if opt.Workers <= 0 {
-		if opt.Pool != nil {
-			opt.Workers = opt.Pool.Size()
-		} else {
-			opt.Workers = 1
-		}
+		opt.Workers = 1
 	}
 	for i, t := range f {
 		if !t.SPD() {
@@ -390,14 +381,7 @@ func (e *engine) runParallel(body func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(e.workers)
 	for w := 0; w < e.workers; w++ {
-		job := func(w int) func() {
-			return func() { defer wg.Done(); body(w) }
-		}(w)
-		if e.opt.Pool != nil {
-			e.opt.Pool.Submit(job)
-		} else {
-			go job()
-		}
+		go func(w int) { defer wg.Done(); body(w) }(w)
 	}
 	wg.Wait()
 }

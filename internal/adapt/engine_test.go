@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/metric"
@@ -138,17 +137,16 @@ func TestAdaptAnisotropicBL(t *testing.T) {
 }
 
 // TestAdaptDeterministicWorkers demands byte-identical output for every
-// worker count, with and without a shared pool.
+// worker count.
 func TestAdaptDeterministicWorkers(t *testing.T) {
 	f, err := metric.ParseSpec("bl:x0=0,y0=0,x1=1,y1=0,hn=0.03,ht=0.2,grow=0.7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, pool *delaunay.WorkerPool) *mesh.Mesh {
+	run := func(workers int) *mesh.Mesh {
 		m := egrid(t, 6)
 		out, _, err := Adapt(m, metric.Analytic(m, f), Options{
 			Workers:  workers,
-			Pool:     pool,
 			Resample: f,
 		})
 		if err != nil {
@@ -156,17 +154,12 @@ func TestAdaptDeterministicWorkers(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(1, nil)
-	pool := delaunay.NewWorkerPool(3)
-	defer pool.Close()
+	ref := run(1)
 	for _, w := range []int{2, 4, 7} {
-		got := run(w, nil)
+		got := run(w)
 		if !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
 			t.Fatalf("workers=%d: adapted mesh differs from sequential result", w)
 		}
-	}
-	if got := run(0, pool); !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
-		t.Fatal("pooled run differs from sequential result")
 	}
 }
 

@@ -352,6 +352,20 @@ func TestSurfaceRecovery(t *testing.T) {
 	}
 }
 
+// A surface segment whose endpoints are mesh vertices but which no
+// triangle uses must be reported, not divide by its zero use count.
+func TestSurfaceSegmentNotRecovered(t *testing.T) {
+	a, _, c, d := quadPoints()
+	// goodQuadMesh's diagonal is b-d, so a-c is an edge of no triangle;
+	// c-d and d-a are boundary edges.
+	layer := &blayer.Layer{Surface: pslg.Loop{Points: []geom.Point{a, c, d}}}
+	rep := Run(&Snapshot{Mesh: goodQuadMesh(), Layers: []*blayer.Layer{layer}}, []Check{boundaryCheck{}})
+	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0].Detail, "segment 0") ||
+		!strings.Contains(rep.Violations[0].Detail, "not recovered") {
+		t.Fatalf("want one unrecovered-segment violation for segment 0, got %+v", rep.Violations)
+	}
+}
+
 func TestByName(t *testing.T) {
 	checks, err := ByName("orientation, delaunay")
 	if err != nil {

@@ -203,9 +203,9 @@ func (boundaryCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			// Surfaces are CW holes in the final mesh, so the boundary edge
 			// runs opposite the CCW surface loop; accept either direction.
 			if !bset[[2]int32{ai, bi}] && !bset[[2]int32{bi, ai}] {
-				if n := s.edgeUse[edgeOf(pts[i], pts[(i+1)%n])]; n > 0 {
+				if uses := s.edgeUse[edgeOf(pts[i], pts[(i+1)%n])]; uses > 0 {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) is an interior edge (%d triangles), not a boundary edge",
-						li, i, pts[i], pts[(i+1)%n], n)
+						li, i, pts[i], pts[(i+1)%n], uses)
 				} else {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) not recovered as a mesh boundary edge",
 						li, i, pts[i], pts[(i+1)%n])

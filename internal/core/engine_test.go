@@ -99,51 +99,6 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentKernelPool runs concurrent multi-worker-kernel runs
-// over the engine's shared Delaunay worker pool and checks the meshes
-// still match a solo kw2 run (the parallel kernel is deterministic for
-// any worker count >= 2, and executing its stripe jobs on a shared pool
-// must not change the result).
-func TestEngineConcurrentKernelPool(t *testing.T) {
-	cfgSolo := smallConfig(1)
-	cfgSolo.KernelWorkers = 2
-	solo, err := Generate(cfgSolo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := meshBytes(t, solo)
-
-	eng, err := NewEngine(EngineConfig{Ranks: 1, KernelPoolSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	var wg sync.WaitGroup
-	results := make([]*Result, 3)
-	errs := make([]error, 3)
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cfg := smallConfig(1)
-			cfg.KernelWorkers = 2
-			results[i], errs[i] = eng.Run(context.Background(), cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("run %d: %v", i, errs[i])
-		}
-		if got := meshBytes(t, results[i]); !bytes.Equal(got, want) {
-			t.Errorf("run %d: pooled-kernel mesh differs from solo output", i)
-		}
-		if results[i].Stats.Kernel.Workers != 2 {
-			t.Errorf("run %d: kernel workers = %d, want 2", i, results[i].Stats.Kernel.Workers)
-		}
-	}
-}
-
 // TestEngineAdmission exercises the MaxConcurrent/MaxQueue gate with runs
 // deterministically parked inside a distributed stage via the test hook.
 func TestEngineAdmission(t *testing.T) {

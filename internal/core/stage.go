@@ -156,7 +156,6 @@ type RunCtx struct {
 	stats  *Stats
 	res    *Result
 	tracer *trace.Tracer // nil when tracing is off
-	eng    *Engine       // owning engine; nil for directly-constructed test runs
 
 	// Intermediate pipeline state, in production order.
 	g          *pslg.Graph     // validate
@@ -255,25 +254,19 @@ func (st *Stats) recordStage(s StageStat) {
 	switch s.Name {
 	case StageValidate:
 		st.Times.Validate += s.Wall
-		st.Allocs.Validate += s.Allocs
 	case StageRays, StageRayInsertion:
 		st.Times.Boundary += s.Wall
-		st.Allocs.Boundary += s.Allocs
 	case StageBLTriangulation:
 		st.Times.Decompose += s.Wall
-		st.Allocs.Decompose += s.Allocs
 	case StageInviscid:
 		st.Times.Parallel += s.Wall
-		st.Allocs.Parallel += s.Allocs
 	case StageMerge:
 		st.Times.Merge += s.Wall
-		st.Allocs.Merge += s.Allocs
 	case StageAudit:
 		// The per-check "audit/<check>" entries deliberately fall through to
 		// no bucket: only the stage summary feeds the aggregate, so the
 		// bucket is not double-counted.
 		st.Times.Audit += s.Wall
-		st.Allocs.Audit += s.Allocs
 	}
 }
 

@@ -255,77 +255,3 @@ func TestAuditWireAttribution(t *testing.T) {
 			sumMsgs, sumBytes, st.Messages, st.BytesOnWire)
 	}
 }
-
-// TestKernelWorkersTracedRun: a run with the intra-rank parallel Delaunay
-// kernel enabled folds kernel statistics into Stats.Kernel and the metrics
-// registry, records per-worker kernel spans on rank tracks, and produces a
-// mesh of the same size as the sequential kernel's.
-func TestKernelWorkersTracedRun(t *testing.T) {
-	seq, err := Generate(smallConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := smallConfig(2)
-	cfg.KernelWorkers = 4
-	res, tr := tracedRun(t, cfg)
-
-	ks := res.Stats.Kernel
-	if ks.Workers != 4 {
-		t.Fatalf("Stats.Kernel.Workers = %d, want 4", ks.Workers)
-	}
-	if ks.Inserted == 0 || ks.Rounds == 0 {
-		t.Fatalf("parallel kernel recorded no work: %+v", ks)
-	}
-	if n := tr.OpenSpans(); n != 0 {
-		t.Errorf("%d spans left open (kernel worker spans must close)", n)
-	}
-	snap := tr.Metrics().Snapshot()
-	if snap.Counters["kernel.inserted"] != int64(ks.Inserted) {
-		t.Errorf("kernel.inserted metric = %d, want %d", snap.Counters["kernel.inserted"], ks.Inserted)
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("exported trace invalid: %v", err)
-	}
-	var tj struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			PID  float64 `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tj); err != nil {
-		t.Fatal(err)
-	}
-	kernelSpans := 0
-	for _, e := range tj.TraceEvents {
-		if e.Ph == "X" && e.Cat == trace.CatKernel {
-			kernelSpans++
-			if !strings.HasPrefix(e.Name, "kernel/worker-") {
-				t.Errorf("kernel span named %q, want kernel/worker-N", e.Name)
-			}
-			if e.PID == 0 {
-				t.Errorf("kernel span %q on the root track, want a rank track", e.Name)
-			}
-		}
-	}
-	if kernelSpans == 0 {
-		t.Fatal("no kernel worker spans in the trace")
-	}
-
-	// Same workload, same mesh scale: the parallel kernel builds the same
-	// constrained Delaunay triangulations (insertion order may differ only
-	// at cocircular degeneracies, and refinement is quality-driven), so the
-	// merged counts must stay in a tight band.
-	ratio := float64(res.Mesh.NumTriangles()) / float64(seq.Mesh.NumTriangles())
-	if ratio < 0.95 || ratio > 1.05 {
-		t.Errorf("kw4 mesh diverges from sequential: %d vs %d triangles",
-			res.Mesh.NumTriangles(), seq.Mesh.NumTriangles())
-	}
-}

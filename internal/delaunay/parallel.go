@@ -10,6 +10,11 @@ package delaunay
 // multiple workers into pre-assigned triangle slots. Conflicted points
 // retry in the next round against the updated topology.
 //
+// The pipeline does not call this engine (DESIGN §12: measured 30x slower
+// than the sequential kernel on boundary-layer leaves). It stays as the
+// benchmark's delaunay.kw2_* probe and as the second implementation
+// FuzzAuditDelaunay checks the audit against.
+//
 // Two cavities may commit concurrently only when they are halo-disjoint:
 // neither shares a cavity triangle with the other's cavity, and neither's
 // cavity appears among the other's halo triangles (the neighbors just
@@ -31,8 +36,7 @@ package delaunay
 // the shared append path or the free list.
 //
 // Sharded state, per worker: the point-location walk seed (the sequential
-// kernel's t.last) and the tallies; per pending point: the cavity buffers
-// (cavScratch). The Shewchuk predicate arenas are already pooled
+// kernel's t.last); per pending point: the cavity buffers (cavScratch). The Shewchuk predicate arenas are already pooled
 // per-goroutine by internal/geom. Shared vertex-to-triangle seeds
 // (t.vtri) are the one write that can target the same element from two
 // independent commits (a shared cavity-boundary vertex), so those stores
@@ -42,12 +46,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"pamg2d/internal/geom"
-	"pamg2d/internal/trace"
 )
 
 // ParallelOptions configures the concurrent insertion engine.
@@ -56,70 +58,6 @@ type ParallelOptions struct {
 	// value) selects the sequential kernel unchanged; 0 resolves to
 	// runtime.NumCPU().
 	Workers int
-	// Pool, when non-nil, executes the phase jobs on a persistent shared
-	// worker team instead of spawning a fresh team per build. A long-lived
-	// engine serving many concurrent builds attaches one pool so the
-	// process runs a bounded number of insertion goroutines no matter how
-	// many triangulations are in flight. The stripe decomposition — and
-	// therefore the result — is identical either way.
-	Pool *WorkerPool
-	// RoundShuffle interleaves the insertion order BRIO-style so each
-	// batch spans the whole domain instead of one x-stripe. Clustered
-	// inputs (anisotropic boundary-layer points) otherwise fill a batch
-	// from a single cluster whose cavities all overlap, burning rounds on
-	// conflict retries; spreading the batch trades walk locality (restored
-	// by bin-seeded locates) for near-conflict-free rounds. Off by default.
-	RoundShuffle bool
-	// Tracer, when non-nil, records one span per worker (category
-	// trace.CatKernel, mesher track) covering the worker's lifetime.
-	Tracer *trace.Tracer
-	// Rank is the tracer track the worker spans land on.
-	Rank int
-}
-
-// WorkerPool is a persistent team of kernel goroutines shared by every
-// build that attaches it (ParallelOptions.Pool). Jobs are plain closures;
-// the pool guarantees each submitted job runs exactly once, on some pool
-// goroutine. Safe for concurrent Submit from many builds: jobs from
-// different builds interleave freely, and a build's phase barrier is its
-// own WaitGroup, not the pool's.
-type WorkerPool struct {
-	jobs chan func()
-	size int
-	wg   sync.WaitGroup
-}
-
-// NewWorkerPool starts a pool of n persistent goroutines (0 resolves to
-// runtime.NumCPU()). Close releases them.
-func NewWorkerPool(n int) *WorkerPool {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	p := &WorkerPool{jobs: make(chan func(), 4*n), size: n}
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// Size returns the number of pool goroutines.
-func (p *WorkerPool) Size() int { return p.size }
-
-// Submit enqueues one job. It must not be called after Close.
-func (p *WorkerPool) Submit(f func()) { p.jobs <- f }
-
-// Close stops the pool after the queued jobs drain. Builds still running
-// against the pool must complete first; Close then blocks until every
-// goroutine has exited.
-func (p *WorkerPool) Close() {
-	close(p.jobs)
-	p.wg.Wait()
 }
 
 // resolveWorkers maps the Workers convention (0 = NumCPU) to a count.
@@ -138,29 +76,6 @@ type ParStats struct {
 	Inserted   int // points committed by the concurrent phase
 	Conflicts  int // insertions deferred to a later round by cavity conflicts
 	Sequential int // points that took the sequential path (duplicates, splits, odd cavities)
-}
-
-// Add accumulates other into s.
-func (s *ParStats) Add(other *ParStats) {
-	if other == nil {
-		return
-	}
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
-	s.Rounds += other.Rounds
-	s.Inserted += other.Inserted
-	s.Conflicts += other.Conflicts
-	s.Sequential += other.Sequential
-}
-
-// workerScratch is one insertion worker's private state, keyed by worker
-// id: the sharded point-location walk seed and the per-worker tallies the
-// tracer span reports.
-type workerScratch struct {
-	seed      int32
-	located   int
-	committed int
 }
 
 // insertPlan is one pending point's phase-1 result: its location, its
@@ -182,7 +97,7 @@ type insertPlan struct {
 type parInserter struct {
 	t       *Triangulation
 	workers int
-	shards  []workerScratch
+	seeds   []int32 // per-worker point-location walk seed (the sharded t.last)
 	plans   []insertPlan
 	batch   []int32 // input-point indices in this round's batch
 	retry   []int32
@@ -198,13 +113,10 @@ type parInserter struct {
 	claimHalo []uint32
 	epoch     uint32
 
-	jobs   chan func()
-	pool   *WorkerPool // shared persistent team; nil = per-build goroutines
-	phase  sync.WaitGroup
-	life   sync.WaitGroup
-	stats  ParStats
-	tracer *trace.Tracer
-	rank   int
+	jobs  chan func()
+	phase sync.WaitGroup
+	life  sync.WaitGroup
+	stats ParStats
 
 	debugCheck bool // tests: validate invariants after every round
 	debugFull  bool // tests: include the O(n^2) Delaunay property check
@@ -230,17 +142,9 @@ func BuildParallel(in Input, opt ParallelOptions) (*Triangulation, *ParStats, er
 	}
 	t := NewCap(bb, len(in.Points))
 	order := insertionOrder(in, t)
-	if opt.RoundShuffle {
-		order = brioInterleave(order)
-		// Interleaved batches have no walk locality left, so bound every
-		// locate with the spatial-hash seed regardless of input sortedness.
-		if t.binGrid == nil {
-			t.EnableBinSeeding(bb, len(in.Points))
-		}
-	}
 
 	vmap := make([]int32, len(in.Points))
-	ins := &parInserter{t: t, workers: workers, pool: opt.Pool, tracer: opt.Tracer, rank: opt.Rank}
+	ins := &parInserter{t: t, workers: workers}
 	err := ins.run(in.Points, order, vmap)
 	ins.stats.Workers = workers
 	if err != nil {
@@ -263,20 +167,6 @@ func BuildParallel(in Input, opt ParallelOptions) (*Triangulation, *ParStats, er
 func TriangulateParallel(in Input, opt ParallelOptions) (*Result, *ParStats, error) {
 	t, ps, err := BuildParallel(in, opt)
 	if err != nil {
-		return nil, ps, err
-	}
-	return t.Extract(), ps, nil
-}
-
-// TriangulateRefinedParallel is TriangulateRefined with the bulk insertion
-// parallelized; refinement itself stays sequential (it is a small share of
-// the kernel profile, and its insertion order is quality-driven).
-func TriangulateRefinedParallel(in Input, q Quality, opt ParallelOptions) (*Result, *ParStats, error) {
-	t, ps, err := BuildParallel(in, opt)
-	if err != nil {
-		return nil, ps, err
-	}
-	if err := t.Refine(q); err != nil {
 		return nil, ps, err
 	}
 	return t.Extract(), ps, nil
@@ -315,35 +205,6 @@ func insertionOrder(in Input, t *Triangulation) []int32 {
 	return order
 }
 
-// brioSpan is the round-shuffle granularity: the interleave is built so
-// that any consecutive run of up to brioSpan points in the shuffled order
-// samples the whole sorted range. It matches the engine's largest batch,
-// so every batch is spread regardless of the worker count, and the
-// shuffled order itself is worker-count independent.
-const brioSpan = 256
-
-// brioInterleave reorders an x-sorted insertion order into round-robin
-// groups: group g holds the sorted positions g, g+G, g+2G, ... with
-// G = ceil(n/brioSpan) groups concatenated in order. Consecutive entries of
-// the result are G sorted positions apart, so a batch drawn from it spans
-// the full domain instead of one x-stripe — the deterministic stand-in for
-// BRIO's within-round shuffle. Inputs small enough for a single group (or
-// two) keep their sorted order.
-func brioInterleave(order []int32) []int32 {
-	n := len(order)
-	groups := (n + brioSpan - 1) / brioSpan
-	if groups < 2 {
-		return order
-	}
-	out := make([]int32, 0, n)
-	for g := 0; g < groups; g++ {
-		for i := g; i < n; i += groups {
-			out = append(out, order[i])
-		}
-	}
-	return out
-}
-
 // run drives the round loop: phase 1 locates and digs cavities in
 // parallel, phase 2 sequentially selects a conflict-free set and
 // pre-assigns vertices and slots, phase 3 commits the selected fans in
@@ -359,43 +220,24 @@ func (ins *parInserter) run(pts []geom.Point, order []int32, vmap []int32) error
 		batchCap = 256
 	}
 	ins.plans = make([]insertPlan, batchCap)
-	ins.shards = make([]workerScratch, ins.workers)
-	for w := range ins.shards {
-		ins.shards[w].seed = t.last
+	ins.seeds = make([]int32, ins.workers)
+	for w := range ins.seeds {
+		ins.seeds[w] = t.last
 	}
-	// Worker spans are begun and ended here, not inside the execution
-	// goroutines: with a shared WorkerPool the executing goroutines outlive
-	// any one build, but the per-stripe accounting (shards) is still this
-	// build's own. The deferred End closes every span even on the error
-	// paths, after the last phase barrier has ordered the shard writes.
-	if ins.tracer.Enabled() {
-		spans := make([]trace.Span, ins.workers)
-		for w := range spans {
-			spans[w] = ins.tracer.Begin(ins.rank, trace.CatKernel, "kernel/worker-"+strconv.Itoa(w))
-		}
-		defer func() {
-			for w := range spans {
-				spans[w].End(trace.I("located", ins.shards[w].located),
-					trace.I("committed", ins.shards[w].committed))
+	ins.jobs = make(chan func())
+	ins.life.Add(ins.workers)
+	for w := 0; w < ins.workers; w++ {
+		go func() {
+			defer ins.life.Done()
+			for f := range ins.jobs {
+				f()
 			}
 		}()
 	}
-	if ins.pool == nil {
-		ins.jobs = make(chan func())
-		ins.life.Add(ins.workers)
-		for w := 0; w < ins.workers; w++ {
-			go func() {
-				defer ins.life.Done()
-				for f := range ins.jobs {
-					f()
-				}
-			}()
-		}
-		defer func() {
-			close(ins.jobs)
-			ins.life.Wait()
-		}()
-	}
+	defer func() {
+		close(ins.jobs)
+		ins.life.Wait()
+	}()
 
 	pos := 0
 	for pos < len(order) || len(ins.retry) > 0 {
@@ -450,23 +292,18 @@ func (ins *parInserter) run(pts []geom.Point, order []int32, vmap []int32) error
 	return nil
 }
 
-// runPhase enqueues one stripe-bound job per worker slot — on the shared
-// WorkerPool when one is attached, on the build's own team otherwise — and
-// waits for all stripes to finish. The jobs carry the stripe id rather
-// than relying on which goroutine dequeues them — a fast worker may
+// runPhase enqueues one stripe-bound job per worker slot on the build's
+// team and waits for all stripes to finish. The jobs carry the stripe id
+// rather than relying on which goroutine dequeues them — a fast worker may
 // execute two stripes while a slow one executes none, but every stripe
-// runs exactly once, so the computation is identical on both vehicles.
+// runs exactly once.
 // The WaitGroup barrier orders each phase's writes before the next phase's
-// reads, and makes each shard single-writer within a phase.
+// reads, and makes each seed single-writer within a phase.
 func (ins *parInserter) runPhase(f func(w int)) {
 	ins.phase.Add(ins.workers)
 	for w := 0; w < ins.workers; w++ {
 		stripe := w
-		if ins.pool != nil {
-			ins.pool.Submit(func() { f(stripe); ins.phase.Done() })
-		} else {
-			ins.jobs <- func() { f(stripe); ins.phase.Done() }
-		}
+		ins.jobs <- func() { f(stripe); ins.phase.Done() }
 	}
 	ins.phase.Wait()
 }
@@ -478,14 +315,13 @@ func (ins *parInserter) runPhase(f func(w int)) {
 func (ins *parInserter) preparePhase(pts []geom.Point) func(w int) {
 	t := ins.t
 	return func(w int) {
-		ws := &ins.shards[w]
+		seed := &ins.seeds[w]
 		for i := w; i < len(ins.batch); i += ins.workers {
 			pl := &ins.plans[i]
 			pl.pt = pts[ins.batch[i]]
 			pl.err = nil
 			pl.seq = false
-			ws.located++
-			loc := t.locateFrom(ws.seed, pl.pt)
+			loc := t.locateFrom(*seed, pl.pt)
 			pl.loc = loc
 			switch loc.kind {
 			case locOutside:
@@ -504,7 +340,7 @@ func (ins *parInserter) preparePhase(pts []geom.Point) func(w int) {
 					continue
 				}
 			}
-			ws.seed = loc.t
+			*seed = loc.t
 			t.computeCavityInto(pl.pt, loc, &pl.s)
 		}
 	}
@@ -576,11 +412,9 @@ func (ins *parInserter) selectPlans(vmap []int32) {
 func (ins *parInserter) commitPhase() func(w int) {
 	t := ins.t
 	return func(w int) {
-		ws := &ins.shards[w]
 		for k := w; k < len(ins.sel); k += ins.workers {
 			pl := &ins.plans[ins.sel[k]]
 			t.commitCavityPar(pl.v, &pl.s, pl.slots)
-			ws.committed++
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package delaunay
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -147,26 +145,6 @@ func TestParallelRoundInvariants(t *testing.T) {
 	}
 }
 
-func TestTriangulateRefinedParallel(t *testing.T) {
-	in := squareInput(fuzzCloud(21, 200))
-	q := Quality{MaxRadiusEdgeRatio: 1.5, MaxArea: 0.02}
-	seqRes, err := TriangulateRefined(in, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, ps, err := TriangulateRefinedParallel(in, q, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Rounds == 0 {
-		t.Fatal("engine did not run")
-	}
-	// Refinement is quality-driven, so only the bounds are comparable.
-	if len(res.Triangles) < len(seqRes.Triangles)/2 || len(res.Triangles) > 2*len(seqRes.Triangles) {
-		t.Fatalf("refined sizes diverge: parallel %d vs sequential %d", len(res.Triangles), len(seqRes.Triangles))
-	}
-}
-
 func BenchmarkBuildParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Point, 5000)
@@ -182,137 +160,5 @@ func BenchmarkBuildParallel(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// clusteredCloud mimics boundary-layer point sets: dense x-sorted bands of
-// near-collinear clustered points, the worst case for spatially adjacent
-// insertion batches (neighbors in the x-order share cavities and conflict).
-func clusteredCloud(seed int64, n int) []geom.Point {
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, 0, n)
-	for len(pts) < n {
-		// A short "extrusion stack": points packed along a near-vertical ray.
-		x, y := rng.Float64(), rng.Float64()
-		h := 1e-4
-		for k := 0; k < 8 && len(pts) < n; k++ {
-			pts = append(pts, geom.Pt(x+rng.Float64()*1e-5, y+h))
-			h *= 1.3
-		}
-	}
-	return pts
-}
-
-// TestRoundShuffleCutsConflicts is the before/after gate for the BRIO
-// round-shuffle batch composition: on clustered boundary-layer-like
-// points the shuffled batches must retry measurably less than the
-// x-sorted ones, while still producing a valid Delaunay triangulation
-// that is deterministic across worker counts.
-func TestRoundShuffleCutsConflicts(t *testing.T) {
-	in := squareInput(clusteredCloud(11, 1200))
-
-	_, plain, err := BuildParallel(in, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs, shuf, err := BuildParallel(in, ParallelOptions{Workers: 4, RoundShuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trs.CheckDelaunay(true); err != nil {
-		t.Fatalf("shuffled triangulation invalid: %v", err)
-	}
-	t.Logf("conflicts: sorted=%d shuffled=%d (rounds %d vs %d)",
-		plain.Conflicts, shuf.Conflicts, plain.Rounds, shuf.Rounds)
-	if plain.Conflicts == 0 {
-		t.Fatalf("clustered cloud produced no conflicts in sorted order — test input too easy")
-	}
-	if shuf.Conflicts*2 > plain.Conflicts {
-		t.Errorf("round shuffle did not cut conflicts in half: sorted %d, shuffled %d",
-			plain.Conflicts, shuf.Conflicts)
-	}
-
-	// Shuffled insertion is reproducible: the interleave is a pure function
-	// of the point order, so repeating the build gives the identical result.
-	// (Across different worker counts only validity is guaranteed — the
-	// batch capacity scales with the worker count, which regroups the
-	// conflict retries; that is equally true of the unshuffled path.)
-	ref := trs.Extract()
-	again, _, err := BuildParallel(in, ParallelOptions{Workers: 4, RoundShuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, again.Extract()) {
-		t.Fatalf("shuffled build is not reproducible for a fixed worker count")
-	}
-	for _, w := range []int{2, 8} {
-		trw, _, err := BuildParallel(in, ParallelOptions{Workers: w, RoundShuffle: true})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if err := trw.CheckDelaunay(true); err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-	}
-}
-
-// TestWorkerPoolEquivalence: executing the stripe jobs on a shared
-// WorkerPool must produce exactly the per-build-team result, regardless
-// of the pool's size relative to the build's worker count.
-func TestWorkerPoolEquivalence(t *testing.T) {
-	in := squareInput(fuzzCloud(5, 600))
-	want, wps, err := TriangulateParallel(in, ParallelOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{1, 2, 4, 8} {
-		pool := NewWorkerPool(size)
-		got, ps, err := TriangulateParallel(in, ParallelOptions{Workers: 4, Pool: pool})
-		pool.Close()
-		if err != nil {
-			t.Fatalf("pool size %d: %v", size, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("pool size %d: result differs from per-build team", size)
-		}
-		if ps.Rounds != wps.Rounds || ps.Inserted != wps.Inserted {
-			t.Fatalf("pool size %d: stats differ: %+v vs %+v", size, ps, wps)
-		}
-	}
-}
-
-// TestWorkerPoolSharedAcrossBuilds drives concurrent builds through one
-// pool (the engine's serving pattern); under -race this gates the pool's
-// job hand-off, and every build must match its solo result.
-func TestWorkerPoolSharedAcrossBuilds(t *testing.T) {
-	pool := NewWorkerPool(4)
-	defer pool.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, 6)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := squareInput(fuzzCloud(int64(20+i), 400))
-			want, _, err := TriangulateParallel(in, ParallelOptions{Workers: 3})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			got, _, err := TriangulateParallel(in, ParallelOptions{Workers: 3, Pool: pool})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !reflect.DeepEqual(want, got) {
-				errs[i] = fmt.Errorf("build %d: pooled result differs", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("build %d: %v", i, err)
-		}
 	}
 }

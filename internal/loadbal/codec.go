@@ -2,10 +2,8 @@ package loadbal
 
 // Wire codec for Task, registered with the mpi transport layer so steal
 // grants — which travel as zero-copy Task references in-process — can
-// cross a process boundary. The format extends the stealing protocol's
-// 24-byte-equivalent header with a discriminator preserving which payload
-// representation the task carries, because the meshing callback decodes
-// Vals and Payload differently.
+// cross a process boundary. The format is the stealing protocol's header
+// (id, cost, flags, one form byte) followed by the Vals floats.
 
 import (
 	"encoding/binary"
@@ -18,10 +16,9 @@ import (
 // codecTask is loadbal's wire id in the block mpi reserves for it.
 const codecTask mpi.CodecID = 16
 
-const (
-	taskFormPayload byte = 0
-	taskFormVals    byte = 1
-)
+// taskFormVals is the only payload form: little-endian float64s. The
+// decoder rejects any other form byte.
+const taskFormVals byte = 1
 
 func encodeTaskRef(ref any, dst []byte) []byte {
 	t := ref.(Task)
@@ -31,18 +28,11 @@ func encodeTaskRef(ref any, dst []byte) []byte {
 	if t.BoundaryLayer {
 		flags = 1
 	}
-	form := taskFormPayload
-	if len(t.Vals) > 0 {
-		form = taskFormVals
+	dst = append(dst, flags, taskFormVals)
+	for _, v := range t.Vals {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	dst = append(dst, flags, form)
-	if form == taskFormVals {
-		for _, v := range t.Vals {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-		}
-		return dst
-	}
-	return append(dst, t.Payload...)
+	return dst
 }
 
 func decodeTaskRef(b []byte) (any, error) {
@@ -54,22 +44,16 @@ func decodeTaskRef(b []byte) (any, error) {
 		Cost:          math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
 		BoundaryLayer: b[12] != 0,
 	}
-	body := b[14:]
-	switch b[13] {
-	case taskFormPayload:
-		if len(body) > 0 {
-			t.Payload = append([]byte{}, body...)
-		}
-	case taskFormVals:
-		if len(body)%8 != 0 {
-			return nil, fmt.Errorf("loadbal: task vals of %d bytes not a multiple of 8", len(body))
-		}
-		t.Vals = make([]float64, len(body)/8)
-		for i := range t.Vals {
-			t.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-		}
-	default:
+	if b[13] != taskFormVals {
 		return nil, fmt.Errorf("loadbal: unknown task payload form %d", b[13])
+	}
+	body := b[14:]
+	if len(body)%8 != 0 {
+		return nil, fmt.Errorf("loadbal: task vals of %d bytes not a multiple of 8", len(body))
+	}
+	t.Vals = make([]float64, len(body)/8)
+	for i := range t.Vals {
+		t.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	return t, nil
 }

@@ -30,21 +30,19 @@ type Task struct {
 	// BoundaryLayer marks boundary-layer subdomains, which are prioritized
 	// ahead of inviscid subdomains of any cost.
 	BoundaryLayer bool
-	// Payload is the serialized subdomain, opaque to the balancer.
-	Payload []byte
-	// Vals is the zero-copy alternative to Payload for tasks built in the
-	// same address space: the floats that EncodeFloats would have packed,
-	// handed around by reference. Steal transfers still account the bytes
-	// the serialized form would occupy (see WireBytes), so the
-	// communication-volume statistics are unchanged by the fast path.
+	// Vals is the subdomain, opaque to the balancer: the floats that
+	// EncodeFloats would pack, handed around by reference in-process.
+	// Steal transfers account the bytes the serialized form would occupy
+	// (see WireBytes), so the communication-volume statistics match a
+	// byte-serialized run.
 	Vals []float64
 }
 
 // WireBytes returns the number of bytes the task would occupy on a real
 // interconnect: the 24-byte header of the stealing protocol plus the
-// serialized payload, whichever representation the task carries.
+// serialized Vals.
 func (t *Task) WireBytes() int {
-	return 24 + len(t.Payload) + 8*len(t.Vals)
+	return 24 + 8*len(t.Vals)
 }
 
 // message tags of the stealing protocol.
@@ -383,7 +381,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						}
 						// Zero-copy transfer: the task moves by reference,
 						// accounted at exactly the size its serialized form
-						// (encodeTask) would occupy on the wire.
+						// would occupy on the wire.
 						if err := c.SendRef(src, tagGrant, t, t.WireBytes()); err != nil {
 							// Undelivered: the task is still ours to run.
 							st.push(t)
@@ -419,11 +417,8 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						stolenSp = tr.Begin(c.Rank(), trace.CatSteal, "stolen")
 						tr.FlowIn(c.Rank(), src, "steal")
 					}
-					switch p := data.(type) {
-					case Task:
-						st.push(p)
-					case []byte:
-						st.push(decodeTask(p))
+					if t, ok := data.(Task); ok {
+						st.push(t)
 					}
 					if tr.Enabled() {
 						stolenSp.End(trace.I("from", src))
@@ -594,32 +589,4 @@ func tryRecvBalancer(c *mpi.Comm) (data any, src, tag int, ok bool) {
 		}
 	}
 	return nil, 0, 0, false
-}
-
-// encodeTask serializes a task for transfer; this is the wire format whose
-// size SendRef-based grants account for.
-
-func encodeTask(t Task) []byte {
-	head := mpi.EncodeFloats([]float64{float64(t.ID), t.Cost, boolTo(t.BoundaryLayer)})
-	if len(t.Vals) > 0 {
-		return append(head, mpi.EncodeFloats(t.Vals)...)
-	}
-	return append(head, t.Payload...)
-}
-
-func decodeTask(b []byte) Task {
-	head := mpi.DecodeFloats(b[:24])
-	return Task{
-		ID:            int32(head[0]),
-		Cost:          head[1],
-		BoundaryLayer: head[2] != 0,
-		Payload:       b[24:],
-	}
-}
-
-func boolTo(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

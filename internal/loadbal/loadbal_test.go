@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -25,15 +26,6 @@ func TestQueuePriority(t *testing.T) {
 		if got.ID != want {
 			t.Fatalf("pop order: got %d, want %d", got.ID, want)
 		}
-	}
-}
-
-func TestTaskEncoding(t *testing.T) {
-	in := Task{ID: 42, Cost: 1234.5, BoundaryLayer: true, Payload: []byte("subdomain-bytes")}
-	out := decodeTask(encodeTask(in))
-	if out.ID != in.ID || out.Cost != in.Cost || out.BoundaryLayer != in.BoundaryLayer ||
-		string(out.Payload) != string(in.Payload) {
-		t.Fatalf("round trip: %+v != %+v", out, in)
 	}
 }
 
@@ -162,13 +154,13 @@ func TestEmptyRanksTerminate(t *testing.T) {
 
 func TestPayloadSurvivesTransfer(t *testing.T) {
 	ranks := 2
-	payload := make([]byte, 1000)
+	payload := make([]float64, 1000)
 	for i := range payload {
-		payload[i] = byte(i)
+		payload[i] = float64(i)
 	}
 	dist := make([][]Task, ranks)
 	for k := int32(0); k < 8; k++ {
-		dist[0] = append(dist[0], Task{ID: k, Cost: 50, Payload: payload})
+		dist[0] = append(dist[0], Task{ID: k, Cost: 50, Vals: payload})
 	}
 	world := mpi.NewWorld(ranks)
 	win := world.NewWindow(ranks)
@@ -177,13 +169,10 @@ func TestPayloadSurvivesTransfer(t *testing.T) {
 	err := world.Run(func(c *mpi.Comm) {
 		Run(context.Background(), c, win, dist[c.Rank()], 8, Options{StealBelow: 60, Poll: 100 * time.Microsecond}, func(task Task) {
 			time.Sleep(500 * time.Microsecond)
-			for i := range task.Payload {
-				if task.Payload[i] != byte(i) {
-					mu.Lock()
-					bad = true
-					mu.Unlock()
-					return
-				}
+			if !slices.Equal(task.Vals, payload) {
+				mu.Lock()
+				bad = true
+				mu.Unlock()
 			}
 		})
 	})

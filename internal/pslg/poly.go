@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"pamg2d/internal/geom"
@@ -154,8 +155,16 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 		byMarker[marker] = append(byMarker[marker], seg{ai, bi})
 	}
 
+	// Ascending marker order: the graph (and anything hashed from it) must
+	// be a function of the text, not of map iteration.
+	markers := make([]int, 0, len(byMarker))
+	for marker := range byMarker {
+		markers = append(markers, marker)
+	}
+	sort.Ints(markers)
 	var loops []Loop
-	for marker, segs := range byMarker {
+	for _, marker := range markers {
+		segs := byMarker[marker]
 		next := make(map[int]int, len(segs))
 		for _, s := range segs {
 			if _, dup := next[s.a]; dup {

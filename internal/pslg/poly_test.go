@@ -2,6 +2,7 @@ package pslg
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,40 @@ func TestPolyRoundTrip(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// One multi-element text must parse to one graph: consumers hash it
+// (meshd's cache key) and mesh its surfaces in order.
+func TestReadPolyDeterministic(t *testing.T) {
+	g := &Graph{
+		Surfaces: []Loop{
+			square(1, 1, 1, "a"),
+			square(4, 1, 1.5, "b"),
+			square(7, 1, 0.5, "c"),
+		},
+		Farfield: square(-10, -10, 25, "farfield"),
+	}
+	var buf bytes.Buffer
+	if err := g.WritePoly(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	want, err := ReadPoly(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Surfaces) != 3 {
+		t.Fatalf("surfaces = %d, want 3", len(want.Surfaces))
+	}
+	for i := 1; i < 32; i++ {
+		got, err := ReadPoly(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("parse %d of the same text gave a different graph", i)
+		}
 	}
 }
 
