@@ -44,14 +44,16 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	var tris []float64
+	annuli := layerAnnuli(layers, cfg.BL)
+	b := mesh.NewBuilder()
 	for _, tri := range res.Triangles {
-		a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
-		tris = append(tris, a.X, a.Y, b.X, b.Y, c.X, c.Y)
+		p0, p1, p2 := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
+		if inAnnuli(annuli, p0, p1, p2) {
+			b.AddTriangle(p0, p1, p2)
+		}
 	}
-	blMesh := filterBoundaryLayer(tris, layers, cfg.BL)
 
-	outerPts, outerSegs := outerBoundary(blMesh, surfaceSet)
+	outerPts, outerSegs := outerBoundary(b.Mesh(), surfaceSet)
 	if len(outerSegs) == 0 {
 		return nil, fmt.Errorf("core: baseline boundary layer has no outer boundary")
 	}
@@ -83,10 +85,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 		return nil, err
 	}
 
-	b := mesh.NewBuilder()
-	for _, tr := range blMesh.Triangles {
-		b.AddTriangle(blMesh.Points[tr[0]], blMesh.Points[tr[1]], blMesh.Points[tr[2]])
-	}
+	// The builder already holds the boundary-layer mesh.
 	for _, r := range []*delaunay.Result{transRes, invRes} {
 		for _, tri := range r.Triangles {
 			b.AddTriangle(r.Points[tri[0]], r.Points[tri[1]], r.Points[tri[2]])

@@ -35,12 +35,8 @@ func RealResultLists(t testing.TB) [][]byte {
 	snap := &audit.Snapshot{Mesh: res.Mesh}
 	snap.Prepare()
 	jobs, _ := audit.PlanJobs(snap, audit.Structural(), 256)
-	tasks := fig08Tasks(t)[:4] // small seeds keep the fuzzer's mutations cheap
-	g, err := smallConfig(1).Geometry.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tctx := taskCtx{frame: g.Farfield.BBox()}
+	tasks, tctx := fig08Tasks(t)
+	tasks = tasks[:4] // small seeds keep the fuzzer's mutations cheap
 
 	lists := make([][][]byte, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {

@@ -100,15 +100,16 @@ func TestGenerateTCPByteIdentical(t *testing.T) {
 // fig08Tasks builds the Figure 8 workload: the boundary-layer point cloud
 // of a NACA 0012 decomposed into projection subdomains, one BL-leaf task
 // per subdomain — the same task form the bl-triangulation stage feeds the
-// balancer.
-func fig08Tasks(t testing.TB) []loadbal.Task {
+// balancer — with the stage's shared task context.
+func fig08Tasks(t testing.TB) ([]loadbal.Task, taskCtx) {
 	t.Helper()
 	cfg := airfoil.Single(airfoil.NACA0012, 96, 20)
 	g, err := cfg.Graph()
 	if err != nil {
 		t.Fatalf("graph: %v", err)
 	}
-	layers := blayer.Generate(g, blayer.DefaultParams())
+	bl := blayer.DefaultParams()
+	layers := blayer.Generate(g, bl)
 	root := project.New(layers[0].AllPoints())
 	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: 5})
 	tasks := make([]loadbal.Task, len(leaves))
@@ -121,7 +122,7 @@ func fig08Tasks(t testing.TB) []loadbal.Task {
 			Vals:          blLeafVals(leaf),
 		}
 	}
-	return tasks
+	return tasks, taskCtx{frame: g.Farfield.BBox(), annuli: layerAnnuli(layers, bl)}
 }
 
 // TestRunDistributedTCPMatchesInProcess drives the distributed executor
@@ -130,7 +131,7 @@ func fig08Tasks(t testing.TB) []loadbal.Task {
 // run collected, proving the collection + re-broadcast path is lossless.
 func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 	const ranks = 4
-	tasks := fig08Tasks(t)
+	tasks, tctx := fig08Tasks(t)
 	if len(tasks) < 2*ranks {
 		t.Fatalf("only %d tasks; workload too small to exercise stealing", len(tasks))
 	}
@@ -141,11 +142,6 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 		res := &Result{}
 		return &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
 	}
-	g, err := airfoil.Single(airfoil.NACA0012, 96, 20).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tctx := taskCtx{frame: g.Farfield.BBox()}
 
 	want, err := runMeshPhase(mk(nil), StageBLTriangulation, tasks, tctx)
 	if err != nil {

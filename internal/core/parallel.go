@@ -78,17 +78,15 @@ type taskCtx struct {
 	size   sizing.Func
 	kernel Kernel
 	bl     blayer.Params
+	// annuli are the layer regions a boundary-layer leaf filters its
+	// triangles by; every process builds them from its own rc.layers.
+	annuli []annulus
 }
 
-// processTask executes a task's value vector and returns the produced
-// floats: triangles as 6 values each for meshing tasks, flat point
-// coordinates for ray-insertion batches.
-func processTask(vals []float64, frame geom.BBox, size sizing.Func) ([]float64, error) {
-	return processTaskCtx(vals, taskCtx{frame: frame, size: size})
-}
-
-// processTaskCtx is processTask with the full shared context. The vals
-// slice is the task's Vals vector; it is only read.
+// processTaskCtx executes a task's value vector under the stage's shared
+// context and returns the produced floats: triangles as 6 values each for
+// meshing tasks, flat point coordinates for ray-insertion batches. The
+// vals slice is the task's Vals vector; it is only read.
 func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 	frame := ctx.frame
 	size := ctx.size
@@ -124,6 +122,9 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		}
 		return out, nil
 	case kindBLLeaf:
+		if len(ctx.annuli) == 0 {
+			return nil, errNoAnnuli
+		}
 		region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
 		coords := vals[5:]
 		pts := make([]geom.Point, len(coords)/2)
@@ -140,7 +141,9 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		out := make([]float64, 0, 6*len(res.Triangles))
 		for _, tri := range res.Triangles {
 			a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
-			if region.Contains(geom.Circumcenter(a, b, c)) {
+			// Kept by exactly one leaf (the owner of the circumcenter), and
+			// only inside a layer annulus.
+			if region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c) {
 				out = append(out, a.X, a.Y, b.X, b.Y, c.X, c.Y)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -106,31 +107,53 @@ func (cfg *Config) graph() (*pslg.Graph, error) {
 	return cfg.Geometry.Graph()
 }
 
-// filterBoundaryLayer keeps the triangles of the merged boundary-layer
-// Delaunay triangulation that belong to some element's layer annulus.
-func filterBoundaryLayer(tris []float64, layers []*blayer.Layer, p blayer.Params) *mesh.Mesh {
-	outers := make([]pslg.Loop, len(layers))
+// annulus is one element's boundary-layer region: inside the polygon of
+// the layer's outer border, outside the element surface. Both loops are
+// indexed once per run; every leaf task queries them.
+type annulus struct {
+	outer, surface *pslg.LoopIndex
+}
+
+// layerAnnuli indexes the layers' annuli. It needs the inserted points
+// (the outer border is each ray's last point), so it runs after the
+// ray-insertion stage.
+func layerAnnuli(layers []*blayer.Layer, p blayer.Params) []annulus {
+	annuli := make([]annulus, len(layers))
 	for i, l := range layers {
-		outers[i] = pslg.Loop{Points: l.OuterBorder(p)}
+		annuli[i] = annulus{
+			outer:   pslg.NewLoopIndex(&pslg.Loop{Points: l.OuterBorder(p)}),
+			surface: pslg.NewLoopIndex(&l.Surface),
+		}
 	}
-	b := mesh.NewBuilder()
+	return annuli
+}
+
+// inAnnuli is the boundary-layer filter: a triangle of the boundary-layer
+// points' Delaunay triangulation belongs to the mesh when its centroid
+// lies in some element's annulus.
+func inAnnuli(annuli []annulus, a, b, c geom.Point) bool {
+	ctr := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
+	for _, an := range annuli {
+		if an.outer.Contains(ctr) && !an.surface.Contains(ctr) {
+			return true
+		}
+	}
+	return false
+}
+
+// errNoAnnuli fails a boundary-layer leaf task whose context
+// carries no annuli: there is no unfiltered mode.
+var errNoAnnuli = errors.New("core: boundary-layer leaf task without layer annuli")
+
+// addTriangles adds a task result's triangles, six floats each, to b.
+func addTriangles(b *mesh.Builder, tris []float64) {
 	for i := 0; i+5 < len(tris); i += 6 {
-		a := geom.Pt(tris[i], tris[i+1])
-		c := geom.Pt(tris[i+2], tris[i+3])
-		d := geom.Pt(tris[i+4], tris[i+5])
-		ctr := geom.Pt((a.X+c.X+d.X)/3, (a.Y+c.Y+d.Y)/3)
-		keep := false
-		for k := range layers {
-			if outers[k].Contains(ctr) && !layers[k].Surface.Contains(ctr) {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			b.AddTriangle(a, c, d)
-		}
+		b.AddTriangle(
+			geom.Pt(tris[i], tris[i+1]),
+			geom.Pt(tris[i+2], tris[i+3]),
+			geom.Pt(tris[i+4], tris[i+5]),
+		)
 	}
-	return b.Mesh()
 }
 
 // outerBoundary returns the boundary edges of the boundary-layer mesh that

@@ -158,7 +158,7 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	// Processing the task yields one triangle... the hole removes it,
 	// so use no holes for the positive check.
 	vals = regionTaskVals(kindInviscid, pts, segs, nil)
-	tris, err := processTask(vals, geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, sizing.Uniform(10))
+	tris, err := processTaskCtx(vals, taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 }
 
 func TestProcessTaskErrors(t *testing.T) {
-	if _, err := processTask(nil, geom.BBox{}, nil); err == nil {
+	if _, err := processTaskCtx(nil, taskCtx{}); err == nil {
 		t.Error("empty payload must fail")
 	}
 	bad := regionTaskVals(99, nil, nil, nil)
-	if _, err := processTask(bad, geom.BBox{}, nil); err == nil {
+	if _, err := processTaskCtx(bad, taskCtx{}); err == nil {
 		t.Error("unknown kind must fail")
 	}
 }

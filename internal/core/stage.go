@@ -15,7 +15,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
+	"sync"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -163,12 +164,15 @@ type RunCtx struct {
 	layers     []*blayer.Layer // boundary-rays
 	blPoints   []geom.Point    // ray-insertion
 	surfaceSet map[geom.Point]bool
-	blMesh     *mesh.Mesh   // bl-triangulation
-	size       sizing.Func  // bl-triangulation
-	nbBox      geom.BBox    // bl-triangulation: near-body box
-	outerPts   []geom.Point // bl-triangulation: BL outer boundary
-	outerSegs  [][2]int32
-	isoTris    []float64 // inviscid: transition + inviscid triangles
+	// builder holds the boundary-layer mesh after bl-triangulation; the
+	// merge stage adds the isotropic triangles to the same builder, so no
+	// point is interned twice.
+	builder   *mesh.Builder
+	size      sizing.Func  // bl-triangulation
+	nbBox     geom.BBox    // bl-triangulation: near-body box
+	outerPts  []geom.Point // bl-triangulation: BL outer boundary
+	outerSegs [][2]int32
+	isoTris   [][]float64 // inviscid: transition + inviscid triangles, per task
 	// pathEdges are the constrained/decoupling edges of the final mesh
 	// (BL outer boundary, near-body box border, sector cuts, decoupled
 	// region borders) as exact endpoint pairs; collected by the inviscid
@@ -202,10 +206,22 @@ func (rc *RunCtx) newWorld() *mpi.World {
 // mallocCount reads the cumulative heap allocation counter; deltas between
 // stage boundaries feed the StageStat records.
 func mallocCount() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs
+	s := mallocSamples.Get().(*[2]metrics.Sample)
+	metrics.Read(s[:])
+	n := s[0].Value.Uint64() + s[1].Value.Uint64()
+	mallocSamples.Put(s)
+	return n
 }
+
+// mallocSamples holds the two runtime/metrics counters whose sum is
+// runtime.MemStats.Mallocs. Reading them does not stop the world, which
+// ReadMemStats does: the audit stage reads the counter twice per job, and
+// the pauses were a quarter of its wall time on a small mesh. Pooled
+// because metrics.Read makes its argument escape and the counter must not
+// count itself.
+var mallocSamples = sync.Pool{New: func() any {
+	return &[2]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+}}
 
 // runStages executes the stage list in order. It is the only place in the
 // pipeline that measures anything: each stage's wall time, allocation
@@ -301,7 +317,11 @@ type distStage struct {
 func (s *distStage) Name() string { return s.name }
 
 func (s *distStage) Run(rc *RunCtx) error {
+	// The root-side closures get spans of their own under the stage's, so
+	// a trace shows the stage's serial part directly.
+	sp := rc.tracer.Begin(trace.RootRank, trace.CatRoot, "root/prepare")
 	tasks, tctx, merge, err := s.prepare(rc)
+	sp.End()
 	if err != nil {
 		return err
 	}
@@ -309,5 +329,8 @@ func (s *distStage) Run(rc *RunCtx) error {
 	if err != nil {
 		return err
 	}
-	return merge(results)
+	sp = rc.tracer.Begin(trace.RootRank, trace.CatRoot, "root/merge")
+	err = merge(results)
+	sp.End()
+	return err
 }

@@ -142,9 +142,10 @@ func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error)
 
 // prepareBLTriangulation resolves the sizing function and the near-body
 // box, then decomposes the boundary-layer points with the projection-based
-// decomposition and triangulates the leaves in parallel (paper Figure 8).
-// The merge filters the triangles down to the layer annuli and extracts
-// the mesh's outer boundary for the transition region.
+// decomposition and triangulates the leaves in parallel (paper Figure 8);
+// each leaf keeps only its triangles inside the layer annuli. The merge
+// interns the results in task order and extracts the mesh's outer boundary
+// for the transition region.
 func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	cfg := rc.cfg
 	var surfacePts []geom.Point
@@ -183,25 +184,22 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		}
 	}
 	merge := func(results [][]float64) error {
-		var tris []float64
+		b := mesh.NewBuilder()
 		for _, r := range results {
-			tris = append(tris, r...)
+			addTriangles(b, r)
 		}
-		// Filter the merged Delaunay triangulation down to the
-		// boundary-layer annuli: keep a triangle when its centroid lies
-		// inside some element's outer-border polygon but not inside the
-		// element surface itself.
-		rc.blMesh = filterBoundaryLayer(tris, rc.layers, cfg.BL)
-		rc.stats.BLTriangles = rc.blMesh.NumTriangles()
+		rc.builder = b
+		bl := b.Mesh()
+		rc.stats.BLTriangles = bl.NumTriangles()
 		// Extract the outer boundary of the boundary-layer mesh: boundary
 		// edges whose endpoints are not both surface points.
-		rc.outerPts, rc.outerSegs = outerBoundary(rc.blMesh, rc.surfaceSet)
+		rc.outerPts, rc.outerSegs = outerBoundary(bl, rc.surfaceSet)
 		if len(rc.outerSegs) == 0 {
 			return fmt.Errorf("core: boundary-layer mesh has no outer boundary")
 		}
 		return nil
 	}
-	return tasks, taskCtx{frame: rc.ffBox}, merge, nil
+	return tasks, taskCtx{frame: rc.ffBox, annuli: layerAnnuli(rc.layers, cfg.BL)}, merge, nil
 }
 
 // prepareInviscid assembles the transition region between the boundary
@@ -279,17 +277,15 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 		})
 	}
 	merge := func(results [][]float64) error {
-		var tris []float64
 		trans, inv := 0, 0
 		for i, r := range results {
-			tris = append(tris, r...)
 			if i < nTrans {
 				trans += len(r) / 6
 			} else {
 				inv += len(r) / 6
 			}
 		}
-		rc.isoTris = tris
+		rc.isoTris = results
 		rc.stats.TransitionTris = trans
 		rc.stats.InviscidTris = inv
 		return nil
@@ -297,19 +293,13 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	return tasks, taskCtx{frame: rc.ffBox, size: size, kernel: cfg.InviscidKernel}, merge, nil
 }
 
-// runMerge gathers the boundary-layer mesh and the transition/inviscid
-// triangles into the final audited mesh (phase 6).
+// runMerge adds the transition/inviscid triangles to the builder that
+// already holds the boundary-layer mesh, giving the final audited mesh
+// (phase 6).
 func runMerge(rc *RunCtx) error {
-	b := mesh.NewBuilder()
-	for _, tr := range rc.blMesh.Triangles {
-		b.AddTriangle(rc.blMesh.Points[tr[0]], rc.blMesh.Points[tr[1]], rc.blMesh.Points[tr[2]])
-	}
-	for i := 0; i+5 < len(rc.isoTris); i += 6 {
-		b.AddTriangle(
-			geom.Pt(rc.isoTris[i], rc.isoTris[i+1]),
-			geom.Pt(rc.isoTris[i+2], rc.isoTris[i+3]),
-			geom.Pt(rc.isoTris[i+4], rc.isoTris[i+5]),
-		)
+	b := rc.builder
+	for _, r := range rc.isoTris {
+		addTriangles(b, r)
 	}
 	rc.res.Mesh = b.Mesh()
 	rc.stats.TotalTriangles = rc.res.Mesh.NumTriangles()

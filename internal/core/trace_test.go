@@ -87,6 +87,33 @@ func TestTracedRunExportsValidTrace(t *testing.T) {
 		t.Error("no audit-check spans in the trace")
 	}
 
+	// Each distributed meshing stage shows its serial part: a root/prepare
+	// and a root/merge span on the root track, inside the stage's span and
+	// in that order.
+	var root []trace.Event
+	for _, tk := range tr.Export(0).Tracks {
+		if tk.Rank == trace.RootRank {
+			root = tk.Events
+		}
+	}
+	for _, stage := range []string{StageRayInsertion, StageBLTriangulation, StageInviscid} {
+		var st trace.Event
+		for _, e := range root {
+			if e.Cat == trace.CatStage && e.Name == stage {
+				st = e
+			}
+		}
+		var inside []string
+		for _, e := range root {
+			if e.Cat == trace.CatRoot && e.Ph == 'X' && e.TS >= st.TS && e.TS+e.Dur <= st.TS+st.Dur {
+				inside = append(inside, e.Name)
+			}
+		}
+		if len(inside) != 2 || inside[0] != "root/prepare" || inside[1] != "root/merge" {
+			t.Errorf("stage %q holds root spans %v, want [root/prepare root/merge]", stage, inside)
+		}
+	}
+
 	// The metrics registry exports and validates too.
 	buf.Reset()
 	if err := tr.Metrics().WriteMetrics(&buf); err != nil {

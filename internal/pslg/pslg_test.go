@@ -72,6 +72,63 @@ func TestLoopContainsConcave(t *testing.T) {
 	}
 }
 
+// TestRayCrosses pins LoopIndex's copy of the crossing rule to hand-computed
+// cases, independently of Loop.Contains: the ray from p runs towards +x.
+func TestRayCrosses(t *testing.T) {
+	up, down := [2]geom.Point{geom.Pt(2, 0), geom.Pt(2, 2)}, [2]geom.Point{geom.Pt(2, 2), geom.Pt(2, 0)}
+	cases := []struct {
+		name string
+		a, b geom.Point
+		p    geom.Point
+		want bool
+	}{
+		{"upward edge right of p", up[0], up[1], geom.Pt(1, 1), true},
+		{"downward edge right of p", down[0], down[1], geom.Pt(1, 1), true},
+		{"upward edge left of p", up[0], up[1], geom.Pt(3, 1), false},
+		{"downward edge left of p", down[0], down[1], geom.Pt(3, 1), false},
+		{"p on the edge", up[0], up[1], geom.Pt(2, 1), false},
+		{"p above the edge", up[0], up[1], geom.Pt(1, 3), false},
+		{"p below the edge", up[0], up[1], geom.Pt(1, -1), false},
+		// A vertex on the ray counts for the edge it is the lower end of.
+		{"ray through lower vertex, upward", up[0], up[1], geom.Pt(1, 0), true},
+		{"ray through upper vertex, upward", up[0], up[1], geom.Pt(1, 2), false},
+		{"ray through lower vertex, downward", down[0], down[1], geom.Pt(1, 0), true},
+		{"ray through upper vertex, downward", down[0], down[1], geom.Pt(1, 2), false},
+		{"horizontal edge on the ray", geom.Pt(2, 1), geom.Pt(4, 1), geom.Pt(1, 1), false},
+		{"horizontal edge, p on it", geom.Pt(2, 1), geom.Pt(4, 1), geom.Pt(3, 1), false},
+		{"slanted edge, p left of it", geom.Pt(0, 0), geom.Pt(4, 4), geom.Pt(1, 2), true},
+		{"slanted edge, p right of it", geom.Pt(0, 0), geom.Pt(4, 4), geom.Pt(3, 2), false},
+	}
+	for _, c := range cases {
+		if got := rayCrosses(c.a, c.b, c.p); got != c.want {
+			t.Errorf("%s: rayCrosses(%v, %v, %v) = %v, want %v", c.name, c.a, c.b, c.p, got, c.want)
+		}
+	}
+}
+
+// TestLoopIndexSlabCount: the slab-count estimate is taken, not the
+// one-slab fallback, on the loops it is derived for.
+func TestLoopIndexSlabCount(t *testing.T) {
+	sq := square(0, 0, 2, "sq")
+	if ix := NewLoopIndex(&sq); ix.slabs != 4 {
+		t.Errorf("square: %d slabs, want one per edge", ix.slabs)
+	}
+	// 100 full-height teeth: rise ~ n*height/2 leaves a handful of slabs.
+	var pts []geom.Point
+	for i := 0; i < 100; i++ {
+		pts = append(pts, geom.Pt(float64(i), 0), geom.Pt(float64(i)+0.5, 1))
+	}
+	pts = append(pts, geom.Pt(100, -1), geom.Pt(0, -1))
+	comb := Loop{Name: "comb", Points: pts}
+	ix := NewLoopIndex(&comb)
+	if ix.slabs < 2 || ix.slabs > 8 {
+		t.Errorf("comb: %d slabs, want 2..8", ix.slabs)
+	}
+	if got, max := len(ix.edges), maxSlabEntries*len(pts); got > max {
+		t.Errorf("comb: %d registrations, want <= %d", got, max)
+	}
+}
+
 func TestValidateOK(t *testing.T) {
 	g := &Graph{
 		Surfaces: []Loop{square(1, 1, 1, "body")},

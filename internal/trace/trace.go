@@ -36,7 +36,12 @@ const RootRank = -1
 // idle waits) on the "mesher" thread, communication (steal protocol, MPI
 // sends) on the "comm" thread.
 const (
-	CatStage  = "stage"
+	CatStage = "stage"
+	// CatRoot marks the root-side closures of a distributed stage (task
+	// preparation, result merge) nested under its CatStage span: the
+	// stage's serial part. It is a category of its own so that a consumer
+	// summing CatStage spans counts each stage once.
+	CatRoot   = "root"
 	CatTask   = "task"
 	CatAudit  = "audit"
 	CatIdle   = "idle"
