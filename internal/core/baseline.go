@@ -45,13 +45,10 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 		return nil, err
 	}
 	annuli := layerAnnuli(layers, cfg.BL)
+	// The builder takes the same submeshes, flagged the same way, as the
+	// pipeline's tasks return.
 	b := mesh.NewBuilder()
-	for _, tri := range res.Triangles {
-		p0, p1, p2 := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
-		if inAnnuli(annuli, p0, p1, p2) {
-			b.AddTriangle(p0, p1, p2)
-		}
-	}
+	blSubmesh(res, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) }).addTo(b)
 
 	outerPts, outerSegs := outerBoundary(b.Mesh(), surfaceSet)
 	if len(outerSegs) == 0 {
@@ -86,11 +83,8 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	}
 
 	// The builder already holds the boundary-layer mesh.
-	for _, r := range []*delaunay.Result{transRes, invRes} {
-		for _, tri := range r.Triangles {
-			b.AddTriangle(r.Points[tri[0]], r.Points[tri[1]], r.Points[tri[2]])
-		}
-	}
+	regionSubmesh(transRes.Points, transRes.Triangles, transIn.Points).addTo(b)
+	regionSubmesh(invRes.Points, invRes.Triangles, annulus.Points).addTo(b)
 	m := b.Mesh()
 	if err := m.Audit(); err != nil {
 		return nil, fmt.Errorf("core: baseline mesh failed audit: %w", err)

@@ -64,25 +64,26 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("leaf %d reference: %v", li, err)
 		}
-		var want []float64
+		var want [][3]geom.Point
 		for _, tri := range res.Triangles {
 			a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
 			if !leaf.Region.Contains(geom.Circumcenter(a, b, c)) {
 				continue
 			}
 			if keep(a, b, c) {
-				want = append(want, a.X, a.Y, b.X, b.Y, c.X, c.Y)
+				want = append(want, [3]geom.Point{a, b, c})
 			} else {
 				dropped++
 			}
 		}
-		kept += len(want) / 6
-		if len(got) != len(want) {
-			t.Fatalf("leaf %d: task returned %d triangles, reference keeps %d", li, len(got)/6, len(want)/6)
+		kept += len(want)
+		gotTris := resultTriangles(t, got)
+		if len(gotTris) != len(want) {
+			t.Fatalf("leaf %d: task returned %d triangles, reference keeps %d", li, len(gotTris), len(want))
 		}
 		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("leaf %d: float %d differs from the reference", li, k)
+			if gotTris[k] != want[k] {
+				t.Fatalf("leaf %d: triangle %d differs from the reference", li, k)
 			}
 		}
 	}

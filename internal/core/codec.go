@@ -28,7 +28,7 @@ const (
 func encodeTaskResultRef(ref any, dst []byte) []byte {
 	r := ref.(*taskResult)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.id))
-	for _, v := range r.tris {
+	for _, v := range r.vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
@@ -44,9 +44,9 @@ func decodeTaskResultRef(b []byte) (any, error) {
 	}
 	r := &taskResult{id: int32(binary.LittleEndian.Uint32(b))}
 	if n := len(body) / 8; n > 0 {
-		r.tris = make([]float64, n)
-		for i := range r.tris {
-			r.tris[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		r.vals = make([]float64, n)
+		for i := range r.vals {
+			r.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 	}
 	return r, nil

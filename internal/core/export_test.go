@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"pamg2d/internal/audit"
+	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
+	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
+	"pamg2d/internal/sizing"
 )
 
 var (
@@ -47,7 +50,7 @@ func RealResultLists(t testing.TB) [][]byte {
 		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &out.Stats, res: out}
 		tris, err := runPhase(rc, StageBLTriangulation, tasks, func(_ *mpi.Comm, task loadbal.Task) (*taskResult, error) {
 			out, err := processTaskCtx(task.Vals, tctx)
-			return &taskResult{id: task.ID, tris: out}, err
+			return &taskResult{id: task.ID, vals: out}, err
 		})
 		if err != nil {
 			return err
@@ -70,6 +73,46 @@ func RealResultLists(t testing.TB) [][]byte {
 		}
 	}
 	return lists[1]
+}
+
+// SubmeshToMesh decodes one meshing task's result vector and assembles it
+// the way the root's merges do.
+func SubmeshToMesh(vals []float64) (*mesh.Mesh, error) {
+	b := mesh.NewBuilder()
+	if err := addSubmeshes(b, [][]float64{vals}); err != nil {
+		return nil, err
+	}
+	return b.Mesh(), nil
+}
+
+// RealSubmeshes returns one real result vector of each meshing kind, from
+// tasks a few points large: the fuzzer minimizes every input it keeps, in
+// time cubic in the length, so a seed must be a few hundred bytes. The
+// boundary-layer leaf is the first eight points of a Figure 8 leaf; the
+// transition and inviscid tasks refine a unit square to one interior point.
+func RealSubmeshes(t testing.TB) [][]float64 {
+	t.Helper()
+	tasks, tctx := fig08Tasks(t)
+	leaf := append([]float64(nil), tasks[0].Vals[:5+2*8]...)
+	sq := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
+	segs := [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
+	tctx.size = sizing.Uniform(0.3)
+	var out [][]float64
+	for _, vals := range [][]float64{
+		leaf,
+		regionTaskVals(kindTransition, sq, segs, nil),
+		regionTaskVals(kindInviscid, sq, segs, nil),
+	} {
+		r, err := processTaskCtx(vals, tctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, nt, _ := submeshCounts(r); nt == 0 {
+			t.Fatalf("seed task of kind %v made no triangle", vals[0])
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 func packList[R loadbal.Result](rs []R) ([]byte, error) {

@@ -147,6 +147,13 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-process runMeshPhase: %v", err)
 	}
+	kept := 0
+	for _, r := range want {
+		kept += len(resultTriangles(t, r))
+	}
+	if kept == 0 {
+		t.Fatal("the workload's results hold no triangles")
+	}
 
 	all := make([][][]float64, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {

@@ -84,9 +84,9 @@ type taskCtx struct {
 }
 
 // processTaskCtx executes a task's value vector under the stage's shared
-// context and returns the produced floats: triangles as 6 values each for
-// meshing tasks, flat point coordinates for ray-insertion batches. The
-// vals slice is the task's Vals vector; it is only read.
+// context and returns the produced floats: an encoded submesh for meshing
+// tasks, flat point coordinates for ray-insertion batches. The vals slice
+// is the task's Vals vector; it is only read.
 func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 	frame := ctx.frame
 	size := ctx.size
@@ -132,22 +132,17 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 			pts[i] = geom.Pt(coords[2*i], coords[2*i+1])
 		}
 		if len(pts) < 3 {
-			return nil, nil
+			return submesh{}.encode(), nil
 		}
 		res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Sorted: true, Frame: frame})
 		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, 0, 6*len(res.Triangles))
-		for _, tri := range res.Triangles {
-			a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
-			// Kept by exactly one leaf (the owner of the circumcenter), and
-			// only inside a layer annulus.
-			if region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c) {
-				out = append(out, a.X, a.Y, b.X, b.Y, c.X, c.Y)
-			}
-		}
-		return out, nil
+		// Kept by exactly one leaf (the owner of the circumcenter), and only
+		// inside a layer annulus.
+		return blSubmesh(res, func(a, b, c geom.Point) bool {
+			return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
+		}).encode(), nil
 	case kindTransition, kindInviscid:
 		np := int(vals[1])
 		useAF := kernel == KernelAdvancingFront && int(vals[0]) == kindInviscid
@@ -180,23 +175,13 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			out := make([]float64, 0, 6*m.NumTriangles())
-			for _, tri := range m.Triangles {
-				a, b, c := m.Points[tri[0]], m.Points[tri[1]], m.Points[tri[2]]
-				out = append(out, a.X, a.Y, b.X, b.Y, c.X, c.Y)
-			}
-			return out, nil
+			return regionSubmesh(m.Points, m.Triangles, in.Points).encode(), nil
 		}
 		res, err := delaunay.TriangulateRefined(in, qualityFor(size))
 		if err != nil {
 			return nil, err
 		}
-		out := make([]float64, 0, 6*len(res.Triangles))
-		for _, tri := range res.Triangles {
-			a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
-			out = append(out, a.X, a.Y, b.X, b.Y, c.X, c.Y)
-		}
-		return out, nil
+		return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
 	default:
 		return nil, fmt.Errorf("core: unknown task kind %v", vals[0])
 	}
@@ -204,14 +189,15 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 
 // taskResult carries one task's output floats to the root by reference.
 // On a real interconnect the result would be EncodeFloats(append([ID],
-// tris...)), so its wire size is 8*(1+len(tris)) bytes.
+// vals...)), so its wire size is 8*(1+len(vals)) bytes whatever the vector
+// holds: an encoded submesh or a ray batch's coordinates.
 type taskResult struct {
 	id   int32
-	tris []float64
+	vals []float64
 }
 
 func (r *taskResult) TaskID() int32  { return r.id }
-func (r *taskResult) WireBytes() int { return 8 * (1 + len(r.tris)) }
+func (r *taskResult) WireBytes() int { return 8 * (1 + len(r.vals)) }
 
 // runMeshPhase runs one meshing stage's tasks through runPhase and returns
 // each task's result floats indexed by task ID. It adds what only the
@@ -230,11 +216,16 @@ func runMeshPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) 
 			sp = tr.Begin(c.Rank(), trace.CatTask, taskKindName(task.Vals))
 		}
 		t0 := time.Now()
-		tris, perr := processTaskCtx(task.Vals, tctx)
+		vals, perr := processTaskCtx(task.Vals, tctx)
 		dt := time.Since(t0)
+		// A meshing task's result leads with its counts; a ray batch makes
+		// points, not triangles.
+		tris := 0
+		if perr == nil && int(task.Vals[0]) != kindRayBatch {
+			tris = int(vals[subTriangles])
+		}
 		if tr.Enabled() {
-			sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost),
-				trace.I("tris", len(tris)/6))
+			sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", tris))
 			tr.Metrics().Observe("task.seconds", dt.Seconds())
 		}
 		if perr != nil {
@@ -244,16 +235,16 @@ func runMeshPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) 
 			Seconds:       dt.Seconds(),
 			Bytes:         int64(8 * len(task.Vals)),
 			BoundaryLayer: task.BoundaryLayer,
-			Triangles:     len(tris) / 6,
+			Triangles:     tris,
 		}
-		return &taskResult{id: task.ID, tris: tris}, nil
+		return &taskResult{id: task.ID, vals: vals}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	results := make([][]float64, len(res))
 	for i, r := range res {
-		results[i] = r.tris
+		results[i] = r.vals
 	}
 	rc.stats.Tasks = append(rc.stats.Tasks, measures...)
 	return results, nil

@@ -145,17 +145,6 @@ func inAnnuli(annuli []annulus, a, b, c geom.Point) bool {
 // carries no annuli: there is no unfiltered mode.
 var errNoAnnuli = errors.New("core: boundary-layer leaf task without layer annuli")
 
-// addTriangles adds a task result's triangles, six floats each, to b.
-func addTriangles(b *mesh.Builder, tris []float64) {
-	for i := 0; i+5 < len(tris); i += 6 {
-		b.AddTriangle(
-			geom.Pt(tris[i], tris[i+1]),
-			geom.Pt(tris[i+2], tris[i+3]),
-			geom.Pt(tris[i+4], tris[i+5]),
-		)
-	}
-}
-
 // outerBoundary returns the boundary edges of the boundary-layer mesh that
 // are not on a body surface, as point pairs.
 func outerBoundary(m *mesh.Mesh, surfaceSet map[geom.Point]bool) ([]geom.Point, [][2]int32) {

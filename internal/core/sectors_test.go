@@ -162,8 +162,14 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tris) != 6 {
-		t.Fatalf("processed %d floats, want 6 (one triangle)", len(tris))
+	got := resultTriangles(t, tris)
+	if len(got) != 1 {
+		t.Fatalf("processed %d triangles, want 1", len(got))
+	}
+	// The kernel may rotate the triangle; it must be CCW over the inputs.
+	r := indexOf(pts, got[0][0])
+	if r < 0 || got[0] != [3]geom.Point{pts[r], pts[(r+1)%3], pts[(r+2)%3]} {
+		t.Fatalf("triangle %v is not a rotation of the input %v", got[0], pts)
 	}
 }
 

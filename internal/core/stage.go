@@ -165,14 +165,13 @@ type RunCtx struct {
 	blPoints   []geom.Point    // ray-insertion
 	surfaceSet map[geom.Point]bool
 	// builder holds the boundary-layer mesh after bl-triangulation; the
-	// merge stage adds the isotropic triangles to the same builder, so no
-	// point is interned twice.
-	builder   *mesh.Builder
-	size      sizing.Func  // bl-triangulation
-	nbBox     geom.BBox    // bl-triangulation: near-body box
-	outerPts  []geom.Point // bl-triangulation: BL outer boundary
-	outerSegs [][2]int32
-	isoTris   [][]float64 // inviscid: transition + inviscid triangles, per task
+	// merge stage adds the isotropic submeshes to the same builder.
+	builder    *mesh.Builder
+	size       sizing.Func  // bl-triangulation
+	nbBox      geom.BBox    // bl-triangulation: near-body box
+	outerPts   []geom.Point // bl-triangulation: BL outer boundary
+	outerSegs  [][2]int32
+	isoResults [][]float64 // inviscid: the transition + inviscid tasks' encoded submeshes
 	// pathEdges are the constrained/decoupling edges of the final mesh
 	// (BL outer boundary, near-body box border, sector cuts, decoupled
 	// region borders) as exact endpoint pairs; collected by the inviscid

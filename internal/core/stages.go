@@ -144,8 +144,8 @@ func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error)
 // box, then decomposes the boundary-layer points with the projection-based
 // decomposition and triangulates the leaves in parallel (paper Figure 8);
 // each leaf keeps only its triangles inside the layer annuli. The merge
-// interns the results in task order and extracts the mesh's outer boundary
-// for the transition region.
+// assembles the leaves' submeshes in task order and extracts the mesh's
+// outer boundary for the transition region.
 func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	cfg := rc.cfg
 	var surfacePts []geom.Point
@@ -185,8 +185,8 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 	}
 	merge := func(results [][]float64) error {
 		b := mesh.NewBuilder()
-		for _, r := range results {
-			addTriangles(b, r)
+		if err := addSubmeshes(b, results); err != nil {
+			return err
 		}
 		rc.builder = b
 		bl := b.Mesh()
@@ -279,13 +279,17 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	merge := func(results [][]float64) error {
 		trans, inv := 0, 0
 		for i, r := range results {
+			_, _, nt, err := submeshCounts(r)
+			if err != nil {
+				return fmt.Errorf("task %d result: %w", i, err)
+			}
 			if i < nTrans {
-				trans += len(r) / 6
+				trans += nt
 			} else {
-				inv += len(r) / 6
+				inv += nt
 			}
 		}
-		rc.isoTris = results
+		rc.isoResults = results
 		rc.stats.TransitionTris = trans
 		rc.stats.InviscidTris = inv
 		return nil
@@ -293,13 +297,13 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	return tasks, taskCtx{frame: rc.ffBox, size: size, kernel: cfg.InviscidKernel}, merge, nil
 }
 
-// runMerge adds the transition/inviscid triangles to the builder that
+// runMerge adds the transition/inviscid submeshes to the builder that
 // already holds the boundary-layer mesh, giving the final audited mesh
 // (phase 6).
 func runMerge(rc *RunCtx) error {
 	b := rc.builder
-	for _, r := range rc.isoTris {
-		addTriangles(b, r)
+	if err := addSubmeshes(b, rc.isoResults); err != nil {
+		return err
 	}
 	rc.res.Mesh = b.Mesh()
 	rc.stats.TotalTriangles = rc.res.Mesh.NumTriangles()

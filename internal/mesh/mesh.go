@@ -1,10 +1,14 @@
 // Package mesh holds the final unstructured triangle mesh: merging of
-// independently generated submeshes with coordinate-based vertex
-// deduplication, structural audits (orientation, conformity), element
-// quality statistics, and writers in Triangle's ASCII .node/.ele format
-// and a compact binary format. The paper measures a 9-minute ASCII write
-// for its 172.8M-triangle mesh and notes binary output is faster; the
-// writer benchmarks reproduce that comparison at reduced scale.
+// independently generated submeshes (Builder: by offset for an indexed
+// submesh whose shared points are flagged, AddSubmesh; with
+// coordinate-based deduplication of every corner for loose triangles,
+// AddTriangle), structural audits (orientation, conformity) and the
+// boundary and adjacency queries, all three read off one half-edge table
+// (edges.go), element quality statistics, and writers in Triangle's ASCII
+// .node/.ele format and a compact binary format. The paper measures a
+// 9-minute ASCII write for its 172.8M-triangle mesh and notes binary
+// output is faster; the writer benchmarks reproduce that comparison at
+// reduced scale.
 package mesh
 
 import (
@@ -13,7 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"pamg2d/internal/geom"
 )
@@ -39,6 +43,10 @@ type Builder struct {
 	// seen suppresses exact duplicate triangles (a triangle kept by two
 	// region owners would corrupt conformity).
 	seen map[[3]int32]bool
+	// remap and interned are AddSubmesh's per-call scratch: a submesh
+	// point's global index, and whether it went through index.
+	remap    []int32
+	interned []bool
 }
 
 // NewBuilder returns an empty mesh builder.
@@ -75,6 +83,54 @@ func (b *Builder) AddTriangle(p0, p1, p2 geom.Point) {
 	b.mesh.Triangles = append(b.mesh.Triangles, [3]int32{i0, i1, i2})
 }
 
+// Reserve makes room for that many more points and triangles, so a caller
+// that knows what it is about to add pays for one allocation of each.
+func (b *Builder) Reserve(points, triangles int) {
+	b.mesh.Points = slices.Grow(b.mesh.Points, points)
+	b.mesh.Triangles = slices.Grow(b.mesh.Triangles, triangles)
+}
+
+// AddSubmesh adds an indexed submesh: its points, the ascending indices of
+// those that other submeshes may also hold (shared), and its triangles as
+// index triples into pts. It builds the mesh AddTriangle would build from
+// the same triangles in the same order, provided pts lists the points in
+// order of first appearance in tris, without the map work for what is
+// private to the submesh: shared points are interned by coordinates, every
+// other point is appended as new — so it must coincide with no point of
+// any other submesh — and only a triangle whose three corners are all
+// shared, the only kind two submeshes can both hold, is checked against
+// the triangles already added. Every index must be in range.
+func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) {
+	if len(pts) > len(b.remap) {
+		b.remap = make([]int32, len(pts))
+		b.interned = make([]bool, len(pts))
+	}
+	for i, p := range pts {
+		b.interned[i] = len(shared) > 0 && int(shared[0]) == i
+		if b.interned[i] {
+			shared = shared[1:]
+			b.remap[i] = b.AddPoint(p)
+			continue
+		}
+		b.remap[i] = int32(len(b.mesh.Points))
+		b.mesh.Points = append(b.mesh.Points, p)
+	}
+	for _, t := range tris {
+		i0, i1, i2 := b.remap[t[0]], b.remap[t[1]], b.remap[t[2]]
+		if i0 == i1 || i1 == i2 || i0 == i2 {
+			continue
+		}
+		if b.interned[t[0]] && b.interned[t[1]] && b.interned[t[2]] {
+			key := canonicalTri(i0, i1, i2)
+			if b.seen[key] {
+				continue
+			}
+			b.seen[key] = true
+		}
+		b.mesh.Triangles = append(b.mesh.Triangles, [3]int32{i0, i1, i2})
+	}
+}
+
 func canonicalTri(a, b, c int32) [3]int32 {
 	if a > b {
 		a, b = b, a
@@ -90,61 +146,6 @@ func canonicalTri(a, b, c int32) [3]int32 {
 
 // Mesh returns the accumulated mesh.
 func (b *Builder) Mesh() *Mesh { return &b.mesh }
-
-// Audit checks structural soundness: every triangle CCW and
-// non-degenerate, every edge shared by at most two triangles with
-// opposite orientations (conformity: no T-junctions among the indexed
-// vertices, no overlapping elements).
-func (m *Mesh) Audit() error {
-	type edge struct{ a, b int32 }
-	dir := make(map[edge]int, 3*len(m.Triangles))
-	for i, t := range m.Triangles {
-		a, b, c := m.Points[t[0]], m.Points[t[1]], m.Points[t[2]]
-		if geom.Orient2DSign(a, b, c) <= 0 {
-			return fmt.Errorf("mesh: triangle %d not CCW", i)
-		}
-		for e := 0; e < 3; e++ {
-			u, v := t[e], t[(e+1)%3]
-			dir[edge{u, v}]++
-			if dir[edge{u, v}] > 1 {
-				return fmt.Errorf("mesh: directed edge (%d,%d) used twice; overlapping triangles", u, v)
-			}
-		}
-	}
-	for e := range dir {
-		// The reverse edge may appear at most once; its absence means a
-		// boundary edge, which is fine.
-		if dir[edge{e.b, e.a}] > 1 {
-			return fmt.Errorf("mesh: edge (%d,%d) shared by more than two triangles", e.a, e.b)
-		}
-	}
-	return nil
-}
-
-// BoundaryEdges returns the directed edges that belong to exactly one
-// triangle, i.e. the mesh boundary, in arbitrary order.
-func (m *Mesh) BoundaryEdges() [][2]int32 {
-	type edge struct{ a, b int32 }
-	present := make(map[edge]bool, 3*len(m.Triangles))
-	for _, t := range m.Triangles {
-		for e := 0; e < 3; e++ {
-			present[edge{t[e], t[(e+1)%3]}] = true
-		}
-	}
-	var out [][2]int32
-	for e := range present {
-		if !present[edge{e.b, e.a}] {
-			out = append(out, [2]int32{e.a, e.b})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
 
 // Area returns the total mesh area.
 func (m *Mesh) Area() float64 {
@@ -309,29 +310,4 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// Adjacency returns, for each triangle, the indices of the neighbors
-// across its three edges (edge e runs from vertex e to e+1 mod 3), with -1
-// for boundary edges. Solvers and post-processors share this instead of
-// rebuilding the edge map themselves.
-func (m *Mesh) Adjacency() [][3]int32 {
-	type ekey struct{ a, b int32 }
-	owner := make(map[ekey]int32, 3*len(m.Triangles))
-	for i, t := range m.Triangles {
-		for e := 0; e < 3; e++ {
-			owner[ekey{t[e], t[(e+1)%3]}] = int32(i)
-		}
-	}
-	adj := make([][3]int32, len(m.Triangles))
-	for i, t := range m.Triangles {
-		for e := 0; e < 3; e++ {
-			if nb, ok := owner[ekey{t[(e+1)%3], t[e]}]; ok {
-				adj[i][e] = nb
-			} else {
-				adj[i][e] = -1
-			}
-		}
-	}
-	return adj
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +229,73 @@ func TestAdjacency(t *testing.T) {
 		if interior != 1 {
 			t.Errorf("triangle %d has %d interior edges, want 1", i, interior)
 		}
+	}
+}
+
+// localSubmesh numbers tris' corners in order of first appearance and
+// lists those that isShared accepts: the form a meshing task returns.
+func localSubmesh(m *Mesh, tris [][3]int32, isShared func(geom.Point) bool) (pts []geom.Point, shared []int32, local [][3]int32) {
+	remap := map[int32]int32{}
+	for _, t := range tris {
+		var lt [3]int32
+		for k, v := range t {
+			if _, ok := remap[v]; !ok {
+				remap[v] = int32(len(pts))
+				if isShared(m.Points[v]) {
+					shared = append(shared, int32(len(pts)))
+				}
+				pts = append(pts, m.Points[v])
+			}
+			lt[k] = remap[v]
+		}
+		local = append(local, lt)
+	}
+	return pts, shared, local
+}
+
+// TestAddSubmeshMatchesAddTriangle: a grid cut into four quadrants, each
+// handed over as an indexed submesh with only the cut lines flagged
+// shared — one triangle made by two quadrants, one degenerate — assembles
+// into the mesh AddTriangle builds from the same triangles, element for
+// element.
+func TestAddSubmeshMatchesAddTriangle(t *testing.T) {
+	const n = 8
+	g := gridMesh(n)
+	onCut := func(p geom.Point) bool { return p.X == n/2 || p.Y == n/2 }
+	quadrants := make([][][3]int32, 4)
+	for _, tr := range g.Triangles {
+		cx := (g.Points[tr[0]].X + g.Points[tr[1]].X + g.Points[tr[2]].X) / 3
+		cy := (g.Points[tr[0]].Y + g.Points[tr[1]].Y + g.Points[tr[2]].Y) / 3
+		q := 0
+		if cx > n/2 {
+			q++
+		}
+		if cy > n/2 {
+			q += 2
+		}
+		quadrants[q] = append(quadrants[q], tr)
+	}
+	// A triangle with all three corners on the cuts, made by two
+	// quadrants, and a triangle that collapses to an edge.
+	at := func(i, j int) int32 { return int32(j*(n+1) + i) }
+	both := [3]int32{at(n/2, n/2), at(n/2+1, n/2), at(n/2, n/2+1)}
+	quadrants[0] = append(quadrants[0], both)
+	quadrants[3] = append(quadrants[3], both, [3]int32{at(n, n), at(n, n), at(n-1, n)})
+
+	want, got := NewBuilder(), NewBuilder()
+	for _, q := range quadrants {
+		for _, tr := range q {
+			want.AddTriangle(g.Points[tr[0]], g.Points[tr[1]], g.Points[tr[2]])
+		}
+		got.AddSubmesh(localSubmesh(g, q, onCut))
+	}
+	if nt := want.Mesh().NumTriangles(); nt != 2*n*n+1 {
+		t.Fatalf("reference holds %d triangles, want %d: the duplicate or the degenerate one got in", nt, 2*n*n+1)
+	}
+	if !reflect.DeepEqual(got.Mesh().Points, want.Mesh().Points) {
+		t.Error("points differ from the AddTriangle mesh")
+	}
+	if !reflect.DeepEqual(got.Mesh().Triangles, want.Mesh().Triangles) {
+		t.Error("triangles differ from the AddTriangle mesh")
 	}
 }
