@@ -7,12 +7,11 @@ package pamg2d
 // output carries the reproduced numbers next to the timings.
 
 import (
-	"context"
 	"io"
+	"sort"
 	"sync"
 	"testing"
 
-	"pamg2d/internal/adapt"
 	"pamg2d/internal/adt"
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/benchcfg"
@@ -22,8 +21,6 @@ import (
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/growth"
-	"pamg2d/internal/metric"
-	"pamg2d/internal/mpi"
 	"pamg2d/internal/perfmodel"
 	"pamg2d/internal/project"
 	"pamg2d/internal/pslg"
@@ -32,8 +29,7 @@ import (
 )
 
 // benchConfig is the shared scaled-down configuration: NACA 0012,
-// moderately fine boundary layer, rank-2 pipeline. It lives in
-// internal/benchcfg so cmd/benchreport measures the identical workload.
+// moderately fine boundary layer, rank-2 pipeline.
 func benchConfig() core.Config {
 	return benchcfg.PushButton()
 }
@@ -231,7 +227,7 @@ func computeScaling() ([]perfmodel.ScalePoint, error) {
 	for _, tm := range res.Stats.Tasks {
 		tasks = append(tasks, perfmodel.Task{Cost: tm.Seconds, Bytes: tm.Bytes, BoundaryLayer: tm.BoundaryLayer})
 	}
-	seq := res.Stats.Times.Validate.Seconds() +
+	seq := res.Stats.StageWall(core.StageValidate).Seconds() +
 		perfmodel.DecompositionOverhead(res.Stats.BoundaryLayerPts, 256, 2e-8, perfmodel.FDRInfiniband())
 	return perfmodel.StrongScaling(tasks, seq, perfmodel.FDRInfiniband(),
 		[]int{1, 2, 4, 8, 16, 32, 64, 128, 256}), nil
@@ -535,131 +531,21 @@ func BenchmarkAblationCutAxis(b *testing.B) {
 	b.Run("always-vertical", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkPushButton measures the complete push-button pipeline at
-// several rank counts (functional concurrency on this machine, not
-// speedup — see BenchmarkFig11StrongScaling for the scaling study).
-func BenchmarkPushButton(b *testing.B) {
-	for _, ranks := range []int{1, 2, 4} {
-		b.Run(rankName(ranks), func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.Ranks = ranks
-			var tris int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Generate(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tris = res.Stats.TotalTriangles
-			}
-			b.ReportMetric(float64(tris), "triangles")
-		})
-	}
-}
-
-func rankName(r int) string {
-	return string(rune('0'+r)) + "-ranks"
-}
-
-// BenchmarkPushButtonTCP is the PushButton pipeline over a loopback TCP
-// fabric: four SPMD processes (simulated as goroutines around real TCP
-// connections) each run the full pipeline, with the distributed phases
-// splitting work across the wire. Against BenchmarkPushButton/4-ranks
-// this is the transport's full price — framing, typed codecs, and the
-// root's result re-broadcast (cmd/benchreport records the same workload
-// as PushButton/4-ranks-tcp).
-func BenchmarkPushButtonTCP(b *testing.B) {
-	const ranks = 4
-	ctx := context.Background()
-	clusters, err := mpi.LoopbackClusters(ctx, ranks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		for _, cl := range clusters {
-			cl.Close()
-		}
-	}()
-	cfg := benchConfig()
-	cfg.Ranks = ranks
-	var tris int
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		errs := make([]error, ranks)
-		results := make([]*core.Result, ranks)
-		for p, cl := range clusters {
-			wg.Add(1)
-			go func(p int, cl *mpi.Cluster) {
-				defer wg.Done()
-				c := cfg
-				c.Fabric = cl
-				results[p], errs[p] = core.GenerateContext(ctx, c)
-			}(p, cl)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		tris = results[0].Stats.TotalTriangles
-	}
-	b.ReportMetric(float64(tris), "triangles")
-}
-
-// BenchmarkPushButtonAdapt measures one metric-adaptation cycle of the
-// cavity-operator engine on the PushButton mesh against the shared
-// analytic boundary-layer metric (cmd/benchreport records the same
-// workload as PushButton/1-ranks-adapt). Generation happens once outside
-// the timer; Adapt does not mutate its input, so every iteration adapts
-// the identical mesh.
-func BenchmarkPushButtonAdapt(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Ranks = 1
-	res, err := core.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fn, err := metric.ParseSpec(benchcfg.AdaptMetric)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := metric.Analytic(res.Mesh, fn)
-	var r *adapt.Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, r, err = adapt.Adapt(res.Mesh, f, adapt.Options{Resample: fn})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*r.InBand, "in-band-pct")
-	b.ReportMetric(float64(r.Sweeps), "sweeps")
-}
-
-// BenchmarkPushButtonAudited is the PushButton pipeline with the
-// invariant-audit stage enabled, so the trajectory tracks verification
-// overhead alongside the unaudited runs (cmd/benchreport records the same
-// workload as PushButton/1-ranks-audit).
-func BenchmarkPushButtonAudited(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Ranks = 1
-	cfg.Audit = true
-	var tris int
-	for i := 0; i < b.N; i++ {
-		res, err := core.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tris = res.Stats.TotalTriangles
-	}
-	b.ReportMetric(float64(tris), "triangles")
-}
+// auditNsPerTriangle bounds the audit stage in TestAuditedWorkloads. The
+// stage costs 1.7–2.5 us per triangle on the 2-CPU reference host (medians
+// of 40 isolated runs at 4.3k triangles; two reached 3.4 and 4.1), up to
+// 3.7 us beside the rest of `go test ./...`, and 2.2–2.6 us on bench/'s
+// 32k–191k-triangle meshes: flat in mesh size, and the bound a multiple that
+// host load does not reach. bench/'s core.wall_audit_1r_s is the fine gauge.
+const auditNsPerTriangle = 10000
 
 // TestAuditedWorkloads is the audit acceptance gate: the PushButton and
 // Figure 8 workloads must generate with zero audit violations at 1 and 4
-// ranks, and on PushButton/1-rank the audit stage must cost less than 30%
-// of total generation wall time.
+// ranks, and on PushButton/1-rank the audit stage must cost less than
+// auditNsPerTriangle per triangle of the mesh — the median of five runs
+// after the first, which warms the process. The cost is stated per
+// triangle, not as a share of the run, so that shortening the rest of the
+// pipeline cannot fail it.
 func TestAuditedWorkloads(t *testing.T) {
 	fig08 := core.DefaultConfig()
 	fig08.Geometry = airfoil.Single(airfoil.NACA0012, 256, 30)
@@ -687,12 +573,18 @@ func TestAuditedWorkloads(t *testing.T) {
 				t.Fatalf("%s/%d ranks: violations: %v", w.name, ranks, res.Stats.Audit.Violations)
 			}
 			if w.name == "PushButton" && ranks == 1 {
-				frac := float64(res.Stats.Times.Audit) / float64(res.Stats.Times.Total)
-				if frac >= 0.30 {
-					t.Errorf("audit overhead %.1f%% of total wall time, want < 30%%", 100*frac)
+				perTri := make([]float64, 5)
+				for i := range perTri {
+					if res, err = core.Generate(cfg); err != nil {
+						t.Fatal(err)
+					}
+					perTri[i] = float64(res.Stats.StageWall(core.StageAudit).Nanoseconds()) / float64(res.Stats.TotalTriangles)
 				}
-				t.Logf("PushButton/1-rank audit overhead: %.1f%% (%v of %v)",
-					100*frac, res.Stats.Times.Audit, res.Stats.Times.Total)
+				sort.Float64s(perTri)
+				if med := perTri[len(perTri)/2]; med >= auditNsPerTriangle {
+					t.Errorf("audit stage costs %.0f ns per triangle (median of %d), want < %d", med, len(perTri), auditNsPerTriangle)
+				}
+				t.Logf("PushButton/1-rank audit stage, ns per triangle of %d, sorted: %.0f", res.Stats.TotalTriangles, perTri)
 			}
 		}
 	}

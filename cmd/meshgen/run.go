@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"syscall"
 
@@ -393,8 +394,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "max aspect ratio     %.1f\n", q.MaxAspectRatio)
 		fmt.Fprintf(stderr, "tasks                %d across %d ranks (%d msgs, %d bytes)\n",
 			len(st.Tasks), cfg.Ranks, st.Messages, st.BytesOnWire)
-		fmt.Fprintf(stderr, "time                 total %v (BL %v, parallel %v)\n",
-			st.Times.Total.Round(1e6), st.Times.Boundary.Round(1e6), st.Times.Parallel.Round(1e6))
+		fmt.Fprintf(stderr, "time                 total %v", st.Times.Total.Round(1e6))
+		for _, s := range st.Stages {
+			if !strings.Contains(s.Name, "/") { // summary entries; audit/<check> sub-entries are inside "audit"
+				fmt.Fprintf(stderr, ", %s %v", s.Name, s.Wall.Round(1e6))
+			}
+		}
+		fmt.Fprintln(stderr)
 		if st.Steals.Requests > 0 || st.Steals.Gotten > 0 {
 			fmt.Fprintf(stderr, "steals               %d of %d requests granted, %v total idle\n",
 				st.Steals.Granted, st.Steals.Requests, st.Steals.Idle.Round(1e6))
@@ -428,7 +434,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				}
 			}
 			fmt.Fprintf(stderr, "audit                %d checks passed in %v\n",
-				checked, st.Times.Audit.Round(1e6))
+				checked, st.StageWall(core.StageAudit).Round(1e6))
 		}
 	}
 	return nil

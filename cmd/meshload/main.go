@@ -1,7 +1,7 @@
 // Command meshload drives a running meshd with concurrent mesh requests
-// and reports throughput and latency percentiles, making "heavy traffic"
-// a measurable quantity alongside the BENCH_*.json wall/alloc trajectory
-// (cmd/benchreport ingests the summary with -load).
+// and reports throughput and latency percentiles: the interactive and
+// CI-smoke load client. (The measured service workload, with a fixed
+// request stream and verified bodies, is bench/'s meshd-mix.)
 //
 //	meshd -listen 127.0.0.1:8080 &
 //	meshload -url http://127.0.0.1:8080 -n 32 -concurrency 4 -requests 40
@@ -34,8 +34,8 @@ import (
 	"pamg2d/internal/trace"
 )
 
-// summary is the machine-readable result; field names are the contract
-// with benchreport's -load ingestion.
+// summary is the machine-readable result (-save); the CI smoke reads its
+// field names with jq.
 type summary struct {
 	URL           string  `json:"url"`
 	Concurrency   int     `json:"concurrency"`
@@ -123,9 +123,9 @@ func run(args []string) error {
 	}
 
 	// The client-side registry mirrors what the server's /metrics sees from
-	// its end: the same schema the engine exports, so benchreport and the
-	// validators consume both without special cases. Always populated; only
-	// written with -metrics.
+	// its end: the same schema the engine exports, so the validators
+	// consume both without special cases. Always populated; only written
+	// with -metrics.
 	reg := trace.NewMetrics()
 
 	var (

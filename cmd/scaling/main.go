@@ -72,9 +72,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	// The sequential fraction: PSLG validation, the decomposition tree,
 	// and a slice of the final merge.
-	seq := res.Stats.Times.Validate.Seconds() +
+	seq := res.Stats.StageWall(core.StageValidate).Seconds() +
 		perfmodel.DecompositionOverhead(res.Stats.BoundaryLayerPts, *maxRanks, 2e-8, perfmodel.FDRInfiniband()) +
-		0.05*res.Stats.Times.Merge.Seconds()
+		0.05*res.Stats.StageWall(core.StageMerge).Seconds()
 
 	var counts []int
 	for p := 1; p <= *maxRanks; p *= 2 {

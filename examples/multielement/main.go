@@ -58,12 +58,15 @@ func main() {
 
 	q := res.Mesh.Quality()
 	fmt.Printf("\n  anisotropy (max aspect ratio): %.0f:1\n", q.MaxAspectRatio)
-	fmt.Printf("  load balance: ")
-	for r, lb := range res.Stats.LoadBalance {
-		if r%8 == 0 && r > 0 {
-			fmt.Printf("\n                ")
+	fmt.Println("  load balance (tasks per rank, by distributed stage):")
+	for _, s := range res.Stats.Stages {
+		if len(s.Ranks) == 0 {
+			continue
 		}
-		fmt.Printf("r%d:%d ", r%cfg.Ranks, lb.Processed)
+		fmt.Printf("    %-17s", s.Name)
+		for _, r := range s.Ranks {
+			fmt.Printf(" r%d:%d", r.Rank, r.Tasks)
+		}
+		fmt.Println()
 	}
-	fmt.Println()
 }

@@ -39,7 +39,7 @@ func main() {
 	for _, tm := range res.Stats.Tasks {
 		tasks = append(tasks, perfmodel.Task{Cost: tm.Seconds, Bytes: tm.Bytes, BoundaryLayer: tm.BoundaryLayer})
 	}
-	seq := res.Stats.Times.Validate.Seconds() +
+	seq := res.Stats.StageWall(core.StageValidate).Seconds() +
 		perfmodel.DecompositionOverhead(res.Stats.BoundaryLayerPts, 256, 2e-8, perfmodel.FDRInfiniband())
 
 	pts := perfmodel.StrongScaling(tasks, seq, perfmodel.FDRInfiniband(),

@@ -19,7 +19,6 @@ package audit
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -27,16 +26,8 @@ import (
 	"pamg2d/internal/blayer"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
+	"pamg2d/internal/trace"
 )
-
-// mallocCount reads the cumulative heap allocation counter; per-check
-// deltas are exact for sequential runs and best-effort (the counter is
-// process-global) when checks run concurrently across ranks.
-func mallocCount() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs
-}
 
 // Violation is one invariant failure, attributed to the check that found
 // it, the rank that ran the check (-1 for sequential/root execution), and
@@ -427,12 +418,12 @@ func Run(s *Snapshot, checks []Check) *Report {
 		}
 		r := NewReporter(c.Name(), -1)
 		t0 := time.Now()
-		a0 := mallocCount()
+		a0 := trace.Mallocs()
 		c.Run(s, 0, s.Mesh.NumTriangles(), r)
 		rep.Checks = append(rep.Checks, CheckStat{
 			Name:       c.Name(),
 			Wall:       time.Since(t0),
-			Allocs:     mallocCount() - a0,
+			Allocs:     trace.Mallocs() - a0,
 			Elements:   s.Mesh.NumTriangles(),
 			Violations: r.Count(),
 		})

@@ -1,7 +1,8 @@
-// Package benchcfg holds the scaled-down benchmark configurations shared
-// between the repository benchmarks (bench_test.go) and cmd/benchreport, so
-// the committed BENCH_<date>.json trajectory measures exactly what
-// `go test -bench` measures.
+// Package benchcfg holds the scaled-down configurations of EXPERIMENTS.md's
+// harness (the per-figure and ablation benchmarks of bench_test.go) and the
+// adaptation metric bench/'s adapt-bl workload shares with it. The
+// performance record is bench/ and the BENCH_<date>.json trajectory files,
+// not these benchmarks.
 package benchcfg
 
 import (
@@ -13,9 +14,9 @@ import (
 	"pamg2d/internal/project"
 )
 
-// PushButton returns the shared scaled-down pipeline configuration used by
-// BenchmarkPushButton and the other full-pipeline benchmarks: NACA 0012,
-// moderately fine boundary layer, rank-2 pipeline.
+// PushButton returns the shared scaled-down pipeline configuration of the
+// full-pipeline benchmarks and TestAuditedWorkloads: NACA 0012, moderately
+// fine boundary layer, rank-2 pipeline.
 func PushButton() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Geometry = airfoil.Single(airfoil.NACA0012, 48, 10)
@@ -54,9 +55,7 @@ func Fig08Options() project.Options {
 	return project.Options{MinVerts: 2, MaxDepth: 7}
 }
 
-// AdaptMetric is the analytic boundary-layer metric spec the adaptation
-// benchmarks drive the PushButton mesh toward: a stretch field off the
-// chord with 0.02 normal spacing at the wall relaxing to isotropic 0.3.
-// It lives here so BenchmarkPushButtonAdapt and cmd/benchreport measure
-// the identical workload.
+// AdaptMetric is the analytic boundary-layer metric spec bench/'s adapt-bl
+// workload drives its mesh toward: a stretch field off the chord with 0.02
+// normal spacing at the wall relaxing to isotropic 0.3.
 const AdaptMetric = "bl:x0=0,y0=0,x1=1,y1=0,hn=0.02,ht=0.3,grow=0.6"

@@ -149,7 +149,7 @@ func auditFanOut(rc *RunCtx, s *audit.Snapshot, jobs []audit.Job) ([]*auditJobRe
 		rep := audit.NewReporter(j.Check.Name(), c.Rank())
 		sp := tr.Begin(c.Rank(), trace.CatAudit, StageAudit+"/"+j.Check.Name())
 		t0 := time.Now()
-		a0 := mallocCount()
+		a0 := trace.Mallocs()
 		j.Check.Run(s, j.From, j.To, rep)
 		// The allocation delta is read off the process-global counter, so
 		// concurrent jobs bleed into each other's numbers; the per-check
@@ -159,7 +159,7 @@ func auditFanOut(rc *RunCtx, s *audit.Snapshot, jobs []audit.Job) ([]*auditJobRe
 		res := &auditJobResult{
 			job:        task.ID,
 			wall:       dt,
-			allocs:     mallocCount() - a0,
+			allocs:     trace.Mallocs() - a0,
 			count:      rep.Count(),
 			violations: rep.Violations(),
 		}

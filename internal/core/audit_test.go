@@ -50,8 +50,8 @@ func TestAuditCleanRun(t *testing.T) {
 		if summary.Wall <= 0 {
 			t.Errorf("%d ranks: audit stage wall time = %v", ranks, summary.Wall)
 		}
-		if res.Stats.Times.Audit != summary.Wall {
-			t.Errorf("%d ranks: Times.Audit = %v, want the stage entry's %v", ranks, res.Stats.Times.Audit, summary.Wall)
+		if got := res.Stats.StageWall(StageAudit); got != summary.Wall {
+			t.Errorf("%d ranks: StageWall(audit) = %v, want the stage entry's %v", ranks, got, summary.Wall)
 		}
 		for _, c := range audit.All() {
 			name := StageAudit + "/" + c.Name()

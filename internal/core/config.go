@@ -29,7 +29,6 @@ import (
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/audit"
 	"pamg2d/internal/blayer"
-	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/pslg"
@@ -96,7 +95,7 @@ type Config struct {
 	// Chrome trace-event file (trace.Tracer.WriteTrace) with a companion
 	// run-metrics registry (Tracer.Metrics). The default nil tracer is
 	// free in the hot paths beyond a single nil check per instrumentation
-	// site — benchreport's -guard gate holds with tracing disabled.
+	// site — bench/'s allocs_k rows, which CI gates, run with it nil.
 	Tracer *trace.Tracer
 	// Audit enables the post-merge invariant-verification stage: the
 	// merged mesh is audited against the internal/audit check registry
@@ -188,16 +187,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// PhaseTimes records the pipeline phase wall times; the sequential phases
-// feed the performance model's Amdahl fraction.
+// PhaseTimes records the wall time of the whole stage list. The per-stage
+// walls are Stats.Stages[i].Wall; Stats.StageWall sums them by name.
 type PhaseTimes struct {
-	Validate  time.Duration
-	Boundary  time.Duration
-	Decompose time.Duration
-	Parallel  time.Duration
-	Merge     time.Duration
-	Audit     time.Duration
-	Total     time.Duration
+	Total time.Duration
 }
 
 // PhaseAllocs records the run's heap allocation count, measured as the
@@ -247,19 +240,14 @@ type Stats struct {
 	TotalTriangles   int
 	BLLayerStats     []blayer.Stats
 	Tasks            []TaskMeasure
-	// LoadBalance holds the balancer's raw per-rank records, appended in
-	// stage order: each distributed stage (and the audit stage) contributes
-	// Ranks consecutive entries. The Steals aggregate and the per-stage
-	// StageStat.Ranks summaries are folded from these, so the balancer's
-	// behavior is reachable from Result without a tracer attached.
-	LoadBalance []loadbal.Stats
 	// Steals is the run-wide fold of the balancer counters across every
 	// distributed stage: how often ranks asked for work, how many tasks
 	// changed hands, and the total time meshers spent waiting for work.
 	Steals StealStats
 	// Stages is the ordered per-stage record written by the engine's
-	// stats hook; the PhaseTimes aggregate below is derived from it (the
-	// two boundary-layer stages sum into Boundary).
+	// stats hook; a distributed stage's entry carries the balancer's
+	// per-rank counters (Ranks), so the balancer's behavior is reachable
+	// from Result without a tracer attached.
 	Stages      []StageStat
 	Times       PhaseTimes
 	Allocs      PhaseAllocs

@@ -225,9 +225,9 @@ func sendAgreement(c *mpi.Comm, to, tag, rank int, body []byte) error {
 func agreementRank(msg []byte) int { return int(int64(binary.LittleEndian.Uint64(msg))) }
 
 // foldBalancer folds one distributed stage's balancer records into the
-// run statistics: the raw records append to Stats.LoadBalance, the steal
-// and idle totals accumulate into Stats.Steals, and the per-rank summary
-// becomes the stage's StageStat.Ranks via rc.stageRanks.
+// run statistics: the steal and idle totals accumulate into Stats.Steals,
+// and the per-rank summary becomes the stage's StageStat.Ranks via
+// rc.stageRanks.
 func (rc *RunCtx) foldBalancer(balStats []loadbal.Stats) {
 	perRank := make([]RankStat, len(balStats))
 	for r, bs := range balStats {
@@ -249,7 +249,6 @@ func (rc *RunCtx) foldBalancer(balStats []loadbal.Stats) {
 		rc.stats.Resilience.TasksRequeued += bs.Requeued
 		rc.stats.Resilience.RecoveryWall += bs.RecoveryTime
 	}
-	rc.stats.LoadBalance = append(rc.stats.LoadBalance, balStats...)
 	rc.stageRanks = perRank
 }
 

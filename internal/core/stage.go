@@ -15,8 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/metrics"
-	"sync"
+	"slices"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -202,26 +201,6 @@ func (rc *RunCtx) newWorld() *mpi.World {
 	return mpi.NewWorld(rc.cfg.Ranks)
 }
 
-// mallocCount reads the cumulative heap allocation counter; deltas between
-// stage boundaries feed the StageStat records.
-func mallocCount() uint64 {
-	s := mallocSamples.Get().(*[2]metrics.Sample)
-	metrics.Read(s[:])
-	n := s[0].Value.Uint64() + s[1].Value.Uint64()
-	mallocSamples.Put(s)
-	return n
-}
-
-// mallocSamples holds the two runtime/metrics counters whose sum is
-// runtime.MemStats.Mallocs. Reading them does not stop the world, which
-// ReadMemStats does: the audit stage reads the counter twice per job, and
-// the pauses were a quarter of its wall time on a small mesh. Pooled
-// because metrics.Read makes its argument escape and the counter must not
-// count itself.
-var mallocSamples = sync.Pool{New: func() any {
-	return &[2]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
-}}
-
 // runStages executes the stage list in order. It is the only place in the
 // pipeline that measures anything: each stage's wall time, allocation
 // delta and wire traffic pass through the recordStage hook, and every
@@ -229,13 +208,13 @@ var mallocSamples = sync.Pool{New: func() any {
 // before each stage so cancellation between stages costs nothing.
 func (rc *RunCtx) runStages(stages []Stage) error {
 	start := time.Now()
-	allocStart := mallocCount()
+	allocStart := trace.Mallocs()
 	for _, s := range stages {
 		if rc.ctx.Err() != nil {
 			return &PhaseError{Stage: s.Name(), Rank: -1, Err: context.Cause(rc.ctx)}
 		}
 		t0 := time.Now()
-		a0 := mallocCount()
+		a0 := trace.Mallocs()
 		rc.wireMsgs, rc.wireBytes = 0, 0
 		rc.stageRanks = nil
 		sp := rc.tracer.Begin(trace.RootRank, trace.CatStage, s.Name())
@@ -244,7 +223,7 @@ func (rc *RunCtx) runStages(stages []Stage) error {
 		rc.stats.recordStage(StageStat{
 			Name:        s.Name(),
 			Wall:        time.Since(t0),
-			Allocs:      mallocCount() - a0,
+			Allocs:      trace.Mallocs() - a0,
 			Messages:    rc.wireMsgs,
 			BytesOnWire: rc.wireBytes,
 			Ranks:       rc.stageRanks,
@@ -254,35 +233,29 @@ func (rc *RunCtx) runStages(stages []Stage) error {
 		}
 	}
 	rc.stats.Times.Total = time.Since(start)
-	rc.stats.Allocs.Total = mallocCount() - allocStart
+	rc.stats.Allocs.Total = trace.Mallocs() - allocStart
 	return nil
 }
 
 // recordStage is the engine's single stats hook: every stage's measurement
-// lands here, both in the ordered Stages list and in the legacy per-phase
-// aggregates the performance model and CLI reports read (the two
-// boundary-layer stages sum into the Boundary bucket).
+// lands here, in the ordered Stages list and the run's wire totals.
 func (st *Stats) recordStage(s StageStat) {
 	st.Stages = append(st.Stages, s)
 	st.Messages += s.Messages
 	st.BytesOnWire += s.BytesOnWire
-	switch s.Name {
-	case StageValidate:
-		st.Times.Validate += s.Wall
-	case StageRays, StageRayInsertion:
-		st.Times.Boundary += s.Wall
-	case StageBLTriangulation:
-		st.Times.Decompose += s.Wall
-	case StageInviscid:
-		st.Times.Parallel += s.Wall
-	case StageMerge:
-		st.Times.Merge += s.Wall
-	case StageAudit:
-		// The per-check "audit/<check>" entries deliberately fall through to
-		// no bucket: only the stage summary feeds the aggregate, so the
-		// bucket is not double-counted.
-		st.Times.Audit += s.Wall
+}
+
+// StageWall sums the wall time of the stages with the given names (the
+// Stage* constants). Names match whole entries, so StageAudit is the audit
+// stage's summary entry and never its "audit/<check>" sub-entries.
+func (st *Stats) StageWall(names ...string) time.Duration {
+	var d time.Duration
+	for _, s := range st.Stages {
+		if slices.Contains(names, s.Name) {
+			d += s.Wall
+		}
 	}
+	return d
 }
 
 // stageFunc adapts a plain function to the Stage interface for the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,55 @@ func TestStageOrder(t *testing.T) {
 		}
 		if !wired && s.Messages != 0 {
 			t.Errorf("root-side stage %q recorded %d messages", s.Name, s.Messages)
+		}
+	}
+}
+
+// TestStageWall: the accessor sums whole-name matches over Stats.Stages, so
+// an audited run's "audit/<check>" sub-entries are never counted — not
+// under StageAudit, not in the sum over every stage name — and the stages
+// together fit inside the run's total.
+func TestStageWall(t *testing.T) {
+	all := []string{StageValidate, StageRays, StageRayInsertion,
+		StageBLTriangulation, StageInviscid, StageMerge, StageAudit}
+	for _, ranks := range []int{1, 4} {
+		cfg := smallConfig(ranks)
+		cfg.Audit = true
+		res, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &res.Stats
+		byName := make(map[string]time.Duration)
+		var summaries, subs time.Duration
+		for _, s := range st.Stages {
+			byName[s.Name] += s.Wall
+			if strings.Contains(s.Name, "/") {
+				subs += s.Wall
+			} else {
+				summaries += s.Wall
+			}
+		}
+		if subs <= 0 {
+			t.Fatalf("%d ranks: audited run recorded no audit/<check> sub-entries", ranks)
+		}
+		for _, tc := range []struct {
+			what  string
+			names []string
+			want  time.Duration
+		}{
+			{"no names", nil, 0},
+			{"unknown name", []string{"no-such-stage"}, 0},
+			{"audit summary only", []string{StageAudit}, byName[StageAudit]},
+			{"two boundary-layer stages", []string{StageRays, StageRayInsertion}, byName[StageRays] + byName[StageRayInsertion]},
+			{"every stage", all, summaries},
+		} {
+			if got := st.StageWall(tc.names...); got != tc.want {
+				t.Errorf("%d ranks: StageWall(%s) = %v, want %v", ranks, tc.what, got, tc.want)
+			}
+		}
+		if total := st.StageWall(all...); total <= 0 || total > st.Times.Total {
+			t.Errorf("%d ranks: stages sum to %v, want in (0, Times.Total = %v]", ranks, total, st.Times.Total)
 		}
 	}
 }

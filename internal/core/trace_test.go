@@ -139,9 +139,23 @@ func totalRankTasks(st Stats) int {
 	return n
 }
 
+// rankSteals folds the per-stage rank summaries into the run-wide
+// aggregate, the way Stats.Steals is specified.
+func rankSteals(st Stats) StealStats {
+	var agg StealStats
+	for _, s := range st.Stages {
+		for _, r := range s.Ranks {
+			agg.Requests += r.StealRequests
+			agg.Granted += r.StealsGranted
+			agg.Gotten += r.StealsGotten
+			agg.Idle += r.Idle
+		}
+	}
+	return agg
+}
+
 // TestTracedRunRankStats: distributed stages fold per-rank summaries into
-// their StageStat, and the run-wide steal aggregate matches the raw
-// balancer records.
+// their StageStat, and the run-wide steal aggregate matches their sum.
 func TestTracedRunRankStats(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.Audit = true
@@ -181,15 +195,8 @@ func TestTracedRunRankStats(t *testing.T) {
 		t.Errorf("only %d stages recorded rank data", distributed)
 	}
 
-	var agg StealStats
-	for _, b := range st.LoadBalance {
-		agg.Requests += b.StealRequests
-		agg.Granted += b.StealsGranted
-		agg.Gotten += b.StealsGotten
-		agg.Idle += b.IdleTime
-	}
-	if st.Steals != agg {
-		t.Errorf("Stats.Steals = %+v, want fold of LoadBalance %+v", st.Steals, agg)
+	if agg := rankSteals(st); st.Steals != agg {
+		t.Errorf("Stats.Steals = %+v, want fold of Stages[].Ranks %+v", st.Steals, agg)
 	}
 }
 
@@ -204,14 +211,7 @@ func TestTracedRunUntracedStatsAgree(t *testing.T) {
 	if totalRankTasks(res.Stats) == 0 {
 		t.Error("untraced run folded no per-rank task counts")
 	}
-	var agg StealStats
-	for _, b := range res.Stats.LoadBalance {
-		agg.Requests += b.StealRequests
-		agg.Granted += b.StealsGranted
-		agg.Gotten += b.StealsGotten
-		agg.Idle += b.IdleTime
-	}
-	if res.Stats.Steals != agg {
+	if agg := rankSteals(res.Stats); res.Stats.Steals != agg {
 		t.Errorf("Stats.Steals = %+v, want %+v", res.Stats.Steals, agg)
 	}
 }

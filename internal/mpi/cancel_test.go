@@ -180,7 +180,7 @@ func TestCloseReleasesPooledPayloads(t *testing.T) {
 			return
 		}
 		for i := 0; i < 8; i++ {
-			buf := EncodeFloatsPooled([]float64{1, 2, 3})
+			buf := pooledFloats([]float64{1, 2, 3})
 			if err := c.Send(1, 42, buf); err != nil {
 				PutBytes(buf)
 				t.Errorf("send: %v", err)
@@ -206,7 +206,7 @@ func TestFailedSendKeepsBufferOwnership(t *testing.T) {
 	world := NewWorld(2)
 	world.Close(nil)
 	c := &Comm{world: world, rank: 1}
-	buf := EncodeFloatsPooled([]float64{1, 2})
+	buf := pooledFloats([]float64{1, 2})
 	if err := c.Send(0, 5, buf); !errors.Is(err, ErrWorldClosed) {
 		t.Fatalf("Send on a closed world returned %v", err)
 	}

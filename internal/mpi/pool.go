@@ -121,21 +121,3 @@ func PutFloats(v []float64) {
 	e.f = v[:cap(v)]
 	floatPools[c].Put(e)
 }
-
-// EncodeFloatsPooled packs a float64 slice little-endian into a pooled
-// buffer. The wire format is identical to EncodeFloats; the only
-// difference is the buffer's provenance. Release with PutBytes once the
-// message's last reader is done.
-func EncodeFloatsPooled(v []float64) []byte {
-	out := GetBytes(8 * len(v))
-	encodeFloatsInto(out, v)
-	return out
-}
-
-// DecodeFloatsPooled unpacks a payload written by EncodeFloats or
-// EncodeFloatsPooled into a pooled float64 slice. Release with PutFloats.
-func DecodeFloatsPooled(b []byte) []float64 {
-	out := GetFloats(len(b) / 8)
-	decodeFloatsInto(out, b)
-	return out
-}

@@ -2,58 +2,16 @@ package mpi
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// Property: the pooled encode/decode pair is byte-identical to the plain
-// pair for arbitrary float vectors, including NaN payloads and both
-// infinities, and the round trip reproduces every bit pattern.
-func TestPooledEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(v []float64) bool {
-		b := EncodeFloatsPooled(v)
-		plain := EncodeFloats(v)
-		if len(b) != len(plain) {
-			return false
-		}
-		for i := range b {
-			if b[i] != plain[i] {
-				return false
-			}
-		}
-		got := DecodeFloatsPooled(b)
-		if len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
-				return false
-			}
-		}
-		PutFloats(got)
-		PutBytes(b)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-	// Edge cases quick.Check may not generate.
-	for _, v := range [][]float64{nil, {}, {math.NaN()}, {math.Inf(1), math.Inf(-1), -0.0}} {
-		b := EncodeFloatsPooled(v)
-		got := DecodeFloatsPooled(b)
-		if len(got) != len(v) {
-			t.Fatalf("round trip of %v returned %v", v, got)
-		}
-		for i := range v {
-			if math.Float64bits(got[i]) != math.Float64bits(v[i]) {
-				t.Fatalf("bit pattern %x != %x", math.Float64bits(got[i]), math.Float64bits(v[i]))
-			}
-		}
-		PutFloats(got)
-		PutBytes(b)
-	}
+// pooledFloats is EncodeFloats' layout in a pooled buffer: the payload the
+// ownership tests hand to Send. Release with PutBytes.
+func pooledFloats(v []float64) []byte {
+	b := GetBytes(8 * len(v))
+	copy(b, EncodeFloats(v))
+	return b
 }
 
 func TestGetBytesLengthAndClasses(t *testing.T) {
@@ -95,14 +53,12 @@ func TestReleasedBufferNotAliasedByLiveMessage(t *testing.T) {
 		if c.Rank() == 0 {
 			for i := 0; i < (ranks-1)*rounds; i++ {
 				d, src, _, _ := c.Recv(context.Background(), AnySource, 7)
-				v := DecodeFloatsPooled(d)
-				for k, x := range v {
+				for k, x := range DecodeFloats(d) {
 					if want := float64(src*1000 + k); x != want {
 						t.Errorf("message from %d slot %d: got %v want %v", src, k, x, want)
 						break
 					}
 				}
-				PutFloats(v)
 				PutBytes(d) // receiver owns the buffer; release it here
 			}
 			return
@@ -114,36 +70,12 @@ func TestReleasedBufferNotAliasedByLiveMessage(t *testing.T) {
 			for k := range vals {
 				vals[k] = float64(c.Rank()*1000 + k)
 			}
-			c.Send(0, 7, EncodeFloatsPooled(vals))
+			c.Send(0, 7, pooledFloats(vals))
 			PutFloats(vals) // the floats were copied into the message; safe
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The pooled encode path must not allocate in steady state: buffer and
-// slice headers are both recycled.
-func BenchmarkPooledEncode(b *testing.B) {
-	vals := make([]float64, 256)
-	for i := range vals {
-		vals[i] = float64(i) * 1.5
-	}
-	// Warm the pools so the steady state is measured.
-	for i := 0; i < 16; i++ {
-		PutBytes(EncodeFloatsPooled(vals))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := EncodeFloatsPooled(vals)
-		PutBytes(buf)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		PutBytes(EncodeFloatsPooled(vals))
-	}); allocs > 0 {
-		b.Fatalf("pooled encode path allocates %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"runtime/metrics"
 	"sort"
 	"sync"
 )
@@ -238,3 +239,26 @@ func (m *Metrics) WriteMetrics(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.Snapshot())
 }
+
+// Mallocs reads the process's cumulative heap allocation count, the
+// quantity of runtime.MemStats.Mallocs; the delta around a stage or an
+// audit check is what it allocated. The counter is process-global, and the
+// runtime publishes the objects taken from a span when the owning P swaps
+// the span out, so a delta is exact to within a span's worth of objects per
+// size class. It reads two runtime/metrics counters rather than calling
+// ReadMemStats, which stops the world: the audit stage reads the counter
+// twice per job, and the pauses were a quarter of its wall time on a small
+// mesh.
+func Mallocs() uint64 {
+	s := mallocSamples.Get().(*[2]metrics.Sample)
+	metrics.Read(s[:])
+	n := s[0].Value.Uint64() + s[1].Value.Uint64()
+	mallocSamples.Put(s)
+	return n
+}
+
+// mallocSamples is pooled because metrics.Read makes its argument escape
+// and the counter must not count itself.
+var mallocSamples = sync.Pool{New: func() any {
+	return &[2]metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/tiny/allocs:objects"}}
+}}

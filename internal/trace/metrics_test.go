@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -129,3 +130,31 @@ func TestNilMetricsIsSafe(t *testing.T) {
 		t.Fatalf("nil registry export invalid: %v", err)
 	}
 }
+
+// TestMallocsCountsWithoutCounting: the reader allocates nothing itself (a
+// counter that counted itself would charge every stage and audit check for
+// being measured), sees the allocations made between two reads, and agrees
+// with the runtime.MemStats.Mallocs it stands in for. The slack is the
+// reader's documented lag: objects taken from a span still cached by a P
+// are published when the span is swapped out.
+func TestMallocsCountsWithoutCounting(t *testing.T) {
+	Mallocs() // fill the sample pool
+	if n := testing.AllocsPerRun(100, func() { Mallocs() }); n != 0 {
+		t.Errorf("Mallocs allocates %v objects per read, want 0", n)
+	}
+	const made, slack = 100000, 1024
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms) // flushes every P's cached counts
+	a0 := Mallocs()
+	if d := int64(a0 - ms.Mallocs); d < 0 || d > slack {
+		t.Errorf("Mallocs = %d right after MemStats.Mallocs = %d", a0, ms.Mallocs)
+	}
+	for i := 0; i < made; i++ {
+		allocSink = make([]byte, 64)
+	}
+	if d := int64(Mallocs() - a0); d < made-slack || d > made+slack {
+		t.Errorf("Mallocs delta over %d allocations = %d", made, d)
+	}
+}
+
+var allocSink []byte
