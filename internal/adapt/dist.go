@@ -28,10 +28,12 @@ import (
 // package takes the block 48–63, after core's 32–47.
 const CodecPlanBatch mpi.CodecID = 48
 
-// planBatch is one evaluation chunk's result in flight to the root.
+// planBatch is one evaluation chunk's result in flight to the root: a
+// window of the evaluating rank's evalBuf in process, one decoded slab
+// after a wire crossing.
 type planBatch struct {
 	Chunk int32
-	Plans []*opPlan
+	Plans []opPlan
 }
 
 func init() {
@@ -39,8 +41,10 @@ func init() {
 }
 
 // evaluateDist is evaluate with the chunk loop distributed over an
-// in-process world through the shared scatter/collect executor.
-func (e *engine) evaluateDist(kind opKind) ([]*opPlan, error) {
+// in-process world through the shared scatter/collect executor. A rank
+// runs its tasks one at a time, so rank r owns e.bufs[r] the way worker w
+// does locally.
+func (e *engine) evaluateDist(kind opKind) error {
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
 	ranks := e.opt.Ranks
@@ -55,22 +59,23 @@ func (e *engine) evaluateDist(kind opKind) ([]*opPlan, error) {
 	lb := loadbal.DefaultOptions(float64(n), ranks)
 	lb.Tracer = e.opt.Tracer
 	batches, _, err := loadbal.Scatter(context.Background(), world, tasks, lb,
-		func(_ *mpi.Comm, t loadbal.Task) (loadbal.Result, error) {
-			s1 := make([]int32, 0, maxRing)
-			s2 := make([]int32, 0, maxRing)
+		func(c *mpi.Comm, t loadbal.Task) (loadbal.Result, error) {
+			b := &e.bufs[c.Rank()]
 			from := int(t.ID) * evalChunk
-			return &planBatch{Chunk: t.ID, Plans: e.evalRange(kind, from, min(from+evalChunk, n), s1, s2)}, nil
+			lo, hi := e.evalRange(kind, from, min(from+evalChunk, n), b)
+			// A later task may grow b.plans into a new array; this window
+			// keeps the old one, which holds the same plans.
+			return &planBatch{Chunk: t.ID, Plans: b.plans[lo:hi:hi]}, nil
 		})
 	if err != nil {
-		return nil, fmt.Errorf("adapt: distributed evaluation: %w", err)
+		return fmt.Errorf("adapt: distributed evaluation: %w", err)
 	}
-	// Concatenating in chunk order restores the exact order local
+	// Walking the batches in chunk order restores the exact order local
 	// evaluation produces.
-	var out []*opPlan
 	for _, b := range batches {
-		out = append(out, b.(*planBatch).Plans...)
+		e.addPlans(b.(*planBatch).Plans)
 	}
-	return out, nil
+	return nil
 }
 
 // --- wire codec ----------------------------------------------------------
@@ -93,7 +98,8 @@ func encodePlanBatch(ref any, dst []byte) []byte {
 	b := ref.(*planBatch)
 	dst = putI32(dst, b.Chunk)
 	dst = putU32(dst, uint32(len(b.Plans)))
-	for _, p := range b.Plans {
+	for i := range b.Plans {
+		p := &b.Plans[i]
 		flags := byte(0)
 		if p.Bnd {
 			flags |= 1
@@ -178,6 +184,46 @@ func (r *wireReader) fail() {
 	}
 }
 
+// PlanFieldError reports a decoded plan whose field lies outside the range
+// selection, commit and recycle index with (p.Dy[i] for i < NDy, v[p.E],
+// n[Pat.E], n[Dy.KE]): such a batch is rejected at the wire, not found by
+// a panic on the root.
+type PlanFieldError struct {
+	Plan  int    // position in the batch
+	Field string // "Kind", "NDy", "E", "Pat[1].E", "Dy[0].KE", …
+	Value int
+}
+
+func (e *PlanFieldError) Error() string {
+	return fmt.Sprintf("adapt: plan %d of batch: %s = %d out of range", e.Plan, e.Field, e.Value)
+}
+
+// check validates the index-like fields of the i-th decoded plan.
+func (p *opPlan) check(i int) error {
+	bad := func(field string, v int) error { return &PlanFieldError{Plan: i, Field: field, Value: v} }
+	switch {
+	case p.Kind < opSplit || p.Kind > opSmooth:
+		return bad("Kind", int(p.Kind))
+	case p.NDy < 0 || int(p.NDy) > len(p.Dy):
+		return bad("NDy", int(p.NDy))
+	case p.E < 0 || p.E > 2:
+		return bad("E", int(p.E))
+	}
+	for j := range p.Pat {
+		if e := p.Pat[j].E; e < -1 || e > 2 {
+			return bad(fmt.Sprintf("Pat[%d].E", j), int(e))
+		}
+	}
+	for j := range p.Dy {
+		if e := p.Dy[j].KE; e < -1 || e > 2 {
+			return bad(fmt.Sprintf("Dy[%d].KE", j), int(e))
+		}
+	}
+	return nil
+}
+
+// decodePlanBatch parses a batch into one plan slab and one cavity arena
+// (every Cav is a window of it), whatever the number of plans.
 func decodePlanBatch(b []byte) (any, error) {
 	r := &wireReader{b: b}
 	out := &planBatch{Chunk: r.i32()}
@@ -185,14 +231,17 @@ func decodePlanBatch(b []byte) (any, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	// Each plan occupies at least planWireFixed bytes; reject absurd
-	// counts before allocating.
-	if int(n) > len(b)/planWireFixed+1 {
+	// A well-formed batch is its 8-byte header, planWireFixed bytes per
+	// plan and 4 per cavity triangle: the length bounds the plan count,
+	// and what the plans leave over is the size of the arena.
+	cavBytes := int64(len(b)) - 8 - int64(n)*planWireFixed
+	if cavBytes < 0 {
 		return nil, fmt.Errorf("adapt: plan batch claims %d plans in %d bytes", n, len(b))
 	}
-	out.Plans = make([]*opPlan, 0, n)
-	for i := uint32(0); i < n; i++ {
-		p := &opPlan{}
+	out.Plans = make([]opPlan, n)
+	cav := make([]int32, 0, cavBytes/4)
+	for i := range out.Plans {
+		p := &out.Plans[i]
 		p.Kind = opKind(r.u8())
 		flags := r.u8()
 		if flags&^3 != 0 {
@@ -212,13 +261,14 @@ func decodePlanBatch(b []byte) (any, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if int(nc) > (len(b)-r.off)/4+1 {
-			return nil, fmt.Errorf("adapt: plan cavity claims %d triangles in %d bytes", nc, len(b)-r.off)
+		if uint64(nc) > uint64(cap(cav)-len(cav)) {
+			return nil, fmt.Errorf("adapt: plan %d cavity claims %d triangles, the batch has room for %d", i, nc, cap(cav)-len(cav))
 		}
-		p.Cav = make([]int32, nc)
-		for j := range p.Cav {
-			p.Cav[j] = r.i32()
+		mark := len(cav)
+		for j := uint32(0); j < nc; j++ {
+			cav = append(cav, r.i32())
 		}
+		p.Cav = cav[mark:len(cav):len(cav)]
 		for j := range p.Pat {
 			p.Pat[j].T = r.i32()
 			p.Pat[j].E = int8(r.u8())
@@ -233,7 +283,9 @@ func decodePlanBatch(b []byte) (any, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		out.Plans = append(out.Plans, p)
+		if err := p.check(i); err != nil {
+			return nil, err
+		}
 	}
 	if r.off != len(b) {
 		return nil, fmt.Errorf("adapt: %d trailing bytes after plan batch", len(b)-r.off)
@@ -252,8 +304,8 @@ func (b *planBatch) TaskID() int32 { return b.Chunk }
 // communication-volume statistics by the executor's SendRef.
 func (b *planBatch) WireBytes() int {
 	n := 8
-	for _, p := range b.Plans {
-		n += planWireFixed + 4*len(p.Cav)
+	for i := range b.Plans {
+		n += planWireFixed + 4*len(b.Plans[i].Cav)
 	}
 	return n
 }

@@ -19,17 +19,31 @@ package adapt
 // belong to a different commit.
 //
 // Determinism: evaluation runs over fixed-size chunks whose results are
-// merged in chunk order, the merged plans are sorted by priority with a
-// stable sort, selection walks them in that order, and ring walks use a
-// canonical starting triangle — so the adapted mesh is a function of the
-// input mesh and field alone, independent of worker count and commit
-// scheduling.
+// walked in chunk order, selection visits the plans by (priority
+// descending, position in that walk ascending) — a total order, so the
+// key sort yields the one permutation a stable sort on priority would —
+// and ring walks use a canonical starting triangle, so the adapted mesh
+// is a function of the input mesh and field alone, independent of worker
+// count, rank count and commit scheduling.
+//
+// Cost: a pass allocates nothing per plan. Each evaluator (worker w
+// locally, rank r under Options.Ranks) appends its plans by value to its
+// own evalBuf and their cavities to that buffer's arena; a candidate that
+// fails validation — a failed collapse form included, before the next
+// form is tried — truncates the arena back to the mark taken before it,
+// so what the buffers hold after evaluation is exactly the pass's plans.
+// The buffers, the chunk windows and the pointer, key and selected lists
+// are reset per pass and live for the Adapt call. Quality evaluation
+// reads the per-vertex log-tensor cache (topo.lmet) instead of taking
+// three matrix logarithms per triangle; metric.TriQualityLog is the one
+// implementation behind both forms, so the cache changes no bit.
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
+	"time"
 
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
@@ -74,6 +88,20 @@ type Options struct {
 	CheckEach func(sweep int, m *mesh.Mesh) error
 }
 
+// withDefaults resolves the zero values as the field comments say.
+func (o Options) withDefaults() Options {
+	if o.Band <= 1 {
+		o.Band = DefaultBand
+	}
+	if o.MaxSweeps <= 0 {
+		o.MaxSweeps = 20
+	}
+	if o.Workers <= 0 {
+		o.Workers = 1
+	}
+	return o
+}
+
 // Result reports what an Adapt call did.
 type Result struct {
 	Sweeps    int
@@ -102,6 +130,41 @@ type engine struct {
 	claimVert []uint32
 	epoch     uint32
 	res       Result
+
+	// Per-pass storage, reset by every pass and reused by the next.
+	bufs  []evalBuf // one per evaluator: worker w, or rank r in evaluateDist
+	wins  []planWin // local evaluation: chunk c's plans are bufs[ev].plans[lo:hi]
+	plans []*opPlan // the pass's plans in chunk order
+	keys  []planKey // selection order over plans
+	sel   []*opPlan // the selected subset
+}
+
+// evalBuf is one evaluator's plan storage. Plans are appended by value;
+// their cavities are appended to the cav arena and opPlan.Cav is left a
+// capacity-clamped window of it. s1 and s2 are the ring-walk scratch,
+// nbrs tryCollapse's list of the dying vertex's neighbors.
+type evalBuf struct {
+	plans  []opPlan
+	cav    []int32
+	s1, s2 []int32
+	nbrs   []int32
+}
+
+// push completes a validated candidate: its cavity is what evaluation
+// appended to the arena since mark. (A rejected candidate's caller
+// truncates the arena to mark instead.)
+func (b *evalBuf) push(p *opPlan, mark int) {
+	p.Cav = b.cav[mark:len(b.cav):len(b.cav)]
+	b.plans = append(b.plans, *p)
+}
+
+// planWin is one chunk's window of an evaluator's plans.
+type planWin struct{ ev, lo, hi int32 }
+
+// planKey orders plans[idx] for selection.
+type planKey struct {
+	prio float64
+	idx  int32
 }
 
 const evalChunk = 256
@@ -112,15 +175,7 @@ const evalChunk = 256
 // vertex; tensors at vertices created by splits are interpolated (or
 // resampled via opt.Resample).
 func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, error) {
-	if opt.Band <= 1 {
-		opt.Band = DefaultBand
-	}
-	if opt.MaxSweeps <= 0 {
-		opt.MaxSweeps = 20
-	}
-	if opt.Workers <= 0 {
-		opt.Workers = 1
-	}
+	opt = opt.withDefaults()
 	for i, t := range f {
 		if !t.SPD() {
 			return nil, nil, fmt.Errorf("adapt: tensor %d is not SPD: %+v", i, t)
@@ -130,19 +185,35 @@ func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
-		claimVert: make([]uint32, len(tp.pts))}
+	e := newEngine(tp, opt)
 	if err := e.run(); err != nil {
 		return nil, nil, err
 	}
 	return tp.mesh(), &e.res, nil
 }
 
+// newEngine sizes the evaluator buffers for whichever of the two
+// evaluation paths opt selects: Workers goroutines locally, Ranks ranks
+// in evaluateDist.
+func newEngine(tp *topo, opt Options) *engine {
+	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
+		claimVert: make([]uint32, len(tp.pts)),
+		bufs:      make([]evalBuf, max(opt.Workers, opt.Ranks))}
+	for i := range e.bufs {
+		e.bufs[i].s1 = make([]int32, 0, maxRing)
+		e.bufs[i].s2 = make([]int32, 0, maxRing)
+		e.bufs[i].nbrs = make([]int32, 2*maxRing)
+	}
+	return e
+}
+
+// sweepKinds is the order of the passes of one sweep.
+var sweepKinds = [...]opKind{opSplit, opCollapse, opSwap, opSmooth}
+
 func (e *engine) run() error {
-	kinds := []opKind{opSplit, opCollapse, opSwap, opSmooth}
 	for s := 0; s < e.opt.MaxSweeps; s++ {
 		changed := 0
-		for _, k := range kinds {
+		for _, k := range sweepKinds {
 			if (k == opSwap && e.opt.NoSwap) || (k == opSmooth && e.opt.NoSmooth) {
 				continue
 			}
@@ -177,26 +248,33 @@ func (e *engine) run() error {
 // pass runs one evaluate/select/commit round of a single operator kind
 // and returns the number of committed operations.
 func (e *engine) pass(kind opKind) (int, error) {
+	tr := e.opt.Tracer
 	var span trace.Span
-	if e.opt.Tracer != nil {
-		span = e.opt.Tracer.Begin(e.opt.Rank, trace.CatKernel, "adapt."+kind.String())
+	var stamp [4]time.Time // evaluate | select | commit+recycle |; read only when tracing
+	lap := func(i int) {
+		if tr != nil {
+			stamp[i] = time.Now()
+		}
 	}
-	var plans []*opPlan
+	if tr != nil {
+		span = tr.Begin(e.opt.Rank, trace.CatKernel, "adapt."+kind.String())
+	}
+	lap(0)
+	e.resetPass()
 	if e.opt.Ranks > 1 {
-		var err error
-		plans, err = e.evaluateDist(kind)
-		if err != nil {
-			if e.opt.Tracer != nil {
-				span.End()
-			}
+		if err := e.evaluateDist(kind); err != nil {
+			span.End()
 			return 0, err
 		}
 	} else {
-		plans = e.evaluate(kind)
+		e.evaluate(kind)
 	}
-	sel := e.selectPlans(plans)
+	lap(1)
+	sel := e.selectPlans()
+	lap(2)
 	e.commit(sel)
 	e.recycle(sel)
+	lap(3)
 	switch kind {
 	case opSplit:
 		e.res.Splits += len(sel)
@@ -207,13 +285,27 @@ func (e *engine) pass(kind opKind) (int, error) {
 	case opSmooth:
 		e.res.Smooths += len(sel)
 	}
-	if e.opt.Tracer != nil {
-		span.End(trace.I("planned", len(plans)), trace.I("committed", len(sel)))
-		mm := e.opt.Tracer.Metrics()
+	if tr != nil {
+		ms := func(i int) float64 { return float64(stamp[i+1].Sub(stamp[i])) / float64(time.Millisecond) }
+		// rejected: plans the vertex-claim sweep dropped this pass.
+		span.End(trace.I("planned", len(e.plans)), trace.I("committed", len(sel)),
+			trace.I("rejected", len(e.plans)-len(sel)),
+			trace.F("eval_ms", ms(0)), trace.F("select_ms", ms(1)), trace.F("commit_ms", ms(2)))
+		mm := tr.Metrics()
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
 		mm.Gauge("adapt.live_triangles", float64(e.tp.live))
 	}
 	return len(sel), nil
+}
+
+// resetPass empties the evaluator buffers and the plan list, keeping
+// their storage for the pass about to run.
+func (e *engine) resetPass() {
+	for i := range e.bufs {
+		e.bufs[i].plans = e.bufs[i].plans[:0]
+		e.bufs[i].cav = e.bufs[i].cav[:0]
+	}
+	e.plans = e.plans[:0]
 }
 
 // items returns the number of evaluation items for a kind: triangles for
@@ -226,39 +318,49 @@ func (e *engine) items(kind opKind) int {
 }
 
 // evaluate computes every candidate plan of one kind against the frozen
-// topology. Work is cut into fixed chunks independent of the worker
-// count and the per-chunk results are merged in chunk order, so the plan
+// topology into e.plans. Work is cut into fixed chunks independent of the
+// worker count; each chunk records which window of which evaluator's
+// buffer it filled and the windows are walked in chunk order, so the plan
 // list — and everything downstream — is worker-count invariant.
-func (e *engine) evaluate(kind opKind) []*opPlan {
+func (e *engine) evaluate(kind opKind) {
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
-	results := make([][]*opPlan, chunks)
+	e.wins = slices.Grow(e.wins[:0], chunks)[:chunks]
 	e.runParallel(func(w int) {
-		s1 := make([]int32, 0, maxRing)
-		s2 := make([]int32, 0, maxRing)
+		b := &e.bufs[w]
 		for c := w; c < chunks; c += e.workers {
-			results[c] = e.evalRange(kind, c*evalChunk, min((c+1)*evalChunk, n), s1, s2)
+			lo, hi := e.evalRange(kind, c*evalChunk, min((c+1)*evalChunk, n), b)
+			e.wins[c] = planWin{ev: int32(w), lo: int32(lo), hi: int32(hi)}
 		}
 	})
-	var out []*opPlan
-	for _, r := range results {
-		out = append(out, r...)
+	// The buffers have stopped growing: pointers into them are stable.
+	for _, w := range e.wins {
+		e.addPlans(e.bufs[w.ev].plans[w.lo:w.hi])
 	}
-	return out
 }
 
-// evalRange evaluates items [from, to) of one kind. Edge-based kinds
-// visit each undirected edge once, owned by the lower-indexed triangle.
-func (e *engine) evalRange(kind opKind, from, to int, s1, s2 []int32) []*opPlan {
+// addPlans appends pointers to the plans of one chunk to the pass's list.
+func (e *engine) addPlans(ps []opPlan) {
+	for i := range ps {
+		e.plans = append(e.plans, &ps[i])
+	}
+}
+
+// evalRange evaluates items [from, to) of one kind into b and returns the
+// window b.plans[lo:hi] it appended. Edge-based kinds visit each
+// undirected edge once, owned by the lower-indexed triangle. Every
+// candidate starts from a mark on the cavity arena and a rejected one is
+// truncated back to it.
+func (e *engine) evalRange(kind opKind, from, to int, b *evalBuf) (lo, hi int) {
 	tp := e.tp
-	var out []*opPlan
+	lo = len(b.plans)
 	if kind == opSmooth {
 		for v := int32(from); v < int32(to); v++ {
-			if p := e.evalSmooth(v, s1); p != nil {
-				out = append(out, p)
+			if mark := len(b.cav); !e.evalSmooth(b, v) {
+				b.cav = b.cav[:mark]
 			}
 		}
-		return out
+		return lo, len(b.plans)
 	}
 	for t := int32(from); t < int32(to); t++ {
 		if tp.tri[t].dead {
@@ -269,39 +371,61 @@ func (e *engine) evalRange(kind opKind, from, to int, s1, s2 []int32) []*opPlan 
 			if nb >= 0 && nb < t {
 				continue // the neighbor owns this edge
 			}
-			var p *opPlan
+			mark := len(b.cav)
+			ok := false
 			switch kind {
 			case opSplit:
-				p = e.evalSplit(t, ei)
+				ok = e.evalSplit(b, t, ei)
 			case opCollapse:
-				p = e.evalCollapse(t, ei, s1, s2)
+				ok = e.evalCollapse(b, t, ei)
 			case opSwap:
-				if nb >= 0 {
-					p = e.evalSwap(t, ei)
-				}
+				ok = nb >= 0 && e.evalSwap(b, t, ei)
 			}
-			if p != nil {
-				out = append(out, p)
+			if !ok {
+				b.cav = b.cav[:mark]
 			}
 		}
 	}
-	return out
+	return lo, len(b.plans)
 }
 
-// selectPlans picks a maximal conflict-free subset: plans in stable
-// priority order, claiming every vertex of every cavity triangle under
-// the current epoch; a plan touching a claimed vertex is dropped (it
-// re-evaluates next pass). Splits get their new vertex and triangle
-// slots assigned here, on the sequential path.
-func (e *engine) selectPlans(plans []*opPlan) []*opPlan {
+// planOrder fills keys with the selection order over plans: priority
+// descending, position ascending. The position makes the order total, so
+// an unstable sort gives exactly what a stable sort on priority alone
+// would (TestPlanOrderMatchesStableSort) — without reflection and without
+// the stable sort's extra merging passes.
+func planOrder(keys []planKey, plans []*opPlan) []planKey {
+	keys = keys[:0]
+	for i, p := range plans {
+		keys = append(keys, planKey{prio: p.Prio, idx: int32(i)})
+	}
+	slices.SortFunc(keys, func(a, b planKey) int {
+		switch {
+		case a.prio > b.prio:
+			return -1
+		case a.prio < b.prio:
+			return 1
+		}
+		return int(a.idx - b.idx)
+	})
+	return keys
+}
+
+// selectPlans picks a maximal conflict-free subset of e.plans: plans in
+// priority order (planOrder), claiming every vertex of every cavity
+// triangle under the current epoch; a plan touching a claimed vertex is
+// dropped (it re-evaluates next pass). Splits get their new vertex and
+// triangle slots assigned here, on the sequential path.
+func (e *engine) selectPlans() []*opPlan {
 	tp := e.tp
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].Prio > plans[j].Prio })
+	e.keys = planOrder(e.keys, e.plans)
 	e.epoch++
 	if len(e.claimVert) < len(tp.pts) {
 		e.claimVert = append(e.claimVert, make([]uint32, len(tp.pts)-len(e.claimVert))...)
 	}
-	var sel []*opPlan
-	for _, p := range plans {
+	sel := e.sel[:0]
+	for _, k := range e.keys {
+		p := e.plans[k.idx]
 		conflict := false
 	scan:
 		for _, t := range p.Cav {
@@ -332,6 +456,7 @@ func (e *engine) selectPlans(plans []*opPlan) []*opPlan {
 		}
 		sel = append(sel, p)
 	}
+	e.sel = sel
 	return sel
 }
 

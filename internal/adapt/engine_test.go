@@ -1,9 +1,13 @@
 package adapt
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -136,29 +140,52 @@ func TestAdaptAnisotropicBL(t *testing.T) {
 	}
 }
 
+// sameMesh reports whether two meshes are identical point for point and
+// triangle for triangle.
+func sameMesh(a, b *mesh.Mesh) bool {
+	return reflect.DeepEqual(a.Points, b.Points) && reflect.DeepEqual(a.Triangles, b.Triangles)
+}
+
+// fieldModes are the two ways Adapt obtains a tensor at a new or moved
+// vertex: Options.Resample, or log-Euclidean interpolation of the
+// per-vertex field alone.
+var fieldModes = []struct {
+	name     string
+	resample bool
+}{{"resample", true}, {"interp", false}}
+
 // TestAdaptDeterministicWorkers demands byte-identical output for every
-// worker count.
+// worker count, in both field modes, and when workers and ranks are both
+// set (evaluation then runs on the ranks, commit on the workers).
 func TestAdaptDeterministicWorkers(t *testing.T) {
 	f, err := metric.ParseSpec("bl:x0=0,y0=0,x1=1,y1=0,hn=0.03,ht=0.2,grow=0.7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *mesh.Mesh {
-		m := egrid(t, 6)
-		out, _, err := Adapt(m, metric.Analytic(m, f), Options{
-			Workers:  workers,
-			Resample: f,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, mode := range fieldModes {
+		run := func(workers, ranks int) *mesh.Mesh {
+			m := egrid(t, 6)
+			opt := Options{Workers: workers, Ranks: ranks}
+			if mode.resample {
+				opt.Resample = f
+			}
+			out, res, err := Adapt(m, metric.Analytic(m, f), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Splits == 0 || res.Smooths == 0 {
+				t.Fatalf("%s: run planned too little to compare: %+v", mode.name, *res)
+			}
+			return out
 		}
-		return out
-	}
-	ref := run(1)
-	for _, w := range []int{2, 4, 7} {
-		got := run(w)
-		if !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
-			t.Fatalf("workers=%d: adapted mesh differs from sequential result", w)
+		ref := run(1, 0)
+		for _, w := range []int{2, 4, 7} {
+			if !sameMesh(ref, run(w, 0)) {
+				t.Fatalf("%s, workers=%d: adapted mesh differs from sequential result", mode.name, w)
+			}
+		}
+		if !sameMesh(ref, run(2, 3)) {
+			t.Fatalf("%s, workers=2 ranks=3: adapted mesh differs from sequential result", mode.name)
 		}
 	}
 }
@@ -170,22 +197,31 @@ func TestAdaptDistMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := egrid(t, 5)
-	ref, _, err := Adapt(m, metric.Analytic(m, f), Options{Resample: f})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := egrid(t, 5)
-	got, res, err := Adapt(m2, metric.Analytic(m2, f), Options{Resample: f, Ranks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref.Points, got.Points) || !reflect.DeepEqual(ref.Triangles, got.Triangles) {
-		t.Fatalf("Ranks=3 mesh differs from local mesh (%d vs %d triangles)",
-			got.NumTriangles(), ref.NumTriangles())
-	}
-	if res.Splits == 0 {
-		t.Fatal("distributed run planned nothing")
+	for _, mode := range fieldModes {
+		opt := Options{}
+		if mode.resample {
+			opt.Resample = f
+		}
+		m := egrid(t, 5)
+		ref, _, err := Adapt(m, metric.Analytic(m, f), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wr := range [][2]int{{0, 3}, {2, 3}} {
+			opt.Workers, opt.Ranks = wr[0], wr[1]
+			m2 := egrid(t, 5)
+			got, res, err := Adapt(m2, metric.Analytic(m2, f), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMesh(ref, got) {
+				t.Fatalf("%s, workers=%d ranks=%d: mesh differs from local mesh (%d vs %d triangles)",
+					mode.name, wr[0], wr[1], got.NumTriangles(), ref.NumTriangles())
+			}
+			if res.Splits == 0 {
+				t.Fatalf("%s: distributed run planned nothing", mode.name)
+			}
+		}
 	}
 }
 
@@ -237,6 +273,46 @@ func TestAdaptTracerMetrics(t *testing.T) {
 	if !found {
 		t.Fatalf("adapt.split counter missing from %v", snap.Counters)
 	}
+	// Every pass span says where its time went and what selection dropped.
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Dur  float64        `json:"dur"` // microseconds
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	passes := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" || !strings.HasPrefix(ev.Name, "adapt.") {
+			continue
+		}
+		passes++
+		arg := map[string]float64{}
+		for _, key := range []string{"planned", "committed", "rejected", "eval_ms", "select_ms", "commit_ms"} {
+			v, ok := ev.Args[key].(float64)
+			if !ok {
+				t.Fatalf("span %s lacks numeric arg %s: %v", ev.Name, key, ev.Args)
+			}
+			arg[key] = v
+		}
+		if arg["rejected"] != arg["planned"]-arg["committed"] {
+			t.Fatalf("span %s: rejected %v, planned %v, committed %v", ev.Name, arg["rejected"], arg["planned"], arg["committed"])
+		}
+		if sum := arg["eval_ms"] + arg["select_ms"] + arg["commit_ms"]; sum < 0 || sum > ev.Dur/1e3+0.01 {
+			t.Fatalf("span %s: phases sum to %g ms in a span of %g ms", ev.Name, sum, ev.Dur/1e3)
+		}
+	}
+	if passes == 0 {
+		t.Fatal("no adapt.<kind> span in the trace")
+	}
 }
 
 func TestAdaptInputErrors(t *testing.T) {
@@ -274,7 +350,7 @@ func TestAdaptNoOp(t *testing.T) {
 func TestPlanBatchCodecRoundTrip(t *testing.T) {
 	in := &planBatch{
 		Chunk: 7,
-		Plans: []*opPlan{
+		Plans: []opPlan{
 			{
 				Kind: opSplit, Prio: 2.5, T: 3, E: 1,
 				Pos: geom.Pt(0.25, -1.5), Met: metric.Iso(0.1), Bnd: true,
@@ -313,8 +389,8 @@ func TestPlanBatchCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v", out)
 	}
 	for i := range in.Plans {
-		if !reflect.DeepEqual(*in.Plans[i], *out.Plans[i]) {
-			t.Fatalf("plan %d round trip:\n in  %+v\n out %+v", i, *in.Plans[i], *out.Plans[i])
+		if !reflect.DeepEqual(in.Plans[i], out.Plans[i]) {
+			t.Fatalf("plan %d round trip:\n in  %+v\n out %+v", i, in.Plans[i], out.Plans[i])
 		}
 	}
 	// Malformed input must error, not panic.
@@ -325,6 +401,44 @@ func TestPlanBatchCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodePlanBatch(append(b, 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// A field the root would index with must be in range at the wire:
+	// recycle and commitCollapse read p.Dy[i] for i < NDy, commits read
+	// v[p.E], patch writes n[Pat.E] and n[Dy.KE]. Offsets: 8-byte header;
+	// a plan is kind, flags, E, NDy, 64 bytes of scalars, the cavity count
+	// and list, then 2 x (T int32, E) and 2 x (D, K, R, W int32, KE).
+	plan0 := 8
+	plan1 := plan0 + planWireFixed + 4*len(in.Plans[0].Cav)
+	tail0 := plan0 + 68 + 4*len(in.Plans[0].Cav) // first byte after plan 0's cavity list
+	tail1 := plan1 + 68 + 4*len(in.Plans[1].Cav)
+	for _, tc := range []struct {
+		off   int
+		val   byte
+		plan  int
+		field string
+	}{
+		{plan0 + 0, 0, 0, "Kind"},
+		{plan1 + 0, 5, 1, "Kind"},
+		{plan1 + 3, 3, 1, "NDy"},
+		{plan0 + 3, 0xff, 0, "NDy"},
+		{plan0 + 2, 3, 0, "E"},
+		{plan1 + 2, 0xff, 1, "E"},
+		{tail0 + 4, 0xfe, 0, "Pat[0].E"},
+		{tail1 + 9, 3, 1, "Pat[1].E"},
+		{tail1 + 10 + 16, 3, 1, "Dy[0].KE"},
+		{tail0 + 10 + 33, 0xfe, 0, "Dy[1].KE"},
+	} {
+		bad := append([]byte(nil), b...)
+		bad[tc.off] = tc.val
+		_, err := decodePlanBatch(bad)
+		var fe *PlanFieldError
+		if !errors.As(err, &fe) || fe.Plan != tc.plan || fe.Field != tc.field || fe.Value != int(int8(tc.val)) {
+			t.Fatalf("byte %d = %#x: error %v, want a PlanFieldError for plan %d field %s", tc.off, tc.val, err, tc.plan, tc.field)
+		}
+	}
+	// One slab and one arena per batch, whatever the number of plans.
+	if n := testing.AllocsPerRun(20, func() { _, _ = decodePlanBatch(b) }); n > 4 {
+		t.Fatalf("decoding a %d-plan batch allocates %.0f objects, want the batch, its slab and its arena", len(in.Plans), n)
 	}
 }
 

@@ -118,13 +118,15 @@ func (e *engine) patch(p patchRef, val int32) {
 // evalSplit plans the midpoint split of edge ei of triangle t when its
 // metric length exceeds band. The metric at the new vertex comes from
 // Options.Resample (analytic fields) or the log-Euclidean mean of the
-// endpoints.
-func (e *engine) evalSplit(t int32, ei int) *opPlan {
+// endpoints. Like every evaluator it appends the plan to buf and reports
+// true, or reports false and leaves the caller to drop whatever cavity
+// it had appended.
+func (e *engine) evalSplit(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
 	l := tp.edgeLen(a, b)
 	if l <= e.opt.Band {
-		return nil
+		return false
 	}
 	mid := tp.pts[a].Mid(tp.pts[b])
 	var mm metric.M
@@ -139,30 +141,33 @@ func (e *engine) evalSplit(t int32, ei int) *opPlan {
 	// The two (or four) children must be strictly CCW.
 	if geom.Orient2DSign(tp.pts[a], mid, tp.pts[c]) <= 0 ||
 		geom.Orient2DSign(mid, tp.pts[b], tp.pts[c]) <= 0 {
-		return nil
+		return false
 	}
-	p := &opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid, Met: mm}
-	p.Cav = append(p.Cav, t)
+	mark := len(buf.cav)
+	p := opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid, Met: mm}
+	buf.cav = append(buf.cav, t)
 	tBC := r.n[(ei+1)%3]
 	p.Pat[0] = patchRef{T: tBC, E: tp.nbrEdge(tBC, t)}
 	p.Pat[1] = patchRef{T: -1}
 	if n < 0 {
 		p.Bnd = true
-		return p
+		buf.push(&p, mark)
+		return true
 	}
 	en := tp.find(n, b) // edge (b, a) in the neighbor
 	if en < 0 || tp.tri[n].v[(en+1)%3] != a {
-		return nil // non-manifold adjacency; leave it to the audit
+		return false // non-manifold adjacency; leave it to the audit
 	}
 	d := tp.tri[n].v[(en+2)%3]
 	if geom.Orient2DSign(tp.pts[b], mid, tp.pts[d]) <= 0 ||
 		geom.Orient2DSign(mid, tp.pts[a], tp.pts[d]) <= 0 {
-		return nil
+		return false
 	}
-	p.Cav = append(p.Cav, n)
+	buf.cav = append(buf.cav, n)
 	nAD := tp.tri[n].n[(en+1)%3]
 	p.Pat[1] = patchRef{T: nAD, E: tp.nbrEdge(nAD, n)}
-	return p
+	buf.push(&p, mark)
+	return true
 }
 
 // commitSplit replaces the one or two cavity triangles of a planned
@@ -222,14 +227,15 @@ func (e *engine) commitSplit(p *opPlan) {
 // when both endpoint contractions would leave an overlong edge. A
 // boundary vertex may only die into its boundary neighbor when it lies
 // strictly between its two boundary neighbors on an exactly straight
-// segment, so the domain shape never changes. s1 and s2 are ring scratch
-// buffers.
-func (e *engine) evalCollapse(t int32, ei int, s1, s2 []int32) *opPlan {
+// segment, so the domain shape never changes. A form that fails leaves
+// nothing in buf: its partial cavity is truncated before the next form is
+// tried.
+func (e *engine) evalCollapse(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
 	l := tp.edgeLen(a, b)
 	if l >= 1/e.opt.Band {
-		return nil
+		return false
 	}
 	prio := 1 / math.Max(l, 1e-300)
 	type cand struct {
@@ -257,34 +263,37 @@ func (e *engine) evalCollapse(t int32, ei int, s1, s2 []int32) *opPlan {
 		// straight boundary. (A chord between two boundary vertices can
 		// never collapse.)
 		for _, d := range [2][2]int32{{a, b}, {b, a}} {
-			if e.collinearBoundary(d[0], d[1], s1) {
+			if e.collinearBoundary(d[0], d[1], buf.s1) {
 				cands[nc] = cand{d[0], d[1], false}
 				nc++
 			}
 		}
 	}
 	for i := 0; i < nc; i++ {
-		if p := e.tryCollapse(t, ei, prio, cands[i].die, cands[i].keep, cands[i].mid, s1, s2); p != nil {
-			return p
+		mark := len(buf.cav)
+		if e.tryCollapse(buf, t, ei, prio, cands[i].die, cands[i].keep, cands[i].mid) {
+			return true
 		}
+		buf.cav = buf.cav[:mark]
 	}
-	return nil
+	return false
 }
 
 // tryCollapse validates one contraction form (die onto keep, which stays
-// put or — mid — moves to the edge midpoint) and builds its plan, or
-// returns nil.
-func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid bool, s1, s2 []int32) *opPlan {
+// put or — mid — moves to the edge midpoint) and appends its plan to buf,
+// or reports false with part of a cavity possibly left on buf.cav.
+func (e *engine) tryCollapse(buf *evalBuf, t int32, ei int, prio float64, die, keep int32, mid bool) bool {
 	tp := e.tp
-	ring, interior := tp.ring(die, s1)
+	ring, interior := tp.ring(die, buf.s1)
 	wantDying := 2
 	if !interior {
 		wantDying = 1
 	}
 	if len(ring) < wantDying+1 {
-		return nil // nothing would survive to hold keep
+		return false // nothing would survive to hold keep
 	}
-	p := &opPlan{Kind: opCollapse, Prio: prio, T: t, E: int8(ei), V: die, Keep: keep}
+	mark := len(buf.cav)
+	p := opPlan{Kind: opCollapse, Prio: prio, T: t, E: int8(ei), V: die, Keep: keep}
 	keepPos, keepMet := tp.pts[keep], tp.met[keep]
 	if mid {
 		keepPos = tp.pts[die].Mid(tp.pts[keep])
@@ -297,7 +306,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 	}
 	// Gather die's neighbor vertices and the dying triangles, and check
 	// every rewritten triangle stays strictly CCW.
-	var dieNbrs [2 * maxRing]int32
+	dieNbrs := buf.nbrs // each ring triangle adds at most two
 	dying, nd := 0, 0
 	addNbr := func(v int32) {
 		for i := 0; i < nd; i++ {
@@ -309,11 +318,11 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 		nd++
 	}
 	for _, rt := range ring {
-		p.Cav = append(p.Cav, rt)
+		buf.cav = append(buf.cav, rt)
 		r := tp.tri[rt]
 		if tp.find(rt, keep) >= 0 {
 			if dying >= wantDying {
-				return nil
+				return false
 			}
 			dr := dyingRef{D: rt, K: -1, R: -1}
 			for _, v := range r.v {
@@ -350,11 +359,11 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 			}
 		}
 		if geom.Orient2DSign(q[0], q[1], q[2]) <= 0 {
-			return nil
+			return false
 		}
 	}
 	if dying != wantDying {
-		return nil
+		return false
 	}
 	p.NDy = int8(wantDying)
 	isW := func(v int32) bool {
@@ -370,7 +379,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 			continue // existing edges, unchanged by the collapse
 		}
 		if metric.EdgeLen(keepPos, tp.pts[v], keepMet, tp.met[v]) >= e.opt.Band {
-			return nil
+			return false
 		}
 	}
 	// Link condition: a vertex adjacent to both die and keep must be a
@@ -379,9 +388,9 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 	// additionally requires its surviving ring triangles to stay strictly
 	// CCW, its existing edges to stay short enough, and the triangles
 	// join the cavity (the commit changes their shape).
-	keepRing, _ := tp.ring(keep, s2)
+	keepRing, _ := tp.ring(keep, buf.s2)
 	if len(keepRing) == 0 {
-		return nil
+		return false
 	}
 	for _, kt := range keepRing {
 		r := tp.tri[kt]
@@ -392,7 +401,7 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 			}
 			for i := 0; i < nd; i++ {
 				if dieNbrs[i] == v {
-					return nil
+					return false
 				}
 			}
 		}
@@ -406,16 +415,17 @@ func (e *engine) tryCollapse(t int32, ei int, prio float64, die, keep int32, mid
 			} else {
 				q[i] = tp.pts[v]
 				if metric.EdgeLen(keepPos, tp.pts[v], keepMet, tp.met[v]) >= e.opt.Band {
-					return nil
+					return false
 				}
 			}
 		}
 		if geom.Orient2DSign(q[0], q[1], q[2]) <= 0 {
-			return nil
+			return false
 		}
-		p.Cav = append(p.Cav, kt)
+		buf.cav = append(buf.cav, kt)
 	}
-	return p
+	buf.push(&p, mark)
+	return true
 }
 
 // collinearBoundary reports whether boundary vertex die lies strictly
@@ -463,6 +473,7 @@ func (e *engine) commitCollapse(p *opPlan) {
 	if p.Mid {
 		tp.pts[keep] = p.Pos
 		tp.met[keep] = p.Met
+		tp.lmet[keep] = p.Met.Log()
 	}
 	dying := func(rt int32) bool {
 		for i := 0; i < int(p.NDy); i++ {
@@ -512,40 +523,43 @@ func (e *engine) commitCollapse(p *opPlan) {
 
 // evalSwap plans the diagonal flip of interior edge ei of triangle t
 // when the flip strictly improves the worse metric quality of the pair.
-func (e *engine) evalSwap(t int32, ei int) *opPlan {
+func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	r := tp.tri[t]
 	n := r.n[ei]
 	if n < 0 {
-		return nil
+		return false
 	}
 	a, b := r.v[ei], r.v[(ei+1)%3]
 	c := r.v[(ei+2)%3]
 	en := tp.find(n, b)
 	if en < 0 || tp.tri[n].v[(en+1)%3] != a {
-		return nil
+		return false
 	}
 	d := tp.tri[n].v[(en+2)%3]
 	pa, pb, pc, pd := tp.pts[a], tp.pts[b], tp.pts[c], tp.pts[d]
 	// The flipped pair must be strictly CCW (quad convexity).
 	if geom.Orient2DSign(pa, pd, pc) <= 0 || geom.Orient2DSign(pd, pb, pc) <= 0 {
-		return nil
+		return false
 	}
 	ma, mb, mc, md := tp.met[a], tp.met[b], tp.met[c], tp.met[d]
-	qOld := math.Min(metric.TriQuality(pa, pb, pc, ma, mb, mc),
-		metric.TriQuality(pb, pa, pd, mb, ma, md))
-	qNew := math.Min(metric.TriQuality(pa, pd, pc, ma, md, mc),
-		metric.TriQuality(pd, pb, pc, md, mb, mc))
+	la, lb, lc, ld := tp.lmet[a], tp.lmet[b], tp.lmet[c], tp.lmet[d]
+	qOld := math.Min(metric.TriQualityLog(pa, pb, pc, ma, mb, mc, la, lb, lc),
+		metric.TriQualityLog(pb, pa, pd, mb, ma, md, lb, la, ld))
+	qNew := math.Min(metric.TriQualityLog(pa, pd, pc, ma, md, mc, la, ld, lc),
+		metric.TriQualityLog(pd, pb, pc, md, mb, mc, ld, lb, lc))
 	if qNew <= qOld+qualityGain {
-		return nil
+		return false
 	}
-	p := &opPlan{Kind: opSwap, Prio: qNew - qOld, T: t, E: int8(ei)}
-	p.Cav = append(p.Cav, t, n)
+	mark := len(buf.cav)
+	p := opPlan{Kind: opSwap, Prio: qNew - qOld, T: t, E: int8(ei)}
+	buf.cav = append(buf.cav, t, n)
 	nAD := tp.tri[n].n[(en+1)%3]
 	tBC := r.n[(ei+1)%3]
 	p.Pat[0] = patchRef{T: nAD, E: tp.nbrEdge(nAD, n)}
 	p.Pat[1] = patchRef{T: tBC, E: tp.nbrEdge(tBC, t)}
-	return p
+	buf.push(&p, mark)
+	return true
 }
 
 // commitSwap flips the diagonal: t = (a,b,c) and n = (b,a,d) become
@@ -582,14 +596,14 @@ func (e *engine) commitSwap(p *opPlan) {
 // (overlong directions pull harder), damped halfway, accepted only when
 // every ring triangle stays strictly CCW and the worst ring quality
 // strictly improves.
-func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
+func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 	tp := e.tp
 	if tp.vb[v] || tp.vtri[v] < 0 {
-		return nil
+		return false
 	}
-	ring, interior := tp.ring(v, scratch)
+	ring, interior := tp.ring(v, buf.s1)
 	if !interior || len(ring) < 3 {
-		return nil
+		return false
 	}
 	var sx, sy, wsum float64
 	qOld := math.Inf(1)
@@ -603,40 +617,45 @@ func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 		qOld = math.Min(qOld, tp.triQuality(rt))
 	}
 	if wsum <= 0 {
-		return nil
+		return false
 	}
 	target := geom.Pt(sx/wsum, sy/wsum)
 	pos := tp.pts[v].Lerp(target, 0.5)
 	if pos == tp.pts[v] {
-		return nil
+		return false
 	}
-	mm := tp.met[v]
+	// The candidate tensor's logarithm: once per candidate, not once per
+	// ring triangle.
+	mm, lm := tp.met[v], tp.lmet[v]
 	if e.opt.Resample != nil {
 		mm = e.opt.Resample(pos)
+		lm = mm.Log()
 	}
 	qNew := math.Inf(1)
 	for _, rt := range ring {
 		r := tp.tri[rt]
 		var q [3]geom.Point
-		var ms [3]metric.M
+		var ms, ls [3]metric.M
 		for i, vv := range r.v {
 			if vv == v {
-				q[i], ms[i] = pos, mm
+				q[i], ms[i], ls[i] = pos, mm, lm
 			} else {
-				q[i], ms[i] = tp.pts[vv], tp.met[vv]
+				q[i], ms[i], ls[i] = tp.pts[vv], tp.met[vv], tp.lmet[vv]
 			}
 		}
 		if geom.Orient2DSign(q[0], q[1], q[2]) <= 0 {
-			return nil
+			return false
 		}
-		qNew = math.Min(qNew, metric.TriQuality(q[0], q[1], q[2], ms[0], ms[1], ms[2]))
+		qNew = math.Min(qNew, metric.TriQualityLog(q[0], q[1], q[2], ms[0], ms[1], ms[2], ls[0], ls[1], ls[2]))
 	}
 	if qNew <= qOld+qualityGain {
-		return nil
+		return false
 	}
-	p := &opPlan{Kind: opSmooth, Prio: qNew - qOld, T: -1, V: v, Pos: pos, Met: mm}
-	p.Cav = append([]int32(nil), ring...)
-	return p
+	mark := len(buf.cav)
+	p := opPlan{Kind: opSmooth, Prio: qNew - qOld, T: -1, V: v, Pos: pos, Met: mm}
+	buf.cav = append(buf.cav, ring...)
+	buf.push(&p, mark)
+	return true
 }
 
 // commitSmooth moves the vertex. The vertex claim over its full ring
@@ -644,4 +663,5 @@ func (e *engine) evalSmooth(v int32, scratch []int32) *opPlan {
 func (e *engine) commitSmooth(p *opPlan) {
 	e.tp.pts[p.V] = p.Pos
 	e.tp.met[p.V] = p.Met
+	e.tp.lmet[p.V] = p.Met.Log()
 }

@@ -23,9 +23,19 @@ type triRec struct {
 // vertex→incident-triangle map, boundary-vertex flags, and a free list
 // of dead triangle slots. It is built once per Adapt call from an
 // immutable mesh.Mesh and extracted back at the end.
+//
+// lmet is the log cache: quality evaluation needs the matrix logarithm of
+// every vertex tensor of every triangle it looks at, in every pass, while
+// a tensor changes only where met is written — addVertex (a split's new
+// vertex), commitCollapse (a midpoint collapse moves keep) and
+// commitSmooth. Those three write lmet[v] = met[v].Log() beside the met
+// write; the committing worker owns v by the vertex-claim rule, so the
+// second write is as race-free as the first. Everything that reads a
+// tensor's logarithm for quality reads lmet.
 type topo struct {
 	pts  []geom.Point
 	met  []metric.M // per-vertex metric, grown alongside pts
+	lmet []metric.M // met[v].Log(), bit for bit
 	vb   []bool     // vertex lies on the domain boundary
 	vtri []int32    // some live triangle incident to the vertex, -1 when dead
 	tri  []triRec
@@ -48,6 +58,7 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 	tp := &topo{
 		pts:  append([]geom.Point(nil), m.Points...),
 		met:  append(metric.Field(nil), f...),
+		lmet: make([]metric.M, len(f)),
 		vb:   make([]bool, len(m.Points)),
 		vtri: make([]int32, len(m.Points)),
 		tri:  make([]triRec, len(m.Triangles)),
@@ -55,6 +66,7 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 	}
 	for i := range tp.vtri {
 		tp.vtri[i] = -1
+		tp.lmet[i] = tp.met[i].Log()
 	}
 	for i, t := range m.Triangles {
 		tp.tri[i] = triRec{v: t, n: adj[i]}
@@ -207,6 +219,7 @@ func (tp *topo) addVertex(p geom.Point, m metric.M, boundary bool) int32 {
 	v := int32(len(tp.pts))
 	tp.pts = append(tp.pts, p)
 	tp.met = append(tp.met, m)
+	tp.lmet = append(tp.lmet, m.Log())
 	tp.vb = append(tp.vb, boundary)
 	tp.vtri = append(tp.vtri, -1)
 	return v
@@ -242,6 +255,7 @@ func (tp *topo) edgeLen(p, q int32) float64 {
 // triQuality returns the metric shape quality of triangle t.
 func (tp *topo) triQuality(t int32) float64 {
 	v := tp.tri[t].v
-	return metric.TriQuality(tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]],
-		tp.met[v[0]], tp.met[v[1]], tp.met[v[2]])
+	return metric.TriQualityLog(tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]],
+		tp.met[v[0]], tp.met[v[1]], tp.met[v[2]],
+		tp.lmet[v[0]], tp.lmet[v[1]], tp.lmet[v[2]])
 }

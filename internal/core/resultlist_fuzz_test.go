@@ -21,7 +21,8 @@ func FuzzResultListDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255})
 	// One entry each: an empty task result, an audit result claiming a
-	// violation it does not carry, an empty plan batch, an all-zero plan.
+	// violation it does not carry, an empty plan batch, an all-zero plan
+	// (Kind 0, which the plan decoder rejects).
 	f.Add([]byte{1, 0, 0, 0, 32, 0, 4, 0, 0, 0, 9, 0, 0, 0})
 	f.Add(append([]byte{1, 0, 0, 0, 33, 0, 28, 0, 0, 0}, append(make([]byte, 24), 1, 0, 0, 0)...))
 	f.Add([]byte{1, 0, 0, 0, 48, 0, 8, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})

@@ -181,16 +181,26 @@ func EdgeLen(p, q geom.Point, mp, mq M) float64 {
 // The metric over the element is the log-Euclidean mean of the three
 // vertex tensors.
 func TriQuality(a, b, c geom.Point, ma, mb, mc M) float64 {
-	mean := ma.Log().add(mb.Log()).add(mc.Log()).scale(1.0 / 3).Exp()
+	return TriQualityLog(a, b, c, ma, mb, mc, ma.Log(), mb.Log(), mc.Log())
+}
+
+// TriQualityLog is TriQuality for a caller that already holds the matrix
+// logarithms la, lb, lc of the vertex tensors (internal/adapt caches one
+// per vertex): the one implementation, so the two agree bit for bit
+// whenever each l equals its tensor's Log().
+func TriQualityLog(a, b, c geom.Point, ma, mb, mc, la, lb, lc M) float64 {
+	// sqrt(det(exp L)) = exp(tr L / 2) on paper; the Exp → Det path stays
+	// because the shortcut changes the low bits, and with them the mesh.
+	mean := la.add(lb).add(lc).scale(1.0 / 3).Exp()
 	area := geom.TriangleArea(a, b, c)
 	if area <= 0 {
 		return 0
 	}
 	areaM := math.Sqrt(mean.Det()) * area
-	la := EdgeLen(a, b, ma, mb)
-	lb := EdgeLen(b, c, mb, mc)
-	lc := EdgeLen(c, a, mc, ma)
-	den := la*la + lb*lb + lc*lc
+	lab := EdgeLen(a, b, ma, mb)
+	lbc := EdgeLen(b, c, mb, mc)
+	lca := EdgeLen(c, a, mc, ma)
+	den := lab*lab + lbc*lbc + lca*lca
 	if den <= 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package metric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -115,6 +116,65 @@ func TestTriQualityEquilateral(t *testing.T) {
 	s := FromSpacings(h/10, h, geom.V(1, 0))
 	if qs := TriQuality(a, b, c, s, s, s); qs > 0.5 {
 		t.Fatalf("stretched-metric quality %g, want < 0.5", qs)
+	}
+}
+
+// triQualityTakingLogs is TriQuality as it stood before the Log form
+// existed: the reference TriQualityLog must reproduce bit for bit when
+// handed the three logarithms.
+func triQualityTakingLogs(a, b, c geom.Point, ma, mb, mc M) float64 {
+	mean := ma.Log().add(mb.Log()).add(mc.Log()).scale(1.0 / 3).Exp()
+	area := geom.TriangleArea(a, b, c)
+	if area <= 0 {
+		return 0
+	}
+	areaM := math.Sqrt(mean.Det()) * area
+	la := EdgeLen(a, b, ma, mb)
+	lb := EdgeLen(b, c, mb, mc)
+	lc := EdgeLen(c, a, mc, ma)
+	den := la*la + lb*lb + lc*lc
+	if den <= 0 {
+		return 0
+	}
+	return 4 * math.Sqrt(3) * areaM / den
+}
+
+// TestTriQualityLogBitIdentical: internal/adapt evaluates quality from
+// cached logarithms and promises the same mesh, so the Log form, the
+// wrapper and the pre-cache formula must agree in every bit — on
+// isotropic, stretched and mixed tensors, in every argument rotation
+// (swap evaluation rotates them), and on an inverted triangle.
+func TestTriQualityLogBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	tensor := func() M {
+		switch rng.Intn(3) {
+		case 0:
+			return Iso(math.Exp(rng.Float64()*8 - 6))
+		case 1: // boundary-layer stretch, aspect up to 1e4
+			hn := math.Exp(rng.Float64()*6 - 12)
+			th := rng.Float64() * 2 * math.Pi
+			return FromSpacings(hn, hn*math.Exp(rng.Float64()*9), geom.V(math.Cos(th), math.Sin(th)))
+		}
+		return Interp(Iso(0.01), FromSpacings(1e-4, 0.3, geom.V(0.6, 0.8)), rng.Float64())
+	}
+	for i := 0; i < 2000; i++ {
+		p := [3]geom.Point{
+			geom.Pt(rng.Float64(), rng.Float64()),
+			geom.Pt(rng.Float64(), rng.Float64()),
+			geom.Pt(rng.Float64(), rng.Float64()),
+		}
+		m := [3]M{tensor(), tensor(), tensor()}
+		for _, o := range [][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {1, 0, 2}} {
+			a, b, c := p[o[0]], p[o[1]], p[o[2]]
+			ma, mb, mc := m[o[0]], m[o[1]], m[o[2]]
+			want := triQualityTakingLogs(a, b, c, ma, mb, mc)
+			got := TriQualityLog(a, b, c, ma, mb, mc, ma.Log(), mb.Log(), mc.Log())
+			wrapped := TriQuality(a, b, c, ma, mb, mc)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(wrapped) != math.Float64bits(want) {
+				t.Fatalf("case %d order %v: TriQualityLog %x, TriQuality %x, reference %x",
+					i, o, math.Float64bits(got), math.Float64bits(wrapped), math.Float64bits(want))
+			}
+		}
 	}
 }
 
