@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/core"
@@ -405,6 +406,61 @@ func TestServeBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /mesh: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestServeNonFinitePoly: an inline .poly whose far-field vertex is at
+// infinity is a 400 naming the vertex, well inside the request's deadline.
+// At the parent commit it parsed, decouple.MarchBorder marched toward the
+// vertex for ever, and the handler outlived timeout_ms at full CPU with
+// its memory growing; hence the handler is driven directly, under the
+// test's own deadline, and the engine is closed only once it has answered.
+func TestServeNonFinitePoly(t *testing.T) {
+	g, err := airfoil.Single(airfoil.NACA0012, 16, 30).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var poly bytes.Buffer
+	if err := g.WritePoly(&poly); err != nil {
+		t.Fatal(err)
+	}
+	// Line 0 is a comment, line 1 the header, line 2+i vertex i; the
+	// far-field box follows the surface, and with its second corner (+x,
+	// -y) at x = +Inf it still encloses the body, so only the coordinate
+	// itself is wrong.
+	lines := strings.Split(poly.String(), "\n")
+	vertex := len(g.Surfaces[0].Points) + 1
+	f := strings.Fields(lines[2+vertex])
+	f[1] = "inf"
+	lines[2+vertex] = strings.Join(f, " ")
+	body, err := json.Marshal(map[string]any{
+		"poly":   strings.Join(lines, "\n"),
+		"params": map[string]any{"timeout_ms": 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := core.NewEngine(core.EngineConfig{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(eng, serverOptions{})
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/mesh", bytes.NewReader(body)))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no answer 3 s after the request's own 2 s deadline")
+	}
+	eng.Close()
+	want := fmt.Sprintf("vertex %d ", vertex)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("status %d body %q, want 400 naming %q", rec.Code, rec.Body.String(), want)
 	}
 }
 

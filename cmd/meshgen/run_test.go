@@ -191,6 +191,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-bad-flag"}, &out, &errb); err == nil {
 		t.Error("unknown flag must fail")
 	}
+	// "nan" scans as a number; the mesh used to come out with a NaN vertex.
+	nanPoly := filepath.Join(t.TempDir(), "nan.poly")
+	text := "4 2 0 1\n0 0 0 1\n1 1 0 1\n2 nan 1 1\n3 0 1 1\n4 1\n0 0 1 1\n1 1 2 1\n2 2 3 1\n3 3 0 1\n0\n"
+	if err := os.WriteFile(nanPoly, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), fastArgs("-q", "-input", nanPoly, "-o", os.DevNull), &out, &errb); err == nil || !strings.Contains(err.Error(), "vertex 2 ") {
+		t.Errorf("non-finite vertex: error %v, want one naming vertex 2", err)
+	}
 }
 
 // A -timeout too short for any real work must abort the pipeline cleanly:

@@ -35,11 +35,15 @@ type Region struct {
 // k-formula spacing: each step is at most 2k (and at least 2k/sqrt(3)) for
 // the local k, and never reaches 2k of the next vertex, which keeps
 // independently refined neighbors globally Delaunay. The returned slice
-// includes a and excludes b.
+// includes a and excludes b. It returns for any input: a sizing value that
+// gives no usable k (zero, negative, NaN, infinite) is replaced as below,
+// and a border with no finite length is not marched at all.
 func MarchBorder(a, b geom.Point, size sizing.Func) []geom.Point {
 	out := []geom.Point{a}
+	// A length to step by or to cover: positive and finite, which NaN fails.
+	usable := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 	total := a.Dist(b)
-	if total == 0 {
+	if !usable(total) {
 		return out
 	}
 	dir := b.Sub(a).Unit()
@@ -47,7 +51,7 @@ func MarchBorder(a, b geom.Point, size sizing.Func) []geom.Point {
 	cur := a
 	for {
 		k := sizing.K(size(cur))
-		if k <= 0 {
+		if !usable(k) {
 			k = total / 4
 		}
 		// Propose a step in [2k/sqrt(3), 2k); use the midpoint of the
@@ -57,7 +61,7 @@ func MarchBorder(a, b geom.Point, size sizing.Func) []geom.Point {
 		for i := 0; i < 8; i++ {
 			next := cur.Add(dir.Scale(step))
 			kn := sizing.K(size(next))
-			if step < 2*kn || kn <= 0 {
+			if !usable(kn) || step < 2*kn {
 				break
 			}
 			step = 1.8 * kn

@@ -3,6 +3,7 @@ package decouple
 import (
 	"math"
 	"testing"
+	"time"
 
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
@@ -59,6 +60,61 @@ func TestMarchBorderGraded(t *testing.T) {
 	last := pts[len(pts)-1].Dist(pts[len(pts)-2])
 	if last <= first {
 		t.Errorf("graded march: last spacing %v not larger than first %v", last, first)
+	}
+}
+
+// TestMarchBorderNonFiniteSizing: a sizing function that answers NaN or an
+// infinity (a CustomSizing can), or an endpoint that is not finite, must
+// not spin the march. At the parent commit a NaN k made the step NaN, the
+// end test `pos+step >= total-0.5*step` false for ever, and the slice grow
+// until the process died.
+func TestMarchBorderNonFiniteSizing(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	a, b := geom.Pt(0, 0), geom.Pt(10, 0)
+	cases := []struct {
+		name string
+		a, b geom.Point
+		size sizing.Func
+	}{
+		{"NaN everywhere", a, b, uniform(nan)},
+		{"+Inf everywhere", a, b, uniform(inf)},
+		{"-Inf everywhere", a, b, uniform(-inf)},
+		{"NaN ahead", a, b, func(p geom.Point) float64 {
+			if p.X > 3 {
+				return nan
+			}
+			return 0.5
+		}},
+		{"NaN at the start", a, b, func(p geom.Point) float64 {
+			if p.X < 3 {
+				return nan
+			}
+			return 0.5
+		}},
+		{"end at infinity", a, geom.Pt(inf, 0), uniform(0.5)},
+		{"end at NaN", a, geom.Pt(nan, 0), uniform(0.5)},
+		{"start at infinity", geom.Pt(0, -inf), b, uniform(0.5)},
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, c := range cases {
+			pts := MarchBorder(c.a, c.b, c.size)
+			if len(pts) == 0 || len(pts) > 100 {
+				t.Errorf("%s: marched %d points", c.name, len(pts))
+				continue
+			}
+			for _, p := range pts[1:] {
+				if !(p.X > 0 && p.X < 10 && p.Y == 0) {
+					t.Errorf("%s: marched to %v, off the open border", c.name, p)
+				}
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("MarchBorder did not return within 5 s")
 	}
 }
 

@@ -54,6 +54,9 @@ type Quality struct {
 	// SizeAt, when non-nil, returns the target triangle area near a point;
 	// triangles larger than the target are split. This is Triangle's
 	// user-defined area constraint used by the paper's sizing function.
+	// It must be a pure function of the point: the refiner evaluates it
+	// once per triangle, when it queues the triangle, and splits on that
+	// answer however much later the triangle's turn comes.
 	SizeAt func(geom.Point) float64
 
 	// MinLength guards termination: segments and edges shorter than this

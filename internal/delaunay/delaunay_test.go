@@ -3,6 +3,7 @@ package delaunay
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -536,6 +537,69 @@ func BenchmarkRefineUnitSquare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := TriangulateRefined(in, Quality{MaxRadiusEdgeRatio: math.Sqrt2, MaxArea: 1e-3}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRefineAsksSizeOncePerQueuedTriangle pins how often refinement asks
+// the sizing function. A triangle is tested when it is queued
+// (considerTri) and split on that answer when it is popped: its three
+// points never move, so the pop checks only that it still exists. The
+// refiner used to evaluate isBad again at every non-stale pop; with that
+// re-check the two regions below cost 2,446 and 3,026 calls for the same
+// meshes. A re-check that comes back fails on the count; a changed mesh
+// fails on the sizes, and on the comparison with an uncounted refinement
+// if the count itself were what changed it.
+func TestRefineAsksSizeOncePerQueuedTriangle(t *testing.T) {
+	size := func(p geom.Point) float64 {
+		d := math.Hypot(p.X, p.Y)
+		return 0.002 + 0.01*d*d
+	}
+	coarse := Input{
+		Points:   []geom.Point{geom.Pt(0, 0), geom.Pt(8, 0), geom.Pt(8, 8), geom.Pt(0, 8)},
+		Segments: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
+	}
+	// The pipeline's case: a border discretised beforehand and never split.
+	var marched Input
+	const perSide = 32
+	for side, from := range coarse.Points {
+		to := coarse.Points[(side+1)%4]
+		for i := 0; i < perSide; i++ {
+			s := float64(i) / perSide
+			marched.Points = append(marched.Points, geom.Pt(from.X+s*(to.X-from.X), from.Y+s*(to.Y-from.Y)))
+		}
+	}
+	for i := range marched.Points {
+		marched.Segments = append(marched.Segments, [2]int32{int32(i), int32((i + 1) % len(marched.Points))})
+	}
+	for _, c := range []struct {
+		name                     string
+		in                       Input
+		noSplit                  bool
+		calls, points, triangles int
+	}{
+		{"segments split", coarse, false, 2048, 402, 725},
+		{"segments kept (-Y)", marched, true, 2635, 497, 864},
+	} {
+		calls := 0
+		counted := Quality{MaxRadiusEdgeRatio: math.Sqrt2, NoSplitSegments: c.noSplit,
+			SizeAt: func(p geom.Point) float64 { calls++; return size(p) }}
+		got, err := TriangulateRefined(c.in, counted)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		plain := counted
+		plain.SizeAt = size
+		want, err := TriangulateRefined(c.in, plain)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if calls != c.calls || len(got.Points) != c.points || len(got.Triangles) != c.triangles {
+			t.Errorf("%s: %d SizeAt calls for %d points, %d triangles; want %d for %d, %d",
+				c.name, calls, len(got.Points), len(got.Triangles), c.calls, c.points, c.triangles)
+		}
+		if !slices.Equal(got.Points, want.Points) || !slices.Equal(got.Triangles, want.Triangles) {
+			t.Errorf("%s: counting the calls changed the mesh", c.name)
 		}
 	}
 }

@@ -155,10 +155,11 @@ func (r *refiner) run() error {
 		tr := r.tris[len(r.tris)-1]
 		r.tris = r.tris[:len(r.tris)-1]
 		// Staleness: the triangle must still exist with the same vertices.
+		// That is the whole test: considerTri found it bad when it queued
+		// it, and isBad is a function of three points that never move and
+		// of q, so asking again (one more SizeAt query) cannot answer
+		// differently.
 		if tr.ti >= int32(len(t.tris)) || t.tris[tr.ti].Dead || t.tris[tr.ti].V != tr.v {
-			continue
-		}
-		if !r.isBad(tr.ti) {
 			continue
 		}
 		r.splitTri(tr.ti)

@@ -77,8 +77,9 @@ func NewLoopIndex(l *Loop) *LoopIndex {
 		return ix // flat loop: nothing straddles
 	}
 	if math.IsNaN(height) {
-		// A NaN coordinate (ReadPoly accepts "NaN") compares false with
-		// every height, so no y-range can reject a query.
+		// A NaN coordinate (a loop built in code: ReadPoly and Validate
+		// refuse one) compares false with every height, so no y-range can
+		// reject a query.
 		ymin, ymax = math.Inf(-1), math.Inf(1)
 	}
 	ix.ymin, ix.ymax = ymin, ymax

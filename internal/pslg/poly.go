@@ -60,7 +60,9 @@ func (g *Graph) WritePoly(w io.Writer) error {
 // of Triangle's format: vertices and segments with boundary markers that
 // group segments into loops, where each marker's segments form one closed
 // loop). The loop with the largest bounding box becomes the far field when
-// it encloses every other loop; otherwise all loops are surfaces.
+// it encloses every other loop; otherwise all loops are surfaces. A vertex
+// coordinate that is NaN or infinite ("nan" and "inf" scan as numbers) is
+// refused with a *NonFiniteError naming the vertex.
 func ReadPoly(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -109,6 +111,9 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 		}
 		if _, err := fmt.Sscan(f[2], &y); err != nil {
 			return nil, err
+		}
+		if !finite(x) || !finite(y) {
+			return nil, &NonFiniteError{Where: fmt.Sprintf("vertex %d", id), P: geom.Pt(x, y)}
 		}
 		ids[id] = i
 		pts[i] = geom.Pt(x, y)

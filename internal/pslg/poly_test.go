@@ -2,6 +2,8 @@ package pslg
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,6 +116,55 @@ func TestReadPolyErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadPoly(strings.NewReader(c.data)); err == nil {
 			t.Errorf("%s: want error", c.name)
+		}
+	}
+}
+
+// TestReadPolyRejectsNonFinite: "nan" and "inf" scan as float64, and a
+// graph holding one hung the pipeline (a far-field vertex at infinity sent
+// decouple.MarchBorder marching for ever) or came out as a mesh with a NaN
+// vertex. The reader names the vertex in a typed error instead.
+func TestReadPolyRejectsNonFinite(t *testing.T) {
+	const text = `8 2 0 1
+0 1 1 1
+1 %s %s 1
+2 2 2 1
+3 1 2 1
+4 -10 -10 2
+5 %s %s 2
+6 10 10 2
+7 -10 10 2
+8 1
+0 0 1 1
+1 1 2 1
+2 2 3 1
+3 3 0 1
+4 4 5 2
+5 5 6 2
+6 6 7 2
+7 7 4 2
+1
+0 1.5 1.5
+`
+	if _, err := ReadPoly(strings.NewReader(fmt.Sprintf(text, "2", "1", "10", "-10"))); err != nil {
+		t.Fatalf("finite control: %v", err)
+	}
+	for _, tok := range []string{"nan", "inf", "-inf", "+Inf"} {
+		for _, c := range []struct {
+			name   string
+			coords [4]string
+			vertex string
+		}{
+			{"surface x", [4]string{tok, "1", "10", "-10"}, "vertex 1 "},
+			{"surface y", [4]string{"2", tok, "10", "-10"}, "vertex 1 "},
+			{"far-field x", [4]string{"2", "1", tok, "-10"}, "vertex 5 "},
+			{"far-field y", [4]string{"2", "1", "10", tok}, "vertex 5 "},
+		} {
+			_, err := ReadPoly(strings.NewReader(fmt.Sprintf(text, c.coords[0], c.coords[1], c.coords[2], c.coords[3])))
+			var nf *NonFiniteError
+			if !errors.As(err, &nf) || !strings.Contains(err.Error(), c.vertex) {
+				t.Errorf("%s = %s: error %v, want a *NonFiniteError naming %s", c.name, tok, err, c.vertex)
+			}
 		}
 	}
 }

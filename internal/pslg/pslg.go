@@ -7,6 +7,7 @@ package pslg
 
 import (
 	"fmt"
+	"math"
 
 	"pamg2d/internal/adt"
 	"pamg2d/internal/geom"
@@ -83,17 +84,40 @@ type Graph struct {
 	Farfield Loop
 }
 
-// Validate checks structural soundness: every loop has at least three
-// points, no zero-length segments, no loop self-intersects, no two loops
-// intersect, and all surfaces lie inside the far-field loop (when one is
-// present). Intersection checks use an alternating digital tree over
-// segment extent boxes so validation costs O(n log n).
+// NonFiniteError reports a point with a NaN or infinite coordinate. No
+// stage downstream is defined on one, so ReadPoly and Validate refuse it
+// at the edge.
+type NonFiniteError struct {
+	Where string // `vertex 7` (the .poly number) or `loop "farfield" point 2`
+	P     geom.Point
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("pslg: %s has a non-finite coordinate (%v, %v)", e.Where, e.P.X, e.P.Y)
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// Validate checks structural soundness: every coordinate is finite, every
+// loop has at least three points, no zero-length segments, no loop
+// self-intersects, no two loops intersect, and all surfaces lie inside the
+// far-field loop (when one is present). Intersection checks use an
+// alternating digital tree over segment extent boxes so validation costs
+// O(n log n).
 func (g *Graph) Validate() error {
 	all := make([]Loop, 0, len(g.Surfaces)+1)
 	all = append(all, g.Surfaces...)
 	hasFar := len(g.Farfield.Points) > 0
 	if hasFar {
 		all = append(all, g.Farfield)
+	}
+	// First of all: the checks below compare and subtract coordinates.
+	for li := range all {
+		for i, p := range all[li].Points {
+			if !finite(p.X) || !finite(p.Y) {
+				return &NonFiniteError{Where: fmt.Sprintf("loop %q point %d", all[li].Name, i), P: p}
+			}
+		}
 	}
 	type segInfo struct {
 		s    geom.Segment

@@ -1,6 +1,8 @@
 package pslg
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +154,31 @@ func TestValidateZeroLengthSegment(t *testing.T) {
 	}}}}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "zero length") {
 		t.Errorf("want zero-length error, got %v", err)
+	}
+}
+
+// TestValidateNonFinite: a graph built in code gets the same refusal
+// ReadPoly gives a file, before any check that would compare the value.
+func TestValidateNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		far := square(-10, -10, 22, "farfield")
+		far.Points[1].X = bad
+		body := square(1, 1, 1, "body")
+		body.Points[2].Y = bad
+		for _, c := range []struct {
+			g     *Graph
+			where string
+		}{
+			{&Graph{Surfaces: []Loop{square(1, 1, 1, "body")}, Farfield: far}, `loop "farfield" point 1`},
+			{&Graph{Surfaces: []Loop{body}, Farfield: square(-10, -10, 22, "farfield")}, `loop "body" point 2`},
+			{&Graph{Surfaces: []Loop{body}}, `loop "body" point 2`},
+		} {
+			err := c.g.Validate()
+			var nf *NonFiniteError
+			if !errors.As(err, &nf) || nf.Where != c.where {
+				t.Errorf("%v at %s: error %v, want a *NonFiniteError there", bad, c.where, err)
+			}
+		}
 	}
 }
 

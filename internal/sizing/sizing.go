@@ -2,10 +2,17 @@
 // Delaunay decoupling of the inviscid region and Triangle-style area
 // constraints during refinement, plus the k-formula (equation 1 of the
 // paper) that converts a target area into the decoupling edge length.
+//
+// The paper's field is a function of the distance to the body. Graded
+// finds that distance with an exact static index of the surface points:
+// refinement asks it once for every triangle it creates, which makes the
+// search the pipeline's most frequent call.
 package sizing
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"pamg2d/internal/geom"
 )
@@ -34,165 +41,158 @@ func AreaForEdge(k float64) float64 {
 // rate Gradation until capped at HMax near the far field. The target area
 // is that of an equilateral triangle with the local edge length:
 // sqrt(3)/4 * h^2.
+//
+// The distance is to the nearest surface point, found in a static k-d tree
+// of bounding boxes (DESIGN §7, "Nearest-surface index"). A Graded is
+// immutable after NewGraded apart from the three exported fields and is
+// safe for concurrent use.
 type Graded struct {
-	// Surface points used for the distance query.
-	surface []geom.Point
-	// grid buckets surface point indices in a dense row-major array of
-	// (kmax-kmin+1) cells per dimension; a dense layout beats a map by a
-	// large factor since Distance dominates decoupling and refinement.
-	grid       [][]int32
-	kmin, kmax [2]int
-	nx, ny     int
-	cell       float64
-	H0         float64
-	Gradation  float64
-	HMax       float64
+	// pts holds a copy of the surface points in k-d order: node 0 covers
+	// all of it, and a node covering more than leafSize points splits its
+	// range at the middle position, so a node's range follows from its
+	// number and is never stored.
+	pts []geom.Point
+	// box holds one bounding box per node, heap-numbered: the children of
+	// node i are 2i+1 (the lower half of its range) and 2i+2.
+	box []geom.BBox
+
+	H0        float64
+	Gradation float64
+	HMax      float64
 }
+
+// leafSize is the largest range scanned point by point. On a NACA loop of
+// 256 and of 1,536 points, queried 0.1 to 16 chords away, 4, 8 and 16 cost
+// the same per query within the host's noise.
+const leafSize = 8
+
+// stackSize bounds the explicit stack of a query: one pending sibling per
+// level, so it is reached beyond leafSize << stackSize points, and a range
+// met with the stack full is scanned whole.
+const stackSize = 24
 
 // NewGraded builds a graded sizing function from the body surface points.
 // h0 is the surface edge length, gradation the growth per unit distance
 // (0.2 means edges grow by 20% of the distance from the body), hmax the
-// far-field cap.
+// far-field cap. The points are copied; any coordinates are accepted, and
+// a point with a NaN or infinite coordinate is never the nearest.
 func NewGraded(surface []geom.Point, h0, gradation, hmax float64) *Graded {
-	g := &Graded{surface: surface, H0: h0, Gradation: gradation, HMax: hmax}
-	bb := geom.BBoxOf(surface)
-	g.cell = math.Max(bb.Width(), bb.Height()) / 64
-	if g.cell <= 0 || math.IsInf(g.cell, 0) {
-		g.cell = 1
+	g := &Graded{pts: slices.Clone(surface), H0: h0, Gradation: gradation, HMax: hmax}
+	nodes := 1
+	for n := len(surface); n > leafSize; n -= n / 2 {
+		nodes = 2*nodes + 1
 	}
-	g.kmin = [2]int{math.MaxInt32, math.MaxInt32}
-	g.kmax = [2]int{math.MinInt32, math.MinInt32}
-	keys := make([][2]int, len(surface))
-	for i, p := range surface {
-		key := g.key(p)
-		keys[i] = key
-		for d := 0; d < 2; d++ {
-			if key[d] < g.kmin[d] {
-				g.kmin[d] = key[d]
-			}
-			if key[d] > g.kmax[d] {
-				g.kmax[d] = key[d]
-			}
-		}
-	}
-	if len(surface) == 0 {
-		g.kmin = [2]int{0, 0}
-		g.kmax = [2]int{0, 0}
-	}
-	g.nx = g.kmax[0] - g.kmin[0] + 1
-	g.ny = g.kmax[1] - g.kmin[1] + 1
-	g.grid = make([][]int32, g.nx*g.ny)
-	for i, key := range keys {
-		idx := (key[1]-g.kmin[1])*g.nx + (key[0] - g.kmin[0])
-		g.grid[idx] = append(g.grid[idx], int32(i))
-	}
+	g.box = make([]geom.BBox, nodes)
+	g.build(0, 0, len(g.pts))
 	return g
 }
 
-func (g *Graded) key(p geom.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
+// build fills in the box of node, which covers pts[lo:hi], and splits the
+// range at its middle position along the longer side of that box. The
+// depth is ceil(log2(n/leafSize)) whatever the coordinates: duplicate,
+// collinear or non-finite points make boxes that overlap or prune nothing,
+// never a deeper tree.
+func (g *Graded) build(node, lo, hi int) {
+	b := geom.BBoxOf(g.pts[lo:hi])
+	g.box[node] = b
+	if hi-lo <= leafSize {
+		return
+	}
+	if b.Width() >= b.Height() {
+		slices.SortFunc(g.pts[lo:hi], func(p, q geom.Point) int { return cmp.Compare(p.X, q.X) })
+	} else {
+		slices.SortFunc(g.pts[lo:hi], func(p, q geom.Point) int { return cmp.Compare(p.Y, q.Y) })
+	}
+	mid := lo + (hi-lo)/2
+	g.build(2*node+1, lo, mid)
+	g.build(2*node+2, mid, hi)
 }
 
-// Distance returns the exact distance from p to the nearest surface point.
-// The search expands Chebyshev rings of grid cells around p, skipping cells
-// outside the populated grid range, and stops once no unscanned cell can
-// hold a closer point.
+// boxDistSq returns the squared distance from p to b, zero inside. It is a
+// lower bound on the squared distance the leaf scan computes for any point
+// q in b, in floating point and not only on paper: |p.X - q.X| is at least
+// the gap to the box's nearer side exactly, and IEEE subtraction, squaring
+// and addition are monotone, so the rounded results keep the order. A NaN
+// in p compares false and contributes a gap of zero.
+func boxDistSq(b *geom.BBox, p geom.Point) float64 {
+	var dx, dy float64
+	if p.X < b.Min.X {
+		dx = b.Min.X - p.X
+	} else if p.X > b.Max.X {
+		dx = p.X - b.Max.X
+	}
+	if p.Y < b.Min.Y {
+		dy = b.Min.Y - p.Y
+	} else if p.Y > b.Max.Y {
+		dy = p.Y - b.Max.Y
+	}
+	return dx*dx + dy*dy
+}
+
+// Distance returns the exact distance from p to the nearest surface point:
+// the bits a scan of every point with `d := dx*dx + dy*dy; d < best` would
+// return, +Inf when no point is at a finite distance (a NaN or infinite
+// p), 0 for an empty surface.
 func (g *Graded) Distance(p geom.Point) float64 {
-	if len(g.surface) == 0 {
+	if len(g.pts) == 0 {
 		return 0
 	}
-	kc := g.key(p)
-	// The first ring that can contain populated cells.
-	startRing := 0
-	for d := 0; d < 2; d++ {
-		if kc[d] < g.kmin[d] {
-			if r := g.kmin[d] - kc[d]; r > startRing {
-				startRing = r
-			}
-		}
-		if kc[d] > g.kmax[d] {
-			if r := kc[d] - g.kmax[d]; r > startRing {
-				startRing = r
-			}
-		}
-	}
-	// The ring beyond which every populated cell has been scanned.
-	lastRing := 0
-	for d := 0; d < 2; d++ {
-		if r := kc[d] - g.kmin[d]; r > lastRing {
-			lastRing = r
-		}
-		if r := g.kmax[d] - kc[d]; r > lastRing {
-			lastRing = r
-		}
-	}
-	bestSq := math.Inf(1)
-	// Far from the populated grid, the ring march would sweep hundreds of
-	// mostly-empty shells before its lower bound catches up; a single pass
-	// over all surface points is cheaper and exact.
-	if startRing >= g.nx+g.ny {
-		for _, q := range g.surface {
-			dx := p.X - q.X
-			dy := p.Y - q.Y
-			if d := dx*dx + dy*dy; d < bestSq {
-				bestSq = d
-			}
-		}
-		return math.Sqrt(bestSq)
-	}
-	scan := func(cx, cy int) {
-		if cx < g.kmin[0] || cx > g.kmax[0] || cy < g.kmin[1] || cy > g.kmax[1] {
-			return
-		}
-		for _, idx := range g.grid[(cy-g.kmin[1])*g.nx+(cx-g.kmin[0])] {
-			q := g.surface[idx]
-			dx := p.X - q.X
-			dy := p.Y - q.Y
-			if d := dx*dx + dy*dy; d < bestSq {
-				bestSq = d
-			}
-		}
-	}
-	for ring := startRing; ring <= lastRing; ring++ {
-		if ring == 0 {
-			scan(kc[0], kc[1])
-		} else {
-			// Clamp the shell loops to the populated cell range so far-away
-			// query points do not pay for empty shell cells.
-			x0, x1 := kc[0]-ring, kc[0]+ring
-			if lo := g.kmin[0]; x0 < lo {
-				x0 = lo
-			}
-			if hi := g.kmax[0]; x1 > hi {
-				x1 = hi
-			}
-			for dx := x0; dx <= x1; dx++ {
-				scan(dx, kc[1]-ring)
-				scan(dx, kc[1]+ring)
-			}
-			y0, y1 := kc[1]-ring+1, kc[1]+ring-1
-			if lo := g.kmin[1]; y0 < lo {
-				y0 = lo
-			}
-			if hi := g.kmax[1]; y1 > hi {
-				y1 = hi
-			}
-			for dy := y0; dy <= y1; dy++ {
-				scan(kc[0]-ring, dy)
-				scan(kc[0]+ring, dy)
-			}
-		}
-		// Any point in an unscanned cell (Chebyshev cell distance >= ring+1)
-		// is at least ring*cell away from p.
-		if r := float64(ring) * g.cell; bestSq <= r*r {
-			return math.Sqrt(bestSq)
-		}
-	}
-	return math.Sqrt(bestSq)
+	return math.Sqrt(g.nearestSq(p))
 }
 
-// EdgeLength returns the target edge length at p.
+// nearestSq walks the tree nearer child first and skips a node whose box
+// is no closer than the best point so far; by boxDistSq's bound no point
+// in it can lower the minimum, and a minimum over the same floats does not
+// depend on the order they are met in. The stack lives in the caller's
+// frame, so queries share nothing.
+func (g *Graded) nearestSq(p geom.Point) float64 {
+	type frame struct {
+		dsq          float64
+		node, lo, hi int
+	}
+	var stack [stackSize]frame
+	stack[0] = frame{0, 0, 0, len(g.pts)} // the root is never pruned
+	best := math.Inf(1)
+	for sp := 1; sp > 0; {
+		sp--
+		f := stack[sp]
+		// A NaN bound (NaN query) prunes nothing: the walk degrades to the
+		// scan, which is also what the answer then is.
+		for !(f.dsq >= best) {
+			if f.hi-f.lo <= leafSize || sp == stackSize {
+				for _, q := range g.pts[f.lo:f.hi] {
+					dx := p.X - q.X
+					dy := p.Y - q.Y
+					if d := dx*dx + dy*dy; d < best {
+						best = d
+					}
+				}
+				break
+			}
+			mid := f.lo + (f.hi-f.lo)/2
+			near := frame{boxDistSq(&g.box[2*f.node+1], p), 2*f.node + 1, f.lo, mid}
+			far := frame{boxDistSq(&g.box[2*f.node+2], p), 2*f.node + 2, mid, f.hi}
+			if far.dsq < near.dsq {
+				near, far = far, near
+			}
+			stack[sp] = far
+			sp++
+			f = near
+		}
+	}
+	return best
+}
+
+// EdgeLength returns the target edge length at p: min(H0 + Gradation*d,
+// HMax) for d = Distance(p). When the whole surface's box is already far
+// enough for the cap, HMax is returned without a search: the box distance
+// is a lower bound on d (boxDistSq), sqrt and a positive Gradation keep the
+// order, so the searched value would exceed HMax too.
 func (g *Graded) EdgeLength(p geom.Point) float64 {
+	if g.HMax > 0 && g.Gradation > 0 && len(g.pts) > 0 &&
+		g.H0+g.Gradation*math.Sqrt(boxDistSq(&g.box[0], p)) > g.HMax {
+		return g.HMax
+	}
 	h := g.H0 + g.Gradation*g.Distance(p)
 	if g.HMax > 0 && h > g.HMax {
 		h = g.HMax

@@ -1,11 +1,15 @@
 package sizing
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"pamg2d/internal/airfoil"
 	"pamg2d/internal/geom"
 )
 
@@ -60,26 +64,239 @@ func TestGradedDistance(t *testing.T) {
 	}
 }
 
+// scanDistance is the reference the index is held to, bit for bit: the
+// distance to the nearest surface point by a scan of all of them.
+func scanDistance(surf []geom.Point, p geom.Point) float64 {
+	if len(surf) == 0 {
+		return 0
+	}
+	best := math.Inf(1)
+	for _, q := range surf {
+		dx := p.X - q.X
+		dy := p.Y - q.Y
+		if d := dx*dx + dy*dy; d < best {
+			best = d
+		}
+	}
+	return math.Sqrt(best)
+}
+
+// scanEdgeLength is Graded.EdgeLength over scanDistance, without the cap
+// shortcut.
+func scanEdgeLength(surf []geom.Point, h0, gradation, hmax float64, p geom.Point) float64 {
+	h := h0 + gradation*scanDistance(surf, p)
+	if hmax > 0 && h > hmax {
+		h = hmax
+	}
+	return h
+}
+
+// logUniformQueries returns n points whose distance from a random surface
+// point is log-uniform between lo and hi, in a random direction: the
+// distribution refinement under a small Gradation asks (ISSUE 20).
+func logUniformQueries(rng *rand.Rand, surf []geom.Point, n int, lo, hi float64) []geom.Point {
+	out := make([]geom.Point, n)
+	for i := range out {
+		c := surf[rng.Intn(len(surf))]
+		r := lo * math.Pow(hi/lo, rng.Float64())
+		th := 2 * math.Pi * rng.Float64()
+		out[i] = geom.Pt(c.X+r*math.Cos(th), c.Y+r*math.Sin(th))
+	}
+	return out
+}
+
+func shifted(pts []geom.Point, by geom.Vec) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = p.Add(by)
+	}
+	return out
+}
+
+type namedSurface struct {
+	name string
+	pts  []geom.Point
+}
+
+// differentialSurfaces is the table the index is compared to the scan on.
+func differentialSurfaces(rng *rand.Rand) []namedSurface {
+	random := make([]geom.Point, 300)
+	for i := range random {
+		random[i] = geom.Pt(rng.Float64()*4-2, rng.Float64()*2-1)
+	}
+	equal := make([]geom.Point, 100)
+	collinear := make([]geom.Point, 100)
+	for i := range equal {
+		equal[i] = geom.Pt(0.25, -0.5)
+		collinear[i] = geom.Pt(float64(i%37)*0.1, float64(i%37)*0.05)
+	}
+	foil := airfoil.NACA0012.Points(128)
+	three := append(append(shifted(foil, geom.V(-40, 3)), foil...), shifted(foil, geom.V(25, -60))...)
+	return []namedSurface{
+		{"airfoil-256", foil},
+		{"airfoil-1536", airfoil.NACA0012.Points(768)},
+		{"three-apart", three},
+		{"random", random},
+		{"all-equal", equal},
+		{"collinear", collinear},
+		{"one", random[:1]},
+		{"two", random[:2]},
+		{"leaf-1", random[:leafSize-1]},
+		{"leaf", random[:leafSize]},
+		{"leaf+1", random[:leafSize+1]},
+		{"two-leaves+1", random[:2*leafSize+1]},
+	}
+}
+
+// TestGradedDistanceMatchesBruteForce holds Distance, EdgeLength and Area
+// to the linear scan's bits: log-uniform queries from 1e-3 to 1e2 chords,
+// the surface points themselves and non-finite queries, with the cap off,
+// reached inside the query range, never reached, and under the two
+// gradations (zero, negative) the cap shortcut must stand aside for.
 func TestGradedDistanceMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	surf := make([]geom.Point, 300)
-	for i := range surf {
-		surf[i] = geom.Pt(rng.Float64()*4-2, rng.Float64()*2-1)
+	nan, inf := math.NaN(), math.Inf(1)
+	params := []struct{ h0, gradation, hmax float64 }{
+		{0.02, 0.03, 0},
+		{0.02, 0.03, 0.5},
+		{0.02, 0.03, 1e9},
+		{0.7, 0, 0.5},
+		{0.6, -0.01, 0.5},
 	}
-	g := NewGraded(surf, 0.01, 0.2, 1.0)
-	for trial := 0; trial < 300; trial++ {
-		p := geom.Pt(rng.Float64()*40-20, rng.Float64()*40-20)
-		want := math.Inf(1)
-		for _, s := range surf {
-			if d := p.Dist(s); d < want {
-				want = d
+	for _, c := range differentialSurfaces(rng) {
+		name, surf := c.name, c.pts
+		queries := logUniformQueries(rng, surf, 2000, 1e-3, 1e2)
+		queries = append(queries, surf...)
+		for _, x := range []float64{nan, inf, -inf, 0.5} {
+			for _, y := range []float64{nan, inf, -inf, 0.1} {
+				queries = append(queries, geom.Pt(x, y))
 			}
 		}
-		got := g.Distance(p)
-		if math.Abs(got-want) > 1e-9*(want+1) {
-			t.Fatalf("Distance(%v) = %v, brute force %v", p, got, want)
+		g := NewGraded(surf, 0, 0, 0)
+		for _, p := range queries {
+			if got, want := g.Distance(p), scanDistance(surf, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Distance(%v) = %v, scan %v", name, p, got, want)
+			}
+			for _, pr := range params {
+				g.H0, g.Gradation, g.HMax = pr.h0, pr.gradation, pr.hmax
+				want := scanEdgeLength(surf, pr.h0, pr.gradation, pr.hmax, p)
+				if got := g.EdgeLength(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %+v: EdgeLength(%v) = %v, scan %v", name, pr, p, got, want)
+				}
+				if got, want := g.Area(p), math.Sqrt(3)/4*want*want; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %+v: Area(%v) = %v, scan %v", name, pr, p, got, want)
+				}
+			}
 		}
 	}
+}
+
+// fuzzSurface decodes four bytes a point: two int16 on a 1/256 lattice, so
+// duplicates and collinear runs are common, with the three extreme values
+// of each standing for NaN and the infinities.
+func fuzzSurface(data []byte) []geom.Point {
+	coord := func(b []byte) float64 {
+		switch v := int16(binary.LittleEndian.Uint16(b)); v {
+		case math.MaxInt16:
+			return math.Inf(1)
+		case math.MinInt16:
+			return math.Inf(-1)
+		case math.MaxInt16 - 1:
+			return math.NaN()
+		default:
+			return float64(v) / 256
+		}
+	}
+	pts := make([]geom.Point, len(data)/4)
+	for i := range pts {
+		pts[i] = geom.Pt(coord(data[4*i:]), coord(data[4*i+2:]))
+	}
+	return pts
+}
+
+// FuzzGradedDistance holds the index to the scan's bits, and to returning
+// at all, on arbitrary surfaces and one arbitrary query.
+func FuzzGradedDistance(f *testing.F) {
+	f.Add([]byte{}, 0.0, 0.0)
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0xff, 0x7f, 0, 0, 0xfe, 0x7f, 0, 0x80}, 1.5, math.NaN())
+	rng := rand.New(rand.NewSource(1))
+	big := make([]byte, 4*(4*leafSize+3))
+	rng.Read(big)
+	f.Add(big, 3.25, -40.0)
+	f.Add(big, math.Inf(1), 0.0)
+	f.Fuzz(func(t *testing.T, data []byte, x, y float64) {
+		surf := fuzzSurface(data)
+		p := geom.Pt(x, y)
+		got, want := NewGraded(surf, 0, 0, 0).Distance(p), scanDistance(surf, p)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Distance(%v) over %v = %v, scan %v", p, surf, got, want)
+		}
+	})
+}
+
+// TestGradedNonFinite: any surface and any query are answered as the scan
+// answers them, in bounded time. The grid this index replaced took
+// int(NaN) for a cell key: NewGraded panicked on a non-finite surface point
+// (index out of range, or makeslice: len out of range) and Distance looped
+// for int(NaN) rings on a NaN query.
+func TestGradedNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		foil := airfoil.NACA0012.Points(32)
+		for _, bad := range []geom.Point{{X: nan, Y: 0}, {X: 0.5, Y: inf}, {X: -inf, Y: nan}, {X: inf, Y: -inf}} {
+			surf := append([]geom.Point{bad}, foil...)
+			surf = append(surf, bad)
+			g := NewGraded(surf, 0.02, 0.03, 4)
+			for _, p := range []geom.Point{{X: 2, Y: 1}, {X: nan, Y: 1}, {X: 2, Y: -inf}, bad} {
+				if got, want := g.Distance(p), scanDistance(surf, p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("surface with %v: Distance(%v) = %v, scan %v", bad, p, got, want)
+				}
+				want := scanEdgeLength(surf, 0.02, 0.03, 4, p)
+				if got := g.EdgeLength(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("surface with %v: EdgeLength(%v) = %v, scan %v", bad, p, got, want)
+				}
+			}
+		}
+		if got := NewGraded([]geom.Point{{X: nan, Y: nan}}, 1, 1, 0).Distance(geom.Pt(0, 0)); !math.IsInf(got, 1) {
+			t.Errorf("all-NaN surface: Distance = %v, want +Inf", got)
+		}
+		if got := NewGraded(nil, 1, 1, 0).Distance(geom.Pt(nan, 0)); got != 0 {
+			t.Errorf("empty surface: Distance = %v, want 0", got)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("non-finite input did not return within 10 s")
+	}
+}
+
+// TestGradedConcurrentQueries: queries share nothing (run under -race).
+func TestGradedConcurrentQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	surf := airfoil.NACA0012.Points(256)
+	g := NewGraded(surf, 0.02, 0.03, 4)
+	queries := logUniformQueries(rng, surf, 4000, 1e-3, 1e2)
+	want := make([]float64, len(queries))
+	for i, p := range queries {
+		want[i] = scanEdgeLength(surf, 0.02, 0.03, 4, p)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range queries {
+				if got := g.EdgeLength(p); got != want[i] {
+					t.Errorf("EdgeLength(%v) = %v, want %v", p, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestGradedEdgeLengthGrowth(t *testing.T) {
@@ -126,14 +343,13 @@ func TestUniform(t *testing.T) {
 	}
 }
 
+// BenchmarkGradedDistance measures what the pipeline asks: an airfoil's
+// surface points, queries log-uniform in distance from 0.1 to 16 chords
+// (Gradation 0.03 between SurfaceH0 and HMax).
 func BenchmarkGradedDistance(b *testing.B) {
-	surf := circleSurface(2048, 1)
-	g := NewGraded(surf, 0.01, 0.2, 1.0)
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]geom.Point, 1024)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*60-30, rng.Float64()*60-30)
-	}
+	surf := airfoil.NACA0012.Points(128)
+	g := NewGraded(surf, 0.02, 0.03, 4)
+	pts := logUniformQueries(rand.New(rand.NewSource(1)), surf, 1024, 0.1, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
