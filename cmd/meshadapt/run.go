@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"pamg2d/internal/adapt"
-	"pamg2d/internal/core"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/solver"
 	"pamg2d/internal/trace"
@@ -23,8 +22,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cycles     = fs.Int("cycles", 1, "metric-adaptation cycles (metric rebuilt each cycle)")
 		sweeps     = fs.Int("sweeps", 0, "operator sweeps per cycle (0 = default cap)")
 		band       = fs.Float64("band", 0, "edge-length acceptance band upper bound (0 = sqrt 2)")
-		workers    = fs.Int("workers", 1, "evaluation/commit goroutines (0 = NumCPU via pool default)")
-		ranks      = fs.Int("ranks", 1, "distribute plan evaluation over this many in-process ranks")
+		workers    = fs.Int("workers", 1, "evaluation/commit goroutines (0 = 1); the adapted mesh is the same for every count")
 		format     = fs.String("format", "ascii", "output format: ascii | binary | vtk")
 		out        = fs.String("o", "", "output file (default stdout)")
 		quiet      = fs.Bool("q", false, "suppress per-cycle reports")
@@ -43,20 +41,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	p := core.AdaptParams{Cycles: *cycles, Metric: *metricSrc, SweepCap: *sweeps, Band: *band}
 	solve := adapt.DefaultSolve(solver.Options{Tol: 1e-8, MaxIters: 20000, Method: solver.GaussSeidel})
-	build, resample, err := adapt.MetricSource(p, solve)
+	build, resample, err := adapt.MetricSource(*metricSrc, solve)
 	if err != nil {
 		return err
 	}
 
 	var tracer *trace.Tracer
 	if *traceOut != "" || *metricsOut != "" {
-		tracer = trace.New(max(*ranks, 1))
+		tracer = trace.New(1)
 	}
-	opt := adapt.Options{Workers: *workers, Ranks: *ranks, Tracer: tracer, Resample: resample}
+	opt := adapt.Options{Band: *band, MaxSweeps: *sweeps, Workers: *workers, Tracer: tracer, Resample: resample}
 
-	adapted, reps, aerr := adapt.Cycles(m, p, opt, build)
+	adapted, reps, aerr := adapt.Cycles(m, *cycles, opt, build)
 	if !*quiet {
 		for _, r := range reps {
 			fmt.Fprintf(stderr, "cycle %d   %d splits, %d collapses, %d swaps, %d smooths; %.1f%% of %d edges in band (%d sweeps)\n",

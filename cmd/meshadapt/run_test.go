@@ -122,6 +122,31 @@ func TestAdaptObservability(t *testing.T) {
 	}
 }
 
+// TestAdaptWorkersInvariant: the written mesh is the same bytes for every
+// -workers value.
+func TestAdaptWorkersInvariant(t *testing.T) {
+	in := grid(t, 6, false)
+	dir := t.TempDir()
+	var ref []byte
+	for _, w := range []string{"1", "3"} {
+		out := filepath.Join(dir, "w"+w+".mesh")
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-metric", "bl:x0=0,y0=0,x1=1,y1=0,hn=0.03,ht=0.2,grow=0.7", "-workers", w, "-q", "-o", out, in}, &stdout, &stderr)
+		if err != nil {
+			t.Fatalf("-workers %s: %v\n%s", w, err, stderr.String())
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = b
+		} else if !bytes.Equal(ref, b) {
+			t.Fatalf("-workers %s wrote a different mesh than -workers 1", w)
+		}
+	}
+}
+
 func TestAdaptErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{}, &stdout, &stderr); err == nil {
@@ -131,6 +156,9 @@ func TestAdaptErrors(t *testing.T) {
 		t.Error("missing file must fail")
 	}
 	in := grid(t, 2, false)
+	if err := run([]string{"-ranks", "2", in}, &stdout, &stderr); err == nil {
+		t.Error("-ranks is not a flag of meshadapt and must fail")
+	}
 	if err := run([]string{"-metric", "bogus", in}, &stdout, &stderr); err == nil {
 		t.Error("bogus metric spec must fail")
 	}

@@ -17,13 +17,14 @@ import (
 var adaptSolver = solver.Options{Tol: 1e-8, MaxIters: 20000, Method: solver.GaussSeidel}
 
 // runAdapt executes the post-generation adaptation cycles requested via
-// -adapt-cycles and returns the final mesh. Every cycle's mesh is
-// audited with the adapted profile; a violation fails the run.
-func runAdapt(cfg core.Config, m *mesh.Mesh, iso bool, tracer *trace.Tracer, stderr io.Writer, quiet bool) (*mesh.Mesh, error) {
+// -adapt-cycles and -adapt-metric and returns the final mesh. Every
+// cycle's mesh is audited with the adapted profile; a violation fails the
+// run.
+func runAdapt(cfg core.Config, m *mesh.Mesh, cycles int, metricSpec string, iso bool, tracer *trace.Tracer, stderr io.Writer, quiet bool) (*mesh.Mesh, error) {
 	if iso {
 		// One extra step: Loop's first trip reproduces the mesh already
 		// generated; adaptation happens between trips.
-		steps, err := adapt.Loop(cfg, adapt.DefaultProblem, adapt.LoopOptions{Steps: cfg.Adapt.Cycles + 1, Solver: adaptSolver})
+		steps, err := adapt.Loop(cfg, adapt.DefaultProblem, adapt.LoopOptions{Steps: cycles + 1, Solver: adaptSolver})
 		if err != nil {
 			return nil, err
 		}
@@ -39,17 +40,16 @@ func runAdapt(cfg core.Config, m *mesh.Mesh, iso bool, tracer *trace.Tracer, std
 		return steps[len(steps)-1].Mesh, nil
 	}
 
-	build, resample, err := adapt.MetricSource(cfg.Adapt, adapt.DefaultSolve(adaptSolver))
+	build, resample, err := adapt.MetricSource(metricSpec, adapt.DefaultSolve(adaptSolver))
 	if err != nil {
 		return nil, err
 	}
 	opt := adapt.Options{
 		Workers:  cfg.Ranks,
-		Ranks:    cfg.Ranks,
 		Tracer:   tracer,
 		Resample: resample,
 	}
-	adapted, reps, err := adapt.Cycles(m, cfg.Adapt, opt, build)
+	adapted, reps, err := adapt.Cycles(m, cycles, opt, build)
 	if !quiet {
 		for _, r := range reps {
 			fmt.Fprintf(stderr, "adapt %d              %d splits, %d collapses, %d swaps, %d smooths; %.1f%% of %d edges in band (%d sweeps)\n",

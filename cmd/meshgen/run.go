@@ -310,9 +310,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Export the trace and metrics even when generation failed: the
-	// partial record of an aborted run is usually the record being
-	// debugged. The generation error still wins the exit status.
+	// Adaptation runs before the export so that its spans and counters
+	// are in the artifacts; like a generation error, its error still
+	// leaves the partial record written.
+	if err == nil && *adaptN > 0 {
+		if fabric != nil {
+			err = fmt.Errorf("-adapt-cycles requires -transport inproc")
+		} else {
+			res.Mesh, err = runAdapt(cfg, res.Mesh, *adaptN, *adaptMet, *adaptIso, tracer, stderr, *quiet)
+		}
+	}
+
+	// Export the trace and metrics even when generation or adaptation
+	// failed: the partial record of an aborted run is usually the record
+	// being debugged. That error still wins the exit status.
 	var telems []*trace.Telemetry
 	if tracer != nil {
 		foldPoolGauges(tracer.Metrics(), poolGets0, poolPuts0)
@@ -346,18 +357,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-
-	if *adaptN > 0 {
-		if fabric != nil {
-			return fmt.Errorf("-adapt-cycles requires -transport inproc")
-		}
-		cfg.Adapt = core.AdaptParams{Cycles: *adaptN, Metric: *adaptMet}
-		adapted, err := runAdapt(cfg, res.Mesh, *adaptIso, tracer, stderr, *quiet)
-		if err != nil {
-			return err
-		}
-		res.Mesh = adapted
 	}
 
 	w := stdout

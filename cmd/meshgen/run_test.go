@@ -263,6 +263,61 @@ func TestRunAdaptCycles(t *testing.T) {
 	}
 }
 
+// TestRunAdaptTraced: the adaptation runs before the trace and metrics
+// are exported, so its pass spans and counters are in the artifacts.
+func TestRunAdaptTraced(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	var stdout, errb bytes.Buffer
+	err := run(context.Background(),
+		fastArgs("-q", "-adapt-cycles", "1", "-adapt-metric", "uniform:h=0.3",
+			"-trace", tracePath, "-metrics", metricsPath),
+		&stdout, &errb)
+	if err != nil {
+		t.Fatalf("adapt run: %v\n%s", err, errb.String())
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tj struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &tj); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range tj.TraceEvents {
+		if e.Ph != "X" || e.Name != "adapt.split" {
+			continue
+		}
+		found = true
+		for _, key := range []string{"eval_ms", "select_ms", "commit_ms"} {
+			if _, ok := e.Args[key].(float64); !ok {
+				t.Fatalf("adapt.split span lacks numeric arg %s: %v", key, e.Args)
+			}
+		}
+	}
+	if !found {
+		t.Error("trace holds no adapt.split span")
+	}
+	data, err = os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mj trace.MetricsJSON
+	if err := json.Unmarshal(data, &mj); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := mj.Counters["adapt.split"]; !ok {
+		t.Errorf("metrics file has no adapt.split counter: %v", mj.Counters)
+	}
+}
+
 func TestRunAdaptIso(t *testing.T) {
 	var stdout, errb bytes.Buffer
 	err := run(context.Background(),

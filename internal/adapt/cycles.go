@@ -1,9 +1,9 @@
 package adapt
 
 // Cycle driver shared by the meshgen and meshadapt CLIs: resolve a
-// core.AdaptParams metric source (analytic spec or Hessian-of-solution),
-// then alternate build-metric / run-operators / audit for the requested
-// number of cycles. Re-building the metric between cycles is what makes
+// metric source (analytic spec or Hessian-of-solution), then alternate
+// build-metric / run-operators / audit for the requested number of
+// cycles. Re-building the metric between cycles is what makes
 // "hessian" adaptive in the Figure 1 sense — the solution is recomputed
 // on each adapted mesh, so the metric chases the features the previous
 // cycle resolved.
@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"pamg2d/internal/audit"
-	"pamg2d/internal/core"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/metric"
@@ -64,13 +63,14 @@ type CycleReport struct {
 	Audit *audit.Report
 }
 
-// MetricSource resolves p.Metric into a field builder evaluated against
+// MetricSource resolves spec — "hessian" (or empty), or an analytic spec
+// understood by metric.ParseSpec — into a field builder evaluated against
 // each cycle's current mesh, plus an analytic resample function when the
 // source is a closed-form spec (nil for "hessian", where new vertices
 // interpolate instead). solve supplies the cell-centered solution field
 // for the Hessian source and may be nil for analytic specs.
-func MetricSource(p core.AdaptParams, solve func(*mesh.Mesh) ([]float64, error)) (func(*mesh.Mesh) (metric.Field, error), func(geom.Point) metric.M, error) {
-	if p.Metric == "" || p.Metric == "hessian" {
+func MetricSource(spec string, solve func(*mesh.Mesh) ([]float64, error)) (func(*mesh.Mesh) (metric.Field, error), func(geom.Point) metric.M, error) {
+	if spec == "" || spec == "hessian" {
 		if solve == nil {
 			return nil, nil, fmt.Errorf("adapt: the hessian metric source needs a solver")
 		}
@@ -90,7 +90,7 @@ func MetricSource(p core.AdaptParams, solve func(*mesh.Mesh) ([]float64, error))
 		}
 		return build, nil, nil
 	}
-	fn, err := metric.ParseSpec(p.Metric)
+	fn, err := metric.ParseSpec(spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,23 +100,13 @@ func MetricSource(p core.AdaptParams, solve func(*mesh.Mesh) ([]float64, error))
 	return build, fn, nil
 }
 
-// Cycles runs p.Cycles adaptation cycles on m, auditing every cycle's
-// output mesh with the adapted profile. The input mesh is not modified.
+// Cycles runs max(cycles, 1) adaptation cycles on m, auditing every
+// cycle's output mesh with the adapted profile. The input mesh is not modified.
 // On an audit failure the offending mesh's report is the last entry of
 // the returned slice and the error wraps an *audit.Error.
-func Cycles(m *mesh.Mesh, p core.AdaptParams, opt Options, build func(*mesh.Mesh) (metric.Field, error)) (*mesh.Mesh, []CycleReport, error) {
-	n := p.Cycles
-	if n < 1 {
-		n = 1
-	}
-	if p.SweepCap > 0 {
-		opt.MaxSweeps = p.SweepCap
-	}
-	if p.Band > 1 {
-		opt.Band = p.Band
-	}
+func Cycles(m *mesh.Mesh, cycles int, opt Options, build func(*mesh.Mesh) (metric.Field, error)) (*mesh.Mesh, []CycleReport, error) {
 	var reps []CycleReport
-	for c := 0; c < n; c++ {
+	for c := 0; c < max(cycles, 1); c++ {
 		f, err := build(m)
 		if err != nil {
 			return m, reps, fmt.Errorf("adapt: cycle %d metric: %w", c, err)

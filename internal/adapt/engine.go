@@ -24,19 +24,19 @@ package adapt
 // key sort yields the one permutation a stable sort on priority would —
 // and ring walks use a canonical starting triangle, so the adapted mesh
 // is a function of the input mesh and field alone, independent of worker
-// count, rank count and commit scheduling.
+// count and commit scheduling.
 //
-// Cost: a pass allocates nothing per plan. Each evaluator (worker w
-// locally, rank r under Options.Ranks) appends its plans by value to its
-// own evalBuf and their cavities to that buffer's arena; a candidate that
-// fails validation — a failed collapse form included, before the next
-// form is tried — truncates the arena back to the mark taken before it,
-// so what the buffers hold after evaluation is exactly the pass's plans.
-// The buffers, the chunk windows and the pointer, key and selected lists
-// are reset per pass and live for the Adapt call. Quality evaluation
-// reads the per-vertex log-tensor cache (topo.lmet) instead of taking
-// three matrix logarithms per triangle; metric.TriQualityLog is the one
-// implementation behind both forms, so the cache changes no bit.
+// Cost: a pass allocates nothing per plan. Each worker appends its plans
+// by value to its own evalBuf and their cavities to that buffer's arena; a
+// candidate that fails validation — a failed collapse form included,
+// before the next form is tried — truncates the arena back to the mark
+// taken before it, so what the buffers hold after evaluation is exactly
+// the pass's plans. The buffers, the chunk windows and the pointer, key
+// and selected lists are reset per pass and live for the Adapt call.
+// Quality evaluation reads the per-vertex log-tensor cache (topo.lmet)
+// instead of taking three matrix logarithms per triangle;
+// metric.TriQualityLog is the one implementation behind both forms, so
+// the cache changes no bit.
 
 import (
 	"fmt"
@@ -67,9 +67,8 @@ type Options struct {
 	// Workers is the number of evaluation/commit goroutines; 0 resolves
 	// to 1. The result is identical for every worker count.
 	Workers int
-	// Ranks > 1 distributes plan evaluation over an in-process MPI world
-	// via the loadbal work-stealing scheduler; selection and commit stay
-	// on the root. 0 and 1 evaluate locally.
+	// Deprecated: alias of Workers kept for bench/; see ROADMAP 8a. The
+	// larger of the two is the worker count.
 	Ranks int
 	// Tracer, when non-nil, records one CatKernel span per pass and
 	// adapt.* metrics; Rank is the track spans land on.
@@ -96,9 +95,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 20
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
+	o.Workers = max(o.Workers, o.Ranks, 1) // Ranks: deprecated alias
 	return o
 }
 
@@ -132,14 +129,14 @@ type engine struct {
 	res       Result
 
 	// Per-pass storage, reset by every pass and reused by the next.
-	bufs  []evalBuf // one per evaluator: worker w, or rank r in evaluateDist
-	wins  []planWin // local evaluation: chunk c's plans are bufs[ev].plans[lo:hi]
+	bufs  []evalBuf // one per worker
+	wins  []planWin // chunk c's plans are bufs[ev].plans[lo:hi]
 	plans []*opPlan // the pass's plans in chunk order
 	keys  []planKey // selection order over plans
 	sel   []*opPlan // the selected subset
 }
 
-// evalBuf is one evaluator's plan storage. Plans are appended by value;
+// evalBuf is one worker's plan storage. Plans are appended by value;
 // their cavities are appended to the cav arena and opPlan.Cav is left a
 // capacity-clamped window of it. s1 and s2 are the ring-walk scratch,
 // nbrs tryCollapse's list of the dying vertex's neighbors.
@@ -158,7 +155,7 @@ func (b *evalBuf) push(p *opPlan, mark int) {
 	b.plans = append(b.plans, *p)
 }
 
-// planWin is one chunk's window of an evaluator's plans.
+// planWin is one chunk's window of a worker's plans.
 type planWin struct{ ev, lo, hi int32 }
 
 // planKey orders plans[idx] for selection.
@@ -192,13 +189,11 @@ func Adapt(m *mesh.Mesh, f metric.Field, opt Options) (*mesh.Mesh, *Result, erro
 	return tp.mesh(), &e.res, nil
 }
 
-// newEngine sizes the evaluator buffers for whichever of the two
-// evaluation paths opt selects: Workers goroutines locally, Ranks ranks
-// in evaluateDist.
+// newEngine gives each of opt.Workers workers its evaluation buffer.
 func newEngine(tp *topo, opt Options) *engine {
 	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
 		claimVert: make([]uint32, len(tp.pts)),
-		bufs:      make([]evalBuf, max(opt.Workers, opt.Ranks))}
+		bufs:      make([]evalBuf, opt.Workers)}
 	for i := range e.bufs {
 		e.bufs[i].s1 = make([]int32, 0, maxRing)
 		e.bufs[i].s2 = make([]int32, 0, maxRing)
@@ -217,11 +212,7 @@ func (e *engine) run() error {
 			if (k == opSwap && e.opt.NoSwap) || (k == opSmooth && e.opt.NoSmooth) {
 				continue
 			}
-			n, err := e.pass(k)
-			if err != nil {
-				return err
-			}
-			changed += n
+			changed += e.pass(k)
 		}
 		e.res.Sweeps = s + 1
 		edges, in := e.edgeBand()
@@ -247,7 +238,7 @@ func (e *engine) run() error {
 
 // pass runs one evaluate/select/commit round of a single operator kind
 // and returns the number of committed operations.
-func (e *engine) pass(kind opKind) (int, error) {
+func (e *engine) pass(kind opKind) int {
 	tr := e.opt.Tracer
 	var span trace.Span
 	var stamp [4]time.Time // evaluate | select | commit+recycle |; read only when tracing
@@ -261,14 +252,7 @@ func (e *engine) pass(kind opKind) (int, error) {
 	}
 	lap(0)
 	e.resetPass()
-	if e.opt.Ranks > 1 {
-		if err := e.evaluateDist(kind); err != nil {
-			span.End()
-			return 0, err
-		}
-	} else {
-		e.evaluate(kind)
-	}
+	e.evaluate(kind)
 	lap(1)
 	sel := e.selectPlans()
 	lap(2)
@@ -295,7 +279,7 @@ func (e *engine) pass(kind opKind) (int, error) {
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
 		mm.Gauge("adapt.live_triangles", float64(e.tp.live))
 	}
-	return len(sel), nil
+	return len(sel)
 }
 
 // resetPass empties the evaluator buffers and the plan list, keeping
@@ -319,7 +303,7 @@ func (e *engine) items(kind opKind) int {
 
 // evaluate computes every candidate plan of one kind against the frozen
 // topology into e.plans. Work is cut into fixed chunks independent of the
-// worker count; each chunk records which window of which evaluator's
+// worker count; each chunk records which window of which worker's
 // buffer it filled and the windows are walked in chunk order, so the plan
 // list — and everything downstream — is worker-count invariant.
 func (e *engine) evaluate(kind opKind) {

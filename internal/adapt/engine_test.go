@@ -3,7 +3,6 @@ package adapt
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -155,8 +154,8 @@ var fieldModes = []struct {
 }{{"resample", true}, {"interp", false}}
 
 // TestAdaptDeterministicWorkers demands byte-identical output for every
-// worker count, in both field modes, and when workers and ranks are both
-// set (evaluation then runs on the ranks, commit on the workers).
+// worker count, in both field modes, and for the deprecated Ranks alias of
+// Workers (the last two rows: this is the whole test of the alias).
 func TestAdaptDeterministicWorkers(t *testing.T) {
 	f, err := metric.ParseSpec("bl:x0=0,y0=0,x1=1,y1=0,hn=0.03,ht=0.2,grow=0.7")
 	if err != nil {
@@ -179,47 +178,9 @@ func TestAdaptDeterministicWorkers(t *testing.T) {
 			return out
 		}
 		ref := run(1, 0)
-		for _, w := range []int{2, 4, 7} {
-			if !sameMesh(ref, run(w, 0)) {
-				t.Fatalf("%s, workers=%d: adapted mesh differs from sequential result", mode.name, w)
-			}
-		}
-		if !sameMesh(ref, run(2, 3)) {
-			t.Fatalf("%s, workers=2 ranks=3: adapted mesh differs from sequential result", mode.name)
-		}
-	}
-}
-
-// TestAdaptDistMatchesLocal runs the evaluation fan-out over an
-// in-process world and demands the identical mesh.
-func TestAdaptDistMatchesLocal(t *testing.T) {
-	f, err := metric.ParseSpec("uniform:h=0.08")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range fieldModes {
-		opt := Options{}
-		if mode.resample {
-			opt.Resample = f
-		}
-		m := egrid(t, 5)
-		ref, _, err := Adapt(m, metric.Analytic(m, f), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, wr := range [][2]int{{0, 3}, {2, 3}} {
-			opt.Workers, opt.Ranks = wr[0], wr[1]
-			m2 := egrid(t, 5)
-			got, res, err := Adapt(m2, metric.Analytic(m2, f), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameMesh(ref, got) {
-				t.Fatalf("%s, workers=%d ranks=%d: mesh differs from local mesh (%d vs %d triangles)",
-					mode.name, wr[0], wr[1], got.NumTriangles(), ref.NumTriangles())
-			}
-			if res.Splits == 0 {
-				t.Fatalf("%s: distributed run planned nothing", mode.name)
+		for _, wr := range [][2]int{{2, 0}, {4, 0}, {7, 0}, {0, 3}, {2, 3}} {
+			if !sameMesh(ref, run(wr[0], wr[1])) {
+				t.Fatalf("%s, workers=%d ranks=%d: adapted mesh differs from sequential result", mode.name, wr[0], wr[1])
 			}
 		}
 	}
@@ -344,101 +305,6 @@ func TestAdaptNoOp(t *testing.T) {
 	}
 	if out.NumTriangles() != m.NumTriangles() {
 		t.Fatalf("triangle count changed: %d -> %d", m.NumTriangles(), out.NumTriangles())
-	}
-}
-
-func TestPlanBatchCodecRoundTrip(t *testing.T) {
-	in := &planBatch{
-		Chunk: 7,
-		Plans: []opPlan{
-			{
-				Kind: opSplit, Prio: 2.5, T: 3, E: 1,
-				Pos: geom.Pt(0.25, -1.5), Met: metric.Iso(0.1), Bnd: true,
-				Cav: []int32{3},
-				Pat: [2]patchRef{{T: 9, E: 2}, {T: -1, E: -1}},
-			},
-			{
-				Kind: opCollapse, Prio: 11, T: 4, E: 0, V: 12, Keep: 13, NDy: 2,
-				Cav: []int32{4, 5, 6, 7},
-				Dy: [2]dyingRef{
-					{D: 4, K: 20, R: 5, W: 14, KE: 1},
-					{D: 7, K: -1, R: 6, W: 15, KE: -1},
-				},
-			},
-			{
-				Kind: opCollapse, Prio: 3, T: 8, E: 2, V: 21, Keep: 22, NDy: 2,
-				Mid: true, Pos: geom.Pt(0.5, 0.75), Met: metric.FromSpacings(0.01, 0.1, geom.V(0, 1)),
-				Cav: []int32{8, 9, 10, 11, 30},
-				Dy: [2]dyingRef{
-					{D: 8, K: 40, R: 9, W: 23, KE: 0},
-					{D: 11, K: 41, R: 10, W: 24, KE: 2},
-				},
-			},
-		},
-	}
-	b := encodePlanBatch(in, nil)
-	if got, want := len(b), in.WireBytes(); got != want {
-		t.Fatalf("encoded %d bytes, wireBytes claims %d", got, want)
-	}
-	ref, err := decodePlanBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ref.(*planBatch)
-	if out.Chunk != in.Chunk || len(out.Plans) != len(in.Plans) {
-		t.Fatalf("round trip: %+v", out)
-	}
-	for i := range in.Plans {
-		if !reflect.DeepEqual(in.Plans[i], out.Plans[i]) {
-			t.Fatalf("plan %d round trip:\n in  %+v\n out %+v", i, in.Plans[i], out.Plans[i])
-		}
-	}
-	// Malformed input must error, not panic.
-	for cut := 0; cut < len(b); cut += 7 {
-		if _, err := decodePlanBatch(b[:cut]); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
-		}
-	}
-	if _, err := decodePlanBatch(append(b, 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-	// A field the root would index with must be in range at the wire:
-	// recycle and commitCollapse read p.Dy[i] for i < NDy, commits read
-	// v[p.E], patch writes n[Pat.E] and n[Dy.KE]. Offsets: 8-byte header;
-	// a plan is kind, flags, E, NDy, 64 bytes of scalars, the cavity count
-	// and list, then 2 x (T int32, E) and 2 x (D, K, R, W int32, KE).
-	plan0 := 8
-	plan1 := plan0 + planWireFixed + 4*len(in.Plans[0].Cav)
-	tail0 := plan0 + 68 + 4*len(in.Plans[0].Cav) // first byte after plan 0's cavity list
-	tail1 := plan1 + 68 + 4*len(in.Plans[1].Cav)
-	for _, tc := range []struct {
-		off   int
-		val   byte
-		plan  int
-		field string
-	}{
-		{plan0 + 0, 0, 0, "Kind"},
-		{plan1 + 0, 5, 1, "Kind"},
-		{plan1 + 3, 3, 1, "NDy"},
-		{plan0 + 3, 0xff, 0, "NDy"},
-		{plan0 + 2, 3, 0, "E"},
-		{plan1 + 2, 0xff, 1, "E"},
-		{tail0 + 4, 0xfe, 0, "Pat[0].E"},
-		{tail1 + 9, 3, 1, "Pat[1].E"},
-		{tail1 + 10 + 16, 3, 1, "Dy[0].KE"},
-		{tail0 + 10 + 33, 0xfe, 0, "Dy[1].KE"},
-	} {
-		bad := append([]byte(nil), b...)
-		bad[tc.off] = tc.val
-		_, err := decodePlanBatch(bad)
-		var fe *PlanFieldError
-		if !errors.As(err, &fe) || fe.Plan != tc.plan || fe.Field != tc.field || fe.Value != int(int8(tc.val)) {
-			t.Fatalf("byte %d = %#x: error %v, want a PlanFieldError for plan %d field %s", tc.off, tc.val, err, tc.plan, tc.field)
-		}
-	}
-	// One slab and one arena per batch, whatever the number of plans.
-	if n := testing.AllocsPerRun(20, func() { _, _ = decodePlanBatch(b) }); n > 4 {
-		t.Fatalf("decoding a %d-plan batch allocates %.0f objects, want the batch, its slab and its arena", len(in.Plans), n)
 	}
 }
 

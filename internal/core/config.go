@@ -117,13 +117,6 @@ type Config struct {
 	// as engine-hosted ones. Engine.Run ignores it (the engine's own
 	// logger wins); nil keeps logging fully disabled.
 	Logger *slog.Logger
-	// Adapt carries the metric-adaptation parameters for tools that run
-	// the internal/adapt cavity-operator engine after generation. The
-	// pipeline itself ignores it (core cannot depend on adapt, which sits
-	// above it); CLIs such as meshgen and meshadapt read it to drive
-	// their post-generation adaptation cycles.
-	Adapt AdaptParams
-
 	// TaskHook, when set, runs at the start of every distributed task's
 	// execution with the stage name and task kind; a non-nil return fails
 	// the task on the rank executing it. It exists for test and
@@ -137,29 +130,6 @@ type Config struct {
 	// before the audit stage inspects it; the failure-path tests corrupt
 	// the mesh here to prove violations surface as stage errors.
 	testMutateMesh func(*mesh.Mesh)
-}
-
-// AdaptParams is the passive metric-adaptation configuration carried on
-// Config.Adapt. It is plain data: the source of the target metric field
-// and the loop bounds. The adaptation engine lives in internal/adapt
-// (which imports core), so core only transports these values.
-type AdaptParams struct {
-	// Cycles is the number of adapt cycles to run after generation
-	// (each cycle: build/refresh the metric field, run the cavity
-	// operators to convergence or SweepCap, audit). 0 disables
-	// adaptation.
-	Cycles int
-	// Metric selects the metric source: an analytic spec string
-	// understood by metric.ParseSpec ("uniform:h=…", "bl:…"), or
-	// "hessian" to rebuild the metric each cycle from the Hessian of a
-	// solved field.
-	Metric string
-	// SweepCap bounds the operator sweeps per cycle; 0 uses the adapt
-	// package default.
-	SweepCap int
-	// Band overrides the metric-length acceptance band upper bound
-	// (edges converge into [1/Band, Band]); 0 uses sqrt(2).
-	Band float64
 }
 
 // Kernel identifies a sequential meshing kernel for the inviscid regions.

@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"testing"
 
-	_ "pamg2d/internal/adapt" // registers the plan-batch codec (48)
 	"pamg2d/internal/core"
 )
 
 // FuzzResultListDecode hammers the result-list packer — the one parser of
 // the multi-process agreement's payload — with every registered result
-// codec behind it (core's task and audit results, adapt's plan batches):
-// arbitrary bytes must never panic or allocate beyond their own size, and
-// anything accepted must re-encode to the identical bytes.
+// codec behind it (core's task and audit results): arbitrary bytes must
+// never panic or allocate beyond their own size, and anything accepted
+// must re-encode to the identical bytes.
 func FuzzResultListDecode(f *testing.F) {
 	for _, list := range core.RealResultLists(f) {
 		f.Add(list)
@@ -21,8 +20,8 @@ func FuzzResultListDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255})
 	// One entry each: an empty task result, an audit result claiming a
-	// violation it does not carry, an empty plan batch, an all-zero plan
-	// (Kind 0, which the plan decoder rejects).
+	// violation it does not carry, and two entries naming codec 48, which
+	// nothing registers: they must be rejected, not panic.
 	f.Add([]byte{1, 0, 0, 0, 32, 0, 4, 0, 0, 0, 9, 0, 0, 0})
 	f.Add(append([]byte{1, 0, 0, 0, 33, 0, 28, 0, 0, 0}, append(make([]byte, 24), 1, 0, 0, 0)...))
 	f.Add([]byte{1, 0, 0, 0, 48, 0, 8, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})

@@ -2,9 +2,8 @@ package loadbal
 
 // Scatter is the one distributed-phase executor: every phase that fans
 // tasks out over a world and collects one result per task at the root —
-// the meshing stages, the audit stage, adaptation's plan evaluation —
-// goes through it, so the deal, the recovery wiring, the result protocol
-// and its de-duplication exist once.
+// the meshing stages, the audit stage — goes through it, so the deal, the
+// recovery wiring, the result protocol and its de-duplication exist once.
 
 import (
 	"context"
