@@ -616,54 +616,3 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	b.ReportMetric(with*1000, "prefetch-ms")
 	b.ReportMetric(without*1000, "blocking-ms")
 }
-
-// BenchmarkKernelComparison runs the pipeline with the Delaunay-refinement
-// kernel (the paper's choice) and with the advancing-front baseline from
-// its related work, reporting both meshing times and element counts.
-func BenchmarkKernelComparison(b *testing.B) {
-	for _, k := range []struct {
-		name   string
-		kernel core.Kernel
-	}{
-		{"ruppert", core.KernelRuppert},
-		{"advancing-front", core.KernelAdvancingFront},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			cfg := benchConfig()
-			cfg.InviscidKernel = k.kernel
-			var tris int
-			for i := 0; i < b.N; i++ {
-				res, err := core.Generate(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tris = res.Stats.InviscidTris
-			}
-			b.ReportMetric(float64(tris), "inviscid-triangles")
-		})
-	}
-}
-
-// BenchmarkWeakScaling reports the complementary weak-scaling study the
-// paper leaves to future work: the workload grows with the rank count, so
-// flat time (efficiency near 1) is ideal.
-func BenchmarkWeakScaling(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Ranks = 1
-	cfg.SubdomainsPerRank = 64
-	res, err := core.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var base []perfmodel.Task
-	for _, tm := range res.Stats.Tasks {
-		base = append(base, perfmodel.Task{Cost: tm.Seconds, Bytes: tm.Bytes, BoundaryLayer: tm.BoundaryLayer})
-	}
-	var e64 float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts := perfmodel.WeakScaling(base, 0.001, perfmodel.FDRInfiniband(), []int{1, 4, 16, 64})
-		e64 = pts[len(pts)-1].Efficiency
-	}
-	b.ReportMetric(100*e64, "weak-efficiency-64-pct")
-}

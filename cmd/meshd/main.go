@@ -38,6 +38,16 @@ import (
 	"pamg2d/internal/core"
 )
 
+// Read limits of the listener: a client gets readHeaderTimeout to finish
+// its request headers and readTimeout to finish the whole request, body
+// included, so a connection that trickles bytes cannot hold a handler.
+// There is no write timeout: a response may take a whole run, which the
+// per-request deadline (-max-timeout) already bounds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "meshd: %v\n", err)
@@ -113,7 +123,12 @@ func run(args []string) error {
 		Logger:      logger,
 		EnablePprof: *enablePprof,
 	})
-	hs := &http.Server{Addr: *listen, Handler: srv}
+	hs := &http.Server{
+		Addr:              *listen,
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -48,7 +48,6 @@ type meshParams struct {
 	SurfaceH0 float64 `json:"h0,omitempty"`
 	Gradation float64 `json:"gradation,omitempty"`
 	HMax      float64 `json:"hmax,omitempty"`
-	Kernel    string  `json:"kernel,omitempty"` // ruppert | front
 	Audit     bool    `json:"audit,omitempty"`
 	Format    string  `json:"format,omitempty"`     // ascii | binary | vtk
 	TimeoutMS int     `json:"timeout_ms,omitempty"` // capped by the server limit
@@ -159,6 +158,10 @@ func (tr *traceRing) get(id string) ([]byte, bool) {
 	d, ok := tr.byID[id]
 	return d, ok
 }
+
+// maxRequestBytes caps a POST /mesh body, inline .poly included; 16 MiB
+// holds a .poly of some 200,000 vertices.
+const maxRequestBytes = 16 << 20
 
 // serverOptions sizes a meshd server.
 type serverOptions struct {
@@ -281,9 +284,6 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	if p.HMax <= 0 {
 		p.HMax = 4.0
 	}
-	if p.Kernel == "" {
-		p.Kernel = "ruppert"
-	}
 	if p.Format == "" {
 		p.Format = "ascii"
 	}
@@ -327,14 +327,6 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	cfg.HMax = p.HMax
 	cfg.Ranks = 0 // adopt the engine's
 	cfg.Audit = p.Audit
-	switch p.Kernel {
-	case "ruppert":
-		cfg.InviscidKernel = core.KernelRuppert
-	case "front":
-		cfg.InviscidKernel = core.KernelAdvancingFront
-	default:
-		return cfg, "", fmt.Errorf("unknown kernel %q", p.Kernel)
-	}
 	switch p.Format {
 	case "ascii", "binary", "vtk":
 	default:
@@ -378,10 +370,19 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	m.Count("server.requests", 1)
 	t0 := time.Now()
 
+	// A field the server does not know is refused by name, never meshed
+	// with the default in its place and cached; a body past the cap is cut
+	// off before the decoder buffers it.
 	var req meshRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.httpError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	cfg, key, err := s.buildConfig(&req)

@@ -374,26 +374,29 @@ func TestServeTraceExport(t *testing.T) {
 }
 
 // TestServeBadRequests: malformed inputs come back as 400s with JSON
-// error bodies, not 500s or hangs.
+// error bodies that name what was wrong, not 500s or hangs — and not a
+// 200 for the default mesh when a field is unknown or misspelt.
 func TestServeBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, core.EngineConfig{Ranks: 1}, serverOptions{})
 	cases := []struct {
-		name, body string
+		name, body, want string
 	}{
-		{"bad json", `{`},
-		{"unknown geometry", `{"geometry":"b747"}`},
-		{"unknown kernel", `{"geometry":"naca0012","params":{"kernel":"voronoi"}}`},
-		{"unknown format", `{"geometry":"naca0012","params":{"format":"stl"}}`},
-		{"bad poly", `{"poly":"not a poly file"}`},
+		{"bad json", `{`, "decode request"},
+		{"unknown geometry", `{"geometry":"b747"}`, `"b747"`},
+		{"removed kernel parameter", `{"geometry":"naca0012","params":{"kernel":"front"}}`, `"kernel"`},
+		{"misspelt parameter", `{"geometry":"naca0012","params":{"gradaton":0.1}}`, `"gradaton"`},
+		{"unknown top-level field", `{"geometry":"naca0012","ranks":8}`, `"ranks"`},
+		{"unknown format", `{"geometry":"naca0012","params":{"format":"stl"}}`, `"stl"`},
+		{"bad poly", `{"poly":"not a poly file"}`, "poly"},
 	}
 	for _, c := range cases {
 		resp, body := postMesh(t, ts.URL, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
+			t.Errorf("%s: status %d, want 400 (%.200s)", c.name, resp.StatusCode, body)
 		}
 		var e map[string]string
-		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: error body %q is not {\"error\": ...}", c.name, body)
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e["error"], c.want) {
+			t.Errorf("%s: error body %.200q is not {\"error\": ...} naming %s", c.name, body, c.want)
 		}
 	}
 	if resp, _ := postMesh(t, ts.URL, ""); resp.StatusCode != http.StatusBadRequest {
@@ -464,6 +467,32 @@ func TestServeNonFinitePoly(t *testing.T) {
 	}
 }
 
+// TestServeBodyCap: a body over maxRequestBytes is a 413 and never reaches
+// the engine. The request is valid JSON behind 17 MiB of leading white
+// space — without the cap it is decoded and meshed. The handler is driven
+// directly: a client cut off mid-upload may see a reset, not the status.
+func TestServeBodyCap(t *testing.T) {
+	eng, err := core.NewEngine(core.EngineConfig{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv := newServer(eng, serverOptions{})
+	body := append(bytes.Repeat([]byte{' '}, 17<<20), `{"geometry":"naca0012","n":16}`...)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/mesh", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413 (%.200s)", rec.Code, rec.Body.String())
+	}
+	snap := eng.Metrics().Snapshot()
+	if n := snap.Counters["engine.runs"]; n != 0 {
+		t.Errorf("engine.runs = %d after an oversized body, want 0", n)
+	}
+	if n := snap.Counters["server.status.413"]; n != 1 {
+		t.Errorf("server.status.413 = %d, want 1", n)
+	}
+}
+
 // TestServeHealthz sanity-checks the liveness endpoint.
 func TestServeHealthz(t *testing.T) {
 	ts, eng := newTestServer(t, core.EngineConfig{Ranks: 3}, serverOptions{})
@@ -495,7 +524,7 @@ func TestCacheKeyEquivalence(t *testing.T) {
 	}
 	// Explicit defaults == omitted defaults.
 	resp2, _ := postMesh(t, ts.URL,
-		`{"geometry":"naca0012","n":16,"params":{"h0":0.02,"gradation":0.15,"hmax":4.0,"kernel":"ruppert","format":"ascii"}}`)
+		`{"geometry":"naca0012","n":16,"params":{"h0":0.02,"gradation":0.15,"hmax":4.0,"format":"ascii"}}`)
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Errorf("explicit defaults: X-Cache %q, want hit", resp2.Header.Get("X-Cache"))
 	}

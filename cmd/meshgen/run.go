@@ -17,6 +17,7 @@ import (
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/core"
 	"pamg2d/internal/growth"
+	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/pslg"
 	"pamg2d/internal/trace"
@@ -58,7 +59,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		surfaceH    = fs.Float64("h0", 0.02, "isotropic surface edge length")
 		gradation   = fs.Float64("gradation", 0.15, "sizing growth with distance")
 		hmax        = fs.Float64("hmax", 4.0, "far-field edge length cap")
-		kernel      = fs.String("kernel", "ruppert", "inviscid kernel: ruppert | front")
 		auditRun    = fs.Bool("audit", false, "verify mesh invariants after the merge (fails the run on violations)")
 		strictRanks = fs.Bool("strict-ranks", false, "fail the run if any rank died (default: a degraded run that completes on the survivors exits 0)")
 		faultRank   = fs.Int("fault-kill-rank", -1, "fault injection: this worker rank SIGKILLs itself mid-run (tcp transport; rehearses rank-death recovery)")
@@ -76,10 +76,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		runID       = fs.String("run-id", "", "run correlation ID stamped on logs and stats (default: engine-assigned when observability is on)")
 		adaptN      = fs.Int("adapt-cycles", 0, "metric-adaptation cycles after generation (0 = off)")
 		adaptMet    = fs.String("adapt-metric", "hessian", "metric source: hessian | a metric spec (uniform:h=… | bl:…)")
-		adaptIso    = fs.Bool("adapt-iso", false, "adapt with the isotropic indicator loop (full regeneration per cycle) instead of the cavity-operator engine")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The writer is resolved here, with the other flags: an unknown format
+	// fails before a mesh is generated or -o is created.
+	var write func(*mesh.Mesh, io.Writer) error
+	switch *format {
+	case "ascii":
+		write = (*mesh.Mesh).WriteASCII
+	case "binary":
+		write = (*mesh.Mesh).WriteBinary
+	case "vtk":
+		write = func(m *mesh.Mesh, w io.Writer) error { return m.WriteVTK(w, nil) }
+	default:
+		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -182,15 +194,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.HMax = *hmax
 	cfg.Ranks = *ranks
 	cfg.Audit = *auditRun
-	switch *kernel {
-	case "ruppert":
-		cfg.InviscidKernel = core.KernelRuppert
-	case "front":
-		cfg.InviscidKernel = core.KernelAdvancingFront
-	default:
-		return fmt.Errorf("unknown kernel %q", *kernel)
-	}
-
 	cfg.RunID = *runID
 	var fabric *mpi.Cluster
 	switch {
@@ -313,11 +316,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Adaptation runs before the export so that its spans and counters
 	// are in the artifacts; like a generation error, its error still
 	// leaves the partial record written.
+	var adapted *mesh.Mesh
 	if err == nil && *adaptN > 0 {
 		if fabric != nil {
 			err = fmt.Errorf("-adapt-cycles requires -transport inproc")
 		} else {
-			res.Mesh, err = runAdapt(cfg, res.Mesh, *adaptN, *adaptMet, *adaptIso, tracer, stderr, *quiet)
+			adapted, err = runAdapt(res.Mesh, *adaptN, *adaptMet, cfg.Ranks, tracer, stderr, *quiet)
 		}
 	}
 
@@ -368,26 +372,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	switch *format {
-	case "ascii":
-		err = res.Mesh.WriteASCII(w)
-	case "binary":
-		err = res.Mesh.WriteBinary(w)
-	case "vtk":
-		err = res.Mesh.WriteVTK(w, nil)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
+	final := res.Mesh // the mesh written: the generated one, or its adaptation
+	if adapted != nil {
+		final = adapted
 	}
-	if err != nil {
+	if err := write(final, w); err != nil {
 		return err
 	}
 
 	if !*quiet {
 		st := res.Stats
-		q := res.Mesh.Quality()
+		q := final.Quality()
 		fmt.Fprintf(stderr, "points               %d\n", res.Mesh.NumPoints())
 		fmt.Fprintf(stderr, "triangles            %d (BL %d, transition %d, inviscid %d)\n",
 			res.Mesh.NumTriangles(), st.BLTriangles, st.TransitionTris, st.InviscidTris)
+		if adapted != nil {
+			fmt.Fprintf(stderr, "adapted              %d points, %d triangles\n", adapted.NumPoints(), adapted.NumTriangles())
+		}
 		fmt.Fprintf(stderr, "boundary-layer pts   %d from %d surface points\n",
 			st.BoundaryLayerPts, st.SurfacePoints)
 		fmt.Fprintf(stderr, "max aspect ratio     %.1f\n", q.MaxAspectRatio)

@@ -1,3 +1,11 @@
+// Package adapt adapts an existing mesh to a Riemannian metric field with
+// local cavity operators — edge split, collapse and swap, and
+// metric-weighted smoothing — and drives the paper's Figure 1 loop on that
+// engine: Adapt runs the operators against one field (this file, ops.go,
+// topo.go); Cycles re-builds the field on each adapted mesh, for the
+// "hessian" source by re-solving the model problem there, and audits every
+// cycle's output (cycles.go). Nothing is regenerated: the package knows
+// neither the generator nor its sizing function.
 package adapt
 
 // Metric-driven cavity-operator adaptation. Each pass evaluates one

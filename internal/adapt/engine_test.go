@@ -307,48 +307,3 @@ func TestAdaptNoOp(t *testing.T) {
 		t.Fatalf("triangle count changed: %d -> %d", m.NumTriangles(), out.NumTriangles())
 	}
 }
-
-// TestIndicatorEdgeCases covers the isotropic indicator's degenerate
-// inputs: a single-triangle mesh (no interior faces), zero-area cells,
-// and a mismatched field length.
-func TestIndicatorEdgeCases(t *testing.T) {
-	b := mesh.NewBuilder()
-	b.AddTriangle(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1))
-	single := b.Mesh()
-	eta, err := Indicator(single, []float64{3.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eta) != 1 || eta[0] != 0 {
-		t.Fatalf("single triangle: eta = %v, want [0]", eta)
-	}
-
-	if _, err := Indicator(single, []float64{1, 2}); err == nil {
-		t.Fatal("mismatched field length accepted")
-	}
-
-	// Zero-area cell: the indicator must stay finite and the derived
-	// sizing must respect its floor.
-	deg := &mesh.Mesh{
-		Points: []geom.Point{
-			geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(0.5, 0),
-		},
-		Triangles: [][3]int32{{0, 1, 2}, {0, 1, 3}},
-	}
-	eta, err = Indicator(deg, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range eta {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("cell %d: indicator %v", i, v)
-		}
-	}
-	sz, err := SizingFromIndicator(deg, eta, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := sz(geom.Pt(0.4, 0.1)); v <= 0 || math.IsNaN(v) {
-		t.Fatalf("sizing at degenerate cell: %v", v)
-	}
-}

@@ -284,10 +284,6 @@ type Snapshot struct {
 	// -delaunay); the pipeline's merged mesh is only piecewise Delaunay.
 	StrictDelaunay bool
 
-	// SkipDelaunay disables the Delaunay check (the advancing-front kernel
-	// produces deliberately non-Delaunay inviscid elements).
-	SkipDelaunay bool
-
 	prepared  bool
 	adj       [][3]int32           // neighbor across edge e of each triangle, -1 boundary
 	edgeUse   map[pointEdge]int    // undirected incidence count by coordinates

@@ -21,7 +21,7 @@ type delaunayCheck struct{}
 
 func (delaunayCheck) Name() string { return "delaunay" }
 
-func (delaunayCheck) Applicable(s *Snapshot) bool { return !s.SkipDelaunay }
+func (delaunayCheck) Applicable(s *Snapshot) bool { return true }
 
 func (delaunayCheck) Local() bool { return true }
 

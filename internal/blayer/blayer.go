@@ -111,7 +111,7 @@ type Stats struct {
 	TotalPoints        int
 }
 
-// normals returns the outward unit normal of each directed edge of the
+// edgeNormals returns the outward unit normal of each directed edge of the
 // CCW loop (edge direction rotated -90 degrees).
 func edgeNormals(pts []geom.Point) []geom.Vec {
 	n := len(pts)
@@ -141,13 +141,12 @@ func VertexNormals(pts []geom.Point) []geom.Vec {
 	return out
 }
 
-// TurnAngle returns the exterior turn angle at vertex i of the loop in
-// radians: the angle between the adjacent edge normals. Zero for straight
-// segments; approaches pi at a knife-edge cusp.
-func TurnAngle(pts []geom.Point, i int) float64 {
-	n := len(pts)
-	en := edgeNormals(pts)
-	return en[(i+n-1)%n].AngleBetween(en[i])
+// turnAngle returns the exterior turn angle at vertex i of a loop in
+// radians, given the loop's edge normals en: the angle between the two
+// adjacent ones. Zero for straight segments; approaches pi at a knife-edge
+// cusp.
+func turnAngle(en []geom.Vec, i int) float64 {
+	return en[(i+len(en)-1)%len(en)].AngleBetween(en[i])
 }
 
 // Convex reports whether vertex i of the CCW loop is convex (the body
@@ -203,6 +202,7 @@ func generateElement(loop *pslg.Loop, p Params) *Layer {
 func refineSurface(pts []geom.Point, p Params, st *Stats) []geom.Point {
 	n := len(pts)
 	vn := VertexNormals(pts)
+	en := edgeNormals(pts)
 	maxAngle := p.MaxAngleDeg * math.Pi / 180
 	cusp := p.CuspAngleDeg * math.Pi / 180
 	var out []geom.Point
@@ -215,7 +215,7 @@ func refineSurface(pts []geom.Point, p Params, st *Stats) []geom.Point {
 		}
 		// If the angle is concentrated at a convex cusp at either endpoint,
 		// the fan mechanism will cover it; skip edge subdivision.
-		if (TurnAngle(pts, i) > cusp && Convex(pts, i)) || (TurnAngle(pts, j) > cusp && Convex(pts, j)) {
+		if (turnAngle(en, i) > cusp && Convex(pts, i)) || (turnAngle(en, j) > cusp && Convex(pts, j)) {
 			continue
 		}
 		m := int(math.Ceil(ang/maxAngle)) - 1
@@ -239,7 +239,7 @@ func buildRays(pts []geom.Point, p Params, st *Stats) []Ray {
 	var rays []Ray
 	for i := 0; i < n; i++ {
 		tangential := (pts[i].Dist(pts[(i+n-1)%n]) + pts[i].Dist(pts[(i+1)%n])) / 2
-		turn := TurnAngle(pts, i)
+		turn := turnAngle(en, i)
 		if turn > cusp && Convex(pts, i) {
 			// Fan of rays sweeping from the normal of the incoming edge to
 			// the normal of the outgoing edge; directions by angular

@@ -57,15 +57,15 @@ func TestVertexNormalsPointOutward(t *testing.T) {
 }
 
 func TestTurnAngle(t *testing.T) {
-	sq := ccwSquare()
+	sq := edgeNormals(ccwSquare())
 	for i := range sq {
-		if got := TurnAngle(sq, i); math.Abs(got-math.Pi/2) > 1e-12 {
+		if got := turnAngle(sq, i); math.Abs(got-math.Pi/2) > 1e-12 {
 			t.Errorf("square corner %d turn = %v, want pi/2", i, got)
 		}
 	}
 	// Straight polyline point has zero turn.
-	line := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}
-	if got := TurnAngle(line, 1); got > 1e-12 {
+	line := edgeNormals([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)})
+	if got := turnAngle(line, 1); got > 1e-12 {
 		t.Errorf("straight vertex turn = %v, want 0", got)
 	}
 }

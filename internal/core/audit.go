@@ -47,10 +47,6 @@ func runAudit(rc *RunCtx) error {
 		BL:       cfg.BL,
 		Paths:    rc.pathEdges,
 		Farfield: rc.ffBox,
-		// The advancing-front kernel produces deliberately non-Delaunay
-		// inviscid elements; the empty-circumcircle audit only applies to
-		// the Delaunay pipeline.
-		SkipDelaunay: cfg.InviscidKernel == KernelAdvancingFront,
 	}
 	// Prepare the shared read-only lookup structures at the root, before
 	// any concurrent job execution.

@@ -65,31 +65,6 @@ func TestAuditCleanRun(t *testing.T) {
 	}
 }
 
-// TestAuditSkipsDelaunayForAdvancingFront: the advancing-front kernel
-// produces deliberately non-Delaunay inviscid elements, so the
-// empty-circumcircle check must be skipped — and the run must still pass.
-func TestAuditSkipsDelaunayForAdvancingFront(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.Audit = true
-	cfg.InviscidKernel = KernelAdvancingFront
-	res, err := Generate(cfg)
-	if err != nil {
-		t.Fatalf("audited advancing-front run failed: %v", err)
-	}
-	found := false
-	for _, c := range res.Stats.Audit.Checks {
-		if c.Name == "delaunay" {
-			found = true
-			if !c.Skipped {
-				t.Error("delaunay check ran on advancing-front output")
-			}
-		}
-	}
-	if !found {
-		t.Error("no delaunay entry in the audit report")
-	}
-}
-
 // TestAuditViolationFailsRun corrupts the merged mesh before the audit
 // stage (a flipped triangle) and checks the failure contract: the run
 // fails with a *PhaseError for the audit stage attributing the rank that

@@ -32,7 +32,6 @@ import (
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/pslg"
-	"pamg2d/internal/sizing"
 	"pamg2d/internal/trace"
 )
 
@@ -73,16 +72,6 @@ type Config struct {
 	// NearBodyMargin inflates the boundary-layer bounding box to form the
 	// near-body box, in multiples of the box diagonal; default 0.25.
 	NearBodyMargin float64
-	// CustomSizing, when non-nil, replaces the graded sizing function
-	// derived from SurfaceH0/Gradation/HMax for the transition and
-	// inviscid regions (the adaptation loop of Figure 1 supplies a sizing
-	// built from the previous solution's error indicator).
-	CustomSizing sizing.Func
-	// InviscidKernel selects the mesher used for the decoupled inviscid
-	// subdomains: KernelRuppert (default, the paper's Triangle role) or
-	// KernelAdvancingFront (the related-work baseline). Both preserve the
-	// decoupled borders, so the merged mesh stays conforming either way.
-	InviscidKernel Kernel
 	// TransitionSectors splits the transition annulus into this many
 	// angular sectors so the near-body region parallelizes too (0 = auto
 	// from the rank and subdomain counts; 1 = single task). Sector
@@ -131,16 +120,6 @@ type Config struct {
 	// the mesh here to prove violations surface as stage errors.
 	testMutateMesh func(*mesh.Mesh)
 }
-
-// Kernel identifies a sequential meshing kernel for the inviscid regions.
-type Kernel int
-
-const (
-	// KernelRuppert is constrained Delaunay + Ruppert refinement.
-	KernelRuppert Kernel = iota
-	// KernelAdvancingFront is the advancing-front baseline.
-	KernelAdvancingFront
-)
 
 // DefaultConfig returns a working configuration for a NACA 0012 at the
 // given surface resolution.

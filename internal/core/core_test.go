@@ -210,29 +210,6 @@ func TestNearBodyMustFitInFarfield(t *testing.T) {
 	}
 }
 
-func TestGenerateAdvancingFrontKernel(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.InviscidKernel = KernelAdvancingFront
-	res, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The merged mesh must still audit cleanly: the advancing front never
-	// touches the decoupled borders, so conformity holds.
-	if res.Stats.InviscidTris == 0 {
-		t.Fatal("no inviscid triangles from the AF kernel")
-	}
-	ruppert, err := Generate(smallConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(res.Stats.InviscidTris) / float64(ruppert.Stats.InviscidTris)
-	if ratio < 0.3 || ratio > 3 {
-		t.Errorf("AF inviscid count %d vs Ruppert %d diverge too much",
-			res.Stats.InviscidTris, ruppert.Stats.InviscidTris)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	// Two runs of the same configuration must agree exactly: the pipeline
 	// contains no randomness and no map-iteration-order dependence in any

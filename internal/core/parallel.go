@@ -6,7 +6,6 @@ import (
 
 	"pamg2d/internal/blayer"
 	"pamg2d/internal/delaunay"
-	"pamg2d/internal/front"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
@@ -74,10 +73,9 @@ func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Po
 
 // taskCtx carries the shared read-only context every task needs.
 type taskCtx struct {
-	frame  geom.BBox
-	size   sizing.Func
-	kernel Kernel
-	bl     blayer.Params
+	frame geom.BBox
+	size  sizing.Func
+	bl    blayer.Params
 	// annuli are the layer regions a boundary-layer leaf filters its
 	// triangles by; every process builds them from its own rc.layers.
 	annuli []annulus
@@ -90,7 +88,6 @@ type taskCtx struct {
 func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 	frame := ctx.frame
 	size := ctx.size
-	kernel := ctx.kernel
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("core: empty task payload")
 	}
@@ -145,7 +142,6 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		}).encode(), nil
 	case kindTransition, kindInviscid:
 		np := int(vals[1])
-		useAF := kernel == KernelAdvancingFront && int(vals[0]) == kindInviscid
 		ns := int(vals[2])
 		nh := int(vals[3])
 		off := 4
@@ -165,17 +161,6 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		off += 2 * ns
 		for i := 0; i < nh; i++ {
 			in.Holes = append(in.Holes, geom.Pt(vals[off+2*i], vals[off+2*i+1]))
-		}
-		if useAF {
-			// The decoupled region's border is one closed CCW loop already
-			// discretized at the k-rule spacing, which is finer than the
-			// sizing target, so the advancing front adds no border points
-			// and conformity with the neighbors is preserved.
-			m, err := front.Mesh([][]geom.Point{in.Points}, front.Options{SizeAt: size})
-			if err != nil {
-				return nil, err
-			}
-			return regionSubmesh(m.Points, m.Triangles, in.Points).encode(), nil
 		}
 		res, err := delaunay.TriangulateRefined(in, qualityFor(size))
 		if err != nil {

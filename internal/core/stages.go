@@ -154,9 +154,6 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 	}
 	grad := sizing.NewGraded(surfacePts, cfg.SurfaceH0, cfg.Gradation, cfg.HMax)
 	rc.size = grad.Area
-	if cfg.CustomSizing != nil {
-		rc.size = cfg.CustomSizing
-	}
 
 	blBox := geom.BBoxOf(rc.blPoints)
 	d := cfg.NearBodyMargin * (blBox.Width() + blBox.Height()) / 2
@@ -294,7 +291,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 		rc.stats.InviscidTris = inv
 		return nil
 	}
-	return tasks, taskCtx{frame: rc.ffBox, size: size, kernel: cfg.InviscidKernel}, merge, nil
+	return tasks, taskCtx{frame: rc.ffBox, size: size}, merge, nil
 }
 
 // runMerge adds the transition/inviscid submeshes to the builder that

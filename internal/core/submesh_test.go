@@ -73,9 +73,7 @@ func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
 // from the tasks' indexed results is, point for point and triangle for
 // triangle, the mesh obtained by expanding every result to coordinates and
 // interning each corner through Builder.AddTriangle — on one and three
-// elements, at 1, 2 and 4 ranks, for both inviscid kernels. (The
-// advancing front is not deterministic from run to run, so both meshes
-// come from the same run's results.)
+// elements, at 1, 2 and 4 ranks.
 func TestOffsetAssemblyMatchesInterning(t *testing.T) {
 	three := smallConfig(1)
 	three.Geometry = airfoil.ThreeElement(64)
@@ -84,28 +82,25 @@ func TestOffsetAssemblyMatchesInterning(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"naca0012", smallConfig(1)}, {"three-element", three}} {
-		for _, kernel := range []Kernel{KernelRuppert, KernelAdvancingFront} {
-			for _, ranks := range []int{1, 2, 4} {
-				cfg := geometry.cfg
-				cfg.Ranks = ranks
-				cfg.InviscidKernel = kernel
-				res, bl, iso := runCapturing(t, cfg)
-				ref := mesh.NewBuilder()
-				for _, r := range append(bl, iso...) {
-					for _, tri := range resultTriangles(t, r) {
-						ref.AddTriangle(tri[0], tri[1], tri[2])
-					}
+		for _, ranks := range []int{1, 2, 4} {
+			cfg := geometry.cfg
+			cfg.Ranks = ranks
+			res, bl, iso := runCapturing(t, cfg)
+			ref := mesh.NewBuilder()
+			for _, r := range append(bl, iso...) {
+				for _, tri := range resultTriangles(t, r) {
+					ref.AddTriangle(tri[0], tri[1], tri[2])
 				}
-				name := fmt.Sprintf("%s, kernel %d, %d ranks", geometry.name, kernel, ranks)
-				if res.Mesh.NumTriangles() == 0 {
-					t.Fatalf("%s: empty mesh", name)
-				}
-				if !reflect.DeepEqual(res.Mesh.Points, ref.Mesh().Points) {
-					t.Errorf("%s: %d points, interning gives %d or another order", name, res.Mesh.NumPoints(), ref.Mesh().NumPoints())
-				}
-				if !reflect.DeepEqual(res.Mesh.Triangles, ref.Mesh().Triangles) {
-					t.Errorf("%s: %d triangles, interning gives %d or other indices", name, res.Mesh.NumTriangles(), ref.Mesh().NumTriangles())
-				}
+			}
+			name := fmt.Sprintf("%s, %d ranks", geometry.name, ranks)
+			if res.Mesh.NumTriangles() == 0 {
+				t.Fatalf("%s: empty mesh", name)
+			}
+			if !reflect.DeepEqual(res.Mesh.Points, ref.Mesh().Points) {
+				t.Errorf("%s: %d points, interning gives %d or another order", name, res.Mesh.NumPoints(), ref.Mesh().NumPoints())
+			}
+			if !reflect.DeepEqual(res.Mesh.Triangles, ref.Mesh().Triangles) {
+				t.Errorf("%s: %d triangles, interning gives %d or other indices", name, res.Mesh.NumTriangles(), ref.Mesh().NumTriangles())
 			}
 		}
 	}

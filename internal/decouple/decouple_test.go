@@ -64,7 +64,7 @@ func TestMarchBorderGraded(t *testing.T) {
 }
 
 // TestMarchBorderNonFiniteSizing: a sizing function that answers NaN or an
-// infinity (a CustomSizing can), or an endpoint that is not finite, must
+// infinity (any func(geom.Point) float64 can), or an endpoint that is not finite, must
 // not spin the march. At the parent commit a NaN k made the step NaN, the
 // end test `pos+step >= total-0.5*step` false for ever, and the slice grow
 // until the process died.

@@ -36,7 +36,7 @@ func (a *expArena) take(n int) []float64 {
 		a.buf = make([]float64, size)
 		a.off = 0
 	}
-	s := a.buf[a.off:a.off : a.off+n]
+	s := a.buf[a.off : a.off : a.off+n]
 	a.off += n
 	return s
 }

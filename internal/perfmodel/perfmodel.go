@@ -257,31 +257,3 @@ func FormatTable(points []ScalePoint) string {
 	}
 	return s
 }
-
-// WeakScaling simulates the complementary study the paper leaves to future
-// work: the workload grows proportionally with the rank count (tasksPerRank
-// replicas of the base task set per rank), so ideal behavior is constant
-// wall time. Efficiency here is T(1-rank workload on 1 rank) / T(P-rank
-// workload on P ranks).
-func WeakScaling(baseTasks []Task, seqTime float64, net Network, rankCounts []int) []ScalePoint {
-	if len(baseTasks) == 0 {
-		return nil
-	}
-	t1 := Simulate(baseTasks, 1, net, seqTime).Makespan
-	out := make([]ScalePoint, 0, len(rankCounts))
-	for _, p := range rankCounts {
-		tasks := make([]Task, 0, len(baseTasks)*p)
-		for r := 0; r < p; r++ {
-			tasks = append(tasks, baseTasks...)
-		}
-		res := Simulate(tasks, p, net, seqTime)
-		eff := t1 / res.Makespan
-		out = append(out, ScalePoint{
-			Ranks:      p,
-			Time:       res.Makespan,
-			Speedup:    eff * float64(p), // total throughput relative to one rank
-			Efficiency: eff,
-		})
-	}
-	return out
-}

@@ -223,34 +223,3 @@ func TestPolicyDefaults(t *testing.T) {
 		t.Errorf("Simulate must equal the default policy: %v vs %v", a.Makespan, b.Makespan)
 	}
 }
-
-func TestWeakScaling(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := make([]Task, 64)
-	for i := range base {
-		base[i] = Task{Cost: 0.01 + rng.Float64()*0.01, Bytes: 32 << 10}
-	}
-	pts := WeakScaling(base, 0.001, FDRInfiniband(), []int{1, 4, 16, 64})
-	if len(pts) != 4 {
-		t.Fatal("points")
-	}
-	if pts[0].Efficiency < 0.999 {
-		t.Errorf("P=1 weak efficiency %v, want ~1", pts[0].Efficiency)
-	}
-	for i := 1; i < len(pts); i++ {
-		// Ideal weak scaling keeps time flat; overheads may only grow.
-		if pts[i].Time < pts[i-1].Time*0.99 {
-			t.Errorf("weak-scaling time dropped from %v to %v", pts[i-1].Time, pts[i].Time)
-		}
-		if pts[i].Efficiency > 1.001 {
-			t.Errorf("weak efficiency above 1 at P=%d", pts[i].Ranks)
-		}
-	}
-	// With a balanced workload the efficiency should stay high.
-	if last := pts[len(pts)-1].Efficiency; last < 0.7 {
-		t.Errorf("weak efficiency at 64 ranks = %v; balanced replicas should stay above 0.7", last)
-	}
-	if len(WeakScaling(nil, 0, FDRInfiniband(), []int{1})) != 0 {
-		t.Error("empty base tasks must give no points")
-	}
-}

@@ -130,7 +130,7 @@ func TestMergedTraceRebase(t *testing.T) {
 	clocks := []RankClock{{Rank: 0}, {Rank: 1, OffsetNS: 1000}, {Rank: 2, OffsetNS: -500}}
 	telems := []*Telemetry{
 		mkTelemetry(0, 10, 20),
-		mkTelemetry(1, 7, 3), // unsorted on purpose: merge must sort after rebase
+		mkTelemetry(1, 7, 3),          // unsorted on purpose: merge must sort after rebase
 		mkTelemetry(2, 100, 200, 300), // 100-500 < 0 → clamps to 0
 	}
 	var buf bytes.Buffer
