@@ -487,6 +487,7 @@ func runStatus(hdr http.Header, err error, audit bool) (status int, quorum bool)
 	status = http.StatusInternalServerError
 	var rde *mpi.RankDeadError
 	var pe *core.PhaseError
+	var empty *core.EmptyBoundaryLayerError
 	switch {
 	case errors.Is(err, core.ErrEngineBusy):
 		status = http.StatusServiceUnavailable
@@ -503,6 +504,8 @@ func runStatus(hdr http.Header, err error, audit bool) (status int, quorum bool)
 		status = 499 // client closed request
 	case audit && errors.As(err, &pe) && pe.Stage == core.StageAudit:
 		status = http.StatusUnprocessableEntity
+	case errors.As(err, &empty):
+		status = http.StatusBadRequest // the request's parameters, found out mid-run
 	}
 	return status, quorum
 }

@@ -573,6 +573,12 @@ func TestRunStatusMapping(t *testing.T) {
 			err:   &core.PhaseError{Stage: core.StageInviscid, Rank: 1, Err: errors.New("audit log unwritable")},
 			audit: true, status: http.StatusInternalServerError,
 		},
+		{
+			name: "empty boundary layer",
+			err: &core.PhaseError{Stage: core.StageRayInsertion, Rank: -1,
+				Err: &core.EmptyBoundaryLayerError{FirstLayer: 4e-4, SurfaceSpacing: 3.8e-4, Rays: 8203, Layers: 40}},
+			status: http.StatusBadRequest,
+		},
 		{name: "other", err: errors.New("boom"), status: http.StatusInternalServerError},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -207,6 +208,29 @@ func TestNearBodyMustFitInFarfield(t *testing.T) {
 	cfg.Geometry.FarfieldChords = 0.2 // far field too tight
 	if _, err := Generate(cfg); err == nil {
 		t.Error("near-body box outside the far field must fail")
+	}
+}
+
+// TestEmptyBoundaryLayerIsRefused: a first layer taller than the surface
+// spacing leaves every ray without a point. The run must stop where that
+// is known, in ray insertion, with both numbers, not two stages later with
+// "boundary-layer mesh has no outer boundary".
+func TestEmptyBoundaryLayerIsRefused(t *testing.T) {
+	for _, ranks := range []int{1, 2} {
+		cfg := smallConfig(ranks)
+		cfg.BL.Growth = growth.Geometric{H0: 0.2, Ratio: 1.3}
+		_, err := Generate(cfg)
+		var empty *EmptyBoundaryLayerError
+		if !errors.As(err, &empty) {
+			t.Fatalf("ranks %d: error %v, want an *EmptyBoundaryLayerError", ranks, err)
+		}
+		var pe *PhaseError
+		if !errors.As(err, &pe) || pe.Stage != StageRayInsertion {
+			t.Errorf("ranks %d: error %v, want it attributed to stage %s", ranks, err, StageRayInsertion)
+		}
+		if empty.FirstLayer != 0.2 || !(empty.SurfaceSpacing > 0 && empty.SurfaceSpacing < 0.2) || empty.Rays == 0 || empty.Layers != 12 {
+			t.Errorf("ranks %d: %+v does not name the first layer height 0.2 and a smaller surface spacing", ranks, *empty)
+		}
 	}
 }
 

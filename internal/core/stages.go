@@ -48,6 +48,22 @@ func runRays(rc *RunCtx) error {
 	return nil
 }
 
+// EmptyBoundaryLayerError reports a configuration under which no ray takes
+// a boundary-layer point, so there is no boundary-layer mesh to put a
+// transition region around. The usual cause is a first layer taller than
+// the surface spacing: a ray stops taking points once the normal spacing
+// reaches blayer.Params.IsotropyFactor times its tangential spacing.
+type EmptyBoundaryLayerError struct {
+	FirstLayer     float64 // height of the first layer
+	SurfaceSpacing float64 // largest tangential surface spacing over the rays
+	Rays, Layers   int     // rays planned, layers allowed per ray
+}
+
+func (e *EmptyBoundaryLayerError) Error() string {
+	return fmt.Sprintf("core: the boundary layer is empty: none of %d rays takes any of %d layers, first layer height %g against a surface spacing of at most %g",
+		e.Rays, e.Layers, e.FirstLayer, e.SurfaceSpacing)
+}
+
 // prepareRayInsertion distributes boundary-layer point insertion across
 // the ranks: rays are independent once trimmed, so batches of rays are
 // balanced like any other task and only the coordinates return to the
@@ -65,6 +81,7 @@ func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error)
 	var tasks []loadbal.Task
 	var refs []batchRef
 	batchSize := 64
+	planned := 0.0
 	for li, l := range layers {
 		counts := blayer.PlanCounts(l, cfg.BL)
 		for from := 0; from < len(l.Rays); from += batchSize {
@@ -93,7 +110,18 @@ func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error)
 				Vals:          vals,
 			})
 			refs = append(refs, batchRef{layer: li, from: from, to: to, counts: counts[from:to]})
+			planned += cost
 		}
+	}
+	if planned == 0 {
+		empty := &EmptyBoundaryLayerError{FirstLayer: cfg.BL.Growth.Spacing(0), Layers: cfg.BL.MaxLayers}
+		for _, l := range layers {
+			empty.Rays += len(l.Rays)
+			for i := range l.Rays {
+				empty.SurfaceSpacing = max(empty.SurfaceSpacing, l.Rays[i].Tangential)
+			}
+		}
+		return nil, taskCtx{}, nil, empty
 	}
 	merge := func(results [][]float64) error {
 		// Reassemble each layer's per-ray point lists from the gathered

@@ -248,9 +248,8 @@ func (t *Triangulation) firstCrossing(a int32, target geom.Point) (int32, int32)
 		}
 	}
 	// Walk around vertex a's star using the shared traversal scratch.
-	mark := t.beginStarWalk()
-	epoch := t.starEpoch
-	stack := append(t.starStack, start)
+	mark, epoch := t.marks.begin(t)
+	stack := append(t.starStack[:0], start)
 	defer func() { t.starStack = stack[:0] }()
 	for len(stack) > 0 {
 		ti := stack[len(stack)-1]
@@ -359,28 +358,10 @@ func (t *Triangulation) vertexOnSegment(a, b int32) int32 {
 	return found
 }
 
-// beginStarWalk resets the shared star-traversal scratch and returns the
-// marker slice. A triangle counts as visited in the current traversal iff
-// its mark equals t.starEpoch, so the reset is one increment; the marker
-// array only needs re-zeroing on epoch wraparound.
-func (t *Triangulation) beginStarWalk() []uint32 {
-	if len(t.starMark) < len(t.tris) {
-		t.starMark = append(t.starMark, make([]uint32, len(t.tris)-len(t.starMark))...)
-	}
-	t.starEpoch++
-	if t.starEpoch == 0 {
-		for i := range t.starMark {
-			t.starMark[i] = 0
-		}
-		t.starEpoch = 1
-	}
-	t.starStack = t.starStack[:0]
-	return t.starMark
-}
-
 // visitStar calls f for every live triangle incident to vertex v until f
-// returns false. The traversal scratch is reused across calls; f must not
-// start a nested star traversal.
+// returns false. The traversal scratch (t.marks, t.starStack) is reused
+// across calls and shared with the cavity search; f must start neither a
+// nested star traversal nor an insertion.
 func (t *Triangulation) visitStar(v int32, f func(ti int32) bool) {
 	start := t.vtri[v]
 	if start == invalid || t.tris[start].Dead {
@@ -389,9 +370,8 @@ func (t *Triangulation) visitStar(v int32, f func(ti int32) bool) {
 			return
 		}
 	}
-	mark := t.beginStarWalk()
-	epoch := t.starEpoch
-	stack := append(t.starStack, start)
+	mark, epoch := t.marks.begin(t)
+	stack := append(t.starStack[:0], start)
 	for len(stack) > 0 {
 		ti := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

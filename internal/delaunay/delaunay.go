@@ -64,13 +64,13 @@ type Triangulation struct {
 	// multiple workers never share buffers.
 	scratch cavScratch
 
-	// starMark/starStack/starEpoch are the star-traversal scratch shared by
-	// visitStar and firstCrossing (never active at the same time): a
-	// triangle is visited in the current traversal iff starMark[ti] equals
-	// starEpoch, so resetting between traversals is a single increment.
-	starMark  []uint32
+	// marks is the sequential path's visited set, shared by the cavity
+	// search and the star traversals (visitStar, firstCrossing), which
+	// never nest. The concurrent engine keeps one per stripe instead.
+	marks triMarks
+
+	// starStack is the star traversals' worklist.
 	starStack []int32
-	starEpoch uint32
 
 	// refSegs and refTris hold the refiner's worklists between Refine
 	// calls so repeated refinement passes reuse their backing arrays.
@@ -112,6 +112,31 @@ type cavScratch struct {
 	cavityEdges []cavityEdge
 	stack       []int32
 	fanOpen     []fanEdge
+}
+
+// triMarks is a set of triangles that empties in O(1): triangle ti is in
+// the current set iff mark[ti] equals epoch, so starting a new set is one
+// increment and the array is re-zeroed only when the epoch wraps.
+type triMarks struct {
+	mark  []uint32
+	epoch uint32
+}
+
+// begin empties the set, makes it cover every triangle of t and returns
+// the mark array with the epoch to compare and store. A triangle store
+// that outgrew the array gets a new one sized to its capacity, so the
+// array is allocated once per growth of t.tris; nothing is copied, since a
+// zero is below every epoch. begin only reads t.
+func (m *triMarks) begin(t *Triangulation) ([]uint32, uint32) {
+	if len(m.mark) < len(t.tris) {
+		m.mark = make([]uint32, cap(t.tris))
+	}
+	m.epoch++
+	if m.epoch == 0 {
+		clear(m.mark)
+		m.epoch = 1
+	}
+	return m.mark, m.epoch
 }
 
 // ErrDuplicate is returned by InsertPoint for a point that coincides with
@@ -288,32 +313,28 @@ func (t *Triangulation) digCavity(v int32, loc location) {
 // for inserting point p at location loc, without mutating the
 // triangulation.
 func (t *Triangulation) computeCavity(p geom.Point, loc location) {
-	t.computeCavityInto(p, loc, &t.scratch)
+	t.computeCavityInto(p, loc, &t.scratch, &t.marks)
 }
 
-// computeCavityInto is computeCavity writing into the given scratch. It
-// only reads the triangulation, so concurrent cavity searches with private
-// scratches can share one topology snapshot.
-func (t *Triangulation) computeCavityInto(p geom.Point, loc location, s *cavScratch) {
+// computeCavityInto is computeCavity writing into the given scratch and
+// visited set. It only reads the triangulation, so concurrent cavity
+// searches with private scratches and marks can share one topology
+// snapshot. Membership in the cavity is a mark per triangle, so the search
+// costs one in-circle test per triangle it looks at and nothing that grows
+// with the cavity.
+func (t *Triangulation) computeCavityInto(p geom.Point, loc location, s *cavScratch, in *triMarks) {
 	s.cavityTris = s.cavityTris[:0]
 	s.cavityEdges = s.cavityEdges[:0]
-
-	inCavity := func(ti int32) bool {
-		for _, c := range s.cavityTris {
-			if c == ti {
-				return true
-			}
-		}
-		return false
-	}
+	s.stack = s.stack[:0]
+	mark, epoch := in.begin(t)
 
 	// Seed triangles: the containing triangle, or both triangles sharing
 	// the containing edge.
-	s.stack = s.stack[:0]
 	push := func(ti int32) {
-		if ti == invalid || t.tris[ti].Dead || inCavity(ti) {
+		if ti == invalid || t.tris[ti].Dead || mark[ti] == epoch {
 			return
 		}
+		mark[ti] = epoch
 		s.cavityTris = append(s.cavityTris, ti)
 		s.stack = append(s.stack, ti)
 	}
@@ -331,32 +352,34 @@ func (t *Triangulation) computeCavityInto(p geom.Point, loc location, s *cavScra
 	for len(s.stack) > 0 {
 		ti := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
-		tr := t.tris[ti]
-		for e := int32(0); e < 3; e++ {
-			nb := tr.N[e]
+		tr := &t.tris[ti]
+		for e := 0; e < 3; e++ {
 			if tr.C[e] {
 				continue // never grow the cavity across a constraint
 			}
-			if nb == invalid || t.tris[nb].Dead {
+			nb := tr.N[e]
+			if nb == invalid || mark[nb] == epoch {
 				continue
 			}
-			if inCavity(nb) {
+			ntr := &t.tris[nb]
+			if ntr.Dead {
 				continue
 			}
-			ntr := t.tris[nb]
 			if geom.InCircle(t.pts[ntr.V[0]], t.pts[ntr.V[1]], t.pts[ntr.V[2]], p) > 0 {
+				mark[nb] = epoch
 				s.cavityTris = append(s.cavityTris, nb)
 				s.stack = append(s.stack, nb)
 			}
 		}
 	}
 
-	// Collect the directed boundary edges of the cavity.
+	// Collect the directed boundary edges of the cavity. Only live
+	// triangles are ever marked.
 	for _, ti := range s.cavityTris {
-		tr := t.tris[ti]
+		tr := &t.tris[ti]
 		for e := int32(0); e < 3; e++ {
 			nb := tr.N[e]
-			if nb != invalid && !t.tris[nb].Dead && inCavity(nb) && !tr.C[e] {
+			if nb != invalid && !tr.C[e] && mark[nb] == epoch {
 				continue // interior cavity edge
 			}
 			a := tr.V[e]

@@ -35,12 +35,14 @@ package delaunay
 // sequential selection sweep. The parallel phase therefore never touches
 // the shared append path or the free list.
 //
-// Sharded state, per worker: the point-location walk seed (the sequential
-// kernel's t.last); per pending point: the cavity buffers (cavScratch). The Shewchuk predicate arenas are already pooled
-// per-goroutine by internal/geom. Shared vertex-to-triangle seeds
-// (t.vtri) are the one write that can target the same element from two
-// independent commits (a shared cavity-boundary vertex), so those stores
-// are atomic; either winner is a valid incidence.
+// Sharded state, per stripe: the point-location walk seed (the sequential
+// kernel's t.last) and the cavity search's visited marks (t.marks), one
+// word per triangle, which is why they are not per pending point; per
+// pending point: the cavity buffers (cavScratch). The Shewchuk predicate
+// arenas are already pooled per-goroutine by internal/geom. Shared
+// vertex-to-triangle seeds (t.vtri) are the one write that can target the
+// same element from two independent commits (a shared cavity-boundary
+// vertex), so those stores are atomic; either winner is a valid incidence.
 
 import (
 	"fmt"
@@ -97,7 +99,8 @@ type insertPlan struct {
 type parInserter struct {
 	t       *Triangulation
 	workers int
-	seeds   []int32 // per-worker point-location walk seed (the sharded t.last)
+	seeds   []int32    // per-stripe point-location walk seed (the sharded t.last)
+	marks   []triMarks // per-stripe cavity-search visited set (the sharded t.marks)
 	plans   []insertPlan
 	batch   []int32 // input-point indices in this round's batch
 	retry   []int32
@@ -224,6 +227,7 @@ func (ins *parInserter) run(pts []geom.Point, order []int32, vmap []int32) error
 	for w := range ins.seeds {
 		ins.seeds[w] = t.last
 	}
+	ins.marks = make([]triMarks, ins.workers)
 	ins.jobs = make(chan func())
 	ins.life.Add(ins.workers)
 	for w := 0; w < ins.workers; w++ {
@@ -341,7 +345,7 @@ func (ins *parInserter) preparePhase(pts []geom.Point) func(w int) {
 				}
 			}
 			*seed = loc.t
-			t.computeCavityInto(pl.pt, loc, &pl.s)
+			t.computeCavityInto(pl.pt, loc, &pl.s, &ins.marks[w])
 		}
 	}
 }

@@ -47,9 +47,10 @@ func (a *expArena) pair(lo, hi float64) []float64 {
 	return append(h, lo, hi)
 }
 
-// sum is expSum with the output carved from the arena. The semantics are
-// identical, including returning an input unchanged when the other is
-// empty.
+// sum returns the zero-eliminated sum of expansions e and f (fast
+// expansion sum with zero elimination). The inputs must be valid
+// expansions (increasing magnitude, nonoverlapping); the output is too. An
+// input is returned unchanged when the other is empty.
 func (a *expArena) sum(e, f []float64) []float64 {
 	if len(e) == 0 {
 		return f
@@ -114,7 +115,7 @@ func (a *expArena) sum(e, f []float64) []float64 {
 	return h
 }
 
-// scale is expScale with the output carved from the arena.
+// scale returns the zero-eliminated product of expansion e and scalar b.
 func (a *expArena) scale(e []float64, b float64) []float64 {
 	if len(e) == 0 || b == 0 {
 		h := a.take(1)
@@ -143,7 +144,9 @@ func (a *expArena) scale(e []float64, b float64) []float64 {
 	return h
 }
 
-// mul is expMul with all intermediates carved from the arena.
+// mul returns the exact product of expansions e and f. Cost is
+// O(len(e)*len(f)) components before zero elimination; only the last
+// stage of a predicate pays it.
 func (a *expArena) mul(e, f []float64) []float64 {
 	prod := a.take(1)
 	prod = append(prod, 0)
@@ -156,7 +159,8 @@ func (a *expArena) mul(e, f []float64) []float64 {
 	return prod
 }
 
-// twoTwoDiff is the package-level twoTwoDiff with arena storage.
+// twoTwoDiff returns the exact expansion of x*y - z*w, at most four
+// components of increasing magnitude.
 func (a *expArena) twoTwoDiff(x, y, z, w float64) []float64 {
 	p1, p0 := twoProduct(x, y)
 	q1, q0 := twoProduct(z, w)

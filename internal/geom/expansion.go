@@ -60,145 +60,12 @@ func twoProduct(a, b float64) (x, y float64) {
 	return x, alo*blo - e3
 }
 
-// expSum returns the zero-eliminated sum of expansions e and f
-// (fast expansion sum with zero elimination). The inputs must be valid
-// expansions (increasing magnitude, nonoverlapping); the output is too.
-func expSum(e, f []float64) []float64 {
-	if len(e) == 0 {
-		return f
-	}
-	if len(f) == 0 {
-		return e
-	}
-	h := make([]float64, 0, len(e)+len(f))
-	ei, fi := 0, 0
-	enow, fnow := e[0], f[0]
-	var q, hh float64
-	// Merge the two expansions by magnitude, accumulating with fast/two-sum.
-	absLess := func(a, b float64) bool {
-		if a < 0 {
-			a = -a
-		}
-		if b < 0 {
-			b = -b
-		}
-		return a < b
-	}
-	if absLess(fnow, enow) {
-		q = fnow
-		fi++
-	} else {
-		q = enow
-		ei++
-	}
-	if ei < len(e) && fi < len(f) {
-		enow, fnow = e[ei], f[fi]
-		if absLess(fnow, enow) {
-			q, hh = fastTwoSum(fnow, q)
-			fi++
-		} else {
-			q, hh = fastTwoSum(enow, q)
-			ei++
-		}
-		if hh != 0 {
-			h = append(h, hh)
-		}
-		for ei < len(e) && fi < len(f) {
-			enow, fnow = e[ei], f[fi]
-			if absLess(fnow, enow) {
-				q, hh = twoSum(q, fnow)
-				fi++
-			} else {
-				q, hh = twoSum(q, enow)
-				ei++
-			}
-			if hh != 0 {
-				h = append(h, hh)
-			}
-		}
-	}
-	for ei < len(e) {
-		q, hh = twoSum(q, e[ei])
-		ei++
-		if hh != 0 {
-			h = append(h, hh)
-		}
-	}
-	for fi < len(f) {
-		q, hh = twoSum(q, f[fi])
-		fi++
-		if hh != 0 {
-			h = append(h, hh)
-		}
-	}
-	if q != 0 || len(h) == 0 {
-		h = append(h, q)
-	}
-	return h
-}
-
-// expScale returns the zero-eliminated product of expansion e and scalar b.
-func expScale(e []float64, b float64) []float64 {
-	if len(e) == 0 || b == 0 {
-		return []float64{0}
-	}
-	h := make([]float64, 0, 2*len(e))
-	q, hh := twoProduct(e[0], b)
-	if hh != 0 {
-		h = append(h, hh)
-	}
-	for i := 1; i < len(e); i++ {
-		t1, t0 := twoProduct(e[i], b)
-		var sum float64
-		sum, hh = twoSum(q, t0)
-		if hh != 0 {
-			h = append(h, hh)
-		}
-		q, hh = fastTwoSum(t1, sum)
-		if hh != 0 {
-			h = append(h, hh)
-		}
-	}
-	if q != 0 || len(h) == 0 {
-		h = append(h, q)
-	}
-	return h
-}
-
-// expMul returns the exact product of expansions e and f. Cost is
-// O(len(e)*len(f)) components before zero elimination; used only in exact
-// fallbacks, never on fast paths.
-func expMul(e, f []float64) []float64 {
-	prod := []float64{0}
-	for _, c := range e {
-		if c == 0 {
-			continue
-		}
-		prod = expSum(prod, expScale(f, c))
-	}
-	return prod
-}
-
 // expNeg negates expansion e in place and returns it.
 func expNeg(e []float64) []float64 {
 	for i := range e {
 		e[i] = -e[i]
 	}
 	return e
-}
-
-// expSign returns the sign of the exact value of expansion e: -1, 0 or +1.
-// The most significant (last) nonzero component carries the sign.
-func expSign(e []float64) int {
-	for i := len(e) - 1; i >= 0; i-- {
-		if e[i] > 0 {
-			return 1
-		}
-		if e[i] < 0 {
-			return -1
-		}
-	}
-	return 0
 }
 
 // expEstimate returns a floating-point approximation of expansion e.
@@ -208,12 +75,4 @@ func expEstimate(e []float64) float64 {
 		s += c
 	}
 	return s
-}
-
-// twoTwoDiff returns the exact 4-component expansion of a*b - c*d where each
-// product is computed via twoProduct. Result has increasing magnitude.
-func twoTwoDiff(a, b, c, d float64) []float64 {
-	p1, p0 := twoProduct(a, b)
-	q1, q0 := twoProduct(c, d)
-	return expSum([]float64{p0, p1}, []float64{-q0, -q1})
 }

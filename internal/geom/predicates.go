@@ -6,9 +6,12 @@ import "math"
 // machine epsilon of IEEE binary64 following Shewchuk. epsilon here is half
 // an ulp of 1.0, i.e. 2^-53.
 var (
-	epsilon      = math.Ldexp(1, -53)
-	ccwErrBoundA = (3.0 + 16.0*epsilon) * epsilon
-	iccErrBoundA = (10.0 + 96.0*epsilon) * epsilon
+	epsilon        = math.Ldexp(1, -53)
+	resultErrBound = (3.0 + 8.0*epsilon) * epsilon
+	ccwErrBoundA   = (3.0 + 16.0*epsilon) * epsilon
+	iccErrBoundA   = (10.0 + 96.0*epsilon) * epsilon
+	iccErrBoundB   = (4.0 + 48.0*epsilon) * epsilon
+	iccErrBoundC   = (44.0 + 576.0*epsilon) * epsilon * epsilon
 )
 
 // Orient2D returns a positive value if the points a, b, c occur in
@@ -72,8 +75,34 @@ func Orient2DSign(a, b, c Point) int {
 // InCircle returns a positive value if point d lies inside the circle
 // through a, b, c (which must be in counter-clockwise order), a negative
 // value if d lies outside, and zero if the four points are cocircular.
-// The sign of the result is exact.
+// The sign of the result is exact; the magnitude is an estimate whose
+// precision depends on the stage that decided it, so callers read the
+// sign only.
+//
+// The test is Shewchuk's four-stage adaptive predicate. Stage A is the
+// plain floating-point determinant of the translated coordinates under a
+// forward error bound: some thirty flops, and the answer for all but a
+// fraction of a percent of calls. The other three run only when A cannot
+// decide; see inCircleAdapt.
 func InCircle(a, b, c, d Point) float64 {
+	det, _ := inCircleStaged(a, b, c, d)
+	return det
+}
+
+// icStage names the stage of the in-circle ladder that decided a call.
+// Only tests read it.
+type icStage int
+
+const (
+	icStageA      icStage = iota // floating-point filter
+	icStageB                     // exact on the rounded differences, inside its error bound
+	icStageBExact                // the same value with all six subtraction tails zero: exact outright
+	icStageC                     // stage B plus the first-order tail terms
+	icStageD                     // full expansion arithmetic on the raw coordinates
+)
+
+// inCircleStaged is InCircle with the deciding stage beside the value.
+func inCircleStaged(a, b, c, d Point) (float64, icStage) {
 	adx := a.X - d.X
 	ady := a.Y - d.Y
 	bdx := b.X - d.X
@@ -100,9 +129,65 @@ func InCircle(a, b, c, d Point) float64 {
 		(abs(adxbdy)+abs(bdxady))*clift
 	errBound := iccErrBoundA * permanent
 	if det > errBound || -det > errBound {
-		return det
+		return det, icStageA
 	}
-	return inCircleExact(a, b, c, d)
+	return inCircleAdapt(a, b, c, d, permanent)
+}
+
+// inCircleAdapt is the part of InCircle behind the stage-A filter.
+//
+// Stage B evaluates the translated determinant exactly on the rounded
+// differences adx..cdy: three 2x2 minors as four-component expansions,
+// each scaled twice by its row's coordinates, summed into at most 96
+// components (a microsecond or so). Its estimate stands when it clears
+// iccErrBoundB*permanent, the bound on what rounding the differences can
+// have cost. When all six subtractions were exact — neighbouring
+// boundary-layer points share exponents, so this is the common case for
+// the cocircular trapezoids two adjacent rays extrude — the rounded
+// differences are the differences and the stage-B value is the exact
+// determinant, zero included. Stage C adds the first-order terms in the
+// subtraction tails in plain floating point under a bound that shrinks
+// with epsilon squared. Stage D, inCircleExact, multiplies out the lifted
+// 4x4 determinant on the raw coordinates (ten microseconds and up) and is
+// reached only when the tails matter beyond first order.
+func inCircleAdapt(a, b, c, d Point, permanent float64) (float64, icStage) {
+	adx, adxtail := twoDiff(a.X, d.X)
+	ady, adytail := twoDiff(a.Y, d.Y)
+	bdx, bdxtail := twoDiff(b.X, d.X)
+	bdy, bdytail := twoDiff(b.Y, d.Y)
+	cdx, cdxtail := twoDiff(c.X, d.X)
+	cdy, cdytail := twoDiff(c.Y, d.Y)
+
+	ar := getArena()
+	// lifted returns (px*px + py*py) * m for the minor m of the other two rows.
+	lifted := func(m []float64, px, py float64) []float64 {
+		return ar.sum(ar.scale(ar.scale(m, px), px), ar.scale(ar.scale(m, py), py))
+	}
+	adet := lifted(ar.twoTwoDiff(bdx, cdy, cdx, bdy), adx, ady)
+	bdet := lifted(ar.twoTwoDiff(cdx, ady, adx, cdy), bdx, bdy)
+	cdet := lifted(ar.twoTwoDiff(adx, bdy, bdx, ady), cdx, cdy)
+	det := expEstimate(ar.sum(ar.sum(adet, bdet), cdet))
+	putArena(ar)
+
+	errBound := iccErrBoundB * permanent
+	if det >= errBound || -det >= errBound {
+		return det, icStageB
+	}
+	if adxtail == 0 && adytail == 0 && bdxtail == 0 && bdytail == 0 && cdxtail == 0 && cdytail == 0 {
+		return det, icStageBExact
+	}
+
+	errBound = iccErrBoundC*permanent + resultErrBound*abs(det)
+	det += ((adx*adx+ady*ady)*((bdx*cdytail+cdy*bdxtail)-(bdy*cdxtail+cdx*bdytail)) +
+		2*(adx*adxtail+ady*adytail)*(bdx*cdy-bdy*cdx)) +
+		((bdx*bdx+bdy*bdy)*((cdx*adytail+ady*cdxtail)-(cdy*adxtail+adx*cdytail)) +
+			2*(bdx*bdxtail+bdy*bdytail)*(cdx*ady-cdy*adx)) +
+		((cdx*cdx+cdy*cdy)*((adx*bdytail+bdy*adxtail)-(ady*bdxtail+bdx*adytail)) +
+			2*(cdx*cdxtail+cdy*cdytail)*(adx*bdy-ady*bdx))
+	if det >= errBound || -det >= errBound {
+		return det, icStageC
+	}
+	return inCircleExact(a, b, c, d), icStageD
 }
 
 // inCircleExact evaluates the incircle determinant exactly on the original

@@ -213,12 +213,14 @@ func TestExpansionArithmetic(t *testing.T) {
 		t.Errorf("twoProduct lost the roundoff: (%v,%v)", p, q)
 	}
 	// Expansion sum of known values.
-	e := expSum([]float64{1}, []float64{1e-30})
+	ar := getArena()
+	defer putArena(ar)
+	e := ar.sum([]float64{1}, []float64{1e-30})
 	if expEstimate(e) != 1 || expSign(e) != 1 {
-		t.Errorf("expSum basic failed: %v", e)
+		t.Errorf("sum basic failed: %v", e)
 	}
 	// Sign of a tiny negative residue dominating.
-	e2 := expSum([]float64{1e20}, []float64{-1e20})
+	e2 := ar.sum([]float64{1e20}, []float64{-1e20})
 	if expSign(e2) != 0 {
 		t.Errorf("cancellation must give sign 0, got %v (%v)", expSign(e2), e2)
 	}
@@ -233,9 +235,11 @@ func TestExpansionSumExactness(t *testing.T) {
 			return math.Mod(v, 1e6)
 		}
 		a, b, c, d = fix(a), fix(b), fix(c), fix(d)
-		e1 := twoTwoDiff(a, b, c, d) // a*b - c*d exactly
-		e2 := twoTwoDiff(c, d, a, b) // c*d - a*b exactly
-		s := expSum(e1, e2)
+		ar := getArena()
+		defer putArena(ar)
+		e1 := ar.twoTwoDiff(a, b, c, d) // a*b - c*d exactly
+		e2 := ar.twoTwoDiff(c, d, a, b) // c*d - a*b exactly
+		s := ar.sum(e1, e2)
 		return expSign(s) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -252,8 +256,10 @@ func TestExpScaleDistributes(t *testing.T) {
 			return math.Mod(v, 1e5)
 		}
 		a, b, s = fix(a), fix(b), fix(s)
-		e := twoTwoDiff(a, b, b, a) // == 0 exactly
-		scaled := expScale(e, s)
+		ar := getArena()
+		defer putArena(ar)
+		e := ar.twoTwoDiff(a, b, b, a) // == 0 exactly
+		scaled := ar.scale(e, s)
 		return expSign(scaled) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -61,6 +61,20 @@ func ratInCircle(a, b, c, d Point) int {
 	return det.Sign()
 }
 
+// expSign returns the sign of the exact value of expansion e: -1, 0 or +1.
+// The most significant (last) nonzero component carries the sign.
+func expSign(e []float64) int {
+	for i := len(e) - 1; i >= 0; i-- {
+		if e[i] > 0 {
+			return 1
+		}
+		if e[i] < 0 {
+			return -1
+		}
+	}
+	return 0
+}
+
 func TestOrient2DMatchesRational(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		clamp := func(v float64) float64 {
@@ -158,7 +172,7 @@ func TestInCircleMatchesRationalNearCocircular(t *testing.T) {
 }
 
 func TestExpansionSignMatchesRational(t *testing.T) {
-	// expSum/expScale chains evaluated exactly versus big.Rat.
+	// Arena sum/scale chains evaluated exactly versus big.Rat.
 	f := func(a, b, c, d, s float64) bool {
 		fix := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -168,7 +182,9 @@ func TestExpansionSignMatchesRational(t *testing.T) {
 		}
 		a, b, c, d, s = fix(a), fix(b), fix(c), fix(d), fix(s)
 		// Exact value of (a*b - c*d) * s via expansions.
-		e := expScale(twoTwoDiff(a, b, c, d), s)
+		ar := getArena()
+		defer putArena(ar)
+		e := ar.scale(ar.twoTwoDiff(a, b, c, d), s)
 		// Same in rationals.
 		ra := new(big.Rat).SetFloat64(a)
 		rb := new(big.Rat).SetFloat64(b)
