@@ -440,7 +440,8 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	}
 	// A degraded run completed on the surviving ranks: still a success —
 	// the mesh is whole (the re-queue path re-ran the dead ranks' tasks)
-	// — but flagged so clients can tell, and kept out of the cache so a
+	// and passed the audit core runs on every degraded run, asked for or
+	// not — but flagged so clients can tell, and kept out of the cache so a
 	// degraded render is never served as the canonical entry for this key.
 	degraded := res.Stats.Degraded()
 	if degraded {

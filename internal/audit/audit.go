@@ -11,16 +11,23 @@
 // path and neighboring sectors agree on their shared border).
 //
 // Checks audit a Snapshot — the final mesh plus whatever generation context
-// is available (boundary layers, decoupling paths). Element-local checks
-// can audit index subranges independently, which is what lets the pipeline
-// fan sector audits out across ranks and reduce the typed Violation reports
-// at the root; global checks run as single units under the same scheduler.
+// is available (boundary layers, decoupling paths). Run and RunContext are
+// the one executor: element-local checks audit index subranges
+// independently, so PlanJobs chunks them, every job runs on a pool of
+// goroutines in this process, and the findings fold in plan order — the
+// report is the sequential loop's, whatever the scheduling. The pipeline's
+// audit stage, cmd/meshcheck, adaptation and bench/ all call it; the mesh
+// it audits is one every process already holds, so it needs no fabric.
 package audit
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -30,12 +37,10 @@ import (
 )
 
 // Violation is one invariant failure, attributed to the check that found
-// it, the rank that ran the check (-1 for sequential/root execution), and
-// the offending element (-1 when the failure is not element-attributable,
-// e.g. an orphan point or a missing path edge).
+// it and the offending element (-1 when the failure is not
+// element-attributable, e.g. an orphan point or a missing path edge).
 type Violation struct {
 	Check   string `json:"check"`
-	Rank    int    `json:"rank"`
 	Element int    `json:"element"`
 	Detail  string `json:"detail"`
 }
@@ -46,19 +51,17 @@ func (v Violation) String() string {
 	if v.Element >= 0 {
 		fmt.Fprintf(&b, ": element %d", v.Element)
 	}
-	if v.Rank >= 0 {
-		fmt.Fprintf(&b, " (rank %d)", v.Rank)
-	}
 	b.WriteString(": ")
 	b.WriteString(v.Detail)
 	return b.String()
 }
 
 // CheckStat is one check's execution record: wall time, heap allocation
-// delta, elements covered, and how many violations it found. For checks
-// chunked across ranks the wall time is the sum over all chunks (CPU time,
-// which can exceed the audit stage's wall clock) and the allocation count
-// is a best-effort sum measured per chunk on a shared heap counter.
+// delta, elements covered, and how many violations it found. For chunked
+// checks the wall time is the sum over all chunks (CPU time, which can
+// exceed the audit's wall clock) and the allocation count is a best-effort
+// sum measured per chunk on a process-wide heap counter, so concurrent
+// jobs bleed into each other's numbers.
 type CheckStat struct {
 	Name       string        `json:"name"`
 	Wall       time.Duration `json:"wall_ns"`
@@ -125,18 +128,16 @@ func (e *Error) Error() string {
 const maxRecorded = 256
 
 // Reporter collects one check run's violations. The engine fills in the
-// check name and executing rank.
+// check name.
 type Reporter struct {
 	check string
-	rank  int
 	count int
 	out   []Violation
 }
 
-// NewReporter returns a reporter for one check execution on the given rank
-// (-1 for sequential execution).
-func NewReporter(check string, rank int) *Reporter {
-	return &Reporter{check: check, rank: rank}
+// NewReporter returns a reporter for one execution of the named check.
+func NewReporter(check string) *Reporter {
+	return &Reporter{check: check}
 }
 
 // Reportf records a violation against element elem (-1 when the violation
@@ -148,7 +149,6 @@ func (r *Reporter) Reportf(elem int, format string, args ...any) {
 	}
 	r.out = append(r.out, Violation{
 		Check:   r.check,
-		Rank:    r.rank,
 		Element: elem,
 		Detail:  fmt.Sprintf(format, args...),
 	})
@@ -255,7 +255,7 @@ func edgeOf(a, b geom.Point) pointEdge {
 // Snapshot is the audit input: the mesh under test plus whatever
 // generation-time context is available. Prepare must be called (once,
 // before any concurrent check execution) to build the shared read-only
-// lookup structures; Run and the pipeline's audit stage do this for you.
+// lookup structures; Run and RunContext do this for you.
 type Snapshot struct {
 	// Mesh is the mesh under audit. Required.
 	Mesh *mesh.Mesh
@@ -367,10 +367,6 @@ type Job struct {
 	From, To int
 }
 
-// Elements returns the number of elements the job covers, the scheduler's
-// cost estimate.
-func (j Job) Elements() int { return j.To - j.From }
-
 // PlanJobs splits the applicable checks into jobs: local checks are chunked
 // into ranges of at most chunk elements, global checks become one job each.
 // Inapplicable checks are returned separately so reports can list them as
@@ -400,30 +396,115 @@ func PlanJobs(s *Snapshot, checks []Check, chunk int) (jobs []Job, skipped []Che
 	return jobs, skipped
 }
 
-// Run executes the checks sequentially against the snapshot and returns the
-// full report. This is the single-process entry point used by
-// cmd/meshcheck and tests; the pipeline's audit stage schedules the same
-// checks across ranks instead.
+// jobChunk is the element range of one local-check job: a few hundred
+// microseconds of work, so the bench's meshes give every goroutine dozens
+// of jobs while the per-job bookkeeping stays negligible.
+const jobChunk = 2048
+
+// Run is RunContext without cancellation. A check that panics re-panics on
+// the caller's goroutine with the original value.
 func Run(s *Snapshot, checks []Check) *Report {
+	rep, err := RunContext(context.Background(), s, checks)
+	if err != nil {
+		// Under context.Background the only failure is a check that panicked.
+		panic(err.(*checkPanic).value)
+	}
+	return rep
+}
+
+// RunContext executes the checks against the snapshot and returns the full
+// report. It runs PlanJobs' jobs on up to GOMAXPROCS goroutines and folds
+// them in plan order, so the report is the sequential loop's: exact
+// per-check counts and, per check, the first violations in element order.
+// Cancelling ctx stops handing out jobs, and RunContext then returns the
+// context's cause; a check that panics stops the audit the same way and
+// comes back as an error naming the check.
+func RunContext(ctx context.Context, s *Snapshot, checks []Check) (*Report, error) {
 	s.Prepare()
+	jobs, _ := PlanJobs(s, checks, jobChunk)
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	results := make([]jobResult, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				results[i] = runJob(s, jobs[i], cancel)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
+
+	// The applicable checks' jobs tile [0, n) each, in check order.
+	n := s.Mesh.NumTriangles()
 	rep := &Report{}
+	ji := 0
 	for _, c := range checks {
 		if !c.Applicable(s) {
 			rep.Checks = append(rep.Checks, CheckStat{Name: c.Name(), Skipped: true})
 			continue
 		}
-		r := NewReporter(c.Name(), -1)
-		t0 := time.Now()
-		a0 := trace.Mallocs()
-		c.Run(s, 0, s.Mesh.NumTriangles(), r)
-		rep.Checks = append(rep.Checks, CheckStat{
-			Name:       c.Name(),
-			Wall:       time.Since(t0),
-			Allocs:     trace.Mallocs() - a0,
-			Elements:   s.Mesh.NumTriangles(),
-			Violations: r.Count(),
-		})
-		rep.Violations = append(rep.Violations, r.Violations()...)
+		st := CheckStat{Name: c.Name(), Elements: n}
+		recorded := 0
+		for done := false; !done; ji++ {
+			r := &results[ji]
+			st.Wall += r.wall
+			st.Allocs += r.allocs
+			st.Violations += r.count
+			keep := min(len(r.violations), maxRecorded-recorded)
+			rep.Violations = append(rep.Violations, r.violations[:keep]...)
+			recorded += keep
+			done = jobs[ji].To == n
+		}
+		rep.Checks = append(rep.Checks, st)
 	}
-	return rep
+	return rep, nil
+}
+
+// jobResult is one job's findings and measurements.
+type jobResult struct {
+	wall       time.Duration
+	allocs     uint64
+	count      int
+	violations []Violation
+}
+
+// runJob runs one job; a panic cancels the audit with a *checkPanic.
+func runJob(s *Snapshot, j Job, cancel context.CancelCauseFunc) jobResult {
+	defer func() {
+		if p := recover(); p != nil {
+			cancel(&checkPanic{check: j.Check.Name(), value: p})
+		}
+	}()
+	rep := NewReporter(j.Check.Name())
+	t0 := time.Now()
+	a0 := trace.Mallocs()
+	j.Check.Run(s, j.From, j.To, rep)
+	return jobResult{
+		wall:       time.Since(t0),
+		allocs:     trace.Mallocs() - a0,
+		count:      rep.Count(),
+		violations: rep.Violations(),
+	}
+}
+
+// checkPanic is a check that panicked, recovered on the goroutine that ran
+// it.
+type checkPanic struct {
+	check string
+	value any
+}
+
+func (e *checkPanic) Error() string {
+	return fmt.Sprintf("audit: check %s panicked: %v", e.check, e.value)
 }

@@ -1,8 +1,13 @@
 package audit
 
 import (
+	"context"
+	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pamg2d/internal/blayer"
@@ -382,8 +387,28 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// sequentialRun is the reference Run is held to: each check once over the
+// whole mesh, in order, on the caller's goroutine.
+func sequentialRun(s *Snapshot, checks []Check) *Report {
+	s.Prepare()
+	rep := &Report{}
+	for _, c := range checks {
+		if !c.Applicable(s) {
+			rep.Checks = append(rep.Checks, CheckStat{Name: c.Name(), Skipped: true})
+			continue
+		}
+		r := NewReporter(c.Name())
+		c.Run(s, 0, s.Mesh.NumTriangles(), r)
+		rep.Checks = append(rep.Checks, CheckStat{Name: c.Name(), Elements: s.Mesh.NumTriangles(), Violations: r.Count()})
+		rep.Violations = append(rep.Violations, r.Violations()...)
+	}
+	return rep
+}
+
 // TestPlanJobsMatchesSequential verifies chunked local execution finds
-// exactly what a sequential run finds.
+// exactly what a sequential run finds, and that Run's parallel fold is the
+// sequential loop's report: the same counts and, past the recording cap,
+// the same first violations in element order.
 func TestPlanJobsMatchesSequential(t *testing.T) {
 	m := triangulate(t, gridPoints(7))
 	// Flip two triangles far apart.
@@ -402,7 +427,7 @@ func TestPlanJobsMatchesSequential(t *testing.T) {
 	}
 	var got []Violation
 	for _, j := range jobs {
-		r := NewReporter(j.Check.Name(), -1)
+		r := NewReporter(j.Check.Name())
 		j.Check.Run(s, j.From, j.To, r)
 		got = append(got, r.Violations()...)
 	}
@@ -410,10 +435,101 @@ func TestPlanJobsMatchesSequential(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("chunked run found %d violations, sequential %d", len(got), len(want))
 	}
+
+	// Every fifth triangle of a mesh several chunks long flipped: well over
+	// maxRecorded orientation violations, in every chunk.
+	big := triangulate(t, gridPoints(60))
+	if big.NumTriangles() < 3*jobChunk {
+		t.Fatalf("%d triangles make fewer than three chunks of %d", big.NumTriangles(), jobChunk)
+	}
+	for i := 0; i < big.NumTriangles(); i += 5 {
+		big.Triangles[i][0], big.Triangles[i][1] = big.Triangles[i][1], big.Triangles[i][0]
+	}
+	rep := Run(&Snapshot{Mesh: big}, All())
+	ref := sequentialRun(&Snapshot{Mesh: big}, All())
+	if o := findCheck(ref, "orientation"); o.Violations <= maxRecorded {
+		t.Fatalf("only %d orientation violations, want more than %d", o.Violations, maxRecorded)
+	}
+	for i := range rep.Checks {
+		rep.Checks[i].Wall, rep.Checks[i].Allocs = 0, 0
+	}
+	if !reflect.DeepEqual(rep.Checks, ref.Checks) {
+		t.Errorf("checks\n got %+v\nwant %+v", rep.Checks, ref.Checks)
+	}
+	if !reflect.DeepEqual(rep.Violations, ref.Violations) {
+		t.Errorf("Run recorded %d violations, the sequential loop %d, or in another order", len(rep.Violations), len(ref.Violations))
+	}
+}
+
+// panicCheck is a check with a bug.
+type panicCheck struct{}
+
+func (panicCheck) Name() string                       { return "panics" }
+func (panicCheck) Applicable(*Snapshot) bool          { return true }
+func (panicCheck) Local() bool                        { return false }
+func (panicCheck) Run(*Snapshot, int, int, *Reporter) { panic("boom") }
+
+// TestCheckPanic: a panicking check is an error naming it from RunContext,
+// and a panic with the original value from Run, on the caller's goroutine.
+func TestCheckPanic(t *testing.T) {
+	checks := []Check{orientationCheck{}, panicCheck{}}
+	_, err := RunContext(context.Background(), &Snapshot{Mesh: goodQuadMesh()}, checks)
+	if err == nil || !strings.Contains(err.Error(), "panics") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("RunContext returned %v, want an error naming the check and the panic", err)
+	}
+	defer func() {
+		if p := recover(); p != "boom" {
+			t.Errorf("Run panicked with %v, want the check's boom", p)
+		}
+	}()
+	Run(&Snapshot{Mesh: goodQuadMesh()}, checks)
+}
+
+// cancelCheck cancels the audit from its first job; every other job waits
+// for that, so each goroutine runs at most one job.
+type cancelCheck struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	ran    *atomic.Int64
+}
+
+func (cancelCheck) Name() string              { return "cancels" }
+func (cancelCheck) Applicable(*Snapshot) bool { return true }
+func (cancelCheck) Local() bool               { return true }
+func (c cancelCheck) Run(*Snapshot, int, int, *Reporter) {
+	if c.ran.Add(1) == 1 {
+		c.cancel(errStop)
+	}
+	<-c.ctx.Done()
+}
+
+var errStop = errors.New("stop the audit")
+
+// TestCancelStopsHandingOutJobs: canceling the context returns its cause
+// before every job has run, and a context canceled up front runs none.
+func TestCancelStopsHandingOutJobs(t *testing.T) {
+	// Triangles of no point: Prepare skips them, and cancelCheck reads
+	// nothing. One job more than goroutines, whatever GOMAXPROCS is.
+	jobs := runtime.GOMAXPROCS(0) + 1
+	s := &Snapshot{Mesh: &mesh.Mesh{Triangles: make([][3]int32, jobs*jobChunk)}}
+	for _, upFront := range []bool{false, true} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		c := cancelCheck{ctx: ctx, cancel: cancel, ran: new(atomic.Int64)}
+		if upFront {
+			cancel(errStop)
+		}
+		_, err := RunContext(ctx, s, []Check{c})
+		if !errors.Is(err, errStop) {
+			t.Errorf("up front %v: RunContext returned %v, want the cancel cause", upFront, err)
+		}
+		if ran := c.ran.Load(); ran >= int64(jobs) || upFront && ran != 0 {
+			t.Errorf("up front %v: %d of %d jobs ran", upFront, ran, jobs)
+		}
+	}
 }
 
 func TestReporterCap(t *testing.T) {
-	r := NewReporter("x", -1)
+	r := NewReporter("x")
 	for i := 0; i < maxRecorded+50; i++ {
 		r.Reportf(i, "v")
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +17,8 @@ import (
 // that the real pipeline output passes its own audit: every check runs (the
 // Ruppert kernel makes the Delaunay check applicable), zero violations, and
 // the stage engine records both the "audit" summary entry and the
-// per-check "audit/<check>" entries with nonzero wall time.
+// per-check "audit/<check>" entries with nonzero wall time, and the stage
+// sends nothing.
 func TestAuditCleanRun(t *testing.T) {
 	for _, ranks := range []int{1, 4} {
 		cfg := smallConfig(ranks)
@@ -59,25 +62,27 @@ func TestAuditCleanRun(t *testing.T) {
 				t.Errorf("%d ranks: no %q entry in Stats.Stages", ranks, name)
 			}
 		}
-		if ranks > 1 && summary.Messages == 0 {
-			t.Errorf("%d ranks: audit stage recorded no wire messages", ranks)
+		if summary.Messages != 0 || summary.BytesOnWire != 0 {
+			t.Errorf("%d ranks: audit stage put %d messages, %d bytes on the wire, want none", ranks, summary.Messages, summary.BytesOnWire)
 		}
 	}
 }
 
+// flipTriangle7 is the corruption the audit tests inject after the merge.
+func flipTriangle7(m *mesh.Mesh) {
+	t := &m.Triangles[7]
+	t[0], t[1] = t[1], t[0]
+}
+
 // TestAuditViolationFailsRun corrupts the merged mesh before the audit
 // stage (a flipped triangle) and checks the failure contract: the run
-// fails with a *PhaseError for the audit stage attributing the rank that
-// found the violation, wrapping an *audit.Error whose report names the
-// corrupted element.
+// fails with a *PhaseError for the audit stage, attributed to no rank,
+// wrapping an *audit.Error whose report names the corrupted element.
 func TestAuditViolationFailsRun(t *testing.T) {
 	const victim = 7
 	cfg := smallConfig(3)
 	cfg.Audit = true
-	cfg.testMutateMesh = func(m *mesh.Mesh) {
-		t := &m.Triangles[victim]
-		t[0], t[1] = t[1], t[0]
-	}
+	cfg.testMutateMesh = flipTriangle7
 	_, err := Generate(cfg)
 	if err == nil {
 		t.Fatal("audited run with a flipped triangle did not fail")
@@ -89,30 +94,118 @@ func TestAuditViolationFailsRun(t *testing.T) {
 	if pe.Stage != StageAudit {
 		t.Errorf("PhaseError.Stage = %q, want %q", pe.Stage, StageAudit)
 	}
-	if pe.Rank < 0 || pe.Rank >= cfg.Ranks {
-		t.Errorf("PhaseError.Rank = %d, want a rank in [0, %d)", pe.Rank, cfg.Ranks)
+	if pe.Rank != -1 {
+		t.Errorf("PhaseError.Rank = %d, want -1: every process audits its own copy", pe.Rank)
 	}
 	var ae *audit.Error
 	if !errors.As(err, &ae) {
 		t.Fatalf("error does not wrap *audit.Error: %v", err)
 	}
 	// Violations fold in check order with orientation first, so the flipped
-	// triangle is the leading finding and the PhaseError carries its rank.
+	// triangle is the leading finding.
 	if len(ae.Report.Violations) == 0 {
 		t.Fatal("audit.Error carries an empty report")
 	}
 	if first := ae.Report.Violations[0]; first.Element != victim {
 		t.Errorf("first violation attributes element %d, want %d", first.Element, victim)
-	} else if first.Rank != pe.Rank {
-		t.Errorf("first violation on rank %d but PhaseError.Rank = %d", first.Rank, pe.Rank)
 	}
 	if !strings.Contains(err.Error(), "element") {
 		t.Errorf("error message carries no element attribution: %v", err)
 	}
 }
 
+// TestAuditIndependentOfRanks: the same mesh gets the same audit at every
+// rank count and on either transport — the same error text and the same
+// report — and the stage never touches the wire. Ranks*SubdomainsPerRank
+// is held at 8, so every run meshes the same decomposition.
+func TestAuditIndependentOfRanks(t *testing.T) {
+	type outcome struct {
+		err   string
+		clean audit.Report
+		dirty audit.Report
+	}
+	// found drops what a run measures rather than finds.
+	found := func(rep *audit.Report) audit.Report {
+		out := audit.Report{Violations: rep.Violations}
+		for _, c := range rep.Checks {
+			c.Wall, c.Allocs = 0, 0
+			out.Checks = append(out.Checks, c)
+		}
+		return out
+	}
+	// run generates cfg clean and with triangle 7 flipped on the given
+	// fabric (nil: in-process) and returns what the audit found.
+	run := func(name string, cfg Config, fabric *mpi.Cluster) (outcome, error) {
+		cfg.Audit = true
+		cfg.Fabric = fabric
+		res, err := GenerateContext(context.Background(), cfg)
+		if err != nil {
+			return outcome{}, fmt.Errorf("%s: clean run: %w", name, err)
+		}
+		audited := false
+		for _, s := range res.Stats.Stages {
+			if s.Name == StageAudit {
+				audited = true
+				if s.Messages != 0 || s.BytesOnWire != 0 {
+					return outcome{}, fmt.Errorf("%s: audit stage put %d messages, %d bytes on the wire", name, s.Messages, s.BytesOnWire)
+				}
+			}
+		}
+		if !audited {
+			return outcome{}, fmt.Errorf("%s: no audit stage recorded", name)
+		}
+		cfg.testMutateMesh = flipTriangle7
+		_, err = GenerateContext(context.Background(), cfg)
+		var ae *audit.Error
+		if !errors.As(err, &ae) {
+			return outcome{}, fmt.Errorf("%s: corrupted run returned %v, want an audit failure", name, err)
+		}
+		return outcome{err: err.Error(), clean: found(res.Stats.Audit), dirty: found(ae.Report)}, nil
+	}
+
+	var names []string
+	var outs []outcome
+	for _, ranks := range []int{1, 2, 4} {
+		cfg := smallConfig(ranks)
+		cfg.SubdomainsPerRank = 8 / ranks
+		name := fmt.Sprintf("inproc %d ranks", ranks)
+		o, err := run(name, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, outs = append(names, name), append(outs, o)
+	}
+	tcp := make([]outcome, 2)
+	errs := runOnFabric(t, 2, func(i int, cl *mpi.Cluster) error {
+		cfg := smallConfig(2)
+		cfg.SubdomainsPerRank = 4
+		var err error
+		tcp[i], err = run(fmt.Sprintf("tcp process %d", i), cfg, cl)
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, outs = append(names, fmt.Sprintf("tcp process %d", i)), append(outs, tcp[i])
+	}
+
+	want := outs[0]
+	if !strings.Contains(want.err, "element 7") {
+		t.Errorf("%s: error %q does not name element 7", names[0], want.err)
+	}
+	for i, o := range outs[1:] {
+		if o.err != want.err {
+			t.Errorf("%s: error\n  %s\nwant (as %s)\n  %s", names[i+1], o.err, names[0], want.err)
+		}
+		if !reflect.DeepEqual(o.clean, want.clean) || !reflect.DeepEqual(o.dirty, want.dirty) {
+			t.Errorf("%s: audit report differs from %s's", names[i+1], names[0])
+		}
+	}
+}
+
 // TestCancelDuringAudit mirrors the other mid-stage cancellation tests:
-// canceling from the first audit job tears the stage down as a *PhaseError
+// canceling as the audit stage starts tears it down as a *PhaseError
 // wrapping context.Canceled, without leaking pooled wire buffers.
 func TestCancelDuringAudit(t *testing.T) {
 	g0, p0 := mpi.PoolCounters()
@@ -120,12 +213,7 @@ func TestCancelDuringAudit(t *testing.T) {
 	defer cancel()
 	cfg := smallConfig(2)
 	cfg.Audit = true
-	cfg.TaskHook = func(stage string, kind int) error {
-		if stage == StageAudit {
-			cancel()
-		}
-		return nil
-	}
+	cfg.testMutateMesh = func(*mesh.Mesh) { cancel() }
 	_, err := GenerateContext(ctx, cfg)
 	if err == nil {
 		t.Fatal("canceling during the audit stage did not fail the run")
@@ -143,38 +231,6 @@ func TestCancelDuringAudit(t *testing.T) {
 	g1, p1 := mpi.PoolCounters()
 	if gets, puts := g1-g0, p1-p0; gets != puts {
 		t.Errorf("pooled buffers leaked across cancellation: %d gets, %d puts", gets, puts)
-	}
-}
-
-// TestAuditTaskFailureAttribution injects a job failure in the audit stage
-// and checks it surfaces with stage and rank attribution like every other
-// distributed phase.
-func TestAuditTaskFailureAttribution(t *testing.T) {
-	boom := errors.New("injected audit job failure")
-	cfg := smallConfig(3)
-	cfg.Audit = true
-	cfg.TaskHook = func(stage string, kind int) error {
-		if stage == StageAudit && kind == kindAudit {
-			return boom
-		}
-		return nil
-	}
-	_, err := Generate(cfg)
-	if err == nil {
-		t.Fatal("injected audit job failure did not fail the run")
-	}
-	var pe *PhaseError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T (%v), want *PhaseError", err, err)
-	}
-	if pe.Stage != StageAudit {
-		t.Errorf("PhaseError.Stage = %q, want %q", pe.Stage, StageAudit)
-	}
-	if pe.Rank < 0 || pe.Rank >= cfg.Ranks {
-		t.Errorf("PhaseError.Rank = %d, want a rank in [0, %d)", pe.Rank, cfg.Ranks)
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("error does not wrap the injected failure: %v", err)
 	}
 }
 

@@ -79,8 +79,8 @@ type Config struct {
 	// boundary-layer outer boundary is not a single simple loop.
 	TransitionSectors int
 	// Tracer, when non-nil, records the run for offline inspection: every
-	// stage, per-rank task execution, steal transfer, audit check, and
-	// MPI send becomes a rank-attributed span or event, exportable as a
+	// stage, per-rank task execution, steal transfer, and MPI send
+	// becomes a rank-attributed span or event, exportable as a
 	// Chrome trace-event file (trace.Tracer.WriteTrace) with a companion
 	// run-metrics registry (Tracer.Metrics). The default nil tracer is
 	// free in the hot paths beyond a single nil check per instrumentation
@@ -89,10 +89,11 @@ type Config struct {
 	// Audit enables the post-merge invariant-verification stage: the
 	// merged mesh is audited against the internal/audit check registry
 	// (exact-predicate Delaunay, topology, boundary-layer and decoupling
-	// invariants), with element-local checks fanned out across the ranks.
-	// Violations fail the run with a *PhaseError for the "audit" stage
-	// wrapping an *audit.Error; the full report lands in Stats.Audit
-	// either way.
+	// invariants) by every process on its own copy. Violations fail the
+	// run with a *PhaseError for the "audit" stage wrapping an
+	// *audit.Error; the full report lands in Stats.Audit either way. A
+	// degraded run (one whose fabric lost a rank) is audited whether or
+	// not Audit is set.
 	Audit bool
 	// RunID labels the run in logs, stats, and trace metadata. Callers
 	// with a natural correlation key (meshd stamps its request ID here)
@@ -150,7 +151,7 @@ type PhaseAllocs struct {
 }
 
 // StealStats aggregates the work-stealing balancer's per-rank counters
-// over the whole run (all distributed stages, audit included). It is the
+// over the whole run (all distributed stages). It is the
 // load-balancer behavior of the paper's Figures 9–11 in summary form:
 // Gotten/Requests is the steal success rate, and Idle against the stage
 // walls is the rank-skew signal.
@@ -202,9 +203,9 @@ type Stats struct {
 	Allocs      PhaseAllocs
 	Messages    int64
 	BytesOnWire int64
-	// Audit is the invariant-verification report of the optional audit
-	// stage (nil when Config.Audit is off). It is populated even when the
-	// audit fails the run.
+	// Audit is the invariant-verification report of the audit stage (nil
+	// when it did not run: Config.Audit off and no rank lost). It is
+	// populated even when the audit fails the run.
 	Audit *audit.Report
 	// Resilience records how the run degraded when ranks died mid-flight;
 	// all-zero for clean runs. A run on a fabric that already lost ranks
@@ -235,7 +236,8 @@ type RankDeathStat struct {
 }
 
 // Degraded reports whether the run lost ranks: it completed, and its audit
-// (when enabled) passed, but on fewer ranks than configured. Degraded runs
+// (which a degraded run always gets) passed, but on fewer ranks than
+// configured. Degraded runs
 // are not guaranteed byte-identical to the full-rank run — the invariant
 // audit is the correctness gate.
 func (st *Stats) Degraded() bool { return st.Resilience.RanksLost > 0 }

@@ -220,20 +220,13 @@ func (e *Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{}
 	res.Stats.RunID = cfg.RunID
 	rc := &RunCtx{ctx: ctx, cfg: cfg, stats: &res.Stats, res: res, tracer: cfg.Tracer}
-	stages := pipeline
-	if cfg.Audit {
-		// Fresh slice: the shared pipeline list must not grow an audit stage
-		// for runs that did not ask for one.
-		stages = append(append(make([]Stage, 0, len(pipeline)+1), pipeline...),
-			stageFunc{StageAudit, runAudit})
-	}
 	if e.logger != nil {
 		e.logger.Info("run started",
 			"run_id", cfg.RunID, "ranks", cfg.Ranks,
 			"transport", e.fabric.TransportName(), "audit", cfg.Audit)
 	}
 	t0 := time.Now()
-	err := rc.runStages(stages)
+	err := rc.runStages(pipeline)
 	wall := time.Since(t0)
 	// Membership is fabric state, not per-phase state: fold the death
 	// record once here (per-phase balancer stats would double-count a

@@ -1,14 +1,12 @@
 package core
 
 // Bridges for the external core_test package, which must sit outside
-// package core to import internal/adapt (adapt imports core) and so get
-// every result codec registered behind the result-list packer.
+// package core to import internal/adapt (adapt imports core).
 
 import (
 	"context"
 	"testing"
 
-	"pamg2d/internal/audit"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
@@ -21,25 +19,34 @@ var (
 	DecodeResultList = decodeResultList
 )
 
-// RealResultLists runs a meshing phase (the Figure 8 boundary-layer
-// leaves) and the audit fan-out over a mesh with one flipped triangle on
-// a 2-process loopback TCP fabric, and returns the result lists the
-// worker process received in the agreement, re-encoded — the bytes that
+// unitSquare is a transition or inviscid task's smallest real input: a
+// unit square, refined under sizing.Uniform(0.3) to one interior point.
+func unitSquare() ([]geom.Point, [][2]int32) {
+	return []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)},
+		[][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
+}
+
+// RealResultLists runs two meshing phases on a 2-process loopback TCP
+// fabric — four Figure 8 boundary-layer leaves, then a transition and an
+// inviscid task on a unit square — and returns the result lists the
+// worker process received in their agreements, re-encoded: the bytes that
 // crossed the wire, since the packer's encoding is canonical.
 func RealResultLists(t testing.TB) [][]byte {
 	t.Helper()
 	const ranks = 2
-	res, err := Generate(smallConfig(1))
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	flipped := &res.Mesh.Triangles[7]
-	flipped[0], flipped[1] = flipped[1], flipped[0]
-	snap := &audit.Snapshot{Mesh: res.Mesh}
-	snap.Prepare()
-	jobs, _ := audit.PlanJobs(snap, audit.Structural(), 256)
 	tasks, tctx := fig08Tasks(t)
-	tasks = tasks[:4] // small seeds keep the fuzzer's mutations cheap
+	tctx.size = sizing.Uniform(0.3)
+	sq, segs := unitSquare()
+	phases := []struct {
+		stage string
+		tasks []loadbal.Task
+	}{
+		{StageBLTriangulation, tasks[:4]}, // small seeds keep the fuzzer's mutations cheap
+		{StageInviscid, []loadbal.Task{
+			{ID: 0, Cost: 1, Vals: regionTaskVals(kindTransition, sq, segs, nil)},
+			{ID: 1, Cost: 1, Vals: regionTaskVals(kindInviscid, sq, segs, nil)},
+		}},
+	}
 
 	lists := make([][][]byte, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
@@ -48,24 +55,24 @@ func RealResultLists(t testing.TB) [][]byte {
 		cfg.Fabric = cl
 		out := &Result{}
 		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &out.Stats, res: out}
-		tris, err := runPhase(rc, StageBLTriangulation, tasks, func(_ *mpi.Comm, task loadbal.Task) (*taskResult, error) {
-			out, err := processTaskCtx(task.Vals, tctx)
-			return &taskResult{id: task.ID, vals: out}, err
-		})
-		if err != nil {
-			return err
+		for _, ph := range phases {
+			results, err := runPhase(rc, ph.stage, ph.tasks, func(_ *mpi.Comm, task loadbal.Task) ([]float64, error) {
+				return processTaskCtx(task.Vals, tctx)
+			})
+			if err != nil {
+				return err
+			}
+			list := make([]loadbal.Result, len(results))
+			for id, vals := range results {
+				list[id] = &taskResult{id: int32(id), vals: vals}
+			}
+			b, err := encodeResultList(list)
+			if err != nil {
+				return err
+			}
+			lists[cl.Rank()] = append(lists[cl.Rank()], b)
 		}
-		findings, err := auditFanOut(rc, snap, jobs)
-		if err != nil {
-			return err
-		}
-		meshList, err := packList(tris)
-		if err != nil {
-			return err
-		}
-		auditList, err := packList(findings)
-		lists[cl.Rank()] = [][]byte{meshList, auditList}
-		return err
+		return nil
 	})
 	for r, err := range errs {
 		if err != nil {
@@ -94,8 +101,7 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 	t.Helper()
 	tasks, tctx := fig08Tasks(t)
 	leaf := append([]float64(nil), tasks[0].Vals[:5+2*8]...)
-	sq := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
-	segs := [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
+	sq, segs := unitSquare()
 	tctx.size = sizing.Uniform(0.3)
 	var out [][]float64
 	for _, vals := range [][]float64{
@@ -113,12 +119,4 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 		out = append(out, r)
 	}
 	return out
-}
-
-func packList[R loadbal.Result](rs []R) ([]byte, error) {
-	list := make([]loadbal.Result, len(rs))
-	for i, r := range rs {
-		list[i] = r
-	}
-	return encodeResultList(list)
 }

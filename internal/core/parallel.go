@@ -195,7 +195,7 @@ func runMeshPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) 
 	// Each task writes only its own slot, and the phase's ranks are joined
 	// before the slice is read.
 	measures := make([]TaskMeasure, len(tasks))
-	res, err := runPhase(rc, stage, tasks, func(c *mpi.Comm, task loadbal.Task) (*taskResult, error) {
+	results, err := runPhase(rc, stage, tasks, func(c *mpi.Comm, task loadbal.Task) ([]float64, error) {
 		var sp trace.Span
 		if tr.Enabled() {
 			sp = tr.Begin(c.Rank(), trace.CatTask, taskKindName(task.Vals))
@@ -222,14 +222,10 @@ func runMeshPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) 
 			BoundaryLayer: task.BoundaryLayer,
 			Triangles:     tris,
 		}
-		return &taskResult{id: task.ID, vals: vals}, nil
+		return vals, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	results := make([][]float64, len(res))
-	for i, r := range res {
-		results[i] = r.vals
 	}
 	rc.stats.Tasks = append(rc.stats.Tasks, measures...)
 	return results, nil

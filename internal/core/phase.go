@@ -29,8 +29,9 @@ const (
 )
 
 // runPhase runs tasks under loadbal.Scatter on a fresh world and returns
-// each task's result indexed by task ID — on every process of a
-// multi-process run, not only the root's.
+// each task's result floats indexed by task ID — on every process of a
+// multi-process run, not only the root's. The floats travel to the root
+// as a *taskResult.
 //
 // Cancellation of rc's context tears the world down mid-phase: in-flight
 // tasks finish, both balancer goroutines on every rank drain, and the
@@ -38,8 +39,8 @@ const (
 // cause. A rank or world failure is returned the same way, and so is the
 // first task that failed (exec or TaskHook returned an error, or
 // panicked), attributed to the rank that executed it.
-func runPhase[R loadbal.Result](rc *RunCtx, stage string, tasks []loadbal.Task,
-	exec func(c *mpi.Comm, t loadbal.Task) (R, error)) ([]R, error) {
+func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
+	exec func(c *mpi.Comm, t loadbal.Task) ([]float64, error)) ([][]float64, error) {
 	hook := rc.cfg.TaskHook
 	world := rc.newWorld()
 	world.SetTracer(rc.tracer)
@@ -53,7 +54,11 @@ func runPhase[R loadbal.Result](rc *RunCtx, stage string, tasks []loadbal.Task,
 					return nil, err
 				}
 			}
-			return exec(c, t)
+			vals, err := exec(c, t)
+			if err != nil {
+				return nil, err
+			}
+			return &taskResult{id: t.ID, vals: vals}, nil
 		})
 	// Error precedence: cancellation first (it is the root cause of any
 	// rank errors it provoked), then rank/world failures, then the first
@@ -102,13 +107,13 @@ func runPhase[R loadbal.Result](rc *RunCtx, stage string, tasks []loadbal.Task,
 	if failed != nil {
 		return nil, failed
 	}
-	results := make([]R, len(tasks))
+	results := make([][]float64, len(tasks))
 	for i, c := range collected {
-		r, ok := c.(R)
-		if !ok || int(r.TaskID()) != i {
+		r, ok := c.(*taskResult)
+		if !ok || int(r.id) != i {
 			return nil, &PhaseError{Stage: stage, Rank: -1, Err: fmt.Errorf("result slot %d holds a misplaced or foreign %T", i, c)}
 		}
-		results[i] = r
+		results[i] = r.vals
 	}
 	rc.foldBalancer(balStats)
 	rc.wireMsgs += world.Stats().Messages.Load()

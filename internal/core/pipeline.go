@@ -75,8 +75,9 @@ func foldMetrics(m *trace.Metrics, st *Stats) {
 			totalTasks += int64(r.Tasks)
 		}
 	}
-	// tasks.total counts distributed task executions (audit jobs included),
-	// so it always equals the sum of the tasks.rank.N counters.
+	// tasks.total counts the meshing stages' distributed task executions,
+	// so it always equals the sum of the tasks.rank.N counters; the audit
+	// runs no tasks.
 	m.Count("tasks.total", totalTasks)
 	m.Count("steals.requests", int64(st.Steals.Requests))
 	m.Count("steals.granted", int64(st.Steals.Granted))

@@ -37,10 +37,11 @@ const (
 	StageBLTriangulation = "bl-triangulation"
 	StageInviscid        = "inviscid"
 	StageMerge           = "merge"
-	// StageAudit is the optional seventh stage (Config.Audit): post-merge
-	// invariant verification over the internal/audit check registry. Its
-	// per-check measurements are recorded as additional "audit/<check>"
-	// StageStat entries ahead of the engine's own "audit" summary entry.
+	// StageAudit is the seventh stage, run under Config.Audit and on every
+	// degraded run: post-merge invariant verification over the
+	// internal/audit check registry. Its per-check measurements are
+	// recorded as additional "audit/<check>" StageStat entries ahead of the
+	// engine's own "audit" summary entry.
 	StageAudit = "audit"
 )
 
@@ -52,6 +53,12 @@ type Stage interface {
 	Run(rc *RunCtx) error
 }
 
+// conditionalStage is a stage that decides, when runStages reaches it,
+// whether it runs at all; a skipped stage records nothing.
+type conditionalStage interface {
+	skip(rc *RunCtx) bool
+}
+
 // StageStat is one stage's execution record, written by the engine's stats
 // hook: wall time, heap allocation delta, and the messages/bytes its
 // distributed execution put on the (simulated) wire.
@@ -60,11 +67,9 @@ type Stage interface {
 // by its summary entry alone — the entry whose Name is the plain stage
 // name. Sub-entries, whose Name contains a '/' (the audit stage's
 // per-check "audit/<check>" records), report Wall and Allocs only and
-// always leave the wire counters zero, because the underlying traffic
-// (job fan-out, result returns, steal transfers) is shared across checks
-// and cannot be attributed to one of them without double counting.
-// Summing Messages over Stats.Stages therefore equals Stats.Messages
-// exactly, with or without sub-entries present.
+// always leave the wire counters zero. Summing Messages over Stats.Stages
+// therefore equals Stats.Messages exactly, with or without sub-entries
+// present.
 type StageStat struct {
 	Name        string
 	Wall        time.Duration
@@ -174,7 +179,7 @@ type RunCtx struct {
 	// pathEdges are the constrained/decoupling edges of the final mesh
 	// (BL outer boundary, near-body box border, sector cuts, decoupled
 	// region borders) as exact endpoint pairs; collected by the inviscid
-	// stage only when cfg.Audit, for the audit stage's Snapshot.
+	// stage only when the audit stage may run, for its Snapshot.
 	pathEdges [][2]geom.Point
 
 	// Wire counters for the stage in flight, reset by the engine around
@@ -210,6 +215,9 @@ func (rc *RunCtx) runStages(stages []Stage) error {
 	start := time.Now()
 	allocStart := trace.Mallocs()
 	for _, s := range stages {
+		if c, ok := s.(conditionalStage); ok && c.skip(rc) {
+			continue
+		}
 		if rc.ctx.Err() != nil {
 			return &PhaseError{Stage: s.Name(), Rank: -1, Err: context.Cause(rc.ctx)}
 		}

@@ -3,7 +3,8 @@ package core
 // The pipeline's stages. Root-side phases are stageFunc values; the three
 // distributed phases are distStage values whose prepare functions encode
 // the tasks and return the merge that folds the results back into the run
-// state. All of them read and write only the RunCtx.
+// state; the audit closes the list (audit.go). All of them read and write
+// only the RunCtx.
 
 import (
 	"fmt"
@@ -27,6 +28,7 @@ var pipeline = []Stage{
 	&distStage{StageBLTriangulation, prepareBLTriangulation},
 	&distStage{StageInviscid, prepareInviscid},
 	stageFunc{StageMerge, runMerge},
+	auditStage{},
 }
 
 // runValidate builds and validates the PSLG (phase 1).
@@ -263,12 +265,14 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	if transInputs == nil {
 		transInputs = []delaunay.Input{transIn}
 	}
-	if cfg.Audit {
-		// Collect every constrained/decoupling edge for the audit stage:
-		// the transition inputs' segments (BL outer boundary, near-body box
-		// border, sector cuts) and the decoupled region borders. All of
-		// them are refined with NoSplitSegments, so each must survive
-		// verbatim as a conforming edge of the merged mesh.
+	if cfg.Audit || cfg.Fabric != nil && cfg.Fabric.TransportName() != "inproc" {
+		// Collect every constrained/decoupling edge for the audit stage,
+		// which runs under cfg.Audit and on any run that loses a rank — and
+		// only a multi-process fabric can: the transition inputs' segments
+		// (BL outer boundary, near-body box border, sector cuts) and the
+		// decoupled region borders. All of them are refined with
+		// NoSplitSegments, so each must survive verbatim as a conforming
+		// edge of the merged mesh.
 		for _, ti := range transInputs {
 			for _, s := range ti.Segments {
 				rc.pathEdges = append(rc.pathEdges, [2]geom.Point{ti.Points[s[0]], ti.Points[s[1]]})

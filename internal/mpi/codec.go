@@ -82,19 +82,8 @@ func codecForRef(ref any) *codecEntry {
 	return e
 }
 
-// EncodeRef appends ref's wire encoding to dst and names the codec that
-// produced it, for callers that pack typed references into a payload of
-// their own; DecodeRef is its inverse.
-func EncodeRef(ref any, dst []byte) (CodecID, []byte, error) {
-	e := codecForRef(ref)
-	if e == nil {
-		return codecNone, dst, fmt.Errorf("mpi: no codec registered for %T", ref)
-	}
-	return e.id, e.enc(ref, dst), nil
-}
-
-// DecodeRef decodes a wire payload through the codec registered under id.
-func DecodeRef(id CodecID, payload []byte) (any, error) {
+// decodeRef decodes a wire payload through the codec registered under id.
+func decodeRef(id CodecID, payload []byte) (any, error) {
 	codecReg.mu.RLock()
 	e := codecReg.byID[id]
 	codecReg.mu.RUnlock()

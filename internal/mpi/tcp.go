@@ -211,7 +211,7 @@ func (n *tcpNode) dispatch(f frame) error {
 				copy(m.data, f.payload)
 			}
 		} else {
-			ref, err := DecodeRef(f.codec, f.payload)
+			ref, err := decodeRef(f.codec, f.payload)
 			if err != nil {
 				return err
 			}
@@ -243,7 +243,7 @@ func (n *tcpNode) dispatch(f frame) error {
 			ch <- int64(f.req)
 		}
 	case frameTelemetry:
-		ref, err := DecodeRef(f.codec, f.payload)
+		ref, err := decodeRef(f.codec, f.payload)
 		if err != nil {
 			return err
 		}

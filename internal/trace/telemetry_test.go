@@ -14,7 +14,7 @@ import (
 func populate(t *Tracer) {
 	root := t.Begin(RootRank, CatStage, "stage")
 	s0 := t.Begin(0, CatTask, "task-a")
-	t.Instant(0, CatAudit, "checked", I("violations", 0))
+	t.Instant(0, CatRecover, "rank-dead", I("rank", 2))
 	s0.End(F("cost", 1.5))
 	s1 := t.Begin(1, CatTask, "task-b")
 	t.FlowOut(1, 0, "steal")

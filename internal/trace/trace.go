@@ -32,9 +32,9 @@ import (
 const RootRank = -1
 
 // Event categories. The exporter maps each category to a display thread
-// within its rank's process: execution work (stages, tasks, audit checks,
-// idle waits) on the "mesher" thread, communication (steal protocol, MPI
-// sends) on the "comm" thread.
+// within its rank's process: execution work (stages, tasks, idle waits) on
+// the "mesher" thread, communication (steal protocol, MPI sends) on the
+// "comm" thread.
 const (
 	CatStage = "stage"
 	// CatRoot marks the root-side closures of a distributed stage (task
@@ -43,7 +43,6 @@ const (
 	// summing CatStage spans counts each stage once.
 	CatRoot   = "root"
 	CatTask   = "task"
-	CatAudit  = "audit"
 	CatIdle   = "idle"
 	CatSteal  = "steal"
 	CatMPI    = "mpi"
