@@ -11,20 +11,23 @@
 // path and neighboring sectors agree on their shared border).
 //
 // Checks audit a Snapshot — the final mesh plus whatever generation context
-// is available (boundary layers, decoupling paths). Run and RunContext are
-// the one executor: element-local checks audit index subranges
-// independently, so PlanJobs chunks them, every job runs on a pool of
-// goroutines in this process, and the findings fold in plan order — the
-// report is the sequential loop's, whatever the scheduling. The pipeline's
-// audit stage, cmd/meshcheck, adaptation and bench/ all call it; the mesh
-// it audits is one every process already holds, so it needs no fabric.
+// is available (boundary layers, decoupling paths) — through the mesh's
+// half-edge table, and through its points sorted by coordinates where a
+// check is about coordinates. Run and RunContext are the one executor:
+// element-local checks audit index subranges independently, so PlanJobs
+// chunks them, every job runs on a pool of goroutines in this process, and
+// the findings fold in plan order — the report is the sequential loop's,
+// whatever the scheduling. The pipeline's audit stage, cmd/meshcheck,
+// adaptation and bench/ all call it; the mesh it audits is one every
+// process already holds, so it needs no fabric.
 package audit
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -241,17 +244,6 @@ func ByName(names string) ([]Check, error) {
 	return out, nil
 }
 
-// pointEdge is an undirected mesh edge keyed by exact endpoint
-// coordinates, ordered so (a, b) and (b, a) collide.
-type pointEdge struct{ a, b geom.Point }
-
-func edgeOf(a, b geom.Point) pointEdge {
-	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
-		a, b = b, a
-	}
-	return pointEdge{a, b}
-}
-
 // Snapshot is the audit input: the mesh under test plus whatever
 // generation-time context is available. Prepare must be called (once,
 // before any concurrent check execution) to build the shared read-only
@@ -284,67 +276,90 @@ type Snapshot struct {
 	// -delaunay); the pipeline's merged mesh is only piecewise Delaunay.
 	StrictDelaunay bool
 
-	prepared  bool
-	adj       [][3]int32           // neighbor across edge e of each triangle, -1 boundary
-	edgeUse   map[pointEdge]int    // undirected incidence count by coordinates
-	pathSet   map[pointEdge]bool   // constrained path edges by coordinates
-	pointIdx  map[geom.Point]int32 // first index of each coordinate
-	surfaceV  map[geom.Point]bool  // refined surface vertices of all layers
-	boundary  [][2]int32           // directed boundary edges
-	boundaryT map[[2]int32]int32   // boundary edge -> owning triangle
+	prepared bool
+	edges    mesh.HalfEdges // the mesh's half-edge table, by index
+	order    []int32        // point indices sorted by (X, Y, index)
+	first    []int32        // lowest index of each point's coordinates
+	paths    []uint64       // pairKey of each path edge's endpoints, sorted
 }
 
-// Prepare builds the shared lookup structures every check reads. It is
-// idempotent and must complete before checks run concurrently.
+// Prepare builds the lookups every check reads. It is idempotent and must
+// complete before checks run concurrently.
 func (s *Snapshot) Prepare() {
 	if s.prepared {
 		return
 	}
-	m := s.Mesh
-	s.adj = m.Adjacency()
-	s.edgeUse = make(map[pointEdge]int, 3*len(m.Triangles)/2)
-	s.boundaryT = make(map[[2]int32]int32)
-	for i, t := range m.Triangles {
-		if !indicesValid(m, t) {
-			continue // flagged by the orientation check; keep lookups safe
-		}
-		for e := 0; e < 3; e++ {
-			u, v := t[e], t[(e+1)%3]
-			s.edgeUse[edgeOf(m.Points[u], m.Points[v])]++
-			if s.adj[i][e] < 0 {
-				s.boundary = append(s.boundary, [2]int32{u, v})
-				s.boundaryT[[2]int32{u, v}] = int32(i)
-			}
-		}
+	pts := s.Mesh.Points
+	s.edges = s.Mesh.HalfEdges()
+	s.order = make([]int32, len(pts))
+	for i := range s.order {
+		s.order[i] = int32(i)
 	}
-	sort.Slice(s.boundary, func(i, j int) bool {
-		if s.boundary[i][0] != s.boundary[j][0] {
-			return s.boundary[i][0] < s.boundary[j][0]
-		}
-		return s.boundary[i][1] < s.boundary[j][1]
+	slices.SortFunc(s.order, func(a, b int32) int {
+		return cmp.Or(comparePoints(pts[a], pts[b]), cmp.Compare(a, b))
 	})
-	s.pointIdx = make(map[geom.Point]int32, len(m.Points))
-	for i, p := range m.Points {
-		if _, ok := s.pointIdx[p]; !ok {
-			s.pointIdx[p] = int32(i)
+	s.first = make([]int32, len(pts))
+	for k, i := range s.order {
+		s.first[i] = i
+		if k > 0 && pts[s.order[k-1]] == pts[i] {
+			s.first[i] = s.first[s.order[k-1]]
 		}
 	}
-	s.pathSet = make(map[pointEdge]bool, len(s.Paths))
 	for _, pe := range s.Paths {
-		s.pathSet[edgeOf(pe[0], pe[1])] = true
-	}
-	s.surfaceV = make(map[geom.Point]bool)
-	for _, l := range s.Layers {
-		for _, p := range l.Surface.Points {
-			s.surfaceV[p] = true
+		a, b := s.at(pe[0]), s.at(pe[1])
+		if len(a) > 0 && len(b) > 0 {
+			s.paths = append(s.paths, pairKey(a[0], b[0]))
 		}
 	}
+	slices.Sort(s.paths)
 	s.prepared = true
 }
 
-func indicesValid(m *mesh.Mesh, t [3]int32) bool {
-	n := int32(len(m.Points))
-	return t[0] >= 0 && t[0] < n && t[1] >= 0 && t[1] < n && t[2] >= 0 && t[2] < n
+func comparePoints(p, q geom.Point) int {
+	return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
+}
+
+// pairKey is an undirected index pair as one sortable key.
+func pairKey(a, b int32) uint64 {
+	return uint64(uint32(min(a, b)))<<32 | uint64(uint32(max(a, b)))
+}
+
+// at returns the indices of the points at p, ascending: none when p is not
+// a mesh point (a coordinate with a NaN never is, as it equals nothing).
+func (s *Snapshot) at(p geom.Point) []int32 {
+	pts := s.Mesh.Points
+	lo, _ := slices.BinarySearchFunc(s.order, p, func(i int32, p geom.Point) int { return comparePoints(pts[i], p) })
+	hi := lo
+	for hi < len(s.order) && pts[s.order[hi]] == p {
+		hi++
+	}
+	return s.order[lo:hi]
+}
+
+// uses counts the triangles on the edge between coordinates p and q,
+// through every index at either coordinate.
+func (s *Snapshot) uses(p, q geom.Point) int {
+	n := 0
+	for _, a := range s.at(p) {
+		for _, b := range s.at(q) {
+			n += len(s.edges.Find(a, b))
+			if p != q { // when p == q the loops visit (b, a) themselves
+				n += len(s.edges.Find(b, a))
+			}
+		}
+	}
+	return n
+}
+
+// constrained reports whether the edge u-v lies on a decoupling path.
+func (s *Snapshot) constrained(u, v int32) bool {
+	_, ok := slices.BinarySearch(s.paths, pairKey(s.first[u], s.first[v]))
+	return ok
+}
+
+// wellFormed reports whether t has three distinct in-range vertices.
+func wellFormed(m *mesh.Mesh, t [3]int32) bool {
+	return m.ValidRefs(t) && t[0] != t[1] && t[1] != t[2] && t[0] != t[2]
 }
 
 // onFarfieldBorder reports whether both endpoints lie on the far-field box

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -458,6 +459,108 @@ func TestPlanJobsMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Violations, ref.Violations) {
 		t.Errorf("Run recorded %d violations, the sequential loop %d, or in another order", len(rep.Violations), len(ref.Violations))
+	}
+}
+
+// TestReportIsDeterministic: the same corrupted mesh gives the same report
+// on every run, violations and order alike. Aliased copies of triangles
+// put three triangles on coordinate edges, second triangles on directed
+// edges unbalance boundary degrees; conformity and boundary used to list
+// both in hash-map order.
+func TestReportIsDeterministic(t *testing.T) {
+	m := gridMesh(20)
+	corruptAliasing(m, 6, 9)
+	checks := []Check{conformityCheck{}, boundaryCheck{}}
+	first := Run(&Snapshot{Mesh: m}, checks)
+	for _, c := range first.Checks {
+		if c.Violations < 40 {
+			t.Fatalf("%s: %d violations, want a corruption that gives at least 40", c.Name, c.Violations)
+		}
+	}
+	for run := 1; run < 20; run++ {
+		if rep := Run(&Snapshot{Mesh: m}, checks); !reflect.DeepEqual(rep.Violations, first.Violations) {
+			t.Fatalf("run %d listed its %d violations differently from the first run", run, len(rep.Violations))
+		}
+	}
+}
+
+// TestViolationMessages pins the exact violations of the messages that
+// only a corrupted mesh reaches. Where a check's order came from a hash
+// map before it read the half-edge table, the lists are compared sorted.
+func TestViolationMessages(t *testing.T) {
+	a, b, c, d := quadPoints()
+	square := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
+	cases := []struct {
+		name   string
+		s      Snapshot
+		check  Check
+		sorted bool
+		want   []string
+	}{
+		{"edge shared through aliased coordinates", Snapshot{Mesh: &mesh.Mesh{
+			Points:    append(slices.Clone(square), geom.Pt(1, 0)),
+			Triangles: [][3]int32{{0, 1, 2}, {0, 2, 3}, {0, 4, 2}},
+		}}, conformityCheck{}, false, []string{
+			"conformity: element 2: directed edge (2,0) already used by triangle 0: overlapping elements",
+			"conformity: edge (0, 0)-(1, 1) shared by 3 triangles",
+			"conformity: point 4 duplicates point 1 at (1, 0)",
+		}},
+		{"duplicate point", Snapshot{Mesh: &mesh.Mesh{
+			Points:    append(slices.Clone(square), geom.Pt(1, 1)),
+			Triangles: [][3]int32{{0, 1, 4}, {0, 2, 3}},
+		}}, conformityCheck{}, false, []string{
+			"conformity: point 4 duplicates point 2 at (1, 1)",
+		}},
+		{"outgoing and incoming boundary edges", Snapshot{Mesh: &mesh.Mesh{
+			// Two triangles on the directed edge 1-0, the reverse of 0-1.
+			Points:    []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(1, 1), geom.Pt(1, -1), geom.Pt(1, -2)},
+			Triangles: [][3]int32{{0, 1, 2}, {1, 0, 3}, {1, 0, 4}},
+		}}, boundaryCheck{}, true, []string{
+			"boundary: element 1: boundary vertex 0 has 2 outgoing / 1 incoming boundary edges",
+			"boundary: element 0: boundary vertex 1 has 1 outgoing / 2 incoming boundary edges",
+		}},
+		{"pinched", Snapshot{Mesh: &mesh.Mesh{
+			Points:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(2, 2)},
+			Triangles: [][3]int32{{0, 1, 2}, {2, 3, 4}},
+		}, StrictDelaunay: true}, boundaryCheck{}, false, []string{
+			"boundary: boundary vertex 2 pinched: 2 boundary fans, want a simple hull loop",
+		}},
+		{"split boundary", Snapshot{Mesh: &mesh.Mesh{
+			Points:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(5, 5), geom.Pt(6, 5), geom.Pt(5, 6)},
+			Triangles: [][3]int32{{0, 1, 2}, {3, 4, 5}},
+		}, StrictDelaunay: true}, boundaryCheck{}, false, []string{
+			"boundary: boundary splits into 2 loops, want a single convex hull loop",
+		}},
+		{"surface segment on an interior edge", Snapshot{
+			Mesh:   goodQuadMesh(),
+			Layers: []*blayer.Layer{{Surface: pslg.Loop{Points: []geom.Point{b, d, a}}}},
+		}, boundaryCheck{}, false, []string{
+			"boundary: surface 0 segment 0 ((1, -0.20000000000000001)-(1, 2)) is an interior edge (2 triangles), not a boundary edge",
+		}},
+		{"path vertex missing, path edge shared by three", Snapshot{
+			Mesh: &mesh.Mesh{
+				Points:    []geom.Point{a, b, c, d, geom.Pt(-1, 1)},
+				Triangles: [][3]int32{{0, 1, 3}, {1, 2, 3}, {1, 3, 4}},
+			},
+			Paths: [][2]geom.Point{{b, d}, {a, geom.Pt(5, 5)}},
+		}, decoupleCheck{}, false, []string{
+			"decoupling: path edge (1, -0.20000000000000001)-(1, 2) shared by 3 triangles",
+			"decoupling: path vertex (5, 5) missing from mesh",
+		}},
+	}
+	for _, tc := range cases {
+		var got []string
+		for _, v := range Run(&tc.s, []Check{tc.check}).Violations {
+			got = append(got, v.String())
+		}
+		want := slices.Clone(tc.want)
+		if tc.sorted {
+			slices.Sort(got)
+			slices.Sort(want)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, want)
+		}
 	}
 }
 

@@ -5,7 +5,10 @@ package audit
 // boundary recovery against the generation-time surfaces.
 
 import (
+	"slices"
+
 	"pamg2d/internal/geom"
+	"pamg2d/internal/mesh"
 )
 
 // orientationCheck verifies every triangle references in-range, distinct
@@ -23,7 +26,7 @@ func (orientationCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
 	m := s.Mesh
 	for i := from; i < to; i++ {
 		t := m.Triangles[i]
-		if !indicesValid(m, t) {
+		if !m.ValidRefs(t) {
 			rep.Reportf(i, "vertex index out of range: (%d,%d,%d) with %d points", t[0], t[1], t[2], len(m.Points))
 			continue
 		}
@@ -53,66 +56,71 @@ func (conformityCheck) Local() bool                 { return false }
 
 func (conformityCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
 	m := s.Mesh
-	type dedge struct{ a, b int32 }
-	dir := make(map[dedge]int32, 3*len(m.Triangles))
-	seen := make(map[[3]int32]int32, len(m.Triangles))
-	used := make([]bool, len(m.Points))
+	// orig[i] is the first triangle with i's three vertices: a triangle on
+	// the edge t0-t1 either way round that also has t2. An edge belongs to
+	// the first triangle on it that is its own orig.
+	orig := make([]int, len(m.Triangles))
 	for i, t := range m.Triangles {
-		if !indicesValid(m, t) || t[0] == t[1] || t[1] == t[2] || t[0] == t[2] {
-			continue // orientation's finding; skip to keep maps well-formed
+		orig[i] = -1
+		if !wellFormed(m, t) {
+			continue // orientation's finding
 		}
-		key := canonicalTri(t)
-		if prev, ok := seen[key]; ok {
-			rep.Reportf(i, "duplicate of triangle %d", prev)
+		orig[i] = i
+		for _, run := range [2][]mesh.HalfEdge{s.edges.Find(t[0], t[1]), s.edges.Find(t[1], t[0])} {
+			for _, k := range run {
+				if j := k.Triangle(); j < orig[i] && slices.Contains(m.Triangles[j][:], t[2]) {
+					orig[i] = j
+				}
+			}
+		}
+		if orig[i] != i {
+			rep.Reportf(i, "duplicate of triangle %d", orig[i])
 			continue
 		}
-		seen[key] = int32(i)
 		for e := 0; e < 3; e++ {
 			u, v := t[e], t[(e+1)%3]
-			used[u] = true
-			if prev, ok := dir[dedge{u, v}]; ok {
-				rep.Reportf(i, "directed edge (%d,%d) already used by triangle %d: overlapping elements", u, v, prev)
-				continue
+			for _, k := range s.edges.Find(u, v) {
+				if j := k.Triangle(); orig[j] == j {
+					if j != i {
+						rep.Reportf(i, "directed edge (%d,%d) already used by triangle %d: overlapping elements", u, v, j)
+					}
+					break
+				}
 			}
-			dir[dedge{u, v}] = int32(i)
 		}
 	}
-	// Three or more triangles on one undirected index edge can only happen
-	// via a repeated directed edge (caught above); the coordinate-keyed
-	// incidence map additionally catches the same failure between distinct
-	// index pairs that alias the same coordinates.
-	for e, n := range s.edgeUse {
-		if n > 2 {
-			rep.Reportf(-1, "edge %v-%v shared by %d triangles", e.a, e.b, n)
+	// More than two triangles on one edge by coordinates takes a repeated
+	// directed edge (caught above) or an end aliased by a duplicate point, so
+	// only such edges are counted.
+	var suspect []uint64
+	for u := range m.Points {
+		out := s.edges.From(int32(u))
+		for k, h := range out {
+			if v := h.To(); k > 0 && out[k-1].To() == v || s.first[u] != int32(u) || s.first[v] != v {
+				suspect = append(suspect, pairKey(s.first[u], s.first[v]))
+			}
 		}
 	}
-	dupPts := make(map[geom.Point]int32, len(m.Points))
-	for i, p := range m.Points {
-		if prev, ok := dupPts[p]; ok {
-			rep.Reportf(-1, "point %d duplicates point %d at %v", i, prev, p)
-			continue
-		}
-		dupPts[p] = int32(i)
-	}
-	for i, u := range used {
-		if !u {
-			rep.Reportf(-1, "orphan point %d at %v referenced by no triangle", i, m.Points[i])
+	slices.Sort(suspect)
+	for _, key := range slices.Compact(suspect) {
+		p, q := m.Points[key>>32], m.Points[uint32(key)]
+		if n := s.uses(p, q); n > 2 {
+			if comparePoints(q, p) < 0 { // the ends in (X, Y) order
+				p, q = q, p
+			}
+			rep.Reportf(-1, "edge %v-%v shared by %d triangles", p, q, n)
 		}
 	}
-}
-
-func canonicalTri(t [3]int32) [3]int32 {
-	a, b, c := t[0], t[1], t[2]
-	if a > b {
-		a, b = b, a
+	for i, f := range s.first {
+		if f != int32(i) {
+			rep.Reportf(-1, "point %d duplicates point %d at %v", i, f, m.Points[i])
+		}
 	}
-	if b > c {
-		b, c = c, b
+	for u := range m.Points {
+		if !slices.ContainsFunc(s.edges.From(int32(u)), func(k mesh.HalfEdge) bool { return orig[k.Triangle()] >= 0 }) {
+			rep.Reportf(-1, "orphan point %d at %v referenced by no triangle", u, m.Points[u])
+		}
 	}
-	if a > b {
-		a, b = b, a
-	}
-	return [3]int32{a, b, c}
 }
 
 // boundaryCheck verifies the mesh boundary is watertight: the directed
@@ -133,82 +141,80 @@ func (boundaryCheck) Applicable(s *Snapshot) bool { return true }
 func (boundaryCheck) Local() bool                 { return false }
 
 func (boundaryCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
-	// In/out degree over the directed boundary edges. Any conforming
-	// oriented triangle complex has in == out at every boundary vertex
-	// (each triangle fan incident to the vertex contributes one incoming
-	// and one outgoing boundary edge); a mismatch means the boundary is
-	// torn. Degree above 1 is a pinch — two fans meeting at a point — which
-	// valid kernel output can produce for degenerate inputs (dropped
-	// convex-hull slivers), so it is only an error in strict mode.
-	out := make(map[int32][]int32, len(s.boundary)) // vertex -> successors
-	inN := make(map[int32]int, len(s.boundary))
-	for _, e := range s.boundary {
-		out[e[0]] = append(out[e[0]], e[1])
-		inN[e[1]]++
+	// In/out degree over the boundary half-edges, those whose reverse no
+	// triangle has. Any conforming oriented triangle complex has in == out
+	// at every boundary vertex (each triangle fan incident to the vertex
+	// contributes one incoming and one outgoing boundary edge); a mismatch
+	// means the boundary is torn. Degree above 1 is a pinch — two fans
+	// meeting at a point — which valid kernel output can produce for
+	// degenerate inputs (dropped convex-hull slivers), so it is only an
+	// error in strict mode.
+	out := make([][]int32, len(s.Mesh.Points)) // successors, ascending
+	in := make([]int, len(s.Mesh.Points))
+	for u := range out {
+		for _, k := range s.edges.From(int32(u)) {
+			if len(s.edges.Find(k.To(), int32(u))) == 0 {
+				out[u] = append(out[u], k.To())
+				in[k.To()]++
+			}
+		}
 	}
 	for v, succ := range out {
-		if len(succ) != inN[v] {
-			rep.Reportf(int(s.boundaryT[[2]int32{v, succ[0]}]),
-				"boundary vertex %d has %d outgoing / %d incoming boundary edges", v, len(succ), inN[v])
+		if len(succ) > 0 && len(succ) != in[v] {
+			owner := s.edges.Find(int32(v), succ[0]) // the highest-numbered triangle is reported
+			rep.Reportf(owner[len(owner)-1].Triangle(),
+				"boundary vertex %d has %d outgoing / %d incoming boundary edges", v, len(succ), in[v])
 		}
 		if s.StrictDelaunay && len(succ) > 1 {
 			rep.Reportf(-1, "boundary vertex %d pinched: %d boundary fans, want a simple hull loop", v, len(succ))
 		}
 	}
-	for v, n := range inN {
-		if len(out[v]) == 0 {
+	for v, n := range in {
+		if n > 0 && len(out[v]) == 0 {
 			rep.Reportf(-1, "boundary vertex %d has %d incoming boundary edges but no outgoing one", v, n)
 		}
 	}
-	// Count the closed walks by consuming successor links (pairing at a
-	// pinched vertex is arbitrary but the walk count is what matters).
-	loops := 0
-	for _, e := range s.boundary {
-		v := e[0]
-		if len(out[v]) == 0 {
-			continue
+	if s.StrictDelaunay {
+		// Count the closed walks by consuming successor links, last first
+		// (pairing at a pinched vertex is arbitrary; the count is what matters).
+		loops := 0
+		for u := range out {
+			for ; len(out[u]) > 0; loops++ {
+				for v := int32(u); len(out[v]) > 0; {
+					next := out[v][len(out[v])-1]
+					out[v] = out[v][:len(out[v])-1]
+					v = next
+				}
+			}
 		}
-		loops++
-		for steps := 0; len(out[v]) > 0 && steps <= len(s.boundary); steps++ {
-			next := out[v][len(out[v])-1]
-			out[v] = out[v][:len(out[v])-1]
-			v = next
+		if loops != 1 {
+			rep.Reportf(-1, "boundary splits into %d loops, want a single convex hull loop", loops)
 		}
-	}
-	if s.StrictDelaunay && loops != 1 {
-		rep.Reportf(-1, "boundary splits into %d loops, want a single convex hull loop", loops)
 	}
 	// Watertight surface recovery: every refined surface vertex present,
 	// every surface segment a boundary edge of the mesh.
-	if len(s.Layers) == 0 {
-		return
-	}
-	bset := make(map[[2]int32]bool, len(s.boundary))
-	for _, e := range s.boundary {
-		bset[e] = true
-	}
 	for li, l := range s.Layers {
 		pts := l.Surface.Points
-		n := len(pts)
-		for i := 0; i < n; i++ {
-			ai, aok := s.pointIdx[pts[i]]
-			bi, bok := s.pointIdx[pts[(i+1)%n]]
-			if !aok {
-				rep.Reportf(-1, "surface %d vertex %d at %v missing from mesh", li, i, pts[i])
+		for i, p := range pts {
+			q := pts[(i+1)%len(pts)]
+			a, b := s.at(p), s.at(q)
+			if len(a) == 0 {
+				rep.Reportf(-1, "surface %d vertex %d at %v missing from mesh", li, i, p)
 				continue
 			}
-			if !bok {
+			if len(b) == 0 {
 				continue // reported when its own segment is visited
 			}
 			// Surfaces are CW holes in the final mesh, so the boundary edge
-			// runs opposite the CCW surface loop; accept either direction.
-			if !bset[[2]int32{ai, bi}] && !bset[[2]int32{bi, ai}] {
-				if uses := s.edgeUse[edgeOf(pts[i], pts[(i+1)%n])]; uses > 0 {
+			// runs opposite the CCW surface loop; accept either direction,
+			// which is a boundary edge when its reverse is absent.
+			if (len(s.edges.Find(a[0], b[0])) == 0) == (len(s.edges.Find(b[0], a[0])) == 0) {
+				if uses := s.uses(p, q); uses > 0 {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) is an interior edge (%d triangles), not a boundary edge",
-						li, i, pts[i], pts[(i+1)%n], uses)
+						li, i, p, q, uses)
 				} else {
 					rep.Reportf(-1, "surface %d segment %d (%v-%v) not recovered as a mesh boundary edge",
-						li, i, pts[i], pts[(i+1)%n])
+						li, i, p, q)
 				}
 			}
 		}

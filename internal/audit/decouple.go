@@ -24,15 +24,15 @@ func (decoupleCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
 		if a == b {
 			continue
 		}
-		if _, ok := s.pointIdx[a]; !ok {
+		if len(s.at(a)) == 0 {
 			rep.Reportf(-1, "path vertex %v missing from mesh", a)
 			continue
 		}
-		if _, ok := s.pointIdx[b]; !ok {
+		if len(s.at(b)) == 0 {
 			rep.Reportf(-1, "path vertex %v missing from mesh", b)
 			continue
 		}
-		switch n := s.edgeUse[edgeOf(a, b)]; {
+		switch n := s.uses(a, b); {
 		case n == 0:
 			rep.Reportf(-1, "path edge %v-%v not a mesh edge: an element straddles the decoupling path", a, b)
 		case n == 1 && !s.onFarfieldBorder(a, b):

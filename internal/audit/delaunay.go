@@ -29,7 +29,7 @@ func (delaunayCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
 	m := s.Mesh
 	for i := from; i < to; i++ {
 		t := m.Triangles[i]
-		if !indicesValid(m, t) || t[0] == t[1] || t[1] == t[2] || t[0] == t[2] {
+		if !wellFormed(m, t) {
 			continue // orientation's finding
 		}
 		a, b, c := m.Points[t[0]], m.Points[t[1]], m.Points[t[2]]
@@ -37,34 +37,22 @@ func (delaunayCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
 			continue // InCircle's sign convention assumes CCW; orientation reports this
 		}
 		for e := 0; e < 3; e++ {
-			nb := int(s.adj[i][e])
-			if nb < 0 || nb < i {
-				continue // boundary edge, or the pair was audited from nb's side
-			}
 			u, v := t[e], t[(e+1)%3]
-			if !s.StrictDelaunay && s.pathSet[edgeOf(m.Points[u], m.Points[v])] {
-				continue // constrained edge: CDT makes no promise across it
+			back := s.edges.Find(v, u)
+			if len(back) == 0 {
+				continue // boundary edge
 			}
-			nt := m.Triangles[nb]
-			opp, ok := oppositeVertex(nt, u, v)
-			if !ok || opp < 0 || int(opp) >= len(m.Points) {
-				continue // corrupt neighbor; orientation/conformity report it
+			k := back[len(back)-1] // the neighbor Mesh.Adjacency names
+			nb := k.Triangle()
+			if nb < i || !s.StrictDelaunay && s.constrained(u, v) {
+				continue // audited from nb's side, or constrained: CDT makes no promise across it
 			}
-			p := m.Points[opp]
-			if geom.InCircleSign(a, b, c, p) > 0 {
+			// A corrupt neighbor that repeats u or v puts it here, on the circle.
+			opp := m.Triangles[nb][(k.Edge()+2)%3]
+			if geom.InCircleSign(a, b, c, m.Points[opp]) > 0 {
 				rep.Reportf(i, "edge (%d,%d): vertex %d of neighbor %d inside circumcircle of (%d,%d,%d)",
 					u, v, opp, nb, t[0], t[1], t[2])
 			}
 		}
 	}
-}
-
-// oppositeVertex returns the vertex of triangle nt that is not u or v.
-func oppositeVertex(nt [3]int32, u, v int32) (int32, bool) {
-	for _, w := range nt {
-		if w != u && w != v {
-			return w, true
-		}
-	}
-	return -1, false
 }

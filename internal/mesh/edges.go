@@ -7,29 +7,35 @@ import (
 	"pamg2d/internal/geom"
 )
 
-// halfEdges is the mesh's directed edges grouped by origin vertex: a
+// HalfEdges is the mesh's directed edges grouped by origin vertex: a
 // counting sort puts vertex v's outgoing half-edges in
-// key[start[v]:start[v+1]], and each bucket is ordered by destination.
-// Audit, BoundaryEdges and Adjacency all read this one table, which costs
-// two flat allocations whatever the vertex degrees are.
-//
-// A key is dst<<32 | 3*triangle+edge, so within a bucket the half-edges to
-// one destination are adjacent and the last of them belongs to the
-// highest-numbered triangle.
-type halfEdges struct {
+// key[start[v]:start[v+1]], each bucket ordered by destination and then
+// triangle. Audit, BoundaryEdges, Adjacency and internal/audit all read
+// this one table, two flat allocations whatever the vertex degrees are.
+type HalfEdges struct {
 	start []int32
-	key   []uint64
+	key   []HalfEdge
 }
 
-// halfEdges builds the table. Triangles that reference a vertex outside
+// HalfEdge is edge Edge of triangle Triangle, the one from its vertex Edge
+// to vertex Edge+1 mod 3, which runs to vertex To. It is stored as
+// dst<<32 | 3*triangle+edge, so in a bucket the half-edges to one
+// destination are adjacent and ordered by triangle.
+type HalfEdge uint64
+
+func (k HalfEdge) To() int32     { return int32(k >> 32) }
+func (k HalfEdge) Triangle() int { return int(uint32(k) / 3) }
+func (k HalfEdge) Edge() int     { return int(uint32(k) % 3) }
+
+// HalfEdges builds the table. Triangles that reference a vertex outside
 // Points contribute nothing.
-func (m *Mesh) halfEdges() halfEdges {
+func (m *Mesh) HalfEdges() HalfEdges {
 	np := len(m.Points)
 	// Counts go in two slots up, so that after the prefix sum start[v+1]
 	// is origin v's write cursor and ends as its bucket's end.
 	start := make([]int32, np+2)
 	for _, t := range m.Triangles {
-		if m.validRefs(t) {
+		if m.ValidRefs(t) {
 			start[t[0]+2]++
 			start[t[1]+2]++
 			start[t[2]+2]++
@@ -38,14 +44,14 @@ func (m *Mesh) halfEdges() halfEdges {
 	for v := 0; v < np; v++ {
 		start[v+2] += start[v+1]
 	}
-	key := make([]uint64, start[np+1])
+	key := make([]HalfEdge, start[np+1])
 	for i, t := range m.Triangles {
-		if !m.validRefs(t) {
+		if !m.ValidRefs(t) {
 			continue
 		}
 		for e := 0; e < 3; e++ {
 			u := t[e]
-			key[start[u+1]] = uint64(t[(e+1)%3])<<32 | uint64(3*i+e)
+			key[start[u+1]] = HalfEdge(t[(e+1)%3])<<32 | HalfEdge(3*i+e)
 			start[u+1]++
 		}
 	}
@@ -53,22 +59,38 @@ func (m *Mesh) halfEdges() halfEdges {
 	for v := 0; v < np; v++ {
 		slices.Sort(key[start[v]:start[v+1]])
 	}
-	return halfEdges{start: start, key: key}
+	return HalfEdges{start: start, key: key}
 }
 
-func (m *Mesh) validRefs(t [3]int32) bool {
+// ValidRefs reports whether all three vertices of t index Points.
+func (m *Mesh) ValidRefs(t [3]int32) bool {
 	np := uint32(len(m.Points))
 	return uint32(t[0]) < np && uint32(t[1]) < np && uint32(t[2]) < np
 }
 
+// From returns the half-edges leaving vertex u, ordered by destination and
+// then triangle.
+func (h HalfEdges) From(u int32) []HalfEdge { return h.key[h.start[u]:h.start[u+1]] }
+
+// Find returns the half-edges u->v, ordered by triangle; none when no
+// triangle has that edge.
+func (h HalfEdges) Find(u, v int32) []HalfEdge {
+	hi := h.last(u, v) + 1
+	lo := hi
+	for lo > int(h.start[u]) && h.key[lo-1].To() == v {
+		lo--
+	}
+	return h.key[lo:hi]
+}
+
 // last returns the position in key of the last half-edge u->v, or -1 when
 // there is none.
-func (h halfEdges) last(u, v int32) int {
+func (h HalfEdges) last(u, v int32) int {
 	// The first key at or above the lowest possible key to v+1; searched by
 	// hand because slices.BinarySearch measured 10-15 % slower on
 	// BoundaryEdges and Adjacency, whose time is this loop.
 	lo, hi := int(h.start[u]), int(h.start[u+1])
-	end := (uint64(uint32(v)) + 1) << 32
+	end := HalfEdge(uint32(v)+1) << 32
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if h.key[mid] < end {
@@ -77,7 +99,7 @@ func (h halfEdges) last(u, v int32) int {
 			hi = mid
 		}
 	}
-	if lo > int(h.start[u]) && int32(h.key[lo-1]>>32) == v {
+	if lo > int(h.start[u]) && h.key[lo-1].To() == v {
 		return lo - 1
 	}
 	return -1
@@ -97,11 +119,11 @@ func (m *Mesh) Audit() error {
 			return fmt.Errorf("mesh: triangle %d not CCW", i)
 		}
 	}
-	h := m.halfEdges()
+	h := m.HalfEdges()
 	for u := range m.Points {
-		bucket := h.key[h.start[u]:h.start[u+1]]
+		bucket := h.From(int32(u))
 		for k := 1; k < len(bucket); k++ {
-			if v := bucket[k] >> 32; v == bucket[k-1]>>32 {
+			if v := bucket[k].To(); v == bucket[k-1].To() {
 				return fmt.Errorf("mesh: directed edge (%d,%d) used twice; overlapping triangles", u, v)
 			}
 		}
@@ -113,12 +135,12 @@ func (m *Mesh) Audit() error {
 // triangle, i.e. the mesh boundary, ordered by origin and then
 // destination.
 func (m *Mesh) BoundaryEdges() [][2]int32 {
-	h := m.halfEdges()
+	h := m.HalfEdges()
 	var out [][2]int32
 	for u := int32(0); int(u) < len(m.Points); u++ {
 		prev := int32(-1)
-		for _, k := range h.key[h.start[u]:h.start[u+1]] {
-			v := int32(k >> 32)
+		for _, k := range h.From(u) {
+			v := k.To()
 			if v != prev && h.last(v, u) < 0 {
 				out = append(out, [2]int32{u, v})
 			}
@@ -134,18 +156,18 @@ func (m *Mesh) BoundaryEdges() [][2]int32 {
 // rebuilding the edge table themselves. When several triangles use the
 // reverse of an edge the highest-numbered one is reported, and a triangle
 // referencing a vertex outside Points has no neighbors, so the function is
-// safe on the corrupted meshes the invariant audit inspects.
+// safe on corrupted meshes.
 func (m *Mesh) Adjacency() [][3]int32 {
-	h := m.halfEdges()
+	h := m.HalfEdges()
 	adj := make([][3]int32, len(m.Triangles))
 	for i, t := range m.Triangles {
 		adj[i] = [3]int32{-1, -1, -1}
-		if !m.validRefs(t) {
+		if !m.ValidRefs(t) {
 			continue
 		}
 		for e := 0; e < 3; e++ {
 			if k := h.last(t[(e+1)%3], t[e]); k >= 0 {
-				adj[i][e] = int32(uint32(h.key[k]) / 3)
+				adj[i][e] = int32(h.key[k].Triangle())
 			}
 		}
 	}

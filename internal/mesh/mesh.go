@@ -3,8 +3,8 @@
 // submesh whose shared points are flagged, AddSubmesh; with
 // coordinate-based deduplication of every corner for loose triangles,
 // AddTriangle), structural audits (orientation, conformity) and the
-// boundary and adjacency queries, all three read off one half-edge table
-// (edges.go), element quality statistics, and writers in Triangle's ASCII
+// boundary and adjacency queries, all read off one half-edge table
+// (HalfEdges), element quality statistics, and writers in Triangle's ASCII
 // .node/.ele format and a compact binary format. The paper measures a
 // 9-minute ASCII write for its 172.8M-triangle mesh and notes binary
 // output is faster; the writer benchmarks reproduce that comparison at

@@ -24,8 +24,10 @@ func grid(n int) *mesh.Mesh {
 
 // TestAuditAgreesWithInvariantAudit: on seeded corruptions of a grid,
 // Mesh.Audit — orientation plus the half-edge table — passes or fails
-// exactly when internal/audit's orientation and conformity checks do.
-// Those keep their own hash maps, so the two share no code.
+// exactly when internal/audit's orientation and conformity checks do. Both
+// read the one half-edge table, so this holds the two readers to one
+// verdict; the independent oracle for the table is the map-based reference
+// of internal/audit's TestAuditMatchesMapReference.
 func TestAuditAgreesWithInvariantAudit(t *testing.T) {
 	checks, err := audit.ByName("orientation,conformity")
 	if err != nil {
