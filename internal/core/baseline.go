@@ -65,7 +65,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	transRes, err := delaunay.TriangulateRefined(transIn, qualityFor(grad.Area))
+	transRes, err := delaunay.TriangulateRefined(transIn, qualityFor(grad.Area, grad.Slope()))
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	invRes, err := delaunay.TriangulateRefined(annulus, qualityFor(grad.Area))
+	invRes, err := delaunay.TriangulateRefined(annulus, qualityFor(grad.Area, grad.Slope()))
 	if err != nil {
 		return nil, err
 	}
@@ -148,6 +148,7 @@ func IsotropicBaseline(cfg Config, resolutionFactor float64) (*mesh.Mesh, error)
 	res, err := delaunay.TriangulateRefined(in, delaunay.Quality{
 		MaxRadiusEdgeRatio: 1.4142135623730951, // sqrt(2): min angle 20.7 degrees
 		SizeAt:             grad.Area,
+		SizeSlope:          grad.Slope(),
 	})
 	if err != nil {
 		return nil, err

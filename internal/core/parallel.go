@@ -75,6 +75,7 @@ func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Po
 type taskCtx struct {
 	frame geom.BBox
 	size  sizing.Func
+	slope float64 // size's delaunay.Quality.SizeSlope
 	bl    blayer.Params
 	// annuli are the layer regions a boundary-layer leaf filters its
 	// triangles by; every process builds them from its own rc.layers.
@@ -162,7 +163,7 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 		for i := 0; i < nh; i++ {
 			in.Holes = append(in.Holes, geom.Pt(vals[off+2*i], vals[off+2*i+1]))
 		}
-		res, err := delaunay.TriangulateRefined(in, qualityFor(size))
+		res, err := delaunay.TriangulateRefined(in, qualityFor(size, ctx.slope))
 		if err != nil {
 			return nil, err
 		}

@@ -208,12 +208,13 @@ func transitionInput(g *pslg.Graph, outerPts []geom.Point, outerSegs [][2]int32,
 	return in, nil
 }
 
-// sequentialBaselineQuality mirrors Triangle's quality switch used
-// throughout the pipeline.
-func qualityFor(size sizing.Func) delaunay.Quality {
+// qualityFor mirrors Triangle's quality switch used throughout the
+// pipeline; slope is size's declared SizeSlope (sizing.Graded.Slope), or 0.
+func qualityFor(size sizing.Func, slope float64) delaunay.Quality {
 	return delaunay.Quality{
 		MaxRadiusEdgeRatio: math.Sqrt2,
 		SizeAt:             size,
+		SizeSlope:          slope,
 		NoSplitSegments:    true,
 	}
 }

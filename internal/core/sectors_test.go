@@ -106,7 +106,7 @@ func TestTransitionSectorsOnRing(t *testing.T) {
 	// Refine every sector and verify the union area equals the annulus.
 	var area float64
 	for si, sec := range sectors {
-		res, err := delaunay.TriangulateRefined(sec, qualityFor(size))
+		res, err := delaunay.TriangulateRefined(sec, qualityFor(size, 0))
 		if err != nil {
 			t.Fatalf("sector %d: %v", si, err)
 		}

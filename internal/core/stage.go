@@ -172,6 +172,7 @@ type RunCtx struct {
 	// merge stage adds the isotropic submeshes to the same builder.
 	builder    *mesh.Builder
 	size       sizing.Func  // bl-triangulation
+	sizeSlope  float64      // bl-triangulation: size's delaunay.Quality.SizeSlope
 	nbBox      geom.BBox    // bl-triangulation: near-body box
 	outerPts   []geom.Point // bl-triangulation: BL outer boundary
 	outerSegs  [][2]int32

@@ -183,7 +183,7 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		surfacePts = append(surfacePts, rc.g.Surfaces[i].Points...)
 	}
 	grad := sizing.NewGraded(surfacePts, cfg.SurfaceH0, cfg.Gradation, cfg.HMax)
-	rc.size = grad.Area
+	rc.size, rc.sizeSlope = grad.Area, grad.Slope()
 
 	blBox := geom.BBoxOf(rc.blPoints)
 	d := cfg.NearBodyMargin * (blBox.Width() + blBox.Height()) / 2
@@ -323,7 +323,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 		rc.stats.InviscidTris = inv
 		return nil
 	}
-	return tasks, taskCtx{frame: rc.ffBox, size: size}, merge, nil
+	return tasks, taskCtx{frame: rc.ffBox, size: size, slope: rc.sizeSlope}, merge, nil
 }
 
 // runMerge adds the transition/inviscid submeshes to the builder that

@@ -51,13 +51,25 @@ type Quality struct {
 	// MaxArea bounds every triangle's area. Zero disables it.
 	MaxArea float64
 
-	// SizeAt, when non-nil, returns the target triangle area near a point;
+	// SizeAt, when non-nil, returns the target triangle area at a point;
 	// triangles larger than the target are split. This is Triangle's
 	// user-defined area constraint used by the paper's sizing function.
-	// It must be a pure function of the point: the refiner evaluates it
-	// once per triangle, when it queues the triangle, and splits on that
-	// answer however much later the triangle's turn comes.
+	// It must be a pure function of the point: the refiner evaluates it at
+	// most once per triangle, when it tests the triangle for the queue,
+	// and splits on that answer however much later the triangle's turn
+	// comes.
 	SizeAt func(geom.Point) float64
+
+	// SizeSlope, when positive, declares a slope L of SizeAt's square
+	// root: |√SizeAt(p) − √SizeAt(q)| ≤ L·|p − q| for all p and q, up to a
+	// relative rounding error of 2^-44 in each term wherever the targets
+	// lie between 2^-800 and 2^800. The refiner then asks SizeAt once at
+	// each vertex it inserts and settles the size test of the new
+	// triangles around it from that answer, asking at a centroid only
+	// when the bound cannot decide; the mesh is the one SizeAt alone
+	// gives. Zero declares nothing and asks at every centroid.
+	// sizing.Graded.Slope supplies it.
+	SizeSlope float64
 
 	// MinLength guards termination: segments and edges shorter than this
 	// are never split and circumcenters closer than this to an existing

@@ -541,20 +541,48 @@ func BenchmarkRefineUnitSquare(b *testing.B) {
 	}
 }
 
-// TestRefineAsksSizeOncePerQueuedTriangle pins how often refinement asks
-// the sizing function. A triangle is tested when it is queued
-// (considerTri) and split on that answer when it is popped: its three
-// points never move, so the pop checks only that it still exists. The
-// refiner used to evaluate isBad again at every non-stale pop; with that
-// re-check the two regions below cost 2,446 and 3,026 calls for the same
-// meshes. A re-check that comes back fails on the count; a changed mesh
-// fails on the sizes, and on the comparison with an uncounted refinement
-// if the count itself were what changed it.
-func TestRefineAsksSizeOncePerQueuedTriangle(t *testing.T) {
+// TestWalkVisibleStepLimit: a walk that runs out of steps reports no
+// blocking edge, and splitTri leaves the triangle alone. The triangle's
+// exit edge is its own neighbour, so the walk toward its circumcenter,
+// (2, -1.5) below that edge, never ends; splitTri used to index the
+// triangle's vertices with the walk's -1 and panic.
+func TestWalkVisibleStepLimit(t *testing.T) {
+	tri := &Triangulation{
+		pts:  []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(2, 1)},
+		tris: []Tri{{V: [3]int32{0, 1, 2}, N: [3]int32{0, invalid, invalid}}},
+	}
+	cc := geom.Circumcenter(tri.pts[0], tri.pts[1], tri.pts[2])
+	if end, e, reached, inside := tri.walkVisible(0, cc); end != invalid || e != -1 || reached || inside {
+		t.Fatalf("walkVisible = %d, %d, %v, %v; want invalid, -1, false, false", end, e, reached, inside)
+	}
+	r := &refiner{t: tri, q: Quality{MaxRadiusEdgeRatio: math.Sqrt2}, minLen: 1e-9, star: invalid}
+	r.splitTri(0)
+	if len(tri.pts) != 3 || len(tri.tris) != 1 || len(r.segs) != 0 || len(r.tris) != 0 {
+		t.Errorf("splitTri changed the triangulation or queued work: %d points, %d triangles, %d segments, %d triangles queued",
+			len(tri.pts), len(tri.tris), len(r.segs), len(r.tris))
+	}
+}
+
+// TestRefineAsksSizeAtMostOncePerTestedTriangle pins how often refinement
+// asks the sizing function: at most once per triangle it tests for the
+// queue, plus once per inserted vertex when a slope is declared. A
+// triangle is tested when it is queued (considerTri) and split on that
+// answer when it is popped: its three points never move, so the pop checks
+// only that it still exists. The size test runs after the quality test,
+// so a triangle that fails the quality bound asks nothing; with the size
+// test first and a re-check at every pop the two regions below cost 2,446
+// and 3,026 calls, and with the size test first alone 2,048 and 2,635.
+// A declared slope lets the star of each new
+// vertex be settled from one query at the vertex. A changed call pattern
+// fails on the count; a changed mesh fails on the sizes, and on the
+// comparison across counted, uncounted, slope-free and sloped runs.
+func TestRefineAsksSizeAtMostOncePerTestedTriangle(t *testing.T) {
+	// √size = 0.1·√(0.2 + d²) has slope 0.1 in d = |p|, hence in p.
 	size := func(p geom.Point) float64 {
 		d := math.Hypot(p.X, p.Y)
 		return 0.002 + 0.01*d*d
 	}
+	const slope = 0.1
 	coarse := Input{
 		Points:   []geom.Point{geom.Pt(0, 0), geom.Pt(8, 0), geom.Pt(8, 8), geom.Pt(0, 8)},
 		Segments: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
@@ -573,33 +601,40 @@ func TestRefineAsksSizeOncePerQueuedTriangle(t *testing.T) {
 		marched.Segments = append(marched.Segments, [2]int32{int32(i), int32((i + 1) % len(marched.Points))})
 	}
 	for _, c := range []struct {
-		name                     string
-		in                       Input
-		noSplit                  bool
-		calls, points, triangles int
+		name              string
+		in                Input
+		noSplit           bool
+		calls, slopeCalls int
+		points, triangles int
 	}{
-		{"segments split", coarse, false, 2048, 402, 725},
-		{"segments kept (-Y)", marched, true, 2635, 497, 864},
+		{"segments split", coarse, false, 1993, 841, 402, 725},
+		{"segments kept (-Y)", marched, true, 1998, 688, 497, 864},
 	} {
-		calls := 0
-		counted := Quality{MaxRadiusEdgeRatio: math.Sqrt2, NoSplitSegments: c.noSplit,
-			SizeAt: func(p geom.Point) float64 { calls++; return size(p) }}
-		got, err := TriangulateRefined(c.in, counted)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		plain := counted
-		plain.SizeAt = size
+		plain := Quality{MaxRadiusEdgeRatio: math.Sqrt2, NoSplitSegments: c.noSplit, SizeAt: size}
 		want, err := TriangulateRefined(c.in, plain)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if calls != c.calls || len(got.Points) != c.points || len(got.Triangles) != c.triangles {
-			t.Errorf("%s: %d SizeAt calls for %d points, %d triangles; want %d for %d, %d",
-				c.name, calls, len(got.Points), len(got.Triangles), c.calls, c.points, c.triangles)
-		}
-		if !slices.Equal(got.Points, want.Points) || !slices.Equal(got.Triangles, want.Triangles) {
-			t.Errorf("%s: counting the calls changed the mesh", c.name)
+		for _, s := range []float64{0, slope} {
+			calls := 0
+			counted := plain
+			counted.SizeAt = func(p geom.Point) float64 { calls++; return size(p) }
+			counted.SizeSlope = s
+			got, err := TriangulateRefined(c.in, counted)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			wantCalls := c.calls
+			if s > 0 {
+				wantCalls = c.slopeCalls
+			}
+			if calls != wantCalls || len(got.Points) != c.points || len(got.Triangles) != c.triangles {
+				t.Errorf("%s, slope %v: %d SizeAt calls for %d points, %d triangles; want %d for %d, %d",
+					c.name, s, calls, len(got.Points), len(got.Triangles), wantCalls, c.points, c.triangles)
+			}
+			if !slices.Equal(got.Points, want.Points) || !slices.Equal(got.Triangles, want.Triangles) {
+				t.Errorf("%s, slope %v: the mesh differs from the uncounted slope-free refinement", c.name, s)
+			}
 		}
 	}
 }

@@ -25,7 +25,7 @@ func (t *Triangulation) Refine(q Quality) error {
 	}
 	// The worklists live on the Triangulation so repeated Refine calls
 	// reuse their backing arrays.
-	r := &refiner{t: t, q: q, minLen: minLen, segs: t.refSegs[:0], tris: t.refTris[:0]}
+	r := &refiner{t: t, q: q, minLen: minLen, star: invalid, segs: t.refSegs[:0], tris: t.refTris[:0]}
 
 	// Seed the queues with every interior triangle and constrained edge.
 	for i := range t.tris {
@@ -63,6 +63,13 @@ type refiner struct {
 	q      Quality
 	minLen float64
 
+	// star is the vertex whose star requeueAround is testing, invalid
+	// outside it. starAsked reports that SizeAt was asked at it, and
+	// starRoot is the square root of that answer: the size filter's anchor.
+	star      int32
+	starAsked bool
+	starRoot  float64
+
 	segs []segRef
 	tris []triRef
 }
@@ -75,6 +82,31 @@ func (r *refiner) considerTri(ti int32) {
 	}
 }
 
+// The filtered triangle tests decide on squared lengths, and the size test
+// from the star vertex's target, when the answer is clear of the threshold
+// by filterSlack relative; otherwise they evaluate the exact expressions
+// (math.Hypot, the circumradius, SizeAt at the centroid), so every answer
+// is the exact one. The rounding of the squared forms and of the exact
+// forms together stays below 64ε = 2^-47 relative (DESIGN §7, "Delaunay
+// kernel reuse"), and filterSlack leaves eight times that. The squared
+// inputs are held between filterTiny and filterHuge, where products of two
+// of them neither overflow nor leave the normal range, so the relative
+// bounds hold.
+const (
+	filterSlack = 0x1p-44
+	filterTiny  = 0x1p-500
+	filterHuge  = 0x1p500
+	// rootTiny and rootHuge hold the size filter's bounds on √SizeAt, so
+	// the targets it vouches for lie between 2^-800 and 2^800, where
+	// SizeSlope's rounding clause applies.
+	rootTiny = 0x1p-400
+	rootHuge = 0x1p400
+)
+
+// isBad reports whether ti violates the area, quality or sizing bound and
+// is long enough to split (shortest > 2*minLen). The three tests are pure
+// and OR-ed, so their order is free: the cheap ones run first and the
+// sizing query last.
 func (r *refiner) isBad(ti int32) bool {
 	t := r.t
 	tr := t.tris[ti]
@@ -82,26 +114,99 @@ func (r *refiner) isBad(ti int32) bool {
 		return false
 	}
 	a, b, c := t.pts[tr.V[0]], t.pts[tr.V[1]], t.pts[tr.V[2]]
-	ab := a.Dist(b)
-	bc := b.Dist(c)
-	ca := c.Dist(a)
-	shortest := math.Min(ab, math.Min(bc, ca))
+	abx, aby := a.X-b.X, a.Y-b.Y
+	bcx, bcy := b.X-c.X, b.Y-c.Y
+	cax, cay := c.X-a.X, c.Y-a.Y
+	// The same differences math.Hypot is handed by Point.Dist.
+	shortest2 := min(abx*abx+aby*aby, bcx*bcx+bcy*bcy, cax*cax+cay*cay)
+	if !r.longEnough(shortest2, a, b, c) {
+		return false
+	}
 	area := math.Abs(geom.TriangleArea(a, b, c))
-	if r.q.MaxArea > 0 && area > r.q.MaxArea && shortest > 2*r.minLen {
+	if r.q.MaxArea > 0 && area > r.q.MaxArea {
 		return true
 	}
-	if r.q.SizeAt != nil && shortest > 2*r.minLen {
-		centroid := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
-		if want := r.q.SizeAt(centroid); want > 0 && area > want {
+	if r.q.MaxRadiusEdgeRatio > 0 && r.radiusEdgeBad(shortest2, a, b, c) {
+		return true
+	}
+	if r.q.SizeAt == nil {
+		return false
+	}
+	centroid := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
+	if bad, decided := r.sizeFromStar(centroid, area); decided {
+		return bad
+	}
+	want := r.q.SizeAt(centroid)
+	return want > 0 && area > want
+}
+
+// longEnough decides shortest > 2*minLen, where shortest is the least
+// math.Hypot edge length, from the least squared edge length shortest2.
+func (r *refiner) longEnough(shortest2 float64, a, b, c geom.Point) bool {
+	m := 2 * r.minLen
+	if m2 := m * m; m > 0 && m2 >= filterTiny && m2 <= filterHuge {
+		if shortest2 > m2*(1+filterSlack) {
 			return true
 		}
-	}
-	if r.q.MaxRadiusEdgeRatio > 0 && shortest > 2*r.minLen {
-		if geom.Circumradius(a, b, c)/shortest > r.q.MaxRadiusEdgeRatio {
-			return true
+		if shortest2 < m2*(1-filterSlack) {
+			return false
 		}
 	}
-	return false
+	return min(a.Dist(b), b.Dist(c), c.Dist(a)) > m
+}
+
+// radiusEdgeBad decides geom.Circumradius(a, b, c)/shortest >
+// MaxRadiusEdgeRatio, shortest being the least math.Hypot edge length, on
+// squares.
+func (r *refiner) radiusEdgeBad(shortest2 float64, a, b, c geom.Point) bool {
+	// geom.Circumradius is the circumcenter's Point.Dist to a; these are
+	// the differences it hands math.Hypot.
+	cc := geom.Circumcenter(a, b, c)
+	ux, uy := cc.X-a.X, cc.Y-a.Y
+	ratio := r.q.MaxRadiusEdgeRatio
+	if ratio2 := ratio * ratio; ratio2 >= filterTiny && ratio2 <= filterHuge &&
+		shortest2 >= filterTiny && shortest2 <= filterHuge {
+		limit := ratio2 * shortest2
+		if r2 := ux*ux + uy*uy; r2 > limit*(1+filterSlack) {
+			return true
+		} else if r2 < limit*(1-filterSlack) {
+			return false
+		}
+	}
+	return cc.Dist(a)/min(a.Dist(b), b.Dist(c), c.Dist(a)) > ratio
+}
+
+// sizeFromStar decides the size test want > 0 && area > want, want being
+// SizeAt at centroid, from the target at the star vertex under the
+// declared slope: √want lies within L·|centroid − v| of √SizeAt(v). It
+// reports decided=false outside requeueAround, without a slope, or when
+// the bound straddles the threshold. SizeAt is asked at the star vertex
+// the first time a star triangle needs it.
+func (r *refiner) sizeFromStar(centroid geom.Point, area float64) (bad, decided bool) {
+	if r.star == invalid || r.q.SizeSlope <= 0 {
+		return false, false
+	}
+	v := r.t.pts[r.star]
+	if !r.starAsked {
+		r.starAsked = true
+		r.starRoot = math.Sqrt(r.q.SizeAt(v))
+	}
+	dx, dy := centroid.X-v.X, centroid.Y-v.Y
+	reach := r.q.SizeSlope * math.Sqrt(dx*dx+dy*dy)
+	slack := filterSlack * (r.starRoot + reach)
+	lo := r.starRoot - reach - slack
+	hi := r.starRoot + reach + slack
+	// A NaN anywhere fails this and leaves the test to SizeAt.
+	if !(lo >= rootTiny && hi <= rootHuge) {
+		return false, false
+	}
+	if area > hi*hi {
+		return true, true
+	}
+	if area < lo*lo {
+		return false, true
+	}
+	return false, false
 }
 
 // considerSeg enqueues the constrained edge e of ti if it is encroached by
@@ -208,9 +313,11 @@ func (r *refiner) splitSeg(ti, e int32) {
 
 // requeueAround re-examines the star of a freshly inserted vertex: its
 // triangles for quality/size violations and their constrained edges for
-// encroachment.
+// encroachment. Every star triangle has v for a vertex, so the size test
+// may start from the target at v (sizeFromStar).
 func (r *refiner) requeueAround(v int32) {
 	t := r.t
+	r.star, r.starAsked = v, false
 	t.visitStar(v, func(ti int32) bool {
 		if t.tris[ti].Outside {
 			return true
@@ -224,6 +331,7 @@ func (r *refiner) requeueAround(v int32) {
 		}
 		return true
 	})
+	r.star = invalid
 }
 
 // splitTri inserts the circumcenter of bad triangle ti, unless the
@@ -240,11 +348,11 @@ func (r *refiner) splitTri(ti int32) {
 	// Walk from the triangle toward the circumcenter. If the walk crosses a
 	// constrained edge, the circumcenter is not visible from the triangle
 	// interior; treat the blocking segment as encroached.
-	blockTi, blockE, reached := t.walkVisible(ti, cc)
+	end, blockE, reached, inside := t.walkVisible(ti, cc)
 	if !reached {
-		if blockTi != invalid {
-			aa := t.tris[blockTi].V[blockE]
-			bb := t.tris[blockTi].V[(blockE+1)%3]
+		if end != invalid {
+			aa := t.tris[end].V[blockE]
+			bb := t.tris[end].V[(blockE+1)%3]
 			s := geom.Segment{A: t.pts[aa], B: t.pts[bb]}
 			if !r.q.NoSplitSegments && s.Len() > 2*r.minLen {
 				r.segs = append(r.segs, segRef{a: aa, b: bb, force: true})
@@ -253,7 +361,16 @@ func (r *refiner) splitTri(ti int32) {
 		}
 		return
 	}
-	v, encroached, err := t.insertCircumcenter(cc, r.minLen)
+	// A point strictly inside a triangle has no other containing triangle,
+	// so the walk's last triangle is what locate would find. On an edge or
+	// a vertex, or after the walk gave up, locate decides.
+	loc := location{kind: locInside, t: end}
+	if inside {
+		t.last = end
+	} else {
+		loc = t.locate(cc)
+	}
+	v, encroached, err := t.insertCircumcenter(cc, loc, r.minLen)
 	if err != nil {
 		return
 	}
@@ -331,11 +448,11 @@ func (r *refiner) insertCentroid(ti int32) {
 	r.requeueAround(v)
 }
 
-// insertCircumcenter inserts cc unless the insertion cavity's boundary
-// contains a constrained segment whose diametral circle holds cc; in that
-// case nothing is mutated and the encroached segments are returned.
-func (t *Triangulation) insertCircumcenter(cc geom.Point, minLen float64) (int32, [][2]int32, error) {
-	loc := t.locate(cc)
+// insertCircumcenter inserts cc, found at loc, unless the insertion
+// cavity's boundary contains a constrained segment whose diametral circle
+// holds cc; in that case nothing is mutated and the encroached segments
+// are returned.
+func (t *Triangulation) insertCircumcenter(cc geom.Point, loc location, minLen float64) (int32, [][2]int32, error) {
 	switch loc.kind {
 	case locOutside:
 		return -1, nil, ErrOutside
@@ -375,9 +492,13 @@ func (t *Triangulation) insertCircumcenter(cc geom.Point, minLen float64) (int32
 }
 
 // walkVisible walks from triangle ti toward point p. It returns
-// reached=true when p's containing triangle is reachable without crossing a
-// constrained edge; otherwise it returns the blocking triangle and edge.
-func (t *Triangulation) walkVisible(ti int32, p geom.Point) (int32, int32, bool) {
+// reached=true, with the walk's last triangle, when p's containing triangle
+// is reachable without crossing a constrained edge; inside then reports
+// that the last triangle contains p strictly (all three orientations
+// positive). Otherwise it returns the blocking triangle and edge, or
+// invalid and -1 when the walk ran out of steps (a neighbour cycle, which
+// a valid triangulation does not have).
+func (t *Triangulation) walkVisible(ti int32, p geom.Point) (end, blockE int32, reached, inside bool) {
 	// Start from the triangle's centroid to have a well-defined ray origin.
 	tr := t.tris[ti]
 	a, b, c := t.pts[tr.V[0]], t.pts[tr.V[1]], t.pts[tr.V[2]]
@@ -387,34 +508,37 @@ func (t *Triangulation) walkVisible(ti int32, p geom.Point) (int32, int32, bool)
 	for step := 0; step < maxSteps; step++ {
 		tr := t.tris[cur]
 		// Is p inside cur?
-		inside := true
+		in, strict := true, true
 		var exit int32 = -1
 		for e := int32(0); e < 3; e++ {
 			u := t.pts[tr.V[e]]
 			w := t.pts[tr.V[(e+1)%3]]
-			if geom.Orient2DSign(u, w, p) < 0 {
-				inside = false
+			switch geom.Orient2DSign(u, w, p) {
+			case -1:
+				in = false
 				// Candidate exit edge: the segment from->p must cross it.
 				if geom.SegmentsIntersect(geom.Segment{A: from, B: p}, geom.Segment{A: u, B: w}) != geom.SegDisjoint {
 					exit = e
 				}
+			case 0:
+				strict = false
 			}
 		}
-		if inside {
-			return cur, -1, true
+		if in {
+			return cur, -1, true, strict
 		}
 		if exit < 0 {
 			// Numerical corner case; give up optimistically.
-			return cur, -1, true
+			return cur, -1, true, false
 		}
 		if tr.C[exit] {
-			return cur, exit, false
+			return cur, exit, false, false
 		}
 		nb := tr.N[exit]
 		if nb == invalid || t.tris[nb].Dead {
-			return cur, exit, false
+			return cur, exit, false, false
 		}
 		cur = nb
 	}
-	return cur, -1, false
+	return invalid, -1, false, false
 }

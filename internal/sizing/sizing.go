@@ -4,9 +4,9 @@
 // paper) that converts a target area into the decoupling edge length.
 //
 // The paper's field is a function of the distance to the body. Graded
-// finds that distance with an exact static index of the surface points:
-// refinement asks it once for every triangle it creates, which makes the
-// search the pipeline's most frequent call.
+// finds that distance with an exact static index of the surface points,
+// and declares the field's slope (Slope) so that refinement can ask it
+// once per inserted vertex rather than once per triangle it creates.
 package sizing
 
 import (
@@ -205,6 +205,29 @@ func (g *Graded) EdgeLength(p geom.Point) float64 {
 func (g *Graded) Area(p geom.Point) float64 {
 	h := g.EdgeLength(p)
 	return math.Sqrt(3) / 4 * h * h
+}
+
+// maxSlopeGradation bounds the gradations Slope declares for. The distance
+// is exact to a few ulps only where its square is a normal number; below
+// that it is off by up to 2^-536 absolutely, which Gradation scales into
+// the edge length, and up to this gradation that stays below 2^-44 of any
+// edge length of 2^-400 or more.
+const maxSlopeGradation = 0x1p60
+
+// Slope returns a slope of the square root of Area, the
+// delaunay.Quality.SizeSlope contract: the edge length min(H0 +
+// Gradation·d, HMax) is Gradation-Lipschitz because the distance d is
+// 1-Lipschitz, and √Area is sqrt(√3/4) times the edge length. With H0 and
+// Gradation non-negative nothing cancels, so Area's computed value is
+// within a few ulps of the exact one and the contract's rounding clause
+// holds. A negative H0 or Gradation can cancel to an edge length of any
+// relative error, and a zero Gradation asks for nothing; Slope returns 0,
+// no declaration, for those and for non-finite parameters.
+func (g *Graded) Slope() float64 {
+	if !(g.H0 >= 0 && g.Gradation > 0 && g.Gradation <= maxSlopeGradation) || math.IsInf(g.H0, 1) {
+		return 0
+	}
+	return g.Gradation * math.Sqrt(math.Sqrt(3)/4)
 }
 
 // Uniform returns a sizing function with a constant target area.

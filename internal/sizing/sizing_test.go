@@ -336,6 +336,76 @@ func TestGradedArea(t *testing.T) {
 	}
 }
 
+// TestGradedSlopeBound holds Slope to the delaunay.Quality.SizeSlope
+// contract over random pairs of points: |√Area(p) − √Area(q)| ≤ Slope·|p −
+// q|, up to a relative rounding error of 2^-44 in each term, wherever both
+// targets lie between 2^-800 and 2^800. The pairs are log-uniform in
+// distance from the surface and in separation, some on one ray from a
+// surface point, where the bound is tight, and some far enough for the cap
+// and the root-box shortcut. Negative and zero gradations and negative H0
+// declare no slope.
+func TestGradedSlopeBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const eta = 0x1p-44
+	foil := airfoil.NACA0012.Points(128)
+	surfaces := []namedSurface{
+		{"airfoil", foil},
+		{"one", foil[:1]},
+		{"two", foil[:2]},
+		{"three apart", append(shifted(foil, geom.V(-40, 3)), shifted(foil, geom.V(25, -60))...)},
+	}
+	params := []struct{ h0, gradation, hmax float64 }{
+		{0.02, 0.03, 4},     // the pipeline's kind: capped far out
+		{0.02, 0.03, 0},     // HMax 0: never capped
+		{0, 0.25, 2},        // H0 0: targets down to the surface
+		{0.5, 0.2, 0.3},     // HMax below H0: constant
+		{1e-6, 1e4, 1e-3},   // steep, capped early
+		{3, 1e-12, 1e9},     // nearly flat
+		{0.01, 0, 1},        // Gradation 0: no slope
+		{0.6, -0.01, 0.5},   // negative Gradation: no slope
+		{-0.1, 0.2, 4},      // negative H0: no slope
+		{0.02, 0x1p61, 4},   // beyond maxSlopeGradation: no slope
+		{math.Inf(1), 1, 0}, // infinite H0: no slope
+	}
+	for _, s := range surfaces {
+		for _, pr := range params {
+			g := NewGraded(s.pts, pr.h0, pr.gradation, pr.hmax)
+			slope := g.Slope()
+			if declares := pr.h0 >= 0 && !math.IsInf(pr.h0, 1) && pr.gradation > 0 && pr.gradation <= maxSlopeGradation; declares != (slope > 0) {
+				t.Fatalf("%s %+v: Slope = %v", s.name, pr, slope)
+			}
+			if slope == 0 {
+				continue
+			}
+			if want := pr.gradation * math.Sqrt(math.Sqrt(3)/4); slope != want {
+				t.Fatalf("%s %+v: Slope = %v, want %v", s.name, pr, slope, want)
+			}
+			from := logUniformQueries(rng, s.pts, 3000, 1e-90, 1e3)
+			for i, p := range from {
+				var q geom.Point
+				sep := math.Pow(10, rng.Float64()*20-18) * (1 + p.Dist(s.pts[0]))
+				if i%2 == 0 {
+					// Further along the ray from the nearest-ish surface point.
+					c := s.pts[rng.Intn(len(s.pts))]
+					d := p.Sub(c)
+					q = p.Add(d.Scale(sep / math.Max(d.Len(), 1e-300)))
+				} else {
+					th := 2 * math.Pi * rng.Float64()
+					q = geom.Pt(p.X+sep*math.Cos(th), p.Y+sep*math.Sin(th))
+				}
+				ap, aq := g.Area(p), g.Area(q)
+				if !(ap >= 0x1p-800 && ap <= 0x1p800 && aq >= 0x1p-800 && aq <= 0x1p800) {
+					continue
+				}
+				rp, rq := math.Sqrt(ap), math.Sqrt(aq)
+				if lhs, rhs := math.Abs(rp-rq), (1+eta)*slope*p.Dist(q)+eta*(rp+rq); lhs > rhs {
+					t.Fatalf("%s %+v: |√Area(%v) − √Area(%v)| = %v > %v", s.name, pr, p, q, lhs, rhs)
+				}
+			}
+		}
+	}
+}
+
 func TestUniform(t *testing.T) {
 	f := Uniform(2.5)
 	if f(geom.Pt(0, 0)) != 2.5 || f(geom.Pt(100, -3)) != 2.5 {
