@@ -289,9 +289,11 @@ func fullLength(p Params) float64 {
 	return p.Growth.Offset(p.MaxLayers - 1)
 }
 
-// raySegment returns the ray as a segment of its current allowed length.
-func raySegment(r *Ray, p Params) geom.Segment {
-	l := fullLength(p)
+// raySegment returns the ray as a segment of its current allowed length,
+// given the untrimmed extent full: fullLength is a math.Pow, so callers
+// take it once per pass, not once per candidate pair.
+func raySegment(r *Ray, full float64) geom.Segment {
+	l := full
 	if r.MaxLen < l {
 		l = r.MaxLen
 	}
@@ -305,10 +307,11 @@ func raySegment(r *Ray, p Params) geom.Segment {
 // to half the distance so the opposing wall's layer keeps room.
 func resolveSelf(l *Layer, p Params) {
 	nr := len(l.Rays)
+	full := fullLength(p)
 	segs := make([]geom.Segment, nr)
 	world := geom.EmptyBBox()
 	for i := range l.Rays {
-		segs[i] = raySegment(&l.Rays[i], p)
+		segs[i] = raySegment(&l.Rays[i], full)
 		world = world.Union(segs[i].BBox())
 	}
 	surf := l.Surface.Points
@@ -332,7 +335,7 @@ func resolveSelf(l *Layer, p Params) {
 					return true
 				}
 				s := geom.Segment{A: surf[k], B: surf[(k+1)%ns]}
-				si := raySegment(ri, p)
+				si := raySegment(ri, full)
 				q, _, ok := geom.SegmentIntersection(si, s)
 				if !ok {
 					return true
@@ -356,8 +359,8 @@ func resolveSelf(l *Layer, p Params) {
 			if ri.Origin == rj.Origin {
 				return true
 			}
-			si := raySegment(ri, p)
-			sj := raySegment(rj, p)
+			si := raySegment(ri, full)
+			sj := raySegment(rj, full)
 			q, u, ok := geom.SegmentIntersection(si, sj)
 			if !ok || geom.SegmentsIntersect(si, sj) == geom.SegTouch {
 				return true
@@ -382,12 +385,13 @@ func trim(r *Ray, dist float64, p Params) {
 // allowed ray extents; after insertion it uses the last inserted point.
 func (l *Layer) OuterBorder(p Params) []geom.Point {
 	out := make([]geom.Point, 0, len(l.Rays))
+	full := fullLength(p)
 	for i := range l.Rays {
 		if len(l.Points) == len(l.Rays) && len(l.Points[i]) > 0 {
 			out = append(out, l.Points[i][len(l.Points[i])-1])
 			continue
 		}
-		out = append(out, raySegment(&l.Rays[i], p).B)
+		out = append(out, raySegment(&l.Rays[i], full).B)
 	}
 	return out
 }
@@ -430,6 +434,7 @@ func resolveMultiElement(layers []*Layer, p Params) {
 		}
 		borders[i] = b
 	}
+	full := fullLength(p)
 	for i, l := range layers {
 		for j := range layers {
 			if i == j {
@@ -438,7 +443,7 @@ func resolveMultiElement(layers []*Layer, p Params) {
 			bj := &borders[j]
 			for ri := range l.Rays {
 				r := &l.Rays[ri]
-				rs := raySegment(r, p)
+				rs := raySegment(r, full)
 				// Stage 1: Cohen–Sutherland AABB pruning.
 				if !clip.SegmentIntersectsBox(rs, bj.bb) {
 					continue
@@ -455,12 +460,12 @@ func resolveMultiElement(layers []*Layer, p Params) {
 							if d/2 < r.MaxLen {
 								r.MaxLen = d / 2
 								trimmed = true
-								rs = raySegment(r, p)
+								rs = raySegment(r, full)
 							}
 						} else if d < r.MaxLen {
 							trim(r, d, p)
 							trimmed = true
-							rs = raySegment(r, p)
+							rs = raySegment(r, full)
 						}
 					}
 					return true
@@ -491,9 +496,10 @@ func insertPoints(l *Layer, p Params) {
 // updates the layer's TrimmedRays statistic.
 func PlanCounts(l *Layer, p Params) []int {
 	counts := make([]int, len(l.Rays))
+	full := fullLength(p)
 	for i := range l.Rays {
 		r := &l.Rays[i]
-		if r.MaxLen < fullLength(p) {
+		if r.MaxLen < full {
 			l.Stats.TrimmedRays++
 		}
 		n := 0

@@ -46,14 +46,15 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	}
 	annuli := layerAnnuli(layers, cfg.BL)
 	// The builder takes the same submeshes, flagged the same way, as the
-	// pipeline's tasks return.
+	// pipeline's tasks return: one leaf has no path points.
 	b := mesh.NewBuilder()
-	blSubmesh(res, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) }).addTo(b)
+	blSubmesh(res, nil, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) }).addTo(b)
 
-	outerPts, outerSegs := outerBoundary(b.Mesh(), surfaceSet)
+	outerPts, outerSegs, outerIdx := outerBoundary(b.Mesh(), surfaceSet)
 	if len(outerSegs) == 0 {
 		return nil, fmt.Errorf("core: baseline boundary layer has no outer boundary")
 	}
+	b.Share(outerIdx)
 	blBox := geom.BBoxOf(blPoints)
 	margin := cfg.NearBodyMargin
 	if margin <= 0 {

@@ -49,10 +49,10 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 	}
 
 	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 4})
+	tasks := blLeafTasks(leaves, len(pts))
 	kept, dropped := 0, 0
 	for li, leaf := range leaves {
-		leaf.DropYSorted()
-		got, err := processTaskCtx(blLeafVals(leaf), tctx)
+		got, err := processTaskCtx(tasks[li].Vals, tctx)
 		if err != nil {
 			t.Fatalf("leaf %d: %v", li, err)
 		}

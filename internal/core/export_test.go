@@ -7,6 +7,8 @@ import (
 	"context"
 	"testing"
 
+	"pamg2d/internal/airfoil"
+	"pamg2d/internal/blayer"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
@@ -17,6 +19,11 @@ import (
 var (
 	EncodeResultList = encodeResultList
 	DecodeResultList = decodeResultList
+)
+
+const (
+	KindTransition = kindTransition
+	KindRayBatch   = kindRayBatch
 )
 
 // unitSquare is a transition or inviscid task's smallest real input: a
@@ -92,23 +99,65 @@ func SubmeshToMesh(vals []float64) (*mesh.Mesh, error) {
 	return b.Mesh(), nil
 }
 
-// RealSubmeshes returns one real result vector of each meshing kind, from
-// tasks a few points large: the fuzzer minimizes every input it keeps, in
-// time cubic in the length, so a seed must be a few hundred bytes. The
-// boundary-layer leaf is the first eight points of a Figure 8 leaf; the
-// transition and inviscid tasks refine a unit square to one interior point.
-func RealSubmeshes(t testing.TB) [][]float64 {
+// leafWindow cuts a kindBLLeaf payload to its points from through to-1,
+// keeping the path indices among them.
+func leafWindow(vals []float64, from, to int) []float64 {
+	path := vals[leafHeader : leafHeader+int(vals[leafPath])]
+	out := append([]float64(nil), vals[:leafPath]...)
+	out = append(out, 0)
+	for _, i := range path {
+		if i >= float64(from) && i < float64(to) {
+			out = append(out, i-float64(from))
+			out[leafPath]++
+		}
+	}
+	return append(out, vals[leafHeader+len(path):][2*from:2*to]...)
+}
+
+// smallTasks returns one real payload of each kind a few points large —
+// eight points of a Figure 8 leaf around its first path vertex, a unit
+// square as a transition and as an inviscid task, two rays of the Figure 8
+// airfoil — and the context they run under. The fuzzer minimizes every
+// input it keeps, in time cubic in the length, so a seed must be a few
+// hundred bytes.
+func smallTasks(t testing.TB) ([][]float64, taskCtx) {
 	t.Helper()
 	tasks, tctx := fig08Tasks(t)
-	leaf := append([]float64(nil), tasks[0].Vals[:5+2*8]...)
-	sq, segs := unitSquare()
 	tctx.size = sizing.Uniform(0.3)
-	var out [][]float64
-	for _, vals := range [][]float64{
-		leaf,
+	tctx.bl = blayer.DefaultParams()
+	g, err := airfoil.Single(airfoil.NACA0012, 96, 20).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := blayer.GenerateRays(g, tctx.bl)[0]
+	sq, segs := unitSquare()
+	leaf := tasks[0].Vals
+	from := max(0, int(leaf[leafHeader])-4)
+	return [][]float64{
+		leafWindow(leaf, from, from+8),
 		regionTaskVals(kindTransition, sq, segs, nil),
 		regionTaskVals(kindInviscid, sq, segs, nil),
-	} {
+		rayBatchVals(l.Rays[:2], blayer.PlanCounts(l, tctx.bl)[:2]),
+	}, tctx
+}
+
+// TaskPayloads returns one real payload of each task kind, a few points
+// large, and processTaskCtx under the context they run in.
+func TaskPayloads(t testing.TB) ([][]float64, func([]float64) ([]float64, error)) {
+	t.Helper()
+	seeds, tctx := smallTasks(t)
+	return seeds, func(vals []float64) ([]float64, error) { return processTaskCtx(vals, tctx) }
+}
+
+// RealSubmeshes returns one real result vector of each meshing kind, from
+// smallTasks' payloads: the boundary-layer leaf keeps a few triangles, the
+// transition and inviscid tasks refine the unit square to one interior
+// point.
+func RealSubmeshes(t testing.TB) [][]float64 {
+	t.Helper()
+	tasks, tctx := smallTasks(t)
+	var out [][]float64
+	for _, vals := range tasks[:3] {
 		r, err := processTaskCtx(vals, tctx)
 		if err != nil {
 			t.Fatal(err)
@@ -117,6 +166,37 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 			t.Fatalf("seed task of kind %v made no triangle", vals[0])
 		}
 		out = append(out, r)
+	}
+	return out
+}
+
+// runThroughBLMerge runs the pipeline through the bl-triangulation stage
+// and returns the run state, whose builder then holds the boundary-layer
+// mesh, and the stage's leaf tasks.
+func runThroughBLMerge(t testing.TB, cfg Config) (*RunCtx, []loadbal.Task) {
+	t.Helper()
+	var tasks []loadbal.Task
+	res := &Result{}
+	rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+	err := rc.runStages(append(pipeline[:3:3], &distStage{StageBLTriangulation, func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
+		tk, tctx, merge, err := prepareBLTriangulation(rc)
+		tasks = tk
+		return tk, tctx, merge, err
+	}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc, tasks
+}
+
+// interned reports, for each of the first n points of b's mesh, whether b
+// interned it: AddPoint finds an interned point at its own index and
+// appends any other as new, so the probe leaves b unfit for further use.
+func interned(b *mesh.Builder, n int) []bool {
+	pts := b.Mesh().Points[:n:n]
+	out := make([]bool, n)
+	for i, p := range pts {
+		out[i] = b.AddPoint(p) == int32(i)
 	}
 	return out
 }

@@ -110,19 +110,9 @@ func fig08Tasks(t testing.TB) ([]loadbal.Task, taskCtx) {
 	}
 	bl := blayer.DefaultParams()
 	layers := blayer.Generate(g, bl)
-	root := project.New(layers[0].AllPoints())
-	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: 5})
-	tasks := make([]loadbal.Task, len(leaves))
-	for i, leaf := range leaves {
-		leaf.DropYSorted()
-		tasks[i] = loadbal.Task{
-			ID:            int32(i),
-			Cost:          float64(leaf.Len()),
-			BoundaryLayer: true,
-			Vals:          blLeafVals(leaf),
-		}
-	}
-	return tasks, taskCtx{frame: g.Farfield.BBox(), annuli: layerAnnuli(layers, bl)}
+	pts := layers[0].AllPoints()
+	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 5})
+	return blLeafTasks(leaves, len(pts)), taskCtx{frame: g.Farfield.BBox(), annuli: layerAnnuli(layers, bl)}
 }
 
 // TestRunDistributedTCPMatchesInProcess drives the distributed executor

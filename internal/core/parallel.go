@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -40,24 +41,79 @@ func taskKindName(vals []float64) string {
 	return "task"
 }
 
-// blLeafVals builds a projection-decomposition leaf task: kind, the owned
-// circumcenter region, then the x-sorted points. The slice is allocated at
-// its exact final size and travels by reference through the balancer; its
-// serialized form would be mpi.EncodeFloats(vals).
-func blLeafVals(leaf *project.Subdomain) []float64 {
-	vals := make([]float64, 0, 5+2*len(leaf.XS))
+// blLeafTasks builds one kindBLLeaf task per leaf of the projection
+// decomposition of n points. Leaves share only their dividing-path
+// vertices, which Split deals to both halves: a vertex dealt to two or
+// more leaves can be a corner in two leaves' results, any other is private
+// to its leaf, and each task lists its own path vertices.
+func blLeafTasks(leaves []*project.Subdomain, n int) []loadbal.Task {
+	dealt := make([]uint8, n) // leaves holding each vertex id, saturating at 2
+	for _, leaf := range leaves {
+		for _, v := range leaf.XS {
+			if dealt[v.ID] < 2 {
+				dealt[v.ID]++
+			}
+		}
+	}
+	tasks := make([]loadbal.Task, len(leaves))
+	for i, leaf := range leaves {
+		leaf.DropYSorted()
+		tasks[i] = loadbal.Task{
+			ID:            int32(i),
+			Cost:          float64(leaf.Len()),
+			BoundaryLayer: true,
+			Vals:          blLeafVals(leaf, dealt),
+		}
+	}
+	return tasks
+}
+
+// Header slots of a kindBLLeaf payload: the kind and the owned
+// circumcenter region lead, then the number of path indices that follow.
+const (
+	leafPath   = 5
+	leafHeader = 6
+)
+
+// blLeafVals builds a projection-decomposition leaf task:
+//
+//	[kind, minX, maxX, minY, maxY, nPath, path indices … (nPath), x0, y0 … (2·n)]
+//
+// the owned circumcenter region, the ascending indices of the leaf's path
+// vertices (those dealt counts in two or more leaves), then the x-sorted
+// points. The slice is allocated at its exact final size and travels by
+// reference through the balancer; its serialized form would be
+// mpi.EncodeFloats(vals).
+func blLeafVals(leaf *project.Subdomain, dealt []uint8) []float64 {
+	nPath := 0
+	for _, v := range leaf.XS {
+		if dealt[v.ID] > 1 {
+			nPath++
+		}
+	}
+	vals := make([]float64, 0, leafHeader+nPath+2*len(leaf.XS))
 	vals = append(vals, kindBLLeaf,
-		leaf.Region.MinX, leaf.Region.MaxX, leaf.Region.MinY, leaf.Region.MaxY)
+		leaf.Region.MinX, leaf.Region.MaxX, leaf.Region.MinY, leaf.Region.MaxY, float64(nPath))
+	for i, v := range leaf.XS {
+		if dealt[v.ID] > 1 {
+			vals = append(vals, float64(i))
+		}
+	}
 	for _, v := range leaf.XS {
 		vals = append(vals, v.P.X, v.P.Y)
 	}
 	return vals
 }
 
+// regionHeader is the header of a kindTransition or kindInviscid payload.
+const regionHeader = 4
+
 // regionTaskVals builds a transition input or inviscid region border task
-// at its exact final size.
+// at its exact final size:
+//
+//	[kind, np, ns, nh, x0, y0 … (2·np), a0, b0 … (2·ns), hole seeds … (2·nh)]
 func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Point) []float64 {
-	vals := make([]float64, 0, 4+2*len(pts)+2*len(segs)+2*len(holes))
+	vals := make([]float64, 0, regionHeader+2*len(pts)+2*len(segs)+2*len(holes))
 	vals = append(vals, float64(kind), float64(len(pts)), float64(len(segs)), float64(len(holes)))
 	for _, p := range pts {
 		vals = append(vals, p.X, p.Y)
@@ -67,6 +123,27 @@ func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Po
 	}
 	for _, h := range holes {
 		vals = append(vals, h.X, h.Y)
+	}
+	return vals
+}
+
+// rayFloats is the size of one ray in a kindRayBatch payload.
+const rayFloats = 10
+
+// rayBatchVals builds a ray-insertion task at its exact final size:
+//
+//	[kind, nRays, then per ray: origin, direction, MaxLen, Tangential, fan, fan bisector, planned count]
+func rayBatchVals(rays []blayer.Ray, counts []int) []float64 {
+	vals := make([]float64, 0, 2+rayFloats*len(rays))
+	vals = append(vals, kindRayBatch, float64(len(rays)))
+	for i, r := range rays {
+		fan := 0.0
+		if r.Fan {
+			fan = 1
+		}
+		vals = append(vals, r.Origin.X, r.Origin.Y, r.Dir.X, r.Dir.Y,
+			r.MaxLen, r.Tangential, fan, r.FanBisector.X, r.FanBisector.Y,
+			float64(counts[i]))
 	}
 	return vals
 }
@@ -82,95 +159,179 @@ type taskCtx struct {
 	annuli []annulus
 }
 
+// PayloadError reports a task payload no encoder of its kind could have
+// written. A stolen task's payload crosses the wire from another process,
+// so processTaskCtx checks every count and index against the vector before
+// it reads or converts anything.
+type PayloadError struct {
+	Kind   float64 // the payload's first float; NaN for an empty payload
+	Reason string
+}
+
+func (e *PayloadError) Error() string {
+	return fmt.Sprintf("core: task payload of kind %v: %s", e.Kind, e.Reason)
+}
+
+func badPayload(vals []float64, format string, args ...any) error {
+	kind := math.NaN()
+	if len(vals) > 0 {
+		kind = vals[0]
+	}
+	return &PayloadError{Kind: kind, Reason: fmt.Sprintf(format, args...)}
+}
+
 // processTaskCtx executes a task's value vector under the stage's shared
 // context and returns the produced floats: an encoded submesh for meshing
 // tasks, flat point coordinates for ray-insertion batches. The vals slice
-// is the task's Vals vector; it is only read.
+// is the task's Vals vector; it is only read, and one that does not decode
+// is a *PayloadError.
 func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
-	frame := ctx.frame
-	size := ctx.size
 	if len(vals) == 0 {
-		return nil, fmt.Errorf("core: empty task payload")
+		return nil, badPayload(vals, "empty")
 	}
-	switch int(vals[0]) {
+	kind, ok := wireIndex(vals[0], kindRayBatch+1)
+	if !ok {
+		return nil, badPayload(vals, "unknown kind")
+	}
+	switch kind {
 	case kindRayBatch:
-		nRays := int(vals[1])
-		// The planned per-ray counts are in the payload, so the output size
-		// is known up front: two coordinates per planned point.
-		planned := 0
-		for i, off := 0, 2; i < nRays; i, off = i+1, off+10 {
-			planned += int(vals[off+9])
-		}
-		out := make([]float64, 0, 2*planned)
-		off := 2
-		for i := 0; i < nRays; i++ {
-			r := blayer.Ray{
-				Origin:      geom.Pt(vals[off], vals[off+1]),
-				Dir:         geom.V(vals[off+2], vals[off+3]),
-				MaxLen:      vals[off+4],
-				Tangential:  vals[off+5],
-				Fan:         vals[off+6] != 0,
-				FanBisector: geom.V(vals[off+7], vals[off+8]),
-			}
-			count := int(vals[off+9])
-			off += 10
-			for _, q := range blayer.InsertRay(&r, ctx.bl, count) {
-				out = append(out, q.X, q.Y)
-			}
-		}
-		return out, nil
+		return insertRayBatch(vals, ctx.bl)
 	case kindBLLeaf:
-		if len(ctx.annuli) == 0 {
-			return nil, errNoAnnuli
-		}
-		region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
-		coords := vals[5:]
-		pts := make([]geom.Point, len(coords)/2)
-		for i := range pts {
-			pts[i] = geom.Pt(coords[2*i], coords[2*i+1])
-		}
-		if len(pts) < 3 {
-			return submesh{}.encode(), nil
-		}
-		res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Sorted: true, Frame: frame})
-		if err != nil {
-			return nil, err
-		}
-		// Kept by exactly one leaf (the owner of the circumcenter), and only
-		// inside a layer annulus.
-		return blSubmesh(res, func(a, b, c geom.Point) bool {
-			return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
-		}).encode(), nil
-	case kindTransition, kindInviscid:
-		np := int(vals[1])
-		ns := int(vals[2])
-		nh := int(vals[3])
-		off := 4
-		in := delaunay.Input{
-			Frame:    frame,
-			Points:   make([]geom.Point, 0, np),
-			Segments: make([][2]int32, 0, ns),
-			Holes:    make([]geom.Point, 0, nh),
-		}
-		for i := 0; i < np; i++ {
-			in.Points = append(in.Points, geom.Pt(vals[off+2*i], vals[off+2*i+1]))
-		}
-		off += 2 * np
-		for i := 0; i < ns; i++ {
-			in.Segments = append(in.Segments, [2]int32{int32(vals[off+2*i]), int32(vals[off+2*i+1])})
-		}
-		off += 2 * ns
-		for i := 0; i < nh; i++ {
-			in.Holes = append(in.Holes, geom.Pt(vals[off+2*i], vals[off+2*i+1]))
-		}
-		res, err := delaunay.TriangulateRefined(in, qualityFor(size, ctx.slope))
-		if err != nil {
-			return nil, err
-		}
-		return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
+		return triangulateLeaf(vals, ctx)
 	default:
-		return nil, fmt.Errorf("core: unknown task kind %v", vals[0])
+		return refineRegion(vals, ctx)
 	}
+}
+
+// insertRayBatch inserts the planned points along each ray of a batch.
+func insertRayBatch(vals []float64, p blayer.Params) ([]float64, error) {
+	if len(vals) < 2 {
+		return nil, badPayload(vals, "no ray count")
+	}
+	nRays, ok := wireIndex(vals[1], (len(vals)-2)/rayFloats+1)
+	if !ok || 2+rayFloats*int(nRays) != len(vals) {
+		return nil, badPayload(vals, "%v rays do not fill %d floats", vals[1], len(vals))
+	}
+	// The planned per-ray counts are in the payload, so the output size is
+	// known up front: two coordinates per planned point.
+	planned := 0
+	for off := 2; off < len(vals); off += rayFloats {
+		count, ok := wireIndex(vals[off+9], p.MaxLayers+1)
+		if !ok {
+			return nil, badPayload(vals, "ray at %d plans %v points, not a count up to %d", off, vals[off+9], p.MaxLayers)
+		}
+		planned += int(count)
+	}
+	out := make([]float64, 0, 2*planned)
+	for off := 2; off < len(vals); off += rayFloats {
+		r := blayer.Ray{
+			Origin:      geom.Pt(vals[off], vals[off+1]),
+			Dir:         geom.V(vals[off+2], vals[off+3]),
+			MaxLen:      vals[off+4],
+			Tangential:  vals[off+5],
+			Fan:         vals[off+6] != 0,
+			FanBisector: geom.V(vals[off+7], vals[off+8]),
+		}
+		for _, q := range blayer.InsertRay(&r, p, int(vals[off+9])) {
+			out = append(out, q.X, q.Y)
+		}
+	}
+	return out, nil
+}
+
+// triangulateLeaf triangulates a boundary-layer leaf and keeps the
+// triangles it owns inside the layer annuli.
+func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
+	if len(ctx.annuli) == 0 {
+		return nil, errNoAnnuli
+	}
+	if len(vals) < leafHeader {
+		return nil, badPayload(vals, "no region and path count in %d floats", len(vals))
+	}
+	nPath, ok := wireIndex(vals[leafPath], len(vals)-leafHeader+1)
+	if !ok || (len(vals)-leafHeader-int(nPath))%2 != 0 {
+		return nil, badPayload(vals, "%v path indices leave no whole points in %d floats", vals[leafPath], len(vals))
+	}
+	coords := vals[leafHeader+nPath:]
+	n := len(coords) / 2
+	// The points, then the path points, in one allocation.
+	buf := make([]geom.Point, n+int(nPath))
+	pts, path := buf[:n:n], buf[n:]
+	for i := range pts {
+		p := geom.Pt(coords[2*i], coords[2*i+1])
+		if !finite(p) || i > 0 && p.X < pts[i-1].X {
+			return nil, badPayload(vals, "point %d is %v: not finite, or left of its predecessor", i, p)
+		}
+		pts[i] = p
+	}
+	prev := int32(-1)
+	for k, v := range vals[leafHeader : leafHeader+nPath] {
+		i, ok := wireIndex(v, n)
+		if !ok || i <= prev {
+			return nil, badPayload(vals, "path entry %d is %v: not an ascending index below %d", k, v, n)
+		}
+		path[k], prev = pts[i], i
+	}
+	if n < 3 {
+		return submesh{}.encode(), nil
+	}
+	res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Sorted: true, Frame: ctx.frame})
+	if err != nil {
+		return nil, err
+	}
+	// Kept by exactly one leaf (the owner of the circumcenter), and only
+	// inside a layer annulus.
+	region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
+	return blSubmesh(res, path, func(a, b, c geom.Point) bool {
+		return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
+	}).encode(), nil
+}
+
+// refineRegion refines a transition input or an inviscid region.
+func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
+	if len(vals) < regionHeader {
+		return nil, badPayload(vals, "no point, segment and hole counts in %d floats", len(vals))
+	}
+	np, okP := wireIndex(vals[1], math.MaxInt32)
+	ns, okS := wireIndex(vals[2], math.MaxInt32)
+	nh, okH := wireIndex(vals[3], math.MaxInt32)
+	if !okP || !okS || !okH || int64(len(vals)) != regionHeader+2*(int64(np)+int64(ns)+int64(nh)) {
+		return nil, badPayload(vals, "counts %v do not fill %d floats", vals[1:regionHeader], len(vals))
+	}
+	in := delaunay.Input{
+		Frame:    ctx.frame,
+		Points:   make([]geom.Point, 0, np),
+		Segments: make([][2]int32, 0, ns),
+		Holes:    make([]geom.Point, 0, nh),
+	}
+	off := regionHeader
+	for i := 0; i < int(np); i, off = i+1, off+2 {
+		p := geom.Pt(vals[off], vals[off+1])
+		if !finite(p) {
+			return nil, badPayload(vals, "point %d is %v", i, p)
+		}
+		in.Points = append(in.Points, p)
+	}
+	for i := 0; i < int(ns); i, off = i+1, off+2 {
+		a, okA := wireIndex(vals[off], int(np))
+		b, okB := wireIndex(vals[off+1], int(np))
+		if !okA || !okB {
+			return nil, badPayload(vals, "segment %d is %v: not indices below %d", i, vals[off:off+2], np)
+		}
+		in.Segments = append(in.Segments, [2]int32{a, b})
+	}
+	for i := 0; i < int(nh); i, off = i+1, off+2 {
+		h := geom.Pt(vals[off], vals[off+1])
+		if !finite(h) {
+			return nil, badPayload(vals, "hole %d is %v", i, h)
+		}
+		in.Holes = append(in.Holes, h)
+	}
+	res, err := delaunay.TriangulateRefined(in, qualityFor(ctx.size, ctx.slope))
+	if err != nil {
+		return nil, err
+	}
+	return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
 }
 
 // taskResult carries one task's output floats to the root by reference.

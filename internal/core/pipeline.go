@@ -147,30 +147,25 @@ func inAnnuli(annuli []annulus, a, b, c geom.Point) bool {
 var errNoAnnuli = errors.New("core: boundary-layer leaf task without layer annuli")
 
 // outerBoundary returns the boundary edges of the boundary-layer mesh that
-// are not on a body surface, as point pairs.
-func outerBoundary(m *mesh.Mesh, surfaceSet map[geom.Point]bool) ([]geom.Point, [][2]int32) {
-	edges := m.BoundaryEdges()
-	index := make(map[geom.Point]int32)
-	var pts []geom.Point
-	var segs [][2]int32
-	intern := func(p geom.Point) int32 {
-		if i, ok := index[p]; ok {
-			return i
+// are not on a body surface, as segments over their points in order of
+// first appearance, and each point's index in m.
+func outerBoundary(m *mesh.Mesh, surfaceSet map[geom.Point]bool) (pts []geom.Point, segs [][2]int32, idx []int32) {
+	local := make([]int32, len(m.Points)) // 1 + a mesh point's index in pts, 0 if absent
+	intern := func(v int32) int32 {
+		if local[v] == 0 {
+			pts = append(pts, m.Points[v])
+			idx = append(idx, v)
+			local[v] = int32(len(pts))
 		}
-		i := int32(len(pts))
-		pts = append(pts, p)
-		index[p] = i
-		return i
+		return local[v] - 1
 	}
-	for _, e := range edges {
-		pa := m.Points[e[0]]
-		pb := m.Points[e[1]]
-		if surfaceSet[pa] && surfaceSet[pb] {
+	for _, e := range m.BoundaryEdges() {
+		if surfaceSet[m.Points[e[0]]] && surfaceSet[m.Points[e[1]]] {
 			continue // body surface edge
 		}
-		segs = append(segs, [2]int32{intern(pa), intern(pb)})
+		segs = append(segs, [2]int32{intern(e[0]), intern(e[1])})
 	}
-	return pts, segs
+	return pts, segs, idx
 }
 
 // transitionInput assembles the CDT input for the region between the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"pamg2d/internal/decouple"
@@ -183,19 +185,101 @@ func TestProcessTaskErrors(t *testing.T) {
 	}
 }
 
+// TestTaskPayloadRejectsMalformed: a stolen task's payload comes from
+// another process, so one that no encoder could have written — short,
+// with a count, index or coordinate that does not fit — fails with a
+// *PayloadError instead of panicking, for every kind.
+func TestTaskPayloadRejectsMalformed(t *testing.T) {
+	seeds, tctx := smallTasks(t)
+	leaf, trans, ray := seeds[0], seeds[1], seeds[3]
+	for i, vals := range seeds {
+		if _, err := processTaskCtx(vals, tctx); err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+	}
+	nPath := int(leaf[leafPath])
+	if nPath < 2 {
+		t.Fatalf("the leaf payload lists %d path vertices, want at least 2", nPath)
+	}
+	firstPath, firstPoint := leafHeader, leafHeader+nPath
+	with := func(vals []float64, slot int, v float64) []float64 {
+		out := append([]float64(nil), vals...)
+		out[slot] = v
+		return out
+	}
+	cases := []struct {
+		name string
+		vals []float64
+	}{
+		{"leaf without a region", []float64{kindBLLeaf}},
+		{"leaf cut inside the region", []float64{kindBLLeaf, 0, 1}},
+		{"ray batch without a count", []float64{kindRayBatch}},
+		{"ray batch of 5 rays without rays", []float64{kindRayBatch, 5}},
+		{"transition without segment and hole counts", []float64{kindTransition, 3}},
+		{"NaN kind", with(trans, 0, math.NaN())},
+		{"fractional kind", with(trans, 0, 1.5)},
+		{"leaf path count NaN", with(leaf, leafPath, math.NaN())},
+		{"leaf path count past the vector", with(leaf, leafPath, float64(len(leaf)))},
+		{"leaf path count leaving half a point", with(leaf, leafPath, float64(nPath+1))},
+		{"leaf path index at the point count", with(leaf, firstPath+nPath-1, float64((len(leaf)-firstPoint)/2))},
+		{"leaf path indices descending", with(leaf, firstPath+1, leaf[firstPath]-1)},
+		{"leaf path index repeated", with(leaf, firstPath+1, leaf[firstPath])},
+		{"leaf path index fractional", with(leaf, firstPath, 0.5)},
+		{"leaf point NaN", with(leaf, firstPoint+3, math.NaN())},
+		{"leaf points out of x order", with(leaf, firstPoint+2, leaf[firstPoint]-1)},
+		{"leaf point infinite", with(leaf, firstPoint+4, math.Inf(1))},
+		{"ray count past the vector", with(ray, 1, 3)},
+		{"ray count negative", with(ray, 1, -1)},
+		{"ray planning more points than layers", with(ray, 2+9, float64(tctx.bl.MaxLayers+1))},
+		{"ray planning NaN points", with(ray, 2+rayFloats+9, math.NaN())},
+		{"region point count the length contradicts", with(trans, 1, 3)},
+		{"region segment count infinite", with(trans, 2, math.Inf(1))},
+		{"region segment index at the point count", with(trans, regionHeader+2*4+1, 4)},
+		{"region segment index negative", with(trans, regionHeader+2*4, -1)},
+		{"region point infinite", with(trans, regionHeader+1, math.Inf(-1))},
+		{"region cut short", trans[:len(trans)-1]},
+	}
+	for _, c := range cases {
+		out, err := processTaskCtx(c.vals, tctx)
+		var pe *PayloadError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: returned %d floats and %v, want a *PayloadError", c.name, len(out), err)
+		}
+	}
+}
+
 func TestBLLeafPayloadUsesOnlyXSorted(t *testing.T) {
 	// The paper ships only the x-sorted vertices of a sufficiently
-	// decomposed subdomain (the y-sorted copy is dropped); the payload size
-	// must reflect exactly one copy of the points plus the region header.
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 1), geom.Pt(0.5, 0.5)}
-	leaf := project.New(pts)
-	leaf.DropYSorted()
-	vals := blLeafVals(leaf)
-	wantFloats := 5 + 2*len(pts) // kind + 4 region bounds + coordinates
-	if len(vals) != wantFloats {
-		t.Errorf("task vector = %d floats, want %d (one copy of the coordinates)", len(vals), wantFloats)
+	// decomposed subdomain (the y-sorted copy is dropped). Beside one copy
+	// of the points the payload carries the region header and the indices
+	// of the leaf's dividing-path vertices — on one cut, the points both
+	// halves hold — and nothing else.
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0.1), geom.Pt(0.1, 1), geom.Pt(1.1, 1.2),
+		geom.Pt(0.5, 0.4), geom.Pt(0.3, 0.7), geom.Pt(0.8, 0.6), geom.Pt(0.6, 1.3)}
+	leaves, _ := project.Decompose(project.New(pts), project.Options{MaxDepth: 1})
+	if len(leaves) != 2 {
+		t.Fatalf("%d leaves, want 2", len(leaves))
 	}
-	if cap(vals) != wantFloats {
-		t.Errorf("task vector capacity = %d, want exactly %d (no over-allocation)", cap(vals), wantFloats)
+	tasks := blLeafTasks(leaves, len(pts))
+	var path [2][]geom.Point
+	for i, leaf := range leaves {
+		vals := tasks[i].Vals
+		nPath := int(vals[leafPath])
+		wantFloats := leafHeader + nPath + 2*leaf.Len() // kind, region, path count, path indices, coordinates
+		if len(vals) != wantFloats {
+			t.Errorf("leaf %d: task vector = %d floats, want %d (one copy of the coordinates)", i, len(vals), wantFloats)
+		}
+		if cap(vals) != wantFloats {
+			t.Errorf("leaf %d: task vector capacity = %d, want exactly %d (no over-allocation)", i, cap(vals), wantFloats)
+		}
+		for _, v := range vals[leafHeader : leafHeader+nPath] {
+			path[i] = append(path[i], leaf.XS[int(v)].P)
+		}
+		if len(path[i]) < 2 || len(path[i]) == leaf.Len() {
+			t.Errorf("leaf %d lists %d of its %d points as path vertices", i, len(path[i]), leaf.Len())
+		}
+	}
+	if !reflect.DeepEqual(path[0], path[1]) {
+		t.Errorf("the two leaves list different path vertices: %v and %v", path[0], path[1])
 	}
 }

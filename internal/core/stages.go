@@ -91,25 +91,15 @@ func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error)
 			if to > len(l.Rays) {
 				to = len(l.Rays)
 			}
-			vals := make([]float64, 0, 2+10*(to-from))
-			vals = append(vals, kindRayBatch, float64(to-from))
 			cost := 0.0
-			for i := from; i < to; i++ {
-				r := l.Rays[i]
-				fan := 0.0
-				if r.Fan {
-					fan = 1
-				}
-				vals = append(vals, r.Origin.X, r.Origin.Y, r.Dir.X, r.Dir.Y,
-					r.MaxLen, r.Tangential, fan, r.FanBisector.X, r.FanBisector.Y,
-					float64(counts[i]))
-				cost += float64(counts[i])
+			for _, c := range counts[from:to] {
+				cost += float64(c)
 			}
 			tasks = append(tasks, loadbal.Task{
 				ID:            int32(len(tasks)),
 				Cost:          cost + 1,
 				BoundaryLayer: true,
-				Vals:          vals,
+				Vals:          rayBatchVals(l.Rays[from:to], counts[from:to]),
 			})
 			refs = append(refs, batchRef{layer: li, from: from, to: to, counts: counts[from:to]})
 			planned += cost
@@ -200,16 +190,7 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		depth++
 	}
 	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: depth})
-	tasks := make([]loadbal.Task, len(leaves))
-	for i, leaf := range leaves {
-		leaf.DropYSorted()
-		tasks[i] = loadbal.Task{
-			ID:            int32(i),
-			Cost:          float64(leaf.Len()),
-			BoundaryLayer: true,
-			Vals:          blLeafVals(leaf),
-		}
-	}
+	tasks := blLeafTasks(leaves, len(rc.blPoints))
 	merge := func(results [][]float64) error {
 		b := mesh.NewBuilder()
 		if err := addSubmeshes(b, results); err != nil {
@@ -219,11 +200,15 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		bl := b.Mesh()
 		rc.stats.BLTriangles = bl.NumTriangles()
 		// Extract the outer boundary of the boundary-layer mesh: boundary
-		// edges whose endpoints are not both surface points.
-		rc.outerPts, rc.outerSegs = outerBoundary(bl, rc.surfaceSet)
+		// edges whose endpoints are not both surface points. The transition
+		// task shares those points, and only path points went through the
+		// builder's index, so declare them.
+		var outerIdx []int32
+		rc.outerPts, rc.outerSegs, outerIdx = outerBoundary(bl, rc.surfaceSet)
 		if len(rc.outerSegs) == 0 {
 			return fmt.Errorf("core: boundary-layer mesh has no outer boundary")
 		}
+		b.Share(outerIdx)
 		return nil
 	}
 	return tasks, taskCtx{frame: rc.ffBox, annuli: layerAnnuli(rc.layers, cfg.BL)}, merge, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -58,6 +59,11 @@ func wireIndex(v float64, n int) (int32, bool) {
 	}
 	i := int32(v)
 	return i, float64(i) == v
+}
+
+// finite reports whether both coordinates of p are finite.
+func finite(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // submeshCounts validates an encoded submesh's header against the
@@ -159,17 +165,21 @@ func regionSubmesh(pts []geom.Point, tris [][3]int32, input []geom.Point) submes
 }
 
 // blSubmesh is the part of a boundary-layer triangulation that keep
-// accepts, renumbered in order of first appearance. Every point is shared:
-// leaves overlap, and a triangle belongs to the leaf owning its
-// circumcenter, so any point may also be a corner in a neighbouring leaf.
-func blSubmesh(res *delaunay.Result, keep func(a, b, c geom.Point) bool) submesh {
+// accepts, renumbered in order of first appearance. Only the leaf's path
+// points are flagged shared: a triangle belongs to the leaf owning its
+// circumcenter, so a point can be a corner in a neighbouring leaf's result
+// only if the decomposition dealt it to that leaf as well. delaunay.Extract
+// numbers points by first appearance, not in input order, so each kept
+// point is looked up among the path points (onPath).
+func blSubmesh(res *delaunay.Result, path []geom.Point, keep func(a, b, c geom.Point) bool) submesh {
 	remap := make([]int32, len(res.Points))
 	for i := range remap {
 		remap[i] = -1
 	}
 	s := submesh{
-		pts:  make([]geom.Point, 0, len(res.Points)),
-		tris: make([][3]int32, 0, len(res.Triangles)),
+		pts:    make([]geom.Point, 0, len(res.Points)),
+		shared: make([]int32, 0, len(path)),
+		tris:   make([][3]int32, 0, len(res.Triangles)),
 	}
 	for _, tri := range res.Triangles {
 		if !keep(res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]) {
@@ -178,15 +188,29 @@ func blSubmesh(res *delaunay.Result, keep func(a, b, c geom.Point) bool) submesh
 		for k, v := range tri {
 			if remap[v] < 0 {
 				remap[v] = int32(len(s.pts))
-				s.pts = append(s.pts, res.Points[v])
+				p := res.Points[v]
+				if onPath(path, p) {
+					s.shared = append(s.shared, remap[v])
+				}
+				s.pts = append(s.pts, p)
 			}
 			tri[k] = remap[v]
 		}
 		s.tris = append(s.tris, tri)
 	}
-	s.shared = make([]int32, len(s.pts))
-	for i := range s.shared {
-		s.shared[i] = int32(i)
-	}
 	return s
+}
+
+// onPath reports whether p is one of path's points, which are in a leaf's
+// x-sorted order: X never decreases, but points of equal X can come in any
+// order (the projection's tie fix-up reorders such runs by their lift), so
+// a binary search finds the run of p's X and a scan of that run finds p.
+func onPath(path []geom.Point, p geom.Point) bool {
+	i, _ := slices.BinarySearchFunc(path, p.X, func(q geom.Point, x float64) int { return cmp.Compare(q.X, x) })
+	for ; i < len(path) && path[i].X == p.X; i++ {
+		if path[i] == p {
+			return true
+		}
+	}
+	return false
 }

@@ -73,15 +73,21 @@ func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
 // from the tasks' indexed results is, point for point and triangle for
 // triangle, the mesh obtained by expanding every result to coordinates and
 // interning each corner through Builder.AddTriangle — on one and three
-// elements, at 1, 2 and 4 ranks.
+// elements, at 1, 2 and 4 ranks. At the bench's high-lift size the
+// transition task repeats a boundary-layer triangle spanned by three
+// outer-boundary points, which only Builder.Share's triangle registration
+// drops.
 func TestOffsetAssemblyMatchesInterning(t *testing.T) {
-	three := smallConfig(1)
-	three.Geometry = airfoil.ThreeElement(64)
-	three.Geometry.FarfieldChords = 8
+	three := func(n int) Config {
+		cfg := smallConfig(1)
+		cfg.Geometry = airfoil.ThreeElement(n)
+		cfg.Geometry.FarfieldChords = 8
+		return cfg
+	}
 	for _, geometry := range []struct {
 		name string
 		cfg  Config
-	}{{"naca0012", smallConfig(1)}, {"three-element", three}} {
+	}{{"naca0012", smallConfig(1)}, {"three-element", three(64)}, {"three-element-256", three(256)}} {
 		for _, ranks := range []int{1, 2, 4} {
 			cfg := geometry.cfg
 			cfg.Ranks = ranks
@@ -106,10 +112,72 @@ func TestOffsetAssemblyMatchesInterning(t *testing.T) {
 	}
 }
 
+// TestBLMergeInternsOnlySharedPoints: after the boundary-layer merge the
+// builder's coordinate index holds exactly the dividing-path vertices —
+// the points the decomposition dealt to two or more leaves — and the
+// outer-boundary points the transition task shares, not every
+// boundary-layer point.
+func TestBLMergeInternsOnlySharedPoints(t *testing.T) {
+	for _, ranks := range []int{1, 4} {
+		rc, tasks := runThroughBLMerge(t, smallConfig(ranks))
+		dealt := make(map[geom.Point]int)
+		for _, task := range tasks {
+			coords := task.Vals[leafHeader+int(task.Vals[leafPath]):]
+			for i := 0; i < len(coords); i += 2 {
+				dealt[geom.Pt(coords[i], coords[i+1])]++
+			}
+		}
+		shared := make(map[geom.Point]bool)
+		for p, n := range dealt {
+			shared[p] = n > 1
+		}
+		for _, p := range rc.outerPts {
+			shared[p] = true
+		}
+		pts := rc.builder.Mesh().Points
+		np := len(pts)
+		count := 0
+		for i, in := range interned(rc.builder, np) {
+			if in != shared[pts[i]] {
+				t.Errorf("%d ranks: point %d %v: interned %v, shared %v", ranks, i, pts[i], in, shared[pts[i]])
+			}
+			if in {
+				count++
+			}
+		}
+		if len(tasks) < 2 || count == 0 || count > np/2 {
+			t.Errorf("%d ranks: %d leaves, %d of %d boundary-layer points interned", ranks, len(tasks), count, np)
+		}
+	}
+}
+
+// TestOnPathFindsPointsInTieRuns: a leaf's points never decrease in X, but
+// the projection's tie fix-up can leave points of equal X out of Y order
+// (a NACA 0012 at n = 20 has such a leaf); every path point is still found,
+// and no other point.
+func TestOnPathFindsPointsInTieRuns(t *testing.T) {
+	path := []geom.Point{geom.Pt(0, 0), geom.Pt(0.5, 0.2), geom.Pt(0.5, -0.2), geom.Pt(0.5, 0.1), geom.Pt(1, 3), geom.Pt(2, -1)}
+	for _, p := range path {
+		if !onPath(path, p) {
+			t.Errorf("path point %v not found", p)
+		}
+	}
+	for _, p := range []geom.Point{geom.Pt(0.5, 0), geom.Pt(0, 1), geom.Pt(-1, 0), geom.Pt(3, 0), geom.Pt(1.5, 3)} {
+		if onPath(path, p) {
+			t.Errorf("point %v found on the path", p)
+		}
+	}
+	if onPath(nil, geom.Pt(0, 0)) {
+		t.Error("a point found on an empty path")
+	}
+}
+
 // TestTaskTriangleCountsAddUp: every task reports the triangles it made —
 // a ray-insertion batch none — so the per-task counts sum to the stage
-// counts, and those to the mesh: the merge's duplicate check dropped
-// nothing.
+// counts, and those to the mesh: on a NACA input the merge's duplicate
+// check dropped nothing. (On three-element inputs it can drop a
+// boundary-layer triangle the transition task reproduces; see
+// TestOffsetAssemblyMatchesInterning.)
 func TestTaskTriangleCountsAddUp(t *testing.T) {
 	for _, ranks := range []int{1, 4} {
 		res, err := Generate(smallConfig(ranks))

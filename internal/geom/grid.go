@@ -27,10 +27,12 @@ func NewGrid(bb BBox, targetCells int) *Grid {
 	if h <= 0 {
 		h = 1
 	}
-	// nx/ny ~ w/h with nx*ny ~ targetCells.
-	nx := int(math.Round(math.Sqrt(float64(targetCells) * w / h)))
-	if nx < 1 {
-		nx = 1
+	// nx/ny ~ w/h with nx*ny ~ targetCells. A box more elongated than
+	// targetCells:1 gets one row of targetCells cells: sizing the row by the
+	// aspect ratio would allocate without bound for a nearly flat box.
+	nx := targetCells
+	if f := math.Sqrt(float64(targetCells) * w / h); f < float64(targetCells) {
+		nx = max(int(math.Round(f)), 1)
 	}
 	ny := (targetCells + nx - 1) / nx
 	if ny < 1 {

@@ -38,10 +38,13 @@ func (m *Mesh) NumPoints() int { return len(m.Points) }
 // coordinates (shared subdomain borders reproduce coordinates exactly, so
 // exact comparison is the correct merge rule).
 type Builder struct {
-	mesh  Mesh
+	mesh Mesh
+	// index holds the interned points: those AddPoint added, the ones
+	// AddSubmesh was told are shared, and those declared with Share.
 	index map[geom.Point]int32
 	// seen suppresses exact duplicate triangles (a triangle kept by two
-	// region owners would corrupt conformity).
+	// region owners would corrupt conformity); it holds every triangle
+	// whose corners are all interned.
 	seen map[[3]int32]bool
 	// remap and interned are AddSubmesh's per-call scratch: a submesh
 	// point's global index, and whether it went through index.
@@ -96,10 +99,12 @@ func (b *Builder) Reserve(points, triangles int) {
 // the same triangles in the same order, provided pts lists the points in
 // order of first appearance in tris, without the map work for what is
 // private to the submesh: shared points are interned by coordinates, every
-// other point is appended as new — so it must coincide with no point of
-// any other submesh — and only a triangle whose three corners are all
-// shared, the only kind two submeshes can both hold, is checked against
-// the triangles already added. Every index must be in range.
+// other point is appended without a lookup — so it must coincide with no
+// point of any other submesh — and only a triangle whose three corners are
+// all shared, the only kind two submeshes can both hold, is checked
+// against the triangles already added. A point an earlier submesh held
+// privately must be declared with Share before a later submesh shares it.
+// Every index must be in range.
 func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) {
 	if len(pts) > len(b.remap) {
 		b.remap = make([]int32, len(pts))
@@ -128,6 +133,28 @@ func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) 
 			b.seen[key] = true
 		}
 		b.mesh.Triangles = append(b.mesh.Triangles, [3]int32{i0, i1, i2})
+	}
+}
+
+// Share declares points already added, by index, as points a later
+// submesh may also hold. Each is interned by coordinates, as if it had
+// been flagged shared when it was added, and every triangle already added
+// whose three corners are all declared enters the duplicate-triangle set,
+// so a later submesh that repeats it adds nothing — the mesh AddTriangle
+// builds. Every index must be in range.
+func (b *Builder) Share(idx []int32) {
+	declared := make([]bool, len(b.mesh.Points))
+	for _, i := range idx {
+		declared[i] = true
+		p := b.mesh.Points[i]
+		if _, ok := b.index[p]; !ok {
+			b.index[p] = i
+		}
+	}
+	for _, t := range b.mesh.Triangles {
+		if declared[t[0]] && declared[t[1]] && declared[t[2]] {
+			b.seen[canonicalTri(t[0], t[1], t[2])] = true
+		}
 	}
 }
 

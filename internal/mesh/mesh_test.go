@@ -299,3 +299,51 @@ func TestAddSubmeshMatchesAddTriangle(t *testing.T) {
 		t.Error("triangles differ from the AddTriangle mesh")
 	}
 }
+
+// TestShareMatchesAddTriangle: a grid's left half is added with no point
+// shared; Share then declares the cut line and the corners of one left
+// triangle, and the right half arrives with those points flagged and that
+// triangle repeated. The assembly is the mesh AddTriangle builds from the
+// same triangles, element for element: the declared points are found by
+// coordinates and the repeated triangle is dropped.
+func TestShareMatchesAddTriangle(t *testing.T) {
+	const n = 4
+	g := gridMesh(n)
+	var left, right [][3]int32
+	for _, tr := range g.Triangles {
+		if g.Points[tr[0]].X+g.Points[tr[1]].X+g.Points[tr[2]].X < 3*n/2 {
+			left = append(left, tr)
+		} else {
+			right = append(right, tr)
+		}
+	}
+	repeat := left[len(left)/2]
+	right = append(right, repeat)
+	declared := func(p geom.Point) bool {
+		return p.X == n/2 || p == g.Points[repeat[0]] || p == g.Points[repeat[1]] || p == g.Points[repeat[2]]
+	}
+
+	want, got := NewBuilder(), NewBuilder()
+	for _, tr := range append(append([][3]int32{}, left...), right...) {
+		want.AddTriangle(g.Points[tr[0]], g.Points[tr[1]], g.Points[tr[2]])
+	}
+	got.AddSubmesh(localSubmesh(g, left, func(geom.Point) bool { return false }))
+	var idx []int32
+	for i, p := range got.Mesh().Points {
+		if declared(p) {
+			idx = append(idx, int32(i))
+		}
+	}
+	got.Share(idx)
+	got.AddSubmesh(localSubmesh(g, right, declared))
+
+	if nt := want.Mesh().NumTriangles(); nt != 2*n*n {
+		t.Fatalf("reference holds %d triangles, want %d: the repeated one got in", nt, 2*n*n)
+	}
+	if !reflect.DeepEqual(got.Mesh().Points, want.Mesh().Points) {
+		t.Errorf("%d points, AddTriangle gives %d or another order", got.Mesh().NumPoints(), want.Mesh().NumPoints())
+	}
+	if !reflect.DeepEqual(got.Mesh().Triangles, want.Mesh().Triangles) {
+		t.Errorf("%d triangles, AddTriangle gives %d or other indices", got.Mesh().NumTriangles(), want.Mesh().NumTriangles())
+	}
+}
