@@ -10,10 +10,13 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"pamg2d/internal/core"
+	"pamg2d/internal/mpi"
 	"pamg2d/internal/trace"
 )
 
@@ -250,6 +253,76 @@ func TestRunTCPMergedTrace(t *testing.T) {
 	}
 	if !local {
 		t.Errorf("no launcher-local counters in merged metrics: %v", metrics.Counters)
+	}
+}
+
+// TestDrainTelemetryReleasesSummaries ships one worker's run summary over
+// a loopback pair the way a worker does — sent ahead of the finalize
+// barrier — and drains it on rank 0: the summary decodes to what was sent,
+// and the pooled buffer the transport decoded it into goes back, so the
+// launcher's pool counters balance.
+func TestDrainTelemetryReleasesSummaries(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	g0, p0 := mpi.PoolCounters()
+	clusters, err := mpi.LoopbackClusters(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byRank := make([]*mpi.Cluster, 2)
+	for _, cl := range clusters {
+		byRank[cl.Rank()] = cl
+		defer cl.Close()
+	}
+	st := &core.Stats{
+		Messages: 17, BytesOnWire: 1 << 33,
+		Tasks:  []core.TaskMeasure{{Seconds: 0.25}, {}, {Triangles: 9}},
+		Steals: core.StealStats{Requests: 3, Granted: 2, Gotten: 1, Idle: 1500 * time.Millisecond},
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if errs[1] = byRank[1].SendTelemetry(encodeRankStats(1, st)); errs[1] == nil {
+			errs[1] = finalizeTCP(ctx, byRank[1])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		errs[0] = finalizeTCP(ctx, byRank[0])
+	}()
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	got, telems := drainTelemetry(byRank[0])
+	if want := summarizeRankStats(1, st); len(got) != 1 || got[0] != want || len(telems) != 0 {
+		t.Fatalf("drained %+v and %d snapshots, want [%+v] and none", got, len(telems), want)
+	}
+	if g1, p1 := mpi.PoolCounters(); g1-g0 != p1-p0 {
+		t.Errorf("pool imbalance after the drain: %d gets, %d puts", g1-g0, p1-p0)
+	}
+}
+
+// TestRankStatsRejectsForeignPayloads: only a current-version summary of
+// the exact length decodes.
+func TestRankStatsRejectsForeignPayloads(t *testing.T) {
+	good := encodeRankStats(2, &core.Stats{Messages: 5})
+	if rs, ok := decodeRankStats(good); !ok || rs.rank != 2 || rs.msgs != 5 {
+		t.Fatalf("current summary decoded to %+v, %v", rs, ok)
+	}
+	other := append([]byte{}, good...)
+	other[0] = statsWireVersion - 1
+	for name, b := range map[string][]byte{
+		"empty": nil, "short": good[:len(good)-1], "long": append(good[:len(good):len(good)], 0),
+		"other version": other,
+	} {
+		if _, ok := decodeRankStats(b); ok {
+			t.Errorf("%s payload decoded", name)
+		}
 	}
 }
 

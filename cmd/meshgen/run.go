@@ -293,16 +293,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var workerStats []rankSummary
 	var workerTelems []*trace.Telemetry
 	if fabric != nil {
-		for _, item := range fabric.Telemetry() {
-			switch p := item.Payload.(type) {
-			case *trace.Telemetry:
-				workerTelems = append(workerTelems, p)
-			case []float64:
-				if rs, ok := decodeRankStats(p); ok {
-					workerStats = append(workerStats, rs)
-				}
-			}
-		}
+		workerStats, workerTelems = drainTelemetry(fabric)
 	}
 	if err == nil && fabric != nil && res.Stats.Degraded() {
 		reportDeaths(stderr, &res.Stats)
@@ -458,6 +449,24 @@ func armFaultKill(cfg *core.Config, rank, killRank, killTask int) {
 		}
 		return nil
 	}
+}
+
+// drainTelemetry collects what the worker processes shipped to this one:
+// run summaries and tracer snapshots. A summary arrives in a pooled
+// buffer, released once decoded.
+func drainTelemetry(fabric *mpi.Cluster) (stats []rankSummary, telems []*trace.Telemetry) {
+	for _, item := range fabric.Telemetry() {
+		switch p := item.Payload.(type) {
+		case *trace.Telemetry:
+			telems = append(telems, p)
+		case []byte:
+			if rs, ok := decodeRankStats(p); ok {
+				stats = append(stats, rs)
+			}
+			mpi.PutBytes(p)
+		}
+	}
+	return stats, telems
 }
 
 // finalizeTCP synchronizes pipeline completion across the fabric's

@@ -1,26 +1,34 @@
 package main
 
 // Per-process run-summary aggregation for multi-process runs. Each worker
-// ships a compact numeric summary of its own Stats to the launcher over
-// the telemetry channel (a []float64 payload, wire codec CodecFloats)
-// just before the finalize barrier; FIFO frame delivery guarantees the
-// launcher holds every survivor's summary once the barrier releases. The
-// launcher merges them with its own rank-0 summary into the final report,
-// so the per-rank tasks/wire/steal numbers cover the whole process
-// tree instead of just rank 0.
+// ships a compact summary of its own Stats to the launcher over the
+// telemetry channel (a versioned little-endian []byte payload, wire codec
+// mpi.CodecBytes) just before the finalize barrier; FIFO frame delivery
+// guarantees the launcher holds every survivor's summary once the barrier
+// releases. The launcher merges them with its own rank-0 summary into the
+// final report, so the per-rank tasks/wire/steal numbers cover the whole
+// process tree instead of just rank 0.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
 	"pamg2d/internal/core"
 )
 
-// statsWireVersion stamps the summary vector so a launcher never
-// misparses a foreign []float64 telemetry payload (or a future layout).
-const statsWireVersion = 2
+// statsWireVersion stamps the summary so a launcher never misparses a
+// foreign []byte telemetry payload or another layout. Versions 1 and 2
+// were float64 vectors.
+const statsWireVersion = 3
+
+// statsWireLen is the summary's size: six u32s (version, rank, tasks and
+// the three steal counts), then msgs and bytes as u64s and the busy and
+// idle seconds as float64 bits.
+const statsWireLen = 6*4 + 4*8
 
 // rankSummary is one process's run summary, as shipped on the wire.
 type rankSummary struct {
@@ -57,39 +65,37 @@ func summarizeRankStats(rank int, st *core.Stats) rankSummary {
 	return rs
 }
 
-// encodeRankStats lays the summary out as the telemetry payload vector.
-func encodeRankStats(rank int, st *core.Stats) []float64 {
+// encodeRankStats lays the summary out as the telemetry payload.
+func encodeRankStats(rank int, st *core.Stats) []byte {
 	rs := summarizeRankStats(rank, st)
-	return []float64{
-		statsWireVersion,
-		float64(rs.rank),
-		float64(rs.tasks),
-		rs.busySeconds,
-		float64(rs.msgs),
-		float64(rs.bytes),
-		float64(rs.stealReq),
-		float64(rs.stealGranted),
-		float64(rs.stealGotten),
-		rs.idleSeconds,
+	b := make([]byte, 0, statsWireLen)
+	for _, v := range []int{statsWireVersion, rs.rank, rs.tasks, rs.stealReq, rs.stealGranted, rs.stealGotten} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
 	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(rs.msgs))
+	b = binary.LittleEndian.AppendUint64(b, uint64(rs.bytes))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rs.busySeconds))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(rs.idleSeconds))
 }
 
-// decodeRankStats parses a telemetry vector back into a summary; ok is
+// decodeRankStats parses a telemetry payload back into a summary; ok is
 // false for payloads that are not a current-version summary.
-func decodeRankStats(v []float64) (rankSummary, bool) {
-	if len(v) != 10 || v[0] != statsWireVersion {
+func decodeRankStats(b []byte) (rankSummary, bool) {
+	if len(b) != statsWireLen || binary.LittleEndian.Uint32(b) != statsWireVersion {
 		return rankSummary{}, false
 	}
+	i32 := func(i int) int { return int(int32(binary.LittleEndian.Uint32(b[4*i:]))) }
+	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
 	return rankSummary{
-		rank:         int(v[1]),
-		tasks:        int(v[2]),
-		busySeconds:  v[3],
-		msgs:         int64(v[4]),
-		bytes:        int64(v[5]),
-		stealReq:     int(v[6]),
-		stealGranted: int(v[7]),
-		stealGotten:  int(v[8]),
-		idleSeconds:  v[9],
+		rank:         i32(1),
+		tasks:        i32(2),
+		stealReq:     i32(3),
+		stealGranted: i32(4),
+		stealGotten:  i32(5),
+		msgs:         int64(u64(24)),
+		bytes:        int64(u64(32)),
+		busySeconds:  math.Float64frombits(u64(40)),
+		idleSeconds:  math.Float64frombits(u64(48)),
 	}, true
 }
 

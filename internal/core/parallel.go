@@ -82,8 +82,8 @@ const (
 // the owned circumcenter region, the ascending indices of the leaf's path
 // vertices (those dealt counts in two or more leaves), then the x-sorted
 // points. The slice is allocated at its exact final size and travels by
-// reference through the balancer; its serialized form would be
-// mpi.EncodeFloats(vals).
+// reference through the balancer; over a wire the Task codec ships it as
+// little-endian float64s.
 func blLeafVals(leaf *project.Subdomain, dealt []uint8) []float64 {
 	nPath := 0
 	for _, v := range leaf.XS {
@@ -335,9 +335,9 @@ func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
 }
 
 // taskResult carries one task's output floats to the root by reference.
-// On a real interconnect the result would be EncodeFloats(append([ID],
-// vals...)), so its wire size is 8*(1+len(vals)) bytes whatever the vector
-// holds: an encoded submesh or a ray batch's coordinates.
+// Its accounted wire size is 8*(1+len(vals)) bytes — the ID and each float
+// at eight bytes — whatever the vector holds: an encoded submesh or a ray
+// batch's coordinates.
 type taskResult struct {
 	id   int32
 	vals []float64

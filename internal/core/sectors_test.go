@@ -9,7 +9,6 @@ import (
 	"pamg2d/internal/decouple"
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
-	"pamg2d/internal/mpi"
 	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 )
@@ -145,17 +144,6 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	vals := regionTaskVals(kindInviscid, pts, segs, holes)
 	if int(vals[0]) != kindInviscid || int(vals[1]) != 3 || int(vals[2]) != 3 || int(vals[3]) != 1 {
 		t.Fatalf("header built as %v", vals[:4])
-	}
-	// The vals vector must survive a serialize/deserialize round trip
-	// bit-for-bit — that is the wire format a distributed run would use.
-	decoded := mpi.DecodeFloats(mpi.EncodeFloats(vals))
-	if len(decoded) != len(vals) {
-		t.Fatalf("round trip length %d, want %d", len(decoded), len(vals))
-	}
-	for i := range vals {
-		if decoded[i] != vals[i] {
-			t.Fatalf("round trip slot %d: %v != %v", i, decoded[i], vals[i])
-		}
 	}
 	// Processing the task yields one triangle... the hole removes it,
 	// so use no holes for the positive check.

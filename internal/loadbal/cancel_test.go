@@ -24,10 +24,11 @@ func TestRunPreCanceledContext(t *testing.T) {
 	win := world.NewWindow(ranks)
 	var processed atomic.Int32
 	errs := make([]error, ranks)
-	werr := world.Run(func(c *mpi.Comm) {
+	werr := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		_, errs[c.Rank()] = Run(ctx, c, win, dist[c.Rank()], 6,
 			Options{StealBelow: 0.5, Poll: 100 * time.Microsecond},
 			func(Task) { processed.Add(1) })
+		return nil
 	})
 	if werr != nil {
 		t.Fatal(werr)

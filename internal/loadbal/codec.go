@@ -3,7 +3,9 @@ package loadbal
 // Wire codec for Task, registered with the mpi transport layer so steal
 // grants — which travel as zero-copy Task references in-process — can
 // cross a process boundary. The format is the stealing protocol's header
-// (id, cost, flags, one form byte) followed by the Vals floats.
+// (id, cost, flags, one form byte) followed by the Vals floats. The
+// control payloads of multi-process runs are plain byte messages, also
+// laid out here.
 
 import (
 	"encoding/binary"
@@ -60,4 +62,49 @@ func decodeTaskRef(b []byte) (any, error) {
 
 func init() {
 	mpi.RegisterCodec(codecTask, Task{}, encodeTaskRef, decodeTaskRef)
+}
+
+// completeMsg is a tagComplete payload: the finished task's ID as one
+// little-endian int32, in a pooled buffer the root releases.
+func completeMsg(id int32) []byte {
+	b := mpi.GetBytes(4)
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	return b
+}
+
+// movedMsg is a tagMoved payload: the granted task's ID and its new owner
+// as two little-endian int32s, in a pooled buffer the root releases.
+func movedMsg(id int32, owner int) []byte {
+	b := mpi.GetBytes(8)
+	binary.LittleEndian.PutUint32(b, uint32(id))
+	binary.LittleEndian.PutUint32(b[4:], uint32(owner))
+	return b
+}
+
+// decodeComplete parses a completeMsg of a run of tasks tasks.
+func decodeComplete(b []byte, tasks int) (int32, error) {
+	if len(b) != 4 {
+		return 0, fmt.Errorf("loadbal: completion of %d bytes, want 4", len(b))
+	}
+	id := int32(binary.LittleEndian.Uint32(b))
+	if id < 0 || int(id) >= tasks {
+		return 0, fmt.Errorf("loadbal: completion of task %d, want [0, %d)", id, tasks)
+	}
+	return id, nil
+}
+
+// decodeMoved parses a movedMsg of a run of tasks tasks over ranks ranks.
+func decodeMoved(b []byte, tasks, ranks int) (id, owner int32, err error) {
+	if len(b) != 8 {
+		return 0, 0, fmt.Errorf("loadbal: grant acknowledgement of %d bytes, want 8", len(b))
+	}
+	id = int32(binary.LittleEndian.Uint32(b))
+	owner = int32(binary.LittleEndian.Uint32(b[4:]))
+	if id < 0 || int(id) >= tasks {
+		return 0, 0, fmt.Errorf("loadbal: grant acknowledgement of task %d, want [0, %d)", id, tasks)
+	}
+	if owner < 0 || int(owner) >= ranks {
+		return 0, 0, fmt.Errorf("loadbal: task %d granted to rank %d, want [0, %d)", id, owner, ranks)
+	}
+	return id, owner, nil
 }

@@ -13,6 +13,7 @@ import (
 	"container/heap"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -30,11 +31,11 @@ type Task struct {
 	// BoundaryLayer marks boundary-layer subdomains, which are prioritized
 	// ahead of inviscid subdomains of any cost.
 	BoundaryLayer bool
-	// Vals is the subdomain, opaque to the balancer: the floats that
-	// EncodeFloats would pack, handed around by reference in-process.
-	// Steal transfers account the bytes the serialized form would occupy
-	// (see WireBytes), so the communication-volume statistics match a
-	// byte-serialized run.
+	// Vals is the subdomain, opaque to the balancer, handed around by
+	// reference in-process and as little-endian float64s by the Task codec
+	// (codec.go) over a wire. Steal transfers account the bytes the
+	// serialized form would occupy (see WireBytes), so the
+	// communication-volume statistics match a byte-serialized run.
 	Vals []float64
 }
 
@@ -53,7 +54,7 @@ const (
 	tagComplete
 	// tagMoved is the grant acknowledgement of multi-process runs: after a
 	// successful grant the granter reports {task, new owner} to the root,
-	// which keeps the root's ownership map fresh for dead-rank re-queue.
+	// which keeps the root's ownership ledger fresh for dead-rank re-queue.
 	tagMoved
 	tagTerminate
 )
@@ -72,10 +73,11 @@ type Options struct {
 	// hot paths a single nil check.
 	Tracer *trace.Tracer
 	// deal is the initial per-rank distribution, set by Scatter on
-	// multi-process worlds to arm dead-rank recovery: the root tracks task
-	// ownership from it (grants re-report via tagMoved) and, when a rank
-	// dies, re-queues that rank's unfinished tasks onto its own queue —
-	// stealing then redistributes them across the survivors. Re-queued
+	// multi-process worlds to arm dead-rank recovery (task IDs must be
+	// their indices): the root tracks task ownership from it (grants
+	// re-report via tagMoved) and, when a rank dies, re-queues that
+	// rank's unfinished tasks onto its own queue — stealing then
+	// redistributes them across the survivors. Re-queued
 	// tasks execute at-least-once: a task granted moments before the
 	// granter died may run twice, which is safe because every task is
 	// deterministic and completions are de-duplicated by ID.
@@ -233,9 +235,9 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	}
 
 	multi := c.World().MultiProcess()
-	// Dead-rank recovery is root-side state: the ownership map starts as
-	// the initial deal and grant acknowledgements keep it fresh, so when
-	// a rank dies the root knows exactly which unfinished tasks to
+	// Dead-rank recovery is root-side state: the ownership ledger starts
+	// as the initial deal and grant acknowledgements keep it fresh, so
+	// when a rank dies the root knows exactly which unfinished tasks to
 	// re-materialize onto the survivors.
 	recoverOn := multi && c.Rank() == 0 && opt.deal != nil
 
@@ -289,16 +291,16 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			statsMu.Unlock()
 			// Report the completion to the root's termination counter; in a
 			// multi-process run the completion carries the task ID so the
-			// root can de-duplicate at-least-once re-queued tasks and retire
-			// the ownership entry. A failed send means the root is gone
-			// (quorum loss) or the world is tearing down; stop draining —
-			// the communicator observes the same condition and cancels the
-			// queue, so just park until then.
+			// root can de-duplicate at-least-once re-queued tasks. A failed
+			// send means the root is gone (quorum loss) or the world is
+			// tearing down; stop draining — the communicator observes the
+			// same condition and cancels the queue, so just park until then.
 			var completion []byte
 			if multi {
-				completion = mpi.EncodeFloats([]float64{float64(t.ID)})
+				completion = completeMsg(t.ID)
 			}
 			if err := c.Send(0, tagComplete, completion); err != nil {
+				mpi.PutBytes(completion)
 				st.cancel()
 				return
 			}
@@ -320,13 +322,10 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 		awaitingGrant := false
 		awaitingFrom := -1
 		lastLoad := math.NaN() // NaN compares unequal, forcing the first sample
-		// Root-side recovery state: current owner per unfinished task, the
-		// tasks by ID for re-materialization, completions seen by ID, ranks
-		// whose death is already handled, and the first-death timestamp for
-		// the recovery-wall stat.
-		var owner map[int32]int
-		var byID map[int32]Task
-		var doneID map[int32]bool
+		// Root-side recovery state: the ownership ledger, ranks whose death
+		// is already handled, and the first-death timestamp for the
+		// recovery-wall stat.
+		var led *ledger
 		var handledDead []bool
 		var recoveryStart time.Time
 		// The recovery span opens when the first death is handled and closes
@@ -340,15 +339,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			}
 		}()
 		if recoverOn {
-			owner = make(map[int32]int, totalTasks)
-			byID = make(map[int32]Task, totalTasks)
-			for r, share := range opt.deal {
-				for _, t := range share {
-					owner[t.ID] = r
-					byID[t.ID] = t
-				}
-			}
-			doneID = make(map[int32]bool, totalTasks)
+			led = newLedger(opt.deal, totalTasks)
 			handledDead = make([]bool, c.Size())
 			handledDead[c.Rank()] = true
 		}
@@ -395,7 +386,9 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						// tasks. Best-effort: a lost ack at worst re-runs the
 						// task once (at-least-once semantics).
 						if multi {
-							_ = c.Send(0, tagMoved, mpi.EncodeFloats([]float64{float64(t.ID), float64(src)}))
+							if ack := movedMsg(t.ID, src); c.Send(0, tagMoved, ack) != nil {
+								mpi.PutBytes(ack)
+							}
 						}
 						if tr.Enabled() {
 							// The flow arrow starts inside the grant span so
@@ -432,27 +425,22 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						tr.Instant(c.Rank(), trace.CatSteal, "deny", trace.I("from", src))
 					}
 					awaitingGrant = false
-				case tagComplete:
+				case tagComplete, tagMoved:
+					// Multi-process control payloads arrive in pooled
+					// buffers, released once decoded; in-process
+					// completions carry none. Only recovery reads them.
+					b, _ := data.([]byte)
+					first, err := true, error(nil)
 					if recoverOn {
-						if b, ok := data.([]byte); ok && len(b) >= 8 {
-							id := int32(mpi.DecodeFloats(b[:8])[0])
-							if !doneID[id] {
-								doneID[id] = true
-								delete(owner, id)
-								completed++
-							}
-							break
-						}
+						first, err = led.note(tag, b, c.Size())
 					}
-					completed++
-				case tagMoved:
-					if recoverOn {
-						if b, ok := data.([]byte); ok && len(b) >= 16 {
-							v := mpi.DecodeFloats(b[:16])
-							if id := int32(v[0]); !doneID[id] {
-								owner[id] = int(v[1])
-							}
-						}
+					mpi.PutBytes(b)
+					if err != nil {
+						abort(fmt.Errorf("loadbal: control message from rank %d: %w", src, err))
+						return
+					}
+					if tag == tagComplete && first {
+						completed++
 					}
 				case tagTerminate:
 					st.terminate()
@@ -477,19 +465,11 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 							recoverOpen = true
 						}
 					}
-					requeued := 0
-					for id, own := range owner {
-						if own != r {
-							continue
-						}
-						t, ok := byID[id]
-						if !ok {
-							continue
-						}
-						owner[id] = c.Rank()
+					lost := led.requeue(r, c.Rank())
+					for _, t := range lost {
 						st.push(t)
-						requeued++
 					}
+					requeued := len(lost)
 					if tr.Enabled() {
 						tr.Instant(c.Rank(), trace.CatRecover, "rank-dead",
 							trace.I("rank", r), trace.I("requeued", requeued))

@@ -42,7 +42,7 @@ func runBalanced(t *testing.T, ranks int, dist [][]Task, opt Options) ([][]int32
 	processed := make([][]int32, ranks)
 	statsOut := make([]Stats, ranks)
 	var mu sync.Mutex
-	err := world.Run(func(c *mpi.Comm) {
+	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		st, rerr := Run(context.Background(), c, win, dist[c.Rank()], total, opt, func(task Task) {
 			// Simulate work proportional to cost.
 			time.Sleep(time.Duration(task.Cost) * 10 * time.Microsecond)
@@ -54,6 +54,7 @@ func runBalanced(t *testing.T, ranks int, dist [][]Task, opt Options) ([][]int32
 			t.Errorf("rank %d: %v", c.Rank(), rerr)
 		}
 		statsOut[c.Rank()] = st
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +167,8 @@ func TestPayloadSurvivesTransfer(t *testing.T) {
 	win := world.NewWindow(ranks)
 	var mu sync.Mutex
 	bad := false
-	err := world.Run(func(c *mpi.Comm) {
-		Run(context.Background(), c, win, dist[c.Rank()], 8, Options{StealBelow: 60, Poll: 100 * time.Microsecond}, func(task Task) {
+	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
+		_, err := Run(context.Background(), c, win, dist[c.Rank()], 8, Options{StealBelow: 60, Poll: 100 * time.Microsecond}, func(task Task) {
 			time.Sleep(500 * time.Microsecond)
 			if !slices.Equal(task.Vals, payload) {
 				mu.Lock()
@@ -175,6 +176,7 @@ func TestPayloadSurvivesTransfer(t *testing.T) {
 				mu.Unlock()
 			}
 		})
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +200,7 @@ func TestPanickingTaskDoesNotHang(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		world.Run(func(c *mpi.Comm) {
+		world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 			stats[c.Rank()], _ = Run(context.Background(), c, win, dist[c.Rank()], 3,
 				Options{StealBelow: 0.5, Poll: 100 * time.Microsecond},
 				func(task Task) {
@@ -206,6 +208,7 @@ func TestPanickingTaskDoesNotHang(t *testing.T) {
 						panic("task exploded")
 					}
 				})
+			return nil
 		})
 	}()
 	select {

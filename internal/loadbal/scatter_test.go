@@ -271,18 +271,17 @@ func TestScatter(t *testing.T) {
 			if s := started.Load(); s >= 400 {
 				t.Errorf("all %d tasks ran; cancellation had no effect", s)
 			}
-			// Every pooled checkout must come back. Releases may outnumber
-			// checkouts over a wire: the transport also recycles plain
-			// slices of a pooled size it was handed (completion notices).
+			// Every pooled checkout must come back exactly once, the
+			// control messages' buffers included.
 			quiesced := func() bool {
 				g1, p1 := mpi.PoolCounters()
-				return runtime.NumGoroutine() <= before && g1-g0 <= p1-p0
+				return runtime.NumGoroutine() <= before && g1-g0 == p1-p0
 			}
 			for deadline := time.Now().Add(10 * time.Second); !quiesced() && time.Now().Before(deadline); {
 				time.Sleep(10 * time.Millisecond)
 			}
 			g1, p1 := mpi.PoolCounters()
-			if gets, puts := g1-g0, p1-p0; gets > puts {
+			if gets, puts := g1-g0, p1-p0; gets != puts {
 				t.Errorf("pool leak after cancel: %d gets, %d puts", gets, puts)
 			}
 			if after := runtime.NumGoroutine(); after > before {

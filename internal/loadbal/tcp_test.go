@@ -2,7 +2,10 @@ package loadbal
 
 import (
 	"context"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -62,24 +65,129 @@ func TestTaskCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestControlMessageRoundTrip: the completion and grant-acknowledgement
+// payloads decode to what was encoded, at the range bounds too, in pooled
+// buffers of exactly 4 and 8 bytes.
+func TestControlMessageRoundTrip(t *testing.T) {
+	const tasks, ranks = 1000, 7
+	for _, id := range []int32{0, 1, 517, tasks - 1} {
+		b := completeMsg(id)
+		got, err := decodeComplete(b, tasks)
+		if err != nil || got != id || len(b) != 4 {
+			t.Errorf("completion of %d: %d bytes decode to %d, %v", id, len(b), got, err)
+		}
+		mpi.PutBytes(b)
+		for _, owner := range []int{0, 3, ranks - 1} {
+			b := movedMsg(id, owner)
+			gotID, gotOwner, err := decodeMoved(b, tasks, ranks)
+			if err != nil || gotID != id || int(gotOwner) != owner || len(b) != 8 {
+				t.Errorf("grant of %d to %d: %d bytes decode to %d, %d, %v", id, owner, len(b), gotID, gotOwner, err)
+			}
+			mpi.PutBytes(b)
+		}
+	}
+}
+
+func TestControlMessageRejectsMalformed(t *testing.T) {
+	const tasks, ranks = 10, 3
+	le := func(v ...int32) []byte {
+		var b []byte
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
+		}
+		return b
+	}
+	complete := map[string][]byte{
+		"empty":            nil,
+		"short":            le(1)[:3],
+		"long":             le(1, 0),
+		"id out of range":  le(tasks),
+		"negative id":      le(-1),
+		"eight-byte float": binary.LittleEndian.AppendUint64(nil, math.Float64bits(3)),
+	}
+	for name, b := range complete {
+		if _, err := decodeComplete(b, tasks); err == nil {
+			t.Errorf("completion %s: decoder accepted %v", name, b)
+		}
+	}
+	moved := map[string][]byte{
+		"empty":              nil,
+		"short":              le(1, 2)[:7],
+		"long":               le(1, 2, 0),
+		"id out of range":    le(tasks, 1),
+		"negative id":        le(-1, 1),
+		"owner out of range": le(1, ranks),
+		"negative owner":     le(1, -1),
+	}
+	for name, b := range moved {
+		if _, _, err := decodeMoved(b, tasks, ranks); err == nil {
+			t.Errorf("grant acknowledgement %s: decoder accepted %v", name, b)
+		}
+	}
+}
+
+// TestLedgerRequeuesInIDOrder: a dead rank's unfinished tasks come back in
+// ascending ID order whatever order they were dealt in, without the ones
+// it completed or granted away, and the ledger then names the survivor
+// as their owner.
+func TestLedgerRequeuesInIDOrder(t *testing.T) {
+	deal := [][]Task{
+		{{ID: 0}, {ID: 3}},
+		{{ID: 1}, {ID: 4}},
+		{{ID: 11}, {ID: 2}, {ID: 8}, {ID: 5}, {ID: 9}, {ID: 6}, {ID: 10}, {ID: 7}},
+	}
+	led := newLedger(deal, 12)
+	note := func(tag int, b []byte) bool {
+		t.Helper()
+		first, err := led.note(tag, b, len(deal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mpi.PutBytes(b)
+		return first
+	}
+	if !note(tagComplete, completeMsg(8)) || note(tagComplete, completeMsg(8)) {
+		t.Error("a task's second completion counted as its first")
+	}
+	note(tagMoved, movedMsg(5, 1)) // rank 2 granted task 5 to rank 1
+	note(tagMoved, movedMsg(4, 2)) // and got task 4 from rank 1
+
+	var ids []int32
+	for _, tk := range led.requeue(2, 0) {
+		ids = append(ids, tk.ID)
+	}
+	if want := []int32{2, 4, 6, 7, 9, 10, 11}; !slices.Equal(ids, want) {
+		t.Errorf("re-queued %v, want %v", ids, want)
+	}
+	if again := led.requeue(2, 0); len(again) != 0 {
+		t.Errorf("a second requeue of rank 2 returned %d tasks", len(again))
+	}
+	if moved := led.requeue(0, 1); len(moved) != 9 {
+		t.Errorf("rank 0 owns %d tasks after the requeue, want 9 (2 dealt, 7 inherited)", len(moved))
+	}
+}
+
 // TestStealingOverTCP runs the total-imbalance scenario across a loopback
 // TCP cluster: all work starts on rank 0's process and the other
 // processes must steal it over the wire — grants serialize through the
 // Task codec, the load table crosses via window frames, and termination
-// fans out from the root.
+// fans out from the root. Every pooled control-message buffer comes back
+// once the clusters close.
 func TestStealingOverTCP(t *testing.T) {
 	const ranks = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	g0, p0 := mpi.PoolCounters()
 	clusters, err := mpi.LoopbackClusters(ctx, ranks)
 	if err != nil {
 		t.Fatalf("LoopbackClusters: %v", err)
 	}
-	defer func() {
+	closeAll := func() {
 		for _, cl := range clusters {
 			cl.Close()
 		}
-	}()
+	}
+	defer closeAll()
 
 	const total = 24
 	var mu sync.Mutex
@@ -144,6 +252,10 @@ func TestStealingOverTCP(t *testing.T) {
 	}
 	if busy < 2 {
 		t.Errorf("only %d processes did any work", busy)
+	}
+	closeAll()
+	if g1, p1 := mpi.PoolCounters(); g1-g0 != p1-p0 {
+		t.Errorf("pool imbalance over the run: %d gets, %d puts", g1-g0, p1-p0)
 	}
 }
 

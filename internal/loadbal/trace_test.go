@@ -32,7 +32,7 @@ func TestStealFlowsTraced(t *testing.T) {
 	opt := Options{StealBelow: 30, Poll: 100 * time.Microsecond, Tracer: tr}
 	statsOut := make([]Stats, ranks)
 	var mu sync.Mutex
-	err := world.Run(func(c *mpi.Comm) {
+	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		st, rerr := Run(context.Background(), c, win, dist[c.Rank()], 16, opt, func(task Task) {
 			time.Sleep(time.Duration(task.Cost) * 10 * time.Microsecond)
 		})
@@ -42,6 +42,7 @@ func TestStealFlowsTraced(t *testing.T) {
 		mu.Lock()
 		statsOut[c.Rank()] = st
 		mu.Unlock()
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

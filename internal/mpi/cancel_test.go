@@ -11,7 +11,7 @@ import (
 
 func TestSendInvalidRank(t *testing.T) {
 	world := NewWorld(2)
-	err := world.Run(func(c *Comm) {
+	err := runWorld(world, func(c *Comm) {
 		if c.Rank() != 0 {
 			return
 		}
@@ -73,7 +73,7 @@ func TestRecvHonorsContext(t *testing.T) {
 	// A per-receive context deadline unblocks only that receive; the world
 	// stays open.
 	world := NewWorld(1)
-	err := world.Run(func(c *Comm) {
+	err := runWorld(world, func(c *Comm) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		defer cancel()
 		if _, _, _, err := c.Recv(ctx, AnySource, 1); !errors.Is(err, context.DeadlineExceeded) {
@@ -175,12 +175,12 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 func TestCloseReleasesPooledPayloads(t *testing.T) {
 	g0, p0 := PoolCounters()
 	world := NewWorld(2)
-	err := world.Run(func(c *Comm) {
+	err := runWorld(world, func(c *Comm) {
 		if c.Rank() != 0 {
 			return
 		}
 		for i := 0; i < 8; i++ {
-			buf := pooledFloats([]float64{1, 2, 3})
+			buf := pooled(1, 2, 3)
 			if err := c.Send(1, 42, buf); err != nil {
 				PutBytes(buf)
 				t.Errorf("send: %v", err)
@@ -206,7 +206,7 @@ func TestFailedSendKeepsBufferOwnership(t *testing.T) {
 	world := NewWorld(2)
 	world.Close(nil)
 	c := &Comm{world: world, rank: 1}
-	buf := pooledFloats([]float64{1, 2})
+	buf := pooled(1, 2)
 	if err := c.Send(0, 5, buf); !errors.Is(err, ErrWorldClosed) {
 		t.Fatalf("Send on a closed world returned %v", err)
 	}

@@ -113,14 +113,14 @@ type TelemetryItem struct {
 	Payload any
 }
 
-// PingRank measures rank's clock offset against this process's clock by
+// pingRank measures rank's clock offset against this process's clock by
 // `rounds` ping/pong exchanges, keeping the estimate from the round with
 // the smallest round-trip (midpoint alignment: the remote clock is read
 // halfway through the round trip, so offset = midpoint − remote). The
 // peer's reader goroutine answers pings at any time — during a run,
 // between worlds, or while blocked in a barrier. Returns a zero offset
 // for this process's own rank and on in-process clusters.
-func (cl *Cluster) PingRank(ctx context.Context, rank, rounds int) (ClockSync, error) {
+func (cl *Cluster) pingRank(ctx context.Context, rank, rounds int) (ClockSync, error) {
 	out := ClockSync{Rank: rank}
 	if cl.tcp == nil || rank == cl.rank {
 		return out, nil
@@ -186,10 +186,10 @@ func (cl *Cluster) PingRank(ctx context.Context, rank, rounds int) (ClockSync, e
 func (cl *Cluster) MeasureOffsets(ctx context.Context, rounds int) ([]ClockSync, error) {
 	out := make([]ClockSync, 0, cl.n)
 	for r := 0; r < cl.n; r++ {
-		if !cl.Alive(r) {
+		if !cl.alive(r) {
 			continue
 		}
-		cs, err := cl.PingRank(ctx, r, rounds)
+		cs, err := cl.pingRank(ctx, r, rounds)
 		if err != nil {
 			// A rank that died mid-measurement is a skip, not a failure.
 			var de *RankDeadError

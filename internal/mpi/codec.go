@@ -5,10 +5,10 @@ package mpi
 // must encode them. Packages that ship typed references across ranks
 // register a codec per type here: the registry maps a stable wire id to
 // an encode/decode pair, and the TCP transport consults it on both sides
-// of a connection, so RecvRef returns the same concrete types over either
-// backend. Ids must agree in every process of a run, so they are fixed
-// constants assigned in blocks: mpi reserves 0–15 for itself, loadbal
-// uses 16–31, core 32–47.
+// of a connection, so TryRecvRef returns the same concrete types over
+// either backend. Ids must agree in every process of a run, so they are
+// fixed constants assigned in blocks: mpi reserves 0–15 for itself,
+// loadbal uses 16–31, core 32–47.
 
 import (
 	"fmt"
@@ -20,13 +20,12 @@ import (
 // Id 0 is reserved for plain byte payloads (Send), which need no codec.
 type CodecID uint16
 
-// Built-in codecs for the raw slice types SendRef accepts directly.
+// Built-in codecs. Id 2 was the []float64 payload codec; the number stays
+// reserved so no later codec reuses it.
 const (
 	codecNone CodecID = 0
 	// CodecBytes carries a []byte reference payload.
 	CodecBytes CodecID = 1
-	// CodecFloats carries a []float64 reference payload.
-	CodecFloats CodecID = 2
 )
 
 type codecEntry struct {
@@ -106,26 +105,6 @@ func decBytesRef(b []byte) (any, error) {
 	return out, nil
 }
 
-func encFloatsRef(ref any, dst []byte) []byte {
-	v := ref.([]float64)
-	n := len(dst)
-	dst = append(dst, make([]byte, 8*len(v))...)
-	encodeFloatsInto(dst[n:], v)
-	return dst
-}
-
-// decFloatsRef unpacks into a pooled slice; the receiver releases it with
-// PutFloats, mirroring the in-process ownership rule for float payloads.
-func decFloatsRef(b []byte) (any, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mpi: float payload length %d not a multiple of 8", len(b))
-	}
-	out := GetFloats(len(b) / 8)
-	decodeFloatsInto(out, b)
-	return out, nil
-}
-
 func init() {
 	RegisterCodec(CodecBytes, []byte(nil), encBytesRef, decBytesRef)
-	RegisterCodec(CodecFloats, []float64(nil), encFloatsRef, decFloatsRef)
 }

@@ -12,20 +12,20 @@ import (
 // boundary-layer coordinates.
 func ExampleComm_Send() {
 	world := mpi.NewWorld(4)
-	err := world.Run(func(c *mpi.Comm) {
+	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
-			c.Send(0, 1, mpi.EncodeFloats([]float64{float64(c.Rank() * 10)}))
-			return
+			return c.Send(0, 1, []byte{byte(c.Rank() * 10)})
 		}
-		var sum float64
+		sum := 0
 		for r := 1; r < c.Size(); r++ {
 			p, _, _, err := c.Recv(context.Background(), r, 1)
 			if err != nil {
-				return
+				return err
 			}
-			sum += mpi.DecodeFloats(p)[0]
+			sum += int(p[0])
 		}
 		fmt.Println("sum at root:", sum)
+		return nil
 	})
 	if err != nil {
 		fmt.Println("error:", err)
@@ -39,9 +39,11 @@ func ExampleComm_Send() {
 func ExampleWindow() {
 	world := mpi.NewWorld(3)
 	win := world.NewWindow(3)
-	err := world.Run(func(c *mpi.Comm) {
+	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		win.Put(c.Rank(), float64(c.Rank()+1)) // publish a work estimate
-		c.Barrier()
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		if c.Rank() == 0 {
 			loads := win.Get()
 			best, bestLoad := -1, 0.0
@@ -52,6 +54,7 @@ func ExampleWindow() {
 			}
 			fmt.Printf("steal from rank %d (load %.0f)\n", best, bestLoad)
 		}
+		return nil
 	})
 	if err != nil {
 		fmt.Println("error:", err)

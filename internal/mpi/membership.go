@@ -5,13 +5,13 @@ package mpi
 // The original transport treated the rank set as immutable — any link
 // error tore the whole node down. Membership makes rank death a
 // first-class, survivable event: each process marks the dead rank in its
-// own live set (advancing a membership epoch), announces the death to the
-// surviving peers with a frameRankDead so the fabric converges without
-// every node waiting out its own timeout, and keeps the remaining links
-// running. Detection is two-fold: a write or read error on a link kills
-// that peer immediately (a SIGKILLed process resets its connections), and
-// heartbeat frames paired with per-read deadlines bound the detection
-// time on links that are idle through a long compute phase.
+// own live set, announces the death to the surviving peers with a
+// frameRankDead so the fabric converges without every node waiting out
+// its own timeout, and keeps the remaining links running. Detection is
+// two-fold: a write or read error on a link kills that peer immediately
+// (a SIGKILLed process resets its connections), and heartbeat frames
+// paired with per-read deadlines bound the detection time on links that
+// are idle through a long compute phase.
 //
 // Quorum: rank 0 hosts the RMA windows and coordinates the cross-process
 // barrier, so a worker that loses its link to rank 0 has lost the run —
@@ -29,7 +29,7 @@ import (
 
 // Default heartbeat cadence. The timeout is the read deadline armed
 // before every frame read; it must comfortably exceed the interval so a
-// healthy-but-busy peer is never declared dead. Cluster.SetHeartbeat
+// healthy-but-busy peer is never declared dead. Cluster.setHeartbeat
 // overrides both (zero disables the corresponding half).
 const (
 	defaultHeartbeatInterval = 1 * time.Second
@@ -81,19 +81,6 @@ func (n *tcpNode) deadErr(r int) *RankDeadError {
 	return &RankDeadError{Rank: r, Err: cause}
 }
 
-// liveRanks returns the live rank ids in ascending order.
-func (n *tcpNode) liveRanks() []int {
-	n.memMu.Lock()
-	out := make([]int, 0, n.liveN)
-	for r, cause := range n.deadRank {
-		if cause == nil {
-			out = append(out, r)
-		}
-	}
-	n.memMu.Unlock()
-	return out
-}
-
 // deadRanks returns the chronological record of rank deaths this process
 // has declared.
 func (n *tcpNode) deadRanks() []RankDeath {
@@ -104,10 +91,9 @@ func (n *tcpNode) deadRanks() []RankDeath {
 }
 
 // rankDied folds one peer's death into the membership view. The first
-// declaration wins: the rank is marked dead, the membership epoch
-// advances, its link is closed so the reader drains out, surviving peers
-// hear a frameRankDead, and every open world is notified so blocked
-// operations unwind with a *RankDeadError. A worker losing rank 0 is
+// declaration wins: the rank is marked dead, its link is closed so the
+// reader drains out, surviving peers hear a frameRankDead, and every open
+// world is notified so blocked operations unwind with a *RankDeadError. A worker losing rank 0 is
 // quorum loss — the barrier coordinator and window host are gone — so
 // that one death still tears the whole node down.
 func (n *tcpNode) rankDied(rank int, cause error) {
@@ -123,10 +109,8 @@ func (n *tcpNode) rankDied(rank int, cause error) {
 		return
 	}
 	n.deadRank[rank] = cause
-	n.liveN--
 	n.deaths = append(n.deaths, RankDeath{Rank: rank, At: time.Now(), Cause: cause})
 	n.memMu.Unlock()
-	n.memEpoch.Add(1)
 	if p := n.peers[rank]; p != nil {
 		p.conn.Close()
 	}
@@ -184,9 +168,9 @@ func (n *tcpNode) startHeartbeats() {
 			}
 		}
 		for {
-			// The interval is re-read every beat so SetHeartbeat takes
+			// The interval is re-read every beat so setHeartbeat takes
 			// effect on the next one; zero pauses sending without stopping
-			// the loop. A kick (SetHeartbeat) applies a new cadence
+			// the loop. A kick (setHeartbeat) applies a new cadence
 			// immediately — one beat now, then the new interval — so a peer
 			// that just armed a short read deadline sees traffic right away
 			// instead of after the stale timer runs out.
@@ -315,62 +299,17 @@ func (w *World) deadCause(r int) error {
 	return cause
 }
 
-// Failure returns the first rank death observed while this world was
-// open, or nil. Worlds minted after a death (which merely plan around the
-// shrunken live set) report nil.
-func (w *World) Failure() error {
-	if f := w.failure.Load(); f != nil {
-		return f
-	}
-	return nil
-}
-
-// MembershipEpoch returns the cluster's membership epoch: it advances by
-// one for every rank death this process has declared. Zero on in-process
-// worlds.
-func (w *World) MembershipEpoch() uint64 {
-	if w.cl == nil || w.cl.tcp == nil {
-		return 0
-	}
-	return w.cl.tcp.memEpoch.Load()
-}
-
 // Alive reports whether rank r is live in this communicator's world view
 // (see World.Alive).
 func (c *Comm) Alive(r int) bool { return c.world.Alive(r) }
 
-// Failure returns the first rank death observed while this communicator's
-// world was open, or nil (see World.Failure).
-func (c *Comm) Failure() error { return c.world.Failure() }
-
-// Alive reports whether rank r is live in the cluster's membership view.
+// alive reports whether rank r is live in the cluster's membership view.
 // In-process clusters are always fully live.
-func (cl *Cluster) Alive(r int) bool {
+func (cl *Cluster) alive(r int) bool {
 	if cl.tcp == nil {
 		return r >= 0 && r < cl.n
 	}
 	return cl.tcp.alive(r)
-}
-
-// LiveRanks returns the live rank ids in ascending order.
-func (cl *Cluster) LiveRanks() []int {
-	if cl.tcp == nil {
-		out := make([]int, cl.n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return cl.tcp.liveRanks()
-}
-
-// MembershipEpoch returns the cluster's membership epoch (see
-// World.MembershipEpoch).
-func (cl *Cluster) MembershipEpoch() uint64 {
-	if cl.tcp == nil {
-		return 0
-	}
-	return cl.tcp.memEpoch.Load()
 }
 
 // DeadRanks returns the chronological record of rank deaths this process
@@ -382,12 +321,12 @@ func (cl *Cluster) DeadRanks() []RankDeath {
 	return cl.tcp.deadRanks()
 }
 
-// SetHeartbeat overrides the keepalive cadence: interval is the
+// setHeartbeat overrides the keepalive cadence: interval is the
 // heartbeat send period, timeout the per-read deadline that declares a
 // silent peer dead. Zero disables the corresponding half. The interval
 // takes effect on the next beat; the timeout applies to every subsequent
 // frame read. No-op on in-process clusters.
-func (cl *Cluster) SetHeartbeat(interval, timeout time.Duration) {
+func (cl *Cluster) setHeartbeat(interval, timeout time.Duration) {
 	if cl.tcp == nil {
 		return
 	}

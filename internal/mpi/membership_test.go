@@ -37,8 +37,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestRankDeathMembership kills one worker of a 3-process loopback fabric
 // and checks that the survivors' membership view converges: the dead rank
-// drops out of the live set, the epoch advances, the death is recorded,
-// and sends to it fail fast with the typed error.
+// drops out of the live set, the death is recorded, and sends to it fail
+// fast with the typed error.
 func TestRankDeathMembership(t *testing.T) {
 	ctx := context.Background()
 	cls := loopbackByRank(t, 3)
@@ -47,36 +47,31 @@ func TestRankDeathMembership(t *testing.T) {
 	w1 := cls[1].NewWorld()
 	_ = cls[2].NewWorld()
 
-	if got := len(cls[0].LiveRanks()); got != 3 {
-		t.Fatalf("live ranks before death: %d, want 3", got)
-	}
-	if cls[0].MembershipEpoch() != 0 {
-		t.Fatalf("membership epoch before death: %d, want 0", cls[0].MembershipEpoch())
+	for r := 0; r < 3; r++ {
+		if !cls[0].alive(r) {
+			t.Fatalf("rank %d dead before any death", r)
+		}
 	}
 
 	// SIGKILL stand-in: the process vanishes, its connections reset.
 	cls[2].Close()
 
-	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].Alive(2) })
-	waitFor(t, "rank 1 to declare rank 2 dead", func() bool { return !cls[1].Alive(2) })
+	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].alive(2) })
+	waitFor(t, "rank 1 to declare rank 2 dead", func() bool { return !cls[1].alive(2) })
 
-	if cls[0].MembershipEpoch() == 0 {
-		t.Error("membership epoch did not advance on death")
-	}
 	deaths := cls[0].DeadRanks()
 	if len(deaths) != 1 || deaths[0].Rank != 2 || deaths[0].Cause == nil || deaths[0].At.IsZero() {
 		t.Errorf("death record = %+v, want one entry for rank 2 with cause and time", deaths)
 	}
-	if live := cls[0].LiveRanks(); len(live) != 2 || live[0] != 0 || live[1] != 1 {
-		t.Errorf("live ranks = %v, want [0 1]", live)
+	if !cls[0].alive(0) || !cls[0].alive(1) {
+		t.Error("a survivor left the live set")
 	}
 
-	// The open worlds observed the death: Failure reports it, and sends to
-	// the dead rank fail fast with *RankDeadError.
-	waitFor(t, "world 0 to observe the failure", func() bool { return w0.Failure() != nil })
-	var rde *RankDeadError
-	if !errors.As(w0.Failure(), &rde) || rde.Rank != 2 {
-		t.Errorf("world failure = %v, want RankDeadError for rank 2", w0.Failure())
+	// The open worlds observed the death, and sends to the dead rank fail
+	// fast with *RankDeadError.
+	waitFor(t, "world 0 to observe the failure", func() bool { return w0.failure.Load() != nil })
+	if f := w0.failure.Load(); f.Rank != 2 {
+		t.Errorf("world failure = %v, want RankDeadError for rank 2", f)
 	}
 	err := w0.RunCtx(ctx, func(c *Comm) error {
 		sendErr := c.Send(2, 7, []byte("hi"))
@@ -105,7 +100,7 @@ func TestBarrierOverSurvivors(t *testing.T) {
 
 	cls[2].Close()
 	waitFor(t, "survivors to notice the death", func() bool {
-		return !cls[0].Alive(2) && !cls[1].Alive(2)
+		return !cls[0].alive(2) && !cls[1].alive(2)
 	})
 
 	var wg sync.WaitGroup
@@ -135,13 +130,13 @@ func TestCollectivesOverSurvivors(t *testing.T) {
 
 	cls[2].Close()
 	waitFor(t, "survivors to notice the death", func() bool {
-		return !cls[0].Alive(2) && !cls[1].Alive(2)
+		return !cls[0].alive(2) && !cls[1].alive(2)
 	})
 
 	w0 := cls[0].NewWorld()
 	w1 := cls[1].NewWorld()
-	if w0.Failure() != nil {
-		t.Fatalf("world minted after death reports failure %v, want nil (born-dead rank is planned around)", w0.Failure())
+	if f := w0.failure.Load(); f != nil {
+		t.Fatalf("world minted after death reports failure %v, want nil (born-dead rank is planned around)", f)
 	}
 	if w0.Alive(2) || w0.liveCount() != 2 {
 		t.Fatalf("fresh world live view: alive(2)=%v liveCount=%d, want false/2", w0.Alive(2), w0.liveCount())
@@ -200,7 +195,7 @@ func TestRecvFromDeadRankFails(t *testing.T) {
 	cls := loopbackByRank(t, 3)
 
 	cls[2].Close()
-	waitFor(t, "rank 0 to notice the death", func() bool { return !cls[0].Alive(2) })
+	waitFor(t, "rank 0 to notice the death", func() bool { return !cls[0].alive(2) })
 
 	w0 := cls[0].NewWorld()
 	_ = cls[1].NewWorld()
@@ -246,10 +241,10 @@ func TestHeartbeatTimeoutDetectsSilentPeer(t *testing.T) {
 	// Rank 1 goes silent: no heartbeats, no deadline of its own (so it
 	// never declares rank 0 dead first). Rank 0 beats fast and expects
 	// traffic within 300ms.
-	cls[1].SetHeartbeat(0, 0)
-	cls[0].SetHeartbeat(20*time.Millisecond, 300*time.Millisecond)
+	cls[1].setHeartbeat(0, 0)
+	cls[0].setHeartbeat(20*time.Millisecond, 300*time.Millisecond)
 
-	waitFor(t, "rank 0 to declare the silent rank 1 dead", func() bool { return !cls[0].Alive(1) })
+	waitFor(t, "rank 0 to declare the silent rank 1 dead", func() bool { return !cls[0].alive(1) })
 	deaths := cls[0].DeadRanks()
 	if len(deaths) != 1 || deaths[0].Rank != 1 {
 		t.Fatalf("death record = %+v, want one entry for rank 1", deaths)
@@ -265,10 +260,10 @@ func TestDeathNoticePropagation(t *testing.T) {
 
 	// Only rank 0 watches for silence; ranks 1 and 2 never time out on
 	// their own, so rank 1 can only learn of 2's death from the notice.
-	cls[0].SetHeartbeat(20*time.Millisecond, 300*time.Millisecond)
-	cls[1].SetHeartbeat(20*time.Millisecond, 0)
-	cls[2].SetHeartbeat(0, 0)
+	cls[0].setHeartbeat(20*time.Millisecond, 300*time.Millisecond)
+	cls[1].setHeartbeat(20*time.Millisecond, 0)
+	cls[2].setHeartbeat(0, 0)
 
-	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].Alive(2) })
-	waitFor(t, "rank 1 to hear the death notice", func() bool { return !cls[1].Alive(2) })
+	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].alive(2) })
+	waitFor(t, "rank 1 to hear the death notice", func() bool { return !cls[1].alive(2) })
 }

@@ -17,10 +17,8 @@ package mpi
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -29,9 +27,6 @@ import (
 
 // AnySource matches messages from any rank.
 const AnySource = -1
-
-// AnyTag matches any message tag.
-const AnyTag = -1
 
 var (
 	// ErrWorldClosed reports a blocking operation cut short because the
@@ -64,8 +59,6 @@ func (e *closedError) Is(target error) bool { return target == ErrWorldClosed }
 type Stats struct {
 	Messages atomic.Int64
 	Bytes    atomic.Int64
-	Puts     atomic.Int64
-	Gets     atomic.Int64
 }
 
 type message struct {
@@ -85,13 +78,8 @@ type message struct {
 func releasePayload(m *message) {
 	if m.data != nil {
 		PutBytes(m.data)
-		return
-	}
-	switch r := m.ref.(type) {
-	case []byte:
+	} else if r, ok := m.ref.([]byte); ok {
 		PutBytes(r)
-	case []float64:
-		PutFloats(r)
 	}
 }
 
@@ -138,23 +126,11 @@ func newMailbox() *mailbox {
 
 // match finds the first message matching (from, tag) and removes it.
 func (mb *mailbox) match(from, tag int) (message, bool) {
-	scan := func(q *msgQueue) (message, bool) {
+	if q, ok := mb.tags[tag]; ok {
 		for i := q.head; i < len(q.msgs); i++ {
 			if from == AnySource || q.msgs[i].from == from {
 				return q.removeAt(i), true
 			}
-		}
-		return message{}, false
-	}
-	if tag != AnyTag {
-		if q, ok := mb.tags[tag]; ok {
-			return scan(q)
-		}
-		return message{}, false
-	}
-	for _, q := range mb.tags {
-		if m, ok := scan(q); ok {
-			return m, true
 		}
 	}
 	return message{}, false
@@ -221,12 +197,16 @@ func (w *World) Stats() *Stats { return w.stats }
 // sizes for the in-process backend). An enabled tracer also stamps the
 // comm track with a "transport/<name>" instant so exported traces name
 // the backend. A nil tracer (the default) disables recording; the send
-// path then pays a single nil check. Set before the first Run — the
+// path then pays a single nil check. Set before the first RunCtx — the
 // field is not synchronized against in-flight sends.
 func (w *World) SetTracer(tr *trace.Tracer) {
 	w.tracer = tr
 	if tr.Enabled() {
-		tr.Instant(w.LocalRank(), trace.CatMPI, "transport/"+w.TransportName())
+		rank := 0 // the rank this process hosts; 0 when all are local
+		if w.cl != nil {
+			rank = w.cl.rank
+		}
+		tr.Instant(rank, trace.CatMPI, "transport/"+w.TransportName())
 	}
 }
 
@@ -244,15 +224,6 @@ func (w *World) TransportName() string {
 // redistribution step) must branch on this.
 func (w *World) MultiProcess() bool {
 	return w.cl != nil && w.cl.tcp != nil && w.n > 1
-}
-
-// LocalRank returns the rank this process hosts (0 when all ranks are
-// local, which makes it the right track id for process-wide events).
-func (w *World) LocalRank() int {
-	if w.cl != nil {
-		return w.cl.rank
-	}
-	return 0
 }
 
 // rankIsLocal reports whether rank r lives in this process.
@@ -332,22 +303,12 @@ func (w *World) Err() error {
 	return &closedError{cause: w.closeCause}
 }
 
-// Run spawns fn on every rank and waits for all to finish. A panic in any
-// rank is captured, tears the world down so the other ranks unblock, and
-// is returned as a *RankError after all ranks complete.
-func (w *World) Run(fn func(c *Comm)) error {
-	return w.RunCtx(context.Background(), func(c *Comm) error {
-		fn(c)
-		return nil
-	})
-}
-
 // RunCtx spawns fn on every rank and waits for all to finish. When ctx is
 // canceled, or any rank returns an error or panics, the world is closed so
 // blocked peers unwind, and the root cause is returned: the context's
 // cause on cancellation, otherwise a *RankError naming the failed rank. A
 // world that runs to completion stays open and may be reused for further
-// Run calls (the pipeline's result-drain pass relies on this).
+// RunCtx calls (the pipeline's result-drain pass relies on this).
 func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -395,11 +356,6 @@ func (w *World) RunCtx(ctx context.Context, fn func(c *Comm) error) error {
 		}
 	}
 	return nil
-}
-
-// Run is shorthand for NewWorld(n).Run(fn).
-func Run(n int, fn func(c *Comm)) error {
-	return NewWorld(n).Run(fn)
 }
 
 // Comm is one rank's handle on the world.
@@ -561,7 +517,7 @@ func (c *Comm) recv(ctx context.Context, from, tag int) (message, error) {
 }
 
 // Recv blocks until a message matching (from, tag) arrives and returns its
-// payload and envelope. Use AnySource and AnyTag as wildcards. The wait is
+// payload and envelope. Use AnySource as the source wildcard. The wait is
 // cut short by ctx (returning the context's cause) or by world teardown
 // (returning an error matching ErrWorldClosed).
 func (c *Comm) Recv(ctx context.Context, from, tag int) (data []byte, srcRank, srcTag int, err error) {
@@ -572,34 +528,12 @@ func (c *Comm) Recv(ctx context.Context, from, tag int) (data []byte, srcRank, s
 	return m.data, m.from, m.tag, nil
 }
 
-// RecvRef blocks like Recv but returns the message's reference payload.
-// For a message sent with Send it returns the byte slice as the ref, so a
-// tag may mix both transports; callers type-switch on the result.
-func (c *Comm) RecvRef(ctx context.Context, from, tag int) (ref any, srcRank, srcTag int, err error) {
-	m, err := c.recv(ctx, from, tag)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if m.ref != nil {
-		return m.ref, m.from, m.tag, nil
-	}
-	return m.data, m.from, m.tag, nil
-}
-
-// TryRecv is a non-blocking probe-and-receive: ok is false when no
-// matching message is queued (including after teardown, which drops all
-// queued messages — poll Err to distinguish).
-func (c *Comm) TryRecv(from, tag int) (data []byte, srcRank, srcTag int, ok bool) {
-	mb := c.world.boxes[c.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if m, ok := mb.match(from, tag); ok {
-		return m.data, m.from, m.tag, true
-	}
-	return nil, 0, 0, false
-}
-
-// TryRecvRef is the non-blocking form of RecvRef.
+// TryRecvRef is a non-blocking probe-and-receive that returns the
+// message's reference payload — or, for a message sent with Send, its
+// byte slice, so a tag may mix both transports and callers type-switch on
+// the result. ok is false when no matching message is queued (including
+// after teardown, which drops all queued messages — poll Err to
+// distinguish).
 func (c *Comm) TryRecvRef(from, tag int) (ref any, srcRank, srcTag int, ok bool) {
 	mb := c.world.boxes[c.rank]
 	mb.mu.Lock()
@@ -758,7 +692,6 @@ func (w *World) applyWinGet(it pendItem) {
 
 // Put stores val into slot idx (MPI_Put).
 func (win *Window) Put(idx int, val float64) {
-	win.world.stats.Puts.Add(1)
 	if !win.host {
 		wire, _ := win.world.cl.tcp.sendCtrl(0, frame{
 			kind: frameWinPut, epoch: win.world.epoch,
@@ -776,7 +709,6 @@ func (win *Window) Put(idx int, val float64) {
 // Get returns a snapshot of all slots (MPI_Get of the whole window), or
 // nil when a wire world was torn down before the reply arrived.
 func (win *Window) Get() []float64 {
-	win.world.stats.Gets.Add(1)
 	if !win.host {
 		vals, wire := win.world.cl.tcp.winGet(win.world, win.idx)
 		win.world.stats.Bytes.Add(int64(wire + 8*len(vals)))
@@ -788,32 +720,4 @@ func (win *Window) Get() []float64 {
 	copy(out, win.data)
 	win.mu.Unlock()
 	return out
-}
-
-// Encoding helpers for typed payloads.
-
-// EncodeFloats packs a float64 slice little-endian.
-func EncodeFloats(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	encodeFloatsInto(out, v)
-	return out
-}
-
-func encodeFloatsInto(out []byte, v []float64) {
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-}
-
-// DecodeFloats unpacks a payload written by EncodeFloats.
-func DecodeFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	decodeFloatsInto(out, b)
-	return out
-}
-
-func decodeFloatsInto(out []float64, b []byte) {
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
 }

@@ -7,8 +7,17 @@ import (
 	"testing/quick"
 )
 
+// runWorld runs fn on every rank of w through RunCtx; a rank's panic is
+// its only way to fail.
+func runWorld(w *World, fn func(c *Comm)) error {
+	return w.RunCtx(context.Background(), func(c *Comm) error {
+		fn(c)
+		return nil
+	})
+}
+
 func TestSendRecvPair(t *testing.T) {
-	err := Run(2, func(c *Comm) {
+	err := runWorld(NewWorld(2), func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 7, []byte("hello"))
 		} else {
@@ -24,11 +33,11 @@ func TestSendRecvPair(t *testing.T) {
 }
 
 func TestRecvWildcards(t *testing.T) {
-	err := Run(4, func(c *Comm) {
+	err := runWorld(NewWorld(4), func(c *Comm) {
 		if c.Rank() == 0 {
 			seen := map[int]bool{}
 			for i := 0; i < 3; i++ {
-				data, src, _, _ := c.Recv(context.Background(), AnySource, AnyTag)
+				data, src, _, _ := c.Recv(context.Background(), AnySource, 3)
 				if len(data) != 1 || int(data[0]) != src {
 					panic("payload mismatch")
 				}
@@ -38,7 +47,7 @@ func TestRecvWildcards(t *testing.T) {
 				panic("missing senders")
 			}
 		} else {
-			c.Send(0, c.Rank(), []byte{byte(c.Rank())})
+			c.Send(0, 3, []byte{byte(c.Rank())})
 		}
 	})
 	if err != nil {
@@ -47,7 +56,7 @@ func TestRecvWildcards(t *testing.T) {
 }
 
 func TestTagMatching(t *testing.T) {
-	err := Run(2, func(c *Comm) {
+	err := runWorld(NewWorld(2), func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []byte("one"))
 			c.Send(1, 2, []byte("two"))
@@ -66,16 +75,16 @@ func TestTagMatching(t *testing.T) {
 }
 
 func TestTryRecv(t *testing.T) {
-	err := Run(2, func(c *Comm) {
+	err := runWorld(NewWorld(2), func(c *Comm) {
 		if c.Rank() == 0 {
-			if _, _, _, ok := c.TryRecv(AnySource, AnyTag); ok {
-				panic("TryRecv must not find anything yet")
+			if _, _, _, ok := c.TryRecvRef(AnySource, 5); ok {
+				panic("TryRecvRef must not find anything yet")
 			}
 			c.Barrier()
 			c.Barrier()
-			data, _, _, ok := c.TryRecv(1, 5)
-			if !ok || string(data) != "x" {
-				panic("TryRecv must find the queued message")
+			ref, _, _, ok := c.TryRecvRef(1, 5)
+			if data, _ := ref.([]byte); !ok || string(data) != "x" {
+				panic("TryRecvRef must find the queued message")
 			}
 		} else {
 			c.Barrier()
@@ -90,7 +99,7 @@ func TestTryRecv(t *testing.T) {
 
 func TestBarrierOrdering(t *testing.T) {
 	var before, after atomic.Int32
-	err := Run(8, func(c *Comm) {
+	err := runWorld(NewWorld(8), func(c *Comm) {
 		before.Add(1)
 		c.Barrier()
 		if before.Load() != 8 {
@@ -110,7 +119,7 @@ func TestBarrierOrdering(t *testing.T) {
 func TestWindowPutGet(t *testing.T) {
 	w := NewWorld(4)
 	win := w.NewWindow(4)
-	err := w.Run(func(c *Comm) {
+	err := runWorld(w, func(c *Comm) {
 		win.Put(c.Rank(), float64(c.Rank())*10)
 		c.Barrier()
 		vals := win.Get()
@@ -127,7 +136,7 @@ func TestWindowPutGet(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	w := NewWorld(2)
-	err := w.Run(func(c *Comm) {
+	err := runWorld(w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, make([]byte, 100))
 		} else {
@@ -146,7 +155,7 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	err := Run(3, func(c *Comm) {
+	err := runWorld(NewWorld(3), func(c *Comm) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
@@ -156,31 +165,9 @@ func TestPanicPropagates(t *testing.T) {
 	}
 }
 
-func TestEncodingRoundTrip(t *testing.T) {
-	f := func(v []float64) bool {
-		got := DecodeFloats(EncodeFloats(v))
-		if len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			// NaN compares unequal; compare bit patterns via re-encode.
-			a, b := EncodeFloats(v[i:i+1]), EncodeFloats(got[i:i+1])
-			for k := range a {
-				if a[k] != b[k] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestManyRanksPingPong(t *testing.T) {
 	// Ring communication across 32 ranks.
-	err := Run(32, func(c *Comm) {
+	err := runWorld(NewWorld(32), func(c *Comm) {
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() + c.Size() - 1) % c.Size()
 		c.Send(next, 0, []byte{byte(c.Rank())})
@@ -200,7 +187,7 @@ func TestMailboxFIFOProperty(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw)%50 + 2
 		var bad atomic.Bool
-		err := Run(2, func(c *Comm) {
+		err := runWorld(NewWorld(2), func(c *Comm) {
 			if c.Rank() == 0 {
 				for i := 0; i < n; i++ {
 					c.Send(1, 9, []byte{byte(i)})
@@ -246,7 +233,7 @@ func BenchmarkSendRecv(b *testing.B) {
 	payload := make([]byte, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
-	w.Run(func(c *Comm) {
+	runWorld(w, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < b.N; i++ {
 				c.Send(1, 0, payload)

@@ -40,17 +40,11 @@ func PoolCounters() (gets, puts int64) {
 
 // entry wraps a buffer so the pools traffic in pointers; storing slices
 // directly in a sync.Pool would allocate a header on every Put.
-type entry struct {
-	b []byte
-	f []float64
-}
+type entry struct{ b []byte }
 
 var entryPool = sync.Pool{New: func() any { return new(entry) }}
 
-var (
-	bytePools  [maxPoolClass + 1]sync.Pool
-	floatPools [maxPoolClass + 1]sync.Pool
-)
+var bytePools [maxPoolClass + 1]sync.Pool
 
 // classFor returns the smallest size class c with 1<<c >= n.
 func classFor(n int) int {
@@ -91,33 +85,4 @@ func PutBytes(b []byte) {
 	e := entryPool.Get().(*entry)
 	e.b = b[:cap(b)]
 	bytePools[c].Put(e)
-}
-
-// GetFloats returns a length-n float64 slice from the pool; release with
-// PutFloats.
-func GetFloats(n int) []float64 {
-	c := classFor(n)
-	if c > maxPoolClass {
-		return make([]float64, n)
-	}
-	poolGets.Add(1)
-	if e, _ := floatPools[c].Get().(*entry); e != nil {
-		f := e.f
-		e.f = nil
-		entryPool.Put(e)
-		return f[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// PutFloats releases a slice obtained from GetFloats back to the pool.
-func PutFloats(v []float64) {
-	c := classFor(cap(v))
-	if c > maxPoolClass || cap(v) != 1<<c || cap(v) == 0 {
-		return
-	}
-	poolPuts.Add(1)
-	e := entryPool.Get().(*entry)
-	e.f = v[:cap(v)]
-	floatPools[c].Put(e)
 }

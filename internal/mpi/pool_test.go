@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// pooledFloats is EncodeFloats' layout in a pooled buffer: the payload the
-// ownership tests hand to Send. Release with PutBytes.
-func pooledFloats(v []float64) []byte {
-	b := GetBytes(8 * len(v))
-	copy(b, EncodeFloats(v))
+// pooled copies v into a pooled buffer: the payload the ownership tests
+// hand to Send. Release with PutBytes.
+func pooled(v ...byte) []byte {
+	b := GetBytes(len(v))
+	copy(b, v)
 	return b
 }
 
@@ -21,11 +21,6 @@ func TestGetBytesLengthAndClasses(t *testing.T) {
 			t.Fatalf("GetBytes(%d) has len %d", n, len(b))
 		}
 		PutBytes(b)
-		f := GetFloats(n)
-		if len(f) != n {
-			t.Fatalf("GetFloats(%d) has len %d", n, len(f))
-		}
-		PutFloats(f)
 	}
 	// Oversized requests bypass the pool but must still work.
 	big := GetBytes(1<<maxPoolClass + 1)
@@ -35,7 +30,6 @@ func TestGetBytesLengthAndClasses(t *testing.T) {
 	PutBytes(big) // dropped, not pooled; must not panic
 	// Foreign slices with non-class capacities are silently dropped.
 	PutBytes(make([]byte, 100))
-	PutFloats(make([]float64, 100))
 }
 
 // A released buffer must never be aliased by a message still in flight:
@@ -49,13 +43,13 @@ func TestGetBytesLengthAndClasses(t *testing.T) {
 func TestReleasedBufferNotAliasedByLiveMessage(t *testing.T) {
 	const ranks = 8
 	const rounds = 200
-	err := Run(ranks, func(c *Comm) {
+	err := runWorld(NewWorld(ranks), func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < (ranks-1)*rounds; i++ {
 				d, src, _, _ := c.Recv(context.Background(), AnySource, 7)
-				for k, x := range DecodeFloats(d) {
-					if want := float64(src*1000 + k); x != want {
-						t.Errorf("message from %d slot %d: got %v want %v", src, k, x, want)
+				for k, x := range d {
+					if want := byte(src*37 + k); x != want {
+						t.Errorf("message from %d byte %d: got %v want %v", src, k, x, want)
 						break
 					}
 				}
@@ -65,13 +59,11 @@ func TestReleasedBufferNotAliasedByLiveMessage(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(c.Rank())))
 		for i := 0; i < rounds; i++ {
-			n := 1 + rng.Intn(64)
-			vals := GetFloats(n)
-			for k := range vals {
-				vals[k] = float64(c.Rank()*1000 + k)
+			b := GetBytes(1 + rng.Intn(512))
+			for k := range b {
+				b[k] = byte(c.Rank()*37 + k)
 			}
-			c.Send(0, 7, pooledFloats(vals))
-			PutFloats(vals) // the floats were copied into the message; safe
+			c.Send(0, 7, b)
 		}
 	})
 	if err != nil {
@@ -83,12 +75,12 @@ func TestReleasedBufferNotAliasedByLiveMessage(t *testing.T) {
 // occupy, keeping Messages and Bytes identical to the byte path.
 func TestSendRefAccountingMatchesByteSend(t *testing.T) {
 	payload := []float64{1, 2, 3, 4.5}
-	wire := len(EncodeFloats(payload))
+	wire := 8 * len(payload)
 
 	byteWorld := NewWorld(2)
-	if err := byteWorld.Run(func(c *Comm) {
+	if err := runWorld(byteWorld, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 3, EncodeFloats(payload))
+			c.Send(1, 3, make([]byte, wire))
 		} else {
 			c.Recv(context.Background(), 0, 3)
 		}
@@ -97,11 +89,13 @@ func TestSendRefAccountingMatchesByteSend(t *testing.T) {
 	}
 
 	refWorld := NewWorld(2)
-	if err := refWorld.Run(func(c *Comm) {
+	if err := runWorld(refWorld, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.SendRef(1, 3, payload, wire)
-		} else {
-			ref, _, _, _ := c.RecvRef(context.Background(), 0, 3)
+		}
+		c.Barrier() // the in-process send is queued once the barrier releases
+		if c.Rank() == 1 {
+			ref, _, _, _ := c.TryRecvRef(0, 3)
 			got := ref.([]float64)
 			for i := range payload {
 				if got[i] != payload[i] {
@@ -121,18 +115,21 @@ func TestSendRefAccountingMatchesByteSend(t *testing.T) {
 	}
 }
 
-// A byte message received through RecvRef comes back as its []byte
+// A byte message received through TryRecvRef comes back as its []byte
 // payload, so a tag can mix both transports.
-func TestRecvRefReturnsBytesForByteMessages(t *testing.T) {
-	err := Run(2, func(c *Comm) {
+func TestTryRecvRefReturnsBytesForByteMessages(t *testing.T) {
+	err := runWorld(NewWorld(2), func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 9, []byte{42})
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
 			return
 		}
-		ref, _, _, _ := c.RecvRef(context.Background(), 0, 9)
+		ref, _, _, _ := c.TryRecvRef(0, 9)
 		b, ok := ref.([]byte)
 		if !ok || len(b) != 1 || b[0] != 42 {
-			t.Errorf("RecvRef of a byte message returned %v", ref)
+			t.Errorf("TryRecvRef of a byte message returned %v", ref)
 		}
 	})
 	if err != nil {

@@ -84,17 +84,15 @@ type tcpNode struct {
 	pending map[uint64][]pendItem
 
 	// Membership view: deadRank[r] holds the death cause once rank r is
-	// declared dead (nil while live), liveN counts survivors, deaths is
-	// the chronological record, and memEpoch advances on every death.
+	// declared dead (nil while live) and deaths is the chronological
+	// record.
 	memMu    sync.Mutex
 	deadRank []error
 	deaths   []RankDeath
-	liveN    int
-	memEpoch atomic.Uint64
 
-	// Heartbeat cadence (nanoseconds, read atomically so SetHeartbeat can
+	// Heartbeat cadence (nanoseconds, read atomically so setHeartbeat can
 	// adjust a running node), the sender goroutine's stop signal, and the
-	// kick SetHeartbeat uses to apply a new interval without waiting out
+	// kick setHeartbeat uses to apply a new interval without waiting out
 	// the old timer.
 	hbInterval atomic.Int64
 	hbTimeout  atomic.Int64
@@ -142,7 +140,6 @@ func newTCPNode(rank, n int) *tcpNode {
 		pending:  make(map[uint64][]pendItem),
 		getReqs:  make(map[uint64]chan []float64),
 		deadRank: make([]error, n),
-		liveN:    n,
 		hbStop:   make(chan struct{}),
 		hbKick:   make(chan struct{}, 1),
 	}

@@ -44,8 +44,8 @@ func TestTCPClockSync(t *testing.T) {
 			t.Errorf("rank %d: negative RTT %d", r, cs.RTTNS)
 		}
 	}
-	if _, err := clusters[0].PingRank(ctx, 99, 1); err == nil {
-		t.Error("PingRank accepted out-of-range rank")
+	if _, err := clusters[0].pingRank(ctx, 99, 1); err == nil {
+		t.Error("pingRank accepted out-of-range rank")
 	}
 }
 
@@ -67,7 +67,7 @@ func TestTCPTelemetryShipping(t *testing.T) {
 	clusters := byRank(loopback(t, 3))
 	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
 		if c.Rank() != 0 {
-			payload := []float64{float64(c.Rank()), 2, 3}
+			payload := []byte{byte(c.Rank()), 2, 3}
 			if err := clusters[c.Rank()].SendTelemetry(payload); err != nil {
 				return err
 			}
@@ -85,10 +85,11 @@ func TestTCPTelemetryShipping(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, it := range items {
-		vals, ok := it.Payload.([]float64)
-		if !ok || len(vals) != 3 || vals[0] != float64(it.Rank) {
+		b, ok := it.Payload.([]byte)
+		if !ok || len(b) != 3 || int(b[0]) != it.Rank {
 			t.Fatalf("item from rank %d decoded wrong: %#v", it.Rank, it.Payload)
 		}
+		PutBytes(b)
 		seen[it.Rank] = true
 	}
 	if !seen[1] || !seen[2] {
@@ -97,7 +98,7 @@ func TestTCPTelemetryShipping(t *testing.T) {
 	if again := clusters[0].Telemetry(); len(again) != 0 {
 		t.Errorf("second drain returned %d items, want 0", len(again))
 	}
-	if err := clusters[0].SendTelemetry([]float64{9}); err != nil {
+	if err := clusters[0].SendTelemetry([]byte{9}); err != nil {
 		t.Errorf("rank 0 SendTelemetry should no-op: %v", err)
 	}
 	if err := clusters[1].SendTelemetry(struct{ X int }{}); err == nil {
@@ -123,7 +124,7 @@ func TestInProcessTelemetryNoops(t *testing.T) {
 			t.Errorf("in-process offset not zero: %+v", cs)
 		}
 	}
-	if err := cl.SendTelemetry([]float64{1}); err != nil {
+	if err := cl.SendTelemetry([]byte{1}); err != nil {
 		t.Errorf("SendTelemetry: %v", err)
 	}
 	if items := cl.Telemetry(); items != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -79,6 +80,46 @@ func TestTelemetryDecodeRejects(t *testing.T) {
 	corrupt[12], corrupt[13], corrupt[14], corrupt[15] = 0xff, 0xff, 0xff, 0xff
 	if _, err := DecodeTelemetry(corrupt); err == nil {
 		t.Error("absurd track count accepted")
+	}
+}
+
+// FuzzDecodeTelemetry hammers the launcher's wire-facing telemetry
+// decoder: arbitrary bytes must never panic, and anything it accepts must
+// re-encode to the identical bytes.
+func FuzzDecodeTelemetry(f *testing.F) {
+	tr := New(2)
+	populate(tr)
+	wire := tr.Export(1).AppendBinary(nil)
+	f.Add(wire)
+	f.Add((*Tracer)(nil).Export(0).AppendBinary(nil))
+	f.Add(wire[:len(wire)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tel, err := DecodeTelemetry(b)
+		if err != nil {
+			return
+		}
+		if again := tel.AppendBinary(nil); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(again))
+		}
+	})
+}
+
+// TestTelemetryDecodeRejectsNonCanonicalMetrics: a metrics document that
+// parses but is not the encoder's own form (here, with a space added) is
+// refused, so whatever decodes re-encodes byte for byte.
+func TestTelemetryDecodeRejectsNonCanonicalMetrics(t *testing.T) {
+	tel := mkTelemetry(1, 5)
+	wire := tel.AppendBinary(nil)
+	doc, _ := json.Marshal(tel.Metrics)
+	head := wire[:len(wire)-len(doc)-4]
+	spaced := append([]byte(" "), doc...)
+	b := binary.LittleEndian.AppendUint32(append([]byte{}, head...), uint32(len(spaced)))
+	if _, err := DecodeTelemetry(append(b, spaced...)); err == nil {
+		t.Error("non-canonical metrics document accepted")
+	}
+	if _, err := DecodeTelemetry(wire); err != nil {
+		t.Errorf("canonical image rejected: %v", err)
 	}
 }
 

@@ -13,9 +13,11 @@ package trace
 // registry embedded as one length-prefixed JSON document (its maps
 // already have a canonical JSON form). Decoding validates every length
 // against the remaining input and errors rather than panics: the bytes
-// crossed a process boundary.
+// crossed a process boundary. It accepts only the encoder's own image, so
+// a decoded snapshot re-encodes to the bytes it came from.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -142,9 +144,9 @@ func (tel *Telemetry) AppendBinary(dst []byte) []byte {
 	}
 	mj, err := json.Marshal(tel.Metrics)
 	if err != nil {
-		// MetricsJSON is maps of numbers and always marshals; an empty
-		// document keeps the frame decodable if that ever changes.
-		mj = []byte("{}")
+		// A non-finite value does not marshal; the empty registry keeps
+		// the frame decodable.
+		mj, _ = json.Marshal((*Metrics)(nil).Snapshot())
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(mj)))
 	return append(dst, mj...)
@@ -292,8 +294,12 @@ func DecodeTelemetry(b []byte) (*Telemetry, error) {
 	if mlen < 0 || c.off+mlen > len(b) {
 		return nil, fmt.Errorf("trace: telemetry metrics of %d bytes overrun body", mlen)
 	}
-	if err := json.Unmarshal(b[c.off:c.off+mlen], &tel.Metrics); err != nil {
+	doc := b[c.off : c.off+mlen]
+	if err := json.Unmarshal(doc, &tel.Metrics); err != nil {
 		return nil, fmt.Errorf("trace: telemetry metrics: %w", err)
+	}
+	if canon, err := json.Marshal(tel.Metrics); err != nil || !bytes.Equal(canon, doc) {
+		return nil, fmt.Errorf("trace: telemetry metrics document is not in its canonical form")
 	}
 	c.off += mlen
 	if c.off != len(b) {
