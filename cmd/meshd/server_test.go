@@ -412,6 +412,17 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeNegativeCountPoly: a .poly header with a negative vertex count
+// is the client's mistake, a 400 naming the count, not a reader panic the
+// handler turns into a 500.
+func TestServeNegativeCountPoly(t *testing.T) {
+	ts, _ := newTestServer(t, core.EngineConfig{Ranks: 1}, serverOptions{})
+	resp, body := postMesh(t, ts.URL, `{"poly":"-1 2 0 0"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "negative vertex count -1") {
+		t.Errorf("status %d body %.200q, want 400 naming the negative count", resp.StatusCode, body)
+	}
+}
+
 // TestServeNonFinitePoly: an inline .poly whose far-field vertex is at
 // infinity is a 400 naming the vertex, well inside the request's deadline.
 // At the parent commit it parsed, decouple.MarchBorder marched toward the

@@ -44,7 +44,10 @@ package adapt
 // Quality evaluation reads the per-vertex log-tensor cache (topo.lmet)
 // instead of taking three matrix logarithms per triangle;
 // metric.TriQualityLog is the one implementation behind both forms, so
-// the cache changes no bit.
+// the cache changes no bit. A smooth pass first fills a table of every
+// live triangle's quality (engine.qual), which its old ring quality reads,
+// and swap and smooth stop evaluating new triangles at the first one that
+// fails the pass's bar; neither changes a plan.
 
 import (
 	"fmt"
@@ -75,7 +78,7 @@ type Options struct {
 	// Workers is the number of evaluation/commit goroutines; 0 resolves
 	// to 1. The result is identical for every worker count.
 	Workers int
-	// Deprecated: alias of Workers kept for bench/; see ROADMAP 8a. The
+	// Deprecated: alias of Workers kept for bench/; see ROADMAP 10a. The
 	// larger of the two is the worker count.
 	Ranks int
 	// Tracer, when non-nil, records one CatKernel span per pass and
@@ -142,17 +145,27 @@ type engine struct {
 	plans []*opPlan // the pass's plans in chunk order
 	keys  []planKey // selection order over plans
 	sel   []*opPlan // the selected subset
+
+	// qual[t] is tp.triQuality(t) for every live triangle t, filled at
+	// the start of each smooth pass (fillQuality); smooth's old ring
+	// quality reads it. It lives for the Adapt call.
+	qual []float64
+	// fill is fillChunks bound once for the Adapt call: a method value
+	// handed to runParallel per pass would be a heap allocation per pass.
+	fill func(w int)
 }
 
 // evalBuf is one worker's plan storage. Plans are appended by value;
 // their cavities are appended to the cav arena and opPlan.Cav is left a
 // capacity-clamped window of it. s1 and s2 are the ring-walk scratch,
-// nbrs tryCollapse's list of the dying vertex's neighbors.
+// nbrs tryCollapse's list of the dying vertex's neighbors, evals the
+// worker's quality evaluations in the current pass.
 type evalBuf struct {
 	plans  []opPlan
 	cav    []int32
 	s1, s2 []int32
 	nbrs   []int32
+	evals  int
 }
 
 // push completes a validated candidate: its cavity is what evaluation
@@ -202,6 +215,7 @@ func newEngine(tp *topo, opt Options) *engine {
 	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
 		claimVert: make([]uint32, len(tp.pts)),
 		bufs:      make([]evalBuf, opt.Workers)}
+	e.fill = e.fillChunks
 	for i := range e.bufs {
 		e.bufs[i].s1 = make([]int32, 0, maxRing)
 		e.bufs[i].s2 = make([]int32, 0, maxRing)
@@ -279,9 +293,13 @@ func (e *engine) pass(kind opKind) int {
 	}
 	if tr != nil {
 		ms := func(i int) float64 { return float64(stamp[i+1].Sub(stamp[i])) / float64(time.Millisecond) }
+		evals := 0
+		for i := range e.bufs {
+			evals += e.bufs[i].evals
+		}
 		// rejected: plans the vertex-claim sweep dropped this pass.
 		span.End(trace.I("planned", len(e.plans)), trace.I("committed", len(sel)),
-			trace.I("rejected", len(e.plans)-len(sel)),
+			trace.I("rejected", len(e.plans)-len(sel)), trace.I("quality_evals", evals),
 			trace.F("eval_ms", ms(0)), trace.F("select_ms", ms(1)), trace.F("commit_ms", ms(2)))
 		mm := tr.Metrics()
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
@@ -296,6 +314,7 @@ func (e *engine) resetPass() {
 	for i := range e.bufs {
 		e.bufs[i].plans = e.bufs[i].plans[:0]
 		e.bufs[i].cav = e.bufs[i].cav[:0]
+		e.bufs[i].evals = 0
 	}
 	e.plans = e.plans[:0]
 }
@@ -315,6 +334,9 @@ func (e *engine) items(kind opKind) int {
 // buffer it filled and the windows are walked in chunk order, so the plan
 // list — and everything downstream — is worker-count invariant.
 func (e *engine) evaluate(kind opKind) {
+	if kind == opSmooth {
+		e.fillQuality()
+	}
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
 	e.wins = slices.Grow(e.wins[:0], chunks)[:chunks]
@@ -329,6 +351,37 @@ func (e *engine) evaluate(kind opKind) {
 	for _, w := range e.wins {
 		e.addPlans(e.bufs[w.ev].plans[w.lo:w.hi])
 	}
+}
+
+// fillQuality sets qual[t] = triQuality(t) for every live triangle,
+// computed once per triangle where smooth's evaluation would compute it
+// once per incident interior vertex. It runs against the same frozen
+// topology as the evaluation that reads it. A growing table takes half
+// again the slots it needs or doubles, whichever is more, so a refining
+// run reallocates it a few times per Adapt call, not once per pass.
+func (e *engine) fillQuality() {
+	n := len(e.tp.tri)
+	if cap(e.qual) < n {
+		e.qual = make([]float64, n, max(n+n/2, 2*cap(e.qual)))
+	}
+	e.qual = e.qual[:n]
+	e.runParallel(e.fill)
+}
+
+// fillChunks is worker w's share of fillQuality: evaluate's chunks and
+// striping over the triangle slots.
+func (e *engine) fillChunks(w int) {
+	tp, n := e.tp, len(e.qual)
+	evals := 0
+	for c := w; c*evalChunk < n; c += e.workers {
+		for t := int32(c * evalChunk); t < int32(min((c+1)*evalChunk, n)); t++ {
+			if !tp.tri[t].dead {
+				e.qual[t] = tp.triQuality(t)
+				evals++
+			}
+		}
+	}
+	e.bufs[w].evals += evals
 }
 
 // addPlans appends pointers to the plans of one chunk to the pass's list.

@@ -251,13 +251,14 @@ func TestAdaptTracerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	passes := 0
+	evals := map[string]float64{} // quality_evals by pass kind
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" || !strings.HasPrefix(ev.Name, "adapt.") {
 			continue
 		}
 		passes++
 		arg := map[string]float64{}
-		for _, key := range []string{"planned", "committed", "rejected", "eval_ms", "select_ms", "commit_ms"} {
+		for _, key := range []string{"planned", "committed", "rejected", "quality_evals", "eval_ms", "select_ms", "commit_ms"} {
 			v, ok := ev.Args[key].(float64)
 			if !ok {
 				t.Fatalf("span %s lacks numeric arg %s: %v", ev.Name, key, ev.Args)
@@ -270,9 +271,16 @@ func TestAdaptTracerMetrics(t *testing.T) {
 		if sum := arg["eval_ms"] + arg["select_ms"] + arg["commit_ms"]; sum < 0 || sum > ev.Dur/1e3+0.01 {
 			t.Fatalf("span %s: phases sum to %g ms in a span of %g ms", ev.Name, sum, ev.Dur/1e3)
 		}
+		evals[ev.Name] += arg["quality_evals"]
 	}
 	if passes == 0 {
 		t.Fatal("no adapt.<kind> span in the trace")
+	}
+	// Only swap and smooth measure quality; smooth at least once per live
+	// triangle, for its table.
+	if evals["adapt.split"] != 0 || evals["adapt.collapse"] != 0 || evals["adapt.swap"] == 0 ||
+		evals["adapt.smooth"] < float64(3*m.NumTriangles()) {
+		t.Fatalf("quality_evals by pass kind %v over 3 sweeps of %d input triangles", evals, m.NumTriangles())
 	}
 }
 

@@ -523,6 +523,8 @@ func (e *engine) commitCollapse(p *opPlan) {
 
 // evalSwap plans the diagonal flip of interior edge ei of triangle t
 // when the flip strictly improves the worse metric quality of the pair.
+// The new pair's quality is a min, so a first new triangle that misses
+// the bar rejects the flip without the second.
 func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	r := tp.tri[t]
@@ -546,8 +548,13 @@ func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 	la, lb, lc, ld := tp.lmet[a], tp.lmet[b], tp.lmet[c], tp.lmet[d]
 	qOld := math.Min(metric.TriQualityLog(pa, pb, pc, ma, mb, mc, la, lb, lc),
 		metric.TriQualityLog(pb, pa, pd, mb, ma, md, lb, la, ld))
-	qNew := math.Min(metric.TriQualityLog(pa, pd, pc, ma, md, mc, la, ld, lc),
-		metric.TriQualityLog(pd, pb, pc, md, mb, mc, ld, lb, lc))
+	qNew := metric.TriQualityLog(pa, pd, pc, ma, md, mc, la, ld, lc)
+	buf.evals += 3
+	if qNew <= qOld+qualityGain {
+		return false
+	}
+	qNew = math.Min(qNew, metric.TriQualityLog(pd, pb, pc, md, mb, mc, ld, lb, lc))
+	buf.evals++
 	if qNew <= qOld+qualityGain {
 		return false
 	}
@@ -595,7 +602,9 @@ func (e *engine) commitSwap(p *opPlan) {
 // v: the target is the neighbor average weighted by metric edge length
 // (overlong directions pull harder), damped halfway, accepted only when
 // every ring triangle stays strictly CCW and the worst ring quality
-// strictly improves.
+// strictly improves. The old ring quality reads the pass's quality table
+// (engine.fillQuality); the new one is a running min, so the first ring
+// triangle that takes it to the bar rejects the move.
 func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 	tp := e.tp
 	if tp.vb[v] || tp.vtri[v] < 0 {
@@ -614,7 +623,7 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 		sx += w * tp.pts[nb].X
 		sy += w * tp.pts[nb].Y
 		wsum += w
-		qOld = math.Min(qOld, tp.triQuality(rt))
+		qOld = math.Min(qOld, e.qual[rt])
 	}
 	if wsum <= 0 {
 		return false
@@ -647,9 +656,10 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 			return false
 		}
 		qNew = math.Min(qNew, metric.TriQualityLog(q[0], q[1], q[2], ms[0], ms[1], ms[2], ls[0], ls[1], ls[2]))
-	}
-	if qNew <= qOld+qualityGain {
-		return false
+		buf.evals++
+		if qNew <= qOld+qualityGain {
+			return false
+		}
 	}
 	mark := len(buf.cav)
 	p := opPlan{Kind: opSmooth, Prio: qNew - qOld, T: -1, V: v, Pos: pos, Met: mm}

@@ -72,7 +72,9 @@ func validateTriangles(m *Mesh) error {
 }
 
 // ReadASCII reads a mesh written by WriteASCII (Triangle's .node/.ele
-// sections concatenated).
+// sections concatenated). Records may come in any index order; a record
+// given twice keeps the later one, and an index never given reads as the
+// zero point or triangle.
 func ReadASCII(r io.Reader) (*Mesh, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var np, dim, nattr, nmark int
@@ -82,7 +84,11 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 	if dim != 2 {
 		return nil, fmt.Errorf("mesh: dimension %d not supported", dim)
 	}
-	m := &Mesh{Points: make([]geom.Point, np)}
+	if np < 0 || np > maxCount {
+		return nil, fmt.Errorf("mesh: node count %d out of range", np)
+	}
+	pts := make([]geom.Point, 0, min(np, readChunk))
+	ids := make([]int32, 0, min(np, readChunk))
 	for i := 0; i < np; i++ {
 		var idx int
 		var x, y float64
@@ -92,7 +98,8 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 		if idx < 0 || idx >= np {
 			return nil, fmt.Errorf("mesh: node index %d out of range", idx)
 		}
-		m.Points[idx] = geom.Pt(x, y)
+		pts = append(pts, geom.Pt(x, y))
+		ids = append(ids, int32(idx))
 	}
 	var nt, perTri, nattr2 int
 	if _, err := fmt.Fscan(br, &nt, &perTri, &nattr2); err != nil {
@@ -101,7 +108,11 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 	if perTri != 3 {
 		return nil, fmt.Errorf("mesh: %d corners per element not supported", perTri)
 	}
-	m.Triangles = make([][3]int32, nt)
+	if nt < 0 || nt > maxCount {
+		return nil, fmt.Errorf("mesh: element count %d out of range", nt)
+	}
+	tris := make([][3]int32, 0, min(nt, readChunk))
+	tids := make([]int32, 0, min(nt, readChunk))
 	for i := 0; i < nt; i++ {
 		var idx int
 		var a, b, c int32
@@ -116,7 +127,24 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 				return nil, &ElemRefError{Elem: idx, Vertex: v, NumPoints: np}
 			}
 		}
-		m.Triangles[idx] = [3]int32{a, b, c}
+		tris = append(tris, [3]int32{a, b, c})
+		tids = append(tids, int32(idx))
 	}
-	return m, nil
+	return &Mesh{Points: byIndex(pts, ids), Triangles: byIndex(tris, tids)}, nil
+}
+
+// byIndex places vals[i] at index ids[i] of a slice as long as vals, the
+// later of two values for one index winning. Records in index order, as
+// WriteASCII emits them, come back as vals itself.
+func byIndex[T any](vals []T, ids []int32) []T {
+	for i, id := range ids {
+		if int(id) != i {
+			out := make([]T, len(vals))
+			for j, id := range ids {
+				out[id] = vals[j]
+			}
+			return out
+		}
+	}
+	return vals
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -104,6 +109,118 @@ func TestReadBinaryValidation(t *testing.T) {
 	if got.NumTriangles() != m.NumTriangles() {
 		t.Errorf("round trip lost triangles: %d vs %d", got.NumTriangles(), m.NumTriangles())
 	}
+}
+
+// TestReadASCIIRejectsNegativeCounts: a negative node or element count is
+// an error, not a makeslice panic.
+func TestReadASCIIRejectsNegativeCounts(t *testing.T) {
+	for _, data := range []string{
+		"-1 2 0 0\n",
+		"1 2 0 0\n0 1 2\n-1 3 0\n",
+	} {
+		if m, err := ReadASCII(strings.NewReader(data)); err == nil {
+			t.Errorf("%q: read %+v, want an error", data, m)
+		}
+	}
+}
+
+// TestReadersAllocateWhatTheInputHolds: a header claiming millions of
+// records in front of a few bytes costs the reader kilobytes, not the
+// claimed arrays.
+func TestReadersAllocateWhatTheInputHolds(t *testing.T) {
+	const claim = 1 << 22
+	bin := binary.LittleEndian.AppendUint32(nil, binaryMagic)
+	bin = binary.LittleEndian.AppendUint32(bin, claim)
+	bin = binary.LittleEndian.AppendUint32(bin, claim)
+	ascii := fmt.Sprintf("%d 2 0 0\n0 1 2\n", claim)
+	for _, c := range []struct {
+		name string
+		data []byte
+		read func(io.Reader) (*Mesh, error)
+	}{
+		{"binary", bin, ReadBinary},
+		{"ascii", []byte(ascii), ReadASCII},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.read(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a truncated input read without error", c.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%s: reading %d bytes allocated %d bytes", c.name, len(c.data), got)
+		}
+	}
+}
+
+// sameMesh reports whether two meshes hold the same points, bit for bit,
+// and the same triangles.
+func sameMesh(a, b *Mesh) bool {
+	if len(a.Points) != len(b.Points) || !slices.Equal(a.Triangles, b.Triangles) {
+		return false
+	}
+	for i, p := range a.Points {
+		q := b.Points[i]
+		if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzSeeds are a small mesh's round trip through one writer plus the
+// inputs that once panicked or over-allocated a reader.
+func fuzzSeeds(f *testing.F, write func(*Mesh, io.Writer) error, more ...[]byte) {
+	for _, m := range []*Mesh{unitSquareMesh(), randomMesh(4), {}} {
+		var buf bytes.Buffer
+		if err := write(m, &buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, b := range more {
+		f.Add(b)
+	}
+}
+
+// fuzzRoundTrip is the readers' fuzz property: no panic, and a mesh read
+// successfully writes and reads back to the same mesh.
+func fuzzRoundTrip(t *testing.T, data []byte, read func(io.Reader) (*Mesh, error), write func(*Mesh, io.Writer) error) {
+	m, err := read(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := write(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := read(&buf)
+	if err != nil {
+		t.Fatalf("a mesh read from %q does not read back: %v", data, err)
+	}
+	if !sameMesh(m, back) {
+		t.Fatalf("a mesh read from %q reads back as a different mesh", data)
+	}
+}
+
+func FuzzReadASCII(f *testing.F) {
+	fuzzSeeds(f, (*Mesh).WriteASCII,
+		[]byte("-1 2 0 0\n"), []byte("1 2 0 0\n0 1 2\n-1 3 0\n"), []byte("1000000000 2 0 0\n0 1 2\n"),
+		[]byte("2 2 0 0\n1 nan -inf\n1 2 3\n2 3 0\n1 0 0 1\n1 1 1 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRoundTrip(t, data, ReadASCII, (*Mesh).WriteASCII)
+	})
+}
+
+func FuzzReadBinary(f *testing.F) {
+	huge := binary.LittleEndian.AppendUint32(nil, binaryMagic)
+	huge = binary.LittleEndian.AppendUint32(huge, maxCount)
+	huge = binary.LittleEndian.AppendUint32(huge, maxCount)
+	fuzzSeeds(f, (*Mesh).WriteBinary, huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRoundTrip(t, data, ReadBinary, (*Mesh).WriteBinary)
+	})
 }
 
 func TestWriteVTK(t *testing.T) {

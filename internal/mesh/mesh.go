@@ -295,11 +295,16 @@ func (m *Mesh) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxBinaryCount caps the header point/triangle counts ReadBinary accepts.
-// A corrupted header would otherwise drive multi-gigabyte allocations
-// before the short read is even noticed; int32 element indexing bounds the
-// real range anyway.
-const maxBinaryCount = 1 << 30
+// maxCount caps the point/triangle counts a reader accepts from a header;
+// int32 element indexing bounds the real range anyway.
+const maxCount = 1 << 30
+
+// readChunk bounds what a reader reserves on the word of a header count
+// alone: at most this many records before the input has shown it holds
+// them. Past it the slices grow by append as records arrive, so a header
+// claiming 10^9 points in a twelve-byte input costs kilobytes, not
+// gigabytes.
+const readChunk = 4096
 
 // ReadBinary reads a mesh written by WriteBinary, validating the header
 // counts and every element's vertex references (an out-of-range reference
@@ -314,24 +319,33 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 	if hdr[0] != binaryMagic {
 		return nil, fmt.Errorf("mesh: bad magic %#x", hdr[0])
 	}
-	if hdr[1] > maxBinaryCount || hdr[2] > maxBinaryCount {
+	if hdr[1] > maxCount || hdr[2] > maxCount {
 		return nil, fmt.Errorf("mesh: header counts %d points / %d triangles exceed the format limit", hdr[1], hdr[2])
 	}
 	np, nt := int(hdr[1]), int(hdr[2])
-	coords := make([]float64, 2*np)
-	if err := binary.Read(br, binary.LittleEndian, coords); err != nil {
-		return nil, err
+	le := binary.LittleEndian
+	buf := make([]byte, 16*min(max(np, nt), readChunk))
+	m := &Mesh{
+		Points:    make([]geom.Point, 0, min(np, readChunk)),
+		Triangles: make([][3]int32, 0, min(nt, readChunk)),
 	}
-	idx := make([]int32, 3*nt)
-	if err := binary.Read(br, binary.LittleEndian, idx); err != nil {
-		return nil, err
+	for len(m.Points) < np {
+		b := buf[:16*min(np-len(m.Points), readChunk)]
+		if _, err := io.ReadFull(br, b); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[16:] {
+			m.Points = append(m.Points, geom.Pt(math.Float64frombits(le.Uint64(b)), math.Float64frombits(le.Uint64(b[8:]))))
+		}
 	}
-	m := &Mesh{Points: make([]geom.Point, np), Triangles: make([][3]int32, nt)}
-	for i := 0; i < np; i++ {
-		m.Points[i] = geom.Pt(coords[2*i], coords[2*i+1])
-	}
-	for i := 0; i < nt; i++ {
-		m.Triangles[i] = [3]int32{idx[3*i], idx[3*i+1], idx[3*i+2]}
+	for len(m.Triangles) < nt {
+		b := buf[:12*min(nt-len(m.Triangles), readChunk)]
+		if _, err := io.ReadFull(br, b); err != nil {
+			return nil, err
+		}
+		for ; len(b) > 0; b = b[12:] {
+			m.Triangles = append(m.Triangles, [3]int32{int32(le.Uint32(b)), int32(le.Uint32(b[4:])), int32(le.Uint32(b[8:]))})
+		}
 	}
 	if err := validateTriangles(m); err != nil {
 		return nil, err

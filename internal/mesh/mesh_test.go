@@ -107,8 +107,10 @@ func randomMesh(n int) *Mesh {
 	return b.Mesh()
 }
 
+// TestBinaryRoundTrip: 15,000 points and 5,000 triangles, so both arrays
+// are read in more than one chunk of readChunk records.
 func TestBinaryRoundTrip(t *testing.T) {
-	m := randomMesh(500)
+	m := randomMesh(5000)
 	var buf bytes.Buffer
 	if err := m.WriteBinary(&buf); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,11 @@ import (
 	"pamg2d/internal/geom"
 )
 
+// maxPrealloc caps the vertices ReadPoly reserves on the word of its header
+// count, which is a claim about the input, not a measurement of it; past
+// it vertices are appended as they arrive.
+const maxPrealloc = 4096
+
 // WritePoly writes the graph in Triangle's .poly format: a vertex section,
 // a segment section connecting each loop, and a hole section with one seed
 // inside each body. Mesh generators built on Triangle exchange geometry in
@@ -59,10 +64,12 @@ func (g *Graph) WritePoly(w io.Writer) error {
 // ReadPoly reads a .poly file written by WritePoly (or a compatible subset
 // of Triangle's format: vertices and segments with boundary markers that
 // group segments into loops, where each marker's segments form one closed
-// loop). The loop with the largest bounding box becomes the far field when
-// it encloses every other loop; otherwise all loops are surfaces. A vertex
+// loop). The loop that encloses every other loop becomes the far field;
+// otherwise all loops are surfaces. Loops are normalized to CCW. A vertex
 // coordinate that is NaN or infinite ("nan" and "inf" scan as numbers) is
-// refused with a *NonFiniteError naming the vertex.
+// refused with a *NonFiniteError naming the vertex. What would not read
+// back the same after WritePoly is refused too: a loop enclosing no area,
+// or two loops each enclosing all the others.
 func ReadPoly(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -91,8 +98,11 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 	if dim != 2 {
 		return nil, fmt.Errorf("pslg: dimension %d not supported", dim)
 	}
-	pts := make([]geom.Point, nv)
-	ids := make(map[int]int, nv)
+	if nv < 0 {
+		return nil, fmt.Errorf("pslg: negative vertex count %d", nv)
+	}
+	pts := make([]geom.Point, 0, min(nv, maxPrealloc))
+	ids := make(map[int]int, min(nv, maxPrealloc))
 	for i := 0; i < nv; i++ {
 		f, err := fields()
 		if err != nil {
@@ -116,7 +126,7 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 			return nil, &NonFiniteError{Where: fmt.Sprintf("vertex %d", id), P: geom.Pt(x, y)}
 		}
 		ids[id] = i
-		pts[i] = geom.Pt(x, y)
+		pts = append(pts, geom.Pt(x, y))
 	}
 
 	head, err = fields()
@@ -126,6 +136,9 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 	var ns, smark int
 	if _, err := fmt.Sscan(strings.Join(head, " "), &ns, &smark); err != nil {
 		return nil, fmt.Errorf("pslg: segment header %q: %w", head, err)
+	}
+	if ns < 0 {
+		return nil, fmt.Errorf("pslg: negative segment count %d", ns)
 	}
 	// Chain segments grouped by marker into loops.
 	type seg struct{ a, b int }
@@ -197,36 +210,46 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 		if len(loop) != len(segs) {
 			return nil, fmt.Errorf("pslg: marker %d forms %d loops; one expected", marker, 1+len(segs)-len(loop))
 		}
-		loops = append(loops, Loop{Points: loop, Name: fmt.Sprintf("loop-%d", marker)})
+		l := Loop{Points: loop, Name: fmt.Sprintf("loop-%d", marker)}
+		if !l.IsCCW() {
+			l.Reverse()
+			// Reversed, a loop that encloses no area would be reversed
+			// again on its next read: it has no orientation to keep.
+			if !l.IsCCW() {
+				return nil, fmt.Errorf("pslg: marker %d: loop encloses no area", marker)
+			}
+		}
+		loops = append(loops, l)
 	}
 	if len(loops) == 0 {
 		return nil, fmt.Errorf("pslg: no loops found")
 	}
 
-	// The enclosing loop (if any) is the far field.
+	// The enclosing loop (if any) is the far field, tested on the points
+	// WritePoly writes first. Two loops that each enclose all the others
+	// cross, and which one became the far field would depend on the order
+	// the file lists them in.
+	enclosesAll := func(i int) bool {
+		for j := range loops {
+			if j != i && !loops[i].Contains(loops[j].Points[0]) {
+				return false
+			}
+		}
+		return true
+	}
 	g := &Graph{}
 	outer := -1
 	for i := range loops {
-		enclosesAll := true
-		for j := range loops {
-			if i == j {
-				continue
-			}
-			if !loops[i].Contains(loops[j].Points[0]) {
-				enclosesAll = false
-				break
-			}
+		if len(loops) < 2 || !enclosesAll(i) {
+			continue
 		}
-		if enclosesAll && len(loops) > 1 {
-			outer = i
-			break
+		if outer >= 0 {
+			return nil, fmt.Errorf("pslg: %s and %s each enclose every other loop", loops[outer].Name, loops[i].Name)
 		}
+		outer = i
 	}
 	for i := range loops {
 		l := loops[i]
-		if !l.IsCCW() {
-			l.Reverse()
-		}
 		if i == outer {
 			l.Name = "farfield"
 			g.Farfield = l

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +106,28 @@ func TestPolyRoundTripNoFarfield(t *testing.T) {
 	}
 }
 
+// crossingLoops holds a square and a triangle that crosses it, each
+// holding the other's first point: listed square first, the square would
+// be the far field, and WritePoly, which lists the far field last, would
+// turn it into a surface.
+const crossingLoops = `7 2 0 0
+0 0 0
+1 4 0
+2 4 4
+3 0 4
+4 1 1
+5 -2 1
+6 1 -2
+7 1
+0 0 1 1
+1 1 2 1
+2 2 3 1
+3 3 0 1
+4 4 5 2
+5 5 6 2
+6 6 4 2
+`
+
 func TestReadPolyErrors(t *testing.T) {
 	cases := []struct{ name, data string }{
 		{"empty", ""},
@@ -112,12 +135,95 @@ func TestReadPolyErrors(t *testing.T) {
 		{"unknown vertex in segment", "2 2 0 0\n0 0 0\n1 1 0\n1 1\n0 0 5 1\n"},
 		{"open chain", "3 2 0 0\n0 0 0\n1 1 0\n2 1 1\n2 1\n0 0 1 1\n1 1 2 1\n"},
 		{"double start", "3 2 0 0\n0 0 0\n1 1 0\n2 1 1\n2 1\n0 0 1 1\n1 0 2 1\n"},
+		{"loop enclosing no area", "2 2 0 0\n0 0 0\n1 1 0\n2 1\n0 0 1 1\n1 1 0 1\n"},
+		{"two loops each enclosing the other", crossingLoops},
 	}
 	for _, c := range cases {
 		if _, err := ReadPoly(strings.NewReader(c.data)); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
 	}
+}
+
+// TestReadPolyRejectsNegativeCounts: a negative vertex or segment count is
+// an error, not a makeslice panic.
+func TestReadPolyRejectsNegativeCounts(t *testing.T) {
+	for _, data := range []string{
+		"-1 2 0 0\n",
+		"3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n-1 1\n",
+	} {
+		if g, err := ReadPoly(strings.NewReader(data)); err == nil {
+			t.Errorf("%q: read %+v, want an error", data, g)
+		}
+	}
+}
+
+// FuzzReadPoly: ReadPoly never panics, and a graph it reads writes and
+// reads back to the same loops, point for point and bit for bit. Loop
+// names are not compared: the format carries markers, not names, and
+// WritePoly numbers its loops afresh.
+func FuzzReadPoly(f *testing.F) {
+	for _, g := range []*Graph{
+		{Surfaces: []Loop{square(1, 1, 1, "a"), square(4, 1, 1.5, "b")}, Farfield: square(-10, -10, 25, "farfield")},
+		{Surfaces: []Loop{square(0, 0, 1, "only")}},
+	} {
+		var buf bytes.Buffer
+		if err := g.WritePoly(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add("-1 2 0 0\n")
+	f.Add("3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n-1 1\n")
+	f.Add("1000000000 2 0 0\n0 0 0\n")
+	f.Add(crossingLoops)
+	f.Fuzz(func(t *testing.T, data string) {
+		g, err := ReadPoly(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WritePoly(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadPoly(&buf)
+		if err != nil {
+			t.Fatalf("a graph read from %q does not read back: %v", data, err)
+		}
+		if d := loopsDiff(g, back); d != "" {
+			t.Fatalf("a graph read from %q reads back different: %s", data, d)
+		}
+	})
+}
+
+// loopsDiff names the first difference between two graphs' loops, or
+// returns "".
+func loopsDiff(a, b *Graph) string {
+	if len(a.Surfaces) != len(b.Surfaces) {
+		return fmt.Sprintf("%d surfaces, then %d", len(a.Surfaces), len(b.Surfaces))
+	}
+	for i := range a.Surfaces {
+		if !samePoints(a.Surfaces[i].Points, b.Surfaces[i].Points) {
+			return fmt.Sprintf("surface %d: %v, then %v", i, a.Surfaces[i].Points, b.Surfaces[i].Points)
+		}
+	}
+	if !samePoints(a.Farfield.Points, b.Farfield.Points) {
+		return fmt.Sprintf("far field %v, then %v", a.Farfield.Points, b.Farfield.Points)
+	}
+	return ""
+}
+
+// samePoints compares two point lists bit for bit.
+func samePoints(p, q []geom.Point) bool {
+	if len(p) != len(q) {
+		return false
+	}
+	for i := range p {
+		if math.Float64bits(p[i].X) != math.Float64bits(q[i].X) || math.Float64bits(p[i].Y) != math.Float64bits(q[i].Y) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestReadPolyRejectsNonFinite: "nan" and "inf" scan as float64, and a
