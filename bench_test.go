@@ -1,15 +1,15 @@
 package pamg2d
 
-// One benchmark per figure of the paper's evaluation (it has no numbered
-// tables), plus the in-text measurements and the ablation studies listed
-// in DESIGN.md section 5. Benchmarks that reproduce a *result* rather than
-// a *speed* report the result through b.ReportMetric so `go test -bench`
-// output carries the reproduced numbers next to the timings.
+// One benchmark per algorithm figure of the paper, plus the in-text
+// measurements and the ablation studies listed in DESIGN.md section 5.
+// Benchmarks that reproduce a *result* rather than a *speed* report the
+// result through b.ReportMetric so `go test -bench` output carries the
+// reproduced numbers next to the timings. The evaluation's studies
+// (Figures 11, 12 and 16) are computed once, by cmd/figures.
 
 import (
 	"io"
 	"sort"
-	"sync"
 	"testing"
 
 	"pamg2d/internal/adt"
@@ -25,7 +25,6 @@ import (
 	"pamg2d/internal/project"
 	"pamg2d/internal/pslg"
 	"pamg2d/internal/sizing"
-	"pamg2d/internal/solver"
 )
 
 // benchConfig is the shared scaled-down configuration: NACA 0012,
@@ -155,84 +154,6 @@ func BenchmarkFig10Decouple(b *testing.B) {
 	b.ReportMetric(imbalance, "max/mean-cost")
 }
 
-// BenchmarkFig11StrongScaling runs the calibrated schedule simulation and
-// reports the Figure 11 speedups at 128 and 256 ranks (paper: ~102 and
-// ~180).
-func BenchmarkFig11StrongScaling(b *testing.B) {
-	pts := scalingPoints(b)
-	var s128, s256 float64
-	for _, p := range pts {
-		switch p.Ranks {
-		case 128:
-			s128 = p.Speedup
-		case 256:
-			s256 = p.Speedup
-		}
-	}
-	b.ReportMetric(s128, "speedup-128")
-	b.ReportMetric(s256, "speedup-256")
-}
-
-// BenchmarkFig12Efficiency reports the Figure 12 efficiencies at 128 and
-// 256 ranks (paper: ~80% and ~70%).
-func BenchmarkFig12Efficiency(b *testing.B) {
-	pts := scalingPoints(b)
-	var e128, e256 float64
-	for _, p := range pts {
-		switch p.Ranks {
-		case 128:
-			e128 = p.Efficiency
-		case 256:
-			e256 = p.Efficiency
-		}
-	}
-	b.ReportMetric(100*e128, "efficiency-128-pct")
-	b.ReportMetric(100*e256, "efficiency-256-pct")
-}
-
-var (
-	scalingOnce   sync.Once
-	scalingCached []perfmodel.ScalePoint
-	scalingErr    error
-)
-
-// scalingPoints calibrates the performance model with one real pipeline
-// run (shared between the Figure 11 and 12 benchmarks so both report the
-// same schedule) and simulates the strong-scaling study.
-func scalingPoints(b *testing.B) []perfmodel.ScalePoint {
-	b.Helper()
-	scalingOnce.Do(func() { scalingCached, scalingErr = computeScaling() })
-	if scalingErr != nil {
-		b.Fatal(scalingErr)
-	}
-	return scalingCached
-}
-
-func computeScaling() ([]perfmodel.ScalePoint, error) {
-	cfg := benchConfig()
-	cfg.Geometry = airfoil.Single(airfoil.NACA0012, 64, 20)
-	cfg.BL.Growth = growth.Geometric{H0: 5e-4, Ratio: 1.25}
-	cfg.BL.MaxLayers = 25
-	cfg.Ranks = 1
-	cfg.SubdomainsPerRank = 4096
-	cfg.SurfaceH0 = 0.008
-	cfg.HMax = 0.16
-	cfg.NearBodyMargin = 0.04
-	cfg.TransitionSectors = 32
-	res, err := core.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var tasks []perfmodel.Task
-	for _, tm := range res.Stats.Tasks {
-		tasks = append(tasks, perfmodel.Task{Cost: tm.Seconds, Bytes: tm.Bytes, BoundaryLayer: tm.BoundaryLayer})
-	}
-	seq := res.Stats.StageWall(core.StageValidate).Seconds() +
-		perfmodel.DecompositionOverhead(res.Stats.BoundaryLayerPts, 256, 2e-8, perfmodel.FDRInfiniband())
-	return perfmodel.StrongScaling(tasks, seq, perfmodel.FDRInfiniband(),
-		[]int{1, 2, 4, 8, 16, 32, 64, 128, 256}), nil
-}
-
 // BenchmarkFig13IntersectionResolution measures the hierarchical self- and
 // multi-element intersection resolution on the three-element configuration
 // and reports the resolved counts (Figure 13).
@@ -260,47 +181,6 @@ func BenchmarkFig13IntersectionResolution(b *testing.B) {
 	b.ReportMetric(float64(multi), "multi-intersections")
 }
 
-// BenchmarkFig16Convergence reproduces the convergence comparison: the
-// anisotropic mesh needs fewer elements and fewer solver iterations than
-// the isotropic mesh built from the same geometry and sizing (paper: 14.7x
-// fewer elements, ~2x fewer iterations).
-func BenchmarkFig16Convergence(b *testing.B) {
-	cfg := benchConfig()
-	aniso, err := core.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iso, err := core.IsotropicBaseline(cfg, 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := cfg.Geometry.Graph()
-	if err != nil {
-		b.Fatal(err)
-	}
-	surf := sizing.NewGraded(g.Surfaces[0].Points, 1, 0, 0)
-	bc := solver.AirfoilBC(func(p geom.Point) bool { return surf.Distance(p) < 0.08 })
-	opt := solver.Options{Tol: 1e-10, MaxIters: 300000, Method: solver.GaussSeidel}
-
-	var itAniso, itIso int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sa, err := solver.Solve(solver.Problem{Mesh: aniso.Mesh, Diffusivity: 0.01, Velocity: geom.V(1, 0.1), Boundary: bc}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		si, err := solver.Solve(solver.Problem{Mesh: iso, Diffusivity: 0.01, Velocity: geom.V(1, 0.1), Boundary: bc}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		itAniso = sa.History.Iterations
-		itIso = si.History.Iterations
-	}
-	b.ReportMetric(float64(itAniso), "aniso-iters")
-	b.ReportMetric(float64(itIso), "iso-iters")
-	b.ReportMetric(float64(iso.NumTriangles())/float64(aniso.Mesh.NumTriangles()), "element-ratio")
-}
-
 // BenchmarkSeqEfficiency compares the pipeline at one rank against the
 // direct sequential baseline (the paper's 196 s vs Triangle's 192 s, a 98%
 // sequential efficiency).
@@ -321,27 +201,6 @@ func BenchmarkSeqEfficiency(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkElementRatio reports the anisotropic/isotropic element-count
-// comparison at matched near-wall resolution (the paper's 360,241 vs
-// 5,314,372 triangles, a 14.7x reduction).
-func BenchmarkElementRatio(b *testing.B) {
-	cfg := benchConfig()
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aniso, err := core.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iso, err := core.IsotropicBaseline(cfg, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(iso.NumTriangles()) / float64(aniso.Mesh.NumTriangles())
-	}
-	b.ReportMetric(ratio, "iso/aniso-elements")
 }
 
 // BenchmarkMeshWriters compares ASCII and binary mesh output (the paper's
@@ -493,8 +352,8 @@ func BenchmarkAblationSchedule(b *testing.B) {
 	var priority, fifo float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		priority = perfmodel.SimulateOrder(tasks, 32, net, 0, true).Makespan
-		fifo = perfmodel.SimulateOrder(tasks, 32, net, 0, false).Makespan
+		priority = perfmodel.SimulatePolicy(tasks, 32, net, 0, perfmodel.Policy{LargestFirst: true, Prefetch: true}).Makespan
+		fifo = perfmodel.SimulatePolicy(tasks, 32, net, 0, perfmodel.Policy{LargestFirst: false, Prefetch: true}).Makespan
 	}
 	b.ReportMetric(priority*1000, "priority-ms")
 	b.ReportMetric(fifo*1000, "fifo-ms")

@@ -1,5 +1,6 @@
-// Command figures regenerates the paper's illustrative figures as SVG
-// files from this reproduction's own data structures:
+// Command figures regenerates the paper's figures: the illustrative ones
+// as SVG files from this reproduction's own data structures, and the
+// evaluation's studies as one JSON record:
 //
 //	fig02_normals.svg        NACA 0012 surface with outward normals
 //	fig04_fans.svg           trailing-edge region with the fan of curved rays
@@ -9,17 +10,21 @@
 //	fig10_decoupled.svg      the recursively decoupled inviscid subdomains
 //	fig13_intersections.svg  three-element layers with resolved intersections
 //	mesh.svg                 a complete pipeline mesh, regions color-coded
+//	eval.json                Figures 11/12 (strong scaling) and 14–16
+//	                         (convergence), with the host and the commit
 //
 // Usage: figures -o <directory>
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
@@ -44,7 +49,8 @@ func main() {
 	}
 }
 
-// run renders every figure into dir; exposed for tests.
+// run renders every figure into dir and records the evaluation's studies
+// beside them in eval.json; exposed for tests.
 func run(dir string, stdout io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -79,7 +85,28 @@ func run(dir string, stdout io.Writer) error {
 	fig09and10(save)
 	fig13(save)
 	finalMesh(save)
-	return firstErr
+	if firstErr != nil {
+		return firstErr
+	}
+
+	rec := evalRecord{Host: hostRecord{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()}, Revision: revision()}
+	var err error
+	if rec.Scaling, err = scalingStudy(paperScaling, stdout); err != nil {
+		return err
+	}
+	if rec.Convergence, err = convergenceStudy(paperConvergence, stdout); err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "eval.json")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote", path)
+	return nil
 }
 
 func fig02(save func(string, *viz.Canvas)) {

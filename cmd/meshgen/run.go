@@ -385,7 +385,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "max aspect ratio     %.1f\n", q.MaxAspectRatio)
 		fmt.Fprintf(stderr, "tasks                %d across %d ranks (%d msgs, %d bytes)\n",
 			len(st.Tasks), cfg.Ranks, st.Messages, st.BytesOnWire)
-		fmt.Fprintf(stderr, "time                 total %v", st.Times.Total.Round(1e6))
+		fmt.Fprintf(stderr, "time                 total %v, serial %v", st.Times.Total.Round(1e6), st.SerialTime().Round(1e6))
 		for _, s := range st.Stages {
 			if !strings.Contains(s.Name, "/") { // summary entries; audit/<check> sub-entries are inside "audit"
 				fmt.Fprintf(stderr, ", %s %v", s.Name, s.Wall.Round(1e6))

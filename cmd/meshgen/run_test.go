@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pamg2d/internal/audit"
 	"pamg2d/internal/core"
@@ -35,6 +36,20 @@ func TestRunASCII(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "triangles") {
 		t.Errorf("stats missing: %q", errb.String())
+	}
+	// The time line leads with the run's total and its root-side share.
+	var total, serial time.Duration
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "time"); ok {
+			f := strings.Fields(strings.ReplaceAll(rest, ",", ""))
+			if len(f) >= 4 && f[0] == "total" && f[2] == "serial" {
+				total, _ = time.ParseDuration(f[1])
+				serial, _ = time.ParseDuration(f[3])
+			}
+		}
+	}
+	if total <= 0 || serial <= 0 || serial > total {
+		t.Errorf("time line: total %v, serial %v, want 0 < serial <= total:\n%s", total, serial, errb.String())
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"pamg2d/internal/blayer"
@@ -263,6 +264,23 @@ func (st *Stats) StageWall(names ...string) time.Duration {
 		if slices.Contains(names, s.Name) {
 			d += s.Wall
 		}
+	}
+	return d
+}
+
+// SerialTime is the run's root-side time: over the summary entries of
+// Stages, each stage's wall minus its busiest rank's Busy, so a stage
+// without rank data counts whole. At one rank it is the run's stage wall
+// minus its summed task time; it is the strong-scaling model's sequential
+// fraction.
+func (st *Stats) SerialTime() time.Duration {
+	var d time.Duration
+	for _, s := range st.Stages {
+		if strings.Contains(s.Name, "/") {
+			continue // audit/<check> sub-entries are inside the audit summary
+		}
+		_, busiest, _ := s.RankWall()
+		d += s.Wall - busiest
 	}
 	return d
 }

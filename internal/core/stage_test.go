@@ -92,6 +92,47 @@ func TestStageWall(t *testing.T) {
 	}
 }
 
+// TestSerialTime: at one rank the accessor is the sum over summary stages of
+// wall minus summed rank Busy, an audited run's "audit/<check>" sub-entries
+// are not counted a second time, and at any rank count it fits inside the
+// run's total.
+func TestSerialTime(t *testing.T) {
+	cfg := smallConfig(1)
+	cfg.Audit = true
+	res, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &res.Stats
+	var want, subs time.Duration
+	for _, s := range st.Stages {
+		if strings.Contains(s.Name, "/") {
+			subs += s.Wall
+			continue
+		}
+		want += s.Wall
+		for _, r := range s.Ranks {
+			want -= r.Busy
+		}
+	}
+	if subs <= 0 {
+		t.Fatal("audited run recorded no audit/<check> sub-entries")
+	}
+	if got := st.SerialTime(); got != want {
+		t.Errorf("1 rank: SerialTime = %v, want %v (sub-entries %v must not count)", got, want, subs)
+	}
+	if got := st.SerialTime(); got <= 0 || got > st.Times.Total {
+		t.Errorf("1 rank: SerialTime = %v, want in (0, Times.Total = %v]", got, st.Times.Total)
+	}
+
+	if res, err = Generate(smallConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.SerialTime(); got < 0 || got > res.Stats.Times.Total {
+		t.Errorf("2 ranks: SerialTime = %v, want in [0, Times.Total = %v]", got, res.Stats.Times.Total)
+	}
+}
+
 // cancelDuring runs the pipeline with a context that is canceled by the
 // first task of the named stage and returns the resulting error.
 func cancelDuring(t *testing.T, stage string) error {

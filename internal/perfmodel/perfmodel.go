@@ -1,14 +1,14 @@
 // Package perfmodel is the discrete-event performance model standing in
-// for the paper's 32-node Infiniband cluster (this reproduction runs on a
-// single core, so wall-clock speedup beyond one cannot be measured
-// directly). The simulator replays measured per-subdomain meshing costs
-// through the paper's scheduling policy — per-rank priority queues,
-// largest-first processing, work stealing from the most loaded rank when a
-// rank runs dry — under a latency/bandwidth communication model, producing
-// the strong-scaling speedup and efficiency curves of Figures 11 and 12.
-// The curve shape is governed by load imbalance, steal traffic and the
-// sequential fraction, all of which the model captures; absolute seconds
-// are whatever the calibration run measured.
+// for the paper's 32-node Infiniband cluster: no host this reproduction
+// is measured on has its 256 ranks. The simulator replays measured
+// per-subdomain meshing costs through the paper's scheduling policy —
+// per-rank priority queues, largest-first processing, work stealing from
+// the most loaded rank when a rank runs dry — under a latency/bandwidth
+// communication model, producing the strong-scaling speedup and
+// efficiency curves of Figures 11 and 12. The curve shape is governed by
+// load imbalance, steal traffic and the sequential fraction, which the
+// caller measures (core.Stats.SerialTime); absolute seconds are whatever
+// the calibration run measured.
 package perfmodel
 
 import (
@@ -46,25 +46,14 @@ type Result struct {
 	Ranks    int
 	Makespan float64 // wall time, including the sequential fraction
 	Steals   int
-	IdleTime float64 // summed across ranks
-	WorkTime float64 // summed task costs
-	CommTime float64 // summed transfer costs
 }
 
 // Simulate runs the schedule of tasks on the given number of ranks.
-// seqTime is the non-overlappable sequential fraction (input reading,
-// the first levels of the decomposition tree, final gather); it is added
-// to the makespan. Tasks are dealt round-robin by descending cost, which
+// seqTime is the non-overlappable sequential fraction, the root-side time
+// no rank count removes; it is added to the makespan. Tasks are dealt round-robin by descending cost, which
 // mirrors the pipeline's initial distribution.
 func Simulate(tasks []Task, ranks int, net Network, seqTime float64) Result {
 	return SimulatePolicy(tasks, ranks, net, seqTime, Policy{LargestFirst: true, Prefetch: true})
-}
-
-// SimulateOrder is Simulate with an explicit choice of queue discipline:
-// largestFirst false keeps the caller's task order (FIFO), the ablation
-// baseline against the paper's largest-first priority queues.
-func SimulateOrder(tasks []Task, ranks int, net Network, seqTime float64, largestFirst bool) Result {
-	return SimulatePolicy(tasks, ranks, net, seqTime, Policy{LargestFirst: largestFirst, Prefetch: true})
 }
 
 // Policy selects the scheduling behaviors whose value the paper argues
@@ -87,11 +76,11 @@ func SimulatePolicy(tasks []Task, ranks int, net Network, seqTime float64, pol P
 		ranks = 1
 	}
 	res := Result{Ranks: ranks}
-	for _, t := range tasks {
-		res.WorkTime += t.Cost
-	}
 	if ranks == 1 {
-		res.Makespan = seqTime + res.WorkTime
+		for _, t := range tasks {
+			res.Makespan += t.Cost
+		}
+		res.Makespan += seqTime
 		return res
 	}
 
@@ -169,7 +158,6 @@ func SimulatePolicy(tasks []Task, ranks int, net Network, seqTime float64, pol P
 		remaining[victim] -= tasks[ti].Cost
 		t := tasks[ti]
 		comm := 2*net.Latency + float64(t.Bytes)/net.Bandwidth
-		res.CommTime += comm
 		res.Steals++
 		delay := comm
 		if pol.Prefetch {
@@ -191,21 +179,16 @@ func SimulatePolicy(tasks []Task, ranks int, net Network, seqTime float64, pol P
 			makespan = t
 		}
 	}
-	// Idle time: rank-seconds of capacity not spent on work or transfers.
-	res.IdleTime = float64(ranks)*makespan - res.WorkTime - res.CommTime
-	if res.IdleTime < 0 {
-		res.IdleTime = 0
-	}
 	res.Makespan = seqTime + makespan
 	return res
 }
 
 // ScalePoint is one point of a strong-scaling study.
 type ScalePoint struct {
-	Ranks      int
-	Time       float64
-	Speedup    float64
-	Efficiency float64
+	Ranks      int     `json:"ranks"`
+	Time       float64 `json:"time_s"`
+	Speedup    float64 `json:"speedup"`
+	Efficiency float64 `json:"efficiency"`
 }
 
 // StrongScaling simulates the fixed workload at every rank count and
@@ -231,22 +214,6 @@ func StrongScaling(tasks []Task, seqTime float64, net Network, rankCounts []int)
 		})
 	}
 	return out
-}
-
-// DecompositionOverhead estimates the sequential fraction contributed by
-// the recursive decomposition tree: level l splits 2^l subdomains of
-// n/2^l points each on 2^l ranks in parallel, costing splitCostPerPoint *
-// n / 2^l wall seconds plus one half-subdomain transfer, until 2^l = P.
-func DecompositionOverhead(points int, ranks int, splitCostPerPoint float64, net Network) float64 {
-	total := 0.0
-	n := float64(points)
-	levels := int(math.Ceil(math.Log2(float64(ranks))))
-	for l := 0; l < levels; l++ {
-		wall := splitCostPerPoint * n / math.Pow(2, float64(l))
-		bytes := 16 * n / math.Pow(2, float64(l+1))
-		total += wall + net.Latency + bytes/net.Bandwidth
-	}
-	return total
 }
 
 // FormatTable renders scale points as the rows of Figures 11 and 12.

@@ -160,20 +160,6 @@ func TestPaperScalingShape(t *testing.T) {
 	}
 }
 
-func TestDecompositionOverhead(t *testing.T) {
-	net := FDRInfiniband()
-	o1 := DecompositionOverhead(1<<20, 2, 1e-8, net)
-	o2 := DecompositionOverhead(1<<20, 256, 1e-8, net)
-	if o2 <= o1 {
-		t.Errorf("more ranks need more decomposition levels: %v vs %v", o2, o1)
-	}
-	// The tree is geometric: total < 2x the first level.
-	first := 1e-8 * float64(1<<20)
-	if o2 > 3*first {
-		t.Errorf("decomposition overhead %v not geometric (first level %v)", o2, first)
-	}
-}
-
 func TestFormatTable(t *testing.T) {
 	pts := []ScalePoint{{Ranks: 1, Time: 1, Speedup: 1, Efficiency: 1}}
 	s := FormatTable(pts)

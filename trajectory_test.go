@@ -2,9 +2,12 @@ package pamg2d
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +98,49 @@ func TestCommittedTrajectory(t *testing.T) {
 		for _, m := range []string{"allocs_k", "fail_frac"} {
 			if w.Metrics[m].Value == nil {
 				t.Errorf("%s: %s has no %s value", newestName, w.Name, m)
+			}
+		}
+	}
+}
+
+// TestDocReferences holds the reader-facing documents to the code: every
+// Test*, Benchmark* and Fuzz* name README.md and EXPERIMENTS.md cite is a
+// function in the repository, and every cmd/, examples/ and internal/ path
+// they cite exists.
+func TestDocReferences(t *testing.T) {
+	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	defined := make(map[string]bool)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcDecl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	path := regexp.MustCompile(`\b(?:cmd|examples|internal)/[\w./-]*`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range name.FindAllString(string(text), -1) {
+			if !defined[n] {
+				t.Errorf("%s cites %s, which no Go file defines", doc, n)
+			}
+		}
+		for _, p := range path.FindAllString(string(text), -1) {
+			if _, err := os.Stat(strings.TrimRight(p, ".")); err != nil {
+				t.Errorf("%s cites %s, which does not exist", doc, p)
 			}
 		}
 	}
