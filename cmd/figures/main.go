@@ -183,7 +183,7 @@ func fig08(save func(string, *viz.Canvas)) {
 	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 7})
 	c := viz.New()
 	for li, leaf := range leaves {
-		res, err := delaunay.Triangulate(delaunay.Input{Points: leaf.Points(), Sorted: true, Frame: frame})
+		res, err := delaunay.Triangulate(delaunay.Input{Points: leaf.Points(), Frame: frame})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,6 +66,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "triangles     %d\n", m.NumTriangles())
 	fmt.Fprintf(stdout, "area          %.6g\n", m.Area())
 	fmt.Fprintf(stdout, "boundary      %d edges\n", len(m.BoundaryEdges()))
+	fmt.Fprintf(stdout, "triangle set  %s\n", m.TriangleSetHash())
 	if err := m.Audit(); err != nil {
 		fmt.Fprintf(stdout, "audit         FAILED: %v\n", err)
 		return fmt.Errorf("mesh failed audit: %w", err)

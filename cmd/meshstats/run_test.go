@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,13 +21,17 @@ func sampleMesh() *mesh.Mesh {
 
 func writeSample(t *testing.T, binary bool) string {
 	t.Helper()
+	return writeMesh(t, sampleMesh(), binary)
+}
+
+func writeMesh(t *testing.T, m *mesh.Mesh, binary bool) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "m.dat")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	m := sampleMesh()
 	if binary {
 		err = m.WriteBinary(f)
 	} else {
@@ -60,6 +65,51 @@ func TestStatsBinaryAuto(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "triangles     2") {
 		t.Errorf("binary auto-detect failed:\n%s", out.String())
+	}
+}
+
+// TestStatsTriangleSet checks the triangle set line: the same triangles
+// with the points permuted, the triangles reordered and each starting at
+// another corner print the same line, in either format; moving one point
+// changes it.
+func TestStatsTriangleSet(t *testing.T) {
+	setLine := func(m *mesh.Mesh, binary bool) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run([]string{writeMesh(t, m, binary)}, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "triangle set  ") {
+				return line
+			}
+		}
+		t.Fatalf("no triangle set line:\n%s", out.String())
+		return ""
+	}
+	b := mesh.NewBuilder()
+	b.AddTriangle(geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1))
+	b.AddTriangle(geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0, 1))
+	b.AddTriangle(geom.Pt(1, 0), geom.Pt(2, 0.5), geom.Pt(1, 1))
+	m := b.Mesh()
+	want := setLine(m, false)
+
+	// Reverse the points and the triangles; rotate each triangle by one.
+	n := int32(len(m.Points))
+	perm := &mesh.Mesh{Points: slices.Clone(m.Points)}
+	slices.Reverse(perm.Points)
+	for i := len(m.Triangles) - 1; i >= 0; i-- {
+		tri := m.Triangles[i]
+		perm.Triangles = append(perm.Triangles, [3]int32{n - 1 - tri[1], n - 1 - tri[2], n - 1 - tri[0]})
+	}
+	if got := setLine(perm, true); got != want {
+		t.Errorf("reordered copy prints %q, want %q", got, want)
+	}
+
+	moved := &mesh.Mesh{Points: slices.Clone(m.Points), Triangles: m.Triangles}
+	moved.Points[len(moved.Points)-1].X += 0.25
+	if got := setLine(moved, false); got == want {
+		t.Errorf("moving a point left the line at %q", got)
 	}
 }
 

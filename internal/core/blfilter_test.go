@@ -60,7 +60,7 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 		for i, v := range leaf.XS {
 			lp[i] = v.P
 		}
-		res, err := delaunay.Triangulate(delaunay.Input{Points: lp, Sorted: true, Frame: frame})
+		res, err := delaunay.Triangulate(delaunay.Input{Points: lp, Frame: frame})
 		if err != nil {
 			t.Fatalf("leaf %d reference: %v", li, err)
 		}

@@ -275,7 +275,7 @@ func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
 	if n < 3 {
 		return submesh{}.encode(), nil
 	}
-	res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Sorted: true, Frame: ctx.frame})
+	res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Frame: ctx.frame})
 	if err != nil {
 		return nil, err
 	}

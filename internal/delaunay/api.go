@@ -14,9 +14,10 @@ type Input struct {
 	Segments [][2]int32
 	Holes    []geom.Point
 
-	// Sorted declares that Points are already sorted by (X, Y). The paper
-	// maintains x-sorted vertices through every decomposition step exactly
-	// so the kernel can skip this sort.
+	// Sorted is not read: the kernel chooses its own insertion order
+	// (insertionOrder). The paper keeps subdomain vertices x-sorted so
+	// Triangle can skip its sort; the decomposition here still keeps them
+	// x-sorted for its own median splits, not for this kernel.
 	Sorted bool
 
 	// Frame, when non-empty, fixes the working bounding box. Parallel
@@ -125,9 +126,9 @@ func Build(in Input) (*Triangulation, error) {
 	}
 	t := NewCap(bb, len(in.Points))
 
-	// Insert points in spatially coherent order: either the caller's
-	// x-sorted order, or sorted by insertionOrder (which also enables the
-	// bin seed for the scattered queries that follow).
+	// Insert points in spatially coherent order: along a Hilbert curve
+	// without segments, by x with them (insertionOrder, which then also
+	// enables the bin seed for the scattered queries that follow).
 	order := insertionOrder(in, t)
 	// vmap maps input point indices to triangulation vertex indices
 	// (offset by the four frame corners, or aliased for duplicates).

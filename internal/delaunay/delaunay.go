@@ -79,8 +79,9 @@ type Triangulation struct {
 
 	// binGrid, when non-nil, hashes points to cells and binSeed remembers
 	// the most recent vertex per cell; locate starts its walk from that
-	// vertex when it is closer to the query than the default seed. Enabled
-	// by Build for inputs without spatial coherence.
+	// vertex when it is closer to the query than the default seed. Bin
+	// seeding serves constrained inputs only: insertionOrder turns it on
+	// for the scattered queries of their segment recovery and refinement.
 	binGrid *geom.Grid
 	binSeed []int32
 }
@@ -213,13 +214,12 @@ func (t *Triangulation) addPoint(p geom.Point) int32 {
 	return v
 }
 
-// EnableBinSeeding turns on spatially hashed walk seeds for locate: points
+// enableBinSeeding turns on spatially hashed walk seeds for locate: points
 // hash to cells of a uniform grid over bb, and each insertion remembers its
-// vertex in its cell so later queries nearby start their walk there. This
-// is the cheap BRIO-style accelerator for insertion orders without spatial
-// coherence; expectPoints sizes the grid (about two points per cell). The
+// vertex in its cell so later queries nearby start their walk there.
+// expectPoints sizes the grid (about two points per cell). The
 // already-inserted vertices seed their cells immediately.
-func (t *Triangulation) EnableBinSeeding(bb geom.BBox, expectPoints int) {
+func (t *Triangulation) enableBinSeeding(bb geom.BBox, expectPoints int) {
 	cells := expectPoints / 2
 	if cells < 1 {
 		cells = 1

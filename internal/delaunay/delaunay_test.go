@@ -301,41 +301,6 @@ func TestSegmentCrossingConstraintFails(t *testing.T) {
 	}
 }
 
-func TestBuildSortedMatchesUnsorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 100
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64()*5, rng.Float64()*5)
-	}
-	res1, err := Triangulate(Input{Points: pts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-sort and declare Sorted.
-	sorted := make([]geom.Point, n)
-	copy(sorted, pts)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0; j-- {
-			if sorted[j].X < sorted[j-1].X || (sorted[j].X == sorted[j-1].X && sorted[j].Y < sorted[j-1].Y) {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			} else {
-				break
-			}
-		}
-	}
-	res2, err := Triangulate(Input{Points: sorted, Sorted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Triangles) != len(res2.Triangles) {
-		t.Errorf("triangle counts differ: %d vs %d", len(res1.Triangles), len(res2.Triangles))
-	}
-	if math.Abs(meshArea(res1)-meshArea(res2)) > 1e-9 {
-		t.Errorf("areas differ: %v vs %v", meshArea(res1), meshArea(res2))
-	}
-}
-
 func TestTriangulateErrors(t *testing.T) {
 	if _, err := Triangulate(Input{Points: []geom.Point{geom.Pt(0, 0)}}); err == nil {
 		t.Error("too few points must fail")

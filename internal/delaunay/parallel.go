@@ -47,7 +47,6 @@ package delaunay
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -175,39 +174,6 @@ func TriangulateParallel(in Input, opt ParallelOptions) (*Result, *ParStats, err
 	return t.Extract(), ps, nil
 }
 
-// insertionOrder computes the bulk-insertion order shared by Build and
-// BuildParallel: the caller's x-sorted order, or a sort here. Sorted
-// insertion makes the walk-from-last point location near O(1) per insert;
-// without caller-provided spatial coherence, refinement and segment
-// recovery issue scattered locate queries, so the bin seed is enabled to
-// bound those walks (BRIO-style) without perturbing the deterministic
-// insertion order.
-func insertionOrder(in Input, t *Triangulation) []int32 {
-	order := make([]int32, len(in.Points))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	if !in.Sorted {
-		pts := in.Points
-		slices.SortFunc(order, func(i, j int32) int {
-			a, b := pts[i], pts[j]
-			switch {
-			case a.X < b.X:
-				return -1
-			case a.X > b.X:
-				return 1
-			case a.Y < b.Y:
-				return -1
-			case a.Y > b.Y:
-				return 1
-			}
-			return 0
-		})
-		t.EnableBinSeeding(geom.BBoxOf(in.Points), len(in.Points))
-	}
-	return order
-}
-
 // run drives the round loop: phase 1 locates and digs cavities in
 // parallel, phase 2 sequentially selects a conflict-free set and
 // pre-assigns vertices and slots, phase 3 commits the selected fans in
@@ -314,8 +280,8 @@ func (ins *parInserter) runPhase(f func(w int)) {
 
 // preparePhase returns phase 1: locate each batch point and compute its
 // cavity against the frozen topology. Work is striped by batch position so
-// the assignment is deterministic and the x-sorted batch keeps each
-// worker's walk local.
+// the assignment is deterministic and the spatially coherent batch keeps
+// each worker's walk local.
 func (ins *parInserter) preparePhase(pts []geom.Point) func(w int) {
 	t := ins.t
 	return func(w int) {

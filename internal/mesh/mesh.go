@@ -13,7 +13,9 @@ package mesh
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -181,6 +183,38 @@ func (m *Mesh) Area() float64 {
 		sum += math.Abs(geom.TriangleArea(m.Points[t[0]], m.Points[t[1]], m.Points[t[2]]))
 	}
 	return sum
+}
+
+// TriangleSetHash identifies the mesh by its triangles alone: the sha256,
+// in hex, of every triangle as the coordinates of its three corners,
+// rotated to start at its least corner (by X, then Y) so orientation is
+// kept, in sorted order. Two meshes that list the same triangles in any
+// point order, triangle order or starting corner hash alike; the bytes of
+// WriteBinary tell those apart.
+func (m *Mesh) TriangleSetHash() string {
+	tris := make([][6]float64, len(m.Triangles))
+	for i, t := range m.Triangles {
+		k := 0
+		for j := 1; j < 3; j++ {
+			if a, b := m.Points[t[j]], m.Points[t[k]]; a.X < b.X || a.X == b.X && a.Y < b.Y {
+				k = j
+			}
+		}
+		for j := range 3 {
+			p := m.Points[t[(k+j)%3]]
+			tris[i][2*j], tris[i][2*j+1] = p.X, p.Y
+		}
+	}
+	slices.SortFunc(tris, func(a, b [6]float64) int { return slices.Compare(a[:], b[:]) })
+	h := sha256.New()
+	var rec [48]byte
+	for _, t := range tris {
+		for j, v := range t {
+			binary.LittleEndian.PutUint64(rec[8*j:], math.Float64bits(v))
+		}
+		h.Write(rec[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // QualityStats summarizes element quality.

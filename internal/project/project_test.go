@@ -172,7 +172,7 @@ func TestMergedTriangulationExact(t *testing.T) {
 		}
 		var merged []triKey
 		for _, leaf := range leaves {
-			res, err := delaunay.Triangulate(delaunay.Input{Points: leaf.Points(), Sorted: true, Frame: frame})
+			res, err := delaunay.Triangulate(delaunay.Input{Points: leaf.Points(), Frame: frame})
 			if err != nil {
 				t.Fatal(err)
 			}

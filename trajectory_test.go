@@ -104,9 +104,9 @@ func TestCommittedTrajectory(t *testing.T) {
 }
 
 // TestDocReferences holds the reader-facing documents to the code: every
-// Test*, Benchmark* and Fuzz* name README.md and EXPERIMENTS.md cite is a
-// function in the repository, and every cmd/, examples/ and internal/ path
-// they cite exists.
+// Test*, Benchmark* and Fuzz* name README.md, EXPERIMENTS.md and DESIGN.md
+// cite is a function in the repository, and every cmd/, examples/ and
+// internal/ path they cite exists.
 func TestDocReferences(t *testing.T) {
 	funcDecl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	defined := make(map[string]bool)
@@ -128,7 +128,7 @@ func TestDocReferences(t *testing.T) {
 	}
 	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
 	path := regexp.MustCompile(`\b(?:cmd|examples|internal)/[\w./-]*`)
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
