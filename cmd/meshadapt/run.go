@@ -35,6 +35,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: meshadapt [flags] mesh-file")
 	}
+	// The writer is resolved here, with the other flags: an unknown format
+	// fails before the mesh is adapted or -o is created.
+	var write func(*mesh.Mesh, io.Writer) error
+	switch *format {
+	case "ascii":
+		write = (*mesh.Mesh).WriteASCII
+	case "binary":
+		write = (*mesh.Mesh).WriteBinary
+	case "vtk":
+		write = func(m *mesh.Mesh, w io.Writer) error { return m.WriteVTK(w, nil) }
+	default:
+		return fmt.Errorf("unknown format %q", *format)
+	}
 
 	m, err := readMesh(fs.Arg(0))
 	if err != nil {
@@ -74,25 +87,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return aerr
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	emit := func(w io.Writer) error { return write(adapted, w) }
+	if *out == "" {
+		return emit(stdout)
 	}
-	switch *format {
-	case "ascii":
-		return adapted.WriteASCII(w)
-	case "binary":
-		return adapted.WriteBinary(w)
-	case "vtk":
-		return adapted.WriteVTK(w, nil)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	return writeFile(*out, emit)
 }
 
 // readMesh opens path and sniffs the format: the binary magic is stored
@@ -120,26 +119,29 @@ func readMesh(path string) (*mesh.Mesh, error) {
 // writeObservability exports the tracer's Chrome trace-event file and/or
 // run-metrics registry to the requested paths (either may be empty).
 func writeObservability(tr *trace.Tracer, tracePath, metricsPath string) error {
-	write := func(path string, emit func(w io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 	if tracePath != "" {
-		if err := write(tracePath, tr.WriteTrace); err != nil {
+		if err := writeFile(tracePath, tr.WriteTrace); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 	}
 	if metricsPath != "" {
-		if err := write(metricsPath, tr.Metrics().WriteMetrics); err != nil {
+		if err := writeFile(metricsPath, tr.Metrics().WriteMetrics); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with emit, returning emit's error,
+// or else the one Close reports.
+func writeFile(path string, emit func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := emit(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,7 +163,17 @@ func TestAdaptErrors(t *testing.T) {
 	if err := run([]string{"-metric", "bogus", in}, &stdout, &stderr); err == nil {
 		t.Error("bogus metric spec must fail")
 	}
-	if err := run([]string{"-metric", "uniform:h=0.5", "-format", "bogus", in}, &stdout, &stderr); err == nil {
+	// An unknown format fails with the other flags: before any cycle runs
+	// and before -o is created.
+	out := filepath.Join(t.TempDir(), "never.mesh")
+	stderr.Reset()
+	if err := run([]string{"-metric", "uniform:h=0.5", "-format", "bogus", "-o", out, in}, &stdout, &stderr); err == nil {
 		t.Error("bogus output format must fail")
+	}
+	if strings.Contains(stderr.String(), "cycle") {
+		t.Errorf("bogus output format ran the adaptation first:\n%s", stderr.String())
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("bogus output format left -o behind (stat: %v)", err)
 	}
 }

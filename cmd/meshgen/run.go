@@ -175,15 +175,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		f, err := os.Create(*writePoly)
-		if err != nil {
-			return err
-		}
-		if err := g.WritePoly(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*writePoly, g.WritePoly); err != nil {
 			return err
 		}
 	}
@@ -354,20 +346,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	final := res.Mesh // the mesh written: the generated one, or its adaptation
 	if adapted != nil {
 		final = adapted
 	}
-	if err := write(final, w); err != nil {
+	emit := func(w io.Writer) error { return write(final, w) }
+	if *out == "" {
+		err = emit(stdout)
+	} else {
+		err = writeFile(*out, emit)
+	}
+	if err != nil {
 		return err
 	}
 
@@ -550,17 +539,23 @@ func writeObservability(tr *trace.Tracer, tracePath, metricsPath string,
 		}
 	}
 	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-		if err := tr.Metrics().WriteMetrics(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write metrics: %w", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(metricsPath, tr.Metrics().WriteMetrics); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with emit, returning emit's error,
+// or else the one Close reports.
+func writeFile(path string, emit func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := emit(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

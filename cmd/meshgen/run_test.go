@@ -329,7 +329,7 @@ func TestRunAdaptTraced(t *testing.T) {
 			continue
 		}
 		found = true
-		for _, key := range []string{"eval_ms", "select_ms", "commit_ms"} {
+		for _, key := range []string{"eval_ms", "order_ms", "select_ms", "commit_ms", "refreshed"} {
 			if _, ok := e.Args[key].(float64); !ok {
 				t.Fatalf("adapt.split span lacks numeric arg %s: %v", key, e.Args)
 			}

@@ -41,13 +41,17 @@ package adapt
 // taken before it, so what the buffers hold after evaluation is exactly
 // the pass's plans. The buffers, the chunk windows and the pointer, key
 // and selected lists are reset per pass and live for the Adapt call.
-// Quality evaluation reads the per-vertex log-tensor cache (topo.lmet)
-// instead of taking three matrix logarithms per triangle;
-// metric.TriQualityLog is the one implementation behind both forms, so
-// the cache changes no bit. A smooth pass first fills a table of every
-// live triangle's quality (engine.qual), which its old ring quality reads,
-// and swap and smooth stop evaluating new triangles at the first one that
-// fails the pass's bar; neither changes a plan.
+// Evaluation measures only what the pass's commits may change. Each
+// triangle slot keeps its directed metric edge lengths and its quality in
+// each rotation (topo.geo), refreshed by the commits that rewrite the slot
+// or move one of its vertices; split, collapse and the in-band count read
+// the lengths, swap's old pair and smooth's old ring the qualities, and a
+// new triangle measures only its edges that do not exist yet before
+// metric.TriQualityLens, the one quality implementation. Quality reads the
+// per-vertex log-tensor cache (topo.lmet) instead of taking three matrix
+// logarithms per triangle. Swap and smooth stop evaluating new triangles
+// at the first one that fails the pass's bar. None of this changes a bit
+// of a plan.
 
 import (
 	"fmt"
@@ -145,27 +149,21 @@ type engine struct {
 	plans []*opPlan // the pass's plans in chunk order
 	keys  []planKey // selection order over plans
 	sel   []*opPlan // the selected subset
-
-	// qual[t] is tp.triQuality(t) for every live triangle t, filled at
-	// the start of each smooth pass (fillQuality); smooth's old ring
-	// quality reads it. It lives for the Adapt call.
-	qual []float64
-	// fill is fillChunks bound once for the Adapt call: a method value
-	// handed to runParallel per pass would be a heap allocation per pass.
-	fill func(w int)
 }
 
 // evalBuf is one worker's plan storage. Plans are appended by value;
 // their cavities are appended to the cav arena and opPlan.Cav is left a
 // capacity-clamped window of it. s1 and s2 are the ring-walk scratch,
 // nbrs tryCollapse's list of the dying vertex's neighbors, evals the
-// worker's quality evaluations in the current pass.
+// worker's quality evaluations and refreshed the slots its commits
+// refreshed in the current pass.
 type evalBuf struct {
-	plans  []opPlan
-	cav    []int32
-	s1, s2 []int32
-	nbrs   []int32
-	evals  int
+	plans     []opPlan
+	cav       []int32
+	s1, s2    []int32
+	nbrs      []int32
+	evals     int
+	refreshed int
 }
 
 // push completes a validated candidate: its cavity is what evaluation
@@ -215,7 +213,6 @@ func newEngine(tp *topo, opt Options) *engine {
 	e := &engine{tp: tp, opt: opt, workers: opt.Workers,
 		claimVert: make([]uint32, len(tp.pts)),
 		bufs:      make([]evalBuf, opt.Workers)}
-	e.fill = e.fillChunks
 	for i := range e.bufs {
 		e.bufs[i].s1 = make([]int32, 0, maxRing)
 		e.bufs[i].s2 = make([]int32, 0, maxRing)
@@ -263,7 +260,7 @@ func (e *engine) run() error {
 func (e *engine) pass(kind opKind) int {
 	tr := e.opt.Tracer
 	var span trace.Span
-	var stamp [4]time.Time // evaluate | select | commit+recycle |; read only when tracing
+	var stamp [5]time.Time // evaluate | order | select | commit+recycle |; read only when tracing
 	lap := func(i int) {
 		if tr != nil {
 			stamp[i] = time.Now()
@@ -276,11 +273,13 @@ func (e *engine) pass(kind opKind) int {
 	e.resetPass()
 	e.evaluate(kind)
 	lap(1)
-	sel := e.selectPlans()
+	e.keys = planOrder(e.keys, e.plans)
 	lap(2)
+	sel := e.selectPlans()
+	lap(3)
 	e.commit(sel)
 	e.recycle(sel)
-	lap(3)
+	lap(4)
 	switch kind {
 	case opSplit:
 		e.res.Splits += len(sel)
@@ -293,14 +292,16 @@ func (e *engine) pass(kind opKind) int {
 	}
 	if tr != nil {
 		ms := func(i int) float64 { return float64(stamp[i+1].Sub(stamp[i])) / float64(time.Millisecond) }
-		evals := 0
+		evals, refreshed := 0, 0
 		for i := range e.bufs {
 			evals += e.bufs[i].evals
+			refreshed += e.bufs[i].refreshed
 		}
 		// rejected: plans the vertex-claim sweep dropped this pass.
 		span.End(trace.I("planned", len(e.plans)), trace.I("committed", len(sel)),
 			trace.I("rejected", len(e.plans)-len(sel)), trace.I("quality_evals", evals),
-			trace.F("eval_ms", ms(0)), trace.F("select_ms", ms(1)), trace.F("commit_ms", ms(2)))
+			trace.I("refreshed", refreshed), trace.F("eval_ms", ms(0)), trace.F("order_ms", ms(1)),
+			trace.F("select_ms", ms(2)), trace.F("commit_ms", ms(3)))
 		mm := tr.Metrics()
 		mm.Count("adapt."+kind.String(), int64(len(sel)))
 		mm.Gauge("adapt.live_triangles", float64(e.tp.live))
@@ -315,6 +316,7 @@ func (e *engine) resetPass() {
 		e.bufs[i].plans = e.bufs[i].plans[:0]
 		e.bufs[i].cav = e.bufs[i].cav[:0]
 		e.bufs[i].evals = 0
+		e.bufs[i].refreshed = 0
 	}
 	e.plans = e.plans[:0]
 }
@@ -334,9 +336,6 @@ func (e *engine) items(kind opKind) int {
 // buffer it filled and the windows are walked in chunk order, so the plan
 // list — and everything downstream — is worker-count invariant.
 func (e *engine) evaluate(kind opKind) {
-	if kind == opSmooth {
-		e.fillQuality()
-	}
 	n := e.items(kind)
 	chunks := (n + evalChunk - 1) / evalChunk
 	e.wins = slices.Grow(e.wins[:0], chunks)[:chunks]
@@ -351,37 +350,6 @@ func (e *engine) evaluate(kind opKind) {
 	for _, w := range e.wins {
 		e.addPlans(e.bufs[w.ev].plans[w.lo:w.hi])
 	}
-}
-
-// fillQuality sets qual[t] = triQuality(t) for every live triangle,
-// computed once per triangle where smooth's evaluation would compute it
-// once per incident interior vertex. It runs against the same frozen
-// topology as the evaluation that reads it. A growing table takes half
-// again the slots it needs or doubles, whichever is more, so a refining
-// run reallocates it a few times per Adapt call, not once per pass.
-func (e *engine) fillQuality() {
-	n := len(e.tp.tri)
-	if cap(e.qual) < n {
-		e.qual = make([]float64, n, max(n+n/2, 2*cap(e.qual)))
-	}
-	e.qual = e.qual[:n]
-	e.runParallel(e.fill)
-}
-
-// fillChunks is worker w's share of fillQuality: evaluate's chunks and
-// striping over the triangle slots.
-func (e *engine) fillChunks(w int) {
-	tp, n := e.tp, len(e.qual)
-	evals := 0
-	for c := w; c*evalChunk < n; c += e.workers {
-		for t := int32(c * evalChunk); t < int32(min((c+1)*evalChunk, n)); t++ {
-			if !tp.tri[t].dead {
-				e.qual[t] = tp.triQuality(t)
-				evals++
-			}
-		}
-	}
-	e.bufs[w].evals += evals
 }
 
 // addPlans appends pointers to the plans of one chunk to the pass's list.
@@ -457,13 +425,13 @@ func planOrder(keys []planKey, plans []*opPlan) []planKey {
 }
 
 // selectPlans picks a maximal conflict-free subset of e.plans: plans in
-// priority order (planOrder), claiming every vertex of every cavity
-// triangle under the current epoch; a plan touching a claimed vertex is
-// dropped (it re-evaluates next pass). Splits get their new vertex and
-// triangle slots assigned here, on the sequential path.
+// the order e.keys gives (planOrder), claiming every vertex of every
+// cavity triangle under the current epoch; a plan touching a claimed
+// vertex is dropped (it re-evaluates next pass). Splits get their new
+// vertex and triangle slots assigned here, on the sequential path; the
+// vertex's tensor is left to the commit.
 func (e *engine) selectPlans() []*opPlan {
 	tp := e.tp
-	e.keys = planOrder(e.keys, e.plans)
 	e.epoch++
 	if len(e.claimVert) < len(tp.pts) {
 		e.claimVert = append(e.claimVert, make([]uint32, len(tp.pts)-len(e.claimVert))...)
@@ -491,7 +459,7 @@ func (e *engine) selectPlans() []*opPlan {
 			}
 		}
 		if p.Kind == opSplit {
-			p.newV = tp.addVertex(p.Pos, p.Met, p.Bnd)
+			p.newV = tp.addVertex(p.Pos, p.Bnd)
 			e.claimVert = append(e.claimVert, e.epoch)
 			p.slots[0] = tp.allocSlot()
 			p.slots[1] = -1
@@ -507,25 +475,28 @@ func (e *engine) selectPlans() []*opPlan {
 
 // commit applies the selected plans, striped across workers. The
 // vertex-claim rule makes every write of one commit invisible to every
-// other, so striping is only a work split.
+// other, so striping is only a work split. Each commit returns how many
+// slots it refreshed.
 func (e *engine) commit(sel []*opPlan) {
 	if len(sel) == 0 {
 		return
 	}
 	e.runParallel(func(w int) {
+		n := 0
 		for k := w; k < len(sel); k += e.workers {
 			p := sel[k]
 			switch p.Kind {
 			case opSplit:
-				e.commitSplit(p)
+				n += e.commitSplit(p)
 			case opCollapse:
-				e.commitCollapse(p)
+				n += e.commitCollapse(p)
 			case opSwap:
-				e.commitSwap(p)
+				n += e.commitSwap(p)
 			case opSmooth:
-				e.commitSmooth(p)
+				n += e.commitSmooth(p)
 			}
 		}
+		e.bufs[w].refreshed += n
 	})
 }
 
@@ -568,9 +539,8 @@ func (e *engine) edgeBand() (edges, in int) {
 			if nb := tp.tri[t].n[ei]; nb >= 0 && nb < int32(t) {
 				continue
 			}
-			a, b := tp.edgeVerts(int32(t), ei)
 			edges++
-			if l := tp.edgeLen(a, b); l >= 1/e.opt.Band && l <= e.opt.Band {
+			if l := tp.geo[t].len[ei]; l >= 1/e.opt.Band && l <= e.opt.Band {
 				in++
 			}
 		}

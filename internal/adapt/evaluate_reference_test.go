@@ -1,10 +1,10 @@
 package adapt
 
-// The reference evaluators for swap and smooth: the old ring quality from
-// triQuality on every ring triangle and the new quality over the whole
-// ring or pair, with no quality table and no early exit. The engine's plan
-// list must equal theirs, element for element and bit for bit, after
-// every pass of whole runs.
+// The reference evaluators for swap and smooth: every old and new quality
+// and every smoothing weight measured from scratch, with no geometry cache
+// and no early exit. The engine's plan list must equal theirs, element for
+// element and bit for bit, after every pass of whole runs, and the cache
+// must equal a fresh measurement before every pass.
 
 import (
 	"fmt"
@@ -18,7 +18,17 @@ import (
 	"pamg2d/internal/metric"
 )
 
-// refEvalSwap is evalSwap with both new triangles always evaluated.
+// triQuality returns the metric shape quality of triangle t in its stored
+// vertex order, measured from scratch.
+func (tp *topo) triQuality(t int32) float64 {
+	v := tp.tri[t].v
+	return metric.TriQualityLog(tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]],
+		tp.met[v[0]], tp.met[v[1]], tp.met[v[2]],
+		tp.lmet[v[0]], tp.lmet[v[1]], tp.lmet[v[2]])
+}
+
+// refEvalSwap is evalSwap with every quality measured from scratch and
+// both new triangles always evaluated.
 func (e *engine) refEvalSwap(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	r := tp.tri[t]
@@ -57,8 +67,8 @@ func (e *engine) refEvalSwap(buf *evalBuf, t int32, ei int) bool {
 	return true
 }
 
-// refEvalSmooth is evalSmooth with the old ring quality recomputed by
-// triQuality and the new one taken over the whole ring.
+// refEvalSmooth is evalSmooth with the weights and the old ring quality
+// measured from scratch and the new quality taken over the whole ring.
 func (e *engine) refEvalSmooth(buf *evalBuf, v int32) bool {
 	tp := e.tp
 	if tp.vb[v] || tp.vtri[v] < 0 {
@@ -188,9 +198,10 @@ func planDiff(got, want *opPlan) string {
 }
 
 // runAgainstReference drives an Adapt run pass by pass the way engine.run
-// does, and before each pass computes the reference plan list on the same
-// topology; after the pass, e.plans must equal it. It returns how many
-// swap and smooth plans were compared.
+// does, and before each pass checks the geometry cache against a fresh
+// measurement and computes the reference plan list on the same topology;
+// after the pass, e.plans must equal it. It returns how many swap and
+// smooth plans were compared.
 func runAgainstReference(t testing.TB, m *mesh.Mesh, f func(geom.Point) metric.M, opt Options) (swaps, smooths int) {
 	t.Helper()
 	e := testEngine(t, m, metric.Analytic(m, f), opt)
@@ -198,6 +209,9 @@ func runAgainstReference(t testing.TB, m *mesh.Mesh, f func(geom.Point) metric.M
 	for s := 0; s < e.opt.MaxSweeps; s++ {
 		changed := 0
 		for _, k := range sweepKinds {
+			if err := geoIncoherent(e.tp); err != nil {
+				t.Fatalf("sweep %d, before %v: %v", s, k, err)
+			}
 			want := e.refPlans(k, &ref)
 			changed += e.pass(k)
 			if len(e.plans) != len(want) {

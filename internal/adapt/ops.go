@@ -72,7 +72,7 @@ type opPlan struct {
 	V    int32      // collapse: dying vertex; smooth: moved vertex
 	Keep int32      // collapse: surviving vertex
 	Pos  geom.Point // split: new point; smooth: new position
-	Met  metric.M   // metric at Pos
+	Met  metric.M   // collapse (Mid) and smooth: metric at Pos
 	Bnd  bool       // split of a boundary edge
 	Mid  bool       // collapse onto the edge midpoint (keep moves to Pos)
 	Cav  []int32
@@ -116,25 +116,17 @@ func (e *engine) patch(p patchRef, val int32) {
 // --- split ---------------------------------------------------------------
 
 // evalSplit plans the midpoint split of edge ei of triangle t when its
-// metric length exceeds band. The metric at the new vertex comes from
-// Options.Resample (analytic fields) or the log-Euclidean mean of the
-// endpoints. Like every evaluator it appends the plan to buf and reports
-// true, or reports false and leaves the caller to drop whatever cavity
-// it had appended.
+// metric length exceeds band. Like every evaluator it appends the plan to
+// buf and reports true, or reports false and leaves the caller to drop
+// whatever cavity it had appended.
 func (e *engine) evalSplit(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
-	l := tp.edgeLen(a, b)
+	l := tp.geo[t].len[ei]
 	if l <= e.opt.Band {
 		return false
 	}
 	mid := tp.pts[a].Mid(tp.pts[b])
-	var mm metric.M
-	if e.opt.Resample != nil {
-		mm = e.opt.Resample(mid)
-	} else {
-		mm = metric.Interp(tp.met[a], tp.met[b], 0.5)
-	}
 	r := tp.tri[t]
 	c := r.v[(ei+2)%3]
 	n := r.n[ei]
@@ -144,7 +136,7 @@ func (e *engine) evalSplit(buf *evalBuf, t int32, ei int) bool {
 		return false
 	}
 	mark := len(buf.cav)
-	p := opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid, Met: mm}
+	p := opPlan{Kind: opSplit, Prio: l, T: t, E: int8(ei), Pos: mid}
 	buf.cav = append(buf.cav, t)
 	tBC := r.n[(ei+1)%3]
 	p.Pat[0] = patchRef{T: tBC, E: tp.nbrEdge(tBC, t)}
@@ -173,8 +165,12 @@ func (e *engine) evalSplit(buf *evalBuf, t int32, ei int) bool {
 // commitSplit replaces the one or two cavity triangles of a planned
 // split with the midpoint children. Slot layout: the a-side child keeps
 // slot T and the b-side child takes slots[0]; across the edge the
-// b-side child keeps slot n and the a-side child takes slots[1].
-func (e *engine) commitSplit(p *opPlan) {
+// b-side child keeps slot n and the a-side child takes slots[1]. The new
+// vertex's metric comes from Options.Resample (analytic fields) or the
+// log-Euclidean mean of the endpoints; it is written here, by the commit
+// that owns the vertex, so the candidates that never commit cost none.
+// It returns the number of slots refreshed.
+func (e *engine) commitSplit(p *opPlan) int {
 	tp := e.tp
 	t := p.T
 	ei := int(p.E)
@@ -185,6 +181,12 @@ func (e *engine) commitSplit(p *opPlan) {
 	tBC := r.n[(ei+1)%3]
 	tCA := r.n[(ei+2)%3]
 	s1 := p.slots[0]
+	if e.opt.Resample != nil {
+		tp.met[m] = e.opt.Resample(p.Pos)
+	} else {
+		tp.met[m] = metric.Interp(tp.met[a], tp.met[b], 0.5)
+	}
+	tp.lmet[m] = tp.met[m].Log()
 
 	if p.Bnd {
 		tp.tri[t] = triRec{v: [3]int32{a, m, c}, n: [3]int32{-1, s1, tCA}}
@@ -194,7 +196,9 @@ func (e *engine) commitSplit(p *opPlan) {
 		e.storeVtri(b, s1)
 		e.storeVtri(c, t)
 		e.storeVtri(m, t)
-		return
+		tp.refresh(t)
+		tp.refresh(s1)
+		return 2
 	}
 
 	n := r.n[ei]
@@ -215,6 +219,10 @@ func (e *engine) commitSplit(p *opPlan) {
 	e.storeVtri(c, t)
 	e.storeVtri(d, s2)
 	e.storeVtri(m, t)
+	for _, s := range [4]int32{t, s1, n, s2} {
+		tp.refresh(s)
+	}
+	return 4
 }
 
 // --- collapse ------------------------------------------------------------
@@ -233,7 +241,7 @@ func (e *engine) commitSplit(p *opPlan) {
 func (e *engine) evalCollapse(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	a, b := tp.edgeVerts(t, ei)
-	l := tp.edgeLen(a, b)
+	l := tp.geo[t].len[ei]
 	if l >= 1/e.opt.Band {
 		return false
 	}
@@ -466,8 +474,9 @@ func (e *engine) collinearBoundary(die, keep int32, scratch []int32) bool {
 // keep die, the rest are rewritten in place with die replaced by keep,
 // and adjacency across each dying triangle is stitched between its two
 // surviving neighbors. The dying slots are recycled by the sequential
-// post-commit phase.
-func (e *engine) commitCollapse(p *opPlan) {
+// post-commit phase. Every surviving cavity triangle is refreshed — die's
+// ring, and keep's when keep moves — and their number returned.
+func (e *engine) commitCollapse(p *opPlan) int {
 	tp := e.tp
 	die, keep := p.V, p.Keep
 	if p.Mid {
@@ -494,6 +503,7 @@ func (e *engine) commitCollapse(p *opPlan) {
 				r.v[i] = keep
 			}
 		}
+		tp.refresh(rt)
 		if survivor < 0 {
 			survivor = rt
 		}
@@ -517,14 +527,18 @@ func (e *engine) commitCollapse(p *opPlan) {
 	}
 	e.storeVtri(keep, survivor)
 	atomic.StoreInt32(&tp.vtri[die], -1)
+	return len(p.Cav) - int(p.NDy)
 }
 
 // --- swap ----------------------------------------------------------------
 
 // evalSwap plans the diagonal flip of interior edge ei of triangle t
 // when the flip strictly improves the worse metric quality of the pair.
-// The new pair's quality is a min, so a first new triangle that misses
-// the bar rejects the flip without the second.
+// The old pair's qualities are the cached ones in the rotations that
+// start at the anchor edge; the new triangles take their four outer edges
+// from the cache and measure only the flipped diagonal, once in each
+// direction. The new pair's quality is a min, so a first new triangle
+// that misses the bar rejects the flip without the second.
 func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 	tp := e.tp
 	r := tp.tri[t]
@@ -544,16 +558,20 @@ func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 	if geom.Orient2DSign(pa, pd, pc) <= 0 || geom.Orient2DSign(pd, pb, pc) <= 0 {
 		return false
 	}
-	ma, mb, mc, md := tp.met[a], tp.met[b], tp.met[c], tp.met[d]
+	mc, md := tp.met[c], tp.met[d]
 	la, lb, lc, ld := tp.lmet[a], tp.lmet[b], tp.lmet[c], tp.lmet[d]
-	qOld := math.Min(metric.TriQualityLog(pa, pb, pc, ma, mb, mc, la, lb, lc),
-		metric.TriQualityLog(pb, pa, pd, mb, ma, md, lb, la, ld))
-	qNew := metric.TriQualityLog(pa, pd, pc, ma, md, mc, la, ld, lc)
-	buf.evals += 3
+	gt, gn := &tp.geo[t], &tp.geo[n]
+	qOld := math.Min(gt.q[ei], gn.q[en]) // (a, b, c) and (b, a, d)
+	// (a, d, c): a→d is n's edge en+1, c→a is t's edge ei+2.
+	qNew := metric.TriQualityLens(pa, pd, pc, la, ld, lc,
+		gn.len[(en+1)%3], metric.EdgeLen(pd, pc, md, mc), gt.len[(ei+2)%3])
+	buf.evals++
 	if qNew <= qOld+qualityGain {
 		return false
 	}
-	qNew = math.Min(qNew, metric.TriQualityLog(pd, pb, pc, md, mb, mc, ld, lb, lc))
+	// (d, b, c): d→b is n's edge en+2, b→c is t's edge ei+1.
+	qNew = math.Min(qNew, metric.TriQualityLens(pd, pb, pc, ld, lb, lc,
+		gn.len[(en+2)%3], gt.len[(ei+1)%3], metric.EdgeLen(pc, pd, mc, md)))
 	buf.evals++
 	if qNew <= qOld+qualityGain {
 		return false
@@ -570,8 +588,8 @@ func (e *engine) evalSwap(buf *evalBuf, t int32, ei int) bool {
 }
 
 // commitSwap flips the diagonal: t = (a,b,c) and n = (b,a,d) become
-// (a,d,c) in slot t and (d,b,c) in slot n.
-func (e *engine) commitSwap(p *opPlan) {
+// (a,d,c) in slot t and (d,b,c) in slot n, and both slots are refreshed.
+func (e *engine) commitSwap(p *opPlan) int {
 	tp := e.tp
 	t := p.T
 	ei := int(p.E)
@@ -594,6 +612,9 @@ func (e *engine) commitSwap(p *opPlan) {
 	e.storeVtri(b, n)
 	e.storeVtri(c, t)
 	e.storeVtri(d, t)
+	tp.refresh(t)
+	tp.refresh(n)
+	return 2
 }
 
 // --- smooth --------------------------------------------------------------
@@ -602,9 +623,10 @@ func (e *engine) commitSwap(p *opPlan) {
 // v: the target is the neighbor average weighted by metric edge length
 // (overlong directions pull harder), damped halfway, accepted only when
 // every ring triangle stays strictly CCW and the worst ring quality
-// strictly improves. The old ring quality reads the pass's quality table
-// (engine.fillQuality); the new one is a running min, so the first ring
-// triangle that takes it to the bar rejects the move.
+// strictly improves. The weights and the old ring quality read the
+// geometry cache; each new ring triangle measures only its two edges at
+// v. The new quality is a running min, so the first ring triangle that
+// takes it to the bar rejects the move.
 func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 	tp := e.tp
 	if tp.vb[v] || tp.vtri[v] < 0 {
@@ -619,11 +641,11 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 	for _, rt := range ring {
 		i := tp.find(rt, v)
 		nb := tp.tri[rt].v[(i+1)%3]
-		w := tp.edgeLen(v, nb)
+		w := tp.geo[rt].len[i] // v → nb
 		sx += w * tp.pts[nb].X
 		sy += w * tp.pts[nb].Y
 		wsum += w
-		qOld = math.Min(qOld, e.qual[rt])
+		qOld = math.Min(qOld, tp.geo[rt].q[0])
 	}
 	if wsum <= 0 {
 		return false
@@ -645,9 +667,11 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 		r := tp.tri[rt]
 		var q [3]geom.Point
 		var ms, ls [3]metric.M
+		iv := 0
 		for i, vv := range r.v {
 			if vv == v {
 				q[i], ms[i], ls[i] = pos, mm, lm
+				iv = i
 			} else {
 				q[i], ms[i], ls[i] = tp.pts[vv], tp.met[vv], tp.lmet[vv]
 			}
@@ -655,7 +679,12 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 		if geom.Orient2DSign(q[0], q[1], q[2]) <= 0 {
 			return false
 		}
-		qNew = math.Min(qNew, metric.TriQualityLog(q[0], q[1], q[2], ms[0], ms[1], ms[2], ls[0], ls[1], ls[2]))
+		// The edge opposite v keeps its cached length; the two at v move.
+		l := tp.geo[rt].len
+		in, ip := (iv+1)%3, (iv+2)%3
+		l[iv] = metric.EdgeLen(q[iv], q[in], ms[iv], ms[in])
+		l[ip] = metric.EdgeLen(q[ip], q[iv], ms[ip], ms[iv])
+		qNew = math.Min(qNew, metric.TriQualityLens(q[0], q[1], q[2], ls[0], ls[1], ls[2], l[0], l[1], l[2]))
 		buf.evals++
 		if qNew <= qOld+qualityGain {
 			return false
@@ -668,10 +697,16 @@ func (e *engine) evalSmooth(buf *evalBuf, v int32) bool {
 	return true
 }
 
-// commitSmooth moves the vertex. The vertex claim over its full ring
-// guarantees nobody concurrently reads the old coordinates.
-func (e *engine) commitSmooth(p *opPlan) {
-	e.tp.pts[p.V] = p.Pos
-	e.tp.met[p.V] = p.Met
-	e.tp.lmet[p.V] = p.Met.Log()
+// commitSmooth moves the vertex and refreshes its ring. The vertex claim
+// over its full ring guarantees nobody concurrently reads the old
+// coordinates.
+func (e *engine) commitSmooth(p *opPlan) int {
+	tp := e.tp
+	tp.pts[p.V] = p.Pos
+	tp.met[p.V] = p.Met
+	tp.lmet[p.V] = p.Met.Log()
+	for _, rt := range p.Cav {
+		tp.refresh(rt)
+	}
+	return len(p.Cav)
 }

@@ -1,11 +1,13 @@
 package adapt
 
-// Tests for the three invariants the pass's speed rests on: the log-tensor
-// cache equals met[v].Log() bit for bit, the key sort is the stable
-// priority order, and a rejected candidate leaves nothing in an
-// evaluator's buffer — plus the allocation ceiling they buy.
+// Tests for the four invariants the pass's speed rests on: the log-tensor
+// cache equals met[v].Log() and the geometry cache a fresh measurement,
+// bit for bit; the key sort is the stable priority order; and a rejected
+// candidate leaves nothing in an evaluator's buffer — plus the allocation
+// ceiling they buy.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -92,6 +94,85 @@ func TestLogCacheCoherent(t *testing.T) {
 				t.Fatalf("run exercised splits %d, midpoint collapses %d, smooths %d: want all three writers", splits, mids, smooths)
 			}
 		})
+	}
+}
+
+// freshGeo measures slot t's geometry from scratch: what geo[t] must hold.
+func (tp *topo) freshGeo(t int32) triGeo {
+	v := tp.tri[t].v
+	var g triGeo
+	for r := 0; r < 3; r++ {
+		a, b, c := v[r], v[(r+1)%3], v[(r+2)%3]
+		g.len[r] = tp.edgeLen(a, b)
+		g.q[r] = metric.TriQualityLog(tp.pts[a], tp.pts[b], tp.pts[c],
+			tp.met[a], tp.met[b], tp.met[c], tp.lmet[a], tp.lmet[b], tp.lmet[c])
+	}
+	return g
+}
+
+// geoIncoherent returns an error naming the first live slot whose cached
+// geometry differs from freshGeo in any bit, or nil.
+func geoIncoherent(tp *topo) error {
+	if len(tp.geo) != len(tp.tri) {
+		return fmt.Errorf("%d geometry entries for %d slots", len(tp.geo), len(tp.tri))
+	}
+	bits := math.Float64bits
+	for t := range tp.tri {
+		if tp.tri[t].dead {
+			continue
+		}
+		got, want := tp.geo[t], tp.freshGeo(int32(t))
+		for k := 0; k < 3; k++ {
+			if bits(got.len[k]) != bits(want.len[k]) || bits(got.q[k]) != bits(want.q[k]) {
+				return fmt.Errorf("slot %d %v: cached %+v, fresh %+v", t, tp.tri[t].v, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestGeoCacheCoherent: after every pass of whole boundary-layer runs that
+// commit splits, endpoint and midpoint collapses, swaps and smooths — every
+// commit that rewrites a slot or moves a vertex — each live slot's cached
+// edge lengths and rotation qualities equal a fresh evaluation bit for bit.
+// Both field modes, at 1 and 3 workers.
+func TestGeoCacheCoherent(t *testing.T) {
+	spec := blSpec(t)
+	for _, mode := range fieldModes {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/w%d", mode.name, workers), func(t *testing.T) {
+				opt := Options{Workers: workers}
+				if mode.resample {
+					opt.Resample = spec
+				}
+				m := egrid(t, 12)
+				e := testEngine(t, m, metric.Analytic(m, spec), opt)
+				if err := geoIncoherent(e.tp); err != nil {
+					t.Fatalf("after newTopo: %v", err)
+				}
+				committed := map[string]int{}
+				for s := 0; s < e.opt.MaxSweeps; s++ {
+					for _, k := range sweepKinds {
+						e.pass(k)
+						for _, p := range e.sel {
+							name := p.Kind.String()
+							if p.Mid {
+								name = "midpoint " + name
+							}
+							committed[name]++
+						}
+						if err := geoIncoherent(e.tp); err != nil {
+							t.Fatalf("sweep %d %v: %v", s, k, err)
+						}
+					}
+				}
+				for _, name := range []string{"split", "collapse", "midpoint collapse", "swap", "smooth"} {
+					if committed[name] == 0 {
+						t.Fatalf("run committed %v: want every operation, %s included", committed, name)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -18,6 +18,16 @@ type triRec struct {
 	dead bool
 }
 
+// triGeo is the geometry cache of one triangle slot: len[e] is the metric
+// length of directed edge e (v[e] → v[e+1]) and q[r] the quality in
+// rotation r, metric.TriQualityLog of (v[r], v[r+1], v[r+2]). Both are
+// kept per direction and per rotation because reversing an edge or
+// rotating a triangle moves low bits.
+type triGeo struct {
+	len [3]float64
+	q   [3]float64
+}
+
 // topo is the editable half-edge-free mesh representation the cavity
 // operators work on: triangle soup with explicit adjacency, a
 // vertex→incident-triangle map, boundary-vertex flags, and a free list
@@ -26,12 +36,21 @@ type triRec struct {
 //
 // lmet is the log cache: quality evaluation needs the matrix logarithm of
 // every vertex tensor of every triangle it looks at, in every pass, while
-// a tensor changes only where met is written — addVertex (a split's new
+// a tensor changes only where met is written — commitSplit (the new
 // vertex), commitCollapse (a midpoint collapse moves keep) and
 // commitSmooth. Those three write lmet[v] = met[v].Log() beside the met
 // write; the committing worker owns v by the vertex-claim rule, so the
 // second write is as race-free as the first. Everything that reads a
 // tensor's logarithm for quality reads lmet.
+//
+// geo is the geometry cache, one triGeo per slot in tri, kept in its own
+// slice so ring walks read 28-byte records. Invariant: after newTopo and
+// after every commit phase, geo[t] equals a fresh edgeLen and
+// TriQualityLog evaluation bit for bit at every live slot t. A slot's
+// geometry changes only when a commit rewrites the slot or moves one of
+// its vertices, and every commit refreshes each such slot after its last
+// write (refresh); the commit owns every vertex of every cavity triangle,
+// so the refreshes need no locks. Dead slots hold stale entries.
 type topo struct {
 	pts  []geom.Point
 	met  []metric.M // per-vertex metric, grown alongside pts
@@ -39,6 +58,7 @@ type topo struct {
 	vb   []bool     // vertex lies on the domain boundary
 	vtri []int32    // some live triangle incident to the vertex, -1 when dead
 	tri  []triRec
+	geo  []triGeo // per slot, beside tri
 	free []int32
 	live int
 }
@@ -62,6 +82,7 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 		vb:   make([]bool, len(m.Points)),
 		vtri: make([]int32, len(m.Points)),
 		tri:  make([]triRec, len(m.Triangles)),
+		geo:  make([]triGeo, len(m.Triangles)),
 		live: len(m.Triangles),
 	}
 	for i := range tp.vtri {
@@ -82,6 +103,9 @@ func newTopo(m *mesh.Mesh, f metric.Field) (*topo, error) {
 		if t < 0 {
 			return nil, fmt.Errorf("adapt: vertex %d has no incident triangle", v)
 		}
+	}
+	for t := range tp.tri {
+		tp.refresh(int32(t))
 	}
 	return tp, nil
 }
@@ -214,20 +238,34 @@ func (tp *topo) ring(v int32, out []int32) ([]int32, bool) {
 	return out, interior
 }
 
-// addVertex appends a vertex and returns its index.
-func (tp *topo) addVertex(p geom.Point, m metric.M, boundary bool) int32 {
+// grown returns s one element longer, doubling its capacity when it is
+// full: the growth of every per-vertex and per-slot array, so a refining
+// run reallocates each a few times per Adapt call. The new element is
+// zero: the arrays are never truncated, so the capacity beyond len has
+// never been written.
+func grown[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, 2*len(s)+1), s...)
+	}
+	return s[:len(s)+1]
+}
+
+// addVertex appends a vertex and returns its index. Its tensor and log are
+// left zero: commitSplit, which owns the vertex, writes them.
+func (tp *topo) addVertex(p geom.Point, boundary bool) int32 {
 	v := int32(len(tp.pts))
-	tp.pts = append(tp.pts, p)
-	tp.met = append(tp.met, m)
-	tp.lmet = append(tp.lmet, m.Log())
-	tp.vb = append(tp.vb, boundary)
-	tp.vtri = append(tp.vtri, -1)
+	tp.pts = grown(tp.pts)
+	tp.met = grown(tp.met)
+	tp.lmet = grown(tp.lmet)
+	tp.vb = grown(tp.vb)
+	tp.vtri = grown(tp.vtri)
+	tp.pts[v], tp.vb[v], tp.vtri[v] = p, boundary, -1
 	return v
 }
 
 // allocSlot returns a dead slot to reuse or appends a fresh one. The
 // slot is returned still marked dead; the commit writing it flips it
-// live.
+// live and refreshes its geometry.
 func (tp *topo) allocSlot() int32 {
 	tp.live++
 	if n := len(tp.free); n > 0 {
@@ -235,8 +273,11 @@ func (tp *topo) allocSlot() int32 {
 		tp.free = tp.free[:n-1]
 		return s
 	}
-	tp.tri = append(tp.tri, triRec{dead: true})
-	return int32(len(tp.tri) - 1)
+	s := int32(len(tp.tri))
+	tp.tri = grown(tp.tri)
+	tp.geo = grown(tp.geo)
+	tp.tri[s].dead = true
+	return s
 }
 
 // freeSlot marks a slot dead and recycles it. Only the sequential
@@ -252,10 +293,15 @@ func (tp *topo) edgeLen(p, q int32) float64 {
 	return metric.EdgeLen(tp.pts[p], tp.pts[q], tp.met[p], tp.met[q])
 }
 
-// triQuality returns the metric shape quality of triangle t.
-func (tp *topo) triQuality(t int32) float64 {
+// refresh recomputes slot t's geometry cache from its vertices. The caller
+// owns every vertex of t and has made its last write to them.
+func (tp *topo) refresh(t int32) {
 	v := tp.tri[t].v
-	return metric.TriQualityLog(tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]],
-		tp.met[v[0]], tp.met[v[1]], tp.met[v[2]],
-		tp.lmet[v[0]], tp.lmet[v[1]], tp.lmet[v[2]])
+	g := &tp.geo[t]
+	for e := 0; e < 3; e++ {
+		g.len[e] = tp.edgeLen(v[e], v[(e+1)%3])
+	}
+	g.q = metric.TriQualityRotations(
+		[3]geom.Point{tp.pts[v[0]], tp.pts[v[1]], tp.pts[v[2]]},
+		[3]metric.M{tp.lmet[v[0]], tp.lmet[v[1]], tp.lmet[v[2]]}, g.len)
 }

@@ -186,20 +186,65 @@ func TriQuality(a, b, c geom.Point, ma, mb, mc M) float64 {
 
 // TriQualityLog is TriQuality for a caller that already holds the matrix
 // logarithms la, lb, lc of the vertex tensors (internal/adapt caches one
-// per vertex): the one implementation, so the two agree bit for bit
-// whenever each l equals its tensor's Log().
+// per vertex). It measures the three edges and hands them to
+// TriQualityLens, so the forms agree bit for bit whenever each l equals
+// its tensor's Log().
 func TriQualityLog(a, b, c geom.Point, ma, mb, mc, la, lb, lc M) float64 {
+	return TriQualityLens(a, b, c, la, lb, lc, EdgeLen(a, b, ma, mb), EdgeLen(b, c, mb, mc), EdgeLen(c, a, mc, ma))
+}
+
+// TriQualityLens is the one quality implementation, for a caller that also
+// holds the directed edge lengths lab = EdgeLen(a, b, ma, mb), lbc and lca
+// (internal/adapt caches them per triangle).
+func TriQualityLens(a, b, c geom.Point, la, lb, lc M, lab, lbc, lca float64) float64 {
+	return quality(logMean(la, lb, lc).Exp(), a, b, c, lab, lbc, lca)
+}
+
+// TriQualityRotations returns, for each rotation r, the quality of the
+// triangle taken from p[r]: TriQualityLens(p[r], p[r+1], p[r+2], lg[r],
+// lg[r+1], lg[r+2], l[r], l[r+1], l[r+2]) bit for bit, indices mod 3, where
+// l[e] is the directed length of edge p[e]→p[e+1]. The rotated log sums
+// usually agree in every bit, so each distinct sum is exponentiated once.
+func TriQualityRotations(p [3]geom.Point, lg [3]M, l [3]float64) (q [3]float64) {
+	var sum, mean [3]M
+	for r := 0; r < 3; r++ {
+		sum[r] = logMean(lg[r], lg[(r+1)%3], lg[(r+2)%3])
+		k := 0
+		for k < r && !sameBits(sum[k], sum[r]) {
+			k++
+		}
+		if k == r {
+			mean[r] = sum[r].Exp()
+		} else {
+			mean[r] = mean[k]
+		}
+		q[r] = quality(mean[r], p[r], p[(r+1)%3], p[(r+2)%3], l[r], l[(r+1)%3], l[(r+2)%3])
+	}
+	return q
+}
+
+// logMean is the log-Euclidean mean of three log tensors, summed in
+// argument order: the order moves low bits.
+func logMean(la, lb, lc M) M { return la.add(lb).add(lc).scale(1.0 / 3) }
+
+// sameBits reports whether two tensors agree in every bit (so +0 and -0
+// differ, and a NaN entry equals itself).
+func sameBits(a, b M) bool {
+	return math.Float64bits(a.XX) == math.Float64bits(b.XX) &&
+		math.Float64bits(a.XY) == math.Float64bits(b.XY) &&
+		math.Float64bits(a.YY) == math.Float64bits(b.YY)
+}
+
+// quality is 4√3·area_M / Σ l² for the element metric mean (the
+// exponentiated log mean) and the three edge lengths.
+func quality(mean M, a, b, c geom.Point, lab, lbc, lca float64) float64 {
 	// sqrt(det(exp L)) = exp(tr L / 2) on paper; the Exp → Det path stays
 	// because the shortcut changes the low bits, and with them the mesh.
-	mean := la.add(lb).add(lc).scale(1.0 / 3).Exp()
 	area := geom.TriangleArea(a, b, c)
 	if area <= 0 {
 		return 0
 	}
 	areaM := math.Sqrt(mean.Det()) * area
-	lab := EdgeLen(a, b, ma, mb)
-	lbc := EdgeLen(b, c, mb, mc)
-	lca := EdgeLen(c, a, mc, ma)
 	den := lab*lab + lbc*lbc + lca*lca
 	if den <= 0 {
 		return 0

@@ -178,6 +178,65 @@ func TestTriQualityLogBitIdentical(t *testing.T) {
 	}
 }
 
+// TestTriQualityRotations holds the three-rotation form to TriQualityLog in
+// each rotation, bit for bit, on random tensors and on tensors built so that
+// the rotated log sums differ in their low bits: logs 0.1, 0.2 and 0.3 sum
+// to 0.6000000000000001 in one order and 0.6 in another, so a mean the
+// rotations cannot share must be exponentiated on its own.
+func TestTriQualityRotations(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shared, unshared := 0, 0
+	for i := 0; i < 2000; i++ {
+		p := [3]geom.Point{
+			geom.Pt(rng.Float64(), rng.Float64()),
+			geom.Pt(rng.Float64(), rng.Float64()),
+			geom.Pt(rng.Float64(), rng.Float64()),
+		}
+		var m, lg [3]M
+		switch i % 3 {
+		case 0: // logs given exactly; the tensors are their exponentials
+			for k, x := range [3]float64{0.1, 0.2, 0.3} {
+				lg[k] = M{XX: x, XY: x / 7, YY: 2 * x}
+				m[k] = lg[k].Exp()
+			}
+		case 1:
+			h := math.Exp(rng.Float64()*4 - 4)
+			m = [3]M{Iso(h), Iso(h), Iso(h)}
+		default:
+			for k := range m {
+				m[k] = FromSpacings(math.Exp(rng.Float64()*4-6), math.Exp(rng.Float64()*4-3), geom.V(rng.Float64()-0.5, rng.Float64()-0.5).Unit())
+			}
+		}
+		var l [3]float64
+		for e := 0; e < 3; e++ {
+			if i%3 != 0 {
+				lg[e] = m[e].Log()
+			}
+			l[e] = EdgeLen(p[e], p[(e+1)%3], m[e], m[(e+1)%3])
+		}
+		got := TriQualityRotations(p, lg, l)
+		for r := 0; r < 3; r++ {
+			a, b, c := r, (r+1)%3, (r+2)%3
+			want := TriQualityLog(p[a], p[b], p[c], m[a], m[b], m[c], lg[a], lg[b], lg[c])
+			if math.Float64bits(got[r]) != math.Float64bits(want) {
+				t.Fatalf("case %d rotation %d: %x, TriQualityLog %x", i, r, math.Float64bits(got[r]), math.Float64bits(want))
+			}
+		}
+		if sameBits(logMean(lg[0], lg[1], lg[2]), logMean(lg[1], lg[2], lg[0])) &&
+			sameBits(logMean(lg[0], lg[1], lg[2]), logMean(lg[2], lg[0], lg[1])) {
+			if i%3 == 0 {
+				t.Fatalf("case %d: the constructed tensors' rotated log sums agree", i)
+			}
+			shared++
+		} else {
+			unshared++
+		}
+	}
+	if shared == 0 || unshared == 0 {
+		t.Fatalf("%d cases shared one mean, %d did not: want both paths", shared, unshared)
+	}
+}
+
 func TestParseSpec(t *testing.T) {
 	f, err := ParseSpec("uniform:h=0.2")
 	if err != nil {
