@@ -28,6 +28,7 @@ import (
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
+	"pamg2d/internal/cli"
 	"pamg2d/internal/core"
 	"pamg2d/internal/decouple"
 	"pamg2d/internal/delaunay"
@@ -61,21 +62,9 @@ func run(dir string, stdout io.Writer) error {
 			return
 		}
 		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			firstErr = err
-			return
+		if firstErr = cli.WriteFile(path, func(w io.Writer) error { return c.WriteSVG(w, 1400) }); firstErr == nil {
+			fmt.Fprintln(stdout, "wrote", path)
 		}
-		if err := c.WriteSVG(f, 1400); err != nil {
-			f.Close()
-			firstErr = err
-			return
-		}
-		if err := f.Close(); err != nil {
-			firstErr = err
-			return
-		}
-		fmt.Fprintln(stdout, "wrote", path)
 	}
 
 	fig02(save)

@@ -6,11 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"pamg2d/internal/audit"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
+	"pamg2d/internal/trace"
 )
 
 // grid writes an n×n structured unit-square mesh to a temp file.
@@ -95,6 +97,44 @@ func TestAdaptBinaryInOut(t *testing.T) {
 	}
 }
 
+// TestAdaptFromFIFO: the input mesh, in either format, reads from a named
+// pipe, which cannot seek, as /dev/stdin in a shell pipeline cannot.
+func TestAdaptFromFIFO(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		data, err := os.ReadFile(grid(t, 4, binary))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "fifo")
+		if err := syscall.Mkfifo(path, 0o600); err != nil {
+			t.Skipf("no named pipes here: %v", err)
+		}
+		written := make(chan error, 1)
+		go func() {
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				written <- err
+				return
+			}
+			_, err = f.Write(data)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			written <- err
+		}()
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-metric", "uniform:h=0.25", "-q", path}, &stdout, &stderr); err != nil {
+			t.Fatalf("binary %v: %v\n%s", binary, err, stderr.String())
+		}
+		if err := <-written; err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mesh.ReadASCII(&stdout); err != nil {
+			t.Errorf("binary %v: output unreadable: %v", binary, err)
+		}
+	}
+}
+
 func TestAdaptHessianSource(t *testing.T) {
 	in := grid(t, 8, false)
 	var stdout, stderr bytes.Buffer
@@ -118,8 +158,13 @@ func TestAdaptObservability(t *testing.T) {
 	if !strings.Contains(string(b), "adapt.split") {
 		t.Errorf("metrics file missing adapt counters:\n%s", b)
 	}
-	if _, err := os.Stat(tr); err != nil {
-		t.Errorf("trace file missing: %v", err)
+	f, err := os.Open(tr)
+	if err != nil {
+		t.Fatalf("trace file missing: %v", err)
+	}
+	defer f.Close()
+	if _, err := trace.ValidateTrace(f); err != nil {
+		t.Errorf("trace file invalid: %v", err)
 	}
 }
 

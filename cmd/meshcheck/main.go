@@ -5,9 +5,10 @@
 // empty-circumcircle test (only sound for meshes without constrained
 // edges — a CDT from meshgen legitimately fails it at its constraints,
 // which the file format does not record). It reads the Triangle-style
-// ASCII format and the compact binary format written by meshgen
-// (sniffing the "PM2D" magic by default) and prints a machine-readable
-// JSON report to stdout.
+// ASCII format and the compact binary format written by meshgen, telling
+// them apart from the file's first bytes (mesh.Read, so a pipe or
+// /dev/stdin works too), and prints a machine-readable JSON report to
+// stdout.
 //
 // Exit status: 0 when the mesh passes, 1 when violations are found (the
 // report still prints), 2 on usage or read errors.
@@ -15,7 +16,7 @@
 // Usage:
 //
 //	meshcheck mesh.txt
-//	meshcheck -format binary mesh.bin
+//	meshgen -format binary | meshcheck /dev/stdin
 //	meshcheck -delaunay triangulation.txt
 //	meshcheck -checks orientation,conformity -strict mesh.txt
 package main

@@ -1,17 +1,14 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"pamg2d/internal/audit"
-	"pamg2d/internal/mesh"
+	"pamg2d/internal/cli"
 )
 
 // errViolations distinguishes "the mesh failed its audit" (exit 1, report
@@ -29,30 +26,6 @@ type report struct {
 	Ok         bool              `json:"ok"`
 }
 
-// binaryMagic mirrors mesh.WriteBinary's "PM2D" header for format
-// sniffing.
-var binaryMagic = []byte{0x44, 0x32, 0x4d, 0x50} // little-endian 0x504d3244
-
-// readMesh loads the mesh in the requested format; "auto" sniffs the
-// binary magic and falls back to ASCII.
-func readMesh(r io.Reader, format string) (*mesh.Mesh, error) {
-	switch format {
-	case "ascii":
-		return mesh.ReadASCII(r)
-	case "binary":
-		return mesh.ReadBinary(r)
-	case "auto":
-		br := bufio.NewReaderSize(r, 1<<20)
-		head, err := br.Peek(4)
-		if err == nil && bytes.Equal(head, binaryMagic) {
-			return mesh.ReadBinary(br)
-		}
-		return mesh.ReadASCII(br)
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
-}
-
 // run executes the meshcheck CLI with explicit streams so the command is
 // testable end to end. The JSON report goes to stdout; a mesh that fails
 // its audit returns errViolations after the report is written.
@@ -60,7 +33,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("meshcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		format   = fs.String("format", "auto", "input format: auto | ascii | binary")
 		checks   = fs.String("checks", "", "comma-separated check names (overrides -delaunay)")
 		delaunay = fs.Bool("delaunay", false, "also run the empty-circumcircle check (a mesh with constrained edges, e.g. meshgen output, legitimately fails it)")
 		strict   = fs.Bool("strict", false, "strict mode: require a single watertight boundary loop with no pinched vertices")
@@ -94,14 +66,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	f, err := os.Open(file)
+	m, err := cli.ReadMesh(file)
 	if err != nil {
 		return err
-	}
-	m, err := readMesh(f, *format)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", file, err)
 	}
 
 	// A standalone mesh file carries no boundary-layer or decoupling

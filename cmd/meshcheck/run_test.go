@@ -266,9 +266,4 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-checks", "bogus", "x"}, &out, &errb); err == nil {
 		t.Error("unknown check name must fail")
 	}
-	m := &mesh.Mesh{Points: []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}, Triangles: [][3]int32{{0, 1, 2}}}
-	path := writeMesh(t, m, "ascii")
-	if err := run([]string{"-format", "bogus", path}, &out, &errb); err == nil {
-		t.Error("unknown format must fail")
-	}
 }

@@ -27,14 +27,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"pamg2d/internal/cli"
 	"pamg2d/internal/core"
 )
 
@@ -55,36 +54,6 @@ func main() {
 	}
 }
 
-// newLogger builds the service's structured logger, or nil (all logging
-// disabled) for level "off".
-func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
-	if level == "" || level == "off" {
-		return nil, nil
-	}
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q", format)
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("meshd", flag.ContinueOnError)
 	var (
@@ -101,7 +70,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := newLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := cli.NewLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}

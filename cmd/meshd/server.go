@@ -33,14 +33,16 @@ import (
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/core"
 	"pamg2d/internal/growth"
+	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/pslg"
 	"pamg2d/internal/trace"
 )
 
-// meshParams is the tunable half of a request; zero values resolve to the
-// same defaults the meshgen CLI uses, so an empty params object and a
-// bare `meshgen` invocation describe the identical run.
+// meshParams is the tunable half of a request; zero values resolve to
+// core.DefaultConfig()'s values, the meshgen CLI's defaults, so an empty
+// params object and a bare `meshgen` invocation describe the identical
+// run.
 type meshParams struct {
 	BLH0      float64 `json:"bl_h0,omitempty"`
 	BLRatio   float64 `json:"bl_ratio,omitempty"`
@@ -256,67 +258,64 @@ func (s *server) httpError(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// buildConfig resolves a request into the core Config plus the canonical
-// cache key: SHA-256 over the validated PSLG's .poly serialization and
-// the normalized parameters, so equivalent requests (named geometry vs
-// the identical inline poly, explicit defaults vs omitted fields) share
-// one cache slot.
-func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
+// buildConfig resolves a request into the core Config, the canonical cache
+// key and the output format. The key is SHA-256 over the validated PSLG's
+// .poly serialization and the normalized parameters, so equivalent
+// requests (named geometry vs the identical inline poly, explicit defaults
+// vs omitted fields) share one cache slot.
+func (s *server) buildConfig(req *meshRequest) (core.Config, string, mesh.Format, error) {
 	cfg := core.DefaultConfig()
 	p := req.Params
 
-	// Normalize the parameter defaults to the meshgen CLI's.
+	// Normalize the parameter defaults to core.DefaultConfig()'s.
+	defGrowth := cfg.BL.Growth.(growth.Geometric)
 	if p.BLH0 <= 0 {
-		p.BLH0 = 4e-4
+		p.BLH0 = defGrowth.H0
 	}
 	if p.BLRatio <= 0 {
-		p.BLRatio = 1.25
+		p.BLRatio = defGrowth.Ratio
 	}
 	if p.BLLayers <= 0 {
-		p.BLLayers = 40
+		p.BLLayers = cfg.BL.MaxLayers
 	}
 	if p.SurfaceH0 <= 0 {
-		p.SurfaceH0 = 0.02
+		p.SurfaceH0 = cfg.SurfaceH0
 	}
 	if p.Gradation <= 0 {
-		p.Gradation = 0.15
+		p.Gradation = cfg.Gradation
 	}
 	if p.HMax <= 0 {
-		p.HMax = 4.0
+		p.HMax = cfg.HMax
 	}
 	if p.Format == "" {
 		p.Format = "ascii"
 	}
+	out, err := mesh.OutputFormat(p.Format)
+	if err != nil {
+		return cfg, "", out, err
+	}
 
 	var g *pslg.Graph
-	var err error
 	if req.Poly != "" {
 		g, err = pslg.ReadPoly(strings.NewReader(req.Poly))
 		if err != nil {
-			return cfg, "", fmt.Errorf("poly: %w", err)
+			return cfg, "", out, fmt.Errorf("poly: %w", err)
 		}
 	} else {
 		n := req.N
 		if n <= 0 {
-			n = 64
+			n = cfg.Geometry.Elements[0].NHalf
 		}
 		ff := req.Farfield
 		if ff <= 0 {
-			ff = 30
+			ff = cfg.Geometry.FarfieldChords
 		}
-		var ac airfoil.Config
-		switch req.Geometry {
-		case "", "naca0012":
-			ac = airfoil.Single(airfoil.NACA0012, n, ff)
-		case "30p30n":
-			ac = airfoil.ThreeElement(n)
-			ac.FarfieldChords = ff
-		default:
-			return cfg, "", fmt.Errorf("unknown geometry %q", req.Geometry)
-		}
-		g, err = ac.Graph()
+		ac, err := airfoil.ByName(req.Geometry, n, ff)
 		if err != nil {
-			return cfg, "", err
+			return cfg, "", out, err
+		}
+		if g, err = ac.Graph(); err != nil {
+			return cfg, "", out, err
 		}
 	}
 	cfg.CustomGraph = g
@@ -327,11 +326,6 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	cfg.HMax = p.HMax
 	cfg.Ranks = 0 // adopt the engine's
 	cfg.Audit = p.Audit
-	switch p.Format {
-	case "ascii", "binary", "vtk":
-	default:
-		return cfg, "", fmt.Errorf("unknown format %q", p.Format)
-	}
 
 	// The cache key: canonical geometry bytes + the result-determining
 	// parameters (deadline and trace flags excluded — they do not change
@@ -339,26 +333,16 @@ func (s *server) buildConfig(req *meshRequest) (core.Config, string, error) {
 	// and explicit defaults collide as they should.
 	h := sha256.New()
 	if err := g.WritePoly(h); err != nil {
-		return cfg, "", err
+		return cfg, "", out, err
 	}
 	keyed := p
 	keyed.TimeoutMS = 0
 	keyed.Trace = false
 	if err := json.NewEncoder(h).Encode(&keyed); err != nil {
-		return cfg, "", err
+		return cfg, "", out, err
 	}
 	fmt.Fprintf(h, "ranks=%d", s.eng.Ranks())
-	return cfg, hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func contentTypeFor(format string) string {
-	switch format {
-	case "binary":
-		return "application/octet-stream"
-	case "vtk":
-		return "text/plain; charset=utf-8"
-	}
-	return "text/plain; charset=utf-8"
+	return cfg, hex.EncodeToString(h.Sum(nil)), out, nil
 }
 
 func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
@@ -385,7 +369,7 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	cfg, key, err := s.buildConfig(&req)
+	cfg, key, out, err := s.buildConfig(&req)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err)
 		return
@@ -450,22 +434,14 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var buf bytes.Buffer
-	switch req.Params.Format {
-	case "binary":
-		err = res.Mesh.WriteBinary(&buf)
-	case "vtk":
-		err = res.Mesh.WriteVTK(&buf, nil)
-	default:
-		err = res.Mesh.WriteASCII(&buf)
-	}
-	if err != nil {
+	if err := out.Write(res.Mesh, &buf); err != nil {
 		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	e := &cacheEntry{
 		key:         key,
 		body:        buf.Bytes(),
-		contentType: contentTypeFor(req.Params.Format),
+		contentType: out.ContentType,
 		triangles:   res.Stats.TotalTriangles,
 		points:      res.Mesh.NumPoints(),
 	}

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -15,6 +13,7 @@ import (
 	"syscall"
 
 	"pamg2d/internal/airfoil"
+	"pamg2d/internal/cli"
 	"pamg2d/internal/core"
 	"pamg2d/internal/growth"
 	"pamg2d/internal/mesh"
@@ -41,24 +40,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	fs := flag.NewFlagSet("meshgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// The run's flags take their defaults from core.DefaultConfig().
+	def := core.DefaultConfig()
+	defGrowth := def.BL.Growth.(growth.Geometric)
 	var (
 		geometry    = fs.String("geometry", "naca0012", "geometry: naca0012 | 30p30n (ignored with -input)")
 		input       = fs.String("input", "", "read the PSLG from a Triangle .poly file instead of -geometry")
 		writePoly   = fs.String("write-poly", "", "also write the generated PSLG to this .poly file")
-		nHalf       = fs.Int("n", 64, "surface resolution (half-points per element)")
-		ranks       = fs.Int("ranks", 4, "MPI ranks (goroutines with -transport inproc, processes with tcp)")
+		nHalf       = fs.Int("n", def.Geometry.Elements[0].NHalf, "surface resolution (half-points per element)")
+		ranks       = fs.Int("ranks", def.Ranks, "MPI ranks (goroutines with -transport inproc, processes with tcp)")
 		transport   = fs.String("transport", "inproc", "rank transport: inproc | tcp (spawns ranks-1 worker processes)")
 		listen      = fs.String("listen", "127.0.0.1:0", "launcher listen address for -transport tcp")
 		spawn       = fs.Int("spawn", -1, "worker processes the launcher forks locally (-1 = ranks-1; 0 = all workers join by hand)")
 		worker      = fs.Bool("worker", false, "run as a spawned worker process (internal; requires -join)")
 		join        = fs.String("join", "", "address of the launcher to join as a worker")
-		farfield    = fs.Float64("farfield", 30, "far-field half-width in chords")
-		h0          = fs.Float64("bl-h0", 4e-4, "first boundary-layer height")
-		ratio       = fs.Float64("bl-ratio", 1.25, "boundary-layer growth ratio")
-		layersMax   = fs.Int("bl-layers", 40, "maximum boundary layers")
-		surfaceH    = fs.Float64("h0", 0.02, "isotropic surface edge length")
-		gradation   = fs.Float64("gradation", 0.15, "sizing growth with distance")
-		hmax        = fs.Float64("hmax", 4.0, "far-field edge length cap")
+		farfield    = fs.Float64("farfield", def.Geometry.FarfieldChords, "far-field half-width in chords")
+		h0          = fs.Float64("bl-h0", defGrowth.H0, "first boundary-layer height")
+		ratio       = fs.Float64("bl-ratio", defGrowth.Ratio, "boundary-layer growth ratio")
+		layersMax   = fs.Int("bl-layers", def.BL.MaxLayers, "maximum boundary layers")
+		surfaceH    = fs.Float64("h0", def.SurfaceH0, "isotropic surface edge length")
+		gradation   = fs.Float64("gradation", def.Gradation, "sizing growth with distance")
+		hmax        = fs.Float64("hmax", def.HMax, "far-field edge length cap")
 		auditRun    = fs.Bool("audit", false, "verify mesh invariants after the merge (fails the run on violations)")
 		strictRanks = fs.Bool("strict-ranks", false, "fail the run if any rank died (default: a degraded run that completes on the survivors exits 0)")
 		faultRank   = fs.Int("fault-kill-rank", -1, "fault injection: this worker rank SIGKILLs itself mid-run (tcp transport; rehearses rank-death recovery)")
@@ -82,16 +84,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	// The writer is resolved here, with the other flags: an unknown format
 	// fails before a mesh is generated or -o is created.
-	var write func(*mesh.Mesh, io.Writer) error
-	switch *format {
-	case "ascii":
-		write = (*mesh.Mesh).WriteASCII
-	case "binary":
-		write = (*mesh.Mesh).WriteBinary
-	case "vtk":
-		write = func(m *mesh.Mesh, w io.Writer) error { return m.WriteVTK(w, nil) }
-	default:
-		return fmt.Errorf("unknown format %q", *format)
+	outFormat, err := mesh.OutputFormat(*format)
+	if err != nil {
+		return err
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -112,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		*cpuProf, *memProf, *traceOut, *metricsOut, *writePoly = "", "", "", "", ""
 	}
-	logger, err := newLogger(stderr, *logFormat, *logLevel)
+	logger, err := cli.NewLogger(stderr, *logFormat, *logLevel)
 	if err != nil {
 		return err
 	}
@@ -130,20 +125,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			err := cli.WriteFile(*memProf, func(w io.Writer) error {
+				runtime.GC() // settle the heap so the profile reflects retained memory
+				return pprof.WriteHeapProfile(w)
+			})
 			if err != nil {
-				fmt.Fprintf(stderr, "meshgen: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile reflects retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintf(stderr, "meshgen: %v\n", err)
 			}
 		}()
 	}
 
-	cfg := core.DefaultConfig()
+	cfg := def
 	if *input != "" {
 		f, err := os.Open(*input)
 		if err != nil {
@@ -155,16 +147,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		cfg.CustomGraph = g
-	} else {
-		switch *geometry {
-		case "naca0012":
-			cfg.Geometry = airfoil.Single(airfoil.NACA0012, *nHalf, *farfield)
-		case "30p30n":
-			cfg.Geometry = airfoil.ThreeElement(*nHalf)
-			cfg.Geometry.FarfieldChords = *farfield
-		default:
-			return fmt.Errorf("unknown geometry %q", *geometry)
-		}
+	} else if cfg.Geometry, err = airfoil.ByName(*geometry, *nHalf, *farfield); err != nil {
+		return err
 	}
 	if *writePoly != "" {
 		g := cfg.CustomGraph
@@ -175,7 +159,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 		}
-		if err := writeFile(*writePoly, g.WritePoly); err != nil {
+		if err := cli.WriteFile(*writePoly, g.WritePoly); err != nil {
 			return err
 		}
 	}
@@ -334,7 +318,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// the metrics file carries every rank; it sorts to the front of the
 		// merged trace by host rank.
 		telems = append(telems, tracer.Export(0))
-		if werr := writeObservability(tracer, *traceOut, *metricsOut, telems, rankClocks, transport); werr != nil {
+		if werr := cli.WriteObservability(tracer, *traceOut, *metricsOut, telems, rankClocks, transport); werr != nil {
 			if err == nil {
 				err = werr
 			} else {
@@ -350,11 +334,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if adapted != nil {
 		final = adapted
 	}
-	emit := func(w io.Writer) error { return write(final, w) }
+	emit := func(w io.Writer) error { return outFormat.Write(final, w) }
 	if *out == "" {
 		err = emit(stdout)
 	} else {
-		err = writeFile(*out, emit)
+		err = cli.WriteFile(*out, emit)
 	}
 	if err != nil {
 		return err
@@ -475,37 +459,6 @@ func finalizeTCP(ctx context.Context, cluster *mpi.Cluster) error {
 	return berr
 }
 
-// newLogger builds the CLI's slog logger from the -log-format and
-// -log-level flags. Level "off" (the default) returns nil — the fully
-// disabled path, with no handler allocated and no slog calls made.
-func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
-	if level == "" || level == "off" {
-		return nil, nil
-	}
-	var lv slog.Level
-	switch level {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info":
-		lv = slog.LevelInfo
-	case "warn":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q", level)
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q", format)
-	}
-}
-
 // foldPoolGauges records the process's mpi buffer-pool traffic since the
 // recorded baseline into the registry, on the launcher and every worker
 // alike.
@@ -516,46 +469,4 @@ func foldPoolGauges(m *trace.Metrics, gets0, puts0 int64) {
 	if g > gets0 {
 		m.Gauge("mpi.pool.recycle_rate", float64(p-puts0)/float64(g-gets0))
 	}
-}
-
-// writeObservability exports the merged Chrome trace-event file and/or
-// run-metrics registry to the requested paths (either may be empty).
-// telems carries one snapshot per process — just the local export for
-// single-process runs — and clocks/transport feed the trace metadata.
-// The merged trace is validated before it touches disk, so a defect in
-// the merge surfaces as a run error instead of a file Perfetto rejects.
-func writeObservability(tr *trace.Tracer, tracePath, metricsPath string,
-	telems []*trace.Telemetry, clocks []trace.RankClock, transport string) error {
-	if tracePath != "" {
-		var buf bytes.Buffer
-		if err := trace.WriteMergedTrace(&buf, telems, clocks, transport); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-		if _, err := trace.ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
-			return fmt.Errorf("merged trace failed validation: %w", err)
-		}
-		if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-	}
-	if metricsPath != "" {
-		if err := writeFile(metricsPath, tr.Metrics().WriteMetrics); err != nil {
-			return fmt.Errorf("write metrics: %w", err)
-		}
-	}
-	return nil
-}
-
-// writeFile creates path and fills it with emit, returning emit's error,
-// or else the one Close reports.
-func writeFile(path string, emit func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := emit(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

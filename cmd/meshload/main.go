@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pamg2d/internal/cli"
 	"pamg2d/internal/trace"
 )
 
@@ -242,15 +243,7 @@ func run(args []string) error {
 	}
 	if *metricsOut != "" {
 		reg.Gauge("load.concurrency", float64(*concurrency))
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := reg.WriteMetrics(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := cli.WriteFile(*metricsOut, reg.WriteMetrics); err != nil {
 			return err
 		}
 	}

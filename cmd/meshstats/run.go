@@ -4,10 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
-	"pamg2d/internal/mesh"
+	"pamg2d/internal/audit"
+	"pamg2d/internal/cli"
 	"pamg2d/internal/metric"
 )
 
@@ -16,47 +16,17 @@ import (
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("meshstats", flag.ContinueOnError)
 	fs.SetOutput(stdout)
-	format := fs.String("format", "auto", "input format: ascii | binary | auto")
 	metricSpec := fs.String("metric", "", "also report metric-space quality under this metric spec (uniform:h=… | bl:…)")
 	band := fs.Float64("band", 0, "metric-length acceptance band upper bound (0 = sqrt 2)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: meshstats [-format ascii|binary] mesh-file")
+		return fmt.Errorf("usage: meshstats [-metric spec] [-band x] mesh-file")
 	}
 	path := fs.Arg(0)
 
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	var m *mesh.Mesh
-	switch *format {
-	case "ascii":
-		m, err = mesh.ReadASCII(f)
-	case "binary":
-		m, err = mesh.ReadBinary(f)
-	case "auto":
-		// The binary magic 0x504d3244 is stored little-endian, so the file
-		// opens with the bytes "D2MP"; ASCII opens with a digit.
-		var head [4]byte
-		if _, err := f.Read(head[:]); err != nil {
-			return err
-		}
-		if _, err := f.Seek(0, 0); err != nil {
-			return err
-		}
-		if head == [4]byte{0x44, 0x32, 0x4d, 0x50} {
-			m, err = mesh.ReadBinary(f)
-		} else {
-			m, err = mesh.ReadASCII(f)
-		}
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	m, err := cli.ReadMesh(path)
 	if err != nil {
 		return err
 	}
@@ -67,11 +37,14 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "area          %.6g\n", m.Area())
 	fmt.Fprintf(stdout, "boundary      %d edges\n", len(m.BoundaryEdges()))
 	fmt.Fprintf(stdout, "triangle set  %s\n", m.TriangleSetHash())
-	if err := m.Audit(); err != nil {
+	// meshcheck's default, the structural checks: a mesh file records no
+	// constrained edges, boundary layer or decoupling paths.
+	rep := audit.Run(&audit.Snapshot{Mesh: m}, audit.Structural())
+	if err := rep.Error(); err != nil {
 		fmt.Fprintf(stdout, "audit         FAILED: %v\n", err)
 		return fmt.Errorf("mesh failed audit: %w", err)
 	}
-	fmt.Fprintf(stdout, "audit         ok (CCW, conforming, no overlaps)\n")
+	fmt.Fprintln(stdout, "audit         ok (orientation, conformity, boundary)")
 
 	q := m.Quality()
 	fmt.Fprintf(stdout, "min angle     %.2f deg\n", q.MinAngleDeg)

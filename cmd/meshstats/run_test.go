@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -113,21 +114,6 @@ func TestStatsTriangleSet(t *testing.T) {
 	}
 }
 
-func TestStatsExplicitFormats(t *testing.T) {
-	ascii := writeSample(t, false)
-	bin := writeSample(t, true)
-	var out bytes.Buffer
-	if err := run([]string{"-format", "ascii", ascii}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-format", "binary", bin}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-format", "binary", ascii}, &out); err == nil {
-		t.Error("reading ASCII as binary must fail")
-	}
-}
-
 func TestStatsErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err == nil {
@@ -135,9 +121,6 @@ func TestStatsErrors(t *testing.T) {
 	}
 	if err := run([]string{"/nonexistent"}, &out); err == nil {
 		t.Error("missing file must fail")
-	}
-	if err := run([]string{"-format", "bogus", writeSample(t, false)}, &out); err == nil {
-		t.Error("bogus format must fail")
 	}
 }
 
@@ -162,6 +145,58 @@ func TestStatsFailedAudit(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "FAILED") {
 		t.Error("report must mark the failed audit")
+	}
+}
+
+// TestStatsOrphanPoint: a point no triangle uses fails meshstats the way
+// it fails meshcheck, on the conformity check.
+func TestStatsOrphanPoint(t *testing.T) {
+	m := sampleMesh()
+	m.Points = append(m.Points, geom.Pt(3, 3))
+	var out bytes.Buffer
+	if err := run([]string{writeMesh(t, m, false)}, &out); err == nil {
+		t.Fatalf("a mesh with an orphan point passed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAILED") || !strings.Contains(out.String(), "conformity") {
+		t.Errorf("report does not name the conformity violation:\n%s", out.String())
+	}
+}
+
+// TestStatsFromFIFO: a mesh in either format reads from a named pipe,
+// which cannot seek, as /dev/stdin in a shell pipeline cannot.
+func TestStatsFromFIFO(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "fifo")
+		if err := syscall.Mkfifo(path, 0o600); err != nil {
+			t.Skipf("no named pipes here: %v", err)
+		}
+		written := make(chan error, 1)
+		go func() {
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				written <- err
+				return
+			}
+			write := sampleMesh().WriteASCII
+			if binary {
+				write = sampleMesh().WriteBinary
+			}
+			err = write(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			written <- err
+		}()
+		var out bytes.Buffer
+		if err := run([]string{path}, &out); err != nil {
+			t.Fatalf("binary %v: %v", binary, err)
+		}
+		if err := <-written; err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "triangles     2") {
+			t.Errorf("binary %v: report:\n%s", binary, out.String())
+		}
 	}
 }
 

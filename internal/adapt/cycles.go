@@ -42,17 +42,8 @@ func DefaultProblem(m *mesh.Mesh) solver.Problem {
 	return solver.Problem{Mesh: m, Diffusivity: 0.05, Velocity: geom.V(1, 0), Boundary: BoxBC(m)}
 }
 
-// DefaultSolve adapts DefaultProblem into the solve callback
-// MetricSource expects.
-func DefaultSolve(opt solver.Options) func(*mesh.Mesh) ([]float64, error) {
-	return func(m *mesh.Mesh) ([]float64, error) {
-		sol, err := solver.Solve(DefaultProblem(m), opt)
-		if err != nil {
-			return nil, err
-		}
-		return sol.U, nil
-	}
-}
+// hessianSolve is the solve behind the hessian metric source.
+var hessianSolve = solver.Options{Tol: 1e-8, MaxIters: 20000, Method: solver.GaussSeidel}
 
 // CycleReport records one metric-adaptation cycle.
 type CycleReport struct {
@@ -63,23 +54,28 @@ type CycleReport struct {
 	Audit *audit.Report
 }
 
+// String is the cycle's one-line summary: operator counts, the share of
+// edges in band and the sweeps it took.
+func (r CycleReport) String() string {
+	return fmt.Sprintf("%d splits, %d collapses, %d swaps, %d smooths; %.1f%% of %d edges in band (%d sweeps)",
+		r.Result.Splits, r.Result.Collapses, r.Result.Swaps, r.Result.Smooths,
+		100*r.Result.InBand, r.Result.Edges, r.Result.Sweeps)
+}
+
 // MetricSource resolves spec — "hessian" (or empty), or an analytic spec
 // understood by metric.ParseSpec — into a field builder evaluated against
 // each cycle's current mesh, plus an analytic resample function when the
 // source is a closed-form spec (nil for "hessian", where new vertices
-// interpolate instead). solve supplies the cell-centered solution field
-// for the Hessian source and may be nil for analytic specs.
-func MetricSource(spec string, solve func(*mesh.Mesh) ([]float64, error)) (func(*mesh.Mesh) (metric.Field, error), func(geom.Point) metric.M, error) {
+// interpolate instead). The Hessian source solves DefaultProblem on each
+// cycle's mesh.
+func MetricSource(spec string) (func(*mesh.Mesh) (metric.Field, error), func(geom.Point) metric.M, error) {
 	if spec == "" || spec == "hessian" {
-		if solve == nil {
-			return nil, nil, fmt.Errorf("adapt: the hessian metric source needs a solver")
-		}
 		build := func(m *mesh.Mesh) (metric.Field, error) {
-			u, err := solve(m)
+			sol, err := solver.Solve(DefaultProblem(m), hessianSolve)
 			if err != nil {
 				return nil, fmt.Errorf("adapt: hessian metric solve: %w", err)
 			}
-			f, err := metric.FromHessian(m, u, metric.HessianOpts{})
+			f, err := metric.FromHessian(m, sol.U, metric.HessianOpts{})
 			if err != nil {
 				return nil, err
 			}

@@ -8,7 +8,6 @@ import (
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
-	"pamg2d/internal/solver"
 )
 
 // heatedSlotMesh refines the unit square around a thin slot at
@@ -65,8 +64,7 @@ func TestCyclesHessianConcentrates(t *testing.T) {
 	if in, out := meanAreas(m); in < out/1.5 {
 		t.Fatalf("input mesh is already concentrated: mean area %v inside the strip, %v outside", in, out)
 	}
-	build, resample, err := MetricSource("hessian",
-		DefaultSolve(solver.Options{Tol: 1e-8, MaxIters: 20000, Method: solver.GaussSeidel}))
+	build, resample, err := MetricSource("hessian")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,6 +271,22 @@ func ThreeElement(nHalf int) Config {
 	}
 }
 
+// ByName returns a built-in configuration by the name the commands and
+// meshd requests use: "naca0012" (or empty) for Single(NACA0012, …) and
+// "30p30n" for ThreeElement, at nHalf surface half-points and a far field
+// of farfieldChords chords.
+func ByName(name string, nHalf int, farfieldChords float64) (Config, error) {
+	switch name {
+	case "", "naca0012":
+		return Single(NACA0012, nHalf, farfieldChords), nil
+	case "30p30n":
+		c := ThreeElement(nHalf)
+		c.FarfieldChords = farfieldChords
+		return c, nil
+	}
+	return Config{}, fmt.Errorf("unknown geometry %q", name)
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -213,3 +213,24 @@ func TestGrowthConfigurationsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestByName: the command-line names resolve to their configurations at
+// the requested resolution and far field, and an unknown name is refused.
+func TestByName(t *testing.T) {
+	for _, name := range []string{"", "naca0012", "30p30n"} {
+		c, err := ByName(name, 20, 12)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		main := c.Elements[len(c.Elements)/2]
+		if main.NHalf != 20 || c.FarfieldChords != 12 {
+			t.Errorf("%q: main element n %d, far field %v", name, main.NHalf, c.FarfieldChords)
+		}
+	}
+	if c, _ := ByName("30p30n", 20, 12); len(c.Elements) != 3 {
+		t.Errorf("30p30n has %d elements", len(c.Elements))
+	}
+	if _, err := ByName("b747", 20, 12); err == nil {
+		t.Error("unknown geometry accepted")
+	}
+}

@@ -2,20 +2,50 @@ package mesh
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 
 	"pamg2d/internal/geom"
 )
 
+// Format is one output format: its writer and the HTTP content type of
+// what the writer produces.
+type Format struct {
+	Write       func(*Mesh, io.Writer) error
+	ContentType string
+}
+
+// OutputFormat resolves an output format name: "ascii" (WriteASCII),
+// "binary" (WriteBinary) or "vtk" (WriteVTK).
+func OutputFormat(name string) (Format, error) {
+	switch name {
+	case "ascii":
+		return Format{(*Mesh).WriteASCII, "text/plain; charset=utf-8"}, nil
+	case "binary":
+		return Format{(*Mesh).WriteBinary, "application/octet-stream"}, nil
+	case "vtk":
+		return Format{(*Mesh).WriteVTK, "text/plain; charset=utf-8"}, nil
+	}
+	return Format{}, fmt.Errorf("unknown format %q", name)
+}
+
+// Read reads a mesh in either input format, WriteBinary's or WriteASCII's,
+// telling them apart by the binary magic: a binary file opens with it, an
+// ASCII file with a digit. It peeks at the first bytes and never seeks, so
+// pipes and /dev/stdin read like files.
+func Read(r io.Reader) (*Mesh, error) {
+	br := bufio.NewReaderSize(r, 1<<20)
+	if head, err := br.Peek(4); err == nil && binary.LittleEndian.Uint32(head) == binaryMagic {
+		return ReadBinary(br)
+	}
+	return ReadASCII(br)
+}
+
 // WriteVTK writes the mesh as a legacy-format ASCII VTK unstructured grid,
 // readable by ParaView/VisIt for inspecting boundary layers and subdomain
-// structure. When cellData is non-nil it must have one value per triangle
-// (e.g. a solver field or the owning rank) and is emitted as CELL_DATA.
-func (m *Mesh) WriteVTK(w io.Writer, cellData []float64) error {
-	if cellData != nil && len(cellData) != len(m.Triangles) {
-		return fmt.Errorf("mesh: cell data has %d values for %d triangles", len(cellData), len(m.Triangles))
-	}
+// structure.
+func (m *Mesh) WriteVTK(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
 	fmt.Fprintln(bw, "pamg2d mesh")
@@ -32,14 +62,6 @@ func (m *Mesh) WriteVTK(w io.Writer, cellData []float64) error {
 	fmt.Fprintf(bw, "CELL_TYPES %d\n", len(m.Triangles))
 	for range m.Triangles {
 		fmt.Fprintln(bw, "5") // VTK_TRIANGLE
-	}
-	if cellData != nil {
-		fmt.Fprintf(bw, "CELL_DATA %d\n", len(m.Triangles))
-		fmt.Fprintln(bw, "SCALARS field double 1")
-		fmt.Fprintln(bw, "LOOKUP_TABLE default")
-		for _, v := range cellData {
-			fmt.Fprintf(bw, "%.17g\n", v)
-		}
 	}
 	return bw.Flush()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -226,7 +227,7 @@ func FuzzReadBinary(f *testing.F) {
 func TestWriteVTK(t *testing.T) {
 	m := unitSquareMesh()
 	var buf bytes.Buffer
-	if err := m.WriteVTK(&buf, nil); err != nil {
+	if err := m.WriteVTK(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -235,19 +236,78 @@ func TestWriteVTK(t *testing.T) {
 			t.Errorf("VTK output missing %q", want)
 		}
 	}
-	if strings.Contains(out, "CELL_DATA") {
-		t.Error("no cell data requested, none must be written")
+}
+
+// TestOutputFormat: each format name resolves to its writer and content
+// type, and an unknown name is an error that names it.
+func TestOutputFormat(t *testing.T) {
+	m := unitSquareMesh()
+	for _, c := range []struct {
+		name, contentType string
+		write             func(*Mesh, io.Writer) error
+	}{
+		{"ascii", "text/plain; charset=utf-8", (*Mesh).WriteASCII},
+		{"binary", "application/octet-stream", (*Mesh).WriteBinary},
+		{"vtk", "text/plain; charset=utf-8", (*Mesh).WriteVTK},
+	} {
+		f, err := OutputFormat(c.name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var got, want bytes.Buffer
+		if err := f.Write(m, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.write(m, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || f.ContentType != c.contentType {
+			t.Errorf("%s: wrong writer or content type %q", c.name, f.ContentType)
+		}
 	}
-	// With cell data.
-	buf.Reset()
-	if err := m.WriteVTK(&buf, []float64{1.5, 2.5}); err != nil {
+	if _, err := OutputFormat("stl"); err == nil || !strings.Contains(err.Error(), `"stl"`) {
+		t.Errorf("unknown format: err = %v, want one naming it", err)
+	}
+}
+
+// TestReadFromPipe: Read tells the two formats apart on input that cannot
+// seek, and an empty or 1-3-byte input is an error, not a panic.
+func TestReadFromPipe(t *testing.T) {
+	m := randomMesh(50)
+	for _, write := range []func(*Mesh, io.Writer) error{(*Mesh).WriteASCII, (*Mesh).WriteBinary} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := make(chan error, 1)
+		go func() {
+			err := write(m, w)
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			written <- err
+		}()
+		got, err := Read(r)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-written; err != nil {
+			t.Fatal(err)
+		}
+		if !sameMesh(got, m) {
+			t.Error("the mesh read from a pipe differs from the one written")
+		}
+	}
+	var bin bytes.Buffer
+	if err := m.WriteBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "CELL_DATA 2") {
-		t.Error("cell data section missing")
-	}
-	// Mismatched cell data length.
-	if err := m.WriteVTK(&buf, []float64{1}); err == nil {
-		t.Error("mismatched cell data must fail")
+	for n := 0; n < 4; n++ {
+		for _, data := range [][]byte{bin.Bytes()[:n], []byte("123")[:n]} {
+			if _, err := Read(bytes.NewReader(data)); err == nil {
+				t.Errorf("%q: read without error", data)
+			}
+		}
 	}
 }
