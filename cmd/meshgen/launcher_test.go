@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -80,12 +81,73 @@ func TestRunTCPMatchesInProcess(t *testing.T) {
 // and waits for the workers to join by themselves, which is how remote or
 // debugger-wrapped workers attach. Both roles run in this process (the
 // TCP fabric does not care), and the launcher's mesh must match the
-// in-process run byte for byte.
+// in-process run byte for byte. The launcher's flags alone decide what
+// the finalize exchange asks for: a launcher with -trace and a worker
+// without it still complete, and the trace holds the worker's clock but
+// none of its spans.
 func TestRunTCPHandJoinedWorkers(t *testing.T) {
 	dir := t.TempDir()
 	inproc := filepath.Join(dir, "inproc.bin")
-	overTCP := filepath.Join(dir, "tcp.bin")
+	base := []string{
+		"-n", "24", "-farfield", "6", "-ranks", "2",
+		"-h0", "0.08", "-hmax", "2", "-bl-h0", "3e-3", "-bl-layers", "8",
+		"-format", "binary", "-audit", "-q",
+	}
+	var errb bytes.Buffer
+	if err := run(context.Background(), append(base, "-o", inproc), &bytes.Buffer{}, &errb); err != nil {
+		t.Fatalf("in-process run: %v\n%s", err, errb.String())
+	}
+	want, err := os.ReadFile(inproc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	for _, traced := range []bool{false, true} {
+		overTCP := filepath.Join(dir, fmt.Sprintf("tcp-%v.bin", traced))
+		tracePath := filepath.Join(dir, "launcher.trace.json")
+		launcherArgs := append(base, "-transport", "tcp", "-spawn", "0", "-o", overTCP)
+		if traced {
+			launcherArgs = append(launcherArgs, "-trace", tracePath)
+		}
+		handJoin(t, launcherArgs, base)
+		if got, err := os.ReadFile(overTCP); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("traced=%v: hand-joined tcp mesh (%d bytes, %v) differs from in-process mesh (%d bytes)",
+				traced, len(got), err, len(want))
+		}
+		if !traced {
+			continue
+		}
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Ph  string `json:"ph"`
+				Pid int    `json:"pid"`
+			} `json:"traceEvents"`
+			Metadata struct {
+				Offsets map[string]int64 `json:"clock_offsets_ns"`
+			} `json:"metadata"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := doc.Metadata.Offsets["1"]; !ok {
+			t.Errorf("no clock for the untraced worker: %v", doc.Metadata.Offsets)
+		}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" && ev.Pid == 2 {
+				t.Fatal("the untraced worker's rank has spans in the launcher's trace")
+			}
+		}
+	}
+}
+
+// handJoin runs a launcher with launcherArgs (which must say -spawn 0)
+// and one worker with workerArgs joining it by hand, on a reserved port.
+func handJoin(t *testing.T, launcherArgs, workerArgs []string) {
+	t.Helper()
 	// Reserve a port for the launcher: listen, read the address, close.
 	// The window between Close and the launcher's Listen is racy in
 	// principle, but nothing else in the test binary is binding ports.
@@ -96,22 +158,10 @@ func TestRunTCPHandJoinedWorkers(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	base := []string{
-		"-n", "24", "-farfield", "6", "-ranks", "2",
-		"-h0", "0.08", "-hmax", "2", "-bl-h0", "3e-3", "-bl-layers", "8",
-		"-format", "binary", "-audit", "-q",
-	}
-	var errb bytes.Buffer
-	if err := run(context.Background(), append(base, "-o", inproc), &bytes.Buffer{}, &errb); err != nil {
-		t.Fatalf("in-process run: %v\n%s", err, errb.String())
-	}
-
 	launcherErr := make(chan error, 1)
 	go func() {
 		var b bytes.Buffer
-		err := run(context.Background(),
-			append(base, "-transport", "tcp", "-spawn", "0", "-listen", addr, "-o", overTCP),
-			&bytes.Buffer{}, &b)
+		err := run(context.Background(), append(launcherArgs, "-listen", addr), &bytes.Buffer{}, &b)
 		if err != nil {
 			err = fmt.Errorf("%w\n%s", err, b.String())
 		}
@@ -121,7 +171,7 @@ func TestRunTCPHandJoinedWorkers(t *testing.T) {
 	// The worker dials once, so retry until the launcher is listening.
 	var werr error
 	for i := 0; i < 100; i++ {
-		werr = run(context.Background(), append(base, "-worker", "-join", addr),
+		werr = run(context.Background(), append(workerArgs, "-worker", "-join", addr),
 			&bytes.Buffer{}, &bytes.Buffer{})
 		if werr == nil || !strings.Contains(werr.Error(), "connection refused") {
 			break
@@ -133,18 +183,6 @@ func TestRunTCPHandJoinedWorkers(t *testing.T) {
 	}
 	if err := <-launcherErr; err != nil {
 		t.Fatalf("launcher: %v", err)
-	}
-
-	a, err := os.ReadFile(inproc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(overTCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("hand-joined tcp mesh (%d bytes) differs from in-process mesh (%d bytes)", len(b), len(a))
 	}
 }
 
@@ -256,54 +294,167 @@ func TestRunTCPMergedTrace(t *testing.T) {
 	}
 }
 
-// TestDrainTelemetryReleasesSummaries ships one worker's run summary over
-// a loopback pair the way a worker does — sent ahead of the finalize
-// barrier — and drains it on rank 0: the summary decodes to what was sent,
-// and the pooled buffer the transport decoded it into goes back, so the
-// launcher's pool counters balance.
-func TestDrainTelemetryReleasesSummaries(t *testing.T) {
+// loopbackByRank starts an n-rank loopback cluster indexed by rank; the
+// clusters close when the test ends.
+func loopbackByRank(t *testing.T, n int) []*mpi.Cluster {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	g0, p0 := mpi.PoolCounters()
-	clusters, err := mpi.LoopbackClusters(ctx, 2)
+	clusters, err := mpi.LoopbackClusters(ctx, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRank := make([]*mpi.Cluster, 2)
+	byRank := make([]*mpi.Cluster, n)
 	for _, cl := range clusters {
 		byRank[cl.Rank()] = cl
-		defer cl.Close()
+		t.Cleanup(func() { cl.Close() })
 	}
+	return byRank
+}
+
+// finalizeOver runs one finalize exchange on clusters: rank 0 collects
+// with now while every worker runs serve. A worker's error fails the test.
+func finalizeOver(t *testing.T, clusters []*mpi.Cluster, now func() int64,
+	serve func(ctx context.Context, cl *mpi.Cluster) error) (shipments, error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, cl := range clusters[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := serve(ctx, cl); err != nil {
+				t.Errorf("rank %d: %v", cl.Rank(), err)
+			}
+		}()
+	}
+	out, err := collectWorkers(ctx, clusters[0], now)
+	wg.Wait()
+	return out, err
+}
+
+// TestFinalizeRecoversClockSkew gives each process of a loopback cluster
+// a clock skewed by seconds and checks that the finalize exchange's
+// midpoint estimator recovers every skew. Loopback round trips take
+// microseconds, so a generous tolerance still pins each estimate to the
+// right clock; rank 0's own entry is exactly zero.
+func TestFinalizeRecoversClockSkew(t *testing.T) {
+	clusters := loopbackByRank(t, 3)
+	base := time.Now()
+	skews := []int64{0, 5_000_000_000, -5_000_000_000}
+	clock := func(r int) func() int64 {
+		return func() int64 { return int64(time.Since(base)) + skews[r] }
+	}
+	got, err := finalizeOver(t, clusters, clock(0), func(ctx context.Context, cl *mpi.Cluster) error {
+		r := cl.Rank()
+		return serveLauncher(ctx, cl, encodeRankStats(r, &core.Stats{}), nil, clock(r))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.clocks) != 3 || len(got.stats) != 2 || len(got.telems) != 0 {
+		t.Fatalf("collected %d clocks, %d summaries and %d snapshots, want 3, 2 and 0",
+			len(got.clocks), len(got.stats), len(got.telems))
+	}
+	const tol = int64(200 * time.Millisecond)
+	for r, rc := range got.clocks {
+		want := skews[0] - skews[r] // a rank-r timestamp plus the offset is rank 0's
+		if rc.Rank != r || rc.OffsetNS < want-tol || rc.OffsetNS > want+tol || rc.RTTNS < 0 {
+			t.Errorf("clock %d: %+v, want rank %d offset %d±%d", r, rc, r, want, tol)
+		}
+	}
+	if got.clocks[0].OffsetNS != 0 || got.clocks[0].RTTNS != 0 {
+		t.Errorf("rank 0's own clock is %+v, want zero", got.clocks[0])
+	}
+}
+
+// TestFinalizeReleasesPooledBuffers runs the finalize exchange twice over
+// a loopback pair: an untraced launcher gets the worker's summary and
+// nothing else, even from a worker that traced; a traced one also gets
+// its clock and snapshot. Every message travels in a pooled buffer that
+// one side or the other releases, so the pool counters balance.
+func TestFinalizeReleasesPooledBuffers(t *testing.T) {
+	g0, p0 := mpi.PoolCounters()
+	clusters := loopbackByRank(t, 2)
 	st := &core.Stats{
 		Messages: 17, BytesOnWire: 1 << 33,
 		Tasks:  []core.TaskMeasure{{Seconds: 0.25}, {}, {Triangles: 9}},
 		Steals: core.StealStats{Requests: 3, Granted: 2, Gotten: 1, Idle: 1500 * time.Millisecond},
 	}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if errs[1] = byRank[1].SendTelemetry(encodeRankStats(1, st)); errs[1] == nil {
-			errs[1] = finalizeTCP(ctx, byRank[1])
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		errs[0] = finalizeTCP(ctx, byRank[0])
-	}()
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+	workerTracer := trace.New(2)
+	workerTracer.Begin(1, "test", "span").End()
+	serve := func(ctx context.Context, cl *mpi.Cluster) error {
+		return serveLauncher(ctx, cl, encodeRankStats(1, st), workerTracer.Export(1), workerTracer.Now)
 	}
-	got, telems := drainTelemetry(byRank[0])
-	if want := summarizeRankStats(1, st); len(got) != 1 || got[0] != want || len(telems) != 0 {
-		t.Fatalf("drained %+v and %d snapshots, want [%+v] and none", got, len(telems), want)
+	want := summarizeRankStats(1, st)
+
+	got, err := finalizeOver(t, clusters, nil, serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.stats) != 1 || got.stats[0] != want || got.telems != nil || got.clocks != nil {
+		t.Fatalf("untraced launcher collected %+v, want only [%+v]", got, want)
+	}
+
+	got, err = finalizeOver(t, clusters, trace.New(1).Now, serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.stats) != 1 || got.stats[0] != want {
+		t.Errorf("traced launcher collected summaries %+v, want [%+v]", got.stats, want)
+	}
+	if len(got.telems) != 1 || got.telems[0].Rank != 1 || len(got.telems[0].Tracks) == 0 {
+		t.Errorf("traced launcher collected snapshots %+v, want rank 1's", got.telems)
+	}
+	if len(got.clocks) != 2 || got.clocks[1].Rank != 1 {
+		t.Errorf("traced launcher collected clocks %+v, want ranks 0 and 1", got.clocks)
 	}
 	if g1, p1 := mpi.PoolCounters(); g1-g0 != p1-p0 {
-		t.Errorf("pool imbalance after the drain: %d gets, %d puts", g1-g0, p1-p0)
+		t.Errorf("pool imbalance after the exchanges: %d gets, %d puts", g1-g0, p1-p0)
+	}
+}
+
+// TestFinalizeSkipsRankThatDies: rank 2 answers its clock rounds and
+// then closes its cluster instead of shipping. The launcher keeps rank
+// 1's summary, snapshot and clock, nothing of rank 2's (not even the
+// clock it did measure), and completes the barrier without an error.
+func TestFinalizeSkipsRankThatDies(t *testing.T) {
+	clusters := loopbackByRank(t, 3)
+	workerTracer := trace.New(3)
+	workerTracer.Begin(1, "test", "span").End()
+	got, err := finalizeOver(t, clusters, trace.New(1).Now, func(ctx context.Context, cl *mpi.Cluster) error {
+		if cl.Rank() == 1 {
+			return serveLauncher(ctx, cl, encodeRankStats(1, &core.Stats{}), workerTracer.Export(1), workerTracer.Now)
+		}
+		_ = cl.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
+			for {
+				b, _, _, err := c.Recv(ctx, 0, tagRequest)
+				if err != nil {
+					return err
+				}
+				mpi.PutBytes(b)
+				if b[0] != reqClock {
+					return cl.Close()
+				}
+				if err := send(c, 0, tagReply, make([]byte, 8)); err != nil {
+					return err
+				}
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("launcher failed: %v", err)
+	}
+	if len(got.stats) != 1 || got.stats[0].rank != 1 {
+		t.Errorf("summaries %+v, want rank 1's only", got.stats)
+	}
+	if len(got.telems) != 1 || got.telems[0].Rank != 1 {
+		t.Errorf("snapshots %+v, want rank 1's only", got.telems)
+	}
+	if len(got.clocks) != 2 || got.clocks[0].Rank != 0 || got.clocks[1].Rank != 1 {
+		t.Errorf("clocks %+v, want ranks 0 and 1", got.clocks)
 	}
 }
 
@@ -349,12 +500,14 @@ func TestRunUnknownTransport(t *testing.T) {
 // first task — delivery identical to an external kill -9) and must still
 // complete on the survivors with the audit stage clean, exit
 // successfully, report the death and the re-queued tasks, and export a
-// merged trace carrying the recovery events. The same run under
-// -strict-ranks must fail instead.
+// merged trace carrying the recovery events, with a clock and a metrics
+// registry for every survivor and none for the dead rank. The same run
+// under -strict-ranks must fail instead.
 func TestRunTCPSurvivesWorkerKill(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "degraded.bin")
 	tracePath := filepath.Join(dir, "degraded.trace.json")
+	metricsPath := filepath.Join(dir, "degraded.metrics.json")
 
 	base := []string{
 		"-n", "24", "-farfield", "6", "-ranks", "4",
@@ -363,7 +516,7 @@ func TestRunTCPSurvivesWorkerKill(t *testing.T) {
 		"-fault-kill-rank", "2",
 	}
 	var errb bytes.Buffer
-	err := run(context.Background(), append(base, "-o", out, "-trace", tracePath),
+	err := run(context.Background(), append(base, "-o", out, "-trace", tracePath, "-metrics", metricsPath),
 		&bytes.Buffer{}, &errb)
 	if err != nil {
 		t.Fatalf("degraded run failed: %v\n%s", err, errb.String())
@@ -395,9 +548,36 @@ func TestRunTCPSurvivesWorkerKill(t *testing.T) {
 		TraceEvents []struct {
 			Cat string `json:"cat"`
 		} `json:"traceEvents"`
+		Metadata struct {
+			Offsets map[string]int64 `json:"clock_offsets_ns"`
+		} `json:"metadata"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)
+	}
+	var clockRanks []string
+	for r := range doc.Metadata.Offsets {
+		clockRanks = append(clockRanks, r)
+	}
+	sort.Strings(clockRanks)
+	if got := strings.Join(clockRanks, ","); got != "0,1,3" {
+		t.Errorf("degraded trace has clocks for ranks %s, want 0,1,3", got)
+	}
+	var metrics struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if mraw, err := os.ReadFile(metricsPath); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(mraw, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	prefixed := map[string]bool{}
+	for name := range metrics.Counters {
+		prefixed[strings.SplitN(name, ".", 2)[0]] = true
+	}
+	if !prefixed["rank1"] || !prefixed["rank3"] || prefixed["rank2"] {
+		t.Errorf("degraded metrics have rank1/rank2/rank3 counters %v/%v/%v, want true/false/true",
+			prefixed["rank1"], prefixed["rank2"], prefixed["rank3"])
 	}
 	recover := 0
 	for _, ev := range doc.TraceEvents {

@@ -94,9 +94,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer cancel()
 	}
 	// A worker whose launcher asked for a trace or metrics file records
-	// its own rank locally and ships the snapshot to rank 0 at the end of
-	// the run; the flag values themselves are cleared below so workers
-	// never write launcher-owned artifacts.
+	// its own rank locally and ships the snapshot to rank 0 when asked at
+	// the end of the run; the flag values themselves are cleared below so
+	// workers never write launcher-owned artifacts.
 	wantTelemetry := *worker && (*traceOut != "" || *metricsOut != "")
 	if *worker {
 		// Workers run the identical SPMD pipeline but produce no artifacts
@@ -189,28 +189,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if wantTelemetry {
 			workerTracer = trace.New(cfg.Ranks)
 			cfg.Tracer = workerTracer
-			// Pings from the launcher read this clock, so the measured
-			// offsets convert worker trace timestamps directly.
-			cluster.SetNowFunc(workerTracer.Now)
 		}
 		poolGets0, poolPuts0 := mpi.PoolCounters()
 		res, err := core.GenerateContext(ctx, cfg)
 		if err != nil {
 			return err
 		}
-		// Ship the per-process run summary, then any tracer snapshot,
-		// before the finalize barrier: FIFO frame delivery means the
-		// launcher holds both once the barrier releases.
-		if err := cluster.SendTelemetry(encodeRankStats(cluster.Rank(), &res.Stats)); err != nil {
-			return err
-		}
+		var tel *trace.Telemetry
 		if workerTracer != nil {
 			foldPoolGauges(workerTracer.Metrics(), poolGets0, poolPuts0)
-			if err := cluster.SendTelemetry(workerTracer.Export(cluster.Rank())); err != nil {
-				return err
-			}
+			tel = workerTracer.Export(cluster.Rank())
 		}
-		return finalizeTCP(ctx, cluster)
+		// The launcher samples the tracer's clock (zero without one), so
+		// the offsets it measures convert worker trace timestamps directly.
+		return serveLauncher(ctx, cluster, encodeRankStats(cluster.Rank(), &res.Stats), tel, workerTracer.Now)
 	case *transport == "tcp":
 		// One correlation ID for the whole process tree: assign before the
 		// workers fork so they inherit it on their command line.
@@ -241,35 +233,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *traceOut != "" || *metricsOut != "" {
 		tracer = trace.New(cfg.Ranks)
 		cfg.Tracer = tracer
-		if fabric != nil {
-			fabric.SetNowFunc(tracer.Now)
-		}
 	}
 	poolGets0, poolPuts0 := mpi.PoolCounters()
 
 	res, err := core.GenerateContext(ctx, cfg)
-	var clocks []mpi.ClockSync
+	// Collect the workers' clocks, run summaries and tracer snapshots.
+	// Ranks that died have none; the degradation report below covers them.
+	var shipped shipments
 	if err == nil && fabric != nil {
+		var now func() int64
 		if tracer != nil {
-			// Measure before the finalize barrier: workers answer pings on
-			// their reader goroutines even while blocked in the barrier, and
-			// their tracer clocks are still the installed now-funcs.
-			if clocks, err = fabric.MeasureOffsets(ctx, 5); err != nil {
-				err = fmt.Errorf("clock sync: %w", err)
-			}
+			now = tracer.Now
 		}
-		if err == nil {
-			err = finalizeTCP(ctx, fabric)
-		}
-	}
-	// Drain the telemetry channel once the barrier released: worker
-	// processes shipped their run summaries (and tracer snapshots, when
-	// tracing is on) ahead of entering it. Ranks that died have no
-	// summary — the degradation report below covers them.
-	var workerStats []rankSummary
-	var workerTelems []*trace.Telemetry
-	if fabric != nil {
-		workerStats, workerTelems = drainTelemetry(fabric)
+		shipped, err = collectWorkers(ctx, fabric, now)
 	}
 	if err == nil && fabric != nil && res.Stats.Degraded() {
 		reportDeaths(stderr, &res.Stats)
@@ -295,30 +271,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Export the trace and metrics even when generation or adaptation
 	// failed: the partial record of an aborted run is usually the record
 	// being debugged. That error still wins the exit status.
-	var telems []*trace.Telemetry
 	if tracer != nil {
 		foldPoolGauges(tracer.Metrics(), poolGets0, poolPuts0)
-		var rankClocks []trace.RankClock
 		transport := ""
 		if fabric != nil {
 			transport = fabric.TransportName()
-			for _, tel := range workerTelems {
-				telems = append(telems, tel)
-				// Worker registries land under a rank prefix so per-rank
-				// totals stay distinguishable in the merged document.
-				tracer.Metrics().MergeSnapshot(fmt.Sprintf("rank%d.", tel.Rank), tel.Metrics)
-			}
-			for _, cs := range clocks {
-				rankClocks = append(rankClocks, trace.RankClock{
-					Rank: cs.Rank, OffsetNS: cs.OffsetNS, RTTNS: cs.RTTNS,
-				})
-			}
+		}
+		for _, tel := range shipped.telems {
+			// Worker registries land under a rank prefix so per-rank
+			// totals stay distinguishable in the merged document.
+			tracer.Metrics().MergeSnapshot(fmt.Sprintf("rank%d.", tel.Rank), tel.Metrics)
 		}
 		// The local snapshot is exported after the metric folds above so
 		// the metrics file carries every rank; it sorts to the front of the
 		// merged trace by host rank.
-		telems = append(telems, tracer.Export(0))
-		if werr := cli.WriteObservability(tracer, *traceOut, *metricsOut, telems, rankClocks, transport); werr != nil {
+		telems := append(shipped.telems, tracer.Export(0))
+		if werr := cli.WriteObservability(tracer, *traceOut, *metricsOut, telems, shipped.clocks, transport); werr != nil {
 			if err == nil {
 				err = werr
 			} else {
@@ -370,25 +338,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				st.Steals.Granted, st.Steals.Requests, st.Steals.Idle.Round(1e6))
 		}
 		if fabric != nil {
-			printRankStats(stderr, summarizeRankStats(0, &st), workerStats)
+			printRankStats(stderr, summarizeRankStats(0, &st), shipped.stats)
 		}
 		if st.Degraded() {
 			printResilience(stderr, &st)
 		}
 		if tracer != nil && fabric != nil {
 			var maxOff int64
-			for _, cs := range clocks {
-				if off := cs.OffsetNS; off < 0 {
-					off = -off
-					if off > maxOff {
-						maxOff = off
-					}
-				} else if off > maxOff {
-					maxOff = off
-				}
+			for _, rc := range shipped.clocks {
+				maxOff = max(maxOff, rc.OffsetNS, -rc.OffsetNS)
 			}
 			fmt.Fprintf(stderr, "telemetry            %d rank snapshots merged, max |clock offset| %dns\n",
-				len(telems), maxOff)
+				len(shipped.telems)+1, maxOff)
 		}
 		if st.Audit != nil {
 			checked := 0
@@ -422,41 +383,6 @@ func armFaultKill(cfg *core.Config, rank, killRank, killTask int) {
 		}
 		return nil
 	}
-}
-
-// drainTelemetry collects what the worker processes shipped to this one:
-// run summaries and tracer snapshots. A summary arrives in a pooled
-// buffer, released once decoded.
-func drainTelemetry(fabric *mpi.Cluster) (stats []rankSummary, telems []*trace.Telemetry) {
-	for _, item := range fabric.Telemetry() {
-		switch p := item.Payload.(type) {
-		case *trace.Telemetry:
-			telems = append(telems, p)
-		case []byte:
-			if rs, ok := decodeRankStats(p); ok {
-				stats = append(stats, rs)
-			}
-			mpi.PutBytes(p)
-		}
-	}
-	return stats, telems
-}
-
-// finalizeTCP synchronizes pipeline completion across the fabric's
-// processes before any of them tears its connections down: without the
-// barrier the launcher could close the cluster while a worker is still
-// draining the last result broadcast, failing the worker with a link EOF.
-// A process that errored out of generation skips the barrier and closes
-// its cluster instead, which releases the others with ErrWorldClosed
-// rather than hanging them. Only the barrier's own result matters: once
-// it releases, every process has finished, and a world teardown caused by
-// a peer closing immediately afterwards is the expected shutdown, not an
-// error (RunCtx would otherwise report that race as the run's failure).
-func finalizeTCP(ctx context.Context, cluster *mpi.Cluster) error {
-	w := cluster.NewWorld()
-	var berr error
-	_ = w.RunCtx(ctx, func(c *mpi.Comm) error { berr = c.Barrier(); return nil })
-	return berr
 }
 
 // foldPoolGauges records the process's mpi buffer-pool traffic since the

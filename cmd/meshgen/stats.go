@@ -1,13 +1,11 @@
 package main
 
 // Per-process run-summary aggregation for multi-process runs. Each worker
-// ships a compact summary of its own Stats to the launcher over the
-// telemetry channel (a versioned little-endian []byte payload, wire codec
-// mpi.CodecBytes) just before the finalize barrier; FIFO frame delivery
-// guarantees the launcher holds every survivor's summary once the barrier
-// releases. The launcher merges them with its own rank-0 summary into the
-// final report, so the per-rank tasks/wire/steal numbers cover the whole
-// process tree instead of just rank 0.
+// ships a compact summary of its own Stats to the launcher in the
+// finalize exchange (finalize.go), as a versioned little-endian message.
+// The launcher merges every survivor's summary with its own rank-0
+// summary into the final report, so the per-rank tasks/wire/steal numbers
+// cover the whole process tree instead of just rank 0.
 
 import (
 	"encoding/binary"
@@ -20,9 +18,8 @@ import (
 	"pamg2d/internal/core"
 )
 
-// statsWireVersion stamps the summary so a launcher never misparses a
-// foreign []byte telemetry payload or another layout. Versions 1 and 2
-// were float64 vectors.
+// statsWireVersion stamps the summary so a launcher never misparses
+// another layout. Versions 1 and 2 were float64 vectors.
 const statsWireVersion = 3
 
 // statsWireLen is the summary's size: six u32s (version, rank, tasks and
@@ -65,7 +62,7 @@ func summarizeRankStats(rank int, st *core.Stats) rankSummary {
 	return rs
 }
 
-// encodeRankStats lays the summary out as the telemetry payload.
+// encodeRankStats lays the summary out as its finalize message.
 func encodeRankStats(rank int, st *core.Stats) []byte {
 	rs := summarizeRankStats(rank, st)
 	b := make([]byte, 0, statsWireLen)
@@ -78,8 +75,8 @@ func encodeRankStats(rank int, st *core.Stats) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(rs.idleSeconds))
 }
 
-// decodeRankStats parses a telemetry payload back into a summary; ok is
-// false for payloads that are not a current-version summary.
+// decodeRankStats parses a finalize message back into a summary; ok is
+// false for messages that are not a current-version summary.
 func decodeRankStats(b []byte) (rankSummary, bool) {
 	if len(b) != statsWireLen || binary.LittleEndian.Uint32(b) != statsWireVersion {
 		return rankSummary{}, false

@@ -2,12 +2,12 @@ package core
 
 // Wire codecs for the pipeline's by-reference payloads, registered in the
 // mpi block reserved for core (32–47): the one result type every
-// distributed phase returns, *taskResult, and the end-of-run telemetry
-// snapshot. In-process they never run — results travel as pointers — but
-// over a multi-process fabric every rank-to-root result send serializes
-// through the task-result codec, and the root's result re-distribution
-// packs the collected list from the same entry encoding (encodeResultList)
-// so both directions share one format.
+// distributed phase returns, *taskResult (id 34, once the end-of-run
+// telemetry snapshot, stays reserved). In-process it never runs — results
+// travel as pointers — but over a multi-process fabric every rank-to-root
+// result send serializes through the task-result codec, and the root's
+// result re-distribution packs the collected list from the same entry
+// encoding (encodeResultList) so both directions share one format.
 
 import (
 	"encoding/binary"
@@ -16,13 +16,9 @@ import (
 
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
-	"pamg2d/internal/trace"
 )
 
-const (
-	codecTaskResult mpi.CodecID = 32
-	codecTelemetry  mpi.CodecID = 34
-)
+const codecTaskResult mpi.CodecID = 32
 
 func encodeTaskResultRef(ref any, dst []byte) []byte {
 	r := ref.(*taskResult)
@@ -53,13 +49,6 @@ func decodeTaskResultRef(b []byte) (any, error) {
 
 func init() {
 	mpi.RegisterCodec(codecTaskResult, &taskResult{}, encodeTaskResultRef, decodeTaskResultRef)
-	// Telemetry snapshots (trace tracks + metrics) ship from worker
-	// processes to rank 0 at the end of a run; the wire image lives in
-	// internal/trace so the exporter and the codec cannot drift apart.
-	mpi.RegisterCodec(codecTelemetry, &trace.Telemetry{},
-		func(ref any, dst []byte) []byte { return ref.(*trace.Telemetry).AppendBinary(dst) },
-		func(b []byte) (any, error) { return trace.DecodeTelemetry(b) },
-	)
 }
 
 // encodeResultList packs a phase's collected results for the agreement's

@@ -16,10 +16,6 @@ package mpi
 // which absorbs the natural skew between processes.
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -80,163 +76,6 @@ func (cl *Cluster) NewWorld() *World {
 	w.cb = newCBarrier(w)
 	cl.tcp.register(w)
 	return w
-}
-
-// SetNowFunc installs the monotonic clock the cluster's ping/pong
-// exchange reads on this process — typically a tracer's Now, so the
-// estimated offsets land directly in trace-timestamp units. Install it
-// on every process of a run before measuring; without one the exchange
-// falls back to process-uptime nanoseconds. No-op on in-process
-// clusters (one address space has one clock).
-func (cl *Cluster) SetNowFunc(now func() int64) {
-	if cl.tcp == nil || now == nil {
-		return
-	}
-	cl.tcp.nowFn.Store(&now)
-}
-
-// ClockSync is one rank's clock alignment as measured from this process:
-// adding OffsetNS to a timestamp read from that rank's clock (its
-// SetNowFunc) yields the equivalent timestamp on this process's clock.
-// RTTNS is the round-trip time of the ping the estimate came from; the
-// offset error is bounded by half of it.
-type ClockSync struct {
-	Rank     int
-	OffsetNS int64
-	RTTNS    int64
-}
-
-// TelemetryItem is one peer's decoded telemetry payload, collected by
-// this process's transport until Telemetry drains it.
-type TelemetryItem struct {
-	Rank    int
-	Payload any
-}
-
-// pingRank measures rank's clock offset against this process's clock by
-// `rounds` ping/pong exchanges, keeping the estimate from the round with
-// the smallest round-trip (midpoint alignment: the remote clock is read
-// halfway through the round trip, so offset = midpoint − remote). The
-// peer's reader goroutine answers pings at any time — during a run,
-// between worlds, or while blocked in a barrier. Returns a zero offset
-// for this process's own rank and on in-process clusters.
-func (cl *Cluster) pingRank(ctx context.Context, rank, rounds int) (ClockSync, error) {
-	out := ClockSync{Rank: rank}
-	if cl.tcp == nil || rank == cl.rank {
-		return out, nil
-	}
-	if rank < 0 || rank >= cl.n {
-		return out, fmt.Errorf("mpi: ping rank %d of %d", rank, cl.n)
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
-	n := cl.tcp
-	best := int64(math.MaxInt64)
-	for i := 0; i < rounds; i++ {
-		seq := n.pingSeq.Add(1)
-		ch := make(chan int64, 1)
-		n.pingMu.Lock()
-		if n.closed.Load() {
-			n.pingMu.Unlock()
-			return out, errTransportClosed
-		}
-		if n.pings == nil {
-			n.pings = make(map[uint64]chan int64)
-		}
-		n.pings[seq] = ch
-		n.pingMu.Unlock()
-		t0 := n.now()
-		if _, err := n.sendCtrl(rank, frame{kind: framePing, seq: seq, rank: int32(cl.rank)}); err != nil {
-			n.pingMu.Lock()
-			delete(n.pings, seq)
-			n.pingMu.Unlock()
-			return out, err
-		}
-		select {
-		case remote, ok := <-ch:
-			if !ok {
-				return out, errTransportClosed
-			}
-			t1 := n.now()
-			rtt := t1 - t0
-			if rtt < 0 {
-				rtt = 0
-			}
-			if rtt < best {
-				best = rtt
-				out.OffsetNS = t0 + rtt/2 - remote
-				out.RTTNS = rtt
-			}
-		case <-ctx.Done():
-			n.pingMu.Lock()
-			delete(n.pings, seq)
-			n.pingMu.Unlock()
-			return out, context.Cause(ctx)
-		}
-	}
-	return out, nil
-}
-
-// MeasureOffsets pings every live peer rank `rounds` times from this
-// process (rank 0 in the launcher topology) and returns the per-rank
-// clock alignments, own rank included with a zero offset. Dead ranks are
-// omitted — a degraded run still aligns the survivors' clocks. On
-// in-process clusters every offset is zero: all ranks share one clock.
-func (cl *Cluster) MeasureOffsets(ctx context.Context, rounds int) ([]ClockSync, error) {
-	out := make([]ClockSync, 0, cl.n)
-	for r := 0; r < cl.n; r++ {
-		if !cl.alive(r) {
-			continue
-		}
-		cs, err := cl.pingRank(ctx, r, rounds)
-		if err != nil {
-			// A rank that died mid-measurement is a skip, not a failure.
-			var de *RankDeadError
-			if errors.As(err, &de) {
-				continue
-			}
-			return out, err
-		}
-		out = append(out, cs)
-	}
-	return out, nil
-}
-
-// SendTelemetry ships a codec-registered payload (typically a
-// *trace.Telemetry) to rank 0, where Telemetry collects it. Call it
-// before the run's final barrier: frames on one link deliver in FIFO
-// order, so a snapshot sent before the barrier entry is guaranteed to be
-// collected on rank 0 by the time the barrier releases — no extra
-// synchronization needed. No-op on rank 0 itself and on in-process
-// clusters (the caller already holds the local snapshot).
-func (cl *Cluster) SendTelemetry(ref any) error {
-	if cl.tcp == nil || cl.rank == 0 {
-		return nil
-	}
-	e := codecForRef(ref)
-	if e == nil {
-		return fmt.Errorf("mpi: no wire codec registered for telemetry type %T", ref)
-	}
-	payload := e.enc(ref, nil)
-	_, err := cl.tcp.sendCtrl(0, frame{
-		kind: frameTelemetry, rank: int32(cl.rank), codec: e.id, payload: payload,
-	})
-	return err
-}
-
-// Telemetry drains the telemetry snapshots peers have shipped to this
-// process, in arrival order. Returns nil on in-process clusters.
-func (cl *Cluster) Telemetry() []TelemetryItem {
-	if cl.tcp == nil {
-		return nil
-	}
-	n := cl.tcp
-	n.telemMu.Lock()
-	items := n.telem
-	n.telem = nil
-	n.telemMu.Unlock()
-	return items
 }
 
 // Close shuts the transport down. For TCP clusters it closes every peer

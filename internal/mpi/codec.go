@@ -20,13 +20,10 @@ import (
 // Id 0 is reserved for plain byte payloads (Send), which need no codec.
 type CodecID uint16
 
-// Built-in codecs. Id 2 was the []float64 payload codec; the number stays
-// reserved so no later codec reuses it.
-const (
-	codecNone CodecID = 0
-	// CodecBytes carries a []byte reference payload.
-	CodecBytes CodecID = 1
-)
+// codecNone marks a plain byte payload. Ids 1 and 2 were the []byte and
+// []float64 reference codecs; the numbers stay reserved so no later codec
+// reuses them.
+const codecNone CodecID = 0
 
 type codecEntry struct {
 	id  CodecID
@@ -90,21 +87,4 @@ func decodeRef(id CodecID, payload []byte) (any, error) {
 		return nil, fmt.Errorf("mpi: no codec registered for wire id %d", id)
 	}
 	return e.dec(payload)
-}
-
-func encBytesRef(ref any, dst []byte) []byte {
-	return append(dst, ref.([]byte)...)
-}
-
-// decBytesRef copies the payload into a pooled buffer: the receiver owns
-// it and releases with PutBytes once done (the teardown path does so via
-// releasePayload for messages dropped by a closing world).
-func decBytesRef(b []byte) (any, error) {
-	out := GetBytes(len(b))
-	copy(out, b)
-	return out, nil
-}
-
-func init() {
-	RegisterCodec(CodecBytes, []byte(nil), encBytesRef, decBytesRef)
 }

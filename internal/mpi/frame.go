@@ -31,17 +31,11 @@ const (
 	_
 	frameWinGet
 	frameWinGetReply
-	// framePing / framePong are the clock-alignment exchange: a ping
-	// carries a nonce (seq) and the sender's rank; the receiver's reader
-	// echoes a pong with the same nonce and its monotonic clock reading
-	// (req), letting the sender estimate the peer's clock offset by
-	// midpoint alignment. Both are node-level — no world epoch semantics.
-	framePing
-	framePong
-	// frameTelemetry ships one process's observability snapshot (trace
-	// tracks + metrics) to rank 0 at the end of a run, payload typed by
-	// the codec registry like frameMsg.
-	frameTelemetry
+	// Kinds 9-11 were the clock ping, its pong and the telemetry shipment,
+	// which now travel as ordinary messages; they stay reserved like 6.
+	_
+	_
+	_
 	// frameHeartbeat is a node-level keepalive carrying the sender's rank:
 	// each process sends one to every live peer on a fixed interval so the
 	// read-deadline-based death detector has traffic to observe even while
@@ -150,16 +144,6 @@ func appendFrame(dst []byte, f frame) []byte {
 		for _, v := range f.vals {
 			dst = appendF64(dst, v)
 		}
-	case framePing:
-		dst = appendU64(dst, f.seq)
-		dst = appendI32(dst, f.rank)
-	case framePong:
-		dst = appendU64(dst, f.seq)
-		dst = appendU64(dst, f.req)
-	case frameTelemetry:
-		dst = appendI32(dst, f.rank)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(f.codec))
-		dst = append(dst, f.payload...)
 	case frameHeartbeat:
 		dst = appendI32(dst, f.rank)
 	case frameRankDead:
@@ -316,39 +300,6 @@ func decodeFrameBody(b []byte) (frame, error) {
 		for i := range f.vals {
 			f.vals[i], _ = c.f64()
 		}
-	case framePing:
-		if f.seq, err = c.u64(); err != nil {
-			return f, err
-		}
-		if f.rank, err = c.i32(); err != nil {
-			return f, err
-		}
-		if f.rank < 0 {
-			return f, fmt.Errorf("mpi: ping from negative rank %d", f.rank)
-		}
-	case framePong:
-		if f.seq, err = c.u64(); err != nil {
-			return f, err
-		}
-		if f.req, err = c.u64(); err != nil {
-			return f, err
-		}
-	case frameTelemetry:
-		if f.rank, err = c.i32(); err != nil {
-			return f, err
-		}
-		var codec uint16
-		if codec, err = c.u16(); err != nil {
-			return f, err
-		}
-		f.codec = CodecID(codec)
-		if f.rank < 0 {
-			return f, fmt.Errorf("mpi: telemetry from negative rank %d", f.rank)
-		}
-		if f.codec == codecNone {
-			return f, fmt.Errorf("mpi: telemetry frame without a codec")
-		}
-		f.payload = c.b[c.off:]
 	case frameHeartbeat:
 		if f.rank, err = c.i32(); err != nil {
 			return f, err

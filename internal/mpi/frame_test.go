@@ -37,12 +37,6 @@ func frameEqual(a, b frame) bool {
 			}
 		}
 		return true
-	case framePing:
-		return a.seq == b.seq && a.rank == b.rank
-	case framePong:
-		return a.seq == b.seq && a.req == b.req
-	case frameTelemetry:
-		return a.rank == b.rank && a.codec == b.codec && bytes.Equal(a.payload, b.payload)
 	case frameHeartbeat:
 		return a.rank == b.rank
 	case frameRankDead:
@@ -53,8 +47,7 @@ func frameEqual(a, b frame) bool {
 
 func randomFrame(rng *rand.Rand) frame {
 	kinds := []byte{frameMsg, frameWorldClose, frameBarrierEnter, frameBarrierRelease,
-		frameWinPut, frameWinGet, frameWinGetReply,
-		framePing, framePong, frameTelemetry, frameHeartbeat, frameRankDead}
+		frameWinPut, frameWinGet, frameWinGetReply, frameHeartbeat, frameRankDead}
 	f := frame{kind: kinds[rng.Intn(len(kinds))], epoch: rng.Uint64()}
 	switch f.kind {
 	case frameMsg:
@@ -87,17 +80,6 @@ func randomFrame(rng *rand.Rand) frame {
 		for i := range f.vals {
 			f.vals[i] = rng.NormFloat64()
 		}
-	case framePing:
-		f.seq = rng.Uint64()
-		f.rank = rng.Int31n(1 << 20)
-	case framePong:
-		f.seq = rng.Uint64()
-		f.req = rng.Uint64()
-	case frameTelemetry:
-		f.rank = rng.Int31n(1 << 20)
-		f.codec = CodecID(rng.Intn(63) + 1)
-		f.payload = make([]byte, rng.Intn(300))
-		rng.Read(f.payload)
 	case frameHeartbeat:
 		f.rank = rng.Int31n(1 << 20)
 	case frameRankDead:
@@ -185,9 +167,13 @@ func TestFrameDecodeRejects(t *testing.T) {
 			b = appendI32(b, 1)
 			return append(b, bytes.Repeat([]byte{'x'}, maxCauseLen+1)...)
 		}(),
-		// Kind 6 is reserved (it was the window accumulate op): a
-		// well-formed old frame must not decode.
-		"retired win add": append([]byte{6}, make([]byte, 24)...),
+		// Kinds 6 and 9-11 are reserved (the window accumulate op, the
+		// clock ping and pong, the telemetry shipment): well-formed old
+		// frames must not decode.
+		"retired win add":   append([]byte{6}, make([]byte, 24)...),
+		"retired ping":      append([]byte{9}, make([]byte, 20)...),
+		"retired pong":      append([]byte{10}, make([]byte, 24)...),
+		"retired telemetry": append([]byte{11}, make([]byte, 16)...),
 	}
 	for name, body := range cases {
 		if _, err := decodeFrameBody(body); err == nil {

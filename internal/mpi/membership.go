@@ -303,15 +303,6 @@ func (w *World) deadCause(r int) error {
 // (see World.Alive).
 func (c *Comm) Alive(r int) bool { return c.world.Alive(r) }
 
-// alive reports whether rank r is live in the cluster's membership view.
-// In-process clusters are always fully live.
-func (cl *Cluster) alive(r int) bool {
-	if cl.tcp == nil {
-		return r >= 0 && r < cl.n
-	}
-	return cl.tcp.alive(r)
-}
-
 // DeadRanks returns the chronological record of rank deaths this process
 // has declared, each with its detection time and cause.
 func (cl *Cluster) DeadRanks() []RankDeath {

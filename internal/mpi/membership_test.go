@@ -48,7 +48,7 @@ func TestRankDeathMembership(t *testing.T) {
 	_ = cls[2].NewWorld()
 
 	for r := 0; r < 3; r++ {
-		if !cls[0].alive(r) {
+		if !cls[0].tcp.alive(r) {
 			t.Fatalf("rank %d dead before any death", r)
 		}
 	}
@@ -56,14 +56,14 @@ func TestRankDeathMembership(t *testing.T) {
 	// SIGKILL stand-in: the process vanishes, its connections reset.
 	cls[2].Close()
 
-	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].alive(2) })
-	waitFor(t, "rank 1 to declare rank 2 dead", func() bool { return !cls[1].alive(2) })
+	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].tcp.alive(2) })
+	waitFor(t, "rank 1 to declare rank 2 dead", func() bool { return !cls[1].tcp.alive(2) })
 
 	deaths := cls[0].DeadRanks()
 	if len(deaths) != 1 || deaths[0].Rank != 2 || deaths[0].Cause == nil || deaths[0].At.IsZero() {
 		t.Errorf("death record = %+v, want one entry for rank 2 with cause and time", deaths)
 	}
-	if !cls[0].alive(0) || !cls[0].alive(1) {
+	if !cls[0].tcp.alive(0) || !cls[0].tcp.alive(1) {
 		t.Error("a survivor left the live set")
 	}
 
@@ -100,7 +100,7 @@ func TestBarrierOverSurvivors(t *testing.T) {
 
 	cls[2].Close()
 	waitFor(t, "survivors to notice the death", func() bool {
-		return !cls[0].alive(2) && !cls[1].alive(2)
+		return !cls[0].tcp.alive(2) && !cls[1].tcp.alive(2)
 	})
 
 	var wg sync.WaitGroup
@@ -130,7 +130,7 @@ func TestCollectivesOverSurvivors(t *testing.T) {
 
 	cls[2].Close()
 	waitFor(t, "survivors to notice the death", func() bool {
-		return !cls[0].alive(2) && !cls[1].alive(2)
+		return !cls[0].tcp.alive(2) && !cls[1].tcp.alive(2)
 	})
 
 	w0 := cls[0].NewWorld()
@@ -195,7 +195,7 @@ func TestRecvFromDeadRankFails(t *testing.T) {
 	cls := loopbackByRank(t, 3)
 
 	cls[2].Close()
-	waitFor(t, "rank 0 to notice the death", func() bool { return !cls[0].alive(2) })
+	waitFor(t, "rank 0 to notice the death", func() bool { return !cls[0].tcp.alive(2) })
 
 	w0 := cls[0].NewWorld()
 	_ = cls[1].NewWorld()
@@ -244,7 +244,7 @@ func TestHeartbeatTimeoutDetectsSilentPeer(t *testing.T) {
 	cls[1].setHeartbeat(0, 0)
 	cls[0].setHeartbeat(20*time.Millisecond, 300*time.Millisecond)
 
-	waitFor(t, "rank 0 to declare the silent rank 1 dead", func() bool { return !cls[0].alive(1) })
+	waitFor(t, "rank 0 to declare the silent rank 1 dead", func() bool { return !cls[0].tcp.alive(1) })
 	deaths := cls[0].DeadRanks()
 	if len(deaths) != 1 || deaths[0].Rank != 1 {
 		t.Fatalf("death record = %+v, want one entry for rank 1", deaths)
@@ -264,6 +264,6 @@ func TestDeathNoticePropagation(t *testing.T) {
 	cls[1].setHeartbeat(20*time.Millisecond, 0)
 	cls[2].setHeartbeat(0, 0)
 
-	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].alive(2) })
-	waitFor(t, "rank 1 to hear the death notice", func() bool { return !cls[1].alive(2) })
+	waitFor(t, "rank 0 to declare rank 2 dead", func() bool { return !cls[0].tcp.alive(2) })
+	waitFor(t, "rank 1 to hear the death notice", func() bool { return !cls[1].tcp.alive(2) })
 }

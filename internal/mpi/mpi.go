@@ -71,18 +71,6 @@ type message struct {
 	ref any
 }
 
-// releasePayload returns a dropped message's pooled payload to the pools.
-// Ownership passed to the receiver at send time; when the world closes
-// before the receive happens, the runtime is the payload's last owner and
-// must release it so cancellation does not leak pooled buffers.
-func releasePayload(m *message) {
-	if m.data != nil {
-		PutBytes(m.data)
-	} else if r, ok := m.ref.([]byte); ok {
-		PutBytes(r)
-	}
-}
-
 // msgQueue is a FIFO with an amortized-O(1) head pop: consumed entries
 // advance head and the slice is compacted once half-empty, so draining
 // thousands of queued messages does not degrade to quadratic copying.
@@ -260,7 +248,7 @@ func (w *World) closeWith(cause error, notifyPeers bool) {
 		mb.closed = true
 		for _, q := range mb.tags {
 			for i := q.head; i < len(q.msgs); i++ {
-				releasePayload(&q.msgs[i])
+				PutBytes(q.msgs[i].data)
 				q.msgs[i] = message{}
 			}
 			q.head = len(q.msgs)
@@ -430,13 +418,13 @@ func (w *World) deliverRemote(to int, m message) {
 		mb = w.boxes[to]
 	}
 	if mb == nil {
-		releasePayload(&m)
+		PutBytes(m.data)
 		return
 	}
 	mb.mu.Lock()
 	if mb.closed {
 		mb.mu.Unlock()
-		releasePayload(&m)
+		PutBytes(m.data)
 		return
 	}
 	q := mb.tags[m.tag]

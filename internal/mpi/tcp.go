@@ -17,8 +17,8 @@ package mpi
 // frame buffer, after which the transport is the payload's last local
 // owner and releases pooled buffers (the same "ownership passes on send"
 // contract as the in-process backend). On the receiving side raw
-// payloads and codec-decoded references arrive in pooled buffers that the
-// receiver releases, so PoolCounters stays balanced per process.
+// payloads arrive in pooled buffers that the receiver releases, so
+// PoolCounters stays balanced per process.
 
 import (
 	"bufio"
@@ -102,33 +102,6 @@ type tcpNode struct {
 	getMu   sync.Mutex
 	getReqs map[uint64]chan []float64
 	reqSeq  atomic.Uint64
-
-	// Clock-alignment state: nowFn is the monotonic clock the ping/pong
-	// exchange reads on both sides (a tracer's Now when one is attached,
-	// process-uptime nanoseconds otherwise); pings holds the in-flight
-	// ping nonces awaiting a pong.
-	nowFn   atomic.Pointer[func() int64]
-	pingMu  sync.Mutex
-	pings   map[uint64]chan int64
-	pingSeq atomic.Uint64
-
-	// Telemetry snapshots shipped by peers (rank 0 only in practice),
-	// decoded and stored in arrival order until Cluster.Telemetry drains
-	// them.
-	telemMu sync.Mutex
-	telem   []TelemetryItem
-}
-
-// processStart anchors the default clock the ping exchange reads when no
-// tracer is attached; monotonic by time.Since's contract.
-var processStart = time.Now()
-
-// now reads the node's alignment clock.
-func (n *tcpNode) now() int64 {
-	if f := n.nowFn.Load(); f != nil {
-		return (*f)()
-	}
-	return int64(time.Since(processStart))
 }
 
 func newTCPNode(rank, n int) *tcpNode {
@@ -223,30 +196,6 @@ func (n *tcpNode) dispatch(f frame) error {
 		if ch != nil {
 			ch <- f.vals
 		}
-	case framePing:
-		// Echo our clock back to the sender immediately: the reply runs on
-		// this reader goroutine, so the pong's remote-read happens as close
-		// to the ping's arrival as the runtime allows.
-		if int(f.rank) >= len(n.peers) || n.peers[f.rank] == nil {
-			return fmt.Errorf("ping from unknown rank %d", f.rank)
-		}
-		_, _ = n.sendCtrl(int(f.rank), frame{kind: framePong, seq: f.seq, req: uint64(n.now())})
-	case framePong:
-		n.pingMu.Lock()
-		ch := n.pings[f.seq]
-		delete(n.pings, f.seq)
-		n.pingMu.Unlock()
-		if ch != nil {
-			ch <- int64(f.req)
-		}
-	case frameTelemetry:
-		ref, err := decodeRef(f.codec, f.payload)
-		if err != nil {
-			return err
-		}
-		n.telemMu.Lock()
-		n.telem = append(n.telem, TelemetryItem{Rank: int(f.rank), Payload: ref})
-		n.telemMu.Unlock()
 	case frameHeartbeat:
 		// Keepalive: its arrival already refreshed this link's read
 		// deadline; nothing to route.
@@ -280,7 +229,7 @@ func (n *tcpNode) deliver(epoch uint64, it pendItem) {
 	}
 	n.mu.Unlock()
 	if w == nil {
-		discardItem(it)
+		PutBytes(it.msg.data)
 		return
 	}
 	n.apply(w, it)
@@ -300,12 +249,6 @@ func (n *tcpNode) apply(w *World, it pendItem) {
 		w.applyWinPut(it)
 	case frameWinGet:
 		w.applyWinGet(it)
-	}
-}
-
-func discardItem(it pendItem) {
-	if it.kind == frameMsg {
-		releasePayload(&it.msg)
 	}
 }
 
@@ -390,7 +333,7 @@ func (n *tcpNode) sendMessage(w *World, to int, m message) (int, error) {
 		}
 		return 0, worldOrTransportErr(w)
 	}
-	releasePayload(&m)
+	PutBytes(m.data)
 	return wire, nil
 }
 
@@ -504,7 +447,7 @@ func (n *tcpNode) teardown(cause error) {
 	}
 	for _, items := range pending {
 		for _, it := range items {
-			discardItem(it)
+			PutBytes(it.msg.data)
 		}
 	}
 	n.getMu.Lock()
@@ -512,13 +455,6 @@ func (n *tcpNode) teardown(cause error) {
 	n.getReqs = make(map[uint64]chan []float64)
 	n.getMu.Unlock()
 	for _, ch := range reqs {
-		close(ch)
-	}
-	n.pingMu.Lock()
-	pings := n.pings
-	n.pings = nil
-	n.pingMu.Unlock()
-	for _, ch := range pings {
 		close(ch)
 	}
 }

@@ -80,6 +80,15 @@ func TestTCPSendRecv(t *testing.T) {
 	}
 }
 
+// testNote is a reference payload with a test-local wire codec.
+type testNote string
+
+func init() {
+	RegisterCodec(15, testNote(""),
+		func(ref any, dst []byte) []byte { return append(dst, ref.(testNote)...) },
+		func(b []byte) (any, error) { return testNote(b), nil })
+}
+
 // TestTCPSendRefTypedPayloads sends references over the wire: a type
 // with a registered codec arrives as the same type, one without is
 // refused at the sender.
@@ -90,9 +99,7 @@ func TestTCPSendRefTypedPayloads(t *testing.T) {
 			if err := c.SendRef(1, 5, struct{ X int }{}, 8); err == nil {
 				return errors.New("a reference without a wire codec was sent")
 			}
-			b := GetBytes(4)
-			copy(b, "refs")
-			if err := c.SendRef(1, 6, b, 4); err != nil {
+			if err := c.SendRef(1, 6, testNote("refs"), 4); err != nil {
 				return err
 			}
 		}
@@ -101,12 +108,9 @@ func TestTCPSendRefTypedPayloads(t *testing.T) {
 		if err := c.Barrier(); err != nil || c.Rank() == 0 {
 			return err
 		}
-		ref, _, _, ok := c.TryRecvRef(0, 6)
-		b, isBytes := ref.([]byte)
-		if !ok || !isBytes || string(b) != "refs" {
-			return fmt.Errorf("byte ref arrived as %#v", ref)
+		if ref, _, _, ok := c.TryRecvRef(0, 6); !ok || ref != testNote("refs") {
+			return fmt.Errorf("typed ref arrived as %#v", ref)
 		}
-		PutBytes(b)
 		return nil
 	})
 	for i, err := range errs {

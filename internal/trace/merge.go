@@ -5,10 +5,10 @@ package trace
 // each worker rank's track lands in its own pid, worker-side stage spans
 // get a dedicated "stages" thread inside the rank's process (stage skew
 // across processes becomes visible), and every remote timestamp is
-// rebased into the launcher's clock with the per-rank offsets estimated
-// by the fabric's ping exchange. The offsets themselves are recorded in
-// the file's metadata object so a timeline can be audited after the
-// fact.
+// rebased into the launcher's clock with the per-rank offsets the
+// launcher measured in its finalize exchange. The offsets themselves are
+// recorded in the file's metadata object so a timeline can be audited
+// after the fact.
 //
 // Determinism: snapshots are consumed in ascending host-rank order and
 // the final ordering is a stable sort on the rebased timestamp, so the
@@ -31,8 +31,9 @@ const tidStages = 3
 
 // RankClock is one rank's clock alignment against the merging process:
 // adding OffsetNS to a timestamp recorded in that rank's tracer yields
-// the equivalent timestamp in the merger's tracer. RTTNS is the ping
-// round-trip the estimate was taken from (its error bound).
+// the equivalent timestamp in the merger's tracer. RTTNS is the round
+// trip of the clock message exchange it was estimated from; half of it
+// bounds the error.
 type RankClock struct {
 	Rank     int
 	OffsetNS int64
@@ -100,6 +101,17 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].e.TS < evs[j].e.TS })
+	// A steal arrow keeps both ends or neither: one end is missing when
+	// the other rank's snapshot is (that rank did not trace, or died).
+	unpaired := make(map[uint64]int)
+	for _, pe := range evs {
+		switch pe.e.Ph {
+		case phFlowOut:
+			unpaired[pe.e.ID]++
+		case phFlowIn:
+			unpaired[pe.e.ID]--
+		}
+	}
 
 	out := jsonTrace{DisplayTimeUnit: "ms", TraceEvents: []jsonEvent{}}
 	if transport != "" || len(clocks) > 0 {
@@ -149,6 +161,9 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 	}
 
 	for _, pe := range evs {
+		if (pe.e.Ph == phFlowOut || pe.e.Ph == phFlowIn) && unpaired[pe.e.ID] != 0 {
+			continue
+		}
 		je := jsonEvent{
 			Name: pe.e.Name,
 			Cat:  pe.e.Cat,

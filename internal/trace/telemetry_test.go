@@ -220,6 +220,33 @@ func TestMergedTraceRebase(t *testing.T) {
 	}
 }
 
+// TestMergedTraceDropsUnpairedFlows: a steal arrow whose start lies in
+// a snapshot the merge lacks (its victim did not trace, or died) is
+// dropped, so the merged trace still validates; a paired one stays.
+func TestMergedTraceDropsUnpairedFlows(t *testing.T) {
+	thief := New(2)
+	s := thief.Begin(0, CatTask, "stolen")
+	thief.FlowIn(0, 1, "steal")
+	s.End()
+	paired := New(2)
+	populate(paired)
+	for name, c := range map[string]struct {
+		tel   *Telemetry
+		flows int
+	}{"unpaired": {thief.Export(0), 0}, "paired": {paired.Export(0), 2}} {
+		var buf bytes.Buffer
+		if err := WriteMergedTrace(&buf, []*Telemetry{c.tel}, nil, "tcp"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Errorf("%s: merged trace invalid: %v", name, err)
+		}
+		if got := strings.Count(buf.String(), `"ph":"s"`) + strings.Count(buf.String(), `"ph":"f"`); got != c.flows {
+			t.Errorf("%s: %d flow events in the merged trace, want %d", name, got, c.flows)
+		}
+	}
+}
+
 // TestPrometheusExport: the registry's text exposition must carry the
 // pamg2d_ prefix, counter/_total and histogram conventions, and pass the
 // package's own linter.

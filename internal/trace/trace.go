@@ -229,10 +229,10 @@ func (t *Tracer) Events() int {
 func (t *Tracer) now() int64 { return int64(time.Since(t.start)) }
 
 // Now returns the tracer's current timestamp: monotonic nanoseconds since
-// New, the time base every recorded event uses. Cross-process clock
-// alignment (mpi.Cluster.MeasureOffsets) reads both sides of a ping
-// exchange through this method so the estimated offsets are directly in
-// trace-timestamp units. Returns 0 on a nil tracer.
+// New, the time base every recorded event uses. A multi-process run's
+// launcher reads its own and each worker's tracer through this method
+// when it measures their RankClock offsets, so the offsets are directly
+// in trace-timestamp units. Returns 0 on a nil tracer.
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0

@@ -2,10 +2,10 @@ package trace
 
 // Cross-process telemetry: the serializable snapshot of one process's
 // tracer (its event tracks plus its metrics registry) and the binary
-// wire codec that ships it. In a multi-process run each worker rank
-// exports its tracer with Export, sends the Telemetry to rank 0 over the
-// fabric (mpi registers the codec under the core block), and the
-// launcher merges every process's tracks into one Chrome trace with
+// image that ships it. In a multi-process run each worker rank exports
+// its tracer with Export, sends the AppendBinary image to rank 0 as an
+// ordinary message when the launcher asks for it, and the launcher
+// merges every process's tracks into one Chrome trace with
 // WriteMergedTrace.
 //
 // The encoding is the repo's usual length-checked binary framing for the
