@@ -11,31 +11,47 @@ package core
 
 import (
 	"pamg2d/internal/audit"
+	"pamg2d/internal/geom"
 )
 
-// auditStage is the pipeline's last stage. It runs when the config asks
-// for it (Config.Audit) and on every degraded run — one whose fabric
-// recorded a rank death — so a mesh finished on survivors is never
-// accepted unaudited. Whether the fabric lost a rank is only known once
-// the stages before it ran, so the decision is taken when it is reached.
+// fullAudit reports whether the run gets the audit stage, whose orientation
+// and conformity checks then stand in for the merge's Mesh.Audit gate: under
+// Config.Audit, and once the fabric recorded a rank death, so a mesh finished
+// on survivors is never accepted unaudited. Each caller asks when reached.
+func (rc *RunCtx) fullAudit() bool {
+	return rc.cfg.Audit || rc.cfg.Fabric != nil && len(rc.cfg.Fabric.DeadRanks()) > 0
+}
+
+// auditStage is the pipeline's last stage; it runs when fullAudit holds.
 type auditStage struct{}
 
 func (auditStage) Name() string { return StageAudit }
 
-func (auditStage) skip(rc *RunCtx) bool {
-	return !rc.cfg.Audit && (rc.cfg.Fabric == nil || len(rc.cfg.Fabric.DeadRanks()) == 0)
-}
+func (auditStage) skip(rc *RunCtx) bool { return !rc.fullAudit() }
 
 func (auditStage) Run(rc *RunCtx) error {
-	cfg := rc.cfg
-	if cfg.testMutateMesh != nil {
-		cfg.testMutateMesh(rc.res.Mesh)
+	if rc.cfg.testMutateMesh != nil {
+		rc.cfg.testMutateMesh(rc.res.Mesh)
+	}
+	// The path edges, kept verbatim by NoSplitSegments: the transition inputs'
+	// segments (BL outer boundary, near-body box border, sector cuts), then
+	// the decoupled region borders.
+	var paths [][2]geom.Point
+	for _, ti := range rc.transInputs {
+		for _, sg := range ti.Segments {
+			paths = append(paths, [2]geom.Point{ti.Points[sg[0]], ti.Points[sg[1]]})
+		}
+	}
+	for _, r := range rc.regions {
+		for k, p := range r.Border {
+			paths = append(paths, [2]geom.Point{p, r.Border[(k+1)%len(r.Border)]})
+		}
 	}
 	s := &audit.Snapshot{
 		Mesh:     rc.res.Mesh,
 		Layers:   rc.layers,
-		BL:       cfg.BL,
-		Paths:    rc.pathEdges,
+		BL:       rc.cfg.BL,
+		Paths:    paths,
 		Farfield: rc.ffBox,
 	}
 	rep, err := audit.RunContext(rc.ctx, s, audit.All())

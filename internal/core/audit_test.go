@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pamg2d/internal/audit"
+	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 )
@@ -247,6 +248,40 @@ func TestAuditOffByDefault(t *testing.T) {
 	for _, s := range res.Stats.Stages {
 		if s.Name == StageAudit || strings.HasPrefix(s.Name, StageAudit+"/") {
 			t.Errorf("stage %q recorded without Config.Audit", s.Name)
+		}
+	}
+}
+
+// TestStructureProvedOnce drives the merge and the audit stage over a
+// builder holding one clockwise triangle. Each run proves the merged
+// mesh's structure once: unaudited, the merge's Mesh.Audit gate fails it;
+// audited, the gate steps aside and the audit stage fails it, with the
+// registry's full report naming the triangle.
+func TestStructureProvedOnce(t *testing.T) {
+	for _, audited := range []bool{false, true} {
+		res := &Result{}
+		cfg := smallConfig(1)
+		cfg.Audit = audited
+		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+		rc.builder = mesh.NewBuilder()
+		rc.builder.AddTriangle(geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(1, 0))
+		err := rc.runStages([]Stage{stageFunc{StageMerge, runMerge}, auditStage{}})
+		var pe *PhaseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("audit %v: run returned %v, want a *PhaseError", audited, err)
+		}
+		var ae *audit.Error
+		switch {
+		case !audited && (pe.Stage != StageMerge || !strings.Contains(err.Error(), "triangle 0 not CCW")):
+			t.Errorf("unaudited run failed with %v, want the merge gate's \"not CCW\"", err)
+		case !audited && res.Stats.Audit != nil:
+			t.Error("unaudited run produced an audit report")
+		case audited && pe.Stage != StageAudit:
+			t.Errorf("audited run failed in %q (%v), want %q", pe.Stage, err, StageAudit)
+		case audited && !errors.As(err, &ae):
+			t.Errorf("audited run error does not wrap *audit.Error: %v", err)
+		case audited && (len(ae.Report.Violations) == 0 || ae.Report.Violations[0].Element != 0):
+			t.Errorf("audited run's first violation is not triangle 0: %v", ae.Report.Violations)
 		}
 	}
 }

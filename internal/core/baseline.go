@@ -58,7 +58,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	blBox := geom.BBoxOf(blPoints)
 	margin := cfg.NearBodyMargin
 	if margin <= 0 {
-		margin = 0.25
+		margin = defaultNearBodyMargin
 	}
 	nbBox := blBox.Inflate(margin * (blBox.Width() + blBox.Height()) / 2)
 
@@ -102,15 +102,11 @@ func annulusInput(nbBox, ffBox geom.BBox, grad *sizing.Graded) (delaunay.Input, 
 			geom.Pt(bb.Min.X, bb.Min.Y), geom.Pt(bb.Max.X, bb.Min.Y),
 			geom.Pt(bb.Max.X, bb.Max.Y), geom.Pt(bb.Min.X, bb.Max.Y),
 		}
-		first := int32(len(in.Points))
+		var loop []geom.Point
 		for i := 0; i < 4; i++ {
-			in.Points = append(in.Points, decouple.MarchBorder(corners[i], corners[(i+1)%4], grad.Area)...)
+			loop = append(loop, decouple.MarchBorder(corners[i], corners[(i+1)%4], grad.Area)...)
 		}
-		last := int32(len(in.Points)) - 1
-		for k := first; k < last; k++ {
-			in.Segments = append(in.Segments, [2]int32{k, k + 1})
-		}
-		in.Segments = append(in.Segments, [2]int32{last, first})
+		appendLoop(&in, loop)
 	}
 	addLoop(nbBox)
 	addLoop(ffBox)

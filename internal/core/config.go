@@ -122,6 +122,9 @@ type Config struct {
 	testMutateMesh func(*mesh.Mesh)
 }
 
+// The defaults a zero SubdomainsPerRank or NearBodyMargin reads as.
+const defaultSubdomainsPerRank, defaultNearBodyMargin = 4, 0.25
+
 // DefaultConfig returns a working configuration for a NACA 0012 at the
 // given surface resolution.
 func DefaultConfig() Config {
@@ -132,8 +135,8 @@ func DefaultConfig() Config {
 		Gradation:         0.15,
 		HMax:              4.0,
 		Ranks:             4,
-		SubdomainsPerRank: 4,
-		NearBodyMargin:    0.25,
+		SubdomainsPerRank: defaultSubdomainsPerRank,
+		NearBodyMargin:    defaultNearBodyMargin,
 	}
 }
 

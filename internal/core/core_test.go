@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
 	"pamg2d/internal/growth"
+	"pamg2d/internal/mesh"
 )
 
 // smallConfig is a fast NACA 0012 configuration for tests.
@@ -256,5 +258,91 @@ func TestGenerateDeterministic(t *testing.T) {
 	q1, q2 := r1.Mesh.Quality(), r2.Mesh.Quality()
 	if q1.MinAngleDeg != q2.MinAngleDeg || q1.MaxAspectRatio != q2.MaxAspectRatio {
 		t.Errorf("quality differs: %+v vs %+v", q1, q2)
+	}
+}
+
+// TestDefaultsHaveOneValue: a config that leaves SubdomainsPerRank and
+// NearBodyMargin zero meshes byte for byte like one that sets them to
+// their documented defaults, 4 and 0.25, through Generate and through
+// SequentialBaseline.
+func TestDefaultsHaveOneValue(t *testing.T) {
+	zero, explicit := smallConfig(2), smallConfig(2)
+	zero.SubdomainsPerRank, zero.NearBodyMargin = 0, 0
+	explicit.SubdomainsPerRank, explicit.NearBodyMargin = 4, 0.25
+	encode := func(name string, cfg Config) []byte {
+		res, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		base, err := SequentialBaseline(cfg)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", name, err)
+		}
+		var buf bytes.Buffer
+		if err := res.Mesh.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := base.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(encode("zero", zero), encode("explicit", explicit)) {
+		t.Error("zero SubdomainsPerRank and NearBodyMargin mesh differently from 4 and 0.25")
+	}
+}
+
+// TestBLTriangleSetIndependentOfDepth: the boundary-layer triangles, the
+// first Stats.BLTriangles of the mesh, form one set at projection depths 1
+// to 6 (SubdomainsPerRank 1 to 64 at one rank) and in SequentialBaseline's
+// single triangulation of all boundary-layer points (depth 0). Blelloch's
+// dividing paths are Delaunay edges, so the leaves tile the one global
+// triangulation. The three-element case is rotated by a fraction of a
+// degree, the way the bench jitters it. The stock, axis-aligned
+// airfoil.ThreeElement(64) keeps its 6,796 boundary-layer triangles at
+// SubdomainsPerRank 4 and above, but as a different set: exactly
+// cocircular points let two insertion orders pick different diagonals
+// (ROADMAP item 6's symbolic tie-break).
+func TestBLTriangleSetIndependentOfDepth(t *testing.T) {
+	highlift := DefaultConfig()
+	highlift.Geometry = airfoil.ThreeElement(64)
+	const phi = 0.37 // degrees
+	for i := range highlift.Geometry.Elements {
+		pl := &highlift.Geometry.Elements[i].Place
+		pl.AngleDeg -= phi
+		pl.Offset = pl.Offset.Rotate(phi * math.Pi / 180)
+	}
+	blSet := func(m *mesh.Mesh, n int) string {
+		return (&mesh.Mesh{Points: m.Points, Triangles: m.Triangles[:n]}).TriangleSetHash()
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"small", smallConfig(1)}, {"default", DefaultConfig()}, {"highlift", highlift}} {
+		cfg := c.cfg
+		cfg.Ranks = 1
+		var want string
+		var n int
+		for _, spr := range []int{1, 2, 4, 8, 16, 64} {
+			cfg.SubdomainsPerRank = spr
+			res, err := Generate(cfg)
+			if err != nil {
+				t.Fatalf("%s, %d subdomains: %v", c.name, spr, err)
+			}
+			got := blSet(res.Mesh, res.Stats.BLTriangles)
+			if want == "" {
+				want, n = got, res.Stats.BLTriangles
+			} else if got != want || res.Stats.BLTriangles != n {
+				t.Errorf("%s, %d subdomains: %d boundary-layer triangles with set %.12s, want %d with %.12s at 1",
+					c.name, spr, res.Stats.BLTriangles, got, n, want)
+			}
+		}
+		base, err := SequentialBaseline(cfg)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", c.name, err)
+		}
+		if got := blSet(base, n); got != want {
+			t.Errorf("%s: SequentialBaseline's first %d triangles have set %.12s, want %.12s", c.name, n, got, want)
+		}
 	}
 }

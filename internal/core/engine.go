@@ -204,10 +204,10 @@ func (e *Engine) Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: config asks for %d ranks but the fabric has %d", cfg.Ranks, e.ranks)
 	}
 	if cfg.SubdomainsPerRank < 1 {
-		cfg.SubdomainsPerRank = 4
+		cfg.SubdomainsPerRank = defaultSubdomainsPerRank
 	}
 	if cfg.NearBodyMargin <= 0 {
-		cfg.NearBodyMargin = 0.25
+		cfg.NearBodyMargin = defaultNearBodyMargin
 	}
 
 	// Assign a run ID only when someone will see it (a logger or a

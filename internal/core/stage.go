@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"pamg2d/internal/blayer"
+	"pamg2d/internal/decouple"
+	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
@@ -178,11 +180,10 @@ type RunCtx struct {
 	outerPts   []geom.Point // bl-triangulation: BL outer boundary
 	outerSegs  [][2]int32
 	isoResults [][]float64 // inviscid: the transition + inviscid tasks' encoded submeshes
-	// pathEdges are the constrained/decoupling edges of the final mesh
-	// (BL outer boundary, near-body box border, sector cuts, decoupled
-	// region borders) as exact endpoint pairs; collected by the inviscid
-	// stage only when the audit stage may run, for its Snapshot.
-	pathEdges [][2]geom.Point
+	// inviscid: the transition inputs (after any sector split) and the
+	// decoupled regions, whose edges the audit stage checks.
+	transInputs []delaunay.Input
+	regions     []*decouple.Region
 
 	// Wire counters for the stage in flight, reset by the engine around
 	// each stage and folded into the stats by recordStage.

@@ -250,26 +250,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	if transInputs == nil {
 		transInputs = []delaunay.Input{transIn}
 	}
-	if cfg.Audit || cfg.Fabric != nil && cfg.Fabric.TransportName() != "inproc" {
-		// Collect every constrained/decoupling edge for the audit stage,
-		// which runs under cfg.Audit and on any run that loses a rank — and
-		// only a multi-process fabric can: the transition inputs' segments
-		// (BL outer boundary, near-body box border, sector cuts) and the
-		// decoupled region borders. All of them are refined with
-		// NoSplitSegments, so each must survive verbatim as a conforming
-		// edge of the merged mesh.
-		for _, ti := range transInputs {
-			for _, s := range ti.Segments {
-				rc.pathEdges = append(rc.pathEdges, [2]geom.Point{ti.Points[s[0]], ti.Points[s[1]]})
-			}
-		}
-		for _, r := range regions {
-			n := len(r.Border)
-			for k := 0; k < n; k++ {
-				rc.pathEdges = append(rc.pathEdges, [2]geom.Point{r.Border[k], r.Border[(k+1)%n]})
-			}
-		}
-	}
+	rc.transInputs, rc.regions = transInputs, regions
 	for _, ti := range transInputs {
 		tasks = append(tasks, loadbal.Task{
 			ID:   int32(len(tasks)),
@@ -312,8 +293,8 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 }
 
 // runMerge adds the transition/inviscid submeshes to the builder that
-// already holds the boundary-layer mesh, giving the final audited mesh
-// (phase 6).
+// already holds the boundary-layer mesh, giving the final mesh (phase 6),
+// and gates its structure unless the audit stage will prove it.
 func runMerge(rc *RunCtx) error {
 	b := rc.builder
 	if err := addSubmeshes(b, rc.isoResults); err != nil {
@@ -321,8 +302,10 @@ func runMerge(rc *RunCtx) error {
 	}
 	rc.res.Mesh = b.Mesh()
 	rc.stats.TotalTriangles = rc.res.Mesh.NumTriangles()
-	if err := rc.res.Mesh.Audit(); err != nil {
-		return fmt.Errorf("core: final mesh failed audit: %w", err)
+	if !rc.fullAudit() {
+		if err := rc.res.Mesh.Audit(); err != nil {
+			return fmt.Errorf("core: final mesh failed audit: %w", err)
+		}
 	}
 	return nil
 }
