@@ -1,10 +1,11 @@
 package main
 
 // The finalize exchange of a multi-process run: one more world, minted by
-// every process after generation, on which rank 0 collects each worker's
-// clock and shipment with ordinary messages. It ends in the world's
-// barrier, so no process tears its connections down while another still
-// drains the pipeline's last broadcast.
+// every process after generation, on which a tracing rank 0 collects each
+// worker's clock and telemetry with ordinary messages. It ends in the
+// world's barrier, so no process tears its connections down while another
+// still drains the pipeline's last broadcast. The run's statistics do not
+// travel here: they reached rank 0's core.Stats phase by phase.
 
 import (
 	"context"
@@ -24,31 +25,30 @@ const (
 	tagReply
 )
 
-// Finalize requests. Either ship request is a worker's last.
+// Finalize requests. Either of the last two is a worker's last.
 const (
-	reqClock     byte = iota + 1 // reply with the clock, 8 bytes
-	reqShip                      // reply with the summary
-	reqShipTrace                 // reply with the summary, then the telemetry image
+	reqClock byte = iota + 1 // reply with the clock, 8 bytes
+	reqShip                  // reply with the telemetry image
+	reqDone                  // no reply
 )
 
 // clockRounds is the number of clock samples an offset estimate takes
 // the best of.
 const clockRounds = 5
 
-// shipments is what rank 0 collected from its workers. A worker appears
-// only once its whole visit completed, so every snapshot comes with the
-// clock it is rebased by.
+// shipments is what a tracing rank 0 collected from its workers. A worker
+// appears only once its whole visit completed, so every snapshot comes
+// with the clock it is rebased by.
 type shipments struct {
-	stats  []rankSummary
 	telems []*trace.Telemetry
-	clocks []trace.RankClock // rank 0's zero offset first; nil when untraced
+	clocks []trace.RankClock // rank 0's zero offset first
 }
 
 // collectWorkers is rank 0's side of the finalize exchange: it visits
 // each live worker in rank order, then enters the barrier. now is the
 // launcher's trace clock, or nil when the launcher does not trace: then
-// no clock is sampled and no telemetry is asked for, so rank 0's flags
-// alone decide what crosses the wire. A worker that is or goes dead is
+// each worker is only released to the barrier, so rank 0's flags alone
+// decide what crosses the wire. A worker that is or goes dead is
 // skipped; the run's degradation report covers it. Only a failed visit
 // and the barrier's result are errors: once the barrier releases, a peer
 // closing its links is the expected shutdown.
@@ -76,48 +76,36 @@ func collectWorkers(ctx context.Context, fabric *mpi.Cluster, now func() int64) 
 	return out, err
 }
 
-// visitWorker samples worker r's clock when now is set, then takes its
-// shipment, and adds them to out once all of it has arrived.
+// visitWorker releases worker r to the barrier, or, when now is set,
+// samples its clock and takes its telemetry, adding both to out once all
+// of it has arrived.
 func visitWorker(ctx context.Context, c *mpi.Comm, r int, now func() int64, out *shipments) error {
-	req := reqShip
-	var clock trace.RankClock
-	if now != nil {
-		req = reqShipTrace
-		var err error
-		if clock, err = sampleClock(ctx, c, r, now); err != nil {
-			return err
-		}
+	if now == nil {
+		return send(c, r, tagRequest, []byte{reqDone})
 	}
-	if err := send(c, r, tagRequest, []byte{req}); err != nil {
+	clock, err := sampleClock(ctx, c, r, now)
+	if err != nil {
+		return err
+	}
+	if err := send(c, r, tagRequest, []byte{reqShip}); err != nil {
 		return err
 	}
 	b, _, _, err := c.Recv(ctx, r, tagReply)
 	if err != nil {
 		return err
 	}
-	rs, ok := decodeRankStats(b)
+	var tel *trace.Telemetry
+	if len(b) > 0 {
+		tel, err = trace.DecodeTelemetry(b)
+	}
 	mpi.PutBytes(b)
-	if !ok {
-		return fmt.Errorf("rank %d shipped a malformed run summary", r)
+	if err != nil {
+		return fmt.Errorf("rank %d telemetry: %w", r, err)
 	}
-	if now != nil {
-		if b, _, _, err = c.Recv(ctx, r, tagReply); err != nil {
-			return err
-		}
-		var tel *trace.Telemetry
-		if len(b) > 0 {
-			tel, err = trace.DecodeTelemetry(b)
-		}
-		mpi.PutBytes(b)
-		if err != nil {
-			return fmt.Errorf("rank %d telemetry: %w", r, err)
-		}
-		if tel != nil {
-			out.telems = append(out.telems, tel)
-		}
-		out.clocks = append(out.clocks, clock)
+	if tel != nil {
+		out.telems = append(out.telems, tel)
 	}
-	out.stats = append(out.stats, rs)
+	out.clocks = append(out.clocks, clock)
 	return nil
 }
 
@@ -151,11 +139,11 @@ func sampleClock(ctx context.Context, c *mpi.Comm, r int, now func() int64) (tra
 }
 
 // serveLauncher is a worker's side of the finalize exchange: it answers
-// rank 0's requests with its clock (now) and its shipment, summary then
-// tel's image when asked for one (empty when tel is nil), and enters the
+// rank 0's requests with its clock (now) and tel's image (empty when tel
+// is nil) until rank 0 asks for the image or releases it, and enters the
 // barrier. Like collectWorkers it returns a failure or the barrier's
 // result.
-func serveLauncher(ctx context.Context, cluster *mpi.Cluster, summary []byte, tel *trace.Telemetry, now func() int64) error {
+func serveLauncher(ctx context.Context, cluster *mpi.Cluster, tel *trace.Telemetry, now func() int64) error {
 	var err error
 	_ = cluster.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
 		for err == nil {
@@ -171,8 +159,8 @@ func serveLauncher(ctx context.Context, cluster *mpi.Cluster, summary []byte, te
 			switch req {
 			case reqClock:
 				err = send(c, 0, tagReply, binary.LittleEndian.AppendUint64(nil, uint64(now())))
-			case reqShip, reqShipTrace:
-				if err = send(c, 0, tagReply, summary); err == nil && req == reqShipTrace {
+			case reqShip, reqDone:
+				if req == reqShip {
 					var image []byte
 					if tel != nil {
 						image = tel.AppendBinary(nil)

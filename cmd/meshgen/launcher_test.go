@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"pamg2d/internal/core"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/trace"
 )
@@ -200,13 +199,28 @@ func TestRunTCPMergedTrace(t *testing.T) {
 	args := []string{
 		"-n", "24", "-farfield", "6", "-ranks", "2",
 		"-h0", "0.08", "-hmax", "2", "-bl-h0", "3e-3", "-bl-layers", "8",
-		"-format", "binary", "-transport", "tcp", "-q",
+		"-format", "binary", "-transport", "tcp",
 		"-o", filepath.Join(dir, "mesh.bin"),
 		"-trace", tracePath, "-metrics", metricsPath,
 	}
 	var errb bytes.Buffer
 	if err := run(context.Background(), args, &bytes.Buffer{}, &errb); err != nil {
 		t.Fatalf("tcp traced run: %v\n%s", err, errb.String())
+	}
+	// The launcher's report is the whole run's: both ranks' lines, whose
+	// task counts add up to the tasks total.
+	total, sum, lines := 0, 0, 0
+	for _, line := range strings.Split(errb.String(), "\n") {
+		var rank, n int
+		if _, err := fmt.Sscanf(line, "tasks %d", &n); err == nil {
+			total = n
+		} else if _, err := fmt.Sscanf(line, "rank %d %d tasks", &rank, &n); err == nil && rank == lines {
+			sum += n
+			lines++
+		}
+	}
+	if lines != 2 || total == 0 || sum != total {
+		t.Errorf("report has %d rank lines running %d of %d tasks, want 2 lines running all:\n%s", lines, sum, total, errb.String())
 	}
 
 	raw, err := os.ReadFile(tracePath)
@@ -292,6 +306,9 @@ func TestRunTCPMergedTrace(t *testing.T) {
 	if !local {
 		t.Errorf("no launcher-local counters in merged metrics: %v", metrics.Counters)
 	}
+	if metrics.Counters["tasks.rank.1"] == 0 {
+		t.Errorf("the launcher's registry records no tasks for rank 1: %v", metrics.Counters)
+	}
 }
 
 // loopbackByRank starts an n-rank loopback cluster indexed by rank; the
@@ -348,14 +365,13 @@ func TestFinalizeRecoversClockSkew(t *testing.T) {
 	}
 	got, err := finalizeOver(t, clusters, clock(0), func(ctx context.Context, cl *mpi.Cluster) error {
 		r := cl.Rank()
-		return serveLauncher(ctx, cl, encodeRankStats(r, &core.Stats{}), nil, clock(r))
+		return serveLauncher(ctx, cl, nil, clock(r))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.clocks) != 3 || len(got.stats) != 2 || len(got.telems) != 0 {
-		t.Fatalf("collected %d clocks, %d summaries and %d snapshots, want 3, 2 and 0",
-			len(got.clocks), len(got.stats), len(got.telems))
+	if len(got.clocks) != 3 || len(got.telems) != 0 {
+		t.Fatalf("collected %d clocks and %d snapshots, want 3 and 0", len(got.clocks), len(got.telems))
 	}
 	const tol = int64(200 * time.Millisecond)
 	for r, rc := range got.clocks {
@@ -370,39 +386,31 @@ func TestFinalizeRecoversClockSkew(t *testing.T) {
 }
 
 // TestFinalizeReleasesPooledBuffers runs the finalize exchange twice over
-// a loopback pair: an untraced launcher gets the worker's summary and
-// nothing else, even from a worker that traced; a traced one also gets
-// its clock and snapshot. Every message travels in a pooled buffer that
-// one side or the other releases, so the pool counters balance.
+// a loopback pair: an untraced launcher only releases the worker to the
+// barrier and collects nothing, even from a worker that traced; a traced
+// one gets its clock and snapshot. Every message travels in a pooled
+// buffer that one side or the other releases, so the pool counters
+// balance.
 func TestFinalizeReleasesPooledBuffers(t *testing.T) {
 	g0, p0 := mpi.PoolCounters()
 	clusters := loopbackByRank(t, 2)
-	st := &core.Stats{
-		Messages: 17, BytesOnWire: 1 << 33,
-		Tasks:  []core.TaskMeasure{{Seconds: 0.25}, {}, {Triangles: 9}},
-		Steals: core.StealStats{Requests: 3, Granted: 2, Gotten: 1, Idle: 1500 * time.Millisecond},
-	}
 	workerTracer := trace.New(2)
 	workerTracer.Begin(1, "test", "span").End()
 	serve := func(ctx context.Context, cl *mpi.Cluster) error {
-		return serveLauncher(ctx, cl, encodeRankStats(1, st), workerTracer.Export(1), workerTracer.Now)
+		return serveLauncher(ctx, cl, workerTracer.Export(1), workerTracer.Now)
 	}
-	want := summarizeRankStats(1, st)
 
 	got, err := finalizeOver(t, clusters, nil, serve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.stats) != 1 || got.stats[0] != want || got.telems != nil || got.clocks != nil {
-		t.Fatalf("untraced launcher collected %+v, want only [%+v]", got, want)
+	if got.telems != nil || got.clocks != nil {
+		t.Fatalf("untraced launcher collected %+v, want nothing", got)
 	}
 
 	got, err = finalizeOver(t, clusters, trace.New(1).Now, serve)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(got.stats) != 1 || got.stats[0] != want {
-		t.Errorf("traced launcher collected summaries %+v, want [%+v]", got.stats, want)
 	}
 	if len(got.telems) != 1 || got.telems[0].Rank != 1 || len(got.telems[0].Tracks) == 0 {
 		t.Errorf("traced launcher collected snapshots %+v, want rank 1's", got.telems)
@@ -417,15 +425,15 @@ func TestFinalizeReleasesPooledBuffers(t *testing.T) {
 
 // TestFinalizeSkipsRankThatDies: rank 2 answers its clock rounds and
 // then closes its cluster instead of shipping. The launcher keeps rank
-// 1's summary, snapshot and clock, nothing of rank 2's (not even the
-// clock it did measure), and completes the barrier without an error.
+// 1's snapshot and clock, nothing of rank 2's (not even the clock it did
+// measure), and completes the barrier without an error.
 func TestFinalizeSkipsRankThatDies(t *testing.T) {
 	clusters := loopbackByRank(t, 3)
 	workerTracer := trace.New(3)
 	workerTracer.Begin(1, "test", "span").End()
 	got, err := finalizeOver(t, clusters, trace.New(1).Now, func(ctx context.Context, cl *mpi.Cluster) error {
 		if cl.Rank() == 1 {
-			return serveLauncher(ctx, cl, encodeRankStats(1, &core.Stats{}), workerTracer.Export(1), workerTracer.Now)
+			return serveLauncher(ctx, cl, workerTracer.Export(1), workerTracer.Now)
 		}
 		_ = cl.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
 			for {
@@ -447,33 +455,11 @@ func TestFinalizeSkipsRankThatDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("launcher failed: %v", err)
 	}
-	if len(got.stats) != 1 || got.stats[0].rank != 1 {
-		t.Errorf("summaries %+v, want rank 1's only", got.stats)
-	}
 	if len(got.telems) != 1 || got.telems[0].Rank != 1 {
 		t.Errorf("snapshots %+v, want rank 1's only", got.telems)
 	}
 	if len(got.clocks) != 2 || got.clocks[0].Rank != 0 || got.clocks[1].Rank != 1 {
 		t.Errorf("clocks %+v, want ranks 0 and 1", got.clocks)
-	}
-}
-
-// TestRankStatsRejectsForeignPayloads: only a current-version summary of
-// the exact length decodes.
-func TestRankStatsRejectsForeignPayloads(t *testing.T) {
-	good := encodeRankStats(2, &core.Stats{Messages: 5})
-	if rs, ok := decodeRankStats(good); !ok || rs.rank != 2 || rs.msgs != 5 {
-		t.Fatalf("current summary decoded to %+v, %v", rs, ok)
-	}
-	other := append([]byte{}, good...)
-	other[0] = statsWireVersion - 1
-	for name, b := range map[string][]byte{
-		"empty": nil, "short": good[:len(good)-1], "long": append(good[:len(good):len(good)], 0),
-		"other version": other,
-	} {
-		if _, ok := decodeRankStats(b); ok {
-			t.Errorf("%s payload decoded", name)
-		}
 	}
 }
 

@@ -191,8 +191,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			cfg.Tracer = workerTracer
 		}
 		poolGets0, poolPuts0 := mpi.PoolCounters()
-		res, err := core.GenerateContext(ctx, cfg)
-		if err != nil {
+		if _, err := core.GenerateContext(ctx, cfg); err != nil {
 			return err
 		}
 		var tel *trace.Telemetry
@@ -202,7 +201,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		// The launcher samples the tracer's clock (zero without one), so
 		// the offsets it measures convert worker trace timestamps directly.
-		return serveLauncher(ctx, cluster, encodeRankStats(cluster.Rank(), &res.Stats), tel, workerTracer.Now)
+		return serveLauncher(ctx, cluster, tel, workerTracer.Now)
 	case *transport == "tcp":
 		// One correlation ID for the whole process tree: assign before the
 		// workers fork so they inherit it on their command line.
@@ -237,8 +236,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	poolGets0, poolPuts0 := mpi.PoolCounters()
 
 	res, err := core.GenerateContext(ctx, cfg)
-	// Collect the workers' clocks, run summaries and tracer snapshots.
-	// Ranks that died have none; the degradation report below covers them.
+	// Collect the workers' clocks and tracer snapshots when tracing, and
+	// meet them at the finalize barrier. Ranks that died have none; the
+	// degradation report below covers them.
 	var shipped shipments
 	if err == nil && fabric != nil {
 		var now func() int64
@@ -337,9 +337,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "steals               %d of %d requests granted, %v total idle\n",
 				st.Steals.Granted, st.Steals.Requests, st.Steals.Idle.Round(1e6))
 		}
-		if fabric != nil {
-			printRankStats(stderr, summarizeRankStats(0, &st), shipped.stats)
-		}
+		printRanks(stderr, &st)
 		if st.Degraded() {
 			printResilience(stderr, &st)
 		}

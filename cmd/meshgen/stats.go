@@ -1,111 +1,37 @@
 package main
 
-// Per-process run-summary aggregation for multi-process runs. Each worker
-// ships a compact summary of its own Stats to the launcher in the
-// finalize exchange (finalize.go), as a versioned little-endian message.
-// The launcher merges every survivor's summary with its own rank-0
-// summary into the final report, so the per-rank tasks/wire/steal numbers
-// cover the whole process tree instead of just rank 0.
+// The run report's per-rank and degradation sections. Both read the run's
+// own core.Stats, which on rank 0 is the whole run's record at every
+// transport: each worker's counters reach it on the agreement that ends
+// every distributed stage.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"time"
 
 	"pamg2d/internal/core"
 )
 
-// statsWireVersion stamps the summary so a launcher never misparses
-// another layout. Versions 1 and 2 were float64 vectors.
-const statsWireVersion = 3
-
-// statsWireLen is the summary's size: six u32s (version, rank, tasks and
-// the three steal counts), then msgs and bytes as u64s and the busy and
-// idle seconds as float64 bits.
-const statsWireLen = 6*4 + 4*8
-
-// rankSummary is one process's run summary, as shipped on the wire.
-type rankSummary struct {
-	rank         int
-	tasks        int
-	busySeconds  float64
-	msgs         int64
-	bytes        int64
-	stealReq     int
-	stealGranted int
-	stealGotten  int
-	idleSeconds  float64
-}
-
-// summarizeRankStats reduces one process's Stats to its local summary.
-// Task measures are recorded only on the executing process, so counting
-// the non-zero entries yields the tasks this rank ran.
-func summarizeRankStats(rank int, st *core.Stats) rankSummary {
-	rs := rankSummary{
-		rank:         rank,
-		msgs:         st.Messages,
-		bytes:        st.BytesOnWire,
-		stealReq:     st.Steals.Requests,
-		stealGranted: st.Steals.Granted,
-		stealGotten:  st.Steals.Gotten,
-		idleSeconds:  st.Steals.Idle.Seconds(),
-	}
-	for _, m := range st.Tasks {
-		if m.Seconds > 0 || m.Triangles > 0 {
-			rs.tasks++
-			rs.busySeconds += m.Seconds
+// printRanks writes one line per rank: the tasks it ran, its busy time and
+// its steals, summed over the distributed stages' Ranks. A rank that died
+// mid-run keeps what it reported before it died.
+func printRanks(w io.Writer, st *core.Stats) {
+	var ranks []core.RankStat
+	for _, s := range st.Stages {
+		for i, r := range s.Ranks {
+			if i == len(ranks) {
+				ranks = append(ranks, core.RankStat{Rank: i})
+			}
+			ranks[i].Tasks += r.Tasks
+			ranks[i].Busy += r.Busy
+			ranks[i].StealsGotten += r.StealsGotten
+			ranks[i].StealsGranted += r.StealsGranted
 		}
 	}
-	return rs
-}
-
-// encodeRankStats lays the summary out as its finalize message.
-func encodeRankStats(rank int, st *core.Stats) []byte {
-	rs := summarizeRankStats(rank, st)
-	b := make([]byte, 0, statsWireLen)
-	for _, v := range []int{statsWireVersion, rs.rank, rs.tasks, rs.stealReq, rs.stealGranted, rs.stealGotten} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(v))
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(rs.msgs))
-	b = binary.LittleEndian.AppendUint64(b, uint64(rs.bytes))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rs.busySeconds))
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(rs.idleSeconds))
-}
-
-// decodeRankStats parses a finalize message back into a summary; ok is
-// false for messages that are not a current-version summary.
-func decodeRankStats(b []byte) (rankSummary, bool) {
-	if len(b) != statsWireLen || binary.LittleEndian.Uint32(b) != statsWireVersion {
-		return rankSummary{}, false
-	}
-	i32 := func(i int) int { return int(int32(binary.LittleEndian.Uint32(b[4*i:]))) }
-	u64 := func(off int) uint64 { return binary.LittleEndian.Uint64(b[off:]) }
-	return rankSummary{
-		rank:         i32(1),
-		tasks:        i32(2),
-		stealReq:     i32(3),
-		stealGranted: i32(4),
-		stealGotten:  i32(5),
-		msgs:         int64(u64(24)),
-		bytes:        int64(u64(32)),
-		busySeconds:  math.Float64frombits(u64(40)),
-		idleSeconds:  math.Float64frombits(u64(48)),
-	}, true
-}
-
-// printRankStats writes the per-rank section of the final report: the
-// launcher's own summary merged with every worker summary that arrived,
-// in rank order. Ranks that died mid-run simply have no line — their
-// summary never shipped.
-func printRankStats(w io.Writer, own rankSummary, workers []rankSummary) {
-	all := append([]rankSummary{own}, workers...)
-	sort.Slice(all, func(i, j int) bool { return all[i].rank < all[j].rank })
-	for _, rs := range all {
-		fmt.Fprintf(w, "rank %-2d              %d tasks, %.2fs busy, %d msgs, %d B wire, steals %d got / %d granted\n",
-			rs.rank, rs.tasks, rs.busySeconds, rs.msgs, rs.bytes, rs.stealGotten, rs.stealGranted)
+	for _, r := range ranks {
+		fmt.Fprintf(w, "rank %-2d              %d tasks, %.2fs busy, steals %d got / %d granted\n",
+			r.Rank, r.Tasks, r.Busy.Seconds(), r.StealsGotten, r.StealsGranted)
 	}
 }
 

@@ -7,12 +7,14 @@ package core
 // travel as pointers — but over a multi-process fabric every rank-to-root
 // result send serializes through the task-result codec, and the root's
 // result re-distribution packs the collected list from the same entry
-// encoding (encodeResultList) so both directions share one format.
+// encoding (encodeResultList) so both directions share one format. The
+// agreement's collect leg carries a worker's phase record (appendRecord).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
@@ -20,24 +22,33 @@ import (
 
 const codecTaskResult mpi.CodecID = 32
 
+// encodeTaskResultRef writes a u32 task id, the task's seconds as float64
+// bits, then the result floats.
 func encodeTaskResultRef(ref any, dst []byte) []byte {
 	r := ref.(*taskResult)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.id))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.seconds))
 	for _, v := range r.vals {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
 }
 
+// decodeTaskResultRef is encodeTaskResultRef's inverse; seconds that are
+// negative, NaN or infinite are refused.
 func decodeTaskResultRef(b []byte) (any, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("core: task result frame of %d bytes, want >= 4", len(b))
+	if len(b) < 12 {
+		return nil, fmt.Errorf("core: task result frame of %d bytes, want >= 12", len(b))
 	}
-	body := b[4:]
+	secs := math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+	if !(secs >= 0) || math.IsInf(secs, 1) {
+		return nil, fmt.Errorf("core: task result measures %v seconds", secs)
+	}
+	body := b[12:]
 	if len(body)%8 != 0 {
 		return nil, fmt.Errorf("core: task result floats of %d bytes not a multiple of 8", len(body))
 	}
-	r := &taskResult{id: int32(binary.LittleEndian.Uint32(b))}
+	r := &taskResult{id: int32(binary.LittleEndian.Uint32(b)), seconds: secs}
 	if n := len(body) / 8; n > 0 {
 		r.vals = make([]float64, n)
 		for i := range r.vals {
@@ -86,8 +97,8 @@ func decodeResultList(b []byte) ([]loadbal.Result, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	// An entry is at least its length and a task id.
-	if n > len(b)/8 {
+	// An entry is at least its length, a task id and its seconds.
+	if n > len(b)/16 {
 		return nil, fmt.Errorf("core: result list claims %d entries in %d bytes", n, len(b))
 	}
 	out := make([]loadbal.Result, 0, n)
@@ -111,4 +122,41 @@ func decodeResultList(b []byte) ([]loadbal.Result, error) {
 		return nil, fmt.Errorf("core: %d trailing bytes after result list", len(b))
 	}
 	return out, nil
+}
+
+// recordLen is the size of the phase record on a worker's agreement leg:
+// nine little-endian int64s — the rank, its balancer's tasks, busy and
+// idle nanoseconds and steal requests, grants and receipts, then its
+// world's message and byte counts.
+const recordLen = 9 * 8
+
+// appendRecord appends rank's phase record to dst.
+func appendRecord(dst []byte, rank int, bs loadbal.Stats, msgs, bytes int64) []byte {
+	for _, v := range [...]int64{int64(rank), int64(bs.Processed), int64(bs.Busy), int64(bs.IdleTime),
+		int64(bs.StealRequests), int64(bs.StealsGranted), int64(bs.StealsGotten), msgs, bytes} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst
+}
+
+// decodeRecord reads the phase record of the agreement leg rank `from`
+// sent into *bs and returns its message and byte counts. The bytes crossed
+// a process boundary: a record of the wrong length, naming another rank or
+// holding a negative counter is refused, and *bs is left as it was.
+func decodeRecord(b []byte, from int, bs *loadbal.Stats) (msgs, bytes int64, err error) {
+	if len(b) != recordLen {
+		return 0, 0, fmt.Errorf("core: phase record of %d bytes, want %d", len(b), recordLen)
+	}
+	var v [recordLen / 8]int64
+	for i := range v {
+		if v[i] = int64(binary.LittleEndian.Uint64(b[8*i:])); v[i] < 0 {
+			return 0, 0, fmt.Errorf("core: phase record field %d is %d", i, v[i])
+		}
+	}
+	if v[0] != int64(from) {
+		return 0, 0, fmt.Errorf("core: rank %d sent the phase record of rank %d", from, v[0])
+	}
+	*bs = loadbal.Stats{Processed: int(v[1]), Busy: time.Duration(v[2]), IdleTime: time.Duration(v[3]),
+		StealRequests: int(v[4]), StealsGranted: int(v[5]), StealsGotten: int(v[6])}
+	return v[7], v[8], nil
 }

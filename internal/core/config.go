@@ -63,8 +63,10 @@ type Config struct {
 	// must call Generate with an identical configuration: the pipeline is
 	// SPMD, running the sequential stages redundantly on each process and
 	// splitting only the distributed phases, whose collected results the
-	// root re-broadcasts so all processes merge the same mesh. Nil selects
-	// the in-process fabric (goroutine ranks, zero-copy transfers).
+	// root re-broadcasts so all processes merge the same mesh. Rank 0's
+	// Stats is the run's record; a worker's holds every task's measure but
+	// only its own rank's counters. Nil selects the in-process fabric
+	// (goroutine ranks, zero-copy transfers).
 	Fabric *mpi.Cluster
 	// SubdomainsPerRank sets the decoupling target (the paper
 	// over-decomposes for load balancing); default 4.
@@ -163,15 +165,17 @@ type StealStats struct {
 	Requests int
 	// Granted counts requests satisfied by a victim handing over a task.
 	Granted int
-	// Gotten counts tasks that arrived on a thief; it equals Granted for
-	// a run that completed (every granted task is delivered in-process).
+	// Gotten counts tasks that arrived on a thief; on rank 0 it equals
+	// Granted for a run that lost no rank.
 	Gotten int
 	// Idle is the summed time mesher goroutines spent waiting for work.
 	Idle time.Duration
 }
 
 // TaskMeasure is one task's measured execution, the calibration input of
-// the strong-scaling model.
+// the strong-scaling model. The executing rank times the task and the
+// seconds ride its result to the root, so every process holds every
+// task's measure.
 type TaskMeasure struct {
 	Seconds       float64
 	Bytes         int64
@@ -179,7 +183,10 @@ type TaskMeasure struct {
 	Triangles     int
 }
 
-// Stats summarizes a pipeline run.
+// Stats summarizes a pipeline run. On a multi-process fabric rank 0's is
+// the whole run's record: every worker's counters reach it on the
+// agreement that ends each distributed stage. A worker's Stats holds every
+// task's measure but only its own rank's counters.
 type Stats struct {
 	// RunID is the run's correlation label: Config.RunID when the caller
 	// set one, the engine-assigned sequential ID when observability is
@@ -192,7 +199,8 @@ type Stats struct {
 	InviscidTris     int
 	TotalTriangles   int
 	BLLayerStats     []blayer.Stats
-	Tasks            []TaskMeasure
+	// Tasks is every distributed task's measure, in stage and task order.
+	Tasks []TaskMeasure
 	// Steals is the run-wide fold of the balancer counters across every
 	// distributed stage: how often ranks asked for work, how many tasks
 	// changed hands, and the total time meshers spent waiting for work.

@@ -19,6 +19,7 @@ import (
 var (
 	EncodeResultList = encodeResultList
 	DecodeResultList = decodeResultList
+	AppendRecord     = appendRecord
 )
 
 const (
@@ -63,15 +64,14 @@ func RealResultLists(t testing.TB) [][]byte {
 		out := &Result{}
 		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &out.Stats, res: out}
 		for _, ph := range phases {
-			results, err := runPhase(rc, ph.stage, ph.tasks, func(_ *mpi.Comm, task loadbal.Task) ([]float64, error) {
-				return processTaskCtx(task.Vals, tctx)
-			})
+			results, err := runPhase(rc, ph.stage, ph.tasks, tctx)
 			if err != nil {
 				return err
 			}
+			measures := rc.stats.Tasks[len(rc.stats.Tasks)-len(results):]
 			list := make([]loadbal.Result, len(results))
 			for id, vals := range results {
-				list[id] = &taskResult{id: int32(id), vals: vals}
+				list[id] = &taskResult{id: int32(id), seconds: measures[id].Seconds, vals: vals}
 			}
 			b, err := encodeResultList(list)
 			if err != nil {
@@ -87,6 +87,20 @@ func RealResultLists(t testing.TB) [][]byte {
 		}
 	}
 	return lists[1]
+}
+
+// ResultSeconds is a decoded task result's measured seconds.
+func ResultSeconds(r loadbal.Result) float64 { return r.(*taskResult).seconds }
+
+// RecordRoundTrip decodes the phase record rank from sent and re-encodes
+// what it accepted.
+func RecordRoundTrip(b []byte, from int) ([]byte, error) {
+	var bs loadbal.Stats
+	msgs, bytes, err := decodeRecord(b, from, &bs)
+	if err != nil {
+		return nil, err
+	}
+	return appendRecord(nil, from, bs, msgs, bytes), nil
 }
 
 // SubmeshToMesh decodes one meshing task's result vector and assembles it

@@ -15,6 +15,7 @@ import (
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/project"
+	"pamg2d/internal/trace"
 )
 
 // runOnFabric runs fn as one SPMD process per loopback-TCP cluster member
@@ -56,7 +57,8 @@ func meshBytes(t *testing.T, r *Result) []byte {
 
 // TestGenerateTCPByteIdentical is the transport acceptance gate: the full
 // audited pipeline over a loopback TCP fabric produces, on every process,
-// a mesh byte-identical to the in-process run at the same rank count.
+// a mesh byte-identical to the in-process run at the same rank count, and
+// process 0's Stats is the whole run's record (statsCoverRun).
 func TestGenerateTCPByteIdentical(t *testing.T) {
 	for _, ranks := range []int{1, 4} {
 		t.Run(fmt.Sprintf("ranks-%d", ranks), func(t *testing.T) {
@@ -72,11 +74,13 @@ func TestGenerateTCPByteIdentical(t *testing.T) {
 			}
 
 			results := make([]*Result, ranks)
+			tracers := make([]*trace.Tracer, ranks)
 			errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
 				c := cfg
 				c.Fabric = cl
+				c.Tracer = trace.New(ranks)
 				res, err := GenerateContext(context.Background(), c)
-				results[i] = res
+				results[cl.Rank()], tracers[cl.Rank()] = res, c.Tracer
 				return err
 			})
 			for i, err := range errs {
@@ -93,8 +97,76 @@ func TestGenerateTCPByteIdentical(t *testing.T) {
 						i, len(got), r.Mesh.NumTriangles(), len(wantBytes), want.Mesh.NumTriangles())
 				}
 			}
+			var sends int64
+			for r, tr := range tracers {
+				sends += countSends(tr.Export(r))
+			}
+			statsCoverRun(t, &results[0].Stats, &want.Stats, ranks, sends)
 		})
 	}
+}
+
+// statsCoverRun checks that got, process 0's Stats of a run over a fabric,
+// records the whole run the way the in-process run's Stats does: every
+// task's measure, every rank's counters in every distributed stage, both
+// ends of every steal, and the send count of every process (sends).
+func statsCoverRun(t *testing.T, got, want *Stats, ranks int, sends int64) {
+	t.Helper()
+	if len(got.Tasks) != len(want.Tasks) {
+		t.Fatalf("%d task measures, want %d", len(got.Tasks), len(want.Tasks))
+	}
+	for i, m := range got.Tasks {
+		if m.Seconds <= 0 || m.Triangles != want.Tasks[i].Triangles {
+			t.Errorf("task %d measured %+v, want positive seconds and %d triangles", i, m, want.Tasks[i].Triangles)
+		}
+	}
+	stageTasks := func(st *Stats) map[string]int {
+		n := map[string]int{}
+		for _, s := range st.Stages {
+			for _, r := range s.Ranks {
+				n[s.Name] += r.Tasks
+			}
+		}
+		return n
+	}
+	wantTasks := stageTasks(want)
+	for _, s := range got.Stages {
+		if s.Ranks == nil {
+			continue
+		}
+		if len(s.Ranks) != ranks {
+			t.Errorf("stage %s has %d rank entries, want %d", s.Name, len(s.Ranks), ranks)
+		}
+		n := 0
+		for r, rs := range s.Ranks {
+			if rs.Rank != r {
+				t.Errorf("stage %s: entry %d is rank %d", s.Name, r, rs.Rank)
+			}
+			n += rs.Tasks
+		}
+		if n != wantTasks[s.Name] {
+			t.Errorf("stage %s: ranks ran %d tasks, want %d", s.Name, n, wantTasks[s.Name])
+		}
+	}
+	if got.Steals.Granted != got.Steals.Gotten {
+		t.Errorf("steals: %d granted, %d gotten", got.Steals.Granted, got.Steals.Gotten)
+	}
+	if got.Messages != sends {
+		t.Errorf("Stats.Messages = %d, want the %d sends of every process", got.Messages, sends)
+	}
+}
+
+// countSends counts the message sends a process's tracer recorded.
+func countSends(tel *trace.Telemetry) int64 {
+	var n int64
+	for _, tr := range tel.Tracks {
+		for _, e := range tr.Events {
+			if e.Cat == trace.CatMPI && e.Name == "send" {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // fig08Tasks builds the Figure 8 workload: the boundary-layer point cloud
@@ -133,9 +205,9 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 		return &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
 	}
 
-	want, err := runMeshPhase(mk(nil), StageBLTriangulation, tasks, tctx)
+	want, err := runPhase(mk(nil), StageBLTriangulation, tasks, tctx)
 	if err != nil {
-		t.Fatalf("in-process runMeshPhase: %v", err)
+		t.Fatalf("in-process runPhase: %v", err)
 	}
 	kept := 0
 	for _, r := range want {
@@ -147,7 +219,7 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 
 	all := make([][][]float64, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
-		got, err := runMeshPhase(mk(cl), StageBLTriangulation, tasks, tctx)
+		got, err := runPhase(mk(cl), StageBLTriangulation, tasks, tctx)
 		all[i] = got
 		return err
 	})
@@ -284,17 +356,20 @@ func TestTaskPanicAttribution(t *testing.T) {
 func TestGenerateTCPDegradedRun(t *testing.T) {
 	for _, row := range []struct {
 		name, killStage string
-		audit           bool
+		audit, failTask bool
 	}{
-		{StageBLTriangulation, StageBLTriangulation, true},
-		{StageInviscid, StageInviscid, true},
-		{StageAudit, StageBLTriangulation, false},
+		{StageBLTriangulation, StageBLTriangulation, true, false},
+		{StageInviscid, StageInviscid, true, false},
+		{StageAudit, StageBLTriangulation, false, false},
+		{"fail-then-die", StageInviscid, true, true},
 	} {
-		t.Run(row.name, func(t *testing.T) { degradedRun(t, row.killStage, row.audit) })
+		t.Run(row.name, func(t *testing.T) { degradedRun(t, row.killStage, row.audit, row.failTask) })
 	}
 }
 
-func degradedRun(t *testing.T, killStage string, audit bool) {
+// degradedRun kills the victim rank in killStage; with failTask the
+// victim's task also returns an error after its fabric is gone.
+func degradedRun(t *testing.T, killStage string, audit, failTask bool) {
 	const ranks = 4
 	const victim = 3
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -330,6 +405,9 @@ func degradedRun(t *testing.T, killStage string, audit bool) {
 						// still owns unfinished work, then park so the
 						// completion is never sent.
 						killOnce.Do(func() { cl.Close() })
+						if failTask {
+							return errors.New("injected failure on a dying rank")
+						}
 						time.Sleep(50 * time.Millisecond)
 					}
 					return nil

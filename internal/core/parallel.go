@@ -9,7 +9,6 @@ import (
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
-	"pamg2d/internal/mpi"
 	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 	"pamg2d/internal/trace"
@@ -334,61 +333,51 @@ func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
 	return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
 }
 
-// taskResult carries one task's output floats to the root by reference.
-// Its accounted wire size is 8*(1+len(vals)) bytes — the ID and each float
-// at eight bytes — whatever the vector holds: an encoded submesh or a ray
-// batch's coordinates.
+// taskResult carries one task's output floats and its measured seconds
+// to the root by reference. Its accounted wire size is 8*(2+len(vals))
+// bytes — the ID, the seconds and each float at eight bytes — whatever the
+// vector holds: an encoded submesh or a ray batch's coordinates.
 type taskResult struct {
-	id   int32
-	vals []float64
+	id      int32
+	seconds float64
+	vals    []float64
 }
 
 func (r *taskResult) TaskID() int32  { return r.id }
-func (r *taskResult) WireBytes() int { return 8 * (1 + len(r.vals)) }
+func (r *taskResult) WireBytes() int { return 8 * (2 + len(r.vals)) }
 
-// runMeshPhase runs one meshing stage's tasks through runPhase and returns
-// each task's result floats indexed by task ID. It adds what only the
-// meshing stages have: the per-task span and TaskMeasure. Tasks and
-// results move through the in-process fabric by reference; every transfer
-// is accounted at the size its serialized form would occupy, so the wire
-// statistics match a byte-serialized run exactly.
-func runMeshPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][]float64, error) {
-	tr := rc.tracer
-	// Each task writes only its own slot, and the phase's ranks are joined
-	// before the slice is read.
-	measures := make([]TaskMeasure, len(tasks))
-	results, err := runPhase(rc, stage, tasks, func(c *mpi.Comm, task loadbal.Task) ([]float64, error) {
-		var sp trace.Span
-		if tr.Enabled() {
-			sp = tr.Begin(c.Rank(), trace.CatTask, taskKindName(task.Vals))
-		}
-		t0 := time.Now()
-		vals, perr := processTaskCtx(task.Vals, tctx)
-		dt := time.Since(t0)
-		// A meshing task's result leads with its counts; a ray batch makes
-		// points, not triangles.
+// runTask executes one task on rank under the stage's shared context and
+// times the kernel; the task span, when tracing, carries its triangles.
+func runTask(rank int, task loadbal.Task, tctx taskCtx, tr *trace.Tracer) (*taskResult, error) {
+	var sp trace.Span
+	if tr.Enabled() {
+		sp = tr.Begin(rank, trace.CatTask, taskKindName(task.Vals))
+	}
+	t0 := time.Now()
+	vals, err := processTaskCtx(task.Vals, tctx)
+	dt := time.Since(t0)
+	if tr.Enabled() {
 		tris := 0
-		if perr == nil && int(task.Vals[0]) != kindRayBatch {
-			tris = int(vals[subTriangles])
+		if err == nil {
+			tris = taskTriangles(task.Vals, vals)
 		}
-		if tr.Enabled() {
-			sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", tris))
-			tr.Metrics().Observe("task.seconds", dt.Seconds())
-		}
-		if perr != nil {
-			return nil, perr
-		}
-		measures[task.ID] = TaskMeasure{
-			Seconds:       dt.Seconds(),
-			Bytes:         int64(8 * len(task.Vals)),
-			BoundaryLayer: task.BoundaryLayer,
-			Triangles:     tris,
-		}
-		return vals, nil
-	})
+		sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", tris))
+		tr.Metrics().Observe("task.seconds", dt.Seconds())
+	}
 	if err != nil {
 		return nil, err
 	}
-	rc.stats.Tasks = append(rc.stats.Tasks, measures...)
-	return results, nil
+	return &taskResult{id: task.ID, seconds: dt.Seconds(), vals: vals}, nil
+}
+
+// taskTriangles reads a task's triangle count off its result: a meshing
+// task's result leads with its counts; a ray batch makes points, not
+// triangles. A header that does not decode reads 0 (the merge that
+// decodes the result fails the stage).
+func taskTriangles(task, vals []float64) int {
+	if len(task) == 0 || int(task[0]) == kindRayBatch || len(vals) <= subTriangles {
+		return 0
+	}
+	n, _ := wireIndex(vals[subTriangles], math.MaxInt32)
+	return int(n)
 }

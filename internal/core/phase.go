@@ -3,9 +3,10 @@ package core
 // The pipeline's distributed-phase driver. loadbal.Scatter owns the
 // mechanism every phase shares — deal, stealing, dead-rank re-queue,
 // result collection at the root; runPhase adds what only core knows: the
-// TaskHook seam, the PhaseError contract and its precedence, the
-// multi-process agreement that leaves every process with the same
-// verdict and result set, and the fold into the run statistics.
+// timed task kernel, the TaskHook seam, the PhaseError contract and its
+// precedence, the multi-process agreement that leaves every process with
+// the same verdict and result set and the root with every rank's
+// counters, and the fold into the run statistics.
 
 import (
 	"context"
@@ -20,32 +21,34 @@ import (
 // Message tags of the post-phase agreement (distinct from the balancer's
 // and the executor's ranges).
 const (
-	// tagErrSync carries each worker's failure flag to the root (the
-	// collect leg of the star-shaped agreement).
+	// tagErrSync carries each worker's failure flag and phase record to
+	// the root (the collect leg of the star-shaped agreement).
 	tagErrSync = iota + 201
 	// tagResultSync carries the root's combined verdict + result payload
 	// back to each worker (the distribute leg).
 	tagResultSync
 )
 
-// runPhase runs tasks under loadbal.Scatter on a fresh world and returns
-// each task's result floats indexed by task ID — on every process of a
-// multi-process run, not only the root's. The floats travel to the root
-// as a *taskResult.
+// runPhase runs one meshing stage's tasks under loadbal.Scatter on a fresh
+// world and returns each task's result floats indexed by task ID — on every
+// process of a multi-process run, not only the root's. A task's floats and
+// its measured seconds travel to the root as a *taskResult, and every
+// process builds the stage's TaskMeasures from the results it leaves the
+// phase with. In-process, tasks and results move by reference; every
+// transfer is accounted at the size its serialized form would occupy.
 //
 // Cancellation of rc's context tears the world down mid-phase: in-flight
 // tasks finish, both balancer goroutines on every rank drain, and the
 // call returns a *PhaseError carrying the stage name and the context's
 // cause. A rank or world failure is returned the same way, and so is the
-// first task that failed (exec or TaskHook returned an error, or
+// first task that failed (processTaskCtx or TaskHook returned an error, or
 // panicked), attributed to the rank that executed it.
-func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
-	exec func(c *mpi.Comm, t loadbal.Task) ([]float64, error)) ([][]float64, error) {
-	hook := rc.cfg.TaskHook
+func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][]float64, error) {
+	hook, tr := rc.cfg.TaskHook, rc.tracer
 	world := rc.newWorld()
-	world.SetTracer(rc.tracer)
+	world.SetTracer(tr)
 	opt := loadbal.DefaultOptions(totalCost(tasks), rc.cfg.Ranks)
-	opt.Tracer = rc.tracer
+	opt.Tracer = tr
 	collected, balStats, err := loadbal.Scatter(rc.ctx, world, tasks, opt,
 		func(c *mpi.Comm, t loadbal.Task) (loadbal.Result, error) {
 			// Every pipeline task leads its value vector with its kind.
@@ -54,11 +57,11 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
 					return nil, err
 				}
 			}
-			vals, err := exec(c, t)
+			r, err := runTask(c.Rank(), t, tctx, tr)
 			if err != nil {
 				return nil, err
 			}
-			return &taskResult{id: t.ID, vals: vals}, nil
+			return r, nil
 		})
 	// Error precedence: cancellation first (it is the root cause of any
 	// rank errors it provoked), then rank/world failures, then the first
@@ -73,25 +76,17 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
 	} else if err != nil {
 		return nil, phaseError(stage, err)
 	}
+	msgs, bytes := world.Stats().Messages.Load(), world.Stats().Bytes.Load()
 	// A task failure is local knowledge: in a multi-process run the other
 	// processes completed the phase cleanly and must be told before anyone
 	// returns, or they would march on alone. The agreement also hands the
 	// root's collected results to every process, so all of them leave the
-	// phase with identical state.
+	// phase with identical state, and the workers' counters to the root.
 	if world.MultiProcess() {
 		agreed, cause := -1, ""
 		err = world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
 			var aerr error
-			agreed, cause, aerr = agreePhase(rc, c, failed, func() ([]byte, error) {
-				return encodeResultList(collected)
-			}, func(body []byte) error {
-				list, derr := decodeResultList(body)
-				if derr == nil && len(list) != len(tasks) {
-					derr = fmt.Errorf("core: agreement carries %d results, want %d", len(list), len(tasks))
-				}
-				collected = list
-				return derr
-			})
+			agreed, cause, aerr = agreePhase(rc, c, failed, collected, balStats, &msgs, &bytes)
 			return aerr
 		})
 		if rc.ctx.Err() != nil {
@@ -108,16 +103,24 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
 		return nil, failed
 	}
 	results := make([][]float64, len(tasks))
+	measures := make([]TaskMeasure, len(tasks))
 	for i, c := range collected {
 		r, ok := c.(*taskResult)
 		if !ok || int(r.id) != i {
 			return nil, &PhaseError{Stage: stage, Rank: -1, Err: fmt.Errorf("result slot %d holds a misplaced or foreign %T", i, c)}
 		}
 		results[i] = r.vals
+		measures[i] = TaskMeasure{
+			Seconds:       r.seconds,
+			Bytes:         int64(8 * len(tasks[i].Vals)),
+			BoundaryLayer: tasks[i].BoundaryLayer,
+			Triangles:     taskTriangles(tasks[i].Vals, r.vals),
+		}
 	}
+	rc.stats.Tasks = append(rc.stats.Tasks, measures...)
 	rc.foldBalancer(balStats)
-	rc.wireMsgs += world.Stats().Messages.Load()
-	rc.wireBytes += world.Stats().Bytes.Load()
+	rc.wireMsgs += msgs
+	rc.wireBytes += bytes
 	return results, nil
 }
 
@@ -133,20 +136,27 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task,
 // not yet observed a death waits on a parent that the better-informed
 // root routed around.
 //
-// Both legs are an 8-byte rank (-1: clean) followed by a body: the
-// failure's text on a failing leg, the root's encoded results on a clean
-// verdict. complete runs only on the root once no rank reported failure
-// and returns that encoding; install runs on each worker with it. The
-// returned rank and cause are the agreed failure (-1 for a clean phase),
-// identical on every surviving process.
-func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError,
-	complete func() ([]byte, error), install func([]byte) error) (int, string, error) {
+// Both legs lead with an 8-byte rank (-1: clean). A worker's leg then
+// carries its phase record (its rank's balancer counters and its send
+// counts, the leg included) and the failure's text, if any; the root
+// folds each record into bal and *msgs/*bytes. The root's leg carries the
+// failure's text on a failing verdict and its encoded results, which
+// replace collected, on a clean one. On return *msgs/*bytes are the
+// phase's send counts this process's Stats records: a worker's own, the
+// root's own plus every record that arrived. The returned rank and cause
+// are the agreed failure (-1 for a clean phase), identical on every
+// surviving process.
+func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError, collected []loadbal.Result,
+	bal []loadbal.Stats, msgs, bytes *int64) (int, string, error) {
 	fail, cause := -1, ""
 	if local != nil {
 		fail, cause = local.Rank, local.Err.Error()
 	}
 	if c.Rank() != 0 {
-		if err := sendAgreement(c, 0, tagErrSync, fail, []byte(cause)); err != nil {
+		*msgs++
+		*bytes += int64(8 + recordLen + len(cause))
+		leg := append(appendRecord(nil, c.Rank(), bal[c.Rank()], *msgs, *bytes), cause...)
+		if err := sendAgreement(c, 0, tagErrSync, fail, leg); err != nil {
 			return -1, "", err
 		}
 		buf, _, _, err := c.Recv(rc.ctx, 0, tagResultSync)
@@ -160,12 +170,18 @@ func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError,
 		if verdict := agreementRank(buf); verdict >= 0 {
 			return verdict, string(buf[8:]), nil
 		}
-		return -1, "", install(buf[8:])
+		list, err := decodeResultList(buf[8:])
+		if err == nil && len(list) != len(collected) {
+			err = fmt.Errorf("core: agreement carries %d results, want %d", len(list), len(collected))
+		}
+		copy(collected, list)
+		return -1, "", err
 	}
 
-	// Root: collect the live workers' flags, tolerating deaths mid-phase
-	// (a dead worker's flag simply never factors in; its tasks were
+	// Root: collect the live workers' legs, tolerating deaths mid-phase
+	// (a dead worker's leg simply never factors in; its tasks were
 	// re-queued by the balancer, so the results are complete without it).
+	var workerMsgs, workerBytes int64
 	for r := 1; r < c.Size(); r++ {
 		if !c.Alive(r) {
 			continue
@@ -178,17 +194,23 @@ func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError,
 			}
 			return -1, "", err
 		}
-		if len(buf) >= 8 {
-			if v := agreementRank(buf); v > fail {
-				fail, cause = v, string(buf[8:])
-			}
+		// A leg too short for its record hands decodeRecord a short slice.
+		m, by, err := decodeRecord(buf[min(len(buf), 8):min(len(buf), 8+recordLen)], r, &bal[r])
+		if err != nil {
+			mpi.PutBytes(buf)
+			return -1, "", err
+		}
+		workerMsgs += m
+		workerBytes += by
+		if v := agreementRank(buf); v > fail {
+			fail, cause = v, string(buf[8+recordLen:])
 		}
 		mpi.PutBytes(buf)
 	}
 	body := []byte(cause)
 	var completeErr error
 	if fail < 0 {
-		if body, completeErr = complete(); completeErr != nil {
+		if body, completeErr = encodeResultList(collected); completeErr != nil {
 			// Unblock the workers with a root-attributed failure verdict,
 			// then surface the real error locally.
 			fail, body = 0, []byte(completeErr.Error())
@@ -208,6 +230,9 @@ func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError,
 			}
 		}
 	}
+	st := c.World().Stats()
+	*msgs = st.Messages.Load() + workerMsgs
+	*bytes = st.Bytes.Load() + workerBytes
 	if completeErr != nil {
 		return -1, "", completeErr
 	}

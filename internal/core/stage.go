@@ -72,7 +72,9 @@ type conditionalStage interface {
 // per-check "audit/<check>" records), report Wall and Allocs only and
 // always leave the wire counters zero. Summing Messages over Stats.Stages
 // therefore equals Stats.Messages exactly, with or without sub-entries
-// present.
+// present. On rank 0 of a multi-process run the counters are the whole
+// fabric's: its own sends plus each worker's, reported on the worker's
+// agreement leg (counted at its payload size); a worker's are its own.
 type StageStat struct {
 	Name        string
 	Wall        time.Duration
@@ -80,8 +82,8 @@ type StageStat struct {
 	Messages    int64
 	BytesOnWire int64
 	// Ranks is the per-rank execution summary of a distributed stage,
-	// folded from the task measurements and the balancer's counters; nil
-	// for root-side stages and sub-entries. Index order is rank order.
+	// folded from the balancer's counters; nil for root-side stages and
+	// sub-entries. Index order is rank order.
 	Ranks []RankStat
 }
 
@@ -89,7 +91,8 @@ type StageStat struct {
 // tasks it executed, how long it computed (Busy) versus waited for work
 // (Idle), and its share of the steal traffic. Busy is summed task
 // execution time, so max(Busy) across ranks approximates the stage's
-// critical path and mean/max Busy is the load-balance ratio.
+// critical path and mean/max Busy is the load-balance ratio. Rank 0's
+// Stats holds every rank's; a worker's holds its own and zeros.
 type RankStat struct {
 	Rank          int
 	Tasks         int
@@ -302,12 +305,12 @@ type mergeFunc func(results [][]float64) error
 
 // prepareFunc builds a distributed stage's task list and shared task
 // context and returns the merge that will fold the results. Splitting
-// preparation (encoding) from merging is what lets one executor —
-// runMeshPhase over runPhase — serve all three meshing phases.
+// preparation (encoding) from merging is what lets one executor, runPhase,
+// serve all three meshing phases.
 type prepareFunc func(rc *RunCtx) (tasks []loadbal.Task, tctx taskCtx, merge mergeFunc, err error)
 
 // distStage is a distributed meshing phase: prepare encodes the tasks,
-// runMeshPhase runs them under the load balancer, merge folds the results
+// runPhase runs them under the load balancer, merge folds the results
 // back into the run state.
 type distStage struct {
 	name    string
@@ -325,7 +328,7 @@ func (s *distStage) Run(rc *RunCtx) error {
 	if err != nil {
 		return err
 	}
-	results, err := runMeshPhase(rc, s.name, tasks, tctx)
+	results, err := runPhase(rc, s.name, tasks, tctx)
 	if err != nil {
 		return err
 	}
