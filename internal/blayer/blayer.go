@@ -163,16 +163,16 @@ func Convex(pts []geom.Point, i int) bool {
 func Generate(g *pslg.Graph, p Params) []*Layer {
 	layers := GenerateRays(g, p)
 	for _, l := range layers {
-		insertPoints(l, p)
+		l.InsertPoints(p)
 	}
 	return layers
 }
 
 // GenerateRays runs every stage up to (but excluding) point insertion:
 // surface refinement, ray construction with fans, and self- and
-// multi-element intersection resolution. The caller then inserts points,
-// possibly distributing ray ranges across ranks (the paper's parallel
-// point insertion, where only the coordinates are gathered at the root).
+// multi-element intersection resolution. The caller then inserts points
+// with Layer.InsertPoints; the points follow from the trimmed rays
+// deterministically, so every process that holds the rays can insert them.
 func GenerateRays(g *pslg.Graph, p Params) []*Layer {
 	layers := make([]*Layer, len(g.Surfaces))
 	for i := range g.Surfaces {
@@ -478,11 +478,11 @@ func resolveMultiElement(layers []*Layer, p Params) {
 	}
 }
 
-// insertPoints fills Points along every ray according to the growth
+// InsertPoints fills Points along every ray according to the growth
 // function, stopping at the trimmed length or at the isotropy cutoff
 // (optionally smoothed across neighbors), and curving fan rays toward
 // their bisector.
-func insertPoints(l *Layer, p Params) {
+func (l *Layer) InsertPoints(p Params) {
 	counts := PlanCounts(l, p)
 	l.Points = make([][]geom.Point, len(l.Rays))
 	for i := range l.Rays {
@@ -518,10 +518,10 @@ func PlanCounts(l *Layer, p Params) []int {
 	return counts
 }
 
-// InsertRay computes the count layer points of a single ray; rays are
-// independent, so ranges of them can be inserted on different ranks.
+// InsertRay computes the count layer points of a single ray, the step
+// InsertPoints takes for every ray once PlanCounts has planned the counts.
 func InsertRay(r *Ray, p Params, count int) []geom.Point {
-	var pts []geom.Point
+	pts := make([]geom.Point, 0, count)
 	cur := r.Origin
 	prevOffset := 0.0
 	for k := 0; k < count; k++ {
@@ -540,8 +540,8 @@ func InsertRay(r *Ray, p Params, count int) []geom.Point {
 	return pts
 }
 
-// SetPoints installs externally computed ray points (for example gathered
-// from rank-distributed InsertRay calls) and updates the statistics.
+// SetPoints installs ray points computed outside InsertPoints (by the
+// benchmark's layer replay) and updates the statistics.
 func (l *Layer) SetPoints(points [][]geom.Point) {
 	l.Points = points
 	l.Stats.TotalPoints = 0

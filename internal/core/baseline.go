@@ -23,14 +23,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 		return nil, err
 	}
 	layers := blayer.Generate(g, cfg.BL)
-	var blPoints []geom.Point
-	surfaceSet := make(map[geom.Point]bool)
-	for _, l := range layers {
-		blPoints = append(blPoints, l.AllPoints()...)
-		for _, p := range l.Surface.Points {
-			surfaceSet[p] = true
-		}
-	}
+	blPoints, surfaceSet := gatherBoundaryLayer(layers)
 
 	ffBox := g.Farfield.BBox()
 	var surfacePts []geom.Point

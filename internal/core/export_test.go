@@ -7,8 +7,6 @@ import (
 	"context"
 	"testing"
 
-	"pamg2d/internal/airfoil"
-	"pamg2d/internal/blayer"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
@@ -24,7 +22,7 @@ var (
 
 const (
 	KindTransition = kindTransition
-	KindRayBatch   = kindRayBatch
+	KindInviscid   = kindInviscid
 )
 
 // unitSquare is a transition or inviscid task's smallest real input: a
@@ -130,20 +128,13 @@ func leafWindow(vals []float64, from, to int) []float64 {
 
 // smallTasks returns one real payload of each kind a few points large —
 // eight points of a Figure 8 leaf around its first path vertex, a unit
-// square as a transition and as an inviscid task, two rays of the Figure 8
-// airfoil — and the context they run under. The fuzzer minimizes every
-// input it keeps, in time cubic in the length, so a seed must be a few
-// hundred bytes.
+// square as a transition and as an inviscid task — and the context they
+// run under. The fuzzer minimizes every input it keeps, in time cubic in
+// the length, so a seed must be a few hundred bytes.
 func smallTasks(t testing.TB) ([][]float64, taskCtx) {
 	t.Helper()
 	tasks, tctx := fig08Tasks(t)
 	tctx.size = sizing.Uniform(0.3)
-	tctx.bl = blayer.DefaultParams()
-	g, err := airfoil.Single(airfoil.NACA0012, 96, 20).Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := blayer.GenerateRays(g, tctx.bl)[0]
 	sq, segs := unitSquare()
 	leaf := tasks[0].Vals
 	from := max(0, int(leaf[leafHeader])-4)
@@ -151,7 +142,6 @@ func smallTasks(t testing.TB) ([][]float64, taskCtx) {
 		leafWindow(leaf, from, from+8),
 		regionTaskVals(kindTransition, sq, segs, nil),
 		regionTaskVals(kindInviscid, sq, segs, nil),
-		rayBatchVals(l.Rays[:2], blayer.PlanCounts(l, tctx.bl)[:2]),
 	}, tctx
 }
 
@@ -171,7 +161,7 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 	t.Helper()
 	tasks, tctx := smallTasks(t)
 	var out [][]float64
-	for _, vals := range tasks[:3] {
+	for _, vals := range tasks {
 		r, err := processTaskCtx(vals, tctx)
 		if err != nil {
 			t.Fatal(err)

@@ -57,8 +57,9 @@ func meshBytes(t *testing.T, r *Result) []byte {
 
 // TestGenerateTCPByteIdentical is the transport acceptance gate: the full
 // audited pipeline over a loopback TCP fabric produces, on every process,
-// a mesh byte-identical to the in-process run at the same rank count, and
-// process 0's Stats is the whole run's record (statsCoverRun).
+// a mesh byte-identical to the in-process run at the same rank count,
+// process 0's Stats is the whole run's record (statsCoverRun), and on
+// every process only the two distributed stages put messages on the wire.
 func TestGenerateTCPByteIdentical(t *testing.T) {
 	for _, ranks := range []int{1, 4} {
 		t.Run(fmt.Sprintf("ranks-%d", ranks), func(t *testing.T) {
@@ -96,6 +97,7 @@ func TestGenerateTCPByteIdentical(t *testing.T) {
 					t.Errorf("process %d: mesh (%d bytes, %d triangles) differs from in-process run (%d bytes, %d triangles)",
 						i, len(got), r.Mesh.NumTriangles(), len(wantBytes), want.Mesh.NumTriangles())
 				}
+				rootSideStagesStayLocal(t, &r.Stats, fmt.Sprintf("process %d", i))
 			}
 			var sends int64
 			for r, tr := range tracers {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"pamg2d/internal/blayer"
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
@@ -19,7 +18,6 @@ const (
 	kindBLLeaf = iota
 	kindTransition
 	kindInviscid
-	kindRayBatch
 )
 
 // taskKindName labels a task's trace span by its payload kind.
@@ -34,8 +32,6 @@ func taskKindName(vals []float64) string {
 		return "task/transition"
 	case kindInviscid:
 		return "task/inviscid"
-	case kindRayBatch:
-		return "task/ray-batch"
 	}
 	return "task"
 }
@@ -126,33 +122,11 @@ func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Po
 	return vals
 }
 
-// rayFloats is the size of one ray in a kindRayBatch payload.
-const rayFloats = 10
-
-// rayBatchVals builds a ray-insertion task at its exact final size:
-//
-//	[kind, nRays, then per ray: origin, direction, MaxLen, Tangential, fan, fan bisector, planned count]
-func rayBatchVals(rays []blayer.Ray, counts []int) []float64 {
-	vals := make([]float64, 0, 2+rayFloats*len(rays))
-	vals = append(vals, kindRayBatch, float64(len(rays)))
-	for i, r := range rays {
-		fan := 0.0
-		if r.Fan {
-			fan = 1
-		}
-		vals = append(vals, r.Origin.X, r.Origin.Y, r.Dir.X, r.Dir.Y,
-			r.MaxLen, r.Tangential, fan, r.FanBisector.X, r.FanBisector.Y,
-			float64(counts[i]))
-	}
-	return vals
-}
-
 // taskCtx carries the shared read-only context every task needs.
 type taskCtx struct {
 	frame geom.BBox
 	size  sizing.Func
 	slope float64 // size's delaunay.Quality.SizeSlope
-	bl    blayer.Params
 	// annuli are the layer regions a boundary-layer leaf filters its
 	// triangles by; every process builds them from its own rc.layers.
 	annuli []annulus
@@ -180,62 +154,21 @@ func badPayload(vals []float64, format string, args ...any) error {
 }
 
 // processTaskCtx executes a task's value vector under the stage's shared
-// context and returns the produced floats: an encoded submesh for meshing
-// tasks, flat point coordinates for ray-insertion batches. The vals slice
-// is the task's Vals vector; it is only read, and one that does not decode
-// is a *PayloadError.
+// context and returns the encoded submesh it produced. The vals slice is
+// the task's Vals vector; it is only read, and one that does not decode is
+// a *PayloadError.
 func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 	if len(vals) == 0 {
 		return nil, badPayload(vals, "empty")
 	}
-	kind, ok := wireIndex(vals[0], kindRayBatch+1)
+	kind, ok := wireIndex(vals[0], kindInviscid+1)
 	if !ok {
 		return nil, badPayload(vals, "unknown kind")
 	}
-	switch kind {
-	case kindRayBatch:
-		return insertRayBatch(vals, ctx.bl)
-	case kindBLLeaf:
+	if kind == kindBLLeaf {
 		return triangulateLeaf(vals, ctx)
-	default:
-		return refineRegion(vals, ctx)
 	}
-}
-
-// insertRayBatch inserts the planned points along each ray of a batch.
-func insertRayBatch(vals []float64, p blayer.Params) ([]float64, error) {
-	if len(vals) < 2 {
-		return nil, badPayload(vals, "no ray count")
-	}
-	nRays, ok := wireIndex(vals[1], (len(vals)-2)/rayFloats+1)
-	if !ok || 2+rayFloats*int(nRays) != len(vals) {
-		return nil, badPayload(vals, "%v rays do not fill %d floats", vals[1], len(vals))
-	}
-	// The planned per-ray counts are in the payload, so the output size is
-	// known up front: two coordinates per planned point.
-	planned := 0
-	for off := 2; off < len(vals); off += rayFloats {
-		count, ok := wireIndex(vals[off+9], p.MaxLayers+1)
-		if !ok {
-			return nil, badPayload(vals, "ray at %d plans %v points, not a count up to %d", off, vals[off+9], p.MaxLayers)
-		}
-		planned += int(count)
-	}
-	out := make([]float64, 0, 2*planned)
-	for off := 2; off < len(vals); off += rayFloats {
-		r := blayer.Ray{
-			Origin:      geom.Pt(vals[off], vals[off+1]),
-			Dir:         geom.V(vals[off+2], vals[off+3]),
-			MaxLen:      vals[off+4],
-			Tangential:  vals[off+5],
-			Fan:         vals[off+6] != 0,
-			FanBisector: geom.V(vals[off+7], vals[off+8]),
-		}
-		for _, q := range blayer.InsertRay(&r, p, int(vals[off+9])) {
-			out = append(out, q.X, q.Y)
-		}
-	}
-	return out, nil
+	return refineRegion(vals, ctx)
 }
 
 // triangulateLeaf triangulates a boundary-layer leaf and keeps the
@@ -333,10 +266,9 @@ func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
 	return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
 }
 
-// taskResult carries one task's output floats and its measured seconds
+// taskResult carries one task's encoded submesh and its measured seconds
 // to the root by reference. Its accounted wire size is 8*(2+len(vals))
-// bytes — the ID, the seconds and each float at eight bytes — whatever the
-// vector holds: an encoded submesh or a ray batch's coordinates.
+// bytes: the ID, the seconds and each float at eight bytes.
 type taskResult struct {
 	id      int32
 	seconds float64
@@ -359,7 +291,7 @@ func runTask(rank int, task loadbal.Task, tctx taskCtx, tr *trace.Tracer) (*task
 	if tr.Enabled() {
 		tris := 0
 		if err == nil {
-			tris = taskTriangles(task.Vals, vals)
+			tris = taskTriangles(vals)
 		}
 		sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", tris))
 		tr.Metrics().Observe("task.seconds", dt.Seconds())
@@ -370,12 +302,11 @@ func runTask(rank int, task loadbal.Task, tctx taskCtx, tr *trace.Tracer) (*task
 	return &taskResult{id: task.ID, seconds: dt.Seconds(), vals: vals}, nil
 }
 
-// taskTriangles reads a task's triangle count off its result: a meshing
-// task's result leads with its counts; a ray batch makes points, not
-// triangles. A header that does not decode reads 0 (the merge that
+// taskTriangles reads a task's triangle count off the counts its result
+// leads with. A header that does not decode reads 0 (the merge that
 // decodes the result fails the stage).
-func taskTriangles(task, vals []float64) int {
-	if len(task) == 0 || int(task[0]) == kindRayBatch || len(vals) <= subTriangles {
+func taskTriangles(vals []float64) int {
+	if len(vals) <= subTriangles {
 		return 0
 	}
 	n, _ := wireIndex(vals[subTriangles], math.MaxInt32)

@@ -13,8 +13,7 @@ import (
 // place of a task's payload — a stolen task's payload is another process's
 // word. It must never panic: a vector the decoder refuses is a
 // *core.PayloadError, and one it accepts gives either the kernel's error or
-// a result the root can take, a ray batch's whole points or a submesh the
-// offset merge assembles.
+// a submesh the offset merge assembles.
 func FuzzTaskPayload(f *testing.F) {
 	bytesOf := func(vals []float64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -30,7 +29,7 @@ func FuzzTaskPayload(f *testing.F) {
 	f.Add([]byte{})
 	// Each kind cut to its first float, and headers that promise more than
 	// follows.
-	for kind := 0; kind <= core.KindRayBatch; kind++ {
+	for kind := 0; kind <= core.KindInviscid; kind++ {
 		f.Add(bytesOf([]float64{float64(kind)}))
 		f.Add(bytesOf([]float64{float64(kind), 5, 1, 1, 0, 2}))
 	}
@@ -48,12 +47,6 @@ func FuzzTaskPayload(f *testing.F) {
 		if err != nil {
 			if errors.As(err, &pe) && len(out) != 0 {
 				t.Fatalf("refused %d floats but returned %d", len(vals), len(out))
-			}
-			return
-		}
-		if vals[0] == core.KindRayBatch {
-			if len(out)%2 != 0 {
-				t.Fatalf("ray batch of %d floats returned %d floats, not whole points", len(vals), len(out))
 			}
 			return
 		}

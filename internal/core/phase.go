@@ -114,7 +114,7 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][
 			Seconds:       r.seconds,
 			Bytes:         int64(8 * len(tasks[i].Vals)),
 			BoundaryLayer: tasks[i].BoundaryLayer,
-			Triangles:     taskTriangles(tasks[i].Vals, r.vals),
+			Triangles:     taskTriangles(r.vals),
 		}
 	}
 	rc.stats.Tasks = append(rc.stats.Tasks, measures...)

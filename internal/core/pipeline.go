@@ -108,6 +108,20 @@ func (cfg *Config) graph() (*pslg.Graph, error) {
 	return cfg.Geometry.Graph()
 }
 
+// gatherBoundaryLayer collects the layers' inserted points, each layer's
+// surface vertices first, and the set of surface points the filtering and
+// the outer-boundary extraction need downstream.
+func gatherBoundaryLayer(layers []*blayer.Layer) (pts []geom.Point, surfaceSet map[geom.Point]bool) {
+	surfaceSet = make(map[geom.Point]bool)
+	for _, l := range layers {
+		pts = append(pts, l.AllPoints()...)
+		for _, p := range l.Surface.Points {
+			surfaceSet[p] = true
+		}
+	}
+	return pts, surfaceSet
+}
+
 // annulus is one element's boundary-layer region: inside the polygon of
 // the layer's outer border, outside the element surface. Both loops are
 // indexed once per run; every leaf task queries them.

@@ -179,7 +179,7 @@ func TestProcessTaskErrors(t *testing.T) {
 // *PayloadError instead of panicking, for every kind.
 func TestTaskPayloadRejectsMalformed(t *testing.T) {
 	seeds, tctx := smallTasks(t)
-	leaf, trans, ray := seeds[0], seeds[1], seeds[3]
+	leaf, trans := seeds[0], seeds[1]
 	for i, vals := range seeds {
 		if _, err := processTaskCtx(vals, tctx); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
@@ -201,11 +201,10 @@ func TestTaskPayloadRejectsMalformed(t *testing.T) {
 	}{
 		{"leaf without a region", []float64{kindBLLeaf}},
 		{"leaf cut inside the region", []float64{kindBLLeaf, 0, 1}},
-		{"ray batch without a count", []float64{kindRayBatch}},
-		{"ray batch of 5 rays without rays", []float64{kindRayBatch, 5}},
 		{"transition without segment and hole counts", []float64{kindTransition, 3}},
 		{"NaN kind", with(trans, 0, math.NaN())},
 		{"fractional kind", with(trans, 0, 1.5)},
+		{"kind past the last", with(trans, 0, kindInviscid+1)},
 		{"leaf path count NaN", with(leaf, leafPath, math.NaN())},
 		{"leaf path count past the vector", with(leaf, leafPath, float64(len(leaf)))},
 		{"leaf path count leaving half a point", with(leaf, leafPath, float64(nPath+1))},
@@ -216,10 +215,6 @@ func TestTaskPayloadRejectsMalformed(t *testing.T) {
 		{"leaf point NaN", with(leaf, firstPoint+3, math.NaN())},
 		{"leaf points out of x order", with(leaf, firstPoint+2, leaf[firstPoint]-1)},
 		{"leaf point infinite", with(leaf, firstPoint+4, math.Inf(1))},
-		{"ray count past the vector", with(ray, 1, 3)},
-		{"ray count negative", with(ray, 1, -1)},
-		{"ray planning more points than layers", with(ray, 2+9, float64(tctx.bl.MaxLayers+1))},
-		{"ray planning NaN points", with(ray, 2+rayFloats+9, math.NaN())},
 		{"region point count the length contradicts", with(trans, 1, 3)},
 		{"region segment count infinite", with(trans, 2, math.Inf(1))},
 		{"region segment index at the point count", with(trans, regionHeader+2*4+1, 4)},
@@ -232,6 +227,8 @@ func TestTaskPayloadRejectsMalformed(t *testing.T) {
 		var pe *PayloadError
 		if !errors.As(err, &pe) {
 			t.Errorf("%s: returned %d floats and %v, want a *PayloadError", c.name, len(out), err)
+		} else if pe.Kind == kindInviscid+1 && pe.Reason != "unknown kind" {
+			t.Errorf("%s: refused for %q, want as an unknown kind", c.name, pe.Reason)
 		}
 	}
 }

@@ -306,7 +306,7 @@ type mergeFunc func(results [][]float64) error
 // prepareFunc builds a distributed stage's task list and shared task
 // context and returns the merge that will fold the results. Splitting
 // preparation (encoding) from merging is what lets one executor, runPhase,
-// serve all three meshing phases.
+// serve both meshing phases.
 type prepareFunc func(rc *RunCtx) (tasks []loadbal.Task, tctx taskCtx, merge mergeFunc, err error)
 
 // distStage is a distributed meshing phase: prepare encodes the tasks,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,33 +13,45 @@ import (
 )
 
 // TestStageOrder locks in the stage graph: a full run records exactly the
-// six pipeline stages, in order, with wall time measured for each.
+// six pipeline stages, in order, with wall time measured for each, and only
+// the two distributed stages talk on the wire or carry rank data.
 func TestStageOrder(t *testing.T) {
-	res, err := Generate(smallConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{StageValidate, StageRays, StageRayInsertion,
-		StageBLTriangulation, StageInviscid, StageMerge}
-	if len(res.Stats.Stages) != len(want) {
-		t.Fatalf("recorded %d stages, want %d: %+v", len(res.Stats.Stages), len(want), res.Stats.Stages)
-	}
-	for i, s := range res.Stats.Stages {
-		if s.Name != want[i] {
-			t.Errorf("stage %d is %q, want %q", i, s.Name, want[i])
+	for _, ranks := range []int{1, 2} {
+		res, err := Generate(smallConfig(ranks))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s.Wall < 0 {
-			t.Errorf("stage %q has negative wall time", s.Name)
+		want := []string{StageValidate, StageRays, StageRayInsertion,
+			StageBLTriangulation, StageInviscid, StageMerge}
+		if len(res.Stats.Stages) != len(want) {
+			t.Fatalf("ranks %d: recorded %d stages, want %d: %+v", ranks, len(res.Stats.Stages), len(want), res.Stats.Stages)
 		}
+		for i, s := range res.Stats.Stages {
+			if s.Name != want[i] {
+				t.Errorf("ranks %d: stage %d is %q, want %q", ranks, i, s.Name, want[i])
+			}
+			if s.Wall < 0 {
+				t.Errorf("ranks %d: stage %q has negative wall time", ranks, s.Name)
+			}
+			wired := s.Name == StageBLTriangulation || s.Name == StageInviscid
+			if wired && (s.Messages == 0 || len(s.Ranks) != ranks) {
+				t.Errorf("ranks %d: distributed stage %q recorded %d messages and %d rank entries", ranks, s.Name, s.Messages, len(s.Ranks))
+			}
+		}
+		rootSideStagesStayLocal(t, &res.Stats, fmt.Sprintf("ranks %d", ranks))
 	}
-	// The distributed stages are the only ones that talk on the wire.
-	for _, s := range res.Stats.Stages {
-		wired := s.Name == StageRayInsertion || s.Name == StageBLTriangulation || s.Name == StageInviscid
-		if wired && s.Messages == 0 {
-			t.Errorf("distributed stage %q recorded no messages", s.Name)
+}
+
+// rootSideStagesStayLocal checks that every stage but the two distributed
+// ones, ray insertion included, records no messages and no rank data.
+func rootSideStagesStayLocal(t *testing.T, st *Stats, who string) {
+	t.Helper()
+	for _, s := range st.Stages {
+		if s.Name == StageBLTriangulation || s.Name == StageInviscid {
+			continue
 		}
-		if !wired && s.Messages != 0 {
-			t.Errorf("root-side stage %q recorded %d messages", s.Name, s.Messages)
+		if s.Messages != 0 || s.Ranks != nil {
+			t.Errorf("%s: root-side stage %q recorded %d messages and rank data %v", who, s.Name, s.Messages, s.Ranks)
 		}
 	}
 }
@@ -173,8 +186,8 @@ func testCancelMidStage(t *testing.T, stage string) {
 	}
 }
 
-func TestCancelDuringRayInsertion(t *testing.T) {
-	testCancelMidStage(t, StageRayInsertion)
+func TestCancelDuringBLTriangulation(t *testing.T) {
+	testCancelMidStage(t, StageBLTriangulation)
 }
 
 func TestCancelDuringInviscid(t *testing.T) {

@@ -1,6 +1,6 @@
 package core
 
-// The pipeline's stages. Root-side phases are stageFunc values; the three
+// The pipeline's stages. Root-side phases are stageFunc values; the two
 // distributed phases are distStage values whose prepare functions encode
 // the tasks and return the merge that folds the results back into the run
 // state; the audit closes the list (audit.go). All of them read and write
@@ -24,7 +24,7 @@ import (
 var pipeline = []Stage{
 	stageFunc{StageValidate, runValidate},
 	stageFunc{StageRays, runRays},
-	&distStage{StageRayInsertion, prepareRayInsertion},
+	stageFunc{StageRayInsertion, runRayInsertion},
 	&distStage{StageBLTriangulation, prepareBLTriangulation},
 	&distStage{StageInviscid, prepareInviscid},
 	stageFunc{StageMerge, runMerge},
@@ -43,8 +43,8 @@ func runValidate(rc *RunCtx) error {
 	return nil
 }
 
-// runRays constructs and resolves the boundary-layer rays at the root
-// (phase 2a); point insertion along them is the next, distributed, stage.
+// runRays constructs and resolves the boundary-layer rays (phase 2a);
+// point insertion along them is the next stage.
 func runRays(rc *RunCtx) error {
 	rc.layers = blayer.GenerateRays(rc.g, rc.cfg.BL)
 	return nil
@@ -66,98 +66,34 @@ func (e *EmptyBoundaryLayerError) Error() string {
 		e.Rays, e.Layers, e.FirstLayer, e.SurfaceSpacing)
 }
 
-// prepareRayInsertion distributes boundary-layer point insertion across
-// the ranks: rays are independent once trimmed, so batches of rays are
-// balanced like any other task and only the coordinates return to the
-// root (the paper's section II.C communication argument). The merge
-// reassembles each layer's per-ray point lists and gathers the
-// boundary-layer point set for the stages downstream.
-func prepareRayInsertion(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
-	type batchRef struct {
-		layer    int
-		from, to int
-		counts   []int
+// runRayInsertion inserts the boundary-layer points along the trimmed rays
+// (phase 2b). Every process of a run holds the rays and the points follow
+// from them deterministically, so each process inserts its own and nothing
+// crosses the wire; the sequential baseline inserts through the same
+// Layer.InsertPoints.
+func runRayInsertion(rc *RunCtx) error {
+	p := rc.cfg.BL
+	points := 0
+	for _, l := range rc.layers {
+		l.InsertPoints(p)
+		points += l.Stats.TotalPoints
 	}
-	cfg := rc.cfg
-	layers := rc.layers
-	var tasks []loadbal.Task
-	var refs []batchRef
-	batchSize := 64
-	planned := 0.0
-	for li, l := range layers {
-		counts := blayer.PlanCounts(l, cfg.BL)
-		for from := 0; from < len(l.Rays); from += batchSize {
-			to := from + batchSize
-			if to > len(l.Rays) {
-				to = len(l.Rays)
-			}
-			cost := 0.0
-			for _, c := range counts[from:to] {
-				cost += float64(c)
-			}
-			tasks = append(tasks, loadbal.Task{
-				ID:            int32(len(tasks)),
-				Cost:          cost + 1,
-				BoundaryLayer: true,
-				Vals:          rayBatchVals(l.Rays[from:to], counts[from:to]),
-			})
-			refs = append(refs, batchRef{layer: li, from: from, to: to, counts: counts[from:to]})
-			planned += cost
-		}
-	}
-	if planned == 0 {
-		empty := &EmptyBoundaryLayerError{FirstLayer: cfg.BL.Growth.Spacing(0), Layers: cfg.BL.MaxLayers}
-		for _, l := range layers {
+	if points == 0 {
+		empty := &EmptyBoundaryLayerError{FirstLayer: p.Growth.Spacing(0), Layers: p.MaxLayers}
+		for _, l := range rc.layers {
 			empty.Rays += len(l.Rays)
 			for i := range l.Rays {
 				empty.SurfaceSpacing = max(empty.SurfaceSpacing, l.Rays[i].Tangential)
 			}
 		}
-		return nil, taskCtx{}, nil, empty
+		return empty
 	}
-	merge := func(results [][]float64) error {
-		// Reassemble each layer's per-ray point lists from the gathered
-		// coordinates.
-		perLayer := make([][][]geom.Point, len(layers))
-		for li, l := range layers {
-			perLayer[li] = make([][]geom.Point, len(l.Rays))
-		}
-		for ti, ref := range refs {
-			vals := results[ti]
-			off := 0
-			for i := ref.from; i < ref.to; i++ {
-				n := ref.counts[i-ref.from]
-				pts := make([]geom.Point, 0, n)
-				for k := 0; k < n; k++ {
-					pts = append(pts, geom.Pt(vals[off], vals[off+1]))
-					off += 2
-				}
-				perLayer[ref.layer][i] = pts
-			}
-			if off != len(vals) {
-				return fmt.Errorf("core: ray batch %d returned %d floats, consumed %d", ti, len(vals), off)
-			}
-		}
-		for li, l := range layers {
-			l.SetPoints(perLayer[li])
-		}
-		// Collect the inserted points and the surface point set the
-		// filtering and outer-boundary extraction need downstream.
-		var blPoints []geom.Point
-		surfaceSet := make(map[geom.Point]bool)
-		for _, l := range layers {
-			rc.stats.BLLayerStats = append(rc.stats.BLLayerStats, l.Stats)
-			blPoints = append(blPoints, l.AllPoints()...)
-			for _, p := range l.Surface.Points {
-				surfaceSet[p] = true
-			}
-		}
-		rc.blPoints = blPoints
-		rc.surfaceSet = surfaceSet
-		rc.stats.BoundaryLayerPts = len(blPoints)
-		return nil
+	for _, l := range rc.layers {
+		rc.stats.BLLayerStats = append(rc.stats.BLLayerStats, l.Stats)
 	}
-	return tasks, taskCtx{frame: rc.ffBox, bl: cfg.BL}, merge, nil
+	rc.blPoints, rc.surfaceSet = gatherBoundaryLayer(rc.layers)
+	rc.stats.BoundaryLayerPts = len(rc.blPoints)
+	return nil
 }
 
 // prepareBLTriangulation resolves the sizing function and the near-body

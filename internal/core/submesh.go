@@ -17,7 +17,7 @@ import (
 // both number points that way); shared lists, ascending, the points
 // another task's result may also hold.
 //
-// As a result vector it is one layout for all three meshing kinds:
+// As a result vector it is one layout for every task kind:
 //
 //	[np, ns, nt, x0, y0 … (2·np), s0 … (ns), a0, b0, c0 … (3·nt)]
 type submesh struct {

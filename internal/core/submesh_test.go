@@ -58,7 +58,7 @@ func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
 	err := rc.runStages([]Stage{
 		stageFunc{StageValidate, runValidate},
 		stageFunc{StageRays, runRays},
-		&distStage{StageRayInsertion, prepareRayInsertion},
+		stageFunc{StageRayInsertion, runRayInsertion},
 		&distStage{StageBLTriangulation, capture(prepareBLTriangulation, &bl)},
 		&distStage{StageInviscid, capture(prepareInviscid, &iso)},
 		stageFunc{StageMerge, runMerge},
@@ -172,9 +172,8 @@ func TestOnPathFindsPointsInTieRuns(t *testing.T) {
 	}
 }
 
-// TestTaskTriangleCountsAddUp: every task reports the triangles it made —
-// a ray-insertion batch none — so the per-task counts sum to the stage
-// counts, and those to the mesh: on a NACA input the merge's duplicate
+// TestTaskTriangleCountsAddUp: every task reports the triangles it made,
+// so the per-task counts sum to the stage counts, and those to the mesh: on a NACA input the merge's duplicate
 // check dropped nothing. (On three-element inputs it can drop a
 // boundary-layer triangle the transition task reproduces; see
 // TestOffsetAssemblyMatchesInterning.)

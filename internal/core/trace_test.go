@@ -91,7 +91,7 @@ func TestTracedRunExportsValidTrace(t *testing.T) {
 			root = tk.Events
 		}
 	}
-	for _, stage := range []string{StageRayInsertion, StageBLTriangulation, StageInviscid} {
+	for _, stage := range []string{StageBLTriangulation, StageInviscid} {
 		var st trace.Event
 		for _, e := range root {
 			if e.Cat == trace.CatStage && e.Name == stage {
@@ -184,10 +184,10 @@ func TestTracedRunRankStats(t *testing.T) {
 			t.Errorf("stage %q RankWall: max %v < mean %v", s.Name, max, mean)
 		}
 	}
-	// ray-insertion, bl-triangulation and inviscid; the audit sends nothing
-	// and runs no tasks.
-	if distributed < 3 {
-		t.Errorf("only %d stages recorded rank data", distributed)
+	// bl-triangulation and inviscid; ray insertion and the audit send
+	// nothing and run no tasks.
+	if distributed != 2 {
+		t.Errorf("%d stages recorded rank data, want 2", distributed)
 	}
 
 	if agg := rankSteals(st); st.Steals != agg {

@@ -2,7 +2,7 @@ package loadbal
 
 // Scatter is the one distributed-phase executor: every phase that fans
 // tasks out over a world and collects one result per task at the root —
-// the pipeline's three meshing stages — goes through it, so the deal, the
+// the pipeline's two meshing stages — goes through it, so the deal, the
 // recovery wiring, the result protocol and its de-duplication exist once.
 // The post-merge audit does not: it checks a mesh every process already
 // holds, on local goroutines (internal/audit).
