@@ -306,13 +306,12 @@ func BenchmarkAblationADT(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			world := geom.EmptyBBox()
-			for _, s := range segs {
-				world = world.Union(s.BBox())
+			boxes := make([]geom.BBox, len(segs))
+			for j, s := range segs {
+				boxes[j] = s.BBox()
+				world = world.Union(boxes[j])
 			}
-			tree := adt.NewForBox(world)
-			for j := range segs {
-				tree.InsertBox(segs[j].BBox(), j)
-			}
+			tree := adt.Build(world, boxes)
 			count := 0
 			for x := range segs {
 				tree.VisitOverlapping(segs[x].BBox(), func(y int) bool {

@@ -5,169 +5,116 @@
 // hyper-rectangular range searches, answered in O(log n) expected time per
 // query. The paper uses the ADT as the second stage of its hierarchical
 // intersection pruning, after the Cohen–Sutherland AABB pass.
+//
+// The tree is flat: box i is node i, children are node indices, and each
+// node records the split value its children were placed by, so a query
+// walks an explicit stack and keeps no region bookkeeping. A built tree is
+// read-only; any number of goroutines may query it at once.
 package adt
 
 import "pamg2d/internal/geom"
 
-// Dims is the dimensionality of the digital tree: 2-D extent boxes become
-// 4-D points.
-const Dims = 4
+// dims is the dimensionality of the digital tree: 2-D extent boxes become
+// 4-D points (xmin, ymin, xmax, ymax).
+const dims = 4
 
-// Key is a point in the 4-D extent space: (xmin, ymin, xmax, ymax).
-type Key [Dims]float64
-
-// KeyOf returns the 4-D key of a 2-D extent box.
-func KeyOf(b geom.BBox) Key {
-	return Key{b.Min.X, b.Min.Y, b.Max.X, b.Max.Y}
-}
-
-// KeyOfSegment returns the 4-D key of a segment's extent box.
-func KeyOfSegment(s geom.Segment) Key {
-	return KeyOf(s.BBox())
-}
+// none marks a missing child.
+const none = -1
 
 type node struct {
-	key         Key
-	id          int
-	left, right *node
+	key [dims]float64
+	// split is the midpoint of the node's region along its depth's
+	// dimension: keys below it went left, the rest right.
+	split       float64
+	left, right int32
 }
 
-// Tree is an alternating digital tree over 4-D points. The tree is built
-// for a fixed root region (the extent space of the whole dataset); points
-// inserted outside the root region are still stored correctly but degrade
-// balance.
+// Tree is an alternating digital tree over the extent boxes it was built
+// from. Its root region is a world box; boxes outside it are still found
+// but degrade balance.
 type Tree struct {
-	root   *node
-	lo, hi Key
-	size   int
+	nodes []node
 }
 
-// New creates a tree whose root region is the given extent-space bounds.
-// The bounds of the region along dimensions 0..3 are [lo[i], hi[i]].
-func New(lo, hi Key) *Tree {
-	for i := 0; i < Dims; i++ {
-		if hi[i] <= lo[i] {
-			hi[i] = lo[i] + 1 // guard against degenerate regions
+// Build returns the tree of boxes, box i carrying id i, over the root
+// region of the 2-D world box: dimensions 0 and 2 span its x range, 1 and
+// 3 its y range. The boxes are inserted in index order, so the tree's
+// shape is a function of world and boxes alone.
+func Build(world geom.BBox, boxes []geom.BBox) *Tree {
+	lo0 := [dims]float64{world.Min.X, world.Min.Y, world.Min.X, world.Min.Y}
+	hi0 := [dims]float64{world.Max.X, world.Max.Y, world.Max.X, world.Max.Y}
+	for i := range dims {
+		if hi0[i] <= lo0[i] {
+			hi0[i] = lo0[i] + 1 // guard against degenerate regions
 		}
 	}
-	return &Tree{lo: lo, hi: hi}
+	t := &Tree{nodes: make([]node, len(boxes))}
+	for i, b := range boxes {
+		k := [dims]float64{b.Min.X, b.Min.Y, b.Max.X, b.Max.Y}
+		lo, hi := lo0, hi0
+		depth := 0
+		if i > 0 {
+			cur := &t.nodes[0]
+			for ; ; depth++ {
+				dim := depth % dims
+				mid := cur.split
+				child := &cur.right
+				if k[dim] < mid {
+					hi[dim] = mid
+					child = &cur.left
+				} else {
+					lo[dim] = mid
+				}
+				if *child == none {
+					*child = int32(i)
+					depth++
+					break
+				}
+				cur = &t.nodes[*child]
+			}
+		}
+		dim := depth % dims
+		t.nodes[i] = node{key: k, split: (lo[dim] + hi[dim]) / 2, left: none, right: none}
+	}
+	return t
 }
 
-// NewForBox creates a tree sized for extent boxes contained in the 2-D
-// world box b: dimensions 0 and 2 span b's x range, 1 and 3 its y range.
-func NewForBox(b geom.BBox) *Tree {
-	return New(
-		Key{b.Min.X, b.Min.Y, b.Min.X, b.Min.Y},
-		Key{b.Max.X, b.Max.Y, b.Max.X, b.Max.Y},
-	)
-}
-
-// Len returns the number of stored keys.
-func (t *Tree) Len() int { return t.size }
-
-// Insert stores key k with payload id.
-func (t *Tree) Insert(k Key, id int) {
-	t.size++
-	nn := &node{key: k, id: id}
-	if t.root == nil {
-		t.root = nn
+// VisitOverlapping streams, through visit, the ids of the stored boxes
+// that overlap the query box q (boundaries count), in preorder: a node,
+// then its left subtree, then its right. Returning false from visit stops
+// the search.
+//
+// A stored box P overlaps q iff P.xmin <= q.xmax, P.ymin <= q.ymax,
+// P.xmax >= q.xmin and P.ymax >= q.ymin: a 4-D range query whose open
+// sides reach far beyond any root region, so boxes stored outside it are
+// still found.
+func (t *Tree) VisitOverlapping(q geom.BBox, visit func(id int) bool) {
+	if len(t.nodes) == 0 {
 		return
 	}
-	lo, hi := t.lo, t.hi
-	cur := t.root
-	for depth := 0; ; depth++ {
-		dim := depth % Dims
-		mid := (lo[dim] + hi[dim]) / 2
-		if k[dim] < mid {
-			hi[dim] = mid
-			if cur.left == nil {
-				cur.left = nn
-				return
-			}
-			cur = cur.left
-		} else {
-			lo[dim] = mid
-			if cur.right == nil {
-				cur.right = nn
-				return
-			}
-			cur = cur.right
-		}
-	}
-}
-
-// InsertBox stores a 2-D extent box with payload id.
-func (t *Tree) InsertBox(b geom.BBox, id int) { t.Insert(KeyOf(b), id) }
-
-// Range reports, via visit, the ids of all stored keys k with
-// qlo[i] <= k[i] <= qhi[i] for every dimension i. Returning false from
-// visit stops the search early.
-func (t *Tree) Range(qlo, qhi Key, visit func(id int) bool) {
-	t.search(t.root, t.lo, t.hi, 0, qlo, qhi, visit)
-}
-
-func (t *Tree) search(n *node, lo, hi Key, depth int, qlo, qhi Key, visit func(int) bool) bool {
-	if n == nil {
-		return true
-	}
-	inside := true
-	for i := 0; i < Dims; i++ {
-		if n.key[i] < qlo[i] || n.key[i] > qhi[i] {
-			inside = false
-			break
-		}
-	}
-	if inside && !visit(n.id) {
-		return false
-	}
-	dim := depth % Dims
-	mid := (lo[dim] + hi[dim]) / 2
-	// Left child region: [lo, hi with hi[dim]=mid]. Visit if it overlaps
-	// the query range along dim.
-	if n.left != nil && qlo[dim] < mid {
-		nhi := hi
-		nhi[dim] = mid
-		if !t.search(n.left, lo, nhi, depth+1, qlo, qhi, visit) {
-			return false
-		}
-	}
-	if n.right != nil && qhi[dim] >= mid {
-		nlo := lo
-		nlo[dim] = mid
-		if !t.search(n.right, nlo, hi, depth+1, qlo, qhi, visit) {
-			return false
-		}
-	}
-	return true
-}
-
-// Overlapping returns the ids of all stored extent boxes that overlap the
-// query box q (boundaries count). A stored box P overlaps q iff
-// P.xmin <= q.xmax, P.xmax >= q.xmin, P.ymin <= q.ymax and P.ymax >= q.ymin;
-// expressed as a 4-D range query this is
-//
-//	xmin in [-inf, q.xmax], ymin in [-inf, q.ymax],
-//	xmax in [q.xmin, +inf], ymax in [q.ymin, +inf],
-//
-// clipped to the root region.
-func (t *Tree) Overlapping(q geom.BBox) []int {
-	var out []int
-	t.VisitOverlapping(q, func(id int) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// VisitOverlapping is like Overlapping but streams ids through visit;
-// returning false stops the search.
-func (t *Tree) VisitOverlapping(q geom.BBox, visit func(id int) bool) {
-	qlo := Key{t.lo[0], t.lo[1], q.Min.X, q.Min.Y}
-	qhi := Key{q.Max.X, q.Max.Y, t.hi[2], t.hi[3]}
-	// Extend the open sides beyond the root region so boxes inserted
-	// slightly outside it are still found.
 	const slack = 1e30
-	qlo[0], qlo[1] = -slack, -slack
-	qhi[2], qhi[3] = slack, slack
-	t.Range(qlo, qhi, visit)
+	qlo := [dims]float64{-slack, -slack, q.Min.X, q.Min.Y}
+	qhi := [dims]float64{q.Max.X, q.Max.Y, slack, slack}
+	type entry struct{ node, depth int32 }
+	var buf [64]entry
+	stack := append(buf[:0], entry{0, 0})
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := &t.nodes[e.node]
+		k := &n.key
+		if !(k[0] < qlo[0] || k[0] > qhi[0] || k[1] < qlo[1] || k[1] > qhi[1] ||
+			k[2] < qlo[2] || k[2] > qhi[2] || k[3] < qlo[3] || k[3] > qhi[3]) &&
+			!visit(int(e.node)) {
+			return
+		}
+		dim := e.depth % dims
+		// Push right first so the left subtree is walked first.
+		if n.right != none && qhi[dim] >= n.split {
+			stack = append(stack, entry{n.right, e.depth + 1})
+		}
+		if n.left != none && qlo[dim] < n.split {
+			stack = append(stack, entry{n.left, e.depth + 1})
+		}
+	}
 }

@@ -2,7 +2,9 @@ package adt
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -19,42 +21,46 @@ func randBox(rng *rand.Rand, world geom.BBox, maxSize float64) geom.BBox {
 	}
 }
 
+// overlapping collects the ids VisitOverlapping yields, in order.
+func overlapping(t *Tree, q geom.BBox) []int {
+	var out []int
+	t.VisitOverlapping(q, func(id int) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
+}
+
 func TestEmptyTree(t *testing.T) {
-	tr := NewForBox(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)})
-	if tr.Len() != 0 {
-		t.Error("new tree must be empty")
-	}
-	if got := tr.Overlapping(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}); len(got) != 0 {
+	tr := Build(geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, nil)
+	if got := overlapping(tr, geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}); len(got) != 0 {
 		t.Errorf("query on empty tree: %v", got)
 	}
 }
 
 func TestSingleBox(t *testing.T) {
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
-	tr := NewForBox(world)
-	b := geom.BBox{Min: geom.Pt(2, 2), Max: geom.Pt(4, 4)}
-	tr.InsertBox(b, 7)
-	if got := tr.Overlapping(geom.BBox{Min: geom.Pt(3, 3), Max: geom.Pt(5, 5)}); len(got) != 1 || got[0] != 7 {
-		t.Errorf("overlapping query: %v, want [7]", got)
+	tr := Build(world, []geom.BBox{{Min: geom.Pt(2, 2), Max: geom.Pt(4, 4)}})
+	if got := overlapping(tr, geom.BBox{Min: geom.Pt(3, 3), Max: geom.Pt(5, 5)}); len(got) != 1 || got[0] != 0 {
+		t.Errorf("overlapping query: %v, want [0]", got)
 	}
-	if got := tr.Overlapping(geom.BBox{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)}); len(got) != 0 {
+	if got := overlapping(tr, geom.BBox{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)}); len(got) != 0 {
 		t.Errorf("disjoint query: %v, want []", got)
 	}
 	// Touching boundaries count.
-	if got := tr.Overlapping(geom.BBox{Min: geom.Pt(4, 4), Max: geom.Pt(6, 6)}); len(got) != 1 {
-		t.Errorf("touching query: %v, want [7]", got)
+	if got := overlapping(tr, geom.BBox{Min: geom.Pt(4, 4), Max: geom.Pt(6, 6)}); len(got) != 1 {
+		t.Errorf("touching query: %v, want [0]", got)
 	}
 }
 
 func TestDuplicateKeys(t *testing.T) {
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
-	tr := NewForBox(world)
 	b := geom.BBox{Min: geom.Pt(1, 1), Max: geom.Pt(2, 2)}
-	for i := 0; i < 10; i++ {
-		tr.InsertBox(b, i)
+	boxes := make([]geom.BBox, 10)
+	for i := range boxes {
+		boxes[i] = b
 	}
-	got := tr.Overlapping(b)
-	if len(got) != 10 {
+	if got := overlapping(Build(world, boxes), b); len(got) != 10 {
 		t.Errorf("duplicate keys: found %d of 10", len(got))
 	}
 }
@@ -62,12 +68,11 @@ func TestDuplicateKeys(t *testing.T) {
 func TestOverlappingMatchesBruteForce(t *testing.T) {
 	world := geom.BBox{Min: geom.Pt(-5, -5), Max: geom.Pt(15, 15)}
 	rng := rand.New(rand.NewSource(11))
-	tr := NewForBox(world)
 	boxes := make([]geom.BBox, 500)
 	for i := range boxes {
 		boxes[i] = randBox(rng, world, 3)
-		tr.InsertBox(boxes[i], i)
 	}
+	tr := Build(world, boxes)
 	for trial := 0; trial < 200; trial++ {
 		q := randBox(rng, world, 5)
 		var want []int
@@ -76,7 +81,7 @@ func TestOverlappingMatchesBruteForce(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		got := tr.Overlapping(q)
+		got := overlapping(tr, q)
 		sort.Ints(got)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d ids, want %d", trial, len(got), len(want))
@@ -90,26 +95,27 @@ func TestOverlappingMatchesBruteForce(t *testing.T) {
 }
 
 func TestBoxesOutsideRootRegion(t *testing.T) {
-	// Boxes inserted outside the declared root region must still be found.
+	// Boxes stored outside the declared root region must still be found.
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}
-	tr := NewForBox(world)
-	outlier := geom.BBox{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)}
-	tr.InsertBox(outlier, 99)
-	got := tr.Overlapping(geom.BBox{Min: geom.Pt(4, 4), Max: geom.Pt(7, 7)})
-	if len(got) != 1 || got[0] != 99 {
-		t.Errorf("outlier box: got %v, want [99]", got)
+	boxes := []geom.BBox{
+		{Min: geom.Pt(0.2, 0.2), Max: geom.Pt(0.3, 0.3)},
+		{Min: geom.Pt(5, 5), Max: geom.Pt(6, 6)},
+	}
+	got := overlapping(Build(world, boxes), geom.BBox{Min: geom.Pt(4, 4), Max: geom.Pt(7, 7)})
+	if len(got) != 1 || got[0] != 1 {
+		t.Errorf("outlier box: got %v, want [1]", got)
 	}
 }
 
 func TestVisitEarlyStop(t *testing.T) {
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}
-	tr := NewForBox(world)
 	b := geom.BBox{Min: geom.Pt(1, 1), Max: geom.Pt(2, 2)}
-	for i := 0; i < 100; i++ {
-		tr.InsertBox(b, i)
+	boxes := make([]geom.BBox, 100)
+	for i := range boxes {
+		boxes[i] = b
 	}
 	count := 0
-	tr.VisitOverlapping(b, func(id int) bool {
+	Build(world, boxes).VisitOverlapping(b, func(id int) bool {
 		count++
 		return count < 5
 	})
@@ -118,23 +124,25 @@ func TestVisitEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSegmentKeys: a segment's extent box is stored as the 4-D point
+// (xmin, ymin, xmax, ymax), whichever way the segment runs.
 func TestSegmentKeys(t *testing.T) {
 	s := geom.Segment{A: geom.Pt(3, 1), B: geom.Pt(1, 4)}
-	k := KeyOfSegment(s)
-	if k != (Key{1, 1, 3, 4}) {
-		t.Errorf("KeyOfSegment = %v", k)
+	tr := Build(s.BBox(), []geom.BBox{s.BBox()})
+	if k := tr.nodes[0].key; k != [dims]float64{1, 1, 3, 4} {
+		t.Errorf("segment key = %v", k)
 	}
 }
 
 func TestDegenerateRootRegion(t *testing.T) {
 	// A root region with zero extent must not cause infinite descent.
-	tr := New(Key{0, 0, 0, 0}, Key{0, 0, 0, 0})
-	for i := 0; i < 50; i++ {
-		tr.Insert(Key{0, 0, 0, 0}, i)
+	pt := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(0, 0)}
+	boxes := make([]geom.BBox, 50)
+	for i := range boxes {
+		boxes[i] = pt
 	}
-	n := 0
-	tr.Range(Key{-1, -1, -1, -1}, Key{1, 1, 1, 1}, func(int) bool { n++; return true })
-	if n != 50 {
+	q := geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(1, 1)}
+	if n := len(overlapping(Build(pt, boxes), q)); n != 50 {
 		t.Errorf("degenerate region: found %d of 50", n)
 	}
 }
@@ -144,15 +152,12 @@ func TestRangeQueryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
-		tr := NewForBox(world)
-		n := 100
-		boxes := make([]geom.BBox, n)
+		boxes := make([]geom.BBox, 100)
 		for i := range boxes {
 			boxes[i] = randBox(rng, world, 10)
-			tr.InsertBox(boxes[i], i)
 		}
 		q := randBox(rng, world, 30)
-		got := tr.Overlapping(q)
+		got := overlapping(Build(world, boxes), q)
 		want := 0
 		for _, b := range boxes {
 			if b.Intersects(q) {
@@ -166,7 +171,48 @@ func TestRangeQueryProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkADTInsert(b *testing.B) {
+// TestTreeConcurrentQueries: a built tree is read-only, so goroutines
+// querying it at once each see the serial answer (run it under -race).
+func TestTreeConcurrentQueries(t *testing.T) {
+	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
+	rng := rand.New(rand.NewSource(5))
+	boxes := make([]geom.BBox, 2000)
+	for i := range boxes {
+		boxes[i] = randBox(rng, world, 4)
+	}
+	queries := make([]geom.BBox, 200)
+	for i := range queries {
+		queries[i] = randBox(rng, world, 8)
+	}
+	tr := Build(world, boxes)
+	want := make([][]int, len(queries))
+	for i, q := range queries {
+		want[i] = overlapping(tr, q)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range queries {
+				i := (k + 50*g) % len(queries)
+				got := overlapping(tr, queries[i])
+				if !slices.Equal(got, want[i]) {
+					errs <- "concurrent query differs from the serial one"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+func BenchmarkADTBuild(b *testing.B) {
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
 	rng := rand.New(rand.NewSource(1))
 	boxes := make([]geom.BBox, 4096)
@@ -174,36 +220,24 @@ func BenchmarkADTInsert(b *testing.B) {
 		boxes[i] = randBox(rng, world, 2)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%4096 == 0 {
-			b.StopTimer()
-			// Fresh tree every pass to keep depth realistic.
-			b.StartTimer()
-		}
-		tr := NewForBox(world)
-		for j, bx := range boxes {
-			tr.InsertBox(bx, j)
-		}
-		i += 4095
+		Build(world, boxes)
 	}
 }
 
 func BenchmarkADTQueryVsBruteForce(b *testing.B) {
 	world := geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}
 	rng := rand.New(rand.NewSource(1))
-	n := 10000
-	tr := NewForBox(world)
-	boxes := make([]geom.BBox, n)
+	boxes := make([]geom.BBox, 10000)
 	for i := range boxes {
 		boxes[i] = randBox(rng, world, 1)
-		tr.InsertBox(boxes[i], i)
 	}
+	tr := Build(world, boxes)
 	q := randBox(rng, world, 5)
 	b.Run("adt", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tr.Overlapping(q)
+			overlapping(tr, q)
 		}
 	})
 	b.Run("brute", func(b *testing.B) {

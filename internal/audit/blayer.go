@@ -128,12 +128,13 @@ func checkChainCrossings(s *Snapshot, rep *Reporter) {
 	if len(segs) < 2 {
 		return
 	}
-	tree := adt.NewForBox(box)
+	boxes := make([]geom.BBox, len(segs))
 	for i, sg := range segs {
-		tree.InsertBox(sg.BBox(), i)
+		boxes[i] = sg.BBox()
 	}
+	tree := adt.Build(box, boxes)
 	for i, sg := range segs {
-		tree.VisitOverlapping(sg.BBox(), func(j int) bool {
+		tree.VisitOverlapping(boxes[i], func(j int) bool {
 			if j <= i {
 				return true // each pair once
 			}

@@ -308,25 +308,22 @@ func raySegment(r *Ray, full float64) geom.Segment {
 func resolveSelf(l *Layer, p Params) {
 	nr := len(l.Rays)
 	full := fullLength(p)
-	segs := make([]geom.Segment, nr)
-	world := geom.EmptyBBox()
-	for i := range l.Rays {
-		segs[i] = raySegment(&l.Rays[i], full)
-		world = world.Union(segs[i].BBox())
-	}
 	surf := l.Surface.Points
 	ns := len(surf)
-	tree := adt.NewForBox(world)
-	for i := range segs {
-		tree.InsertBox(segs[i].BBox(), i)
+	// Box i < nr is ray i's at full length, box nr+k surface segment k's.
+	boxes := make([]geom.BBox, nr+ns)
+	world := geom.EmptyBBox()
+	for i := range l.Rays {
+		boxes[i] = raySegment(&l.Rays[i], full).BBox()
+		world = world.Union(boxes[i])
 	}
 	for k := 0; k < ns; k++ {
-		s := geom.Segment{A: surf[k], B: surf[(k+1)%ns]}
-		tree.InsertBox(s.BBox(), nr+k)
+		boxes[nr+k] = geom.Segment{A: surf[k], B: surf[(k+1)%ns]}.BBox()
 	}
-	for i := range segs {
+	tree := adt.Build(world, boxes)
+	for i := range l.Rays {
 		ri := &l.Rays[i]
-		tree.VisitOverlapping(segs[i].BBox(), func(j int) bool {
+		tree.VisitOverlapping(boxes[i], func(j int) bool {
 			if j >= nr {
 				// Surface segment: skip the two segments adjacent to the
 				// ray's origin vertex.
@@ -428,10 +425,11 @@ func resolveMultiElement(layers []*Layer, p Params) {
 			b.segs = append(b.segs, geom.Segment{A: surf[k], B: surf[(k+1)%ns]})
 			b.surface = append(b.surface, true)
 		}
-		b.tree = adt.NewForBox(bb)
+		boxes := make([]geom.BBox, len(b.segs))
 		for k := range b.segs {
-			b.tree.InsertBox(b.segs[k].BBox(), k)
+			boxes[k] = b.segs[k].BBox()
 		}
+		b.tree = adt.Build(bb, boxes)
 		borders[i] = b
 	}
 	full := fullLength(p)
@@ -483,18 +481,44 @@ func resolveMultiElement(layers []*Layer, p Params) {
 // (optionally smoothed across neighbors), and curving fan rays toward
 // their bisector.
 func (l *Layer) InsertPoints(p Params) {
-	counts := PlanCounts(l, p)
+	tab := newGrowthTable(p)
+	counts := planCounts(l, p, tab)
 	l.Points = make([][]geom.Point, len(l.Rays))
 	for i := range l.Rays {
-		l.Points[i] = InsertRay(&l.Rays[i], p, counts[i])
+		l.Points[i] = insertRay(&l.Rays[i], p, counts[i], tab)
 		l.Stats.TotalPoints += len(l.Points[i])
 	}
 }
+
+// growthTable holds the growth function's offset and spacing of every
+// layer index below MaxLayers. Planning and insertion read the same
+// float64s the function returns, without a math.Pow per ray and layer.
+type growthTable struct {
+	offset, spacing []float64
+}
+
+func newGrowthTable(p Params) *growthTable {
+	n := max(p.MaxLayers, 0)
+	buf := make([]float64, 2*n)
+	t := &growthTable{offset: buf[:n:n], spacing: buf[n:]}
+	for k := range n {
+		t.offset[k] = p.Growth.Offset(k)
+		t.spacing[k] = p.Growth.Spacing(k)
+	}
+	return t
+}
+
+// Offset makes the table an offsetter.
+func (t *growthTable) Offset(k int) float64 { return t.offset[k] }
 
 // PlanCounts computes the (smoothed) number of layer points each ray will
 // carry, accounting for trimmed lengths and the isotropy cutoff. It also
 // updates the layer's TrimmedRays statistic.
 func PlanCounts(l *Layer, p Params) []int {
+	return planCounts(l, p, newGrowthTable(p))
+}
+
+func planCounts(l *Layer, p Params, tab *growthTable) []int {
 	counts := make([]int, len(l.Rays))
 	full := fullLength(p)
 	for i := range l.Rays {
@@ -504,10 +528,10 @@ func PlanCounts(l *Layer, p Params) []int {
 		}
 		n := 0
 		for k := 0; k < p.MaxLayers; k++ {
-			if p.Growth.Offset(k) >= r.MaxLen {
+			if tab.offset[k] >= r.MaxLen {
 				break
 			}
-			if p.IsotropyFactor > 0 && p.Growth.Spacing(k) >= p.IsotropyFactor*r.Tangential {
+			if p.IsotropyFactor > 0 && tab.spacing[k] >= p.IsotropyFactor*r.Tangential {
 				break
 			}
 			n++
@@ -518,14 +542,24 @@ func PlanCounts(l *Layer, p Params) []int {
 	return counts
 }
 
+// offsetter is what point insertion reads of the growth: a growth.Function
+// evaluated per call, or a growthTable.
+type offsetter interface {
+	Offset(k int) float64
+}
+
 // InsertRay computes the count layer points of a single ray, the step
 // InsertPoints takes for every ray once PlanCounts has planned the counts.
 func InsertRay(r *Ray, p Params, count int) []geom.Point {
+	return insertRay(r, p, count, p.Growth)
+}
+
+func insertRay(r *Ray, p Params, count int, g offsetter) []geom.Point {
 	pts := make([]geom.Point, 0, count)
 	cur := r.Origin
 	prevOffset := 0.0
 	for k := 0; k < count; k++ {
-		off := p.Growth.Offset(k)
+		off := g.Offset(k)
 		dir := r.Dir
 		if r.Fan && p.FanCurving > 0 {
 			// Blend toward the bisector with height: the fan curves

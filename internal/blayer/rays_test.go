@@ -133,19 +133,15 @@ func TestRaysMatchPerVertexNormals(t *testing.T) {
 	}
 }
 
-// TestGenerateRaysAllocations: apart from the intersection search's tree,
-// which holds one node per ray and one per surface segment, ray generation
-// allocates per loop, not per vertex. With the turn angle recomputing every
-// edge normal of the loop it was one more allocation (and a pass over the
-// loop) for each of the 1,536 vertices.
+// TestGenerateRaysAllocations: ray generation allocates per loop, not per
+// vertex or per tree node. With the turn angle recomputing every edge
+// normal of the loop it was one more allocation (and a pass over the loop)
+// for each of the 1,536 vertices; with the pointer tree, one per ray and
+// one per surface segment.
 func TestGenerateRaysAllocations(t *testing.T) {
 	g := nacaLoop1536(t)
 	p := DefaultParams()
-	layers := GenerateRays(g, p)
-	treeNodes := len(layers[0].Rays) + len(layers[0].Surface.Points)
-	allocs := testing.AllocsPerRun(3, func() { GenerateRays(g, p) })
-	if rest := int(allocs) - treeNodes; rest >= 200 {
-		t.Errorf("GenerateRays allocates %.0f times on a 1,536-point loop, %d beside the %d tree nodes; want under 200",
-			allocs, rest, treeNodes)
+	if allocs := testing.AllocsPerRun(3, func() { GenerateRays(g, p) }); allocs >= 200 {
+		t.Errorf("GenerateRays allocates %.0f times on a 1,536-point loop; want under 200", allocs)
 	}
 }

@@ -250,13 +250,12 @@ func cutsAreClean(in delaunay.Input, loop, boxRing []int32, cuts []cut) bool {
 		cutSegs = append(cutSegs, cuts[i].segments(in, loop, boxRing)...)
 	}
 	world := geom.EmptyBBox()
-	for _, s := range obstacles {
-		world = world.Union(s.BBox())
-	}
-	tree := adt.NewForBox(world)
+	boxes := make([]geom.BBox, len(obstacles))
 	for i, s := range obstacles {
-		tree.InsertBox(s.BBox(), i)
+		boxes[i] = s.BBox()
+		world = world.Union(boxes[i])
 	}
+	tree := adt.Build(world, boxes)
 	for _, cs := range cutSegs {
 		bad := false
 		tree.VisitOverlapping(cs.BBox(), func(oi int) bool {

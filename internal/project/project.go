@@ -17,6 +17,7 @@
 package project
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -67,32 +68,100 @@ func (r Rect) Contains(p geom.Point) bool {
 // New builds the root subdomain from a point set, assigning global ids in
 // input order. Duplicate points are dropped (keeping the first), since the
 // comparison-free median split requires distinct vertices.
+//
+// Both orders come from a stable LSD radix sort on order-preserving keys:
+// the points by x, runs of equal x then settled by y; the distinct
+// vertices, already in (x, y) order, by y, which leaves equal y in x
+// order.
 func New(pts []geom.Point) *Subdomain {
-	s := &Subdomain{Region: WholePlane()}
-	s.XS = make([]Vertex, len(pts))
+	n := len(pts)
+	buf := make([]keyed, 2*n)
+	byX := buf[:n]
 	for i, p := range pts {
-		s.XS[i] = Vertex{P: p, ID: int32(i)}
+		byX[i] = keyed{coordKey(p.X), int32(i)}
 	}
-	sortX(s.XS)
-	uniq := s.XS[:0]
-	for _, v := range s.XS {
-		if len(uniq) == 0 || uniq[len(uniq)-1].P != v.P {
-			uniq = append(uniq, v)
+	byX = radixSort(byX, buf[n:])
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && byX[j].key == byX[i].key {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(byX[i:j], func(a, b keyed) int {
+				return cmp.Compare(pts[a.i].Y, pts[b.i].Y)
+			})
+		}
+		i = j
+	}
+	xs := make([]Vertex, 0, n)
+	for _, e := range byX {
+		if p := pts[e.i]; len(xs) == 0 || xs[len(xs)-1].P != p {
+			xs = append(xs, Vertex{P: p, ID: e.i})
 		}
 	}
-	s.XS = uniq
-	s.YS = make([]Vertex, len(s.XS))
-	copy(s.YS, s.XS)
-	sortY(s.YS)
-	return s
+	m := len(xs)
+	byY := buf[:m]
+	for i, v := range xs {
+		byY[i] = keyed{coordKey(v.P.Y), int32(i)}
+	}
+	byY = radixSort(byY, buf[n:n+m])
+	ys := make([]Vertex, m)
+	for i, e := range byY {
+		ys[i] = xs[e.i]
+	}
+	return &Subdomain{XS: xs, YS: ys, Region: WholePlane()}
 }
 
-func sortX(v []Vertex) {
-	slices.SortFunc(v, cmpX)
+// keyed is one radix-sort element: a coordinate's key and the index of
+// its point.
+type keyed struct {
+	key uint64
+	i   int32
 }
 
-func sortY(v []Vertex) {
-	slices.SortFunc(v, cmpY)
+// coordKey maps a coordinate to a key whose unsigned order is the float
+// order, -0 and +0 sharing one key as they compare equal.
+func coordKey(v float64) uint64 {
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort sorts a by key, stably, one byte per pass, using tmp (as long
+// as a) as the other buffer, and returns the buffer that holds the result.
+// A pass whose byte is the same in every element moves nothing and is
+// skipped.
+func radixSort(a, tmp []keyed) []keyed {
+	var count [8][256]int32
+	for _, e := range a {
+		for pass := range count {
+			count[pass][uint8(e.key>>(8*pass))]++
+		}
+	}
+	src, dst := a, tmp
+	for pass := range count {
+		shift := 8 * pass
+		c := &count[pass]
+		if len(src) == 0 || int(c[uint8(src[0].key>>shift)]) == len(src) {
+			continue
+		}
+		var sum int32
+		for i, k := range c {
+			c[i], sum = sum, sum+k
+		}
+		for _, e := range src {
+			b := uint8(e.key >> shift)
+			dst[c[b]] = e
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 func cmpX(a, b Vertex) int {
@@ -179,6 +248,16 @@ func (s *Subdomain) Split() (left, right *Subdomain, path []PathEdge) {
 // benchmarks use it to compare the paper's shortest-bbox-edge rule against
 // always-vertical cuts (Triangle-style).
 func (s *Subdomain) SplitAxis(vertical bool) (left, right *Subdomain, path []PathEdge) {
+	var sp splitter
+	return sp.split(s, vertical)
+}
+
+// splitter carries the projection scratch from one split to the next.
+type splitter struct {
+	flat []geom.Point
+}
+
+func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, path []PathEdge) {
 	n := len(s.XS)
 	if n < 2 {
 		return s, nil, nil
@@ -198,13 +277,15 @@ func (s *Subdomain) SplitAxis(vertical bool) (left, right *Subdomain, path []Pat
 	// The flattened abscissa is the coordinate along the median line; the
 	// ordinate is the lift. The secondary array is already sorted by the
 	// abscissa, so the monotone chain below runs in linear time.
-	for i := range secondary {
-		dx := secondary[i].P.X - median.P.X
-		dy := secondary[i].P.Y - median.P.Y
-		secondary[i].Proj = dx*dx + dy*dy
+	if cap(sp.flat) < len(secondary) {
+		sp.flat = make([]geom.Point, len(secondary))
 	}
-	flat := make([]geom.Point, len(secondary))
-	for i, v := range secondary {
+	flat := sp.flat[:len(secondary)]
+	for i := range secondary {
+		v := &secondary[i]
+		dx := v.P.X - median.P.X
+		dy := v.P.Y - median.P.Y
+		v.Proj = dx*dx + dy*dy
 		if vertical {
 			flat[i] = geom.Pt(v.P.Y, v.Proj)
 		} else {
@@ -216,77 +297,95 @@ func (s *Subdomain) SplitAxis(vertical bool) (left, right *Subdomain, path []Pat
 	fixTies(flat, secondary)
 	hullIdx := hull.LowerSorted(flat)
 
-	hullVerts := make([]Vertex, len(hullIdx))
+	// Duplicate hull vertices into the half they are missing from: the
+	// left extras fill the buffer from the front, the right from the back.
+	extras := make([]Vertex, len(hullIdx))
+	nl, nr := 0, len(extras)
+	if len(hullIdx) > 1 {
+		path = make([]PathEdge, 0, len(hullIdx)-1)
+	}
 	for i, hi := range hullIdx {
-		hullVerts[i] = secondary[hi]
-	}
-	if len(hullVerts) > 1 {
-		path = make([]PathEdge, 0, len(hullVerts)-1)
-	}
-	for i := 0; i+1 < len(hullVerts); i++ {
-		path = append(path, PathEdge{hullVerts[i], hullVerts[i+1]})
-	}
-
-	isLeft := func(v Vertex) bool {
-		if vertical {
-			return lessX(v, median)
+		v := secondary[hi]
+		if i > 0 {
+			path = append(path, PathEdge{secondary[hullIdx[i-1]], v})
 		}
-		return lessY(v, median)
-	}
-
-	// Partition the primary array with a comparison-free split at the
-	// median index (the paper's memcpy optimization), and the secondary
-	// array by comparing against the median vertex. The secondary halves
-	// hold the same vertices as the primary halves, so their exact sizes
-	// are m and n-m.
-	leftPrimary := primary[:m]
-	rightPrimary := primary[m:]
-	leftSecondary := make([]Vertex, 0, m)
-	rightSecondary := make([]Vertex, 0, n-m)
-	for _, v := range secondary {
-		if isLeft(v) {
-			leftSecondary = append(leftSecondary, v)
+		if before(&v, &median, vertical) {
+			nr--
+			extras[nr] = v
 		} else {
-			rightSecondary = append(rightSecondary, v)
+			extras[nl] = v
+			nl++
 		}
 	}
-
-	// Duplicate hull vertices into the half they are missing from.
-	addLeft := make([]Vertex, 0, len(hullVerts))
-	addRight := make([]Vertex, 0, len(hullVerts))
-	for _, v := range hullVerts {
-		if isLeft(v) {
-			addRight = append(addRight, v)
-		} else {
-			addLeft = append(addLeft, v)
-		}
-	}
+	addLeft, addRight := extras[:nl], extras[nr:]
 
 	left = &Subdomain{Region: s.Region, Depth: s.Depth + 1}
 	right = &Subdomain{Region: s.Region, Depth: s.Depth + 1}
-	var cut float64
 	if vertical {
-		cut = median.P.X
+		cut := median.P.X
 		left.Region.MaxX = math.Min(left.Region.MaxX, cut)
 		right.Region.MinX = math.Max(right.Region.MinX, cut)
 	} else {
-		cut = median.P.Y
+		cut := median.P.Y
 		left.Region.MaxY = math.Min(left.Region.MaxY, cut)
 		right.Region.MinY = math.Max(right.Region.MinY, cut)
 	}
 
+	// The primary halves are a comparison-free split at the median index
+	// (the paper's memcpy optimization) plus their extras.
+	lp := mergeSorted(primary[:m], addLeft, vertical)
+	rp := mergeSorted(primary[m:], addRight, vertical)
+
+	// The secondary array is partitioned against the median vertex and
+	// each half merged with its extras in the same pass. Its halves hold
+	// the primary halves' vertices unless fixTies has reordered a run of
+	// ties in an earlier split, so their sizes are only a capacity hint.
+	sortVertices(addLeft, !vertical)
+	sortVertices(addRight, !vertical)
+	ls := make([]Vertex, 0, len(lp))
+	rs := make([]Vertex, 0, len(rp))
+	i, j := 0, 0
+	for k := range secondary {
+		v := &secondary[k]
+		if before(v, &median, vertical) {
+			for i < len(addLeft) && !before(v, &addLeft[i], !vertical) {
+				ls = append(ls, addLeft[i])
+				i++
+			}
+			ls = append(ls, *v)
+		} else {
+			for j < len(addRight) && !before(v, &addRight[j], !vertical) {
+				rs = append(rs, addRight[j])
+				j++
+			}
+			rs = append(rs, *v)
+		}
+	}
+	ls = append(ls, addLeft[i:]...)
+	rs = append(rs, addRight[j:]...)
+
 	if vertical {
-		left.XS = mergeSorted(leftPrimary, addLeft, cmpX)
-		right.XS = mergeSorted(rightPrimary, addRight, cmpX)
-		left.YS = mergeSorted(leftSecondary, addLeft, cmpY)
-		right.YS = mergeSorted(rightSecondary, addRight, cmpY)
+		left.XS, right.XS, left.YS, right.YS = lp, rp, ls, rs
 	} else {
-		left.YS = mergeSorted(leftPrimary, addLeft, cmpY)
-		right.YS = mergeSorted(rightPrimary, addRight, cmpY)
-		left.XS = mergeSorted(leftSecondary, addLeft, cmpX)
-		right.XS = mergeSorted(rightSecondary, addRight, cmpX)
+		left.YS, right.YS, left.XS, right.XS = lp, rp, ls, rs
 	}
 	return left, right, path
+}
+
+// before is lessX when byX, else lessY.
+func before(a, b *Vertex, byX bool) bool {
+	if byX {
+		return lessX(*a, *b)
+	}
+	return lessY(*a, *b)
+}
+
+func sortVertices(v []Vertex, byX bool) {
+	if byX {
+		slices.SortFunc(v, cmpX)
+	} else {
+		slices.SortFunc(v, cmpY)
+	}
 }
 
 // fixTies restores lexicographic (abscissa, ordinate) order within runs of
@@ -325,21 +424,22 @@ func fixTies(flat []geom.Point, verts []Vertex) {
 	}
 }
 
-// mergeSorted merges a sorted base slice with a small extras slice in
-// linear time. extras is sorted in place (callers pass scratch that every
-// merge re-sorts for its own order, so no defensive copy is needed).
-func mergeSorted(base, extras []Vertex, cmp func(a, b Vertex) int) []Vertex {
+// mergeSorted merges a base slice sorted by x (byX) or y with a small
+// extras slice in linear time. extras is sorted in place (callers pass
+// scratch that every merge re-sorts for its own order, so no defensive
+// copy is needed).
+func mergeSorted(base, extras []Vertex, byX bool) []Vertex {
 	if len(extras) == 0 {
 		// Reuse the parent's storage (the paper reuses the original
 		// subdomain's allocation for the left half); the parent is dead
 		// after the split.
 		return base
 	}
-	slices.SortFunc(extras, cmp)
+	sortVertices(extras, byX)
 	out := make([]Vertex, 0, len(base)+len(extras))
 	i, j := 0, 0
 	for i < len(base) && j < len(extras) {
-		if cmp(base[i], extras[j]) < 0 {
+		if before(&base[i], &extras[j], byX) {
 			out = append(out, base[i])
 			i++
 		} else {
@@ -396,6 +496,7 @@ func Decompose(root *Subdomain, opt Options) (leaves []*Subdomain, paths []PathE
 	if opt.MinVerts < 2 {
 		opt.MinVerts = 2
 	}
+	var sp splitter
 	var rec func(s *Subdomain)
 	rec = func(s *Subdomain) {
 		if s.Len() < opt.MinVerts || (opt.MaxDepth > 0 && s.Depth >= opt.MaxDepth) {
@@ -407,7 +508,7 @@ func Decompose(root *Subdomain, opt Options) (leaves []*Subdomain, paths []PathE
 		if opt.ForceVertical {
 			vertical = true
 		}
-		l, r, p := s.SplitAxis(vertical)
+		l, r, p := sp.split(s, vertical)
 		if r == nil || l.Len() >= n || r.Len() >= n {
 			// The split made no progress (degenerate data); stop here.
 			leaves = append(leaves, s)

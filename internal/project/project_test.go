@@ -44,6 +44,31 @@ func TestNewDedups(t *testing.T) {
 	}
 }
 
+// TestNewKeepsFirstDuplicate: of the points equal to one another, the
+// root keeps the first in input order, on clouds dense in duplicates.
+func TestNewKeepsFirstDuplicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]geom.Point, 50+rng.Intn(401))
+		first := map[geom.Point]int32{}
+		for i := range pts {
+			pts[i] = geom.Pt(float64(rng.Intn(6)), float64(rng.Intn(6)))
+			if _, ok := first[pts[i]]; !ok {
+				first[pts[i]] = int32(i)
+			}
+		}
+		s := New(pts)
+		if s.Len() != len(first) {
+			t.Fatalf("trial %d: %d vertices, want %d distinct points", trial, s.Len(), len(first))
+		}
+		for _, v := range s.XS {
+			if v.ID != first[v.P] {
+				t.Fatalf("trial %d: point %v kept as id %d, first is id %d", trial, v.P, v.ID, first[v.P])
+			}
+		}
+	}
+}
+
 func TestBBoxO1(t *testing.T) {
 	pts := randPts(2, 500)
 	s := New(pts)

@@ -140,14 +140,15 @@ func (g *Graph) Validate() error {
 			world = world.Union(s.BBox())
 		}
 	}
-	tree := adt.NewForBox(world)
+	boxes := make([]geom.BBox, len(segs))
 	for i, si := range segs {
-		tree.InsertBox(si.s.BBox(), i)
+		boxes[i] = si.s.BBox()
 	}
+	tree := adt.Build(world, boxes)
 	for i, si := range segs {
 		bad := false
 		var with segInfo
-		tree.VisitOverlapping(si.s.BBox(), func(j int) bool {
+		tree.VisitOverlapping(boxes[i], func(j int) bool {
 			if j <= i {
 				return true
 			}
