@@ -32,22 +32,13 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	}
 	grad := sizing.NewGraded(surfacePts, cfg.SurfaceH0, cfg.Gradation, cfg.HMax)
 
-	// One Delaunay triangulation of all boundary-layer points.
-	res, err := delaunay.Triangulate(delaunay.Input{Points: blPoints, Frame: ffBox})
+	b, outerPts, outerSegs, err := baselineLayer(layers, blPoints, surfaceSet, ffBox, cfg.BL)
 	if err != nil {
 		return nil, err
 	}
-	annuli := layerAnnuli(layers, cfg.BL)
-	// The builder takes the same submeshes, flagged the same way, as the
-	// pipeline's tasks return: one leaf has no path points.
-	b := mesh.NewBuilder()
-	blSubmesh(res, nil, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) }).addTo(b)
-
-	outerPts, outerSegs, outerIdx := outerBoundary(b.Mesh(), surfaceSet)
 	if len(outerSegs) == 0 {
 		return nil, fmt.Errorf("core: baseline boundary layer has no outer boundary")
 	}
-	b.Share(outerIdx)
 	blBox := geom.BBoxOf(blPoints)
 	margin := cfg.NearBodyMargin
 	if margin <= 0 {
@@ -77,13 +68,28 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	}
 
 	// The builder already holds the boundary-layer mesh.
-	regionSubmesh(transRes.Points, transRes.Triangles, transIn.Points).addTo(b)
-	regionSubmesh(invRes.Points, invRes.Triangles, annulus.Points).addTo(b)
+	regionSubmesh(transRes.Points, transRes.Triangles, transIn.Points).addTo(b, nil)
+	regionSubmesh(invRes.Points, invRes.Triangles, annulus.Points).addTo(b, nil)
 	m := b.Mesh()
 	if err := m.Audit(); err != nil {
 		return nil, fmt.Errorf("core: baseline mesh failed audit: %w", err)
 	}
 	return m, nil
+}
+
+// baselineLayer makes one Delaunay triangulation of all boundary-layer
+// points and merges it as the pipeline merges its leaves' results, from the
+// same result, flagged the same way: one leaf, with no path points and so
+// no seam edges.
+func baselineLayer(layers []*blayer.Layer, blPoints []geom.Point, surfaceSet map[geom.Point]bool, frame geom.BBox, p blayer.Params) (*mesh.Builder, []geom.Point, [][2]int32, error) {
+	tr, err := delaunay.Build(delaunay.Input{Points: blPoints, Frame: frame})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	res, nb := tr.ExtractNeighbors()
+	annuli := layerAnnuli(layers, p)
+	leaf := blSubmesh(res, nb, nil, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) })
+	return mergeBoundaryLayer([][]float64{leaf.encode()}, surfaceSet)
 }
 
 // annulusInput builds the CDT input for the region between the near-body

@@ -102,13 +102,15 @@ func RecordRoundTrip(b []byte, from int) ([]byte, error) {
 }
 
 // SubmeshToMesh decodes one meshing task's result vector and assembles it
-// the way the root's merges do.
-func SubmeshToMesh(vals []float64) (*mesh.Mesh, error) {
-	b := mesh.NewBuilder()
-	if err := addSubmeshes(b, [][]float64{vals}); err != nil {
-		return nil, err
+// the way the boundary-layer merge does, outer-boundary extraction
+// included; the isotropic merge runs the same decode loop. It returns the
+// mesh and the outer boundary's points and segments.
+func SubmeshToMesh(vals []float64) (*mesh.Mesh, []geom.Point, [][2]int32, error) {
+	b, pts, segs, err := mergeBoundaryLayer([][]float64{vals}, nil)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return b.Mesh(), nil
+	return b.Mesh(), pts, segs, nil
 }
 
 // leafWindow cuts a kindBLLeaf payload to its points from through to-1,
@@ -166,7 +168,7 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, nt, _ := submeshCounts(r); nt == 0 {
+		if _, _, nt, _, _ := submeshCounts(r); nt == 0 {
 			t.Fatalf("seed task of kind %v made no triangle", vals[0])
 		}
 		out = append(out, r)

@@ -207,14 +207,15 @@ func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
 	if n < 3 {
 		return submesh{}.encode(), nil
 	}
-	res, err := delaunay.Triangulate(delaunay.Input{Points: pts, Frame: ctx.frame})
+	tr, err := delaunay.Build(delaunay.Input{Points: pts, Frame: ctx.frame})
 	if err != nil {
 		return nil, err
 	}
+	res, nb := tr.ExtractNeighbors()
 	// Kept by exactly one leaf (the owner of the circumcenter), and only
 	// inside a layer annulus.
 	region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
-	return blSubmesh(res, path, func(a, b, c geom.Point) bool {
+	return blSubmesh(res, nb, path, func(a, b, c geom.Point) bool {
 		return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
 	}).encode(), nil
 }

@@ -50,7 +50,7 @@ func FuzzTaskPayload(f *testing.F) {
 			}
 			return
 		}
-		if _, err := core.SubmeshToMesh(out); err != nil {
+		if _, _, _, err := core.SubmeshToMesh(out); err != nil {
 			t.Fatalf("accepted %d floats; the result does not assemble: %v", len(vals), err)
 		}
 	})

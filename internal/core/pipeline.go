@@ -160,28 +160,6 @@ func inAnnuli(annuli []annulus, a, b, c geom.Point) bool {
 // carries no annuli: there is no unfiltered mode.
 var errNoAnnuli = errors.New("core: boundary-layer leaf task without layer annuli")
 
-// outerBoundary returns the boundary edges of the boundary-layer mesh that
-// are not on a body surface, as segments over their points in order of
-// first appearance, and each point's index in m.
-func outerBoundary(m *mesh.Mesh, surfaceSet map[geom.Point]bool) (pts []geom.Point, segs [][2]int32, idx []int32) {
-	local := make([]int32, len(m.Points)) // 1 + a mesh point's index in pts, 0 if absent
-	intern := func(v int32) int32 {
-		if local[v] == 0 {
-			pts = append(pts, m.Points[v])
-			idx = append(idx, v)
-			local[v] = int32(len(pts))
-		}
-		return local[v] - 1
-	}
-	for _, e := range m.BoundaryEdges() {
-		if surfaceSet[m.Points[e[0]]] && surfaceSet[m.Points[e[1]]] {
-			continue // body surface edge
-		}
-		segs = append(segs, [2]int32{intern(e[0]), intern(e[1])})
-	}
-	return pts, segs, idx
-}
-
 // transitionInput assembles the CDT input for the region between the
 // boundary layer's outer boundary and the near-body box border. The box
 // border is discretized with the same march the decoupling quadrants use,

@@ -14,7 +14,6 @@ import (
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
-	"pamg2d/internal/mesh"
 	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 )
@@ -100,8 +99,8 @@ func runRayInsertion(rc *RunCtx) error {
 // box, then decomposes the boundary-layer points with the projection-based
 // decomposition and triangulates the leaves in parallel (paper Figure 8);
 // each leaf keeps only its triangles inside the layer annuli. The merge
-// assembles the leaves' submeshes in task order and extracts the mesh's
-// outer boundary for the transition region.
+// assembles the leaves' submeshes in task order and reads the mesh's outer
+// boundary for the transition region off the edges the leaves return.
 func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	cfg := rc.cfg
 	var surfacePts []geom.Point
@@ -128,23 +127,15 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: depth})
 	tasks := blLeafTasks(leaves, len(rc.blPoints))
 	merge := func(results [][]float64) error {
-		b := mesh.NewBuilder()
-		if err := addSubmeshes(b, results); err != nil {
+		b, pts, segs, err := mergeBoundaryLayer(results, rc.surfaceSet)
+		if err != nil {
 			return err
 		}
-		rc.builder = b
-		bl := b.Mesh()
-		rc.stats.BLTriangles = bl.NumTriangles()
-		// Extract the outer boundary of the boundary-layer mesh: boundary
-		// edges whose endpoints are not both surface points. The transition
-		// task shares those points, and only path points went through the
-		// builder's index, so declare them.
-		var outerIdx []int32
-		rc.outerPts, rc.outerSegs, outerIdx = outerBoundary(bl, rc.surfaceSet)
-		if len(rc.outerSegs) == 0 {
+		if len(segs) == 0 {
 			return fmt.Errorf("core: boundary-layer mesh has no outer boundary")
 		}
-		b.Share(outerIdx)
+		rc.builder, rc.outerPts, rc.outerSegs = b, pts, segs
+		rc.stats.BLTriangles = b.Mesh().NumTriangles()
 		return nil
 	}
 	return tasks, taskCtx{frame: rc.ffBox, annuli: layerAnnuli(rc.layers, cfg.BL)}, merge, nil
@@ -210,7 +201,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	merge := func(results [][]float64) error {
 		trans, inv := 0, 0
 		for i, r := range results {
-			_, _, nt, err := submeshCounts(r)
+			_, _, nt, _, err := submeshCounts(r)
 			if err != nil {
 				return fmt.Errorf("task %d result: %w", i, err)
 			}
@@ -233,7 +224,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 // and gates its structure unless the audit stage will prove it.
 func runMerge(rc *RunCtx) error {
 	b := rc.builder
-	if err := addSubmeshes(b, rc.isoResults); err != nil {
+	if _, err := addSubmeshes(b, rc.isoResults); err != nil {
 		return err
 	}
 	rc.res.Mesh = b.Mesh()

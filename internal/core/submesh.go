@@ -15,28 +15,48 @@ import (
 // kernel produced, in the form mesh.Builder.AddSubmesh takes. pts are in
 // order of first appearance in tris (delaunay.Extract and mesh.Builder
 // both number points that way); shared lists, ascending, the points
-// another task's result may also hold.
+// another task's result may also hold. A boundary-layer leaf adds the
+// edges the root reads the layer's outer boundary from (leafEdges);
+// region tasks carry none.
 //
 // As a result vector it is one layout for every task kind:
 //
-//	[np, ns, nt, x0, y0 … (2·np), s0 … (ns), a0, b0, c0 … (3·nt)]
+//	[np, ns, nt, ne, x0, y0 … (2·np), s0 … (ns), a0, b0, c0 … (3·nt), u0, v0, f0 … (3·ne)]
 type submesh struct {
 	pts    []geom.Point
 	shared []int32
 	tris   [][3]int32
+	edges  []leafEdge
 }
+
+// leafEdge is a directed edge u→v of a leaf's kept triangle and its kinds,
+// edgeOpen, edgeSeam or both.
+type leafEdge struct {
+	u, v int32
+	kind int32
+}
+
+const (
+	// edgeOpen: the leaf does not keep the triangle across the edge.
+	edgeOpen = 1 << iota
+	// edgeSeam: both ends are path points, so another leaf may hold the
+	// edge, or its reverse, too.
+	edgeSeam
+	edgeKinds = edgeOpen | edgeSeam
+)
 
 // Header slots of an encoded submesh.
 const (
 	subPoints = iota
 	subShared
 	subTriangles
+	subEdges
 	subHeader
 )
 
 func (s submesh) encode() []float64 {
-	vals := make([]float64, 0, subHeader+2*len(s.pts)+len(s.shared)+3*len(s.tris))
-	vals = append(vals, float64(len(s.pts)), float64(len(s.shared)), float64(len(s.tris)))
+	vals := make([]float64, 0, subHeader+2*len(s.pts)+len(s.shared)+3*len(s.tris)+3*len(s.edges))
+	vals = append(vals, float64(len(s.pts)), float64(len(s.shared)), float64(len(s.tris)), float64(len(s.edges)))
 	for _, p := range s.pts {
 		vals = append(vals, p.X, p.Y)
 	}
@@ -45,6 +65,9 @@ func (s submesh) encode() []float64 {
 	}
 	for _, t := range s.tris {
 		vals = append(vals, float64(t[0]), float64(t[1]), float64(t[2]))
+	}
+	for _, e := range s.edges {
+		vals = append(vals, float64(e.u), float64(e.v), float64(e.kind))
 	}
 	return vals
 }
@@ -67,34 +90,38 @@ func finite(p geom.Point) bool {
 }
 
 // submeshCounts validates an encoded submesh's header against the
-// vector's length and returns the point, shared-point and triangle counts.
-func submeshCounts(vals []float64) (np, ns, nt int, err error) {
+// vector's length and returns the point, shared-point, triangle and edge
+// counts.
+func submeshCounts(vals []float64) (np, ns, nt, ne int, err error) {
 	if len(vals) < subHeader {
-		return 0, 0, 0, fmt.Errorf("core: submesh of %d floats has no header", len(vals))
+		return 0, 0, 0, 0, fmt.Errorf("core: submesh of %d floats has no header", len(vals))
 	}
 	p, okP := wireIndex(vals[subPoints], math.MaxInt32)
 	s, okS := wireIndex(vals[subShared], int(p)+1)
 	t, okT := wireIndex(vals[subTriangles], math.MaxInt32)
-	if !okP || !okS || !okT {
-		return 0, 0, 0, fmt.Errorf("core: submesh header %v is not point, shared (at most the points) and triangle counts", vals[:subHeader])
+	e, okE := wireIndex(vals[subEdges], math.MaxInt32)
+	if !okP || !okS || !okT || !okE {
+		return 0, 0, 0, 0, fmt.Errorf("core: submesh header %v is not point, shared (at most the points), triangle and edge counts", vals[:subHeader])
 	}
-	if want := subHeader + 2*int64(p) + int64(s) + 3*int64(t); int64(len(vals)) != want {
-		return 0, 0, 0, fmt.Errorf("core: submesh header %v implies %d floats, have %d", vals[:subHeader], want, len(vals))
+	if want := subHeader + 2*int64(p) + int64(s) + 3*int64(t) + 3*int64(e); int64(len(vals)) != want {
+		return 0, 0, 0, 0, fmt.Errorf("core: submesh header %v implies %d floats, have %d", vals[:subHeader], want, len(vals))
 	}
-	return int(p), int(s), int(t), nil
+	return int(p), int(s), int(t), int(e), nil
 }
 
 // decode replaces s with the submesh encoded in vals, reusing s's
-// storage, and checks everything AddSubmesh relies on: shared indices
-// ascending, every index below the point count.
+// storage, and checks everything AddSubmesh and the outer-boundary
+// extraction rely on: shared indices ascending, every index below the
+// point count, every edge kind open, seam or both.
 func (s *submesh) decode(vals []float64) error {
-	np, ns, nt, err := submeshCounts(vals)
+	np, ns, nt, ne, err := submeshCounts(vals)
 	if err != nil {
 		return err
 	}
 	s.pts = slices.Grow(s.pts[:0], np)
 	s.shared = slices.Grow(s.shared[:0], ns)
 	s.tris = slices.Grow(s.tris[:0], nt)
+	s.edges = slices.Grow(s.edges[:0], ne)
 	vals = vals[subHeader:]
 	for i := 0; i < np; i++ {
 		s.pts = append(s.pts, geom.Pt(vals[2*i], vals[2*i+1]))
@@ -117,33 +144,115 @@ func (s *submesh) decode(vals []float64) error {
 		}
 		s.tris = append(s.tris, [3]int32{a, b, c})
 	}
+	vals = vals[3*nt:]
+	for k := 0; k < ne; k++ {
+		u, okU := wireIndex(vals[3*k], np)
+		v, okV := wireIndex(vals[3*k+1], np)
+		kind, okK := wireIndex(vals[3*k+2], edgeKinds+1)
+		if !okU || !okV || !okK || kind == 0 {
+			return fmt.Errorf("core: submesh edge %d is %v: not indices below %d and a kind in {1, 2, 3}", k, vals[3*k:3*k+3], np)
+		}
+		s.edges = append(s.edges, leafEdge{u, v, kind})
+	}
 	return nil
 }
 
-// addSubmeshes decodes the meshing tasks' results and adds them to b in
-// task order.
-func addSubmeshes(b *mesh.Builder, results [][]float64) error {
-	points, tris := 0, 0
+// addSubmeshes decodes the meshing tasks' results, adds them to b in task
+// order, and returns the leaves' edges in b's numbering.
+func addSubmeshes(b *mesh.Builder, results [][]float64) (leafEdges, error) {
+	points, tris, edges := 0, 0, 0
 	for i, r := range results {
-		np, _, nt, err := submeshCounts(r)
+		np, _, nt, ne, err := submeshCounts(r)
 		if err != nil {
-			return fmt.Errorf("task %d result: %w", i, err)
+			return leafEdges{}, fmt.Errorf("task %d result: %w", i, err)
 		}
 		points += np
 		tris += nt
+		edges += ne
 	}
 	b.Reserve(points, tris)
+	buf := make([]uint64, 0, 2*edges)
+	le := leafEdges{open: buf[:0:edges], seam: buf[edges:edges]}
 	var s submesh
 	for i, r := range results {
 		if err := s.decode(r); err != nil {
-			return fmt.Errorf("task %d result: %w", i, err)
+			return leafEdges{}, fmt.Errorf("task %d result: %w", i, err)
 		}
-		s.addTo(b)
+		s.addTo(b, &le)
 	}
-	return nil
+	return le, nil
 }
 
-func (s submesh) addTo(b *mesh.Builder) { b.AddSubmesh(s.pts, s.shared, s.tris) }
+// addTo adds s to b and s's edges to le, which may be nil for a submesh
+// without edges.
+func (s submesh) addTo(b *mesh.Builder, le *leafEdges) {
+	at := b.AddSubmesh(s.pts, s.shared, s.tris)
+	for _, e := range s.edges {
+		k := uint64(at[e.u])<<32 | uint64(at[e.v])
+		if e.kind&edgeOpen != 0 {
+			le.open = append(le.open, k)
+		}
+		if e.kind&edgeSeam != 0 {
+			le.seam = append(le.seam, k)
+		}
+	}
+}
+
+// leafEdges are the boundary-layer leaves' open and seam edges in the
+// builder's numbering, the directed edge u→v as u<<32 | v.
+type leafEdges struct{ open, seam []uint64 }
+
+// mergeBoundaryLayer adds the boundary-layer leaves' results to a new
+// builder and returns it with the layer mesh's outer boundary: its
+// boundary edges whose ends are not both surface points, as segments over
+// their points in order of first appearance. It declares those points
+// shared, since the transition task holds them too and only path points
+// went through the builder's index.
+//
+// A kept triangle's edge is on the mesh boundary when no triangle of any
+// leaf holds its reverse. Its own leaf holds the reverse only if it keeps
+// the triangle across, so the edge must be open; another leaf can hold the
+// reverse only if the decomposition dealt it both ends, so there the
+// reverse is a seam edge. The boundary is therefore the open edges whose
+// reverse is no leaf's seam edge, in the order Mesh.BoundaryEdges gives.
+// Seam edges, not the other leaves' open ones, are what cancel: when two
+// leaves keep the same triangle the builder adds it once, and the reverse
+// of one leaf's open edge can be an edge the other keeps on both sides.
+func mergeBoundaryLayer(results [][]float64, surfaceSet map[geom.Point]bool) (b *mesh.Builder, pts []geom.Point, segs [][2]int32, err error) {
+	b = mesh.NewBuilder()
+	le, err := addSubmeshes(b, results)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	m := b.Mesh()
+	slices.Sort(le.seam)
+	slices.Sort(le.open)
+	open := slices.Compact(le.open)
+	// The outer boundary is closed loops, so it has no more points than
+	// segments.
+	local := make([]int32, len(m.Points)) // 1 + a mesh point's index in pts, 0 if absent
+	pts, idx, segs := make([]geom.Point, 0, len(open)), make([]int32, 0, len(open)), make([][2]int32, 0, len(open))
+	intern := func(v int32) int32 {
+		if local[v] == 0 {
+			pts = append(pts, m.Points[v])
+			idx = append(idx, v)
+			local[v] = int32(len(pts))
+		}
+		return local[v] - 1
+	}
+	for _, k := range open {
+		u, v := int32(k>>32), int32(uint32(k))
+		if _, held := slices.BinarySearch(le.seam, uint64(v)<<32|uint64(u)); held {
+			continue
+		}
+		if surfaceSet[m.Points[u]] && surfaceSet[m.Points[v]] {
+			continue // body surface edge
+		}
+		segs = append(segs, [2]int32{intern(u), intern(v)})
+	}
+	b.Share(idx)
+	return b, pts, segs, nil
+}
 
 // regionSubmesh flags a region task's kernel output: only the task's input
 // points — the region border the decoupling fixed point for point, for a
@@ -165,23 +274,30 @@ func regionSubmesh(pts []geom.Point, tris [][3]int32, input []geom.Point) submes
 }
 
 // blSubmesh is the part of a boundary-layer triangulation that keep
-// accepts, renumbered in order of first appearance. Only the leaf's path
-// points are flagged shared: a triangle belongs to the leaf owning its
-// circumcenter, so a point can be a corner in a neighbouring leaf's result
-// only if the decomposition dealt it to that leaf as well. delaunay.Extract
-// numbers points by first appearance, not in input order, so each kept
-// point is looked up among the path points (onPath).
-func blSubmesh(res *delaunay.Result, path []geom.Point, keep func(a, b, c geom.Point) bool) submesh {
-	remap := make([]int32, len(res.Points))
-	for i := range remap {
-		remap[i] = -1
+// accepts, renumbered in order of first appearance, with the edges the
+// root needs for the layer's outer boundary (mergeBoundaryLayer); nb is
+// the triangulation's neighbours (delaunay.Triangulation.ExtractNeighbors).
+// Only the leaf's path points are flagged shared: a triangle belongs to
+// the leaf owning its circumcenter, so a point can be a corner in a
+// neighbouring leaf's result only if the decomposition dealt it to that
+// leaf as well. delaunay.Extract numbers points by first appearance, not
+// in input order, so each kept point is looked up among the path points
+// (onPath).
+func blSubmesh(res *delaunay.Result, nb [][3]int32, path []geom.Point, keep func(a, b, c geom.Point) bool) submesh {
+	// A result point's index in s.pts, then a result triangle's in s.tris,
+	// -1 while not kept; then whether a kept result point is a path point.
+	np, nt := len(res.Points), len(res.Triangles)
+	at := make([]int32, 2*np+nt)
+	for i := range at[:np+nt] {
+		at[i] = -1
 	}
+	remap, kept, isPath := at[:np], at[np:np+nt], at[np+nt:]
 	s := submesh{
-		pts:    make([]geom.Point, 0, len(res.Points)),
+		pts:    make([]geom.Point, 0, np),
 		shared: make([]int32, 0, len(path)),
-		tris:   make([][3]int32, 0, len(res.Triangles)),
+		tris:   make([][3]int32, 0, nt),
 	}
-	for _, tri := range res.Triangles {
+	for i, tri := range res.Triangles {
 		if !keep(res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]) {
 			continue
 		}
@@ -190,13 +306,49 @@ func blSubmesh(res *delaunay.Result, path []geom.Point, keep func(a, b, c geom.P
 				remap[v] = int32(len(s.pts))
 				p := res.Points[v]
 				if onPath(path, p) {
+					isPath[v] = 1
 					s.shared = append(s.shared, remap[v])
 				}
 				s.pts = append(s.pts, p)
 			}
 			tri[k] = remap[v]
 		}
+		kept[i] = int32(len(s.tris))
 		s.tris = append(s.tris, tri)
+	}
+	// Each kept triangle's edge kinds, counted and then listed.
+	kindsOf := func(i int) (k [3]int32) {
+		tri := res.Triangles[i]
+		for e, n := range nb[i] {
+			if n < 0 || kept[n] < 0 {
+				k[e] = edgeOpen
+			}
+			if isPath[tri[e]]&isPath[tri[(e+1)%3]] != 0 {
+				k[e] |= edgeSeam
+			}
+		}
+		return k
+	}
+	n := 0
+	for i, t := range kept {
+		if t >= 0 {
+			for _, k := range kindsOf(i) {
+				if k != 0 {
+					n++
+				}
+			}
+		}
+	}
+	s.edges = make([]leafEdge, 0, n)
+	for i, t := range kept {
+		if t >= 0 {
+			tri := s.tris[t]
+			for e, k := range kindsOf(i) {
+				if k != 0 {
+					s.edges = append(s.edges, leafEdge{tri[e], tri[(e+1)%3], k})
+				}
+			}
+		}
 	}
 	return s
 }

@@ -224,17 +224,20 @@ func TestFullAuditWithSectorsFindsNoDuplicatePoints(t *testing.T) {
 }
 
 func TestSubmeshDecodeRejects(t *testing.T) {
-	// Two triangles over four points, points 1 and 3 shared.
+	// Two triangles over four points, points 1 and 3 shared, with an open,
+	// a seam and an open seam edge.
 	good := submesh{
 		pts:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)},
 		shared: []int32{1, 3},
 		tris:   [][3]int32{{0, 1, 2}, {0, 2, 3}},
+		edges:  []leafEdge{{0, 1, edgeOpen}, {2, 3, edgeSeam}, {3, 0, edgeOpen | edgeSeam}},
 	}.encode()
 	var s submesh
-	if err := s.decode(good); err != nil || len(s.pts) != 4 || len(s.shared) != 2 || len(s.tris) != 2 {
+	if err := s.decode(good); err != nil || len(s.pts) != 4 || len(s.shared) != 2 || len(s.tris) != 2 || len(s.edges) != 3 {
 		t.Fatalf("a valid submesh decodes to %+v, %v", s, err)
 	}
 	const firstShared, firstIndex = subHeader + 8, subHeader + 8 + 2
+	const firstEdge = firstIndex + 6
 	cases := []struct {
 		name string
 		slot int
@@ -257,6 +260,14 @@ func TestSubmeshDecodeRejects(t *testing.T) {
 		{"fractional triangle index", firstIndex + 2, 1.5},
 		{"NaN triangle index", firstIndex + 5, math.NaN()},
 		{"infinite triangle index", firstIndex + 5, math.Inf(-1)},
+		{"negative edge count", subEdges, -1},
+		{"edge count the length contradicts", subEdges, 2},
+		{"edge index at the point count", firstEdge + 3, 4},
+		{"negative edge index", firstEdge + 1, -1},
+		{"NaN edge index", firstEdge, math.NaN()},
+		{"edge kind 0", firstEdge + 2, 0},
+		{"edge kind above open and seam", firstEdge + 5, 4},
+		{"fractional edge kind", firstEdge + 8, 1.5},
 	}
 	for _, c := range cases {
 		bad := append([]float64(nil), good...)
@@ -265,7 +276,7 @@ func TestSubmeshDecodeRejects(t *testing.T) {
 			t.Errorf("%s: decoded without error", c.name)
 		}
 	}
-	for _, n := range []int{0, 1, 2, len(good) - 1} {
+	for _, n := range []int{0, 1, 2, 3, len(good) - 1} {
 		if err := s.decode(good[:n]); err == nil {
 			t.Errorf("a vector cut to %d floats decoded without error", n)
 		}

@@ -160,10 +160,30 @@ func Build(in Input) (*Triangulation, error) {
 // Extract converts the live triangulation into a compact Result holding
 // only interior triangles and referenced vertices.
 func (t *Triangulation) Extract() *Result {
-	remap := make([]int32, len(t.pts))
+	res, _ := t.extract(false)
+	return res
+}
+
+// ExtractNeighbors is Extract plus each result triangle's neighbours:
+// nb[i][e] is the index in Triangles of the triangle across edge e of
+// triangle i (from vertex e to e+1 mod 3), or -1 where no interior
+// triangle lies across it.
+func (t *Triangulation) ExtractNeighbors() (res *Result, nb [][3]int32) {
+	return t.extract(true)
+}
+
+func (t *Triangulation) extract(neighbors bool) (*Result, [][3]int32) {
+	// A vertex's index in res.Points, -1 until it is met; with neighbors,
+	// then a triangle's index in res.Triangles, -1 if it is not interior.
+	n := len(t.pts)
+	if neighbors {
+		n += len(t.tris)
+	}
+	remap := make([]int32, n)
 	for i := range remap {
 		remap[i] = -1
 	}
+	remap, at := remap[:len(t.pts)], remap[len(t.pts):]
 	nInterior := t.InteriorTriangles()
 	res := &Result{
 		Points:      make([]geom.Point, 0, len(t.pts)),
@@ -184,10 +204,29 @@ func (t *Triangulation) Extract() *Result {
 			}
 			tri[k] = remap[v]
 		}
+		if neighbors {
+			at[i] = int32(len(res.Triangles))
+		}
 		res.Triangles = append(res.Triangles, tri)
 		res.Constrained = append(res.Constrained, tr.C)
 	}
-	return res
+	if !neighbors {
+		return res, nil
+	}
+	nb := make([][3]int32, 0, len(res.Triangles))
+	for i := range t.tris {
+		if at[i] < 0 {
+			continue
+		}
+		across := [3]int32{invalid, invalid, invalid}
+		for k, ti := range t.tris[i].N {
+			if ti != invalid {
+				across[k] = at[ti]
+			}
+		}
+		nb = append(nb, across)
+	}
+	return res, nb
 }
 
 // CheckDelaunay validates structural invariants; exposed for tests.

@@ -325,6 +325,59 @@ func TestExtractOnlyInterior(t *testing.T) {
 	}
 }
 
+// TestExtractNeighborsMatchesSharedEdges: ExtractNeighbors returns
+// Extract's result, and names across each edge exactly the result
+// triangle holding the reversed edge, or -1 when none does — on a point
+// cloud and on a carved square with a hole.
+func TestExtractNeighborsMatchesSharedEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cloud := Input{Frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}}
+	for i := 0; i < 300; i++ {
+		cloud.Points = append(cloud.Points, geom.Pt(rng.Float64(), rng.Float64()))
+	}
+	holed := Input{
+		Points: []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4),
+			geom.Pt(1, 1), geom.Pt(3, 1), geom.Pt(3, 3), geom.Pt(1, 3), geom.Pt(0.5, 2), geom.Pt(3.5, 0.5)},
+		Segments: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 7}, {7, 4}},
+		Holes:    []geom.Point{geom.Pt(2, 2)},
+	}
+	for _, in := range []Input{cloud, holed} {
+		tr, err := Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, nb := tr.ExtractNeighbors()
+		if want := tr.Extract(); !slices.Equal(res.Points, want.Points) || !slices.Equal(res.Triangles, want.Triangles) {
+			t.Fatal("ExtractNeighbors' result differs from Extract's")
+		}
+		owner := make(map[[2]int32]int32)
+		for i, tri := range res.Triangles {
+			for e := 0; e < 3; e++ {
+				owner[[2]int32{tri[e], tri[(e+1)%3]}] = int32(i)
+			}
+		}
+		if len(nb) != len(res.Triangles) {
+			t.Fatalf("%d neighbour triples for %d triangles", len(nb), len(res.Triangles))
+		}
+		open := 0
+		for i, tri := range res.Triangles {
+			for e := 0; e < 3; e++ {
+				want, ok := owner[[2]int32{tri[(e+1)%3], tri[e]}]
+				if !ok {
+					want = -1
+					open++
+				}
+				if nb[i][e] != want {
+					t.Errorf("triangle %d edge %d: neighbour %d, want %d", i, e, nb[i][e], want)
+				}
+			}
+		}
+		if open == 0 {
+			t.Error("no triangle edge without a neighbour")
+		}
+	}
+}
+
 func TestRefineQuality(t *testing.T) {
 	// A long thin rectangle refined with a quality bound: every interior
 	// triangle must meet the circumradius-to-shortest-edge bound.

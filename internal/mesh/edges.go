@@ -10,8 +10,9 @@ import (
 // HalfEdges is the mesh's directed edges grouped by origin vertex: a
 // counting sort puts vertex v's outgoing half-edges in
 // key[start[v]:start[v+1]], each bucket ordered by destination and then
-// triangle. Audit, BoundaryEdges, Adjacency and internal/audit all read
-// this one table, two flat allocations whatever the vertex degrees are.
+// triangle. BoundaryEdges, Adjacency and internal/audit read this one
+// table, two flat allocations whatever the vertex degrees are; Audit
+// shares only its counting pass (originCursors).
 type HalfEdges struct {
 	start []int32
 	key   []HalfEdge
@@ -31,19 +32,7 @@ func (k HalfEdge) Edge() int     { return int(uint32(k) % 3) }
 // Points contribute nothing.
 func (m *Mesh) HalfEdges() HalfEdges {
 	np := len(m.Points)
-	// Counts go in two slots up, so that after the prefix sum start[v+1]
-	// is origin v's write cursor and ends as its bucket's end.
-	start := make([]int32, np+2)
-	for _, t := range m.Triangles {
-		if m.ValidRefs(t) {
-			start[t[0]+2]++
-			start[t[1]+2]++
-			start[t[2]+2]++
-		}
-	}
-	for v := 0; v < np; v++ {
-		start[v+2] += start[v+1]
-	}
+	start := m.originCursors(make([]int32, np+2))
 	key := make([]HalfEdge, start[np+1])
 	for i, t := range m.Triangles {
 		if !m.ValidRefs(t) {
@@ -60,6 +49,26 @@ func (m *Mesh) HalfEdges() HalfEdges {
 		slices.Sort(key[start[v]:start[v+1]])
 	}
 	return HalfEdges{start: start, key: key}
+}
+
+// originCursors is the counting half of the count-and-scatter by origin.
+// start is zeroed, of length len(Points)+2. Each triangle within Points
+// counts its three corners two slots up, so that after the prefix sum
+// start[v+1] is origin v's write cursor and start[len(Points)+1] the
+// half-edge count; once the caller has scattered every half-edge through
+// the cursors, start[:len(Points)+1] bounds the buckets.
+func (m *Mesh) originCursors(start []int32) []int32 {
+	for _, t := range m.Triangles {
+		if m.ValidRefs(t) {
+			start[t[0]+2]++
+			start[t[1]+2]++
+			start[t[2]+2]++
+		}
+	}
+	for v := 0; v+2 < len(start); v++ {
+		start[v+2] += start[v+1]
+	}
+	return start
 }
 
 // ValidRefs reports whether all three vertices of t index Points.
@@ -109,7 +118,11 @@ func (h HalfEdges) last(u, v int32) int {
 // non-degenerate, and no directed edge used by two triangles — so every
 // edge is shared by at most two triangles with opposite orientations
 // (conformity: no T-junctions among the indexed vertices, no overlapping
-// elements).
+// elements). It groups the half-edges' destinations by origin, unsorted,
+// and a stamp per vertex finds a destination repeated within a group;
+// only such a group is sorted, so the error names the least repeated
+// destination of the least origin, as a scan of the sorted table would.
+// The bucket bounds, the stamps and the destinations share one allocation.
 func (m *Mesh) Audit() error {
 	if err := validateTriangles(m); err != nil {
 		return err
@@ -119,12 +132,28 @@ func (m *Mesh) Audit() error {
 			return fmt.Errorf("mesh: triangle %d not CCW", i)
 		}
 	}
-	h := m.HalfEdges()
-	for u := range m.Points {
-		bucket := h.From(int32(u))
-		for k := 1; k < len(bucket); k++ {
-			if v := bucket[k].To(); v == bucket[k-1].To() {
-				return fmt.Errorf("mesh: directed edge (%d,%d) used twice; overlapping triangles", u, v)
+	np := len(m.Points)
+	buf := make([]int32, 2*np+2+3*len(m.Triangles))
+	start, stamp, dst := m.originCursors(buf[:np+2]), buf[np+2:2*np+2], buf[2*np+2:]
+	for _, t := range m.Triangles {
+		for e := 0; e < 3; e++ {
+			u := t[e]
+			dst[start[u+1]] = t[(e+1)%3]
+			start[u+1]++
+		}
+	}
+	for u := 0; u < np; u++ {
+		bucket, mark := dst[start[u]:start[u+1]], int32(u)+1
+		for _, v := range bucket {
+			if stamp[v] != mark {
+				stamp[v] = mark
+				continue
+			}
+			slices.Sort(bucket)
+			for k := 1; ; k++ {
+				if v := bucket[k]; v == bucket[k-1] {
+					return fmt.Errorf("mesh: directed edge (%d,%d) used twice; overlapping triangles", u, v)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -94,6 +95,41 @@ func TestEdgeTableOnAFan(t *testing.T) {
 		atBig := testing.AllocsPerRun(5, func() { read(big) })
 		if atBig > atSmall || atBig > 3 {
 			t.Errorf("%s: %v allocations on the 20000-fan, %v on the 200-fan; want the same, at most 3", name, atBig, atSmall)
+		}
+	}
+}
+
+// AuditSortedReference is Audit as it was before the stamp: every bucket
+// of the sorted half-edge table scanned for two equal destinations in a
+// row. It is exported for oracle_test.go's FuzzAuditMatchesSortedReference.
+func AuditSortedReference(m *Mesh) error {
+	if err := validateTriangles(m); err != nil {
+		return err
+	}
+	for i, t := range m.Triangles {
+		if geom.Orient2DSign(m.Points[t[0]], m.Points[t[1]], m.Points[t[2]]) <= 0 {
+			return fmt.Errorf("mesh: triangle %d not CCW", i)
+		}
+	}
+	h := m.HalfEdges()
+	for u := range m.Points {
+		bucket := h.From(int32(u))
+		for k := 1; k < len(bucket); k++ {
+			if v := bucket[k].To(); v == bucket[k-1].To() {
+				return fmt.Errorf("mesh: directed edge (%d,%d) used twice; overlapping triangles", u, v)
+			}
+		}
+	}
+	return nil
+}
+
+// TestAuditAllocatesOnce: the gate costs one allocation whatever the
+// mesh, its bucket bounds, stamps and destinations in one block; it was
+// two, the sorted table's, and adaptation calls it on every cycle's input.
+func TestAuditAllocatesOnce(t *testing.T) {
+	for _, m := range []*Mesh{gridMesh(40), fanMesh(300)} {
+		if got := testing.AllocsPerRun(5, func() { _ = m.Audit() }); got != 1 {
+			t.Errorf("Audit on %d triangles: %v allocations, want 1", len(m.Triangles), got)
 		}
 	}
 }

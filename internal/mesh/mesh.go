@@ -2,8 +2,8 @@
 // independently generated submeshes (Builder: by offset for an indexed
 // submesh whose shared points are flagged, AddSubmesh; with
 // coordinate-based deduplication of every corner for loose triangles,
-// AddTriangle), structural audits (orientation, conformity) and the
-// boundary and adjacency queries, all read off one half-edge table
+// AddTriangle), the structural gate (Audit: orientation, conformity), the
+// boundary and adjacency queries read off one half-edge table
 // (HalfEdges), element quality statistics, and writers in Triangle's ASCII
 // .node/.ele format and a compact binary format. The paper measures a
 // 9-minute ASCII write for its 172.8M-triangle mesh and notes binary
@@ -106,8 +106,9 @@ func (b *Builder) Reserve(points, triangles int) {
 // all shared, the only kind two submeshes can both hold, is checked
 // against the triangles already added. A point an earlier submesh held
 // privately must be declared with Share before a later submesh shares it.
-// Every index must be in range.
-func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) {
+// Every index must be in range. It returns each submesh point's index in
+// the mesh, valid until the next call.
+func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) []int32 {
 	if len(pts) > len(b.remap) {
 		b.remap = make([]int32, len(pts))
 		b.interned = make([]bool, len(pts))
@@ -136,6 +137,7 @@ func (b *Builder) AddSubmesh(pts []geom.Point, shared []int32, tris [][3]int32) 
 		}
 		b.mesh.Triangles = append(b.mesh.Triangles, [3]int32{i0, i1, i2})
 	}
+	return b.remap[:len(pts)]
 }
 
 // Share declares points already added, by index, as points a later

@@ -1,6 +1,7 @@
 package mesh_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -124,14 +125,10 @@ func latticeMesh(data []byte) *mesh.Mesh {
 	return m
 }
 
-// FuzzGateImpliesRegistry: whenever Mesh.Audit rejects a mesh, the
-// orientation and conformity checks report a violation on some triangle.
-// An audited run rests on this, since there the registry stands in for the
-// merge's gate. Orphan and duplicate-point findings name no triangle, and
-// a lattice under arbitrary triangles nearly always has orphans, so only
-// a finding attributed to a triangle counts. The corpus holds the grid
-// corruptions of TestAuditAgreesWithInvariantAudit, on the same lattice.
-func FuzzGateImpliesRegistry(f *testing.F) {
+// addGridCorpus seeds f with the grid corruptions of
+// TestAuditAgreesWithInvariantAudit in latticeMesh's encoding, on the same
+// lattice.
+func addGridCorpus(f *testing.F) {
 	const k = gridN + 1
 	for _, c := range gridCorruptions {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -153,6 +150,17 @@ func FuzzGateImpliesRegistry(f *testing.F) {
 			f.Add(data)
 		}
 	}
+}
+
+// FuzzGateImpliesRegistry: whenever Mesh.Audit rejects a mesh, the
+// orientation and conformity checks report a violation on some triangle.
+// An audited run rests on this, since there the registry stands in for the
+// merge's gate. Orphan and duplicate-point findings name no triangle, and
+// a lattice under arbitrary triangles nearly always has orphans, so only
+// a finding attributed to a triangle counts. The corpus holds the grid
+// corruptions.
+func FuzzGateImpliesRegistry(f *testing.F) {
+	addGridCorpus(f)
 	checks, err := audit.ByName("orientation,conformity")
 	if err != nil {
 		f.Fatal(err)
@@ -171,5 +179,19 @@ func FuzzGateImpliesRegistry(f *testing.F) {
 		}
 		t.Fatalf("Mesh.Audit rejects the mesh (%v) but orientation and conformity name no triangle: %v\npoints %d, triangles %v",
 			gate, rep.Error(), len(m.Points), m.Triangles)
+	})
+}
+
+// FuzzAuditMatchesSortedReference: the stamped gate returns the error text
+// the sorted-bucket gate it replaced returns, or nil with it, so every
+// run's merge fails, or passes, with the same message.
+func FuzzAuditMatchesSortedReference(f *testing.F) {
+	addGridCorpus(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := latticeMesh(data)
+		got, want := m.Audit(), mesh.AuditSortedReference(m)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Audit returns %v, the sorted reference %v\npoints %d, triangles %v", got, want, len(m.Points), m.Triangles)
+		}
 	})
 }
