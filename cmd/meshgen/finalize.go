@@ -2,8 +2,9 @@ package main
 
 // The finalize exchange of a multi-process run: one more world, minted by
 // every process after generation, on which a tracing rank 0 collects each
-// worker's clock and telemetry with ordinary messages. It ends in the
-// world's barrier, so no process tears its connections down while another
+// worker's clock and telemetry with ordinary messages. It ends in a
+// release round: rank 0 asks every live worker to return and waits for
+// each answer, so no process tears its connections down while another
 // still drains the pipeline's last broadcast. The run's statistics do not
 // travel here: they reached rank 0's core.Stats phase by phase.
 
@@ -19,17 +20,20 @@ import (
 )
 
 // Message tags of the finalize world: rank 0 sends one request byte on
-// tagRequest, and a worker answers on tagReply.
+// tagRequest, and a worker answers every request with one message on
+// tagReply.
 const (
 	tagRequest = iota + 1
 	tagReply
 )
 
-// Finalize requests. Either of the last two is a worker's last.
+// Finalize requests. reqRelease is a worker's last: it answers with an
+// empty reply and returns.
 const (
-	reqClock byte = iota + 1 // reply with the clock, 8 bytes
-	reqShip                  // reply with the telemetry image
-	reqDone                  // no reply
+	reqClock   byte = iota + 1 // reply with the clock, 8 bytes
+	reqShip                    // reply with the telemetry image
+	reqDone                    // empty reply: the visit of an untraced launcher
+	reqRelease                 // empty reply, then return
 )
 
 // clockRounds is the number of clock samples an offset estimate takes
@@ -45,13 +49,14 @@ type shipments struct {
 }
 
 // collectWorkers is rank 0's side of the finalize exchange: it visits
-// each live worker in rank order, then enters the barrier. now is the
-// launcher's trace clock, or nil when the launcher does not trace: then
-// each worker is only released to the barrier, so rank 0's flags alone
-// decide what crosses the wire. A worker that is or goes dead is
-// skipped; the run's degradation report covers it. Only a failed visit
-// and the barrier's result are errors: once the barrier releases, a peer
-// closing its links is the expected shutdown.
+// each live worker in rank order, then releases each in the same order
+// and waits for its answer. now is the launcher's trace clock, or nil
+// when the launcher does not trace: then a visit asks for nothing, so
+// rank 0's flags alone decide what crosses the wire. A worker that is or
+// goes dead is skipped; the run's degradation report covers it. The
+// answer to a release is what lets rank 0 close its links: a release
+// still queued when they close would be dropped, and the worker would
+// fail.
 func collectWorkers(ctx context.Context, fabric *mpi.Cluster, now func() int64) (shipments, error) {
 	var out shipments
 	if now != nil {
@@ -59,46 +64,49 @@ func collectWorkers(ctx context.Context, fabric *mpi.Cluster, now func() int64) 
 	}
 	var err error
 	_ = fabric.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
-		for r := 1; r < c.Size(); r++ {
-			if !c.Alive(r) {
-				continue
-			}
-			var de *mpi.RankDeadError
-			if err = visitWorker(ctx, c, r, now, &out); errors.As(err, &de) {
-				err = nil
-			} else if err != nil {
-				return err
-			}
+		err = eachLiveWorker(c, func(r int) error { return visitWorker(ctx, c, r, now, &out) })
+		if err == nil {
+			err = eachLiveWorker(c, func(r int) error { return ask(ctx, c, r, reqRelease, nil) })
 		}
-		err = c.Barrier()
-		return nil
+		return err
 	})
 	return out, err
 }
 
-// visitWorker releases worker r to the barrier, or, when now is set,
-// samples its clock and takes its telemetry, adding both to out once all
-// of it has arrived.
+// eachLiveWorker calls visit on each live worker in rank order. A worker
+// that is dead, or dies during its visit, is skipped; any other error
+// ends the walk.
+func eachLiveWorker(c *mpi.Comm, visit func(r int) error) error {
+	for r := 1; r < c.Size(); r++ {
+		if !c.Alive(r) {
+			continue
+		}
+		var de *mpi.RankDeadError
+		if err := visit(r); err != nil && !errors.As(err, &de) {
+			return err
+		}
+	}
+	return nil
+}
+
+// visitWorker asks worker r for nothing, or, when now is set, samples its
+// clock and takes its telemetry, adding both to out once all of it has
+// arrived.
 func visitWorker(ctx context.Context, c *mpi.Comm, r int, now func() int64, out *shipments) error {
 	if now == nil {
-		return send(c, r, tagRequest, []byte{reqDone})
+		return ask(ctx, c, r, reqDone, nil)
 	}
 	clock, err := sampleClock(ctx, c, r, now)
 	if err != nil {
 		return err
 	}
-	if err := send(c, r, tagRequest, []byte{reqShip}); err != nil {
-		return err
-	}
-	b, _, _, err := c.Recv(ctx, r, tagReply)
-	if err != nil {
-		return err
-	}
 	var tel *trace.Telemetry
-	if len(b) > 0 {
-		tel, err = trace.DecodeTelemetry(b)
-	}
-	mpi.PutBytes(b)
+	err = ask(ctx, c, r, reqShip, func(b []byte) (err error) {
+		if len(b) > 0 {
+			tel, err = trace.DecodeTelemetry(b)
+		}
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("rank %d telemetry: %w", r, err)
 	}
@@ -109,6 +117,20 @@ func visitWorker(ctx context.Context, c *mpi.Comm, r int, now func() int64, out 
 	return nil
 }
 
+// ask sends worker r the request req and waits for its reply, which it
+// hands to read (when set) and then releases.
+func ask(ctx context.Context, c *mpi.Comm, r int, req byte, read func(b []byte) error) error {
+	if err := send(c, r, tagRequest, []byte{req}); err != nil {
+		return err
+	}
+	b, _, _, err := c.Recv(ctx, r, tagReply)
+	if err == nil && read != nil {
+		err = read(b)
+	}
+	mpi.PutBytes(b)
+	return err
+}
+
 // sampleClock estimates worker r's clock offset against now: of
 // clockRounds request/reply rounds it keeps the one with the smallest
 // round trip and takes the worker's reading to fall at its midpoint, so
@@ -117,20 +139,18 @@ func sampleClock(ctx context.Context, c *mpi.Comm, r int, now func() int64) (tra
 	out := trace.RankClock{Rank: r, RTTNS: math.MaxInt64}
 	for i := 0; i < clockRounds; i++ {
 		t0 := now()
-		if err := send(c, r, tagRequest, []byte{reqClock}); err != nil {
-			return out, err
-		}
-		b, _, _, err := c.Recv(ctx, r, tagReply)
-		t1 := now()
+		var t1, remote int64
+		err := ask(ctx, c, r, reqClock, func(b []byte) error {
+			t1 = now()
+			if len(b) != 8 {
+				return fmt.Errorf("rank %d: clock reply of %d bytes", r, len(b))
+			}
+			remote = int64(binary.LittleEndian.Uint64(b))
+			return nil
+		})
 		if err != nil {
 			return out, err
 		}
-		if len(b) != 8 {
-			mpi.PutBytes(b)
-			return out, fmt.Errorf("rank %d: clock reply of %d bytes", r, len(b))
-		}
-		remote := int64(binary.LittleEndian.Uint64(b))
-		mpi.PutBytes(b)
 		if rtt := t1 - t0; rtt < out.RTTNS {
 			out.OffsetNS, out.RTTNS = t0+rtt/2-remote, rtt
 		}
@@ -139,43 +159,40 @@ func sampleClock(ctx context.Context, c *mpi.Comm, r int, now func() int64) (tra
 }
 
 // serveLauncher is a worker's side of the finalize exchange: it answers
-// rank 0's requests with its clock (now) and tel's image (empty when tel
-// is nil) until rank 0 asks for the image or releases it, and enters the
-// barrier. Like collectWorkers it returns a failure or the barrier's
-// result.
+// each of rank 0's requests with its clock (now), tel's image (empty when
+// tel is nil) or an empty reply, and returns once it has answered the
+// release. It returns nil then, and otherwise the failure that ended the
+// exchange, such as the loss of rank 0.
 func serveLauncher(ctx context.Context, cluster *mpi.Cluster, tel *trace.Telemetry, now func() int64) error {
 	var err error
 	_ = cluster.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
-		for err == nil {
+		for {
 			var b []byte
 			if b, _, _, err = c.Recv(ctx, 0, tagRequest); err != nil {
-				break
+				return err
 			}
 			req := byte(0)
 			if len(b) == 1 {
 				req = b[0]
 			}
 			mpi.PutBytes(b)
+			var reply []byte
 			switch req {
 			case reqClock:
-				err = send(c, 0, tagReply, binary.LittleEndian.AppendUint64(nil, uint64(now())))
-			case reqShip, reqDone:
-				if req == reqShip {
-					var image []byte
-					if tel != nil {
-						image = tel.AppendBinary(nil)
-					}
-					err = send(c, 0, tagReply, image)
+				reply = binary.LittleEndian.AppendUint64(nil, uint64(now()))
+			case reqShip:
+				if tel != nil {
+					reply = tel.AppendBinary(nil)
 				}
-				if err == nil {
-					err = c.Barrier()
-				}
-				return nil
+			case reqDone, reqRelease:
 			default:
 				err = fmt.Errorf("unknown finalize request %d", req)
+				return err
+			}
+			if err = send(c, 0, tagReply, reply); err != nil || req == reqRelease {
+				return err
 			}
 		}
-		return nil
 	})
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -386,11 +387,11 @@ func TestFinalizeRecoversClockSkew(t *testing.T) {
 }
 
 // TestFinalizeReleasesPooledBuffers runs the finalize exchange twice over
-// a loopback pair: an untraced launcher only releases the worker to the
-// barrier and collects nothing, even from a worker that traced; a traced
-// one gets its clock and snapshot. Every message travels in a pooled
-// buffer that one side or the other releases, so the pool counters
-// balance.
+// a loopback pair: an untraced launcher only visits and releases the
+// worker and collects nothing, even from a worker that traced; a traced
+// one gets its clock and snapshot. Every request and every reply travels
+// in a pooled buffer that one side or the other releases, so the pool
+// counters balance.
 func TestFinalizeReleasesPooledBuffers(t *testing.T) {
 	g0, p0 := mpi.PoolCounters()
 	clusters := loopbackByRank(t, 2)
@@ -426,7 +427,7 @@ func TestFinalizeReleasesPooledBuffers(t *testing.T) {
 // TestFinalizeSkipsRankThatDies: rank 2 answers its clock rounds and
 // then closes its cluster instead of shipping. The launcher keeps rank
 // 1's snapshot and clock, nothing of rank 2's (not even the clock it did
-// measure), and completes the barrier without an error.
+// measure), and releases rank 1 without an error.
 func TestFinalizeSkipsRankThatDies(t *testing.T) {
 	clusters := loopbackByRank(t, 3)
 	workerTracer := trace.New(3)
@@ -460,6 +461,91 @@ func TestFinalizeSkipsRankThatDies(t *testing.T) {
 	}
 	if len(got.clocks) != 2 || got.clocks[0].Rank != 0 || got.clocks[1].Rank != 1 {
 		t.Errorf("clocks %+v, want ranks 0 and 1", got.clocks)
+	}
+}
+
+// TestFinalizeHoldsWorkersUntilLastVisit: no worker returns before rank 0
+// has visited the last live worker. Rank 2's clock blocks on its first
+// reading, which holds rank 0 inside rank 2's visit, past rank 1's; rank
+// 1 must still be serving then. A release folded into each visit would
+// let rank 1 return here.
+func TestFinalizeHoldsWorkersUntilLastVisit(t *testing.T) {
+	clusters := loopbackByRank(t, 3)
+	visiting, gate, firstDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	blockedClock := func() int64 {
+		once.Do(func() {
+			close(visiting)
+			<-gate
+		})
+		return 0
+	}
+	go func() {
+		<-visiting
+		select {
+		case <-firstDone:
+			t.Error("rank 1 returned before rank 0 visited rank 2")
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(gate)
+	}()
+	_, err := finalizeOver(t, clusters, trace.New(1).Now, func(ctx context.Context, cl *mpi.Cluster) error {
+		if cl.Rank() == 2 {
+			return serveLauncher(ctx, cl, nil, blockedClock)
+		}
+		defer close(firstDone)
+		return serveLauncher(ctx, cl, nil, func() int64 { return 0 })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinalizeSurvivesDeathBeforeRelease: rank 1 answers its visit and
+// then closes its cluster, dying before rank 0 releases it. Rank 0 skips
+// it, and both rank 0 and rank 2 return nil.
+func TestFinalizeSurvivesDeathBeforeRelease(t *testing.T) {
+	clusters := loopbackByRank(t, 3)
+	_, err := finalizeOver(t, clusters, nil, func(ctx context.Context, cl *mpi.Cluster) error {
+		if cl.Rank() == 2 {
+			return serveLauncher(ctx, cl, nil, nil)
+		}
+		_ = cl.NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
+			b, _, _, err := c.Recv(ctx, 0, tagRequest)
+			if err != nil {
+				return err
+			}
+			mpi.PutBytes(b)
+			if err := send(c, 0, tagReply, nil); err != nil {
+				return err
+			}
+			return cl.Close()
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("launcher: %v", err)
+	}
+}
+
+// TestFinalizeWorkerFailsWhenLauncherDies: rank 0 visits its worker and
+// then closes its cluster instead of releasing it. The worker's
+// serveLauncher returns the loss of rank 0.
+func TestFinalizeWorkerFailsWhenLauncherDies(t *testing.T) {
+	clusters := loopbackByRank(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serveLauncher(ctx, clusters[1], nil, nil) }()
+	_ = clusters[0].NewWorld().RunCtx(ctx, func(c *mpi.Comm) error {
+		if err := ask(ctx, c, 1, reqDone, nil); err != nil {
+			return err
+		}
+		return clusters[0].Close()
+	})
+	var de *mpi.RankDeadError
+	if err := <-served; !errors.As(err, &de) || de.Rank != 0 {
+		t.Errorf("worker returned %v, want rank 0's death", err)
 	}
 }
 

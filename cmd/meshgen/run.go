@@ -237,8 +237,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	res, err := core.GenerateContext(ctx, cfg)
 	// Collect the workers' clocks and tracer snapshots when tracing, and
-	// meet them at the finalize barrier. Ranks that died have none; the
-	// degradation report below covers them.
+	// release the workers. Ranks that died have none; the degradation
+	// report below covers them.
 	var shipped shipments
 	if err == nil && fabric != nil {
 		var now func() int64

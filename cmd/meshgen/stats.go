@@ -50,9 +50,9 @@ func printResilience(w io.Writer, st *core.Stats) {
 // reportDeaths prints the operational warning for a degraded run; it goes
 // to stderr even in quiet mode — a silently shrunken fabric is the one
 // thing an operator always wants to know about. It reads the deaths the
-// run itself recorded, not the fabric's current view: after the finalize
-// barrier the surviving workers exit and their link EOFs are declared as
-// deaths too, which would misreport a clean shutdown.
+// run itself recorded, not the fabric's current view: once the finalize
+// exchange releases them the surviving workers exit and their link EOFs
+// are declared as deaths too, which would misreport a clean shutdown.
 func reportDeaths(w io.Writer, st *core.Stats) {
 	for _, d := range st.Resilience.Deaths {
 		fmt.Fprintf(w, "meshgen: rank %d died at %s (%s); completed on the survivors (%d task(s) re-queued)\n",

@@ -19,7 +19,7 @@ import (
 // Config.Audit, and once the fabric recorded a rank death, so a mesh finished
 // on survivors is never accepted unaudited. Each caller asks when reached.
 func (rc *RunCtx) fullAudit() bool {
-	return rc.cfg.Audit || rc.cfg.Fabric != nil && len(rc.cfg.Fabric.DeadRanks()) > 0
+	return rc.cfg.Audit || len(rc.cfg.Fabric.DeadRanks()) > 0
 }
 
 // auditStage is the pipeline's last stage; it runs when fullAudit holds.

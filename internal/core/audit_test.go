@@ -259,10 +259,9 @@ func TestAuditOffByDefault(t *testing.T) {
 // registry's full report naming the triangle.
 func TestStructureProvedOnce(t *testing.T) {
 	for _, audited := range []bool{false, true} {
-		res := &Result{}
 		cfg := smallConfig(1)
 		cfg.Audit = audited
-		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+		rc := newRunCtx(cfg)
 		rc.builder = mesh.NewBuilder()
 		rc.builder.AddTriangle(geom.Pt(0, 0), geom.Pt(0, 1), geom.Pt(1, 0))
 		err := rc.runStages([]Stage{stageFunc{StageMerge, runMerge}, auditStage{}})
@@ -274,7 +273,7 @@ func TestStructureProvedOnce(t *testing.T) {
 		switch {
 		case !audited && (pe.Stage != StageMerge || !strings.Contains(err.Error(), "triangle 0 not CCW")):
 			t.Errorf("unaudited run failed with %v, want the merge gate's \"not CCW\"", err)
-		case !audited && res.Stats.Audit != nil:
+		case !audited && rc.stats.Audit != nil:
 			t.Error("unaudited run produced an audit report")
 		case audited && pe.Stage != StageAudit:
 			t.Errorf("audited run failed in %q (%v), want %q", pe.Stage, err, StageAudit)

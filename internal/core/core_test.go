@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"pamg2d/internal/blayer"
 	"pamg2d/internal/growth"
 	"pamg2d/internal/mesh"
+	"pamg2d/internal/mpi"
 )
 
 // smallConfig is a fast NACA 0012 configuration for tests.
@@ -32,6 +34,17 @@ func smallConfig(ranks int) Config {
 	cfg.Ranks = ranks
 	cfg.SubdomainsPerRank = 2
 	return cfg
+}
+
+// newRunCtx is the run state Engine.Run builds for cfg, for tests that
+// drive stages by hand: like Engine.Run it attaches the in-process fabric
+// when cfg has none.
+func newRunCtx(cfg Config) *RunCtx {
+	if cfg.Fabric == nil {
+		cfg.Fabric = mpi.InProcess(cfg.Ranks)
+	}
+	res := &Result{}
+	return &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
 }
 
 func TestGenerateSingleRank(t *testing.T) {

@@ -4,7 +4,6 @@ package core
 // package core to import internal/adapt (adapt imports core).
 
 import (
-	"context"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -59,8 +58,7 @@ func RealResultLists(t testing.TB) [][]byte {
 		cfg := DefaultConfig()
 		cfg.Ranks = ranks
 		cfg.Fabric = cl
-		out := &Result{}
-		rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &out.Stats, res: out}
+		rc := newRunCtx(cfg)
 		for _, ph := range phases {
 			results, err := runPhase(rc, ph.stage, ph.tasks, tctx)
 			if err != nil {
@@ -182,8 +180,7 @@ func RealSubmeshes(t testing.TB) [][]float64 {
 func runThroughBLMerge(t testing.TB, cfg Config) (*RunCtx, []loadbal.Task) {
 	t.Helper()
 	var tasks []loadbal.Task
-	res := &Result{}
-	rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+	rc := newRunCtx(cfg)
 	err := rc.runStages(append(pipeline[:3:3], &distStage{StageBLTriangulation, func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 		tk, tctx, merge, err := prepareBLTriangulation(rc)
 		tasks = tk

@@ -203,8 +203,7 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Ranks = ranks
 		cfg.Fabric = fabric
-		res := &Result{}
-		return &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+		return newRunCtx(cfg)
 	}
 
 	want, err := runPhase(mk(nil), StageBLTriangulation, tasks, tctx)

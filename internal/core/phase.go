@@ -45,7 +45,10 @@ const (
 // panicked), attributed to the rank that executed it.
 func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][]float64, error) {
 	hook, tr := rc.cfg.TaskHook, rc.tracer
-	world := rc.newWorld()
+	// Engine.Run always sets the fabric. Over a wire each process hosts
+	// its own rank and worlds pair across processes by creation order,
+	// which is why every process runs the identical stage sequence.
+	world := rc.cfg.Fabric.NewWorld()
 	world.SetTracer(tr)
 	opt := loadbal.DefaultOptions(totalCost(tasks), rc.cfg.Ranks)
 	opt.Tracer = tr

@@ -200,18 +200,6 @@ type RunCtx struct {
 // Context returns the run's cancellation context.
 func (rc *RunCtx) Context() context.Context { return rc.ctx }
 
-// newWorld mints the world a distributed stage runs on: from the
-// configured fabric when one is attached (each process hosts its own
-// rank; worlds pair across processes by creation order, which is why
-// every process must run the identical stage sequence), otherwise the
-// classic in-process world.
-func (rc *RunCtx) newWorld() *mpi.World {
-	if rc.cfg.Fabric != nil {
-		return rc.cfg.Fabric.NewWorld()
-	}
-	return mpi.NewWorld(rc.cfg.Ranks)
-}
-
 // runStages executes the stage list in order. It is the only place in the
 // pipeline that measures anything: each stage's wall time, allocation
 // delta and wire traffic pass through the recordStage hook, and every

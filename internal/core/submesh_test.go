@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -53,8 +52,7 @@ func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
 			}, err
 		}
 	}
-	res = &Result{}
-	rc := &RunCtx{ctx: context.Background(), cfg: cfg, stats: &res.Stats, res: res}
+	rc := newRunCtx(cfg)
 	err := rc.runStages([]Stage{
 		stageFunc{StageValidate, runValidate},
 		stageFunc{StageRays, runRays},
@@ -66,7 +64,7 @@ func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, bl, iso
+	return rc.res, bl, iso
 }
 
 // TestOffsetAssemblyMatchesInterning: the mesh the root assembles by offset
@@ -297,8 +295,7 @@ func TestCorruptResultFailsTheStage(t *testing.T) {
 	huge[subTriangles] = math.MaxInt32 - 1
 
 	for _, bad := range [][]float64{corrupt, huge, nil} {
-		res := &Result{}
-		rc := &RunCtx{ctx: context.Background(), cfg: smallConfig(1), stats: &res.Stats, res: res}
+		rc := newRunCtx(smallConfig(1))
 		rc.builder = mesh.NewBuilder()
 		rc.isoResults = [][]float64{bad}
 		err := rc.runStages([]Stage{stageFunc{StageMerge, runMerge}})
@@ -314,8 +311,7 @@ func TestCorruptResultFailsTheStage(t *testing.T) {
 		prepare prepareFunc
 		upTo    int
 	}{{StageBLTriangulation, prepareBLTriangulation, 3}, {StageInviscid, prepareInviscid, 4}} {
-		res := &Result{}
-		rc := &RunCtx{ctx: context.Background(), cfg: smallConfig(1), stats: &res.Stats, res: res}
+		rc := newRunCtx(smallConfig(1))
 		if err := rc.runStages(pipeline[:stage.upTo]); err != nil {
 			t.Fatal(err)
 		}

@@ -88,26 +88,6 @@ func TestRecvHonorsContext(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasedOnClose(t *testing.T) {
-	// One rank waits at the barrier while the other fails; the barrier must
-	// release with an error instead of deadlocking.
-	world := NewWorld(2)
-	err := world.RunCtx(context.Background(), func(c *Comm) error {
-		if c.Rank() == 1 {
-			time.Sleep(5 * time.Millisecond)
-			return errors.New("rank 1 failed before the barrier")
-		}
-		if err := c.Barrier(); !errors.Is(err, ErrWorldClosed) {
-			t.Errorf("Barrier returned %v, want ErrWorldClosed", err)
-		}
-		return nil
-	})
-	var re *RankError
-	if !errors.As(err, &re) || re.Rank != 1 {
-		t.Fatalf("RunCtx returned %v, want *RankError for rank 1", err)
-	}
-}
-
 func TestRunCtxCanceledContext(t *testing.T) {
 	// Canceling the run context unblocks every rank and reports the
 	// context's cause, not a RankError.

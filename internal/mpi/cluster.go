@@ -15,10 +15,7 @@ package mpi
 // on the transport and delivered when the matching NewWorld call happens,
 // which absorbs the natural skew between processes.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Cluster groups the processes of a run under one transport and mints
 // epoch-numbered Worlds over it.
@@ -73,7 +70,6 @@ func (cl *Cluster) NewWorld() *World {
 	w.boxes = make([]*mailbox, cl.n)
 	w.boxes[cl.rank] = newMailbox()
 	w.closedCh = make(chan struct{})
-	w.cb = newCBarrier(w)
 	cl.tcp.register(w)
 	return w
 }
@@ -89,116 +85,4 @@ func (cl *Cluster) Close() error {
 		cl.tcp.wg.Wait()
 	}
 	return nil
-}
-
-// cbarrier coordinates Barrier across processes. Rank 0's process is the
-// coordinator: every barrier entry (local or a frameBarrierEnter from a
-// peer) is tallied there per sequence number, and when all n ranks have
-// entered, a frameBarrierRelease fans out. Each process tracks the
-// highest released sequence; since every rank passes barriers in order,
-// released >= seq means barrier seq completed.
-type cbarrier struct {
-	w     *World
-	mu    sync.Mutex
-	cond  *sync.Cond
-	seq   uint64         // barriers entered by the local rank
-	rel   uint64         // highest released barrier sequence
-	tally map[uint64]int // coordinator only: entries per sequence
-	done  bool
-}
-
-func newCBarrier(w *World) *cbarrier {
-	b := &cbarrier{w: w}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *cbarrier) close() {
-	b.mu.Lock()
-	b.done = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// await enters the next barrier for the local rank and blocks until it is
-// released or the world is torn down.
-func (b *cbarrier) await() error {
-	b.mu.Lock()
-	b.seq++
-	seq := b.seq
-	b.mu.Unlock()
-	w := b.w
-	if w.cl.rank == 0 {
-		b.enter(seq)
-	} else if _, err := w.cl.tcp.sendCtrl(0, frame{
-		kind: frameBarrierEnter, epoch: w.epoch, seq: seq, rank: int32(w.cl.rank),
-	}); err != nil {
-		return w.Err()
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.rel < seq && !b.done {
-		b.cond.Wait()
-	}
-	if b.rel >= seq {
-		return nil
-	}
-	return w.Err()
-}
-
-// enter records one rank's arrival at barrier seq on the coordinator and
-// releases the barrier once every live rank has arrived. The tally can
-// exceed the live target when a rank entered and then died (hence >=),
-// and the seq <= b.seq guard keeps a shrunken target from releasing a
-// barrier the coordinator's own rank has not reached yet.
-func (b *cbarrier) enter(seq uint64) {
-	b.mu.Lock()
-	if b.tally == nil {
-		b.tally = make(map[uint64]int)
-	}
-	b.tally[seq]++
-	complete := b.tally[seq] >= b.w.liveCount() && seq <= b.seq
-	if complete {
-		delete(b.tally, seq)
-	}
-	b.mu.Unlock()
-	if complete {
-		b.w.cl.tcp.broadcastCtrl(frame{kind: frameBarrierRelease, epoch: b.w.epoch, seq: seq})
-		b.release(seq)
-	}
-}
-
-// rankDied re-evaluates pending tallies on the coordinator after a
-// membership loss: a barrier whose every surviving rank has already
-// entered releases now instead of waiting forever for the dead rank.
-func (b *cbarrier) rankDied() {
-	if b.w.cl == nil || b.w.cl.rank != 0 {
-		return
-	}
-	b.mu.Lock()
-	target := b.w.liveCount()
-	var done []uint64
-	for seq, k := range b.tally {
-		if k >= target && seq <= b.seq {
-			done = append(done, seq)
-		}
-	}
-	for _, seq := range done {
-		delete(b.tally, seq)
-	}
-	b.mu.Unlock()
-	for _, seq := range done {
-		b.w.cl.tcp.broadcastCtrl(frame{kind: frameBarrierRelease, epoch: b.w.epoch, seq: seq})
-		b.release(seq)
-	}
-}
-
-// release advances the released watermark and wakes local waiters.
-func (b *cbarrier) release(seq uint64) {
-	b.mu.Lock()
-	if seq > b.rel {
-		b.rel = seq
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

@@ -41,19 +41,22 @@ func ExampleWindow() {
 	win := world.NewWindow(3)
 	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
 		win.Put(c.Rank(), float64(c.Rank()+1)) // publish a work estimate
-		if err := c.Barrier(); err != nil {
-			return err
+		if c.Rank() != 0 {
+			return c.Send(0, 1, nil) // report the Put to the root
 		}
-		if c.Rank() == 0 {
-			loads := win.Get()
-			best, bestLoad := -1, 0.0
-			for r, l := range loads {
-				if l > bestLoad {
-					best, bestLoad = r, l
-				}
+		for r := 1; r < c.Size(); r++ {
+			if _, _, _, err := c.Recv(context.Background(), r, 1); err != nil {
+				return err
 			}
-			fmt.Printf("steal from rank %d (load %.0f)\n", best, bestLoad)
 		}
+		loads := win.Get()
+		best, bestLoad := -1, 0.0
+		for r, l := range loads {
+			if l > bestLoad {
+				best, bestLoad = r, l
+			}
+		}
+		fmt.Printf("steal from rank %d (load %.0f)\n", best, bestLoad)
 		return nil
 	})
 	if err != nil {

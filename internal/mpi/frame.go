@@ -5,10 +5,9 @@ package mpi
 // the body, whose first byte selects the kind. Point-to-point messages
 // (frameMsg) carry the world epoch, source/destination ranks, tag, codec
 // id, and payload; the remaining kinds are small control frames for world
-// teardown, the cross-process barrier, and RMA window operations hosted
-// on rank 0's process. appendFrame and decodeFrameBody are pure
-// slice-in/slice-out inverses so the decoder can be fuzzed without a
-// socket in sight.
+// teardown, RMA window operations hosted on rank 0's process, and
+// membership. appendFrame and decodeFrameBody are pure slice-in/slice-out
+// inverses so the decoder can be fuzzed without a socket in sight.
 
 import (
 	"bufio"
@@ -23,11 +22,13 @@ import (
 const (
 	frameMsg byte = iota + 1
 	frameWorldClose
-	frameBarrierEnter
-	frameBarrierRelease
+	// Kinds 3 and 4 were the cross-process barrier's enter and release;
+	// like 6 they stay reserved so the later kinds keep their wire values,
+	// and the decoder rejects them.
+	_
+	_
 	frameWinPut
-	// Kind 6 was the window accumulate op; the number stays reserved so the
-	// later kinds keep their wire values, and the decoder rejects it.
+	// Kind 6 was the window accumulate op.
 	_
 	frameWinGet
 	frameWinGetReply
@@ -76,8 +77,7 @@ type frame struct {
 	slot int32
 	val  float64
 
-	// barrier sequencing and window get request matching
-	seq uint64
+	// window get request matching
 	req uint64
 
 	// rank of the sender for control frames that need routing back
@@ -127,9 +127,6 @@ func appendFrame(dst []byte, f frame) []byte {
 		}
 		dst = appendI32(dst, f.rank)
 		dst = append(dst, cause...)
-	case frameBarrierEnter, frameBarrierRelease:
-		dst = appendU64(dst, f.seq)
-		dst = appendI32(dst, f.rank)
 	case frameWinPut:
 		dst = appendI32(dst, f.win)
 		dst = appendI32(dst, f.slot)
@@ -252,13 +249,6 @@ func decodeFrameBody(b []byte) (frame, error) {
 			return f, fmt.Errorf("mpi: close cause of %d bytes exceeds cap %d", c.remain(), maxCauseLen)
 		}
 		f.cause = string(c.b[c.off:])
-	case frameBarrierEnter, frameBarrierRelease:
-		if f.seq, err = c.u64(); err != nil {
-			return f, err
-		}
-		if f.rank, err = c.i32(); err != nil {
-			return f, err
-		}
 	case frameWinPut:
 		if f.win, err = c.i32(); err != nil {
 			return f, err

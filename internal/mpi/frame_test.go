@@ -20,8 +20,6 @@ func frameEqual(a, b frame) bool {
 			a.codec == b.codec && bytes.Equal(a.payload, b.payload)
 	case frameWorldClose:
 		return a.rank == b.rank && a.cause == b.cause
-	case frameBarrierEnter, frameBarrierRelease:
-		return a.seq == b.seq && a.rank == b.rank
 	case frameWinPut:
 		return a.win == b.win && a.slot == b.slot &&
 			math.Float64bits(a.val) == math.Float64bits(b.val)
@@ -46,8 +44,8 @@ func frameEqual(a, b frame) bool {
 }
 
 func randomFrame(rng *rand.Rand) frame {
-	kinds := []byte{frameMsg, frameWorldClose, frameBarrierEnter, frameBarrierRelease,
-		frameWinPut, frameWinGet, frameWinGetReply, frameHeartbeat, frameRankDead}
+	kinds := []byte{frameMsg, frameWorldClose, frameWinPut, frameWinGet,
+		frameWinGetReply, frameHeartbeat, frameRankDead}
 	f := frame{kind: kinds[rng.Intn(len(kinds))], epoch: rng.Uint64()}
 	switch f.kind {
 	case frameMsg:
@@ -63,9 +61,6 @@ func randomFrame(rng *rand.Rand) frame {
 		b := make([]byte, n)
 		rng.Read(b)
 		f.cause = string(b)
-	case frameBarrierEnter, frameBarrierRelease:
-		f.seq = rng.Uint64()
-		f.rank = rng.Int31n(1 << 20)
 	case frameWinPut:
 		f.win = rng.Int31n(1 << 10)
 		f.slot = rng.Int31n(1 << 10)
@@ -167,13 +162,15 @@ func TestFrameDecodeRejects(t *testing.T) {
 			b = appendI32(b, 1)
 			return append(b, bytes.Repeat([]byte{'x'}, maxCauseLen+1)...)
 		}(),
-		// Kinds 6 and 9-11 are reserved (the window accumulate op, the
-		// clock ping and pong, the telemetry shipment): well-formed old
-		// frames must not decode.
-		"retired win add":   append([]byte{6}, make([]byte, 24)...),
-		"retired ping":      append([]byte{9}, make([]byte, 20)...),
-		"retired pong":      append([]byte{10}, make([]byte, 24)...),
-		"retired telemetry": append([]byte{11}, make([]byte, 16)...),
+		// Kinds 3-4, 6 and 9-11 are reserved (the barrier's enter and
+		// release, the window accumulate op, the clock ping and pong, the
+		// telemetry shipment): well-formed old frames must not decode.
+		"retired barrier enter":   append([]byte{3}, make([]byte, 20)...),
+		"retired barrier release": append([]byte{4}, make([]byte, 20)...),
+		"retired win add":         append([]byte{6}, make([]byte, 24)...),
+		"retired ping":            append([]byte{9}, make([]byte, 20)...),
+		"retired pong":            append([]byte{10}, make([]byte, 24)...),
+		"retired telemetry":       append([]byte{11}, make([]byte, 16)...),
 	}
 	for name, body := range cases {
 		if _, err := decodeFrameBody(body); err == nil {
@@ -197,6 +194,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendFrame(nil, frame{kind: frameRankDead, rank: 3, cause: "link to rank 3 failed: EOF"})[4:])
 	f.Add([]byte{frameRankDead, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255}) // negative dead rank
 	f.Add([]byte{frameHeartbeat, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0})              // truncated heartbeat rank
+	f.Add(append([]byte{3}, make([]byte, 20)...))                            // retired barrier enter
+	f.Add(append([]byte{4}, make([]byte, 20)...))                            // retired barrier release
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fr, err := decodeFrameBody(body)
 		if err != nil {

@@ -13,13 +13,13 @@ package mpi
 // paired with per-read deadlines bound the detection time on links that
 // are idle through a long compute phase.
 //
-// Quorum: rank 0 hosts the RMA windows and coordinates the cross-process
-// barrier, so a worker that loses its link to rank 0 has lost the run —
-// that one death still tears the node down, with the *RankDeadError as
-// the cause. Everything else degrades: sends to dead ranks fail fast,
-// worlds created after a death plan around the shrunken live set, and
-// worlds open at death time fail their blocking operations with a
-// *RankDeadError so the executor can re-plan the dead rank's share.
+// Quorum: rank 0 hosts the RMA windows, so a worker that loses its link
+// to rank 0 has lost the run — that one death still tears the node down,
+// with the *RankDeadError as the cause. Everything else degrades: sends
+// to dead ranks fail fast, worlds created after a death plan around the
+// shrunken live set, and worlds open at death time fail their blocking
+// operations with a *RankDeadError so the executor can re-plan the dead
+// rank's share.
 
 import (
 	"errors"
@@ -93,8 +93,8 @@ func (n *tcpNode) deadRanks() []RankDeath {
 // rankDied folds one peer's death into the membership view. The first
 // declaration wins: the rank is marked dead, its link is closed so the
 // reader drains out, surviving peers hear a frameRankDead, and every open
-// world is notified so blocked operations unwind with a *RankDeadError. A worker losing rank 0 is
-// quorum loss — the barrier coordinator and window host are gone — so
+// world is notified so blocked operations unwind with a *RankDeadError.
+// A worker losing rank 0 is quorum loss — the window host is gone — so
 // that one death still tears the whole node down.
 func (n *tcpNode) rankDied(rank int, cause error) {
 	if rank < 0 || rank >= n.n || rank == n.rank || n.closed.Load() {
@@ -206,7 +206,7 @@ func (n *tcpNode) startHeartbeats() {
 
 // Membership state on a World. Wire worlds distinguish ranks that were
 // already dead when the world was minted (bornDead: the world simply
-// plans around them — the barrier runs over the survivors) from a death
+// plans around them and runs over the survivors) from a death
 // that happened while the world was open (failure: partial exchange
 // state cannot be trusted, so blocking operations fail fast with the
 // *RankDeadError and the caller re-plans on a fresh world). In-process
@@ -215,9 +215,7 @@ func (n *tcpNode) startHeartbeats() {
 // allocation-free and byte-identical to the pre-membership runtime.
 
 // noteRankDead records a death that happened while this world was open:
-// blocked receives wake and fail with the *RankDeadError, and the barrier
-// coordinator re-evaluates pending tallies against the shrunken live set
-// so barriers complete over the survivors.
+// blocked receives wake and fail with the *RankDeadError.
 func (w *World) noteRankDead(rank int, cause error) {
 	w.memMu.Lock()
 	if w.dead == nil {
@@ -228,7 +226,6 @@ func (w *World) noteRankDead(rank int, cause error) {
 		return
 	}
 	w.dead[rank] = cause
-	w.deadN++
 	w.memMu.Unlock()
 	w.failure.CompareAndSwap(nil, &RankDeadError{Rank: rank, Err: cause})
 	for _, mb := range w.boxes {
@@ -238,9 +235,6 @@ func (w *World) noteRankDead(rank int, cause error) {
 		mb.mu.Lock()
 		mb.cond.Broadcast()
 		mb.mu.Unlock()
-	}
-	if w.cb != nil {
-		w.cb.rankDied()
 	}
 }
 
@@ -254,7 +248,6 @@ func (w *World) seedDead(rank int, cause error) {
 	}
 	if w.dead[rank] == nil {
 		w.dead[rank] = cause
-		w.deadN++
 	}
 	w.memMu.Unlock()
 }
@@ -272,17 +265,6 @@ func (w *World) Alive(r int) bool {
 	ok := w.dead == nil || w.dead[r] == nil
 	w.memMu.Unlock()
 	return ok
-}
-
-// liveCount returns the number of live ranks.
-func (w *World) liveCount() int {
-	if !w.MultiProcess() {
-		return w.n
-	}
-	w.memMu.Lock()
-	live := w.n - w.deadN
-	w.memMu.Unlock()
-	return live
 }
 
 // deadCause returns the death cause for rank r, or nil while it is live.

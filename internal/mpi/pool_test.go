@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -92,15 +93,18 @@ func TestSendRefAccountingMatchesByteSend(t *testing.T) {
 	if err := runWorld(refWorld, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.SendRef(1, 3, payload, wire)
+			return
 		}
-		c.Barrier() // the in-process send is queued once the barrier releases
-		if c.Rank() == 1 {
-			ref, _, _, _ := c.TryRecvRef(0, 3)
-			got := ref.([]float64)
-			for i := range payload {
-				if got[i] != payload[i] {
-					t.Errorf("ref payload slot %d: %v != %v", i, got[i], payload[i])
-				}
+		// Poll rather than meet rank 0: a rendezvous would add messages
+		// to the counts compared below.
+		ref, _, _, ok := c.TryRecvRef(0, 3)
+		for ; !ok; ref, _, _, ok = c.TryRecvRef(0, 3) {
+			runtime.Gosched()
+		}
+		got := ref.([]float64)
+		for i := range payload {
+			if got[i] != payload[i] {
+				t.Errorf("ref payload slot %d: %v != %v", i, got[i], payload[i])
 			}
 		}
 	}); err != nil {
@@ -122,7 +126,7 @@ func TestTryRecvRefReturnsBytesForByteMessages(t *testing.T) {
 		if c.Rank() == 0 {
 			c.Send(1, 9, []byte{42})
 		}
-		c.Barrier()
+		rendezvous(c)
 		if c.Rank() == 0 {
 			return
 		}

@@ -56,7 +56,6 @@ type pendItem struct {
 	win   int
 	slot  int
 	val   float64
-	seq   uint64
 	req   uint64
 	rank  int
 	cause string
@@ -206,10 +205,10 @@ func (n *tcpNode) dispatch(f frame) error {
 			return nil
 		}
 		n.rankDied(int(f.rank), fmt.Errorf("mpi: reported dead by a peer: %s", f.cause))
-	case frameWorldClose, frameBarrierEnter, frameBarrierRelease, frameWinPut, frameWinGet:
+	case frameWorldClose, frameWinPut, frameWinGet:
 		n.deliver(f.epoch, pendItem{
 			kind: f.kind, win: int(f.win), slot: int(f.slot), val: f.val,
-			seq: f.seq, req: f.req, rank: int(f.rank), cause: f.cause,
+			req: f.req, rank: int(f.rank), cause: f.cause,
 		})
 	default:
 		return fmt.Errorf("unroutable frame kind %d", f.kind)
@@ -241,10 +240,6 @@ func (n *tcpNode) apply(w *World, it pendItem) {
 		w.deliverRemote(it.to, it.msg)
 	case frameWorldClose:
 		w.closeWith(remoteCause(it.rank, it.cause), false)
-	case frameBarrierEnter:
-		w.cb.enter(it.seq)
-	case frameBarrierRelease:
-		w.cb.release(it.seq)
 	case frameWinPut:
 		w.applyWinPut(it)
 	case frameWinGet:

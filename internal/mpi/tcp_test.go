@@ -104,8 +104,8 @@ func TestTCPSendRefTypedPayloads(t *testing.T) {
 			}
 		}
 		// Frames on one link arrive in order, so the reference is queued
-		// once the barrier's release reaches rank 1.
-		if err := c.Barrier(); err != nil || c.Rank() == 0 {
+		// once rank 0's answer reaches rank 1.
+		if err := rendezvous(c); err != nil || c.Rank() == 0 {
 			return err
 		}
 		if ref, _, _, ok := c.TryRecvRef(0, 6); !ok || ref != testNote("refs") {
@@ -120,48 +120,17 @@ func TestTCPSendRefTypedPayloads(t *testing.T) {
 	}
 }
 
-func TestTCPBarrier(t *testing.T) {
-	clusters := loopback(t, 3)
-	var order sync.Map
-	var hits [3]int
-	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
-		for round := 0; round < 5; round++ {
-			order.Store(fmt.Sprintf("%d/%d", round, c.Rank()), true)
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			// After the barrier, every rank's entry for this round exists.
-			for r := 0; r < c.Size(); r++ {
-				if _, ok := order.Load(fmt.Sprintf("%d/%d", round, r)); !ok {
-					return fmt.Errorf("round %d: rank %d missing after barrier", round, r)
-				}
-			}
-			hits[c.Rank()]++
-		}
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("node %d: %v", i, err)
-		}
-	}
-	for r, h := range hits {
-		if h != 5 {
-			t.Errorf("rank %d completed %d rounds, want 5", r, h)
-		}
-	}
-}
-
 func TestTCPWindow(t *testing.T) {
 	clusters := loopback(t, 3)
 	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
 		win := c.World().NewWindow(c.Size())
 		win.Put(c.Rank(), float64(10*(c.Rank()+1)))
-		if err := c.Barrier(); err != nil {
+		if err := rendezvous(c); err != nil {
 			return err
 		}
-		// Windows are eventually consistent across the wire: the barrier
-		// orders rank entry, not frame application, so poll briefly.
+		// Windows are eventually consistent across the wire: the
+		// rendezvous orders the Puts to rank 0 before its answers, but
+		// not before a worker's Get reaches rank 0, so poll briefly.
 		want := []float64{10, 20, 30}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -191,7 +160,7 @@ func TestTCPWindow(t *testing.T) {
 // TestTCPCollectives drives the collective traffic shapes the pipeline
 // hand-rolls over point-to-point primitives — fan-in to a root from any
 // source, fan-out of one payload from a non-zero root, a rank-ordered
-// gather — across a 4-process wire, then closes with the barrier.
+// gather — across a 4-process wire, then closes with a rendezvous.
 func TestTCPCollectives(t *testing.T) {
 	clusters := loopback(t, 4)
 	errs := runSPMD(context.Background(), clusters, func(c *Comm) error {
@@ -256,7 +225,7 @@ func TestTCPCollectives(t *testing.T) {
 				PutBytes(p)
 			}
 		}
-		return c.Barrier()
+		return rendezvous(c)
 	})
 	for i, err := range errs {
 		if err != nil {
