@@ -5,6 +5,13 @@
 // edges, and hierarchical self- and multi-element intersection resolution
 // (Cohen–Sutherland AABB pruning, then an alternating digital tree over
 // 4-D extent-box points, then exact segment intersection tests).
+//
+// Self-intersection resolution also holds a convexity certificate
+// (convex.go): along a run of strictly convex surface vertices whose chain
+// is in strictly convex position, a ray inside its vertex's normal cone has
+// that vertex as the nearest point of the chain's hull, so it cannot meet
+// another such ray or the chain. Those pairs are proved empty without a
+// test, and a convex element whose rays are all certified builds no tree.
 package blayer
 
 import (
@@ -305,11 +312,32 @@ func raySegment(r *Ray, full float64) geom.Segment {
 // section II.B, n log n). A ray crossing the surface (possible at deep
 // concavities when it slips between the opposing wall's rays) is trimmed
 // to half the distance so the opposing wall's layer keeps room.
+//
+// The convexity certificate (convexRuns) proves most candidate pairs
+// empty: two certified rays of one convex run, and a certified ray
+// against its run's chain segments. Those tests are skipped; the rest run
+// in the tree's order, as if none had been skipped, so every trim is the
+// one the full search makes. When one run is the whole loop, a certified
+// ray with no uncertified ray after it has no candidate left and skips its
+// query, and when every ray is certified no tree is built.
 func resolveSelf(l *Layer, p Params) {
 	nr := len(l.Rays)
 	full := fullLength(p)
 	surf := l.Surface.Points
 	ns := len(surf)
+	cv := newConvexRuns(surf)
+	// cert[i] is the run certifying ray i at its current length, -1 for
+	// none; open counts the uncertified rays after the one being resolved.
+	cert := make([]int32, nr)
+	open := 0
+	for i := range l.Rays {
+		if cert[i] = cv.certify(&l.Rays[i], full); cert[i] < 0 {
+			open++
+		}
+	}
+	if cv.whole && open == 0 {
+		return
+	}
 	// Box i < nr is ray i's at full length, box nr+k surface segment k's.
 	boxes := make([]geom.BBox, nr+ns)
 	world := geom.EmptyBBox()
@@ -323,12 +351,20 @@ func resolveSelf(l *Layer, p Params) {
 	tree := adt.Build(world, boxes)
 	for i := range l.Rays {
 		ri := &l.Rays[i]
+		if cert[i] < 0 {
+			open--
+		} else if cv.whole && open == 0 {
+			// Every candidate is a certified ray of the one run or a chain
+			// segment.
+			continue
+		}
 		tree.VisitOverlapping(boxes[i], func(j int) bool {
 			if j >= nr {
 				// Surface segment: skip the two segments adjacent to the
-				// ray's origin vertex.
+				// ray's origin vertex, and the chain segments of a
+				// certified ray's run.
 				k := j - nr
-				if k == ri.SurfaceIdx || (k+1)%ns == ri.SurfaceIdx {
+				if k == ri.SurfaceIdx || (k+1)%ns == ri.SurfaceIdx || (cert[i] >= 0 && cv.inChain(cert[i], k)) {
 					return true
 				}
 				s := geom.Segment{A: surf[k], B: surf[(k+1)%ns]}
@@ -344,6 +380,7 @@ func resolveSelf(l *Layer, p Params) {
 				if d/2 < ri.MaxLen {
 					ri.MaxLen = d / 2
 					l.Stats.SelfIntersections++
+					cert[i] = cv.certify(ri, full)
 				}
 				return true
 			}
@@ -352,8 +389,8 @@ func resolveSelf(l *Layer, p Params) {
 			}
 			rj := &l.Rays[j]
 			// Neighboring rays sharing the origin (fans) never intersect
-			// away from the wall.
-			if ri.Origin == rj.Origin {
+			// away from the wall; certified rays of one run never do.
+			if ri.Origin == rj.Origin || (cert[i] >= 0 && cert[i] == cert[j]) {
 				return true
 			}
 			si := raySegment(ri, full)
@@ -365,6 +402,13 @@ func resolveSelf(l *Layer, p Params) {
 			l.Stats.SelfIntersections++
 			trim(ri, u*si.Len(), p)
 			trim(rj, q.Dist(rj.Origin), p)
+			cert[i] = cv.certify(ri, full)
+			if cert[j] < 0 {
+				open--
+			}
+			if cert[j] = cv.certify(rj, full); cert[j] < 0 {
+				open++
+			}
 			return true
 		})
 	}
@@ -617,21 +661,4 @@ func (l *Layer) AllPoints() []geom.Point {
 		out = append(out, pts...)
 	}
 	return out
-}
-
-// MaxAspectRatio estimates the largest anisotropy of the layer: the ratio
-// of the tangential spacing to the first-layer normal spacing across all
-// rays.
-func (l *Layer) MaxAspectRatio(p Params) float64 {
-	h0 := p.Growth.Spacing(0)
-	worst := 0.0
-	for i := range l.Rays {
-		if len(l.Points[i]) == 0 {
-			continue
-		}
-		if ar := l.Rays[i].Tangential / h0; ar > worst {
-			worst = ar
-		}
-	}
-	return worst
 }

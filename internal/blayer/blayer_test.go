@@ -338,8 +338,16 @@ func TestThreeElementEndToEnd(t *testing.T) {
 		t.Error("three-element config must emit cusp fans")
 	}
 	// Anisotropy must be significant (paper cites 10,000:1 for production;
-	// this scaled-down config still must exceed 10:1).
-	if ar := layers[1].MaxAspectRatio(p); ar < 10 {
+	// this scaled-down config still must exceed 10:1): the largest ratio of
+	// tangential spacing to first-layer height over the rays with points.
+	h0 := p.Growth.Spacing(0)
+	ar := 0.0
+	for i, r := range layers[1].Rays {
+		if len(layers[1].Points[i]) > 0 {
+			ar = max(ar, r.Tangential/h0)
+		}
+	}
+	if ar < 10 {
 		t.Errorf("max aspect ratio = %v, want >= 10", ar)
 	}
 }
@@ -374,7 +382,9 @@ func BenchmarkGenerateThreeElement(b *testing.B) {
 
 // Property: for random convex polygons, boundary-layer generation never
 // reports self-intersections and all inserted points stay outside the
-// body.
+// body, and on the polygon itself (surface refinement off: interpolated
+// points sit on its edges and are not strictly convex) the convexity
+// certificate covers the whole loop and every ray outside a cusp fan.
 func TestConvexBodyProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%20 + 6
@@ -406,6 +416,18 @@ func TestConvexBodyProperty(t *testing.T) {
 				if l.Surface.Contains(q) {
 					return false
 				}
+			}
+		}
+		p.MaxAngleDeg = 180
+		var st Stats
+		rays := buildRays(refineSurface(pts, p, &st), p, &st)
+		cv := newConvexRuns(pts)
+		if st.InsertedVertices != 0 || !cv.whole {
+			return false
+		}
+		for i := range rays {
+			if !rays[i].Fan && cv.certify(&rays[i], fullLength(p)) < 0 {
+				return false
 			}
 		}
 		return true

@@ -76,3 +76,17 @@ func expEstimate(e []float64) float64 {
 	}
 	return s
 }
+
+// expSign returns the sign of the exact value of expansion e: -1, 0 or +1.
+// The most significant (last) nonzero component carries the sign.
+func expSign(e []float64) int {
+	for i := len(e) - 1; i >= 0; i-- {
+		if e[i] > 0 {
+			return 1
+		}
+		if e[i] < 0 {
+			return -1
+		}
+	}
+	return 0
+}

@@ -72,6 +72,39 @@ func Orient2DSign(a, b, c Point) int {
 	return 0
 }
 
+// DotSign returns the exact sign of (b-a)·(c-a) as -1, 0, or +1: +1 when
+// the angle at a is acute, 0 when it is right (or b or c equals a), -1
+// when it is obtuse. The plain floating-point value decides under the
+// same forward error bound as Orient2D (a sum of two products of
+// differences, where Orient2D has their difference); the rest, exact
+// zeros included, falls back to expansion arithmetic on the raw
+// coordinates.
+func DotSign(a, b, c Point) int {
+	dx := (b.X - a.X) * (c.X - a.X)
+	dy := (b.Y - a.Y) * (c.Y - a.Y)
+	dot := dx + dy
+	errBound := ccwErrBoundA * (abs(dx) + abs(dy))
+	if dot > errBound {
+		return 1
+	}
+	if -dot > errBound {
+		return -1
+	}
+	return dotSignExact(a, b, c)
+}
+
+// dotSignExact evaluates (b-a)·(c-a) exactly on the original coordinates:
+//
+//	(bx*cx - ax*bx) + (ax*ax - ax*cx) + (by*cy - ay*by) + (ay*ay - ay*cy)
+func dotSignExact(a, b, c Point) int {
+	ar := getArena()
+	x := ar.sum(ar.twoTwoDiff(b.X, c.X, a.X, b.X), ar.twoTwoDiff(a.X, a.X, a.X, c.X))
+	y := ar.sum(ar.twoTwoDiff(b.Y, c.Y, a.Y, b.Y), ar.twoTwoDiff(a.Y, a.Y, a.Y, c.Y))
+	sign := expSign(ar.sum(x, y))
+	putArena(ar)
+	return sign
+}
+
 // InCircle returns a positive value if point d lies inside the circle
 // through a, b, c (which must be in counter-clockwise order), a negative
 // value if d lies outside, and zero if the four points are cocircular.

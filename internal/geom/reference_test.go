@@ -61,20 +61,6 @@ func ratInCircle(a, b, c, d Point) int {
 	return det.Sign()
 }
 
-// expSign returns the sign of the exact value of expansion e: -1, 0 or +1.
-// The most significant (last) nonzero component carries the sign.
-func expSign(e []float64) int {
-	for i := len(e) - 1; i >= 0; i-- {
-		if e[i] > 0 {
-			return 1
-		}
-		if e[i] < 0 {
-			return -1
-		}
-	}
-	return 0
-}
-
 func TestOrient2DMatchesRational(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		clamp := func(v float64) float64 {
