@@ -11,6 +11,7 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +32,7 @@ const (
 // empty reply and returns.
 const (
 	reqClock   byte = iota + 1 // reply with the clock, 8 bytes
-	reqShip                    // reply with the telemetry image
+	reqShip                    // reply with the telemetry's JSON image
 	reqDone                    // empty reply: the visit of an untraced launcher
 	reqRelease                 // empty reply, then return
 )
@@ -181,9 +182,7 @@ func serveLauncher(ctx context.Context, cluster *mpi.Cluster, tel *trace.Telemet
 			case reqClock:
 				reply = binary.LittleEndian.AppendUint64(nil, uint64(now()))
 			case reqShip:
-				if tel != nil {
-					reply = tel.AppendBinary(nil)
-				}
+				reply = telemetryImage(tel)
 			case reqDone, reqRelease:
 			default:
 				err = fmt.Errorf("unknown finalize request %d", req)
@@ -195,6 +194,27 @@ func serveLauncher(ctx context.Context, cluster *mpi.Cluster, tel *trace.Telemet
 		}
 	})
 	return err
+}
+
+// telemetryImage is a worker's reply to reqShip: tel's JSON document, or
+// nothing when tel is nil. json.Marshal refuses a non-finite float, so a
+// snapshot whose registry holds one ships its events with an empty
+// registry, and one that still does not marshal (a non-finite event arg)
+// ships as the empty snapshot: encoding never fails the exchange.
+func telemetryImage(tel *trace.Telemetry) []byte {
+	if tel == nil {
+		return nil
+	}
+	b, err := json.Marshal(tel)
+	if err != nil {
+		t := *tel
+		t.Metrics = (*trace.Metrics)(nil).Snapshot()
+		if b, err = json.Marshal(&t); err != nil {
+			t.Tracks = nil
+			b, _ = json.Marshal(&t)
+		}
+	}
+	return b
 }
 
 // send ships a copy of b to rank `to` in a pooled buffer, which the

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -546,6 +547,62 @@ func TestFinalizeWorkerFailsWhenLauncherDies(t *testing.T) {
 	var de *mpi.RankDeadError
 	if err := <-served; !errors.As(err, &de) || de.Rank != 0 {
 		t.Errorf("worker returned %v, want rank 0's death", err)
+	}
+}
+
+// TestFinalizeShipsNonFiniteTelemetry: JSON has no NaN, so a worker
+// whose registry holds a NaN gauge ships its events with an empty
+// registry, and one with a NaN event arg ships the empty snapshot. Both
+// replies decode, so the exchange never fails on a non-finite value.
+func TestFinalizeShipsNonFiniteTelemetry(t *testing.T) {
+	gauge := trace.New(2)
+	gauge.Begin(1, "test", "span").End()
+	gauge.Metrics().Gauge("g", math.NaN())
+	arg := trace.New(2)
+	arg.Begin(1, "test", "span").End(trace.F("x", math.NaN()))
+	for name, c := range map[string]struct {
+		tr     *trace.Tracer
+		tracks int
+	}{"nan gauge": {gauge, 1}, "nan arg": {arg, 0}} {
+		tel, err := trace.DecodeTelemetry(telemetryImage(c.tr.Export(1)))
+		if err != nil {
+			t.Errorf("%s: reply refused: %v", name, err)
+			continue
+		}
+		if tel.Rank != 1 || len(tel.Tracks) != c.tracks || len(tel.Metrics.Gauges) != 0 {
+			t.Errorf("%s: shipped %+v, want rank 1, %d track(s), an empty registry", name, tel, c.tracks)
+		}
+	}
+	if b := telemetryImage(nil); b != nil {
+		t.Errorf("a worker without a tracer replies %q, want nothing", b)
+	}
+}
+
+// TestRunTCPLogsRankTagged: every process of a TCP run logs its run's
+// lifecycle through the engine it built, tagged with its rank; the
+// spawned worker's records reach the launcher's stderr.
+func TestRunTCPLogsRankTagged(t *testing.T) {
+	var errb bytes.Buffer
+	args := []string{"-n", "16", "-ranks", "2", "-transport", "tcp", "-q",
+		"-o", filepath.Join(t.TempDir(), "m.bin"), "-log-level", "info", "-log-format", "json"}
+	if err := run(context.Background(), args, &bytes.Buffer{}, &errb); err != nil {
+		t.Fatalf("tcp run: %v\n%s", err, errb.String())
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(errb.String()), "\n") {
+		var rec struct {
+			Msg  string `json:"msg"`
+			Rank *int   `json:"rank"`
+		}
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Rank == nil {
+			continue
+		}
+		seen[fmt.Sprintf("%d %s", *rec.Rank, rec.Msg)] = true
+	}
+	for _, want := range []string{"0 run started", "0 run completed", "1 run started", "1 run completed"} {
+		if !seen[want] {
+			t.Errorf("no %q record in stderr:\n%s", want, errb.String())
+		}
 	}
 }
 

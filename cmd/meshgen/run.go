@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -182,7 +183,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg.Fabric = cluster
 		cfg.Ranks = cluster.Size()
 		if logger != nil {
-			cfg.Logger = logger.With("rank", cluster.Rank())
+			logger = logger.With("rank", cluster.Rank())
 		}
 		armFaultKill(&cfg, cluster.Rank(), *faultRank, *faultTask)
 		var workerTracer *trace.Tracer
@@ -191,7 +192,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			cfg.Tracer = workerTracer
 		}
 		poolGets0, poolPuts0 := mpi.PoolCounters()
-		if _, err := core.GenerateContext(ctx, cfg); err != nil {
+		if _, err := generate(ctx, cfg, logger); err != nil {
 			return err
 		}
 		var tel *trace.Telemetry
@@ -218,14 +219,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg.Fabric = cluster
 		fabric = cluster
 		if logger != nil {
-			cfg.Logger = logger.With("rank", 0)
+			logger = logger.With("rank", 0)
 		}
 	case *transport != "inproc":
 		return fmt.Errorf("unknown transport %q", *transport)
-	default:
-		if logger != nil {
-			cfg.Logger = logger
-		}
 	}
 
 	var tracer *trace.Tracer
@@ -235,7 +232,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	poolGets0, poolPuts0 := mpi.PoolCounters()
 
-	res, err := core.GenerateContext(ctx, cfg)
+	res, err := generate(ctx, cfg, logger)
 	// Collect the workers' clocks and tracer snapshots when tracing, and
 	// release the workers. Ranks that died have none; the degradation
 	// report below covers them.
@@ -361,6 +358,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// generate runs cfg on an engine built for this one run over cfg's
+// fabric, which logs the run's lifecycle to logger when it is non-nil.
+func generate(ctx context.Context, cfg core.Config, logger *slog.Logger) (*core.Result, error) {
+	eng, err := core.NewEngine(core.EngineConfig{Ranks: cfg.Ranks, Fabric: cfg.Fabric, Logger: logger})
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	return eng.Run(ctx, cfg)
 }
 
 // armFaultKill installs the fault-injection hook on the worker whose

@@ -85,13 +85,9 @@ type Options struct {
 	// Deprecated: alias of Workers kept for bench/; see ROADMAP 10a. The
 	// larger of the two is the worker count.
 	Ranks int
-	// Tracer, when non-nil, records one CatKernel span per pass and
-	// adapt.* metrics; Rank is the track spans land on.
+	// Tracer, when non-nil, records one CatKernel span per pass, on
+	// track 0, and adapt.* metrics.
 	Tracer *trace.Tracer
-	Rank   int
-	// NoSwap and NoSmooth disable the quality passes, leaving pure
-	// split/collapse sizing.
-	NoSwap, NoSmooth bool
 	// Resample, when non-nil, evaluates the metric field at new and moved
 	// vertex positions (analytic fields); otherwise new vertices
 	// interpolate the endpoint tensors log-Euclidean.
@@ -228,9 +224,6 @@ func (e *engine) run() error {
 	for s := 0; s < e.opt.MaxSweeps; s++ {
 		changed := 0
 		for _, k := range sweepKinds {
-			if (k == opSwap && e.opt.NoSwap) || (k == opSmooth && e.opt.NoSmooth) {
-				continue
-			}
 			changed += e.pass(k)
 		}
 		e.res.Sweeps = s + 1
@@ -267,7 +260,7 @@ func (e *engine) pass(kind opKind) int {
 		}
 	}
 	if tr != nil {
-		span = tr.Begin(e.opt.Rank, trace.CatKernel, "adapt."+kind.String())
+		span = tr.Begin(0, trace.CatKernel, "adapt."+kind.String())
 	}
 	lap(0)
 	e.resetPass()

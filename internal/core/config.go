@@ -23,7 +23,6 @@
 package core
 
 import (
-	"log/slog"
 	"time"
 
 	"pamg2d/internal/airfoil"
@@ -104,11 +103,6 @@ type Config struct {
 	// neither, the run stays unlabeled — no formatting on the hot path,
 	// keeping disabled telemetry allocation-neutral.
 	RunID string
-	// Logger, when non-nil, is handed to the throwaway engine the
-	// Generate wrappers build, so CLI runs get the same lifecycle records
-	// as engine-hosted ones. Engine.Run ignores it (the engine's own
-	// logger wins); nil keeps logging fully disabled.
-	Logger *slog.Logger
 	// TaskHook, when set, runs at the start of every distributed task's
 	// execution with the stage name and task kind; a non-nil return fails
 	// the task on the rank executing it. It exists for test and

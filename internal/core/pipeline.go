@@ -44,7 +44,6 @@ func GenerateContext(ctx context.Context, cfg Config) (*Result, error) {
 	eng, err := NewEngine(EngineConfig{
 		Ranks:  cfg.Ranks,
 		Fabric: cfg.Fabric,
-		Logger: cfg.Logger,
 	})
 	if err != nil {
 		return nil, err

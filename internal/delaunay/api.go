@@ -72,12 +72,6 @@ type Quality struct {
 	// sizing.Graded.Slope supplies it.
 	SizeSlope float64
 
-	// MinLength guards termination: segments and edges shorter than this
-	// are never split and circumcenters closer than this to an existing
-	// vertex are rejected. When zero a value derived from the domain size
-	// is used.
-	MinLength float64
-
 	// MaxPoints caps the total vertex count as a safety valve. Zero means
 	// no cap.
 	MaxPoints int

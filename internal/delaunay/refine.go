@@ -18,11 +18,10 @@ func (t *Triangulation) Refine(q Quality) error {
 	if !t.carved {
 		t.Carve(nil)
 	}
-	minLen := q.MinLength
-	if minLen == 0 {
-		bb := geom.BBoxOf(t.pts)
-		minLen = 1e-8 * (bb.Width() + bb.Height())
-	}
+	// Termination guard: segments and edges shorter than minLen are never
+	// split, and circumcenters closer than it to a vertex are rejected.
+	bb := geom.BBoxOf(t.pts)
+	minLen := 1e-8 * (bb.Width() + bb.Height())
 	// The worklists live on the Triangulation so repeated Refine calls
 	// reuse their backing arrays.
 	r := &refiner{t: t, q: q, minLen: minLen, star: invalid, segs: t.refSegs[:0], tris: t.refTris[:0]}

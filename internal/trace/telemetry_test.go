@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +29,9 @@ func populate(t *Tracer) {
 	t.Metrics().Observe("task.seconds", 0.25)
 }
 
-// TestTelemetryWireRoundTrip: Export → AppendBinary → DecodeTelemetry
-// must reproduce the snapshot exactly, metrics document included.
+// TestTelemetryWireRoundTrip: Export → json.Marshal → DecodeTelemetry
+// must reproduce the snapshot exactly, metrics document included, and
+// the decoded value must re-marshal to the same bytes.
 func TestTelemetryWireRoundTrip(t *testing.T) {
 	tr := New(2)
 	populate(tr)
@@ -42,44 +43,59 @@ func TestTelemetryWireRoundTrip(t *testing.T) {
 		t.Fatal("export dropped all tracks")
 	}
 
-	wire := tel.AppendBinary(nil)
+	wire, err := json.Marshal(tel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := DecodeTelemetry(wire)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	a, _ := json.Marshal(tel)
-	b, _ := json.Marshal(got)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("roundtrip mismatch:\n sent %s\n got  %s", a, b)
+	if !reflect.DeepEqual(got, tel) {
+		t.Fatalf("roundtrip mismatch:\n sent %+v\n got  %+v", tel, got)
 	}
-
-	// The image must be stable under re-encode (prefix-cache determinism).
-	if again := got.AppendBinary(nil); !bytes.Equal(wire, again) {
+	if again, _ := json.Marshal(got); !bytes.Equal(wire, again) {
 		t.Fatal("re-encode of decoded telemetry differs")
 	}
 }
 
-// TestTelemetryDecodeRejects: truncated or corrupt images must error,
-// never panic or over-allocate.
+// TestTelemetryDecodeRejects: truncated, padded or re-keyed images must
+// error, never panic.
 func TestTelemetryDecodeRejects(t *testing.T) {
 	tr := New(2)
 	populate(tr)
-	wire := tr.Export(0).AppendBinary(nil)
+	wire, err := json.Marshal(tr.Export(0))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := DecodeTelemetry(nil); err == nil {
 		t.Error("empty image accepted")
 	}
-	for cut := 1; cut < len(wire); cut += 7 {
+	for cut := 1; cut < len(wire); cut++ {
 		if _, err := DecodeTelemetry(wire[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(wire))
 		}
 	}
-	// A corrupt track count must be rejected by the cheap bound, not by
-	// attempting the allocation.
-	corrupt := append([]byte{}, wire...)
-	corrupt[12], corrupt[13], corrupt[14], corrupt[15] = 0xff, 0xff, 0xff, 0xff
-	if _, err := DecodeTelemetry(corrupt); err == nil {
-		t.Error("absurd track count accepted")
+	edit := func(old, new string) []byte {
+		t.Helper()
+		if !bytes.Contains(wire, []byte(old)) {
+			t.Fatalf("image lacks %s", old)
+		}
+		return bytes.Replace(wire, []byte(old), []byte(new), 1)
+	}
+	for name, b := range map[string][]byte{
+		"trailing byte": append(append([]byte{}, wire...), '0'),
+		"null":          []byte("null"),
+		"added space":   edit(`"Tracks":`, `"Tracks": `),
+		"renamed key":   edit(`"Ranks":`, `"ranks":`),
+		"unknown field": edit(`{"Rank":`, `{"Version":1,"Rank":`),
+		"duplicate key": edit(`"Ranks":2,`, `"Ranks":2,"Ranks":2,`),
+		"phase range":   edit(`"Ph":88,`, `"Ph":344,`),
+	} {
+		if _, err := DecodeTelemetry(b); err == nil {
+			t.Errorf("%s accepted: %s", name, b)
+		}
 	}
 }
 
@@ -89,18 +105,22 @@ func TestTelemetryDecodeRejects(t *testing.T) {
 func FuzzDecodeTelemetry(f *testing.F) {
 	tr := New(2)
 	populate(tr)
-	wire := tr.Export(1).AppendBinary(nil)
-	f.Add(wire)
-	f.Add((*Tracer)(nil).Export(0).AppendBinary(nil))
-	f.Add(wire[:len(wire)/2])
+	for _, tel := range []*Telemetry{tr.Export(1), (*Tracer)(nil).Export(0)} {
+		wire, err := json.Marshal(tel)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+		f.Add(wire[:len(wire)/2])
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tel, err := DecodeTelemetry(b)
 		if err != nil {
 			return
 		}
-		if again := tel.AppendBinary(nil); !bytes.Equal(again, b) {
-			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(b), len(again))
+		if again, err := json.Marshal(tel); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes (%v)", len(b), len(again), err)
 		}
 	})
 }
@@ -109,13 +129,15 @@ func FuzzDecodeTelemetry(f *testing.F) {
 // parses but is not the encoder's own form (here, with a space added) is
 // refused, so whatever decodes re-encodes byte for byte.
 func TestTelemetryDecodeRejectsNonCanonicalMetrics(t *testing.T) {
-	tel := mkTelemetry(1, 5)
-	wire := tel.AppendBinary(nil)
-	doc, _ := json.Marshal(tel.Metrics)
-	head := wire[:len(wire)-len(doc)-4]
-	spaced := append([]byte(" "), doc...)
-	b := binary.LittleEndian.AppendUint32(append([]byte{}, head...), uint32(len(spaced)))
-	if _, err := DecodeTelemetry(append(b, spaced...)); err == nil {
+	wire, err := json.Marshal(mkTelemetry(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaced := bytes.Replace(wire, []byte(`"Metrics":{`), []byte(`"Metrics": {`), 1)
+	if bytes.Equal(spaced, wire) {
+		t.Fatal("image lacks its metrics document")
+	}
+	if _, err := DecodeTelemetry(spaced); err == nil {
 		t.Error("non-canonical metrics document accepted")
 	}
 	if _, err := DecodeTelemetry(wire); err != nil {
