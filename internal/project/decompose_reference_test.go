@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -49,17 +50,15 @@ func refSplitAxis(s *Subdomain, vertical bool) (left, right *Subdomain, path []P
 	}
 	m := n / 2
 	median := primary[m]
-	for i := range secondary {
-		dx := secondary[i].P.X - median.P.X
-		dy := secondary[i].P.Y - median.P.Y
-		secondary[i].Proj = dx*dx + dy*dy
-	}
 	flat := make([]geom.Point, len(secondary))
 	for i, v := range secondary {
+		dx := v.P.X - median.P.X
+		dy := v.P.Y - median.P.Y
+		lift := dx*dx + dy*dy
 		if vertical {
-			flat[i] = geom.Pt(v.P.Y, v.Proj)
+			flat[i] = geom.Pt(v.P.Y, lift)
 		} else {
-			flat[i] = geom.Pt(v.P.X, v.Proj)
+			flat[i] = geom.Pt(v.P.X, lift)
 		}
 	}
 	fixTies(flat, secondary)
@@ -300,4 +299,79 @@ func FuzzDecompose(f *testing.F) {
 		}
 		checkDecompose(t, pts, Options{MinVerts: int(minVerts % 32), MaxDepth: int(depth % 8), ForceVertical: depth&0x80 != 0})
 	})
+}
+
+// TestDecomposeIndependentOfGOMAXPROCS: the leaves, the paths and any
+// panic are the same whether no subtree, the root's two or eight are
+// split concurrently, on uniform and lattice clouds.
+func TestDecomposeIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(5))
+	clouds := [][]geom.Point{randPts(2, 3000), tieCloud(rng, 2000, 40), tieCloud(rng, 600, 12)}
+	for i, pts := range clouds {
+		for _, opt := range []Options{{MinVerts: 16, MaxDepth: 6}, {MinVerts: 2}, {MinVerts: 8, ForceVertical: true}} {
+			var want []subdomainValue
+			var wantPaths []PathEdge
+			var wantPanic string
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				leaves, paths, failed := decompose(Decompose, New(pts), opt)
+				if procs == 1 {
+					want, wantPaths, wantPanic = values(leaves), paths, failed
+					continue
+				}
+				if failed != wantPanic {
+					t.Fatalf("cloud %d, %+v, GOMAXPROCS %d: panic %q, at 1: %q", i, opt, procs, failed, wantPanic)
+				}
+				if !reflect.DeepEqual(values(leaves), want) || !reflect.DeepEqual(paths, wantPaths) {
+					t.Fatalf("cloud %d, %+v, GOMAXPROCS %d: leaves or paths differ from GOMAXPROCS 1", i, opt, procs)
+				}
+			}
+		}
+	}
+}
+
+// TestDecomposeForkedPanic: half of a wide cloud lies in a tall strip
+// right of the rest, and the root's y-sorted store keeps only the lowest
+// and the highest of those points. The root's vertical split hands its
+// right half a tall y-store far shorter than its x-store, so that half's
+// horizontal split runs off the end of the y-store. With the right
+// subtree forked, the caller recovers the same panic value as the
+// sequential reference.
+func TestDecomposeForkedPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pts := make([]geom.Point, 400)
+	rng := rand.New(rand.NewSource(6))
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		if i%2 == 0 {
+			pts[i].X = 100 + rng.Float64()
+		}
+	}
+	broken := func(s *Subdomain) *Subdomain {
+		cut := s.XS[len(s.XS)/2]
+		var right []int
+		for i, v := range s.YS {
+			if !lessX(v, cut) {
+				right = append(right, i)
+			}
+		}
+		ys := make([]Vertex, 0, len(s.YS))
+		for i, v := range s.YS {
+			if lessX(v, cut) || i == right[0] || i == right[len(right)-1] {
+				ys = append(ys, v)
+			}
+		}
+		s.YS = ys
+		return s
+	}
+	opt := Options{MinVerts: 2, MaxDepth: 8}
+	_, _, refFailed := decompose(refDecompose, broken(refNew(pts)), opt)
+	if refFailed == "" {
+		t.Fatal("the reference does not panic on the broken root")
+	}
+	_, _, failed := decompose(Decompose, broken(New(pts)), opt)
+	if failed != refFailed {
+		t.Fatalf("panic %q, reference panic %q", failed, refFailed)
+	}
 }

@@ -19,21 +19,20 @@ package project
 import (
 	"cmp"
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
 
 	"pamg2d/internal/geom"
 	"pamg2d/internal/hull"
 )
 
-// Vertex is a point with its global id and the scratch projection
-// ordinate. The projected coordinate lives inline in the Vertex (rather
-// than in a separate array) for the cache locality the paper's
-// implementation section calls out; it is recomputed at every split
-// because it depends on the median vertex.
+// Vertex is a point with its global id. The paraboloid lift a split
+// projects it to depends on the split's median, so it is computed into
+// the splitter's scratch, never stored here.
 type Vertex struct {
-	P    geom.Point
-	ID   int32
-	Proj float64
+	P  geom.Point
+	ID int32
 }
 
 // Subdomain is a set of vertices held in two sort orders, plus the
@@ -69,47 +68,64 @@ func (r Rect) Contains(p geom.Point) bool {
 // input order. Duplicate points are dropped (keeping the first), since the
 // comparison-free median split requires distinct vertices.
 //
-// Both orders come from a stable LSD radix sort on order-preserving keys:
-// the points by x, runs of equal x then settled by y; the distinct
-// vertices, already in (x, y) order, by y, which leaves equal y in x
-// order.
+// The two orders are built concurrently, each straight from the input:
+// a stable LSD radix sort on order-preserving keys of the major
+// coordinate, runs of equal major key settled stably by the minor one,
+// and later duplicates dropped. Both keep the lowest-index point of a
+// duplicate group, so XS and YS hold the same vertices.
 func New(pts []geom.Point) *Subdomain {
+	var ys []Vertex
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ys = sortedVertices(pts, false)
+	}()
+	xs := sortedVertices(pts, true)
+	<-done
+	return &Subdomain{XS: xs, YS: ys, Region: WholePlane()}
+}
+
+// sortedVertices returns the distinct points in (X, Y) order when byX,
+// else in (Y, X) order, each with the index of its first occurrence.
+func sortedVertices(pts []geom.Point, byX bool) []Vertex {
 	n := len(pts)
 	buf := make([]keyed, 2*n)
-	byX := buf[:n]
+	order := buf[:n]
 	for i, p := range pts {
-		byX[i] = keyed{coordKey(p.X), int32(i)}
+		major, _ := axes(p, byX)
+		order[i] = keyed{coordKey(major), int32(i)}
 	}
-	byX = radixSort(byX, buf[n:])
+	order = radixSort(order, buf[n:])
 	for i := 0; i < n; {
 		j := i + 1
-		for j < n && byX[j].key == byX[i].key {
+		for j < n && order[j].key == order[i].key {
 			j++
 		}
 		if j-i > 1 {
-			slices.SortStableFunc(byX[i:j], func(a, b keyed) int {
-				return cmp.Compare(pts[a.i].Y, pts[b.i].Y)
+			slices.SortStableFunc(order[i:j], func(a, b keyed) int {
+				_, ma := axes(pts[a.i], byX)
+				_, mb := axes(pts[b.i], byX)
+				return cmp.Compare(ma, mb)
 			})
 		}
 		i = j
 	}
-	xs := make([]Vertex, 0, n)
-	for _, e := range byX {
-		if p := pts[e.i]; len(xs) == 0 || xs[len(xs)-1].P != p {
-			xs = append(xs, Vertex{P: p, ID: e.i})
+	out := make([]Vertex, 0, n)
+	for _, e := range order {
+		if p := pts[e.i]; len(out) == 0 || out[len(out)-1].P != p {
+			out = append(out, Vertex{P: p, ID: e.i})
 		}
 	}
-	m := len(xs)
-	byY := buf[:m]
-	for i, v := range xs {
-		byY[i] = keyed{coordKey(v.P.Y), int32(i)}
+	return out
+}
+
+// axes returns p's major and minor coordinates: (X, Y) when byX, else
+// (Y, X).
+func axes(p geom.Point, byX bool) (major, minor float64) {
+	if byX {
+		return p.X, p.Y
 	}
-	byY = radixSort(byY, buf[n:n+m])
-	ys := make([]Vertex, m)
-	for i, e := range byY {
-		ys[i] = xs[e.i]
-	}
-	return &Subdomain{XS: xs, YS: ys, Region: WholePlane()}
+	return p.Y, p.X
 }
 
 // keyed is one radix-sort element: a coordinate's key and the index of
@@ -241,15 +257,8 @@ type PathEdge struct {
 // requires. Split leaves s unusable (its storage is reused by the left
 // half, another implementation note from the paper).
 func (s *Subdomain) Split() (left, right *Subdomain, path []PathEdge) {
-	return s.SplitAxis(s.CutVertical())
-}
-
-// SplitAxis is Split with an explicit cut orientation; the ablation
-// benchmarks use it to compare the paper's shortest-bbox-edge rule against
-// always-vertical cuts (Triangle-style).
-func (s *Subdomain) SplitAxis(vertical bool) (left, right *Subdomain, path []PathEdge) {
 	var sp splitter
-	return sp.split(s, vertical)
+	return sp.split(s, s.CutVertical())
 }
 
 // splitter carries the projection scratch from one split to the next.
@@ -285,11 +294,11 @@ func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, 
 		v := &secondary[i]
 		dx := v.P.X - median.P.X
 		dy := v.P.Y - median.P.Y
-		v.Proj = dx*dx + dy*dy
+		lift := dx*dx + dy*dy
 		if vertical {
-			flat[i] = geom.Pt(v.P.Y, v.Proj)
+			flat[i] = geom.Pt(v.P.Y, lift)
 		} else {
-			flat[i] = geom.Pt(v.P.X, v.Proj)
+			flat[i] = geom.Pt(v.P.X, lift)
 		}
 	}
 	// Ties in the abscissa must be ordered by the lift for the chain to be
@@ -462,16 +471,6 @@ func (s *Subdomain) Points() []geom.Point {
 	return out
 }
 
-// IDs returns the global vertex ids in x-sorted order, aligned with
-// Points.
-func (s *Subdomain) IDs() []int32 {
-	out := make([]int32, len(s.XS))
-	for i, v := range s.XS {
-		out[i] = v.ID
-	}
-	return out
-}
-
 // DropYSorted releases the y-sorted array once a subdomain is sufficiently
 // decomposed: only the x-sorted vertices are needed by the kernel, which
 // also halves the cost of transferring the subdomain to another process
@@ -491,33 +490,87 @@ type Options struct {
 }
 
 // Decompose recursively splits the root subdomain until every leaf is
-// sufficiently decomposed, returning the leaves and all dividing paths.
+// sufficiently decomposed, returning the leaves (left before right) and
+// all dividing paths (in preorder).
+//
+// A split's children own disjoint stores. So while the children's depth
+// holds at most GOMAXPROCS subtrees (on two CPUs, the root's children
+// only), the right child is split on a goroutine of its own, with its own
+// splitter, while the caller splits the left. The result does not depend
+// on the forking: each subtree collects its own leaves and paths, and the
+// caller appends the right's after the left's. A panic in a forked
+// subtree is re-raised on the caller's goroutine once the left subtree is
+// done.
 func Decompose(root *Subdomain, opt Options) (leaves []*Subdomain, paths []PathEdge) {
 	if opt.MinVerts < 2 {
 		opt.MinVerts = 2
 	}
-	var sp splitter
-	var rec func(s *Subdomain)
-	rec = func(s *Subdomain) {
-		if s.Len() < opt.MinVerts || (opt.MaxDepth > 0 && s.Depth >= opt.MaxDepth) {
-			leaves = append(leaves, s)
-			return
-		}
-		n := s.Len()
-		vertical := s.CutVertical()
-		if opt.ForceVertical {
-			vertical = true
-		}
-		l, r, p := sp.split(s, vertical)
-		if r == nil || l.Len() >= n || r.Len() >= n {
-			// The split made no progress (degenerate data); stop here.
-			leaves = append(leaves, s)
-			return
-		}
-		paths = append(paths, p...)
-		rec(l)
-		rec(r)
+	d := decomposer{opt: opt, forkDepth: bits.Len(uint(runtime.GOMAXPROCS(0))) - 1}
+	var out subtree
+	d.rec(new(splitter), root, &out)
+	n := 0
+	for _, p := range out.paths {
+		n += len(p)
 	}
-	rec(root)
-	return leaves, paths
+	if n > 0 {
+		paths = make([]PathEdge, 0, n)
+		for _, p := range out.paths {
+			paths = append(paths, p...)
+		}
+	}
+	return out.leaves, paths
+}
+
+// decomposer holds a decomposition's bounds. Subtrees rooted above
+// forkDepth split their right child on a goroutine of its own.
+type decomposer struct {
+	opt       Options
+	forkDepth int
+}
+
+// subtree collects one subtree's leaves and its splits' dividing paths.
+type subtree struct {
+	leaves []*Subdomain
+	paths  [][]PathEdge
+}
+
+func (d *decomposer) rec(sp *splitter, s *Subdomain, out *subtree) {
+	if s.Len() < d.opt.MinVerts || (d.opt.MaxDepth > 0 && s.Depth >= d.opt.MaxDepth) {
+		out.leaves = append(out.leaves, s)
+		return
+	}
+	n := s.Len()
+	vertical := s.CutVertical()
+	if d.opt.ForceVertical {
+		vertical = true
+	}
+	l, r, p := sp.split(s, vertical)
+	if r == nil || l.Len() >= n || r.Len() >= n {
+		// The split made no progress (degenerate data); stop here.
+		out.leaves = append(out.leaves, s)
+		return
+	}
+	out.paths = append(out.paths, p)
+	if s.Depth >= d.forkDepth {
+		d.rec(sp, l, out)
+		d.rec(sp, r, out)
+		return
+	}
+	var right subtree
+	var failed any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { failed = recover() }()
+		d.rec(new(splitter), r, &right)
+	}()
+	func() {
+		defer func() { <-done }()
+		d.rec(sp, l, out)
+	}()
+	if failed != nil {
+		panic(failed)
+	}
+	out.leaves = append(out.leaves, right.leaves...)
+	out.paths = append(out.paths, right.paths...)
 }

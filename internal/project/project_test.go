@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
@@ -310,8 +311,8 @@ func TestDropYSorted(t *testing.T) {
 	if s.YS != nil {
 		t.Error("DropYSorted must release the y-sorted array")
 	}
-	if len(s.Points()) != 50 || len(s.IDs()) != 50 {
-		t.Error("Points/IDs must still work from XS")
+	if len(s.Points()) != 50 {
+		t.Error("Points must still work from XS")
 	}
 }
 
@@ -360,5 +361,26 @@ func BenchmarkDecompose128(b *testing.B) {
 		s := New(pts)
 		b.StartTimer()
 		Decompose(s, Options{MinVerts: 2, MaxDepth: 7})
+	}
+}
+
+func TestVertexSize(t *testing.T) {
+	if n := unsafe.Sizeof(Vertex{}); n != 24 {
+		t.Errorf("Vertex is %d bytes, want 24", n)
+	}
+}
+
+// TestDecomposeAllocations: New and Decompose allocate per split and per
+// store, never per vertex, so ten times the points cost no more
+// allocations.
+func TestDecomposeAllocations(t *testing.T) {
+	allocs := func(n int) float64 {
+		pts := randPts(11, n)
+		return testing.AllocsPerRun(20, func() {
+			Decompose(New(pts), Options{MinVerts: 2, MaxDepth: 3})
+		})
+	}
+	if small, large := allocs(4000), allocs(40000); small != large {
+		t.Errorf("%v allocations at 4k points, %v at 40k", small, large)
 	}
 }
