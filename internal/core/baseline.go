@@ -89,7 +89,8 @@ func baselineLayer(layers []*blayer.Layer, blPoints []geom.Point, surfaceSet map
 	res, nb := tr.ExtractNeighbors()
 	annuli := layerAnnuli(layers, p)
 	leaf := blSubmesh(res, nb, nil, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) })
-	return mergeBoundaryLayer([][]float64{leaf.encode()}, surfaceSet)
+	b, pts, segs := mergeBoundaryLayer([]submesh{leaf}, surfaceSet)
+	return b, pts, segs, nil
 }
 
 // annulusInput builds the CDT input for the region between the near-body

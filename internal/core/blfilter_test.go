@@ -77,7 +77,7 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 			}
 		}
 		kept += len(want)
-		gotTris := resultTriangles(t, got)
+		gotTris := resultTriangles(got)
 		if len(gotTris) != len(want) {
 			t.Fatalf("leaf %d: task returned %d triangles, reference keeps %d", li, len(gotTris), len(want))
 		}

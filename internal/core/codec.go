@@ -3,59 +3,155 @@ package core
 // Wire codecs for the pipeline's by-reference payloads, registered in the
 // mpi block reserved for core (32–47): the one result type every
 // distributed phase returns, *taskResult (id 34, once the end-of-run
-// telemetry snapshot, stays reserved). In-process it never runs — results
-// travel as pointers — but over a multi-process fabric every rank-to-root
-// result send serializes through the task-result codec, and the root's
-// result re-distribution packs the collected list from the same entry
-// encoding (encodeResultList) so both directions share one format. The
-// agreement's collect leg carries a worker's phase record (appendRecord).
+// telemetry snapshot, stays reserved). In-process it never runs — a result
+// travels as a pointer to its submesh — but over a multi-process fabric
+// every rank-to-root result send serializes through the task-result
+// codec, and the root's result re-distribution packs the collected list
+// from the same entry encoding (encodeResultList) so both directions share
+// one format. The agreement's collect leg carries a worker's phase record
+// (appendRecord).
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
+	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 )
 
 const codecTaskResult mpi.CodecID = 32
 
+// Header slots of a submesh's float layout.
+const (
+	subPoints = iota
+	subShared
+	subTriangles
+	subEdges
+	subHeader
+)
+
 // encodeTaskResultRef writes a u32 task id, the task's seconds as float64
-// bits, then the result floats.
+// bits, then the submesh, every number a little-endian float64:
+//
+//	[np, ns, nt, ne, x0, y0 … (2·np), s0 … (ns), a0, b0, c0 … (3·nt), u0, v0, f0 … (3·ne)]
 func encodeTaskResultRef(ref any, dst []byte) []byte {
 	r := ref.(*taskResult)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.id))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.seconds))
-	for _, v := range r.vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	s := r.sub
+	dst = binary.LittleEndian.AppendUint32(slices.Grow(dst, 12+8*s.floats()), uint32(r.id))
+	put := func(v float64) { dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v)) }
+	put(r.seconds)
+	for _, n := range [subHeader]int{len(s.pts), len(s.shared), len(s.tris), len(s.edges)} {
+		put(float64(n))
+	}
+	for _, p := range s.pts {
+		put(p.X)
+		put(p.Y)
+	}
+	for _, i := range s.shared {
+		put(float64(i))
+	}
+	for _, t := range s.tris {
+		put(float64(t[0]))
+		put(float64(t[1]))
+		put(float64(t[2]))
+	}
+	for _, e := range s.edges {
+		put(float64(e.u))
+		put(float64(e.v))
+		put(float64(e.kind))
 	}
 	return dst
 }
 
-// decodeTaskResultRef is encodeTaskResultRef's inverse; seconds that are
-// negative, NaN or infinite are refused.
+// decodeTaskResultRef is encodeTaskResultRef's inverse. The bytes come from
+// another process, so it refuses seconds that are negative, NaN or
+// infinite and checks everything AddSubmesh and the outer-boundary
+// extraction rely on: the header's counts fill the frame exactly, shared
+// indices ascend, every index is below the point count and every edge kind
+// is open, seam or both.
 func decodeTaskResultRef(b []byte) (any, error) {
-	if len(b) < 12 {
-		return nil, fmt.Errorf("core: task result frame of %d bytes, want >= 12", len(b))
+	if len(b) < 12 || (len(b)-12)%8 != 0 {
+		return nil, fmt.Errorf("core: task result frame of %d bytes is not an id, seconds and whole floats", len(b))
 	}
 	secs := math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
 	if !(secs >= 0) || math.IsInf(secs, 1) {
 		return nil, fmt.Errorf("core: task result measures %v seconds", secs)
 	}
-	body := b[12:]
-	if len(body)%8 != 0 {
-		return nil, fmt.Errorf("core: task result floats of %d bytes not a multiple of 8", len(body))
+	sub, err := decodeSubmesh(b[12:])
+	if err != nil {
+		return nil, err
 	}
-	r := &taskResult{id: int32(binary.LittleEndian.Uint32(b)), seconds: secs}
-	if n := len(body) / 8; n > 0 {
-		r.vals = make([]float64, n)
-		for i := range r.vals {
-			r.vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	return &taskResult{id: int32(binary.LittleEndian.Uint32(b)), seconds: secs, sub: sub}, nil
+}
+
+// decodeSubmesh reads a submesh's floats from b, checking the header
+// against b's length before it allocates anything.
+func decodeSubmesh(b []byte) (submesh, error) {
+	n := len(b) / 8
+	at := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+	// index reads float i as an index below lim. It refuses -0 too, which
+	// would decode as 0 and re-encode as +0.
+	index := func(i, lim int) (int32, bool) {
+		if v := at(i); v != 0 || !math.Signbit(v) {
+			return wireIndex(v, lim)
+		}
+		return 0, false
+	}
+	if n < subHeader {
+		return submesh{}, fmt.Errorf("core: submesh of %d floats has no header", n)
+	}
+	var c [subHeader]int32
+	for k := range c {
+		var ok bool
+		if c[k], ok = index(k, math.MaxInt32); !ok {
+			return submesh{}, fmt.Errorf("core: submesh header slot %d is %v, not a count", k, at(k))
 		}
 	}
-	return r, nil
+	np, ns, nt, ne := int(c[subPoints]), int(c[subShared]), int(c[subTriangles]), int(c[subEdges])
+	if want := subHeader + 2*int64(np) + int64(ns) + 3*int64(nt) + 3*int64(ne); ns > np || int64(n) != want {
+		return submesh{}, fmt.Errorf("core: submesh header %v implies %d floats, at most the points shared; have %d", c, want, n)
+	}
+	s := submesh{pts: make([]geom.Point, np), shared: make([]int32, ns), tris: make([][3]int32, nt), edges: make([]leafEdge, ne)}
+	off := subHeader
+	for i := range s.pts {
+		s.pts[i] = geom.Pt(at(off), at(off+1))
+		off += 2
+	}
+	for k := range s.shared {
+		i, ok := index(off, np)
+		if !ok || k > 0 && i <= s.shared[k-1] {
+			return submesh{}, fmt.Errorf("core: submesh shared entry %d is %v: not an ascending index below %d", k, at(off), np)
+		}
+		s.shared[k] = i
+		off++
+	}
+	// triple reads the next triangle, or edge: two indices below np, then
+	// an index below np or a kind below third.
+	triple := func(third int) (t [3]int32, ok bool) {
+		a, okA := index(off, np)
+		b, okB := index(off+1, np)
+		c, okC := index(off+2, third)
+		off += 3
+		return [3]int32{a, b, c}, okA && okB && okC
+	}
+	var ok bool
+	for k := range s.tris {
+		if s.tris[k], ok = triple(np); !ok {
+			return submesh{}, fmt.Errorf("core: submesh triangle %d is %v: not indices below %d", k, [3]float64{at(off - 3), at(off - 2), at(off - 1)}, np)
+		}
+	}
+	for k := range s.edges {
+		if e, ok := triple(edgeKinds + 1); ok && e[2] != 0 {
+			s.edges[k] = leafEdge{e[0], e[1], e[2]}
+		} else {
+			return submesh{}, fmt.Errorf("core: submesh edge %d is %v: not indices below %d and a kind in {1, 2, 3}", k, [3]float64{at(off - 3), at(off - 2), at(off - 1)}, np)
+		}
+	}
+	return s, nil
 }
 
 func init() {
@@ -97,8 +193,8 @@ func decodeResultList(b []byte) ([]loadbal.Result, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	// An entry is at least its length, a task id and its seconds.
-	if n > len(b)/16 {
+	// An entry is at least its length, id, seconds and submesh header.
+	if n > len(b)/48 {
 		return nil, fmt.Errorf("core: result list claims %d entries in %d bytes", n, len(b))
 	}
 	out := make([]loadbal.Result, 0, n)

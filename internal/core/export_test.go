@@ -66,8 +66,8 @@ func RealResultLists(t testing.TB) [][]byte {
 			}
 			measures := rc.stats.Tasks[len(rc.stats.Tasks)-len(results):]
 			list := make([]loadbal.Result, len(results))
-			for id, vals := range results {
-				list[id] = &taskResult{id: int32(id), seconds: measures[id].Seconds, vals: vals}
+			for id, sub := range results {
+				list[id] = &taskResult{id: int32(id), seconds: measures[id].Seconds, sub: sub}
 			}
 			b, err := encodeResultList(list)
 			if err != nil {
@@ -99,17 +99,23 @@ func RecordRoundTrip(b []byte, from int) ([]byte, error) {
 	return appendRecord(nil, from, bs, msgs, bytes), nil
 }
 
-// SubmeshToMesh decodes one meshing task's result vector and assembles it
-// the way the boundary-layer merge does, outer-boundary extraction
-// included; the isotropic merge runs the same decode loop. It returns the
-// mesh and the outer boundary's points and segments.
-func SubmeshToMesh(vals []float64) (*mesh.Mesh, []geom.Point, [][2]int32, error) {
-	b, pts, segs, err := mergeBoundaryLayer([][]float64{vals}, nil)
+// SubmeshToMesh decodes one meshing task's result frame through the
+// task-result codec and assembles its submesh the way the boundary-layer
+// merge does, outer-boundary extraction included; the isotropic merge adds
+// submeshes the same way. It returns the mesh and the outer boundary's
+// points and segments.
+func SubmeshToMesh(frame []byte) (*mesh.Mesh, []geom.Point, [][2]int32, error) {
+	r, err := decodeTaskResultRef(frame)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	b, pts, segs := mergeBoundaryLayer([]submesh{r.(*taskResult).sub}, nil)
 	return b.Mesh(), pts, segs, nil
 }
+
+// resultFrame is the task-result codec's frame of sub, as task 0 measuring
+// no time.
+func resultFrame(sub submesh) []byte { return encodeTaskResultRef(&taskResult{sub: sub}, nil) }
 
 // leafWindow cuts a kindBLLeaf payload to its points from through to-1,
 // keeping the path indices among them.
@@ -146,30 +152,34 @@ func smallTasks(t testing.TB) ([][]float64, taskCtx) {
 }
 
 // TaskPayloads returns one real payload of each task kind, a few points
-// large, and processTaskCtx under the context they run in.
-func TaskPayloads(t testing.TB) ([][]float64, func([]float64) ([]float64, error)) {
+// large, and processTaskCtx under the context they run in, its submesh as
+// a result frame (resultFrame) whether or not it failed.
+func TaskPayloads(t testing.TB) ([][]float64, func([]float64) ([]byte, error)) {
 	t.Helper()
 	seeds, tctx := smallTasks(t)
-	return seeds, func(vals []float64) ([]float64, error) { return processTaskCtx(vals, tctx) }
+	return seeds, func(vals []float64) ([]byte, error) {
+		sub, err := processTaskCtx(vals, tctx)
+		return resultFrame(sub), err
+	}
 }
 
-// RealSubmeshes returns one real result vector of each meshing kind, from
+// RealSubmeshes returns one real result frame of each meshing kind, from
 // smallTasks' payloads: the boundary-layer leaf keeps a few triangles, the
 // transition and inviscid tasks refine the unit square to one interior
 // point.
-func RealSubmeshes(t testing.TB) [][]float64 {
+func RealSubmeshes(t testing.TB) [][]byte {
 	t.Helper()
 	tasks, tctx := smallTasks(t)
-	var out [][]float64
+	var out [][]byte
 	for _, vals := range tasks {
-		r, err := processTaskCtx(vals, tctx)
+		sub, err := processTaskCtx(vals, tctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, nt, _, _ := submeshCounts(r); nt == 0 {
+		if len(sub.tris) == 0 {
 			t.Fatalf("seed task of kind %v made no triangle", vals[0])
 		}
-		out = append(out, r)
+		out = append(out, resultFrame(sub))
 	}
 	return out
 }

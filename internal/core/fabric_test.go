@@ -191,8 +191,8 @@ func fig08Tasks(t testing.TB) ([]loadbal.Task, taskCtx) {
 
 // TestRunDistributedTCPMatchesInProcess drives the distributed executor
 // directly with the Figure 8 workload on both transports: every process of
-// the TCP run must end up with exactly the result floats the in-process
-// run collected, proving the collection + re-broadcast path is lossless.
+// the TCP run must end up with exactly the submeshes the in-process run
+// collected, proving the collection + re-broadcast path is lossless.
 func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 	const ranks = 4
 	tasks, tctx := fig08Tasks(t)
@@ -212,13 +212,13 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 	}
 	kept := 0
 	for _, r := range want {
-		kept += len(resultTriangles(t, r))
+		kept += len(r.tris)
 	}
 	if kept == 0 {
 		t.Fatal("the workload's results hold no triangles")
 	}
 
-	all := make([][][]float64, ranks)
+	all := make([][]submesh, ranks)
 	errs := runOnFabric(t, ranks, func(i int, cl *mpi.Cluster) error {
 		got, err := runPhase(mk(cl), StageBLTriangulation, tasks, tctx)
 		all[i] = got
@@ -234,13 +234,8 @@ func TestRunDistributedTCPMatchesInProcess(t *testing.T) {
 			t.Fatalf("process %d: %d results, want %d", p, len(got), len(want))
 		}
 		for ti := range want {
-			if len(got[ti]) != len(want[ti]) {
-				t.Fatalf("process %d task %d: %d floats, want %d", p, ti, len(got[ti]), len(want[ti]))
-			}
-			for k := range want[ti] {
-				if got[ti][k] != want[ti][k] {
-					t.Fatalf("process %d task %d: float %d differs", p, ti, k)
-				}
+			if !sameSubmesh(got[ti], want[ti]) {
+				t.Fatalf("process %d task %d: the submesh differs from the in-process one", p, ti)
 			}
 		}
 	}

@@ -125,10 +125,7 @@ func TestSeamEdgesCancelADuplicatedTriangle(t *testing.T) {
 		tris:   [][3]int32{{0, 1, 2}, {0, 2, 3}},
 		edges:  []leafEdge{{0, 1, both}, {1, 2, both}, {2, 0, edgeSeam}, {0, 2, edgeSeam}, {2, 3, edgeOpen}, {3, 0, edgeOpen}},
 	}
-	bld, pts, segs, err := mergeBoundaryLayer([][]float64{first.encode(), second.encode()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bld, pts, segs := mergeBoundaryLayer([]submesh{first, second}, nil)
 	if n := bld.Mesh().NumTriangles(); n != 2 {
 		t.Fatalf("the merged mesh has %d triangles, want abc once and acd", n)
 	}

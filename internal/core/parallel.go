@@ -153,17 +153,34 @@ func badPayload(vals []float64, format string, args ...any) error {
 	return &PayloadError{Kind: kind, Reason: fmt.Sprintf(format, args...)}
 }
 
+// wireIndex converts a float of a vector that may come from another
+// process to an index below n <= 2^31. Anything that is not such an index
+// — NaN, infinite, negative, fractional, too large — is refused before the
+// conversion, whose result Go leaves undefined for those.
+func wireIndex(v float64, n int) (int32, bool) {
+	if !(v >= 0 && v < float64(n)) {
+		return 0, false
+	}
+	i := int32(v)
+	return i, float64(i) == v
+}
+
+// finite reports whether both coordinates of p are finite.
+func finite(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+}
+
 // processTaskCtx executes a task's value vector under the stage's shared
-// context and returns the encoded submesh it produced. The vals slice is
-// the task's Vals vector; it is only read, and one that does not decode is
-// a *PayloadError.
-func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
+// context and returns the submesh it produced. The vals slice is the
+// task's Vals vector; it is only read, and one that does not decode is a
+// *PayloadError.
+func processTaskCtx(vals []float64, ctx taskCtx) (submesh, error) {
 	if len(vals) == 0 {
-		return nil, badPayload(vals, "empty")
+		return submesh{}, badPayload(vals, "empty")
 	}
 	kind, ok := wireIndex(vals[0], kindInviscid+1)
 	if !ok {
-		return nil, badPayload(vals, "unknown kind")
+		return submesh{}, badPayload(vals, "unknown kind")
 	}
 	if kind == kindBLLeaf {
 		return triangulateLeaf(vals, ctx)
@@ -173,16 +190,16 @@ func processTaskCtx(vals []float64, ctx taskCtx) ([]float64, error) {
 
 // triangulateLeaf triangulates a boundary-layer leaf and keeps the
 // triangles it owns inside the layer annuli.
-func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
+func triangulateLeaf(vals []float64, ctx taskCtx) (submesh, error) {
 	if len(ctx.annuli) == 0 {
-		return nil, errNoAnnuli
+		return submesh{}, errNoAnnuli
 	}
 	if len(vals) < leafHeader {
-		return nil, badPayload(vals, "no region and path count in %d floats", len(vals))
+		return submesh{}, badPayload(vals, "no region and path count in %d floats", len(vals))
 	}
 	nPath, ok := wireIndex(vals[leafPath], len(vals)-leafHeader+1)
 	if !ok || (len(vals)-leafHeader-int(nPath))%2 != 0 {
-		return nil, badPayload(vals, "%v path indices leave no whole points in %d floats", vals[leafPath], len(vals))
+		return submesh{}, badPayload(vals, "%v path indices leave no whole points in %d floats", vals[leafPath], len(vals))
 	}
 	coords := vals[leafHeader+nPath:]
 	n := len(coords) / 2
@@ -192,7 +209,7 @@ func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
 	for i := range pts {
 		p := geom.Pt(coords[2*i], coords[2*i+1])
 		if !finite(p) || i > 0 && p.X < pts[i-1].X {
-			return nil, badPayload(vals, "point %d is %v: not finite, or left of its predecessor", i, p)
+			return submesh{}, badPayload(vals, "point %d is %v: not finite, or left of its predecessor", i, p)
 		}
 		pts[i] = p
 	}
@@ -200,16 +217,16 @@ func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
 	for k, v := range vals[leafHeader : leafHeader+nPath] {
 		i, ok := wireIndex(v, n)
 		if !ok || i <= prev {
-			return nil, badPayload(vals, "path entry %d is %v: not an ascending index below %d", k, v, n)
+			return submesh{}, badPayload(vals, "path entry %d is %v: not an ascending index below %d", k, v, n)
 		}
 		path[k], prev = pts[i], i
 	}
 	if n < 3 {
-		return submesh{}.encode(), nil
+		return submesh{}, nil
 	}
 	tr, err := delaunay.Build(delaunay.Input{Points: pts, Frame: ctx.frame})
 	if err != nil {
-		return nil, err
+		return submesh{}, err
 	}
 	res, nb := tr.ExtractNeighbors()
 	// Kept by exactly one leaf (the owner of the circumcenter), and only
@@ -217,19 +234,19 @@ func triangulateLeaf(vals []float64, ctx taskCtx) ([]float64, error) {
 	region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
 	return blSubmesh(res, nb, path, func(a, b, c geom.Point) bool {
 		return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
-	}).encode(), nil
+	}), nil
 }
 
 // refineRegion refines a transition input or an inviscid region.
-func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
+func refineRegion(vals []float64, ctx taskCtx) (submesh, error) {
 	if len(vals) < regionHeader {
-		return nil, badPayload(vals, "no point, segment and hole counts in %d floats", len(vals))
+		return submesh{}, badPayload(vals, "no point, segment and hole counts in %d floats", len(vals))
 	}
 	np, okP := wireIndex(vals[1], math.MaxInt32)
 	ns, okS := wireIndex(vals[2], math.MaxInt32)
 	nh, okH := wireIndex(vals[3], math.MaxInt32)
 	if !okP || !okS || !okH || int64(len(vals)) != regionHeader+2*(int64(np)+int64(ns)+int64(nh)) {
-		return nil, badPayload(vals, "counts %v do not fill %d floats", vals[1:regionHeader], len(vals))
+		return submesh{}, badPayload(vals, "counts %v do not fill %d floats", vals[1:regionHeader], len(vals))
 	}
 	in := delaunay.Input{
 		Frame:    ctx.frame,
@@ -241,7 +258,7 @@ func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
 	for i := 0; i < int(np); i, off = i+1, off+2 {
 		p := geom.Pt(vals[off], vals[off+1])
 		if !finite(p) {
-			return nil, badPayload(vals, "point %d is %v", i, p)
+			return submesh{}, badPayload(vals, "point %d is %v", i, p)
 		}
 		in.Points = append(in.Points, p)
 	}
@@ -249,35 +266,36 @@ func refineRegion(vals []float64, ctx taskCtx) ([]float64, error) {
 		a, okA := wireIndex(vals[off], int(np))
 		b, okB := wireIndex(vals[off+1], int(np))
 		if !okA || !okB {
-			return nil, badPayload(vals, "segment %d is %v: not indices below %d", i, vals[off:off+2], np)
+			return submesh{}, badPayload(vals, "segment %d is %v: not indices below %d", i, vals[off:off+2], np)
 		}
 		in.Segments = append(in.Segments, [2]int32{a, b})
 	}
 	for i := 0; i < int(nh); i, off = i+1, off+2 {
 		h := geom.Pt(vals[off], vals[off+1])
 		if !finite(h) {
-			return nil, badPayload(vals, "hole %d is %v", i, h)
+			return submesh{}, badPayload(vals, "hole %d is %v", i, h)
 		}
 		in.Holes = append(in.Holes, h)
 	}
 	res, err := delaunay.TriangulateRefined(in, qualityFor(ctx.size, ctx.slope))
 	if err != nil {
-		return nil, err
+		return submesh{}, err
 	}
-	return regionSubmesh(res.Points, res.Triangles, in.Points).encode(), nil
+	return regionSubmesh(res.Points, res.Triangles, in.Points), nil
 }
 
-// taskResult carries one task's encoded submesh and its measured seconds
-// to the root by reference. Its accounted wire size is 8*(2+len(vals))
-// bytes: the ID, the seconds and each float at eight bytes.
+// taskResult carries one task's submesh and its measured seconds to the
+// root by reference. Its accounted wire size is the ID and the seconds at
+// eight bytes each, then the submesh's floats in the task-result codec's
+// layout (encodeTaskResultRef) at eight bytes each.
 type taskResult struct {
 	id      int32
 	seconds float64
-	vals    []float64
+	sub     submesh
 }
 
 func (r *taskResult) TaskID() int32  { return r.id }
-func (r *taskResult) WireBytes() int { return 8 * (2 + len(r.vals)) }
+func (r *taskResult) WireBytes() int { return 16 + 8*r.sub.floats() }
 
 // runTask executes one task on rank under the stage's shared context and
 // times the kernel; the task span, when tracing, carries its triangles.
@@ -287,29 +305,14 @@ func runTask(rank int, task loadbal.Task, tctx taskCtx, tr *trace.Tracer) (*task
 		sp = tr.Begin(rank, trace.CatTask, taskKindName(task.Vals))
 	}
 	t0 := time.Now()
-	vals, err := processTaskCtx(task.Vals, tctx)
+	sub, err := processTaskCtx(task.Vals, tctx)
 	dt := time.Since(t0)
 	if tr.Enabled() {
-		tris := 0
-		if err == nil {
-			tris = taskTriangles(vals)
-		}
-		sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", tris))
+		sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", len(sub.tris)))
 		tr.Metrics().Observe("task.seconds", dt.Seconds())
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &taskResult{id: task.ID, seconds: dt.Seconds(), vals: vals}, nil
-}
-
-// taskTriangles reads a task's triangle count off the counts its result
-// leads with. A header that does not decode reads 0 (the merge that
-// decodes the result fails the stage).
-func taskTriangles(vals []float64) int {
-	if len(vals) <= subTriangles {
-		return 0
-	}
-	n, _ := wireIndex(vals[subTriangles], math.MaxInt32)
-	return int(n)
+	return &taskResult{id: task.ID, seconds: dt.Seconds(), sub: sub}, nil
 }

@@ -12,8 +12,9 @@ import (
 // FuzzTaskPayload feeds a task executor arbitrary float bit patterns in
 // place of a task's payload — a stolen task's payload is another process's
 // word. It must never panic: a vector the decoder refuses is a
-// *core.PayloadError, and one it accepts gives either the kernel's error or
-// a submesh the offset merge assembles.
+// *core.PayloadError with an empty submesh, and one it accepts gives either
+// the kernel's error or a submesh whose result frame the codec decodes and
+// the offset merge assembles.
 func FuzzTaskPayload(f *testing.F) {
 	bytesOf := func(vals []float64) []byte {
 		b := make([]byte, 0, 8*len(vals))
@@ -43,15 +44,16 @@ func FuzzTaskPayload(f *testing.F) {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		out, err := run(vals)
+		m, _, _, merr := core.SubmeshToMesh(out)
 		var pe *core.PayloadError
 		if err != nil {
-			if errors.As(err, &pe) && len(out) != 0 {
-				t.Fatalf("refused %d floats but returned %d", len(vals), len(out))
+			if errors.As(err, &pe) && (merr != nil || m.NumPoints() != 0) {
+				t.Fatalf("refused %d floats but returned a submesh (%v)", len(vals), merr)
 			}
 			return
 		}
-		if _, _, _, err := core.SubmeshToMesh(out); err != nil {
-			t.Fatalf("accepted %d floats; the result does not assemble: %v", len(vals), err)
+		if merr != nil {
+			t.Fatalf("accepted %d floats; the result does not assemble: %v", len(vals), merr)
 		}
 	})
 }

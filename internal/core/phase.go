@@ -30,9 +30,9 @@ const (
 )
 
 // runPhase runs one meshing stage's tasks under loadbal.Scatter on a fresh
-// world and returns each task's result floats indexed by task ID — on every
-// process of a multi-process run, not only the root's. A task's floats and
-// its measured seconds travel to the root as a *taskResult, and every
+// world and returns each task's submesh indexed by task ID — on every
+// process of a multi-process run, not only the root's. A task's submesh
+// and its measured seconds travel to the root as a *taskResult, and every
 // process builds the stage's TaskMeasures from the results it leaves the
 // phase with. In-process, tasks and results move by reference; every
 // transfer is accounted at the size its serialized form would occupy.
@@ -43,7 +43,7 @@ const (
 // cause. A rank or world failure is returned the same way, and so is the
 // first task that failed (processTaskCtx or TaskHook returned an error, or
 // panicked), attributed to the rank that executed it.
-func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][]float64, error) {
+func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([]submesh, error) {
 	hook, tr := rc.cfg.TaskHook, rc.tracer
 	// Engine.Run always sets the fabric. Over a wire each process hosts
 	// its own rank and worlds pair across processes by creation order,
@@ -105,19 +105,19 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([][
 	if failed != nil {
 		return nil, failed
 	}
-	results := make([][]float64, len(tasks))
+	results := make([]submesh, len(tasks))
 	measures := make([]TaskMeasure, len(tasks))
 	for i, c := range collected {
 		r, ok := c.(*taskResult)
 		if !ok || int(r.id) != i {
 			return nil, &PhaseError{Stage: stage, Rank: -1, Err: fmt.Errorf("result slot %d holds a misplaced or foreign %T", i, c)}
 		}
-		results[i] = r.vals
+		results[i] = r.sub
 		measures[i] = TaskMeasure{
 			Seconds:       r.seconds,
 			Bytes:         int64(8 * len(tasks[i].Vals)),
 			BoundaryLayer: tasks[i].BoundaryLayer,
-			Triangles:     taskTriangles(r.vals),
+			Triangles:     len(r.sub.tris),
 		}
 	}
 	rc.stats.Tasks = append(rc.stats.Tasks, measures...)

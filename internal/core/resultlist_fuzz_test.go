@@ -30,8 +30,8 @@ func FuzzResultListDecode(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 8, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(append([]byte{1, 0, 0, 0, 120, 0, 0, 0, 3, 0, 0, 0}, make([]byte, 112)...))
 	f.Add([]byte{1, 0, 0, 0, 4, 0, 0, 0, 9, 0, 0, 0, 7})
-	// An entry with no floats (accepted), then its seconds negative, NaN
-	// and infinite (refused).
+	// An entry with an empty submesh (accepted), then its seconds
+	// negative, NaN and infinite (refused).
 	for _, secs := range []float64{0.25, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		f.Add(oneEntryList(secs))
 	}
@@ -55,10 +55,12 @@ func FuzzResultListDecode(f *testing.F) {
 	})
 }
 
-// oneEntryList is a result list holding task 9's result: secs, no floats.
+// oneEntryList is a result list holding task 9's result: secs and an
+// empty submesh, its four counts zero.
 func oneEntryList(secs float64) []byte {
-	b := []byte{1, 0, 0, 0, 12, 0, 0, 0, 9, 0, 0, 0}
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(secs))
+	b := []byte{1, 0, 0, 0, 44, 0, 0, 0, 9, 0, 0, 0}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(secs))
+	return append(b, make([]byte, 32)...)
 }
 
 // FuzzPhaseRecordDecode hammers the decoder of the phase record a worker's

@@ -148,11 +148,11 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	// Processing the task yields one triangle... the hole removes it,
 	// so use no holes for the positive check.
 	vals = regionTaskVals(kindInviscid, pts, segs, nil)
-	tris, err := processTaskCtx(vals, taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)})
+	sub, err := processTaskCtx(vals, taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := resultTriangles(t, tris)
+	got := resultTriangles(sub)
 	if len(got) != 1 {
 		t.Fatalf("processed %d triangles, want 1", len(got))
 	}
@@ -226,7 +226,7 @@ func TestTaskPayloadRejectsMalformed(t *testing.T) {
 		out, err := processTaskCtx(c.vals, tctx)
 		var pe *PayloadError
 		if !errors.As(err, &pe) {
-			t.Errorf("%s: returned %d floats and %v, want a *PayloadError", c.name, len(out), err)
+			t.Errorf("%s: returned %d triangles and %v, want a *PayloadError", c.name, len(out.tris), err)
 		} else if pe.Kind == kindInviscid+1 && pe.Reason != "unknown kind" {
 			t.Errorf("%s: refused for %q, want as an unknown kind", c.name, pe.Reason)
 		}

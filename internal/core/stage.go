@@ -182,7 +182,7 @@ type RunCtx struct {
 	nbBox      geom.BBox    // bl-triangulation: near-body box
 	outerPts   []geom.Point // bl-triangulation: BL outer boundary
 	outerSegs  [][2]int32
-	isoResults [][]float64 // inviscid: the transition + inviscid tasks' encoded submeshes
+	isoResults []submesh // inviscid: the transition + inviscid tasks' submeshes
 	// inviscid: the transition inputs (after any sector split) and the
 	// decoupled regions, whose edges the audit stage checks.
 	transInputs []delaunay.Input
@@ -287,9 +287,9 @@ type stageFunc struct {
 func (s stageFunc) Name() string         { return s.name }
 func (s stageFunc) Run(rc *RunCtx) error { return s.fn(rc) }
 
-// mergeFunc folds the collected per-task results (indexed by task ID) into
-// the run state at the root.
-type mergeFunc func(results [][]float64) error
+// mergeFunc folds the collected per-task submeshes (indexed by task ID)
+// into the run state at the root.
+type mergeFunc func(results []submesh) error
 
 // prepareFunc builds a distributed stage's task list and shared task
 // context and returns the merge that will fold the results. Splitting

@@ -126,11 +126,8 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 	}
 	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: depth})
 	tasks := blLeafTasks(leaves, len(rc.blPoints))
-	merge := func(results [][]float64) error {
-		b, pts, segs, err := mergeBoundaryLayer(results, rc.surfaceSet)
-		if err != nil {
-			return err
-		}
+	merge := func(results []submesh) error {
+		b, pts, segs := mergeBoundaryLayer(results, rc.surfaceSet)
 		if len(segs) == 0 {
 			return fmt.Errorf("core: boundary-layer mesh has no outer boundary")
 		}
@@ -198,17 +195,13 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 			Vals: regionTaskVals(kindInviscid, r.Border, segs, nil),
 		})
 	}
-	merge := func(results [][]float64) error {
+	merge := func(results []submesh) error {
 		trans, inv := 0, 0
 		for i, r := range results {
-			_, _, nt, _, err := submeshCounts(r)
-			if err != nil {
-				return fmt.Errorf("task %d result: %w", i, err)
-			}
 			if i < nTrans {
-				trans += nt
+				trans += len(r.tris)
 			} else {
-				inv += nt
+				inv += len(r.tris)
 			}
 		}
 		rc.isoResults = results
@@ -224,9 +217,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 // and gates its structure unless the audit stage will prove it.
 func runMerge(rc *RunCtx) error {
 	b := rc.builder
-	if _, err := addSubmeshes(b, rc.isoResults); err != nil {
-		return err
-	}
+	addSubmeshes(b, rc.isoResults)
 	rc.res.Mesh = b.Mesh()
 	rc.stats.TotalTriangles = rc.res.Mesh.NumTriangles()
 	if !rc.fullAudit() {

@@ -2,8 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
-	"math"
 	"slices"
 
 	"pamg2d/internal/delaunay"
@@ -17,11 +15,8 @@ import (
 // both number points that way); shared lists, ascending, the points
 // another task's result may also hold. A boundary-layer leaf adds the
 // edges the root reads the layer's outer boundary from (leafEdges);
-// region tasks carry none.
-//
-// As a result vector it is one layout for every task kind:
-//
-//	[np, ns, nt, ne, x0, y0 … (2·np), s0 … (ns), a0, b0, c0 … (3·nt), u0, v0, f0 … (3·ne)]
+// region tasks carry none. In-process it reaches the root as it is; only
+// the task-result codec writes it out, for a wire.
 type submesh struct {
 	pts    []geom.Point
 	shared []int32
@@ -45,142 +40,29 @@ const (
 	edgeKinds = edgeOpen | edgeSeam
 )
 
-// Header slots of an encoded submesh.
-const (
-	subPoints = iota
-	subShared
-	subTriangles
-	subEdges
-	subHeader
-)
-
-func (s submesh) encode() []float64 {
-	vals := make([]float64, 0, subHeader+2*len(s.pts)+len(s.shared)+3*len(s.tris)+3*len(s.edges))
-	vals = append(vals, float64(len(s.pts)), float64(len(s.shared)), float64(len(s.tris)), float64(len(s.edges)))
-	for _, p := range s.pts {
-		vals = append(vals, p.X, p.Y)
-	}
-	for _, i := range s.shared {
-		vals = append(vals, float64(i))
-	}
-	for _, t := range s.tris {
-		vals = append(vals, float64(t[0]), float64(t[1]), float64(t[2]))
-	}
-	for _, e := range s.edges {
-		vals = append(vals, float64(e.u), float64(e.v), float64(e.kind))
-	}
-	return vals
+// floats is the length of s's float layout in the task-result codec
+// (encodeTaskResultRef): the four counts, then two floats a point, one a
+// shared index and three a triangle or an edge.
+func (s submesh) floats() int {
+	return subHeader + 2*len(s.pts) + len(s.shared) + 3*len(s.tris) + 3*len(s.edges)
 }
 
-// wireIndex converts a result float to an index below n <= 2^31. Over TCP
-// the vector comes from another process, so anything that is not such an
-// index — NaN, infinite, negative, fractional, too large — is refused
-// before the conversion, whose result Go leaves undefined for those.
-func wireIndex(v float64, n int) (int32, bool) {
-	if !(v >= 0 && v < float64(n)) {
-		return 0, false
-	}
-	i := int32(v)
-	return i, float64(i) == v
-}
-
-// finite reports whether both coordinates of p are finite.
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
-
-// submeshCounts validates an encoded submesh's header against the
-// vector's length and returns the point, shared-point, triangle and edge
-// counts.
-func submeshCounts(vals []float64) (np, ns, nt, ne int, err error) {
-	if len(vals) < subHeader {
-		return 0, 0, 0, 0, fmt.Errorf("core: submesh of %d floats has no header", len(vals))
-	}
-	p, okP := wireIndex(vals[subPoints], math.MaxInt32)
-	s, okS := wireIndex(vals[subShared], int(p)+1)
-	t, okT := wireIndex(vals[subTriangles], math.MaxInt32)
-	e, okE := wireIndex(vals[subEdges], math.MaxInt32)
-	if !okP || !okS || !okT || !okE {
-		return 0, 0, 0, 0, fmt.Errorf("core: submesh header %v is not point, shared (at most the points), triangle and edge counts", vals[:subHeader])
-	}
-	if want := subHeader + 2*int64(p) + int64(s) + 3*int64(t) + 3*int64(e); int64(len(vals)) != want {
-		return 0, 0, 0, 0, fmt.Errorf("core: submesh header %v implies %d floats, have %d", vals[:subHeader], want, len(vals))
-	}
-	return int(p), int(s), int(t), int(e), nil
-}
-
-// decode replaces s with the submesh encoded in vals, reusing s's
-// storage, and checks everything AddSubmesh and the outer-boundary
-// extraction rely on: shared indices ascending, every index below the
-// point count, every edge kind open, seam or both.
-func (s *submesh) decode(vals []float64) error {
-	np, ns, nt, ne, err := submeshCounts(vals)
-	if err != nil {
-		return err
-	}
-	s.pts = slices.Grow(s.pts[:0], np)
-	s.shared = slices.Grow(s.shared[:0], ns)
-	s.tris = slices.Grow(s.tris[:0], nt)
-	s.edges = slices.Grow(s.edges[:0], ne)
-	vals = vals[subHeader:]
-	for i := 0; i < np; i++ {
-		s.pts = append(s.pts, geom.Pt(vals[2*i], vals[2*i+1]))
-	}
-	vals = vals[2*np:]
-	for k, v := range vals[:ns] {
-		i, ok := wireIndex(v, np)
-		if !ok || k > 0 && i <= s.shared[k-1] {
-			return fmt.Errorf("core: submesh shared entry %d is %v: not an ascending index below %d", k, v, np)
-		}
-		s.shared = append(s.shared, i)
-	}
-	vals = vals[ns:]
-	for k := 0; k < nt; k++ {
-		a, okA := wireIndex(vals[3*k], np)
-		b, okB := wireIndex(vals[3*k+1], np)
-		c, okC := wireIndex(vals[3*k+2], np)
-		if !okA || !okB || !okC {
-			return fmt.Errorf("core: submesh triangle %d is %v: not indices below %d", k, vals[3*k:3*k+3], np)
-		}
-		s.tris = append(s.tris, [3]int32{a, b, c})
-	}
-	vals = vals[3*nt:]
-	for k := 0; k < ne; k++ {
-		u, okU := wireIndex(vals[3*k], np)
-		v, okV := wireIndex(vals[3*k+1], np)
-		kind, okK := wireIndex(vals[3*k+2], edgeKinds+1)
-		if !okU || !okV || !okK || kind == 0 {
-			return fmt.Errorf("core: submesh edge %d is %v: not indices below %d and a kind in {1, 2, 3}", k, vals[3*k:3*k+3], np)
-		}
-		s.edges = append(s.edges, leafEdge{u, v, kind})
-	}
-	return nil
-}
-
-// addSubmeshes decodes the meshing tasks' results, adds them to b in task
-// order, and returns the leaves' edges in b's numbering.
-func addSubmeshes(b *mesh.Builder, results [][]float64) (leafEdges, error) {
+// addSubmeshes adds the meshing tasks' submeshes to b in task order and
+// returns the leaves' edges in b's numbering.
+func addSubmeshes(b *mesh.Builder, subs []submesh) leafEdges {
 	points, tris, edges := 0, 0, 0
-	for i, r := range results {
-		np, _, nt, ne, err := submeshCounts(r)
-		if err != nil {
-			return leafEdges{}, fmt.Errorf("task %d result: %w", i, err)
-		}
-		points += np
-		tris += nt
-		edges += ne
+	for _, s := range subs {
+		points += len(s.pts)
+		tris += len(s.tris)
+		edges += len(s.edges)
 	}
 	b.Reserve(points, tris)
 	buf := make([]uint64, 0, 2*edges)
 	le := leafEdges{open: buf[:0:edges], seam: buf[edges:edges]}
-	var s submesh
-	for i, r := range results {
-		if err := s.decode(r); err != nil {
-			return leafEdges{}, fmt.Errorf("task %d result: %w", i, err)
-		}
+	for _, s := range subs {
 		s.addTo(b, &le)
 	}
-	return le, nil
+	return le
 }
 
 // addTo adds s to b and s's edges to le, which may be nil for a submesh
@@ -218,12 +100,9 @@ type leafEdges struct{ open, seam []uint64 }
 // Seam edges, not the other leaves' open ones, are what cancel: when two
 // leaves keep the same triangle the builder adds it once, and the reverse
 // of one leaf's open edge can be an edge the other keeps on both sides.
-func mergeBoundaryLayer(results [][]float64, surfaceSet map[geom.Point]bool) (b *mesh.Builder, pts []geom.Point, segs [][2]int32, err error) {
+func mergeBoundaryLayer(subs []submesh, surfaceSet map[geom.Point]bool) (b *mesh.Builder, pts []geom.Point, segs [][2]int32) {
 	b = mesh.NewBuilder()
-	le, err := addSubmeshes(b, results)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	le := addSubmeshes(b, subs)
 	m := b.Mesh()
 	slices.Sort(le.seam)
 	slices.Sort(le.open)
@@ -251,7 +130,7 @@ func mergeBoundaryLayer(results [][]float64, surfaceSet map[geom.Point]bool) (b 
 		segs = append(segs, [2]int32{intern(u), intern(v)})
 	}
 	b.Share(idx)
-	return b, pts, segs, nil
+	return b, pts, segs
 }
 
 // regionSubmesh flags a region task's kernel output: only the task's input

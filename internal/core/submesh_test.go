@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"pamg2d/internal/airfoil"
@@ -14,14 +11,8 @@ import (
 	"pamg2d/internal/mesh"
 )
 
-// resultTriangles expands a meshing task's result to coordinate triples,
-// through the decoder the root uses.
-func resultTriangles(t testing.TB, vals []float64) [][3]geom.Point {
-	t.Helper()
-	var s submesh
-	if err := s.decode(vals); err != nil {
-		t.Fatalf("task result does not decode: %v", err)
-	}
+// resultTriangles expands a meshing task's submesh to coordinate triples.
+func resultTriangles(s submesh) [][3]geom.Point {
 	out := make([][3]geom.Point, len(s.tris))
 	for i, tri := range s.tris {
 		out[i] = [3]geom.Point{s.pts[tri[0]], s.pts[tri[1]], s.pts[tri[2]]}
@@ -41,12 +32,12 @@ func indexOf(pts []geom.Point, p geom.Point) int {
 // runCapturing runs the push-button pipeline on cfg and also returns every
 // meshing task's result in task order: the boundary-layer leaves', then
 // the transition and inviscid tasks' (the transition tasks lead).
-func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso [][]float64) {
+func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso []submesh) {
 	t.Helper()
-	capture := func(prepare prepareFunc, into *[][]float64) prepareFunc {
+	capture := func(prepare prepareFunc, into *[]submesh) prepareFunc {
 		return func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 			tasks, tctx, merge, err := prepare(rc)
-			return tasks, tctx, func(rs [][]float64) error {
+			return tasks, tctx, func(rs []submesh) error {
 				*into = rs
 				return merge(rs)
 			}, err
@@ -92,7 +83,7 @@ func TestOffsetAssemblyMatchesInterning(t *testing.T) {
 			res, bl, iso := runCapturing(t, cfg)
 			ref := mesh.NewBuilder()
 			for _, r := range append(bl, iso...) {
-				for _, tri := range resultTriangles(t, r) {
+				for _, tri := range resultTriangles(r) {
 					ref.AddTriangle(tri[0], tri[1], tri[2])
 				}
 			}
@@ -218,114 +209,5 @@ func TestFullAuditWithSectorsFindsNoDuplicatePoints(t *testing.T) {
 	}
 	for _, v := range res.Stats.Audit.Violations {
 		t.Errorf("violation: %v", v)
-	}
-}
-
-func TestSubmeshDecodeRejects(t *testing.T) {
-	// Two triangles over four points, points 1 and 3 shared, with an open,
-	// a seam and an open seam edge.
-	good := submesh{
-		pts:    []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)},
-		shared: []int32{1, 3},
-		tris:   [][3]int32{{0, 1, 2}, {0, 2, 3}},
-		edges:  []leafEdge{{0, 1, edgeOpen}, {2, 3, edgeSeam}, {3, 0, edgeOpen | edgeSeam}},
-	}.encode()
-	var s submesh
-	if err := s.decode(good); err != nil || len(s.pts) != 4 || len(s.shared) != 2 || len(s.tris) != 2 || len(s.edges) != 3 {
-		t.Fatalf("a valid submesh decodes to %+v, %v", s, err)
-	}
-	const firstShared, firstIndex = subHeader + 8, subHeader + 8 + 2
-	const firstEdge = firstIndex + 6
-	cases := []struct {
-		name string
-		slot int
-		v    float64
-	}{
-		{"NaN point count", subPoints, math.NaN()},
-		{"infinite triangle count", subTriangles, math.Inf(1)},
-		{"negative shared count", subShared, -1},
-		{"fractional point count", subPoints, 4.5},
-		{"point count over int32", subPoints, 1 << 40},
-		{"more shared than points", subShared, 5},
-		{"point count the length contradicts", subPoints, 3},
-		{"triangle count the length contradicts", subTriangles, 3},
-		{"shared index at the point count", firstShared + 1, 4},
-		{"shared indices descending", firstShared + 1, 0},
-		{"shared index repeated", firstShared + 1, 1},
-		{"NaN shared index", firstShared, math.NaN()},
-		{"triangle index at the point count", firstIndex + 4, 4},
-		{"negative triangle index", firstIndex, -1},
-		{"fractional triangle index", firstIndex + 2, 1.5},
-		{"NaN triangle index", firstIndex + 5, math.NaN()},
-		{"infinite triangle index", firstIndex + 5, math.Inf(-1)},
-		{"negative edge count", subEdges, -1},
-		{"edge count the length contradicts", subEdges, 2},
-		{"edge index at the point count", firstEdge + 3, 4},
-		{"negative edge index", firstEdge + 1, -1},
-		{"NaN edge index", firstEdge, math.NaN()},
-		{"edge kind 0", firstEdge + 2, 0},
-		{"edge kind above open and seam", firstEdge + 5, 4},
-		{"fractional edge kind", firstEdge + 8, 1.5},
-	}
-	for _, c := range cases {
-		bad := append([]float64(nil), good...)
-		bad[c.slot] = c.v
-		if err := s.decode(bad); err == nil {
-			t.Errorf("%s: decoded without error", c.name)
-		}
-	}
-	for _, n := range []int{0, 1, 2, 3, len(good) - 1} {
-		if err := s.decode(good[:n]); err == nil {
-			t.Errorf("a vector cut to %d floats decoded without error", n)
-		}
-	}
-	if err := s.decode(append(append([]float64(nil), good...), 0)); err == nil {
-		t.Error("a vector with a trailing float decoded without error")
-	}
-}
-
-// TestCorruptResultFailsTheStage: a result vector that does not decode —
-// over TCP it comes from another process — fails the stage that consumes
-// it with a *PhaseError, at every place one is read.
-func TestCorruptResultFailsTheStage(t *testing.T) {
-	_, bl, _ := runCapturing(t, smallConfig(1))
-	corrupt := append([]float64(nil), bl[0]...)
-	corrupt[len(corrupt)-1] = math.NaN()
-	huge := append([]float64(nil), bl[0]...)
-	huge[subTriangles] = math.MaxInt32 - 1
-
-	for _, bad := range [][]float64{corrupt, huge, nil} {
-		rc := newRunCtx(smallConfig(1))
-		rc.builder = mesh.NewBuilder()
-		rc.isoResults = [][]float64{bad}
-		err := rc.runStages([]Stage{stageFunc{StageMerge, runMerge}})
-		var pe *PhaseError
-		if !errors.As(err, &pe) || pe.Stage != StageMerge || !strings.Contains(err.Error(), "task 0 result") {
-			t.Errorf("merge over a corrupt result returned %v, want a merge-stage PhaseError naming task 0", err)
-		}
-	}
-
-	// The two distributed stages read results in their merge closures.
-	for _, stage := range []struct {
-		name    string
-		prepare prepareFunc
-		upTo    int
-	}{{StageBLTriangulation, prepareBLTriangulation, 3}, {StageInviscid, prepareInviscid, 4}} {
-		rc := newRunCtx(smallConfig(1))
-		if err := rc.runStages(pipeline[:stage.upTo]); err != nil {
-			t.Fatal(err)
-		}
-		broken := &distStage{stage.name, func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
-			tasks, tctx, merge, err := stage.prepare(rc)
-			return tasks, tctx, func(rs [][]float64) error {
-				rs[len(rs)-1] = huge
-				return merge(rs)
-			}, err
-		}}
-		err := rc.runStages([]Stage{broken})
-		var pe *PhaseError
-		if !errors.As(err, &pe) || pe.Stage != stage.name {
-			t.Errorf("%s over a corrupt result returned %v, want its PhaseError", stage.name, err)
-		}
 	}
 }

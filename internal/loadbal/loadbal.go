@@ -321,7 +321,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 		completed := 0 // root only
 		awaitingGrant := false
 		awaitingFrom := -1
-		lastLoad := math.NaN() // NaN compares unequal, forcing the first sample
+		lastLoad := math.NaN() // NaN compares unequal, forcing the first publish
 		// Root-side recovery state: the ownership ledger, ranks whose death
 		// is already handled, and the first-death timestamp for the
 		// recovery-wall stat.
@@ -493,14 +493,14 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 					}
 				}
 				for r := 0; r < c.Size(); r++ {
-					if multi && !c.Alive(r) {
+					if !c.Alive(r) {
 						continue
 					}
 					if err := c.Send(r, tagTerminate, nil); err != nil {
 						// A rank that died between the liveness check and the
 						// send is no reason to fail the survivors.
 						var de *mpi.RankDeadError
-						if multi && errors.As(err, &de) {
+						if errors.As(err, &de) {
 							continue
 						}
 						abort(err)
@@ -509,20 +509,23 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 				}
 				completed = -1 // sent; keep serving until our own terminate arrives
 			}
-			// Publish the current work estimate (MPI_Put on the window).
+			// Publish the work estimate (MPI_Put on the window) only when
+			// it changed, so a rank whose queue stands still neither
+			// writes a frame nor counts bytes at the poll frequency; the
+			// trace samples it on the same change.
 			load := st.load()
-			win.Put(c.Rank(), load)
-			if tr.Enabled() && load != lastLoad {
-				// Sampled only on change, so an idle rank does not flood
-				// the trace at the poll frequency.
-				tr.Counter(c.Rank(), "queue-cost", load)
-				tr.Metrics().Observe("loadbal.queue_cost", load)
+			if load != lastLoad {
+				win.Put(c.Rank(), load)
+				if tr.Enabled() {
+					tr.Counter(c.Rank(), "queue-cost", load)
+					tr.Metrics().Observe("loadbal.queue_cost", load)
+				}
 				lastLoad = load
 			}
 			// A pending steal request aimed at a rank that has since died
 			// will never be answered; clear it so this rank keeps stealing
 			// from the survivors.
-			if awaitingGrant && multi && awaitingFrom >= 0 && !c.Alive(awaitingFrom) {
+			if awaitingGrant && awaitingFrom >= 0 && !c.Alive(awaitingFrom) {
 				awaitingGrant = false
 			}
 			// Steal when underloaded: fetch the window (MPI_Get) and ask
@@ -532,7 +535,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 				loads := win.Get()
 				victim, best := -1, opt.StealBelow
 				for r, l := range loads {
-					if r != c.Rank() && l > best && (!multi || c.Alive(r)) {
+					if r != c.Rank() && l > best && c.Alive(r) {
 						victim, best = r, l
 					}
 				}

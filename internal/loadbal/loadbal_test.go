@@ -264,3 +264,32 @@ func TestQueuePriorityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIdleLoadIsNotRepublished: a rank publishes its work estimate only
+// when it changes. Two ranks each run one task that sleeps, holding their
+// load above StealBelow, so neither steals; the world's byte count must
+// then not grow with the sleep length, as it would if every poll put the
+// unchanged estimate into the window.
+func TestIdleLoadIsNotRepublished(t *testing.T) {
+	const poll = 100 * time.Microsecond
+	bytesAfter := func(sleep time.Duration) int64 {
+		world := mpi.NewWorld(2)
+		win := world.NewWindow(2)
+		dist := [][]Task{{{ID: 0, Cost: 10}}, {{ID: 1, Cost: 10}}}
+		err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
+			_, err := Run(context.Background(), c, win, dist[c.Rank()], 2, Options{StealBelow: 1, Poll: poll},
+				func(Task) { time.Sleep(sleep) })
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return world.Stats().Bytes.Load()
+	}
+	short, long := bytesAfter(2*time.Millisecond), bytesAfter(100*time.Millisecond)
+	// Republishing would add 8 bytes per rank and poll: at least 98 ms /
+	// 1 ms per poll * 2 ranks * 8 bytes even on a slow host.
+	if long-short >= 512 {
+		t.Errorf("%d bytes over a 2 ms task, %d over a 100 ms one: the load is republished while it stands still", short, long)
+	}
+}

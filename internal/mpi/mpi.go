@@ -112,6 +112,25 @@ func newMailbox() *mailbox {
 	return mb
 }
 
+// push enqueues m on its tag's queue and wakes the box's receivers. A
+// closed box takes nothing and push reports false; the payload stays the
+// caller's.
+func (mb *mailbox) push(m message) bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.closed {
+		return false
+	}
+	q := mb.tags[m.tag]
+	if q == nil {
+		q = &msgQueue{}
+		mb.tags[m.tag] = q
+	}
+	q.push(m)
+	mb.cond.Broadcast()
+	return true
+}
+
 // match finds the first message matching (from, tag) and removes it.
 func (mb *mailbox) match(from, tag int) (message, bool) {
 	if q, ok := mb.tags[tag]; ok {
@@ -363,7 +382,7 @@ func (c *Comm) Err() error { return c.world.Err() }
 // serialized-equivalent size in-process, the real frame size on a wire.
 // On error the payload is NOT consumed: ownership stays with the caller,
 // which must release pooled buffers itself.
-func (c *Comm) send(to, tag int, m message, wire int) error {
+func (c *Comm) send(to int, m message, wire int) error {
 	if to < 0 || to >= c.world.n {
 		return fmt.Errorf("%w: send to rank %d of %d", ErrInvalidRank, to, c.world.n)
 	}
@@ -373,28 +392,15 @@ func (c *Comm) send(to, tag int, m message, wire int) error {
 			return err
 		}
 		wire = nw
-	} else {
-		mb := c.world.boxes[to]
-		mb.mu.Lock()
-		if mb.closed {
-			mb.mu.Unlock()
-			return c.world.Err()
-		}
-		q := mb.tags[tag]
-		if q == nil {
-			q = &msgQueue{}
-			mb.tags[tag] = q
-		}
-		q.push(m)
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
+	} else if !c.world.boxes[to].push(m) {
+		return c.world.Err()
 	}
 	st := c.world.stats
 	st.Messages.Add(1)
 	st.Bytes.Add(int64(wire))
 	if c.world.tracer.Enabled() {
 		c.world.tracer.Instant(c.rank, trace.CatMPI, "send",
-			trace.I("to", to), trace.I("tag", tag), trace.I("bytes", wire))
+			trace.I("to", to), trace.I("tag", m.tag), trace.I("bytes", wire))
 	}
 	return nil
 }
@@ -408,24 +414,9 @@ func (w *World) deliverRemote(to int, m message) {
 	if to >= 0 && to < len(w.boxes) {
 		mb = w.boxes[to]
 	}
-	if mb == nil {
+	if mb == nil || !mb.push(m) {
 		PutBytes(m.data)
-		return
 	}
-	mb.mu.Lock()
-	if mb.closed {
-		mb.mu.Unlock()
-		PutBytes(m.data)
-		return
-	}
-	q := mb.tags[m.tag]
-	if q == nil {
-		q = &msgQueue{}
-		mb.tags[m.tag] = q
-	}
-	q.push(m)
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
 }
 
 // Send delivers data to rank `to` with the given tag. Like MPI's eager
@@ -435,7 +426,7 @@ func (w *World) deliverRemote(to int, m message) {
 // and an ErrWorldClosed-matching error after teardown; on error the caller
 // keeps ownership of data.
 func (c *Comm) Send(to, tag int, data []byte) error {
-	return c.send(to, tag, message{from: c.rank, tag: tag, data: data}, len(data))
+	return c.send(to, message{from: c.rank, tag: tag, data: data}, len(data))
 }
 
 // SendRef delivers an in-address-space payload by reference — the
@@ -447,7 +438,7 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 // Ownership of ref passes to the receiver on success; on error (invalid
 // rank, closed world) it stays with the caller.
 func (c *Comm) SendRef(to, tag int, ref any, wireBytes int) error {
-	return c.send(to, tag, message{from: c.rank, tag: tag, ref: ref}, wireBytes)
+	return c.send(to, message{from: c.rank, tag: tag, ref: ref}, wireBytes)
 }
 
 // recv blocks until a matching message arrives, the context is canceled,
@@ -530,9 +521,9 @@ func (c *Comm) TryRecvRef(from, tag int) (ref any, srcRank, srcTag int, ok bool)
 // root rank, accessed with Put and Get from any rank. The paper stores
 // per-process work-load estimates in such a window on the root and updates
 // them from each rank's communicator thread. Over a wire transport the
-// authoritative copy lives in rank 0's process: Put and Add from workers
-// are fire-and-forget control frames; Get is a request/reply round trip
-// that returns nil after teardown (pollers notice the cause via Err).
+// authoritative copy lives in rank 0's process: a worker's Put is a
+// fire-and-forget control frame; Get is a request/reply round trip that
+// returns nil after teardown (pollers notice the cause via Err).
 type Window struct {
 	world *World
 	idx   int  // position in the world's window list (wire addressing)
