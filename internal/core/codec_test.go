@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"pamg2d/internal/geom"
+	"pamg2d/internal/loadbal"
+	"pamg2d/internal/mpi"
 )
 
 // referenceEncode is the submesh's float layout written out as a vector,
@@ -79,13 +85,13 @@ func TestTaskResultCodecWritesTheReferenceLayout(t *testing.T) {
 	}
 }
 
-// TestTaskResultCodecRejectsMalformed: a task-result frame comes from
-// another process, so one no encoder could have written — a header that
-// does not fill the frame, shared indices out of order, an index or an
-// edge kind out of range, -0 where an index belongs, seconds that are not
-// a duration — is refused, on its own and as an entry of the agreement's
-// result list.
-func TestTaskResultCodecRejectsMalformed(t *testing.T) {
+// TestSubmeshDecodeRejects: a submesh is decoded only from a task-result
+// frame, which comes from another process, so one no encoder could have
+// written — a header that does not fill the frame, shared indices out of
+// order, an index or an edge kind out of range, -0 where an index belongs,
+// seconds that are not a duration — is refused, on its own and as an
+// entry of the agreement's result list.
+func TestSubmeshDecodeRejects(t *testing.T) {
 	// Two triangles over four points, points 1 and 3 shared, with an open,
 	// a seam and an open seam edge.
 	good := resultFrame(submesh{
@@ -170,4 +176,61 @@ func listOf(f []byte) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, 1)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(f)))
 	return append(b, f...)
+}
+
+// TestCorruptResultFailsTheStage: a worker takes a phase's results from
+// the root's agreement list, which crosses a process boundary, so a list
+// that does not decode — an entry whose last edge kind is NaN, one that
+// claims a triangle count near int32, no list at all — fails the worker's
+// stage with a *PhaseError naming the stage and the list.
+func TestCorruptResultFailsTheStage(t *testing.T) {
+	_, bl, _ := runCapturing(t, smallConfig(1))
+	frame := resultFrame(bl[0])
+	corrupt := slices.Clone(frame)
+	binary.LittleEndian.PutUint64(corrupt[len(corrupt)-8:], math.Float64bits(math.NaN()))
+	huge := slices.Clone(frame)
+	binary.LittleEndian.PutUint64(huge[12+8*subTriangles:], math.Float64bits(math.MaxInt32-1))
+	lists := [][]byte{listOf(corrupt), listOf(huge), nil}
+
+	// Both processes answer every list, whatever the worker makes of it,
+	// so a worker that wrongly settles cleanly leaves no root waiting.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	errs := runOnFabric(t, 2, func(i int, cl *mpi.Cluster) error {
+		var failures []error
+		for k, list := range lists {
+			world := cl.NewWorld()
+			if i == 0 {
+				// The root's side of the agreement: take the worker's leg
+				// and answer it with a clean verdict carrying the list.
+				err := world.RunCtx(ctx, func(c *mpi.Comm) error {
+					buf, _, _, err := c.Recv(ctx, 1, tagErrSync)
+					if err != nil {
+						return err
+					}
+					mpi.PutBytes(buf)
+					return sendAgreement(c, 1, tagResultSync, -1, list)
+				})
+				if err != nil {
+					return fmt.Errorf("list %d: %w", k, err)
+				}
+				continue
+			}
+			cfg := smallConfig(2)
+			cfg.Fabric = cl
+			rc := newRunCtx(cfg)
+			rc.ctx = ctx
+			var msgs, bytes int64
+			pe := settlePhase(rc, world, StageInviscid, nil, make([]loadbal.Result, 1), make([]loadbal.Stats, 2), &msgs, &bytes)
+			if pe == nil || pe.Stage != StageInviscid || !strings.Contains(pe.Error(), "result list") {
+				failures = append(failures, fmt.Errorf("list %d: the worker settles the phase with %v, want a PhaseError of stage %s naming the result list", k, pe, StageInviscid))
+			}
+		}
+		return errors.Join(failures...)
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("process %d: %v", i, err)
+		}
+	}
 }

@@ -86,21 +86,7 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([]s
 	// root's collected results to every process, so all of them leave the
 	// phase with identical state, and the workers' counters to the root.
 	if world.MultiProcess() {
-		agreed, cause := -1, ""
-		err = world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
-			var aerr error
-			agreed, cause, aerr = agreePhase(rc, c, failed, collected, balStats, &msgs, &bytes)
-			return aerr
-		})
-		if rc.ctx.Err() != nil {
-			return nil, &PhaseError{Stage: stage, Rank: -1, Err: context.Cause(rc.ctx)}
-		}
-		if err != nil {
-			return nil, phaseError(stage, err)
-		}
-		if agreed >= 0 && (failed == nil || failed.Rank != agreed) {
-			failed = &PhaseError{Stage: stage, Rank: agreed, Err: errors.New(cause)}
-		}
+		failed = settlePhase(rc, world, stage, failed, collected, balStats, &msgs, &bytes)
 	}
 	if failed != nil {
 		return nil, failed
@@ -125,6 +111,31 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([]s
 	rc.wireMsgs += msgs
 	rc.wireBytes += bytes
 	return results, nil
+}
+
+// settlePhase runs this process's side of a multi-process phase's
+// agreement (agreePhase) on world and returns the phase's failure,
+// attributed to stage: the context's cause when canceled, the exchange's
+// error — a result list from the root that does not decode among them —
+// or the agreed task failure; nil for a clean phase.
+func settlePhase(rc *RunCtx, world *mpi.World, stage string, failed *PhaseError, collected []loadbal.Result,
+	bal []loadbal.Stats, msgs, bytes *int64) *PhaseError {
+	agreed, cause := -1, ""
+	err := world.RunCtx(rc.ctx, func(c *mpi.Comm) error {
+		var aerr error
+		agreed, cause, aerr = agreePhase(rc, c, failed, collected, bal, msgs, bytes)
+		return aerr
+	})
+	if rc.ctx.Err() != nil {
+		return &PhaseError{Stage: stage, Rank: -1, Err: context.Cause(rc.ctx)}
+	}
+	if err != nil {
+		return phaseError(stage, err)
+	}
+	if agreed >= 0 && (failed == nil || failed.Rank != agreed) {
+		return &PhaseError{Stage: stage, Rank: agreed, Err: errors.New(cause)}
+	}
+	return failed
 }
 
 // agreePhase is the post-phase agreement of multi-process runs: every
