@@ -32,7 +32,9 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 		pts = append(pts, l.AllPoints()...)
 	}
 	frame := g.Farfield.BBox()
-	tctx := taskCtx{frame: frame, annuli: layerAnnuli(layers, bl)}
+	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 4})
+	tasks, dealt := blLeafTasks(leaves, len(pts))
+	tctx := taskCtx{frame: frame, annuli: layerAnnuli(layers, bl), dealt: dealt}
 
 	outers := make([]pslg.Loop, len(layers))
 	for i, l := range layers {
@@ -48,11 +50,9 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 		return false
 	}
 
-	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 4})
-	tasks := blLeafTasks(leaves, len(pts))
 	kept, dropped := 0, 0
 	for li, leaf := range leaves {
-		got, err := processTaskCtx(tasks[li].Vals, tctx)
+		got, err := processTask(&tasks[li], tctx)
 		if err != nil {
 			t.Fatalf("leaf %d: %v", li, err)
 		}
@@ -96,7 +96,7 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 func TestBLLeafWithoutAnnuli(t *testing.T) {
 	tasks, tctx := fig08Tasks(t)
 	tctx.annuli = nil
-	if _, err := processTaskCtx(tasks[0].Vals, tctx); !errors.Is(err, errNoAnnuli) {
+	if _, err := processTask(&tasks[0], tctx); !errors.Is(err, errNoAnnuli) {
 		t.Errorf("leaf task without annuli returned %v, want errNoAnnuli", err)
 	}
 }

@@ -154,6 +154,18 @@ func decodeSubmesh(b []byte) (submesh, error) {
 	return s, nil
 }
 
+// wireIndex converts a float of a vector that may come from another
+// process to an index below n <= 2^31. Anything that is not such an index
+// — NaN, infinite, negative, fractional, too large — is refused before the
+// conversion, whose result Go leaves undefined for those.
+func wireIndex(v float64, n int) (int32, bool) {
+	if !(v >= 0 && v < float64(n)) {
+		return 0, false
+	}
+	i := int32(v)
+	return i, float64(i) == v
+}
+
 func init() {
 	mpi.RegisterCodec(codecTaskResult, &taskResult{}, encodeTaskResultRef, decodeTaskResultRef)
 }

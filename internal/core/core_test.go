@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"pamg2d/internal/airfoil"
@@ -122,29 +123,51 @@ func TestGenerateAnisotropy(t *testing.T) {
 	}
 }
 
+// TestGenerateTaskMeasurements: every task is measured, and a measure's
+// Bytes is its task's input at eight bytes a number — 16 bytes a point of
+// a leaf, a point, a segment and a hole seed of a region — the subdomain
+// the paper's protocol ships on a steal, which perfmodel charges.
 func TestGenerateTaskMeasurements(t *testing.T) {
-	res, err := Generate(smallConfig(3))
-	if err != nil {
+	var tasks []meshTask
+	record := func(name string, prepare prepareFunc) *distStage {
+		return &distStage{name, func(rc *RunCtx) ([]meshTask, taskCtx, mergeFunc, error) {
+			tk, tctx, merge, err := prepare(rc)
+			tasks = append(tasks, tk...)
+			return tk, tctx, merge, err
+		}}
+	}
+	rc := newRunCtx(smallConfig(3))
+	stages := slices.Clone(pipeline)
+	stages[3] = record(StageBLTriangulation, prepareBLTriangulation)
+	stages[4] = record(StageInviscid, prepareInviscid)
+	if err := rc.runStages(stages); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats.Tasks) < 5 {
-		t.Fatalf("only %d task measurements", len(res.Stats.Tasks))
+	st := rc.stats
+	if len(st.Tasks) < 5 || len(st.Tasks) != len(tasks) {
+		t.Fatalf("%d task measurements of %d tasks", len(st.Tasks), len(tasks))
 	}
 	blTasks, invTasks := 0, 0
-	for _, tm := range res.Stats.Tasks {
+	for i, tm := range st.Tasks {
 		if tm.Seconds < 0 {
 			t.Error("negative task time")
 		}
+		task := tasks[i]
+		want := 16 * int64(len(task.in.Points)+len(task.in.Segments)+len(task.in.Holes))
 		if tm.BoundaryLayer {
 			blTasks++
+			want = 16 * int64(len(task.leaf.XS))
 		} else {
 			invTasks++
+		}
+		if tm.Bytes != want || want == 0 {
+			t.Errorf("task %d: %d bytes, want %d", i, tm.Bytes, want)
 		}
 	}
 	if blTasks == 0 || invTasks == 0 {
 		t.Errorf("task mix: %d BL, %d inviscid", blTasks, invTasks)
 	}
-	if res.Stats.Messages == 0 || res.Stats.BytesOnWire == 0 {
+	if st.Messages == 0 || st.BytesOnWire == 0 {
 		t.Error("no communication recorded")
 	}
 }

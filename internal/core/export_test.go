@@ -4,12 +4,15 @@ package core
 // package core to import internal/adapt (adapt imports core).
 
 import (
+	"slices"
 	"testing"
 
+	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
+	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 )
 
@@ -17,11 +20,6 @@ var (
 	EncodeResultList = encodeResultList
 	DecodeResultList = decodeResultList
 	AppendRecord     = appendRecord
-)
-
-const (
-	KindTransition = kindTransition
-	KindInviscid   = kindInviscid
 )
 
 // unitSquare is a transition or inviscid task's smallest real input: a
@@ -44,12 +42,12 @@ func RealResultLists(t testing.TB) [][]byte {
 	sq, segs := unitSquare()
 	phases := []struct {
 		stage string
-		tasks []loadbal.Task
+		tasks []meshTask
 	}{
 		{StageBLTriangulation, tasks[:4]}, // small seeds keep the fuzzer's mutations cheap
-		{StageInviscid, []loadbal.Task{
-			{ID: 0, Cost: 1, Vals: regionTaskVals(kindTransition, sq, segs, nil)},
-			{ID: 1, Cost: 1, Vals: regionTaskVals(kindInviscid, sq, segs, nil)},
+		{StageInviscid, []meshTask{
+			{kind: kindTransition, cost: 1, in: delaunay.Input{Points: sq, Segments: segs}},
+			{kind: kindInviscid, cost: 1, in: delaunay.Input{Points: sq, Segments: segs}},
 		}},
 	}
 
@@ -117,67 +115,61 @@ func SubmeshToMesh(frame []byte) (*mesh.Mesh, []geom.Point, [][2]int32, error) {
 // no time.
 func resultFrame(sub submesh) []byte { return encodeTaskResultRef(&taskResult{sub: sub}, nil) }
 
-// leafWindow cuts a kindBLLeaf payload to its points from through to-1,
-// keeping the path indices among them.
-func leafWindow(vals []float64, from, to int) []float64 {
-	path := vals[leafHeader : leafHeader+int(vals[leafPath])]
-	out := append([]float64(nil), vals[:leafPath]...)
-	out = append(out, 0)
-	for _, i := range path {
-		if i >= float64(from) && i < float64(to) {
-			out = append(out, i-float64(from))
-			out[leafPath]++
-		}
-	}
-	return append(out, vals[leafHeader+len(path):][2*from:2*to]...)
-}
-
-// smallTasks returns one real payload of each kind a few points large —
+// smallTasks returns one real task of each kind a few points large —
 // eight points of a Figure 8 leaf around its first path vertex, a unit
 // square as a transition and as an inviscid task — and the context they
 // run under. The fuzzer minimizes every input it keeps, in time cubic in
 // the length, so a seed must be a few hundred bytes.
-func smallTasks(t testing.TB) ([][]float64, taskCtx) {
+func smallTasks(t testing.TB) ([]meshTask, taskCtx) {
 	t.Helper()
 	tasks, tctx := fig08Tasks(t)
 	tctx.size = sizing.Uniform(0.3)
 	sq, segs := unitSquare()
-	leaf := tasks[0].Vals
-	from := max(0, int(leaf[leafHeader])-4)
-	return [][]float64{
-		leafWindow(leaf, from, from+8),
-		regionTaskVals(kindTransition, sq, segs, nil),
-		regionTaskVals(kindInviscid, sq, segs, nil),
+	leaf := tasks[0].leaf
+	first := slices.IndexFunc(leaf.XS, func(v project.Vertex) bool { return tctx.dealt[v.ID] > 1 })
+	from := max(0, first-4)
+	window := &project.Subdomain{XS: leaf.XS[from : from+8], Region: leaf.Region}
+	return []meshTask{
+		{kind: kindBLLeaf, cost: 8, leaf: window},
+		{kind: kindTransition, cost: 1, in: delaunay.Input{Points: sq, Segments: segs}},
+		{kind: kindInviscid, cost: 1, in: delaunay.Input{Points: sq, Segments: segs}},
 	}, tctx
 }
 
-// TaskPayloads returns one real payload of each task kind, a few points
-// large, and processTaskCtx under the context they run in, its submesh as
-// a result frame (resultFrame) whether or not it failed.
-func TaskPayloads(t testing.TB) ([][]float64, func([]float64) ([]byte, error)) {
-	t.Helper()
-	seeds, tctx := smallTasks(t)
-	return seeds, func(vals []float64) ([]byte, error) {
-		sub, err := processTaskCtx(vals, tctx)
-		return resultFrame(sub), err
+// RegionTask runs a transition (transition true) or inviscid task on the
+// polygon pts, closed by a loop of segments, under a uniform size of 0.3
+// in a frame around the unit square, and returns its submesh as a result
+// frame (resultFrame) whether or not it failed.
+func RegionTask(transition bool, pts []geom.Point) ([]byte, error) {
+	n := len(pts)
+	segs := make([][2]int32, n)
+	for k := range segs {
+		segs[k] = [2]int32{int32(k), int32((k + 1) % n)}
 	}
+	task := meshTask{kind: kindInviscid, in: delaunay.Input{Points: pts, Segments: segs}}
+	if transition {
+		task.kind = kindTransition
+	}
+	tctx := taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(0.3)}
+	sub, err := processTask(&task, tctx)
+	return resultFrame(sub), err
 }
 
 // RealSubmeshes returns one real result frame of each meshing kind, from
-// smallTasks' payloads: the boundary-layer leaf keeps a few triangles, the
+// smallTasks: the boundary-layer leaf keeps a few triangles, the
 // transition and inviscid tasks refine the unit square to one interior
 // point.
 func RealSubmeshes(t testing.TB) [][]byte {
 	t.Helper()
 	tasks, tctx := smallTasks(t)
 	var out [][]byte
-	for _, vals := range tasks {
-		sub, err := processTaskCtx(vals, tctx)
+	for i := range tasks {
+		sub, err := processTask(&tasks[i], tctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(sub.tris) == 0 {
-			t.Fatalf("seed task of kind %v made no triangle", vals[0])
+			t.Fatalf("seed task of kind %d made no triangle", tasks[i].kind)
 		}
 		out = append(out, resultFrame(sub))
 	}
@@ -187,11 +179,11 @@ func RealSubmeshes(t testing.TB) [][]byte {
 // runThroughBLMerge runs the pipeline through the bl-triangulation stage
 // and returns the run state, whose builder then holds the boundary-layer
 // mesh, and the stage's leaf tasks.
-func runThroughBLMerge(t testing.TB, cfg Config) (*RunCtx, []loadbal.Task) {
+func runThroughBLMerge(t testing.TB, cfg Config) (*RunCtx, []meshTask) {
 	t.Helper()
-	var tasks []loadbal.Task
+	var tasks []meshTask
 	rc := newRunCtx(cfg)
-	err := rc.runStages(append(pipeline[:3:3], &distStage{StageBLTriangulation, func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
+	err := rc.runStages(append(pipeline[:3:3], &distStage{StageBLTriangulation, func(rc *RunCtx) ([]meshTask, taskCtx, mergeFunc, error) {
 		tk, tctx, merge, err := prepareBLTriangulation(rc)
 		tasks = tk
 		return tk, tctx, merge, err

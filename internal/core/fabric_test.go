@@ -173,9 +173,9 @@ func countSends(tel *trace.Telemetry) int64 {
 
 // fig08Tasks builds the Figure 8 workload: the boundary-layer point cloud
 // of a NACA 0012 decomposed into projection subdomains, one BL-leaf task
-// per subdomain — the same task form the bl-triangulation stage feeds the
-// balancer — with the stage's shared task context.
-func fig08Tasks(t testing.TB) ([]loadbal.Task, taskCtx) {
+// per subdomain — the same tasks the bl-triangulation stage runs — with
+// the stage's shared task context.
+func fig08Tasks(t testing.TB) ([]meshTask, taskCtx) {
 	t.Helper()
 	cfg := airfoil.Single(airfoil.NACA0012, 96, 20)
 	g, err := cfg.Graph()
@@ -186,7 +186,8 @@ func fig08Tasks(t testing.TB) ([]loadbal.Task, taskCtx) {
 	layers := blayer.Generate(g, bl)
 	pts := layers[0].AllPoints()
 	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 5})
-	return blLeafTasks(leaves, len(pts)), taskCtx{frame: g.Farfield.BBox(), annuli: layerAnnuli(layers, bl)}
+	tasks, dealt := blLeafTasks(leaves, len(pts))
+	return tasks, taskCtx{frame: g.Farfield.BBox(), annuli: layerAnnuli(layers, bl), dealt: dealt}
 }
 
 // TestRunDistributedTCPMatchesInProcess drives the distributed executor

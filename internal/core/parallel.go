@@ -1,48 +1,64 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
-	"pamg2d/internal/loadbal"
 	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 	"pamg2d/internal/trace"
 )
 
-// taskKind distinguishes the payload encodings.
+// The task kinds.
 const (
 	kindBLLeaf = iota
 	kindTransition
 	kindInviscid
 )
 
-// taskKindName labels a task's trace span by its payload kind.
-func taskKindName(vals []float64) string {
-	if len(vals) == 0 {
-		return "task"
-	}
-	switch int(vals[0]) {
+// meshTask is one distributed task's input: a boundary-layer leaf of the
+// projection decomposition, or a transition or inviscid region to refine.
+// Every process builds the same list in a stage's prepare, so a task is
+// its index in it: the balancer moves only the header runPhase derives
+// (loadbal.Task), and the executing rank reads the input from its own
+// list. A task only reads its input, which may run twice (a re-queued
+// task) and which the audit reads afterwards (rc.transInputs).
+type meshTask struct {
+	kind int
+	cost float64
+	leaf *project.Subdomain // kindBLLeaf
+	in   delaunay.Input     // kindTransition, kindInviscid; the frame is the stage's
+}
+
+// kindName labels a task's trace span by its kind.
+func (t *meshTask) kindName() string {
+	switch t.kind {
 	case kindBLLeaf:
 		return "task/bl-leaf"
 	case kindTransition:
 		return "task/transition"
-	case kindInviscid:
-		return "task/inviscid"
 	}
-	return "task"
+	return "task/inviscid"
+}
+
+// bytes is the task's input at eight bytes a number, the subdomain the
+// paper's protocol ships on a steal: 16 bytes a point, a segment and a
+// hole seed.
+func (t *meshTask) bytes() int64 {
+	if t.kind == kindBLLeaf {
+		return 16 * int64(t.leaf.Len())
+	}
+	return 16 * int64(len(t.in.Points)+len(t.in.Segments)+len(t.in.Holes))
 }
 
 // blLeafTasks builds one kindBLLeaf task per leaf of the projection
-// decomposition of n points. Leaves share only their dividing-path
-// vertices, which Split deals to both halves: a vertex dealt to two or
-// more leaves can be a corner in two leaves' results, any other is private
-// to its leaf, and each task lists its own path vertices.
-func blLeafTasks(leaves []*project.Subdomain, n int) []loadbal.Task {
-	dealt := make([]uint8, n) // leaves holding each vertex id, saturating at 2
+// decomposition of n points, and counts the leaves holding each vertex id,
+// saturating at 2. Leaves share only their dividing-path vertices, which
+// Split deals to both halves: a vertex dealt to two or more leaves can be
+// a corner in two leaves' results, any other is private to its leaf.
+func blLeafTasks(leaves []*project.Subdomain, n int) ([]meshTask, []uint8) {
+	dealt := make([]uint8, n)
 	for _, leaf := range leaves {
 		for _, v := range leaf.XS {
 			if dealt[v.ID] < 2 {
@@ -50,76 +66,12 @@ func blLeafTasks(leaves []*project.Subdomain, n int) []loadbal.Task {
 			}
 		}
 	}
-	tasks := make([]loadbal.Task, len(leaves))
+	tasks := make([]meshTask, len(leaves))
 	for i, leaf := range leaves {
 		leaf.DropYSorted()
-		tasks[i] = loadbal.Task{
-			ID:            int32(i),
-			Cost:          float64(leaf.Len()),
-			BoundaryLayer: true,
-			Vals:          blLeafVals(leaf, dealt),
-		}
+		tasks[i] = meshTask{kind: kindBLLeaf, cost: float64(leaf.Len()), leaf: leaf}
 	}
-	return tasks
-}
-
-// Header slots of a kindBLLeaf payload: the kind and the owned
-// circumcenter region lead, then the number of path indices that follow.
-const (
-	leafPath   = 5
-	leafHeader = 6
-)
-
-// blLeafVals builds a projection-decomposition leaf task:
-//
-//	[kind, minX, maxX, minY, maxY, nPath, path indices … (nPath), x0, y0 … (2·n)]
-//
-// the owned circumcenter region, the ascending indices of the leaf's path
-// vertices (those dealt counts in two or more leaves), then the x-sorted
-// points. The slice is allocated at its exact final size and travels by
-// reference through the balancer; over a wire the Task codec ships it as
-// little-endian float64s.
-func blLeafVals(leaf *project.Subdomain, dealt []uint8) []float64 {
-	nPath := 0
-	for _, v := range leaf.XS {
-		if dealt[v.ID] > 1 {
-			nPath++
-		}
-	}
-	vals := make([]float64, 0, leafHeader+nPath+2*len(leaf.XS))
-	vals = append(vals, kindBLLeaf,
-		leaf.Region.MinX, leaf.Region.MaxX, leaf.Region.MinY, leaf.Region.MaxY, float64(nPath))
-	for i, v := range leaf.XS {
-		if dealt[v.ID] > 1 {
-			vals = append(vals, float64(i))
-		}
-	}
-	for _, v := range leaf.XS {
-		vals = append(vals, v.P.X, v.P.Y)
-	}
-	return vals
-}
-
-// regionHeader is the header of a kindTransition or kindInviscid payload.
-const regionHeader = 4
-
-// regionTaskVals builds a transition input or inviscid region border task
-// at its exact final size:
-//
-//	[kind, np, ns, nh, x0, y0 … (2·np), a0, b0 … (2·ns), hole seeds … (2·nh)]
-func regionTaskVals(kind int, pts []geom.Point, segs [][2]int32, holes []geom.Point) []float64 {
-	vals := make([]float64, 0, regionHeader+2*len(pts)+2*len(segs)+2*len(holes))
-	vals = append(vals, float64(kind), float64(len(pts)), float64(len(segs)), float64(len(holes)))
-	for _, p := range pts {
-		vals = append(vals, p.X, p.Y)
-	}
-	for _, s := range segs {
-		vals = append(vals, float64(s[0]), float64(s[1]))
-	}
-	for _, h := range holes {
-		vals = append(vals, h.X, h.Y)
-	}
-	return vals
+	return tasks, dealt
 }
 
 // taskCtx carries the shared read-only context every task needs.
@@ -130,97 +82,44 @@ type taskCtx struct {
 	// annuli are the layer regions a boundary-layer leaf filters its
 	// triangles by; every process builds them from its own rc.layers.
 	annuli []annulus
+	// dealt counts the leaves holding each boundary-layer vertex id,
+	// saturating at 2 (blLeafTasks): a leaf's path vertices are its
+	// vertices dealt twice.
+	dealt []uint8
 }
 
-// PayloadError reports a task payload no encoder of its kind could have
-// written. A stolen task's payload crosses the wire from another process,
-// so processTaskCtx checks every count and index against the vector before
-// it reads or converts anything.
-type PayloadError struct {
-	Kind   float64 // the payload's first float; NaN for an empty payload
-	Reason string
-}
-
-func (e *PayloadError) Error() string {
-	return fmt.Sprintf("core: task payload of kind %v: %s", e.Kind, e.Reason)
-}
-
-func badPayload(vals []float64, format string, args ...any) error {
-	kind := math.NaN()
-	if len(vals) > 0 {
-		kind = vals[0]
+// processTask executes a task under the stage's shared context and
+// returns the submesh it produced.
+func processTask(t *meshTask, ctx taskCtx) (submesh, error) {
+	if t.kind == kindBLLeaf {
+		return triangulateLeaf(t.leaf, ctx)
 	}
-	return &PayloadError{Kind: kind, Reason: fmt.Sprintf(format, args...)}
+	return refineRegion(t.in, ctx)
 }
 
-// wireIndex converts a float of a vector that may come from another
-// process to an index below n <= 2^31. Anything that is not such an index
-// — NaN, infinite, negative, fractional, too large — is refused before the
-// conversion, whose result Go leaves undefined for those.
-func wireIndex(v float64, n int) (int32, bool) {
-	if !(v >= 0 && v < float64(n)) {
-		return 0, false
-	}
-	i := int32(v)
-	return i, float64(i) == v
-}
-
-// finite reports whether both coordinates of p are finite.
-func finite(p geom.Point) bool {
-	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
-}
-
-// processTaskCtx executes a task's value vector under the stage's shared
-// context and returns the submesh it produced. The vals slice is the
-// task's Vals vector; it is only read, and one that does not decode is a
-// *PayloadError.
-func processTaskCtx(vals []float64, ctx taskCtx) (submesh, error) {
-	if len(vals) == 0 {
-		return submesh{}, badPayload(vals, "empty")
-	}
-	kind, ok := wireIndex(vals[0], kindInviscid+1)
-	if !ok {
-		return submesh{}, badPayload(vals, "unknown kind")
-	}
-	if kind == kindBLLeaf {
-		return triangulateLeaf(vals, ctx)
-	}
-	return refineRegion(vals, ctx)
-}
-
-// triangulateLeaf triangulates a boundary-layer leaf and keeps the
-// triangles it owns inside the layer annuli.
-func triangulateLeaf(vals []float64, ctx taskCtx) (submesh, error) {
+// triangulateLeaf triangulates a boundary-layer leaf's x-sorted points and
+// keeps the triangles it owns inside the layer annuli.
+func triangulateLeaf(leaf *project.Subdomain, ctx taskCtx) (submesh, error) {
 	if len(ctx.annuli) == 0 {
 		return submesh{}, errNoAnnuli
 	}
-	if len(vals) < leafHeader {
-		return submesh{}, badPayload(vals, "no region and path count in %d floats", len(vals))
-	}
-	nPath, ok := wireIndex(vals[leafPath], len(vals)-leafHeader+1)
-	if !ok || (len(vals)-leafHeader-int(nPath))%2 != 0 {
-		return submesh{}, badPayload(vals, "%v path indices leave no whole points in %d floats", vals[leafPath], len(vals))
-	}
-	coords := vals[leafHeader+nPath:]
-	n := len(coords) / 2
-	// The points, then the path points, in one allocation.
-	buf := make([]geom.Point, n+int(nPath))
-	pts, path := buf[:n:n], buf[n:]
-	for i := range pts {
-		p := geom.Pt(coords[2*i], coords[2*i+1])
-		if !finite(p) || i > 0 && p.X < pts[i-1].X {
-			return submesh{}, badPayload(vals, "point %d is %v: not finite, or left of its predecessor", i, p)
+	n, nPath := len(leaf.XS), 0
+	for _, v := range leaf.XS {
+		if ctx.dealt[v.ID] > 1 {
+			nPath++
 		}
-		pts[i] = p
 	}
-	prev := int32(-1)
-	for k, v := range vals[leafHeader : leafHeader+nPath] {
-		i, ok := wireIndex(v, n)
-		if !ok || i <= prev {
-			return submesh{}, badPayload(vals, "path entry %d is %v: not an ascending index below %d", k, v, n)
+	// The points, then the path points in the same order, in one
+	// allocation.
+	pts := make([]geom.Point, n, n+nPath)
+	path := pts[n:n]
+	for i, v := range leaf.XS {
+		pts[i] = v.P
+		if ctx.dealt[v.ID] > 1 {
+			path = append(path, v.P)
 		}
-		path[k], prev = pts[i], i
 	}
+	pts = pts[:n:n]
 	if n < 3 {
 		return submesh{}, nil
 	}
@@ -231,52 +130,15 @@ func triangulateLeaf(vals []float64, ctx taskCtx) (submesh, error) {
 	res, nb := tr.ExtractNeighbors()
 	// Kept by exactly one leaf (the owner of the circumcenter), and only
 	// inside a layer annulus.
-	region := project.Rect{MinX: vals[1], MaxX: vals[2], MinY: vals[3], MaxY: vals[4]}
 	return blSubmesh(res, nb, path, func(a, b, c geom.Point) bool {
-		return region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
+		return leaf.Region.Contains(geom.Circumcenter(a, b, c)) && inAnnuli(ctx.annuli, a, b, c)
 	}), nil
 }
 
-// refineRegion refines a transition input or an inviscid region.
-func refineRegion(vals []float64, ctx taskCtx) (submesh, error) {
-	if len(vals) < regionHeader {
-		return submesh{}, badPayload(vals, "no point, segment and hole counts in %d floats", len(vals))
-	}
-	np, okP := wireIndex(vals[1], math.MaxInt32)
-	ns, okS := wireIndex(vals[2], math.MaxInt32)
-	nh, okH := wireIndex(vals[3], math.MaxInt32)
-	if !okP || !okS || !okH || int64(len(vals)) != regionHeader+2*(int64(np)+int64(ns)+int64(nh)) {
-		return submesh{}, badPayload(vals, "counts %v do not fill %d floats", vals[1:regionHeader], len(vals))
-	}
-	in := delaunay.Input{
-		Frame:    ctx.frame,
-		Points:   make([]geom.Point, 0, np),
-		Segments: make([][2]int32, 0, ns),
-		Holes:    make([]geom.Point, 0, nh),
-	}
-	off := regionHeader
-	for i := 0; i < int(np); i, off = i+1, off+2 {
-		p := geom.Pt(vals[off], vals[off+1])
-		if !finite(p) {
-			return submesh{}, badPayload(vals, "point %d is %v", i, p)
-		}
-		in.Points = append(in.Points, p)
-	}
-	for i := 0; i < int(ns); i, off = i+1, off+2 {
-		a, okA := wireIndex(vals[off], int(np))
-		b, okB := wireIndex(vals[off+1], int(np))
-		if !okA || !okB {
-			return submesh{}, badPayload(vals, "segment %d is %v: not indices below %d", i, vals[off:off+2], np)
-		}
-		in.Segments = append(in.Segments, [2]int32{a, b})
-	}
-	for i := 0; i < int(nh); i, off = i+1, off+2 {
-		h := geom.Pt(vals[off], vals[off+1])
-		if !finite(h) {
-			return submesh{}, badPayload(vals, "hole %d is %v", i, h)
-		}
-		in.Holes = append(in.Holes, h)
-	}
+// refineRegion refines a transition input or an inviscid region in the
+// stage's frame.
+func refineRegion(in delaunay.Input, ctx taskCtx) (submesh, error) {
+	in.Frame = ctx.frame
 	res, err := delaunay.TriangulateRefined(in, qualityFor(ctx.size, ctx.slope))
 	if err != nil {
 		return submesh{}, err
@@ -297,22 +159,22 @@ type taskResult struct {
 func (r *taskResult) TaskID() int32  { return r.id }
 func (r *taskResult) WireBytes() int { return 16 + 8*r.sub.floats() }
 
-// runTask executes one task on rank under the stage's shared context and
+// runTask executes task id on rank under the stage's shared context and
 // times the kernel; the task span, when tracing, carries its triangles.
-func runTask(rank int, task loadbal.Task, tctx taskCtx, tr *trace.Tracer) (*taskResult, error) {
+func runTask(rank int, id int32, t *meshTask, tctx taskCtx, tr *trace.Tracer) (*taskResult, error) {
 	var sp trace.Span
 	if tr.Enabled() {
-		sp = tr.Begin(rank, trace.CatTask, taskKindName(task.Vals))
+		sp = tr.Begin(rank, trace.CatTask, t.kindName())
 	}
 	t0 := time.Now()
-	sub, err := processTaskCtx(task.Vals, tctx)
+	sub, err := processTask(t, tctx)
 	dt := time.Since(t0)
 	if tr.Enabled() {
-		sp.End(trace.I("id", int(task.ID)), trace.F("cost", task.Cost), trace.I("tris", len(sub.tris)))
+		sp.End(trace.I("id", int(id)), trace.F("cost", t.cost), trace.I("tris", len(sub.tris)))
 		tr.Metrics().Observe("task.seconds", dt.Seconds())
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &taskResult{id: task.ID, seconds: dt.Seconds(), sub: sub}, nil
+	return &taskResult{id: id, seconds: dt.Seconds(), sub: sub}, nil
 }

@@ -31,36 +31,46 @@ const (
 
 // runPhase runs one meshing stage's tasks under loadbal.Scatter on a fresh
 // world and returns each task's submesh indexed by task ID — on every
-// process of a multi-process run, not only the root's. A task's submesh
-// and its measured seconds travel to the root as a *taskResult, and every
-// process builds the stage's TaskMeasures from the results it leaves the
-// phase with. In-process, tasks and results move by reference; every
-// transfer is accounted at the size its serialized form would occupy.
+// process of a multi-process run, not only the root's. Every process holds
+// the same task list, so the balancer moves only each task's header (ID,
+// cost, boundary-layer flag) and the executing rank reads the input by ID.
+// A task's submesh and its measured seconds travel to the root as a
+// *taskResult, and every process builds the stage's TaskMeasures from the
+// results it leaves the phase with. In-process, headers and results move
+// by reference; every transfer is accounted at the size its serialized
+// form would occupy.
 //
 // Cancellation of rc's context tears the world down mid-phase: in-flight
 // tasks finish, both balancer goroutines on every rank drain, and the
 // call returns a *PhaseError carrying the stage name and the context's
 // cause. A rank or world failure is returned the same way, and so is the
-// first task that failed (processTaskCtx or TaskHook returned an error, or
+// first task that failed (processTask or TaskHook returned an error, or
 // panicked), attributed to the rank that executed it.
-func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([]submesh, error) {
+func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]submesh, error) {
 	hook, tr := rc.cfg.TaskHook, rc.tracer
+	headers := make([]loadbal.Task, len(tasks))
+	var total float64
+	for i, t := range tasks {
+		headers[i] = loadbal.Task{ID: int32(i), Cost: t.cost, BoundaryLayer: t.kind == kindBLLeaf}
+		total += t.cost
+	}
 	// Engine.Run always sets the fabric. Over a wire each process hosts
 	// its own rank and worlds pair across processes by creation order,
 	// which is why every process runs the identical stage sequence.
 	world := rc.cfg.Fabric.NewWorld()
 	world.SetTracer(tr)
-	opt := loadbal.DefaultOptions(totalCost(tasks), rc.cfg.Ranks)
+	opt := loadbal.DefaultOptions(total, rc.cfg.Ranks)
 	opt.Tracer = tr
-	collected, balStats, err := loadbal.Scatter(rc.ctx, world, tasks, opt,
-		func(c *mpi.Comm, t loadbal.Task) (loadbal.Result, error) {
-			// Every pipeline task leads its value vector with its kind.
-			if hook != nil && len(t.Vals) > 0 {
-				if err := hook(stage, int(t.Vals[0])); err != nil {
+	collected, balStats, err := loadbal.Scatter(rc.ctx, world, headers, opt,
+		func(c *mpi.Comm, h loadbal.Task) (loadbal.Result, error) {
+			// Scatter hands over only headers of this process's list.
+			t := &tasks[h.ID]
+			if hook != nil {
+				if err := hook(stage, t.kind); err != nil {
 					return nil, err
 				}
 			}
-			r, err := runTask(c.Rank(), t, tctx, tr)
+			r, err := runTask(c.Rank(), h.ID, t, tctx, tr)
 			if err != nil {
 				return nil, err
 			}
@@ -101,8 +111,8 @@ func runPhase(rc *RunCtx, stage string, tasks []loadbal.Task, tctx taskCtx) ([]s
 		results[i] = r.sub
 		measures[i] = TaskMeasure{
 			Seconds:       r.seconds,
-			Bytes:         int64(8 * len(tasks[i].Vals)),
-			BoundaryLayer: tasks[i].BoundaryLayer,
+			Bytes:         tasks[i].bytes(),
+			BoundaryLayer: headers[i].BoundaryLayer,
 			Triangles:     len(r.sub.tris),
 		}
 	}
@@ -294,12 +304,4 @@ func (rc *RunCtx) foldBalancer(balStats []loadbal.Stats) {
 		rc.stats.Resilience.RecoveryWall += bs.RecoveryTime
 	}
 	rc.stageRanks = perRank
-}
-
-func totalCost(tasks []loadbal.Task) float64 {
-	var s float64
-	for _, t := range tasks {
-		s += t.Cost
-	}
-	return s
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pamg2d/internal/decouple"
@@ -137,18 +137,19 @@ func TestTransitionSectorsFallsBackOnTwoLoops(t *testing.T) {
 	}
 }
 
+// TestTaskCodecRoundTrips: a typed inviscid task over one triangle keeps
+// that triangle, a hole seed inside it carves it away, and the kept
+// submesh survives the task-result codec.
 func TestTaskCodecRoundTrips(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0.5, 1)}
 	segs := [][2]int32{{0, 1}, {1, 2}, {2, 0}}
-	holes := []geom.Point{geom.Pt(0.5, 0.3)}
-	vals := regionTaskVals(kindInviscid, pts, segs, holes)
-	if int(vals[0]) != kindInviscid || int(vals[1]) != 3 || int(vals[2]) != 3 || int(vals[3]) != 1 {
-		t.Fatalf("header built as %v", vals[:4])
+	tctx := taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)}
+	holed := meshTask{kind: kindInviscid, in: delaunay.Input{Points: pts, Segments: segs, Holes: []geom.Point{geom.Pt(0.5, 0.3)}}}
+	if sub, err := processTask(&holed, tctx); err == nil && len(sub.tris) != 0 {
+		t.Errorf("the hole seed left %d triangles", len(sub.tris))
 	}
-	// Processing the task yields one triangle... the hole removes it,
-	// so use no holes for the positive check.
-	vals = regionTaskVals(kindInviscid, pts, segs, nil)
-	sub, err := processTaskCtx(vals, taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)})
+	task := meshTask{kind: kindInviscid, in: delaunay.Input{Points: pts, Segments: segs}}
+	sub, err := processTask(&task, tctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,104 +162,97 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	if r < 0 || got[0] != [3]geom.Point{pts[r], pts[(r+1)%3], pts[(r+2)%3]} {
 		t.Fatalf("triangle %v is not a rotation of the input %v", got[0], pts)
 	}
-}
-
-func TestProcessTaskErrors(t *testing.T) {
-	if _, err := processTaskCtx(nil, taskCtx{}); err == nil {
-		t.Error("empty payload must fail")
-	}
-	bad := regionTaskVals(99, nil, nil, nil)
-	if _, err := processTaskCtx(bad, taskCtx{}); err == nil {
-		t.Error("unknown kind must fail")
+	back, err := decodeTaskResultRef(resultFrame(sub))
+	if err != nil || !sameSubmesh(back.(*taskResult).sub, sub) {
+		t.Errorf("the submesh does not survive the task-result codec: %v", err)
 	}
 }
 
-// TestTaskPayloadRejectsMalformed: a stolen task's payload comes from
-// another process, so one that no encoder could have written — short,
-// with a count, index or coordinate that does not fit — fails with a
-// *PayloadError instead of panicking, for every kind.
-func TestTaskPayloadRejectsMalformed(t *testing.T) {
-	seeds, tctx := smallTasks(t)
-	leaf, trans := seeds[0], seeds[1]
-	for i, vals := range seeds {
-		if _, err := processTaskCtx(vals, tctx); err != nil {
-			t.Fatalf("seed %d: %v", i, err)
+// TestTaskInputsStayUnchanged: every process holds every task's input, a
+// re-queued task runs twice on the same input, and the audit reads the
+// transition inputs afterwards (rc.transInputs). So a task of each kind,
+// run twice on one real input, gives identical submeshes and leaves the
+// input's slices as they were.
+func TestTaskInputsStayUnchanged(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.TransitionSectors = 1
+	rc := newRunCtx(cfg)
+	if err := rc.runStages(pipeline[:3:3]); err != nil {
+		t.Fatal(err)
+	}
+	blTasks, blCtx, merge, err := prepareBLTriangulation(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := runPhase(rc, StageBLTriangulation, blTasks, blCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merge(results); err != nil {
+		t.Fatal(err)
+	}
+	isoTasks, isoCtx, _, err := prepareInviscid(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(task *meshTask) (xs []project.Vertex, in delaunay.Input) {
+		if task.leaf != nil {
+			xs = slices.Clone(task.leaf.XS)
+		}
+		return xs, delaunay.Input{Points: slices.Clone(task.in.Points), Segments: slices.Clone(task.in.Segments), Holes: slices.Clone(task.in.Holes)}
+	}
+	for _, c := range []struct {
+		task *meshTask
+		tctx taskCtx
+	}{{&blTasks[0], blCtx}, {&isoTasks[0], isoCtx}, {&isoTasks[len(isoTasks)-1], isoCtx}} {
+		task := c.task
+		xs, in := snapshot(task)
+		first, err := processTask(task, c.tctx)
+		if err != nil {
+			t.Fatalf("%s: %v", task.kindName(), err)
+		}
+		second, err := processTask(task, c.tctx)
+		if err != nil {
+			t.Fatalf("%s, second run: %v", task.kindName(), err)
+		}
+		if len(first.tris) == 0 || !sameSubmesh(first, second) {
+			t.Errorf("%s: the two runs gave %d and %d triangles, or other submeshes", task.kindName(), len(first.tris), len(second.tris))
+		}
+		if xs2, in2 := snapshot(task); !reflect.DeepEqual(xs, xs2) || !reflect.DeepEqual(in, in2) {
+			t.Errorf("%s: running the task changed its input", task.kindName())
 		}
 	}
-	nPath := int(leaf[leafPath])
-	if nPath < 2 {
-		t.Fatalf("the leaf payload lists %d path vertices, want at least 2", nPath)
-	}
-	firstPath, firstPoint := leafHeader, leafHeader+nPath
-	with := func(vals []float64, slot int, v float64) []float64 {
-		out := append([]float64(nil), vals...)
-		out[slot] = v
-		return out
-	}
-	cases := []struct {
-		name string
-		vals []float64
-	}{
-		{"leaf without a region", []float64{kindBLLeaf}},
-		{"leaf cut inside the region", []float64{kindBLLeaf, 0, 1}},
-		{"transition without segment and hole counts", []float64{kindTransition, 3}},
-		{"NaN kind", with(trans, 0, math.NaN())},
-		{"fractional kind", with(trans, 0, 1.5)},
-		{"kind past the last", with(trans, 0, kindInviscid+1)},
-		{"leaf path count NaN", with(leaf, leafPath, math.NaN())},
-		{"leaf path count past the vector", with(leaf, leafPath, float64(len(leaf)))},
-		{"leaf path count leaving half a point", with(leaf, leafPath, float64(nPath+1))},
-		{"leaf path index at the point count", with(leaf, firstPath+nPath-1, float64((len(leaf)-firstPoint)/2))},
-		{"leaf path indices descending", with(leaf, firstPath+1, leaf[firstPath]-1)},
-		{"leaf path index repeated", with(leaf, firstPath+1, leaf[firstPath])},
-		{"leaf path index fractional", with(leaf, firstPath, 0.5)},
-		{"leaf point NaN", with(leaf, firstPoint+3, math.NaN())},
-		{"leaf points out of x order", with(leaf, firstPoint+2, leaf[firstPoint]-1)},
-		{"leaf point infinite", with(leaf, firstPoint+4, math.Inf(1))},
-		{"region point count the length contradicts", with(trans, 1, 3)},
-		{"region segment count infinite", with(trans, 2, math.Inf(1))},
-		{"region segment index at the point count", with(trans, regionHeader+2*4+1, 4)},
-		{"region segment index negative", with(trans, regionHeader+2*4, -1)},
-		{"region point infinite", with(trans, regionHeader+1, math.Inf(-1))},
-		{"region cut short", trans[:len(trans)-1]},
-	}
-	for _, c := range cases {
-		out, err := processTaskCtx(c.vals, tctx)
-		var pe *PayloadError
-		if !errors.As(err, &pe) {
-			t.Errorf("%s: returned %d triangles and %v, want a *PayloadError", c.name, len(out.tris), err)
-		} else if pe.Kind == kindInviscid+1 && pe.Reason != "unknown kind" {
-			t.Errorf("%s: refused for %q, want as an unknown kind", c.name, pe.Reason)
-		}
+	if isoTasks[0].kind != kindTransition || isoTasks[len(isoTasks)-1].kind != kindInviscid || len(isoTasks[0].in.Holes) == 0 {
+		t.Errorf("the region tasks tested are not a transition with holes and an inviscid region")
 	}
 }
 
 func TestBLLeafPayloadUsesOnlyXSorted(t *testing.T) {
 	// The paper ships only the x-sorted vertices of a sufficiently
-	// decomposed subdomain (the y-sorted copy is dropped). Beside one copy
-	// of the points the payload carries the region header and the indices
-	// of the leaf's dividing-path vertices — on one cut, the points both
-	// halves hold — and nothing else.
+	// decomposed subdomain (the y-sorted copy is dropped). A leaf task's
+	// input is its subdomain with the y-sorted copy dropped, measured as
+	// one copy of the points; its path vertices — on one cut, the points
+	// both halves hold — are its vertices dealt twice.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0.1), geom.Pt(0.1, 1), geom.Pt(1.1, 1.2),
 		geom.Pt(0.5, 0.4), geom.Pt(0.3, 0.7), geom.Pt(0.8, 0.6), geom.Pt(0.6, 1.3)}
 	leaves, _ := project.Decompose(project.New(pts), project.Options{MaxDepth: 1})
 	if len(leaves) != 2 {
 		t.Fatalf("%d leaves, want 2", len(leaves))
 	}
-	tasks := blLeafTasks(leaves, len(pts))
+	tasks, dealt := blLeafTasks(leaves, len(pts))
 	var path [2][]geom.Point
 	for i, leaf := range leaves {
-		vals := tasks[i].Vals
-		nPath := int(vals[leafPath])
-		wantFloats := leafHeader + nPath + 2*leaf.Len() // kind, region, path count, path indices, coordinates
-		if len(vals) != wantFloats {
-			t.Errorf("leaf %d: task vector = %d floats, want %d (one copy of the coordinates)", i, len(vals), wantFloats)
+		task := tasks[i]
+		if task.kind != kindBLLeaf || task.leaf != leaf || leaf.YS != nil {
+			t.Errorf("leaf %d: task %+v does not hold the leaf alone, with its y-sorted copy dropped", i, task)
 		}
-		if cap(vals) != wantFloats {
-			t.Errorf("leaf %d: task vector capacity = %d, want exactly %d (no over-allocation)", i, cap(vals), wantFloats)
+		if task.cost != float64(leaf.Len()) || task.bytes() != 16*int64(leaf.Len()) {
+			t.Errorf("leaf %d: cost %v and %d bytes, want %d points", i, task.cost, task.bytes(), leaf.Len())
 		}
-		for _, v := range vals[leafHeader : leafHeader+nPath] {
-			path[i] = append(path[i], leaf.XS[int(v)].P)
+		for _, v := range leaf.XS {
+			if dealt[v.ID] > 1 {
+				path[i] = append(path[i], v.P)
+			}
 		}
 		if len(path[i]) < 2 || len(path[i]) == leaf.Len() {
 			t.Errorf("leaf %d lists %d of its %d points as path vertices", i, len(path[i]), leaf.Len())

@@ -23,7 +23,6 @@ import (
 	"pamg2d/internal/decouple"
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
-	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/pslg"
@@ -293,11 +292,11 @@ type mergeFunc func(results []submesh) error
 
 // prepareFunc builds a distributed stage's task list and shared task
 // context and returns the merge that will fold the results. Splitting
-// preparation (encoding) from merging is what lets one executor, runPhase,
-// serve both meshing phases.
-type prepareFunc func(rc *RunCtx) (tasks []loadbal.Task, tctx taskCtx, merge mergeFunc, err error)
+// preparation from merging is what lets one executor, runPhase, serve both
+// meshing phases.
+type prepareFunc func(rc *RunCtx) (tasks []meshTask, tctx taskCtx, merge mergeFunc, err error)
 
-// distStage is a distributed meshing phase: prepare encodes the tasks,
+// distStage is a distributed meshing phase: prepare builds the tasks,
 // runPhase runs them under the load balancer, merge folds the results
 // back into the run state.
 type distStage struct {

@@ -1,7 +1,7 @@
 package core
 
 // The pipeline's stages. Root-side phases are stageFunc values; the two
-// distributed phases are distStage values whose prepare functions encode
+// distributed phases are distStage values whose prepare functions build
 // the tasks and return the merge that folds the results back into the run
 // state; the audit closes the list (audit.go). All of them read and write
 // only the RunCtx.
@@ -13,7 +13,6 @@ import (
 	"pamg2d/internal/decouple"
 	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
-	"pamg2d/internal/loadbal"
 	"pamg2d/internal/project"
 	"pamg2d/internal/sizing"
 )
@@ -101,7 +100,7 @@ func runRayInsertion(rc *RunCtx) error {
 // each leaf keeps only its triangles inside the layer annuli. The merge
 // assembles the leaves' submeshes in task order and reads the mesh's outer
 // boundary for the transition region off the edges the leaves return.
-func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
+func prepareBLTriangulation(rc *RunCtx) ([]meshTask, taskCtx, mergeFunc, error) {
 	cfg := rc.cfg
 	var surfacePts []geom.Point
 	for i := range rc.g.Surfaces {
@@ -125,7 +124,7 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		depth++
 	}
 	leaves, _ := project.Decompose(root, project.Options{MinVerts: 16, MaxDepth: depth})
-	tasks := blLeafTasks(leaves, len(rc.blPoints))
+	tasks, dealt := blLeafTasks(leaves, len(rc.blPoints))
 	merge := func(results []submesh) error {
 		b, pts, segs := mergeBoundaryLayer(results, rc.surfaceSet)
 		if len(segs) == 0 {
@@ -135,14 +134,14 @@ func prepareBLTriangulation(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, err
 		rc.stats.BLTriangles = b.Mesh().NumTriangles()
 		return nil
 	}
-	return tasks, taskCtx{frame: rc.ffBox, annuli: layerAnnuli(rc.layers, cfg.BL)}, merge, nil
+	return tasks, taskCtx{frame: rc.ffBox, annuli: layerAnnuli(rc.layers, cfg.BL), dealt: dealt}, merge, nil
 }
 
 // prepareInviscid assembles the transition region between the boundary
 // layer's outer boundary and the near-body box (sector-decoupled when the
 // geometry allows it) plus the decoupled inviscid subdomains, all refined
 // in parallel under the load balancer (phases 4+5).
-func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
+func prepareInviscid(rc *RunCtx) ([]meshTask, taskCtx, mergeFunc, error) {
 	cfg := rc.cfg
 	size := rc.size
 	transIn, err := transitionInput(rc.g, rc.outerPts, rc.outerSegs, rc.nbBox, size)
@@ -155,7 +154,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	}
 	regions := decouple.Decouple(quads[:], size, cfg.Ranks*cfg.SubdomainsPerRank)
 
-	var tasks []loadbal.Task
+	var tasks []meshTask
 
 	// Transition tasks: sector-decoupled when the geometry allows it.
 	want := cfg.TransitionSectors
@@ -176,11 +175,7 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 	}
 	rc.transInputs, rc.regions = transInputs, regions
 	for _, ti := range transInputs {
-		tasks = append(tasks, loadbal.Task{
-			ID:   int32(len(tasks)),
-			Cost: float64(len(ti.Points)) * 4,
-			Vals: regionTaskVals(kindTransition, ti.Points, ti.Segments, ti.Holes),
-		})
+		tasks = append(tasks, meshTask{kind: kindTransition, cost: float64(len(ti.Points)) * 4, in: ti})
 	}
 	nTrans := len(tasks)
 	for _, r := range regions {
@@ -189,11 +184,8 @@ func prepareInviscid(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
 		for k := 0; k < n; k++ {
 			segs[k] = [2]int32{int32(k), int32((k + 1) % n)}
 		}
-		tasks = append(tasks, loadbal.Task{
-			ID:   int32(len(tasks)),
-			Cost: r.Cost(size),
-			Vals: regionTaskVals(kindInviscid, r.Border, segs, nil),
-		})
+		tasks = append(tasks, meshTask{kind: kindInviscid, cost: r.Cost(size),
+			in: delaunay.Input{Points: r.Border, Segments: segs}})
 	}
 	merge := func(results []submesh) error {
 		trans, inv := 0, 0

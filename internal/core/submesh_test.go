@@ -7,7 +7,6 @@ import (
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/geom"
-	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mesh"
 )
 
@@ -35,7 +34,7 @@ func indexOf(pts []geom.Point, p geom.Point) int {
 func runCapturing(t testing.TB, cfg Config) (res *Result, bl, iso []submesh) {
 	t.Helper()
 	capture := func(prepare prepareFunc, into *[]submesh) prepareFunc {
-		return func(rc *RunCtx) ([]loadbal.Task, taskCtx, mergeFunc, error) {
+		return func(rc *RunCtx) ([]meshTask, taskCtx, mergeFunc, error) {
 			tasks, tctx, merge, err := prepare(rc)
 			return tasks, tctx, func(rs []submesh) error {
 				*into = rs
@@ -111,9 +110,8 @@ func TestBLMergeInternsOnlySharedPoints(t *testing.T) {
 		rc, tasks := runThroughBLMerge(t, smallConfig(ranks))
 		dealt := make(map[geom.Point]int)
 		for _, task := range tasks {
-			coords := task.Vals[leafHeader+int(task.Vals[leafPath]):]
-			for i := 0; i < len(coords); i += 2 {
-				dealt[geom.Pt(coords[i], coords[i+1])]++
+			for _, v := range task.leaf.XS {
+				dealt[v.P]++
 			}
 		}
 		shared := make(map[geom.Point]bool)

@@ -1,11 +1,11 @@
 package loadbal
 
 // Wire codec for Task, registered with the mpi transport layer so steal
-// grants — which travel as zero-copy Task references in-process — can
-// cross a process boundary. The format is the stealing protocol's header
-// (id, cost, flags, one form byte) followed by the Vals floats. The
-// control payloads of multi-process runs are plain byte messages, also
-// laid out here.
+// grants — Task values in-process — can cross a process boundary. A frame
+// is the header alone: the ID as a little-endian int32, the cost as a
+// float64 and one flag byte; the thief runs the task from its own list.
+// The control payloads of multi-process runs are plain byte messages,
+// also laid out here.
 
 import (
 	"encoding/binary"
@@ -18,9 +18,8 @@ import (
 // codecTask is loadbal's wire id in the block mpi reserves for it.
 const codecTask mpi.CodecID = 16
 
-// taskFormVals is the only payload form: little-endian float64s. The
-// decoder rejects any other form byte.
-const taskFormVals byte = 1
+// taskFrame is the length of a Task's frame.
+const taskFrame = 13
 
 func encodeTaskRef(ref any, dst []byte) []byte {
 	t := ref.(Task)
@@ -30,35 +29,32 @@ func encodeTaskRef(ref any, dst []byte) []byte {
 	if t.BoundaryLayer {
 		flags = 1
 	}
-	dst = append(dst, flags, taskFormVals)
-	for _, v := range t.Vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
+	return append(dst, flags)
 }
 
+// decodeTaskRef refuses a frame no process could send: another length, a
+// flag byte but 0 or 1, a negative or non-finite cost (a NaN one would
+// leave the thief's remaining work NaN: it would never steal again).
 func decodeTaskRef(b []byte) (any, error) {
-	if len(b) < 14 {
-		return nil, fmt.Errorf("loadbal: task frame of %d bytes, want >= 14", len(b))
+	if len(b) != taskFrame {
+		return nil, fmt.Errorf("loadbal: task frame of %d bytes, want %d", len(b), taskFrame)
 	}
 	t := Task{
 		ID:            int32(binary.LittleEndian.Uint32(b)),
 		Cost:          math.Float64frombits(binary.LittleEndian.Uint64(b[4:])),
-		BoundaryLayer: b[12] != 0,
+		BoundaryLayer: b[12] == 1,
 	}
-	if b[13] != taskFormVals {
-		return nil, fmt.Errorf("loadbal: unknown task payload form %d", b[13])
+	if b[12] > 1 {
+		return nil, fmt.Errorf("loadbal: task flag byte %d, want 0 or 1", b[12])
 	}
-	body := b[14:]
-	if len(body)%8 != 0 {
-		return nil, fmt.Errorf("loadbal: task vals of %d bytes not a multiple of 8", len(body))
-	}
-	t.Vals = make([]float64, len(body)/8)
-	for i := range t.Vals {
-		t.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	if !validCost(t.Cost) {
+		return nil, fmt.Errorf("loadbal: task %d of cost %v, want finite and non-negative", t.ID, t.Cost)
 	}
 	return t, nil
 }
+
+// validCost reports whether c is finite and not negative.
+func validCost(c float64) bool { return c >= 0 && c <= math.MaxFloat64 }
 
 func init() {
 	mpi.RegisterCodec(codecTask, Task{}, encodeTaskRef, decodeTaskRef)

@@ -1,8 +1,8 @@
 // Package loadbal implements the paper's dynamic load balancing: each
 // process keeps its subdomains in a priority queue ordered by estimated
 // meshing cost (boundary-layer subdomains first — they hold the most
-// points and are the most expensive to transfer, so they are meshed while
-// everyone still has work). Every process runs a mesher goroutine and a
+// points, so they are meshed while everyone still has work; a steal moves
+// only a task's header). Every process runs a mesher goroutine and a
 // communicator goroutine; the communicator keeps the process's remaining
 // work estimate fresh in an RMA window hosted on the root, requests work
 // from the most loaded process when the local estimate falls below a
@@ -22,29 +22,21 @@ import (
 	"pamg2d/internal/trace"
 )
 
-// Task is one unit of meshing work (a subdomain).
+// Task is the header of one unit of meshing work (a subdomain). Every
+// process builds the same task list, so a steal moves only the header: by
+// value in-process, as the Task codec's frame over a wire (codec.go).
 type Task struct {
-	// ID is unique across all ranks.
+	// ID is the task's index in every process's task list.
 	ID int32
 	// Cost is the estimated number of triangles the task will produce.
 	Cost float64
 	// BoundaryLayer marks boundary-layer subdomains, which are prioritized
 	// ahead of inviscid subdomains of any cost.
 	BoundaryLayer bool
-	// Vals is the subdomain, opaque to the balancer, handed around by
-	// reference in-process and as little-endian float64s by the Task codec
-	// (codec.go) over a wire. Steal transfers account the bytes the
-	// serialized form would occupy (see WireBytes), so the
-	// communication-volume statistics match a byte-serialized run.
-	Vals []float64
 }
 
-// WireBytes returns the number of bytes the task would occupy on a real
-// interconnect: the 24-byte header of the stealing protocol plus the
-// serialized Vals.
-func (t *Task) WireBytes() int {
-	return 24 + 8*len(t.Vals)
-}
+// WireBytes is the length of the task's frame in the Task codec.
+func (t *Task) WireBytes() int { return taskFrame }
 
 // message tags of the stealing protocol.
 const (
@@ -370,9 +362,8 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						if tr.Enabled() {
 							grantSp = tr.Begin(c.Rank(), trace.CatSteal, "grant")
 						}
-						// Zero-copy transfer: the task moves by reference,
-						// accounted at exactly the size its serialized form
-						// would occupy on the wire.
+						// The header moves by value, accounted at its
+						// frame's length on the wire.
 						if err := c.SendRef(src, tagGrant, t, t.WireBytes()); err != nil {
 							// Undelivered: the task is still ours to run.
 							st.push(t)
@@ -562,9 +553,8 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 }
 
 // tryRecvBalancer polls only the balancer's tag range. Grants travel as
-// Task references on the zero-copy path, so the payload is returned as an
-// interface value; byte payloads from remote-style senders pass through
-// unchanged.
+// Task values, so the payload is returned as an interface value; byte
+// payloads from remote-style senders pass through unchanged.
 func tryRecvBalancer(c *mpi.Comm) (data any, src, tag int, ok bool) {
 	for t := tagRequest; t <= tagTerminate; t++ {
 		if d, s, tg, found := c.TryRecvRef(mpi.AnySource, t); found {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -153,36 +152,42 @@ func TestEmptyRanksTerminate(t *testing.T) {
 	}
 }
 
+// TestPayloadSurvivesTransfer: a granted task reaches its thief as the
+// header its victim queued — ID, cost and boundary-layer flag intact.
 func TestPayloadSurvivesTransfer(t *testing.T) {
 	ranks := 2
-	payload := make([]float64, 1000)
-	for i := range payload {
-		payload[i] = float64(i)
-	}
+	want := make(map[int32]Task)
 	dist := make([][]Task, ranks)
 	for k := int32(0); k < 8; k++ {
-		dist[0] = append(dist[0], Task{ID: k, Cost: 50, Vals: payload})
+		tk := Task{ID: k, Cost: 50 + float64(k), BoundaryLayer: k%3 == 0}
+		want[k] = tk
+		dist[0] = append(dist[0], tk)
 	}
 	world := mpi.NewWorld(ranks)
 	win := world.NewWindow(ranks)
 	var mu sync.Mutex
 	bad := false
+	var stats [2]Stats
 	err := world.RunCtx(context.Background(), func(c *mpi.Comm) error {
-		_, err := Run(context.Background(), c, win, dist[c.Rank()], 8, Options{StealBelow: 60, Poll: 100 * time.Microsecond}, func(task Task) {
+		st, err := Run(context.Background(), c, win, dist[c.Rank()], 8, Options{StealBelow: 60, Poll: 100 * time.Microsecond}, func(task Task) {
 			time.Sleep(500 * time.Microsecond)
-			if !slices.Equal(task.Vals, payload) {
+			if task != want[task.ID] {
 				mu.Lock()
 				bad = true
 				mu.Unlock()
 			}
 		})
+		stats[c.Rank()] = st
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad {
-		t.Error("payload corrupted in transfer")
+		t.Error("task header changed in transfer")
+	}
+	if stats[1].StealsGotten == 0 {
+		t.Error("no task was stolen; the transfer is not exercised")
 	}
 }
 

@@ -50,15 +50,19 @@ type PanicError struct{ Value any }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// Scatter runs tasks (task IDs must be their indices) across the world
-// under the work-stealing balancer and collects exec's results at the
-// root, indexed by task ID. It deals the tasks round-robin — every
-// process of a multi-process world computes the identical list, so each
-// keeps the share of its own rank — arms dead-rank re-queue from that
-// deal, and ships each result to rank 0 ahead of the task's completion
-// notice, so the root's mailbox holds every result once the balancer
-// terminates. Re-queued tasks may deliver a result twice; the first
-// arrival wins (tasks are deterministic, so the copies agree).
+// Scatter runs tasks (task IDs must be their indices, costs finite and
+// non-negative) across the world under the work-stealing balancer and
+// collects exec's results at the root, indexed by task ID. It deals the
+// tasks round-robin — every process of a multi-process world computes the
+// identical list, so each keeps the share of its own rank — arms dead-rank
+// re-queue from that deal, and ships each result to rank 0 ahead of the
+// task's completion notice, so the root's mailbox holds every result once
+// the balancer terminates. Re-queued tasks may deliver a result twice; the
+// first arrival wins (tasks are deterministic, so the copies agree).
+//
+// A stolen header comes from another process's list: one whose ID is out
+// of range or that differs from tasks[ID] fails as a *TaskError without
+// running (the processes' lists differ).
 //
 // The returned results are complete only in the process hosting rank 0;
 // the stats slice carries an entry for each rank this process hosts. The
@@ -70,6 +74,11 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // whatever exchange it pairs with them before failing.
 func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 	exec func(c *mpi.Comm, t Task) (Result, error)) ([]Result, []Stats, error) {
+	for i, t := range tasks {
+		if int(t.ID) != i || !validCost(t.Cost) {
+			return nil, nil, fmt.Errorf("loadbal: task %d has ID %d and cost %v; want its index and a finite, non-negative cost", i, t.ID, t.Cost)
+		}
+	}
 	n := world.Size()
 	win := world.NewWindow(n)
 	initial := make([][]Task, n)
@@ -100,7 +109,7 @@ func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 		failures := 0
 		bs, err := Run(ctx, c, win, initial[rank], len(tasks), opt, func(t Task) {
 			t0 := time.Now()
-			res, err := protect(exec, c, t)
+			res, err := protect(exec, c, tasks, t)
 			busy += time.Since(t0)
 			if err != nil {
 				failures++
@@ -153,10 +162,13 @@ func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 	return results, stats, nil
 }
 
-// protect runs exec, converting a panic into a *PanicError so a failing
-// task is reported with its value and rank instead of vanishing inside
-// the balancer.
-func protect(exec func(*mpi.Comm, Task) (Result, error), c *mpi.Comm, t Task) (res Result, err error) {
+// protect runs exec on t if it is one of tasks, converting a panic into a
+// *PanicError so a failing task is reported with its value and rank
+// instead of vanishing inside the balancer.
+func protect(exec func(*mpi.Comm, Task) (Result, error), c *mpi.Comm, tasks []Task, t Task) (res Result, err error) {
+	if t.ID < 0 || int(t.ID) >= len(tasks) || tasks[t.ID] != t {
+		return nil, fmt.Errorf("loadbal: task header %+v is not one of this process's %d tasks: the processes' task lists differ", t, len(tasks))
+	}
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &PanicError{Value: p}

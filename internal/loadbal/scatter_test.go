@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,5 +327,81 @@ func TestScatter(t *testing.T) {
 				t.Errorf("root recovery stats: lost %d ranks, re-queued %d tasks; want 1 and >= 1", root.RanksLost, root.Requeued)
 			}
 		})
+	}
+}
+
+// TestScatterChecksItsPrecondition: a list whose IDs are not their indices,
+// or that holds a cost no grant frame could carry, is refused before
+// anything runs.
+func TestScatterChecksItsPrecondition(t *testing.T) {
+	for name, tasks := range map[string][]Task{
+		"IDs swapped":   {{ID: 1, Cost: 1}, {ID: 0, Cost: 1}},
+		"ID repeated":   {{ID: 0, Cost: 1}, {ID: 0, Cost: 1}},
+		"negative cost": {{ID: 0, Cost: -1}},
+		"NaN cost":      {{ID: 0, Cost: math.NaN()}},
+	} {
+		ran := false
+		_, _, err := Scatter(context.Background(), mpi.NewWorld(2), tasks, toyOptions(len(tasks), 2),
+			func(c *mpi.Comm, tk Task) (Result, error) {
+				ran = true
+				return &toyResult{id: tk.ID}, nil
+			})
+		if err == nil || ran {
+			t.Errorf("%s: Scatter returned %v, ran tasks %v", name, err, ran)
+		}
+	}
+}
+
+// TestScatterRefusesMismatchedLists: two processes whose task lists differ
+// in cost. Rank 1 runs its tasks at once and steals from the slow rank 0,
+// so a stolen header arrives that differs from the thief's own copy; that
+// task fails as a *TaskError naming the mismatch, and the thief never runs
+// it.
+func TestScatterRefusesMismatchedLists(t *testing.T) {
+	const ranks, n = 2, 16
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	clusters, err := mpi.LoopbackClusters(ctx, ranks)
+	if err != nil {
+		t.Fatalf("LoopbackClusters: %v", err)
+	}
+	for _, cl := range clusters {
+		defer cl.Close()
+	}
+	var executed sync.Map
+	outs := make([]scatterOut, ranks)
+	var wg sync.WaitGroup
+	for _, cl := range clusters {
+		wg.Add(1)
+		go func(cl *mpi.Cluster) {
+			defer wg.Done()
+			tasks := toyTasks(n)
+			for i := range tasks {
+				tasks[i].Cost += float64(cl.Rank()) // the lists differ in every cost
+			}
+			ok := toyExec(&executed)
+			o := &outs[cl.Rank()]
+			o.results, o.stats, o.err = Scatter(ctx, cl.NewWorld(), tasks, toyOptions(n, ranks),
+				func(c *mpi.Comm, tk Task) (Result, error) {
+					if c.Rank() == 0 {
+						time.Sleep(5 * time.Millisecond)
+					}
+					return ok(c, tk)
+				})
+		}(cl)
+	}
+	wg.Wait()
+	var te *TaskError
+	if !errors.As(outs[1].err, &te) || te.Rank != 1 || !strings.Contains(te.Error(), "task lists differ") {
+		t.Fatalf("the thief's process returned %v, want a rank-1 *TaskError naming the mismatch", outs[1].err)
+	}
+	if outs[1].stats[1].StealsGotten == 0 {
+		t.Fatal("rank 1 stole nothing; the mismatch is not exercised")
+	}
+	if _, ran := executed.Load(te.Task); ran {
+		t.Errorf("task %d ran although its granted header differs", te.Task)
+	}
+	if outs[0].err == nil {
+		t.Error("the root collected every result although a task failed")
 	}
 }

@@ -14,49 +14,53 @@ import (
 )
 
 // TestTaskCodecRoundTrip is the property test for the steal-grant wire
-// format: any Task — vals-carrying or empty — survives encode→decode
-// bit-exactly.
+// format: any task header survives encode→decode bit-exactly, in a frame
+// of exactly WireBytes bytes.
 func TestTaskCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
 		in := Task{
 			ID:            rng.Int31(),
-			Cost:          rng.NormFloat64() * 1e4,
+			Cost:          math.Abs(rng.NormFloat64()) * 1e4,
 			BoundaryLayer: rng.Intn(2) == 1,
 		}
-		if rng.Intn(3) > 0 {
-			in.Vals = make([]float64, rng.Intn(50))
-			for k := range in.Vals {
-				in.Vals[k] = rng.NormFloat64()
-			}
-		}
 		wire := encodeTaskRef(in, nil)
+		if len(wire) != in.WireBytes() {
+			t.Fatalf("iter %d: frame of %d bytes, WireBytes %d", i, len(wire), in.WireBytes())
+		}
 		ref, err := decodeTaskRef(wire)
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", i, err)
 		}
-		out := ref.(Task)
-		if out.ID != in.ID || out.Cost != in.Cost || out.BoundaryLayer != in.BoundaryLayer {
-			t.Fatalf("iter %d: header mismatch: %+v -> %+v", i, in, out)
-		}
-		if len(out.Vals) != len(in.Vals) {
-			t.Fatalf("iter %d: vals length %d -> %d", i, len(in.Vals), len(out.Vals))
-		}
-		for k := range in.Vals {
-			if out.Vals[k] != in.Vals[k] {
-				t.Fatalf("iter %d: vals[%d] mismatch", i, k)
-			}
+		if out := ref.(Task); out != in {
+			t.Fatalf("iter %d: %+v -> %+v", i, in, out)
 		}
 	}
 }
 
+// TestTaskCodecRejectsMalformed: a grant header no process could send is
+// refused — a frame of another length (the parent's vector form among
+// them), a flag byte other than 0 or 1, a cost that is negative, NaN or
+// infinite.
 func TestTaskCodecRejectsMalformed(t *testing.T) {
-	good := encodeTaskRef(Task{ID: 1, Vals: []float64{1, 2}}, nil)
+	good := encodeTaskRef(Task{ID: 1, Cost: 2, BoundaryLayer: true}, nil)
+	if _, err := decodeTaskRef(good); err != nil {
+		t.Fatalf("a well-formed frame is refused: %v", err)
+	}
+	withCost := func(c float64) []byte { return encodeTaskRef(Task{ID: 1, Cost: c}, nil) }
+	withFlag := func(f byte) []byte { b := slices.Clone(good); b[12] = f; return b }
 	cases := map[string][]byte{
-		"short header": good[:10],
-		"ragged vals":  good[:len(good)-3],
-		"unknown form": {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9},
-		"byte form":    {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"empty":          nil,
+		"short header":   good[:10],
+		"one byte short": good[:len(good)-1],
+		"one byte long":  append(slices.Clone(good), 0),
+		"vector form":    binary.LittleEndian.AppendUint64(append(slices.Clone(good), 1), math.Float64bits(0.5)),
+		"flag byte 2":    withFlag(2),
+		"flag byte 255":  withFlag(255),
+		"negative cost":  withCost(-1),
+		"NaN cost":       withCost(math.NaN()),
+		"infinite cost":  withCost(math.Inf(1)),
+		"-infinite cost": withCost(math.Inf(-1)),
 	}
 	for name, b := range cases {
 		if _, err := decodeTaskRef(b); err == nil {
@@ -206,7 +210,7 @@ func TestStealingOverTCP(t *testing.T) {
 				var initial []Task
 				if c.Rank() == 0 {
 					for k := int32(0); k < total; k++ {
-						initial = append(initial, Task{ID: k, Cost: 20, Vals: []float64{float64(k), 0.5}})
+						initial = append(initial, Task{ID: k, Cost: 20 + float64(k), BoundaryLayer: k%2 == 0})
 					}
 				}
 				win := w.NewWindow(c.Size())
@@ -214,8 +218,8 @@ func TestStealingOverTCP(t *testing.T) {
 					Options{StealBelow: 30, Poll: 100 * time.Microsecond},
 					func(task Task) {
 						time.Sleep(2 * time.Millisecond) // keep rank 0 busy enough to be robbed
-						if len(task.Vals) != 2 || task.Vals[0] != float64(task.ID) {
-							t.Errorf("task %d arrived with vals %v", task.ID, task.Vals)
+						if task.Cost != 20+float64(task.ID) || task.BoundaryLayer != (task.ID%2 == 0) {
+							t.Errorf("task %d arrived as %+v", task.ID, task)
 						}
 						mu.Lock()
 						processed[task.ID]++
@@ -290,7 +294,7 @@ func TestRecoveryOverTCP(t *testing.T) {
 	// the root additionally learns the ownership map from it.
 	initial := make([][]Task, ranks)
 	for i := 0; i < total; i++ {
-		tk := Task{ID: int32(i), Cost: 20, Vals: []float64{float64(i), 0.5}}
+		tk := Task{ID: int32(i), Cost: 20}
 		initial[i%ranks] = append(initial[i%ranks], tk)
 	}
 	opt := Options{StealBelow: 1, Poll: 100 * time.Microsecond, deal: initial}

@@ -472,9 +472,10 @@ func (s *Subdomain) Points() []geom.Point {
 }
 
 // DropYSorted releases the y-sorted array once a subdomain is sufficiently
-// decomposed: only the x-sorted vertices are needed by the kernel, which
-// also halves the cost of transferring the subdomain to another process
-// (implementation note from the paper).
+// decomposed: only the x-sorted vertices are needed by the kernel. In the
+// paper this also halves the cost of transferring the subdomain to another
+// process; here every process holds every leaf and a steal moves only the
+// task's header, so it frees memory.
 func (s *Subdomain) DropYSorted() { s.YS = nil }
 
 // Options bounds the recursive decomposition.
