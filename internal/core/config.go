@@ -171,7 +171,11 @@ type StealStats struct {
 // seconds ride its result to the root, so every process holds every
 // task's measure.
 type TaskMeasure struct {
-	Seconds       float64
+	Seconds float64
+	// Bytes is the task's input at eight bytes a number, 16 a point, a
+	// segment and a hole seed: the subdomain the paper's protocol ships on
+	// a steal, which perfmodel charges. Here a steal moves only the task's
+	// header, since every process holds every input.
 	Bytes         int64
 	BoundaryLayer bool
 	Triangles     int

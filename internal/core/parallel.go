@@ -42,9 +42,7 @@ func (t *meshTask) kindName() string {
 	return "task/inviscid"
 }
 
-// bytes is the task's input at eight bytes a number, the subdomain the
-// paper's protocol ships on a steal: 16 bytes a point, a segment and a
-// hole seed.
+// bytes is the task's TaskMeasure.Bytes.
 func (t *meshTask) bytes() int64 {
 	if t.kind == kindBLLeaf {
 		return 16 * int64(t.leaf.Len())
