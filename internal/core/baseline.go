@@ -16,7 +16,8 @@ import (
 // sequential kernel calls with no decomposition, decoupling or message
 // passing — the "Triangle alone" reference of the paper's sequential
 // efficiency measurement (their 192 s versus the application's 196 s; the
-// difference is the extra triangles the decoupling paths introduce).
+// difference is the extra triangles the decoupling paths introduce). Its
+// kernel calls share one workspace, as a rank's tasks do.
 func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	g, err := cfg.graph()
 	if err != nil {
@@ -32,7 +33,8 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	}
 	grad := sizing.NewGraded(surfacePts, cfg.SurfaceH0, cfg.Gradation, cfg.HMax)
 
-	b, outerPts, outerSegs, err := baselineLayer(layers, blPoints, surfaceSet, ffBox, cfg.BL)
+	ws := new(delaunay.Triangulation)
+	b, outerPts, outerSegs, err := baselineLayer(ws, layers, blPoints, surfaceSet, ffBox, cfg.BL)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +52,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	transRes, err := delaunay.TriangulateRefined(transIn, qualityFor(grad.Area, grad.Slope()))
+	transRes, err := refineIn(ws, transIn, qualityFor(grad.Area, grad.Slope()))
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +64,7 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 	if err != nil {
 		return nil, err
 	}
-	invRes, err := delaunay.TriangulateRefined(annulus, qualityFor(grad.Area, grad.Slope()))
+	invRes, err := refineIn(ws, annulus, qualityFor(grad.Area, grad.Slope()))
 	if err != nil {
 		return nil, err
 	}
@@ -78,15 +80,14 @@ func SequentialBaseline(cfg Config) (*mesh.Mesh, error) {
 }
 
 // baselineLayer makes one Delaunay triangulation of all boundary-layer
-// points and merges it as the pipeline merges its leaves' results, from the
-// same result, flagged the same way: one leaf, with no path points and so
-// no seam edges.
-func baselineLayer(layers []*blayer.Layer, blPoints []geom.Point, surfaceSet map[geom.Point]bool, frame geom.BBox, p blayer.Params) (*mesh.Builder, []geom.Point, [][2]int32, error) {
-	tr, err := delaunay.Build(delaunay.Input{Points: blPoints, Frame: frame})
-	if err != nil {
+// points in ws and merges it as the pipeline merges its leaves' results,
+// from the same result, flagged the same way: one leaf, with no path
+// points and so no seam edges.
+func baselineLayer(ws *delaunay.Triangulation, layers []*blayer.Layer, blPoints []geom.Point, surfaceSet map[geom.Point]bool, frame geom.BBox, p blayer.Params) (*mesh.Builder, []geom.Point, [][2]int32, error) {
+	if err := ws.Build(delaunay.Input{Points: blPoints, Frame: frame}); err != nil {
 		return nil, nil, nil, err
 	}
-	res, nb := tr.ExtractNeighbors()
+	res, nb := ws.ExtractNeighbors()
 	annuli := layerAnnuli(layers, p)
 	leaf := blSubmesh(res, nb, nil, func(p0, p1, p2 geom.Point) bool { return inAnnuli(annuli, p0, p1, p2) })
 	b, pts, segs := mergeBoundaryLayer([]submesh{leaf}, surfaceSet)
@@ -142,7 +143,7 @@ func IsotropicBaseline(cfg Config, resolutionFactor float64) (*mesh.Mesh, error)
 	}
 	appendLoop(&in, g.Farfield.Points)
 
-	res, err := delaunay.TriangulateRefined(in, delaunay.Quality{
+	res, err := refineIn(new(delaunay.Triangulation), in, delaunay.Quality{
 		MaxRadiusEdgeRatio: 1.4142135623730951, // sqrt(2): min angle 20.7 degrees
 		SizeAt:             grad.Area,
 		SizeSlope:          grad.Slope(),

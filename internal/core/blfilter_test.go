@@ -51,8 +51,9 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 	}
 
 	kept, dropped := 0, 0
+	ws := new(delaunay.Triangulation)
 	for li, leaf := range leaves {
-		got, err := processTask(&tasks[li], tctx)
+		got, err := processTask(&tasks[li], tctx, ws)
 		if err != nil {
 			t.Fatalf("leaf %d: %v", li, err)
 		}
@@ -96,7 +97,7 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 func TestBLLeafWithoutAnnuli(t *testing.T) {
 	tasks, tctx := fig08Tasks(t)
 	tctx.annuli = nil
-	if _, err := processTask(&tasks[0], tctx); !errors.Is(err, errNoAnnuli) {
+	if _, err := processTask(&tasks[0], tctx, new(delaunay.Triangulation)); !errors.Is(err, errNoAnnuli) {
 		t.Errorf("leaf task without annuli returned %v, want errNoAnnuli", err)
 	}
 }

@@ -151,7 +151,7 @@ func RegionTask(transition bool, pts []geom.Point) ([]byte, error) {
 		task.kind = kindTransition
 	}
 	tctx := taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(0.3)}
-	sub, err := processTask(&task, tctx)
+	sub, err := processTask(&task, tctx, new(delaunay.Triangulation))
 	return resultFrame(sub), err
 }
 
@@ -163,8 +163,9 @@ func RealSubmeshes(t testing.TB) [][]byte {
 	t.Helper()
 	tasks, tctx := smallTasks(t)
 	var out [][]byte
+	ws := new(delaunay.Triangulation)
 	for i := range tasks {
-		sub, err := processTask(&tasks[i], tctx)
+		sub, err := processTask(&tasks[i], tctx, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,12 @@ import (
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
+	"pamg2d/internal/delaunay"
+	"pamg2d/internal/geom"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 	"pamg2d/internal/project"
+	"pamg2d/internal/sizing"
 	"pamg2d/internal/trace"
 )
 
@@ -444,6 +447,46 @@ func degradedRun(t *testing.T, killStage string, audit, failTask bool) {
 	for i := 1; i < len(survivors); i++ {
 		if !bytes.Equal(survivors[i], survivors[0]) {
 			t.Errorf("survivor meshes disagree (%d vs %d bytes)", len(survivors[i]), len(survivors[0]))
+		}
+	}
+}
+
+// TestPhaseFailsOnListsOfDifferentLengths: a worker whose stage built 8
+// tasks where the root built 16 (a hand-joined worker started with other
+// flags). Both processes leave the phase with the same *PhaseError, which
+// names both lengths and the worker, well inside a 5 s deadline; the root
+// no longer waits for the tasks the worker does not hold.
+func TestPhaseFailsOnListsOfDifferentLengths(t *testing.T) {
+	const deadline = 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	square := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
+	region := delaunay.Input{Points: square, Segments: [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
+	tctx := taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(0.3)}
+	start := time.Now()
+	errs := runOnFabric(t, 2, func(i int, cl *mpi.Cluster) error {
+		tasks := make([]meshTask, 16>>cl.Rank())
+		for k := range tasks {
+			tasks[k] = meshTask{kind: kindInviscid, cost: 1, in: region}
+		}
+		cfg := smallConfig(2)
+		cfg.Fabric = cl
+		rc := newRunCtx(cfg)
+		rc.ctx = ctx
+		_, err := runPhase(rc, StageInviscid, tasks, tctx)
+		var pe *PhaseError
+		if !errors.As(err, &pe) || pe.Stage != StageInviscid || pe.Rank != 1 ||
+			!strings.Contains(pe.Error(), "rank 1 holds 8 tasks and the root 16") {
+			return fmt.Errorf("the phase returned %v, want a rank-1 PhaseError of stage %s naming both lengths", err, StageInviscid)
+		}
+		return nil
+	})
+	if took := time.Since(start); took > deadline/5 {
+		t.Errorf("the processes left the phase after %v", took)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("process %d: %v", i, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
+	"pamg2d/internal/delaunay"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/mesh"
 )
@@ -97,7 +98,7 @@ func TestOuterBoundaryMatchesMeshReference(t *testing.T) {
 		}
 		layers := blayer.Generate(g, c.cfg.BL)
 		blPoints, surfaceSet := gatherBoundaryLayer(layers)
-		b, pts, segs, err := baselineLayer(layers, blPoints, surfaceSet, g.Farfield.BBox(), c.cfg.BL)
+		b, pts, segs, err := baselineLayer(new(delaunay.Triangulation), layers, blPoints, surfaceSet, g.Farfield.BBox(), c.cfg.BL)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,18 +86,20 @@ type taskCtx struct {
 	dealt []uint8
 }
 
-// processTask executes a task under the stage's shared context and
-// returns the submesh it produced.
-func processTask(t *meshTask, ctx taskCtx) (submesh, error) {
+// processTask executes a task under the stage's shared context in the
+// executing rank's kernel workspace and returns the submesh it produced.
+// The submesh shares no memory with the workspace, which the rank's next
+// task builds over.
+func processTask(t *meshTask, ctx taskCtx, ws *delaunay.Triangulation) (submesh, error) {
 	if t.kind == kindBLLeaf {
-		return triangulateLeaf(t.leaf, ctx)
+		return triangulateLeaf(t.leaf, ctx, ws)
 	}
-	return refineRegion(t.in, ctx)
+	return refineRegion(t.in, ctx, ws)
 }
 
-// triangulateLeaf triangulates a boundary-layer leaf's x-sorted points and
-// keeps the triangles it owns inside the layer annuli.
-func triangulateLeaf(leaf *project.Subdomain, ctx taskCtx) (submesh, error) {
+// triangulateLeaf triangulates a boundary-layer leaf's x-sorted points in
+// ws and keeps the triangles it owns inside the layer annuli.
+func triangulateLeaf(leaf *project.Subdomain, ctx taskCtx, ws *delaunay.Triangulation) (submesh, error) {
 	if len(ctx.annuli) == 0 {
 		return submesh{}, errNoAnnuli
 	}
@@ -121,11 +123,10 @@ func triangulateLeaf(leaf *project.Subdomain, ctx taskCtx) (submesh, error) {
 	if n < 3 {
 		return submesh{}, nil
 	}
-	tr, err := delaunay.Build(delaunay.Input{Points: pts, Frame: ctx.frame})
-	if err != nil {
+	if err := ws.Build(delaunay.Input{Points: pts, Frame: ctx.frame}); err != nil {
 		return submesh{}, err
 	}
-	res, nb := tr.ExtractNeighbors()
+	res, nb := ws.ExtractNeighbors()
 	// Kept by exactly one leaf (the owner of the circumcenter), and only
 	// inside a layer annulus.
 	return blSubmesh(res, nb, path, func(a, b, c geom.Point) bool {
@@ -134,14 +135,26 @@ func triangulateLeaf(leaf *project.Subdomain, ctx taskCtx) (submesh, error) {
 }
 
 // refineRegion refines a transition input or an inviscid region in the
-// stage's frame.
-func refineRegion(in delaunay.Input, ctx taskCtx) (submesh, error) {
+// stage's frame, in ws.
+func refineRegion(in delaunay.Input, ctx taskCtx, ws *delaunay.Triangulation) (submesh, error) {
 	in.Frame = ctx.frame
-	res, err := delaunay.TriangulateRefined(in, qualityFor(ctx.size, ctx.slope))
+	res, err := refineIn(ws, in, qualityFor(ctx.size, ctx.slope))
 	if err != nil {
 		return submesh{}, err
 	}
 	return regionSubmesh(res.Points, res.Triangles, in.Points), nil
+}
+
+// refineIn builds in into the workspace ws, refines it to q and extracts
+// the mesh.
+func refineIn(ws *delaunay.Triangulation, in delaunay.Input, q delaunay.Quality) (*delaunay.Result, error) {
+	if err := ws.Build(in); err != nil {
+		return nil, err
+	}
+	if err := ws.Refine(q); err != nil {
+		return nil, err
+	}
+	return ws.Extract(), nil
 }
 
 // taskResult carries one task's submesh and its measured seconds to the
@@ -157,15 +170,16 @@ type taskResult struct {
 func (r *taskResult) TaskID() int32  { return r.id }
 func (r *taskResult) WireBytes() int { return 16 + 8*r.sub.floats() }
 
-// runTask executes task id on rank under the stage's shared context and
-// times the kernel; the task span, when tracing, carries its triangles.
-func runTask(rank int, id int32, t *meshTask, tctx taskCtx, tr *trace.Tracer) (*taskResult, error) {
+// runTask executes task id on rank in the rank's workspace ws under the
+// stage's shared context and times the kernel; the task span, when
+// tracing, carries its triangles.
+func runTask(rank int, id int32, t *meshTask, tctx taskCtx, ws *delaunay.Triangulation, tr *trace.Tracer) (*taskResult, error) {
 	var sp trace.Span
 	if tr.Enabled() {
 		sp = tr.Begin(rank, trace.CatTask, t.kindName())
 	}
 	t0 := time.Now()
-	sub, err := processTask(t, tctx)
+	sub, err := processTask(t, tctx, ws)
 	dt := time.Since(t0)
 	if tr.Enabled() {
 		sp.End(trace.I("id", int(id)), trace.F("cost", t.cost), trace.I("tris", len(sub.tris)))

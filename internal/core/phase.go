@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pamg2d/internal/delaunay"
 	"pamg2d/internal/loadbal"
 	"pamg2d/internal/mpi"
 )
@@ -59,6 +60,14 @@ func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]subme
 	// which is why every process runs the identical stage sequence.
 	world := rc.cfg.Fabric.NewWorld()
 	world.SetTracer(tr)
+	// A rank's mesher goroutine runs one task at a time, so its kernel
+	// workspace has one user and needs no lock; both stages share them.
+	if len(rc.kernels) != world.Size() {
+		rc.kernels = make([]*delaunay.Triangulation, world.Size())
+		for r := range rc.kernels {
+			rc.kernels[r] = new(delaunay.Triangulation)
+		}
+	}
 	opt := loadbal.DefaultOptions(total, rc.cfg.Ranks)
 	opt.Tracer = tr
 	collected, balStats, err := loadbal.Scatter(rc.ctx, world, headers, opt,
@@ -70,7 +79,7 @@ func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]subme
 					return nil, err
 				}
 			}
-			r, err := runTask(c.Rank(), h.ID, t, tctx, tr)
+			r, err := runTask(c.Rank(), h.ID, t, tctx, rc.kernels[c.Rank()], tr)
 			if err != nil {
 				return nil, err
 			}
@@ -86,6 +95,9 @@ func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]subme
 	var te *loadbal.TaskError
 	if errors.As(err, &te) {
 		failed = &PhaseError{Stage: stage, Rank: te.Rank, Err: fmt.Errorf("task %d: %w", te.Task, te.Err)}
+		if te.Task < 0 { // the processes' task lists differ in length
+			failed.Err = te.Err
+		}
 	} else if err != nil {
 		return nil, phaseError(stage, err)
 	}

@@ -145,11 +145,12 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 	segs := [][2]int32{{0, 1}, {1, 2}, {2, 0}}
 	tctx := taskCtx{frame: geom.BBox{Min: geom.Pt(-1, -1), Max: geom.Pt(2, 2)}, size: sizing.Uniform(10)}
 	holed := meshTask{kind: kindInviscid, in: delaunay.Input{Points: pts, Segments: segs, Holes: []geom.Point{geom.Pt(0.5, 0.3)}}}
-	if sub, err := processTask(&holed, tctx); err == nil && len(sub.tris) != 0 {
+	ws := new(delaunay.Triangulation)
+	if sub, err := processTask(&holed, tctx, ws); err == nil && len(sub.tris) != 0 {
 		t.Errorf("the hole seed left %d triangles", len(sub.tris))
 	}
 	task := meshTask{kind: kindInviscid, in: delaunay.Input{Points: pts, Segments: segs}}
-	sub, err := processTask(&task, tctx)
+	sub, err := processTask(&task, tctx, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +172,9 @@ func TestTaskCodecRoundTrips(t *testing.T) {
 // TestTaskInputsStayUnchanged: every process holds every task's input, a
 // re-queued task runs twice on the same input, and the audit reads the
 // transition inputs afterwards (rc.transInputs). So a task of each kind,
-// run twice on one real input, gives identical submeshes and leaves the
-// input's slices as they were.
+// run twice on one real input — in a fresh workspace, then in the
+// workspace every task before it ran in — gives identical submeshes and
+// leaves the input's slices as they were.
 func TestTaskInputsStayUnchanged(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.TransitionSectors = 1
@@ -201,17 +203,18 @@ func TestTaskInputsStayUnchanged(t *testing.T) {
 		}
 		return xs, delaunay.Input{Points: slices.Clone(task.in.Points), Segments: slices.Clone(task.in.Segments), Holes: slices.Clone(task.in.Holes)}
 	}
+	ws := new(delaunay.Triangulation)
 	for _, c := range []struct {
 		task *meshTask
 		tctx taskCtx
 	}{{&blTasks[0], blCtx}, {&isoTasks[0], isoCtx}, {&isoTasks[len(isoTasks)-1], isoCtx}} {
 		task := c.task
 		xs, in := snapshot(task)
-		first, err := processTask(task, c.tctx)
+		first, err := processTask(task, c.tctx, new(delaunay.Triangulation))
 		if err != nil {
 			t.Fatalf("%s: %v", task.kindName(), err)
 		}
-		second, err := processTask(task, c.tctx)
+		second, err := processTask(task, c.tctx, ws)
 		if err != nil {
 			t.Fatalf("%s, second run: %v", task.kindName(), err)
 		}

@@ -187,6 +187,12 @@ type RunCtx struct {
 	transInputs []delaunay.Input
 	regions     []*decouple.Region
 
+	// kernels holds one Delaunay workspace per rank of the distributed
+	// stages' worlds, made by runPhase before the ranks start: every task a
+	// rank of this process runs builds in its rank's workspace, so the
+	// kernel's stores grow to the run's largest task once.
+	kernels []*delaunay.Triangulation
+
 	// Wire counters for the stage in flight, reset by the engine around
 	// each stage and folded into the stats by recordStage.
 	wireMsgs  int64

@@ -88,37 +88,51 @@ type Quality struct {
 // Triangulate builds the constrained Delaunay triangulation of the input,
 // carves holes and exterior area, and returns the mesh without refinement.
 func Triangulate(in Input) (*Result, error) {
-	tr, err := Build(in)
-	if err != nil {
+	var t Triangulation
+	if err := t.Build(in); err != nil {
 		return nil, err
 	}
-	return tr.Extract(), nil
+	return t.Extract(), nil
 }
 
 // TriangulateRefined builds the constrained Delaunay triangulation and
 // refines it to the given quality.
 func TriangulateRefined(in Input, q Quality) (*Result, error) {
-	tr, err := Build(in)
-	if err != nil {
+	var t Triangulation
+	if err := t.Build(in); err != nil {
 		return nil, err
 	}
-	if err := tr.Refine(q); err != nil {
+	if err := t.Refine(q); err != nil {
 		return nil, err
 	}
-	return tr.Extract(), nil
+	return t.Extract(), nil
 }
 
 // Build runs point insertion, segment recovery and carving, returning the
 // live Triangulation for callers that need incremental access.
 func Build(in Input) (*Triangulation, error) {
+	t := new(Triangulation)
+	if err := t.Build(in); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Build empties t and builds the input into it: point insertion, segment
+// recovery and carving. t keeps the backing arrays of its stores and
+// scratch, so a workspace that builds one input after another allocates
+// them again only when an input outgrows them. The triangulation depends
+// on the input alone, never on what t held before. After an error t holds
+// a partial triangulation that only the next Build may use.
+func (t *Triangulation) Build(in Input) error {
 	if len(in.Points) < 3 {
-		return nil, fmt.Errorf("delaunay: need at least 3 points, have %d", len(in.Points))
+		return fmt.Errorf("delaunay: need at least 3 points, have %d", len(in.Points))
 	}
 	bb := in.Frame
 	if bb == (geom.BBox{}) || bb.Empty() {
 		bb = geom.BBoxOf(in.Points)
 	}
-	t := NewCap(bb, len(in.Points))
+	t.reset(bb, len(in.Points))
 
 	// Insert points in spatially coherent order: along a Hilbert curve
 	// without segments, by x with them (insertionOrder, which then also
@@ -134,7 +148,7 @@ func Build(in Input) (*Triangulation, error) {
 			continue
 		}
 		if err != nil {
-			return nil, fmt.Errorf("delaunay: inserting point %d %v: %w", i, in.Points[i], err)
+			return fmt.Errorf("delaunay: inserting point %d %v: %w", i, in.Points[i], err)
 		}
 		vmap[i] = v
 	}
@@ -144,11 +158,11 @@ func Build(in Input) (*Triangulation, error) {
 			continue
 		}
 		if err := t.InsertSegment(a, b); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	t.Carve(in.Holes)
-	return t, nil
+	return nil
 }
 
 // Extract converts the live triangulation into a compact Result holding

@@ -33,21 +33,22 @@ func (t *Triangulation) Carve(holes []geom.Point) {
 		t.carved = true
 		return
 	}
-	var seeds []int32
+	// The flood's worklist is the star traversals' (they do not run
+	// while it floods), seeded from the corners and the holes.
+	stack := t.starStack[:0]
 	for _, c := range t.corner {
 		if ti := t.vtri[c]; ti != invalid && !t.tris[ti].Dead {
-			seeds = append(seeds, ti)
+			stack = append(stack, ti)
 		} else if ti := t.findIncident(c); ti != invalid {
-			seeds = append(seeds, ti)
+			stack = append(stack, ti)
 		}
 	}
 	for _, h := range holes {
 		loc := t.locate(h)
 		if loc.kind == locInside || loc.kind == locEdge {
-			seeds = append(seeds, loc.t)
+			stack = append(stack, loc.t)
 		}
 	}
-	stack := seeds
 	for len(stack) > 0 {
 		ti := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -66,6 +67,7 @@ func (t *Triangulation) Carve(holes []geom.Point) {
 			}
 		}
 	}
+	t.starStack = stack[:0]
 	t.carved = true
 }
 

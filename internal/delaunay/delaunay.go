@@ -17,6 +17,7 @@ package delaunay
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pamg2d/internal/geom"
 )
@@ -73,9 +74,11 @@ type Triangulation struct {
 	starStack []int32
 
 	// refSegs and refTris hold the refiner's worklists between Refine
-	// calls so repeated refinement passes reuse their backing arrays.
+	// calls so repeated refinement passes reuse their backing arrays;
+	// refEnc is insertCircumcenter's list of encroached segments.
 	refSegs []segRef
 	refTris []triRef
+	refEnc  [][2]int32
 
 	// binGrid, when non-nil, hashes points to cells and binSeed remembers
 	// the most recent vertex per cell; locate starts its walk from that
@@ -126,8 +129,8 @@ type triMarks struct {
 // begin empties the set, makes it cover every triangle of t and returns
 // the mark array with the epoch to compare and store. A triangle store
 // that outgrew the array gets a new one sized to its capacity, so the
-// array is allocated once per growth of t.tris; nothing is copied, since a
-// zero is below every epoch. begin only reads t.
+// array is allocated once per doubling of t.tris; nothing is copied, since
+// a zero is below every epoch. begin only reads t.
 func (m *triMarks) begin(t *Triangulation) ([]uint32, uint32) {
 	if len(m.mark) < len(t.tris) {
 		m.mark = make([]uint32, cap(t.tris))
@@ -156,8 +159,19 @@ func New(bb geom.BBox) *Triangulation { return NewCap(bb, 0) }
 // NewCap is New with a capacity hint: the expected number of points to be
 // inserted. The vertex and triangle stores are preallocated from the hint
 // (an incremental Delaunay triangulation of n points holds about 2n live
-// triangles), eliminating append regrowth during bulk insertion.
+// triangles), so bulk insertion does not regrow them; past the hint they
+// grow by doubling.
 func NewCap(bb geom.BBox, expectPoints int) *Triangulation {
+	t := new(Triangulation)
+	t.reset(bb, expectPoints)
+	return t
+}
+
+// reset empties t and starts it over as NewCap(bb, expectPoints) would,
+// keeping the backing arrays of its stores and scratch: a store already
+// as large as the hint is not reallocated, and the visited marks keep
+// their epoch, so every stale mark stays below the next one.
+func (t *Triangulation) reset(bb geom.BBox, expectPoints int) {
 	if bb.Empty() {
 		bb = geom.BBox{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}
 	}
@@ -168,11 +182,20 @@ func NewCap(bb geom.BBox, expectPoints int) *Triangulation {
 		d = 1
 	}
 	bb = bb.Inflate(d)
-	t := &Triangulation{last: 0}
+	t.pts, t.vtri = t.pts[:0], t.vtri[:0]
+	t.tris, t.free = t.tris[:0], t.free[:0]
+	t.last, t.carved = 0, false
+	t.binGrid = nil
 	if expectPoints > 0 {
-		t.pts = make([]geom.Point, 0, expectPoints+4)
-		t.vtri = make([]int32, 0, expectPoints+4)
-		t.tris = make([]Tri, 0, 2*expectPoints+16)
+		if cap(t.pts) < expectPoints+4 {
+			t.pts = make([]geom.Point, 0, expectPoints+4)
+		}
+		if cap(t.vtri) < expectPoints+4 {
+			t.vtri = make([]int32, 0, expectPoints+4)
+		}
+		if cap(t.tris) < 2*expectPoints+16 {
+			t.tris = make([]Tri, 0, 2*expectPoints+16)
+		}
 	}
 	c0 := t.addPoint(geom.Pt(bb.Min.X, bb.Min.Y))
 	c1 := t.addPoint(geom.Pt(bb.Max.X, bb.Min.Y))
@@ -184,7 +207,16 @@ func NewCap(bb geom.BBox, expectPoints int) *Triangulation {
 	t1 := t.addTri(c0, c2, c3)
 	t.tris[t0].N[2] = t1 // edge c2->c0
 	t.tris[t1].N[0] = t0 // edge c0->c2
-	return t
+}
+
+// appendDoubling is append that grows a full slice to at least twice its
+// capacity, where append grows a large slice by about 1.25×: a store that
+// ends at N elements then allocates under 2N along the way, not 4–5N.
+func appendDoubling[E any](s []E, v E) []E {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 8))
+	}
+	return append(s, v)
 }
 
 // NumPoints returns the number of vertices including the four auxiliary
@@ -205,8 +237,8 @@ func (t *Triangulation) IsCorner(v int32) bool {
 }
 
 func (t *Triangulation) addPoint(p geom.Point) int32 {
-	t.pts = append(t.pts, p)
-	t.vtri = append(t.vtri, invalid)
+	t.pts = appendDoubling(t.pts, p)
+	t.vtri = appendDoubling(t.vtri, invalid)
 	v := int32(len(t.pts) - 1)
 	if t.binGrid != nil {
 		t.binSeed[t.binGrid.Cell(p)] = v
@@ -225,7 +257,11 @@ func (t *Triangulation) enableBinSeeding(bb geom.BBox, expectPoints int) {
 		cells = 1
 	}
 	t.binGrid = geom.NewGrid(bb, cells)
-	t.binSeed = make([]int32, t.binGrid.NumCells())
+	if n := t.binGrid.NumCells(); cap(t.binSeed) < n {
+		t.binSeed = make([]int32, n)
+	} else {
+		t.binSeed = t.binSeed[:n]
+	}
 	for i := range t.binSeed {
 		t.binSeed[i] = invalid
 	}
@@ -241,7 +277,7 @@ func (t *Triangulation) addTri(a, b, c int32) int32 {
 		t.free = t.free[:n-1]
 		t.tris[idx] = Tri{V: [3]int32{a, b, c}, N: [3]int32{invalid, invalid, invalid}}
 	} else {
-		t.tris = append(t.tris, Tri{V: [3]int32{a, b, c}, N: [3]int32{invalid, invalid, invalid}})
+		t.tris = appendDoubling(t.tris, Tri{V: [3]int32{a, b, c}, N: [3]int32{invalid, invalid, invalid}})
 		idx = int32(len(t.tris) - 1)
 	}
 	t.vtri[a] = idx
@@ -253,7 +289,7 @@ func (t *Triangulation) addTri(a, b, c int32) int32 {
 
 func (t *Triangulation) killTri(ti int32) {
 	t.tris[ti].Dead = true
-	t.free = append(t.free, ti)
+	t.free = appendDoubling(t.free, ti)
 }
 
 // edgeIndex returns the edge index e of triangle ti such that the directed

@@ -77,7 +77,7 @@ type refiner struct {
 func (r *refiner) considerTri(ti int32) {
 	if r.isBad(ti) {
 		tr := r.t.tris[ti]
-		r.tris = append(r.tris, triRef{ti, tr.V})
+		r.tris = appendDoubling(r.tris, triRef{ti, tr.V})
 	}
 }
 
@@ -450,7 +450,7 @@ func (r *refiner) insertCentroid(ti int32) {
 // insertCircumcenter inserts cc, found at loc, unless the insertion
 // cavity's boundary contains a constrained segment whose diametral circle
 // holds cc; in that case nothing is mutated and the encroached segments
-// are returned.
+// are returned, in t.refEnc: the list is valid until the next call.
 func (t *Triangulation) insertCircumcenter(cc geom.Point, loc location, minLen float64) (int32, [][2]int32, error) {
 	switch loc.kind {
 	case locOutside:
@@ -463,7 +463,8 @@ func (t *Triangulation) insertCircumcenter(cc geom.Point, loc location, minLen f
 			// the caller splits it at its midpoint instead.
 			a := t.tris[loc.t].V[loc.e]
 			b := t.tris[loc.t].V[(loc.e+1)%3]
-			return -1, [][2]int32{{a, b}}, nil
+			t.refEnc = append(t.refEnc[:0], [2]int32{a, b})
+			return -1, t.refEnc, nil
 		}
 	}
 	if t.tris[loc.t].Outside {
@@ -476,12 +477,13 @@ func (t *Triangulation) insertCircumcenter(cc geom.Point, loc location, minLen f
 		}
 	}
 	t.computeCavity(cc, loc)
-	var enc [][2]int32
+	enc := t.refEnc[:0]
 	for _, ce := range t.scratch.cavityEdges {
 		if ce.c && geom.InDiametralCircle(cc, geom.Segment{A: t.pts[ce.a], B: t.pts[ce.b]}) {
 			enc = append(enc, [2]int32{ce.a, ce.b})
 		}
 	}
+	t.refEnc = enc
 	if len(enc) > 0 {
 		return -1, enc, nil
 	}

@@ -60,6 +60,26 @@ func init() {
 	mpi.RegisterCodec(codecTask, Task{}, encodeTaskRef, decodeTaskRef)
 }
 
+// countMsg is a tagCount payload: the worker's task count as one
+// little-endian int32, in a pooled buffer the root releases.
+func countMsg(tasks int) []byte {
+	b := mpi.GetBytes(4)
+	binary.LittleEndian.PutUint32(b, uint32(tasks))
+	return b
+}
+
+// decodeCount parses a countMsg.
+func decodeCount(b []byte) (int, error) {
+	if len(b) != 4 {
+		return 0, fmt.Errorf("loadbal: task count of %d bytes, want 4", len(b))
+	}
+	n := int32(binary.LittleEndian.Uint32(b))
+	if n < 0 {
+		return 0, fmt.Errorf("loadbal: task count %d, want at least 0", n)
+	}
+	return int(n), nil
+}
+
 // completeMsg is a tagComplete payload: the finished task's ID as one
 // little-endian int32, in a pooled buffer the root releases.
 func completeMsg(id int32) []byte {

@@ -40,7 +40,11 @@ func (t *Task) WireBytes() int { return taskFrame }
 
 // message tags of the stealing protocol.
 const (
-	tagRequest = iota + 100
+	// tagCount is a worker's first message of a multi-process run: the
+	// length of its task list, which the root compares with its own
+	// before it terminates the run (countMsg).
+	tagCount = iota + 100
+	tagRequest
 	tagGrant
 	tagDeny
 	tagComplete
@@ -202,6 +206,12 @@ func (s *state) cancel() {
 // initial task list; process is invoked once per task, on exactly one
 // rank. Returns this rank's stats. The window must have one slot per rank.
 //
+// In a multi-process world every process must hold totalTasks tasks: each
+// worker sends its count to the root ahead of anything else, and the root
+// terminates the run only once every live worker's count arrived. A count
+// that differs from the root's ends the run at once: the root terminates
+// every live worker and returns a *LengthError.
+//
 // The run ends early when ctx is canceled or the world is torn down: the
 // task in flight completes, queued tasks are abandoned, both goroutines
 // return promptly (no leak), and the teardown cause is returned alongside
@@ -220,13 +230,20 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	if err := c.Err(); err != nil {
 		return Stats{}, err
 	}
+	multi := c.World().MultiProcess()
+	if multi && c.Rank() != 0 {
+		msg := countMsg(totalTasks)
+		if err := c.Send(0, tagCount, msg); err != nil {
+			mpi.PutBytes(msg)
+			return Stats{}, err
+		}
+	}
 	st := &state{}
 	st.cond = sync.NewCond(&st.mu)
 	for _, t := range initial {
 		st.push(t)
 	}
 
-	multi := c.World().MultiProcess()
 	// Dead-rank recovery is root-side state: the ownership ledger starts
 	// as the initial deal and grant acknowledgements keep it fresh, so
 	// when a rank dies the root knows exactly which unfinished tasks to
@@ -311,6 +328,13 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 			st.cancel()
 		}
 		completed := 0 // root only
+		// counted[r] reports that worker r's task count arrived (root of a
+		// multi-process run only; nil elsewhere).
+		var counted []bool
+		if multi && c.Rank() == 0 {
+			counted = make([]bool, c.Size())
+			counted[0] = true
+		}
 		awaitingGrant := false
 		awaitingFrom := -1
 		lastLoad := math.NaN() // NaN compares unequal, forcing the first publish
@@ -356,6 +380,29 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 					break
 				}
 				switch tag {
+				case tagCount:
+					b, _ := data.([]byte)
+					n, err := decodeCount(b)
+					mpi.PutBytes(b)
+					if err == nil && counted == nil {
+						err = errors.New("loadbal: a task count reached a rank that counts none")
+					}
+					if err != nil {
+						abort(fmt.Errorf("loadbal: control message from rank %d: %w", src, err))
+						return
+					}
+					counted[src] = true
+					if n != totalTasks {
+						// Nothing the two lists share can be trusted: stop
+						// the workers now, and this rank with them.
+						for r := 1; r < c.Size(); r++ {
+							if c.Alive(r) {
+								_ = c.Send(r, tagTerminate, nil)
+							}
+						}
+						abort(&LengthError{Rank: src, Tasks: n, RootTasks: totalTasks})
+						return
+					}
 				case tagRequest:
 					if t, ok := st.popForSteal(); ok {
 						var grantSp trace.Span
@@ -472,7 +519,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 					statsMu.Unlock()
 				}
 			}
-			if c.Rank() == 0 && completed == totalTasks {
+			if c.Rank() == 0 && completed == totalTasks && countsIn(c, counted) {
 				if recoverOn && !recoveryStart.IsZero() {
 					statsMu.Lock()
 					stats.RecoveryTime = time.Since(recoveryStart)
@@ -552,11 +599,36 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	return stats, runErr
 }
 
-// tryRecvBalancer polls only the balancer's tag range. Grants travel as
-// Task values, so the payload is returned as an interface value; byte
-// payloads from remote-style senders pass through unchanged.
+// LengthError reports a worker of a multi-process run whose task list
+// differs in length from the root's: the processes built different lists.
+type LengthError struct {
+	Rank      int // the worker
+	Tasks     int // the worker's task count
+	RootTasks int // the root's
+}
+
+func (e *LengthError) Error() string {
+	return fmt.Sprintf("rank %d holds %d tasks and the root %d: the processes' task lists differ", e.Rank, e.Tasks, e.RootTasks)
+}
+
+// countsIn reports that every live worker's task count arrived; always
+// true where nothing is counted.
+func countsIn(c *mpi.Comm, counted []bool) bool {
+	for r, ok := range counted {
+		if !ok && c.Alive(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// tryRecvBalancer polls only the balancer's tag range, tagCount first, so
+// the root reads a worker's count before any other message the worker
+// sent after it. Grants travel as Task values, so the payload is returned
+// as an interface value; byte payloads from remote-style senders pass
+// through unchanged.
 func tryRecvBalancer(c *mpi.Comm) (data any, src, tag int, ok bool) {
-	for t := tagRequest; t <= tagTerminate; t++ {
+	for t := tagCount; t <= tagTerminate; t++ {
 		if d, s, tg, found := c.TryRecvRef(mpi.AnySource, t); found {
 			return d, s, tg, true
 		}

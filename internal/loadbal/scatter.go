@@ -9,6 +9,7 @@ package loadbal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -32,7 +33,10 @@ type Result interface {
 }
 
 // TaskError reports a task that produced no result — exec returned an
-// error or panicked — attributed to the rank that was executing it.
+// error or panicked — attributed to the rank that was executing it. A
+// phase whose processes hold task lists of different lengths fails as a
+// TaskError of task -1 whose Err is the *LengthError, attributed to the
+// worker.
 type TaskError struct {
 	Rank int
 	Task int32
@@ -40,6 +44,9 @@ type TaskError struct {
 }
 
 func (e *TaskError) Error() string {
+	if e.Task < 0 {
+		return fmt.Sprintf("loadbal: rank %d: %v", e.Rank, e.Err)
+	}
 	return fmt.Sprintf("loadbal: task %d on rank %d: %v", e.Task, e.Rank, e.Err)
 }
 
@@ -62,7 +69,9 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 //
 // A stolen header comes from another process's list: one whose ID is out
 // of range or that differs from tasks[ID] fails as a *TaskError without
-// running (the processes' lists differ).
+// running (the processes' lists differ). Lists of different lengths fail
+// the phase at the root, before it could wait for tasks a worker does not
+// hold, as a *TaskError of task -1 wrapping Run's *LengthError.
 //
 // The returned results are complete only in the process hosting rank 0;
 // the stats slice carries an entry for each rank this process hosts. The
@@ -123,6 +132,14 @@ func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 		bs.Busy = busy
 		bs.Failed += failures
 		stats[rank] = bs
+		// Lists of different lengths fail the phase like a task: the
+		// world stays up for the exchange the caller pairs with the
+		// workers, which the root terminated.
+		var le *LengthError
+		if errors.As(err, &le) {
+			fail(le.Rank, -1, le)
+			return nil
+		}
 		if err != nil || rank != 0 {
 			return err
 		}

@@ -405,3 +405,65 @@ func TestScatterRefusesMismatchedLists(t *testing.T) {
 		t.Error("the root collected every result although a task failed")
 	}
 }
+
+// TestScatterRefusesListsOfDifferentLengths: two processes whose task
+// lists differ in length, one way and the other. The root reads the
+// worker's count before it could wait for tasks the worker does not hold,
+// fails the phase as a rank-1 *TaskError wrapping a *LengthError that
+// names both lengths, and terminates the worker, so both processes return
+// well inside the deadline with the world intact for the exchange that
+// follows.
+func TestScatterRefusesListsOfDifferentLengths(t *testing.T) {
+	for _, lens := range [][2]int{{16, 8}, {8, 16}} {
+		t.Run(fmt.Sprintf("root-%d-worker-%d", lens[0], lens[1]), func(t *testing.T) {
+			const ranks, deadline = 2, 5 * time.Second
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			clusters, err := mpi.LoopbackClusters(ctx, ranks)
+			if err != nil {
+				t.Fatalf("LoopbackClusters: %v", err)
+			}
+			for _, cl := range clusters {
+				defer cl.Close()
+			}
+			start := time.Now()
+			var executed sync.Map
+			outs := make([]scatterOut, ranks)
+			worlds := make([]*mpi.World, ranks)
+			var wg sync.WaitGroup
+			for _, cl := range clusters {
+				wg.Add(1)
+				go func(cl *mpi.Cluster) {
+					defer wg.Done()
+					n := lens[cl.Rank()]
+					o := &outs[cl.Rank()]
+					worlds[cl.Rank()] = cl.NewWorld()
+					o.results, o.stats, o.err = Scatter(ctx, worlds[cl.Rank()], toyTasks(n), toyOptions(n, ranks), toyExec(&executed))
+				}(cl)
+			}
+			wg.Wait()
+			if took := time.Since(start); took > deadline/5 {
+				t.Errorf("the processes returned after %v", took)
+			}
+			var te *TaskError
+			var le *LengthError
+			if !errors.As(outs[0].err, &te) || te.Rank != 1 || te.Task != -1 || !errors.As(te, &le) ||
+				le.Rank != 1 || le.Tasks != lens[1] || le.RootTasks != lens[0] {
+				t.Fatalf("the root returned %v, want a rank-1 *TaskError of task -1 wrapping a *LengthError", outs[0].err)
+			}
+			for _, n := range lens {
+				if !strings.Contains(te.Error(), fmt.Sprint(n)) {
+					t.Errorf("%q does not name the length %d", te.Error(), n)
+				}
+			}
+			if outs[1].err != nil && !errors.As(outs[1].err, &te) {
+				t.Errorf("the worker returned %v, want nothing or a *TaskError", outs[1].err)
+			}
+			for r, w := range worlds {
+				if err := w.Err(); err != nil {
+					t.Errorf("process %d's world is down: %v", r, err)
+				}
+			}
+		})
+	}
+}

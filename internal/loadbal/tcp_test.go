@@ -69,11 +69,19 @@ func TestTaskCodecRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestControlMessageRoundTrip: the completion and grant-acknowledgement
-// payloads decode to what was encoded, at the range bounds too, in pooled
-// buffers of exactly 4 and 8 bytes.
+// TestControlMessageRoundTrip: the task count, completion and
+// grant-acknowledgement payloads decode to what was encoded, at the range
+// bounds too, in pooled buffers of exactly 4, 4 and 8 bytes.
 func TestControlMessageRoundTrip(t *testing.T) {
 	const tasks, ranks = 1000, 7
+	for _, n := range []int{0, 1, tasks, math.MaxInt32} {
+		b := countMsg(n)
+		got, err := decodeCount(b)
+		if err != nil || got != n || len(b) != 4 {
+			t.Errorf("count of %d: %d bytes decode to %d, %v", n, len(b), got, err)
+		}
+		mpi.PutBytes(b)
+	}
 	for _, id := range []int32{0, 1, 517, tasks - 1} {
 		b := completeMsg(id)
 		got, err := decodeComplete(b, tasks)
@@ -112,6 +120,17 @@ func TestControlMessageRejectsMalformed(t *testing.T) {
 	for name, b := range complete {
 		if _, err := decodeComplete(b, tasks); err == nil {
 			t.Errorf("completion %s: decoder accepted %v", name, b)
+		}
+	}
+	count := map[string][]byte{
+		"empty":          nil,
+		"short":          le(1)[:3],
+		"long":           le(1, 0),
+		"negative count": le(-1),
+	}
+	for name, b := range count {
+		if _, err := decodeCount(b); err == nil {
+			t.Errorf("task count %s: decoder accepted %v", name, b)
 		}
 	}
 	moved := map[string][]byte{
