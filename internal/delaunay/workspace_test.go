@@ -211,6 +211,9 @@ func FuzzBuildReuse(f *testing.F) {
 	})
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 func resultTriangles(r *Result) [][3]int32 {
 	if r == nil {
 		return nil
@@ -224,6 +227,9 @@ func resultTriangles(r *Result) [][3]int32 {
 // its three arrays), Build's insertion order and vertex map, and the bin
 // seed grid; the bound is that count.
 func TestWarmBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	_, in := wsInput(wsRegionSeed())
 	var ws Triangulation
 	run := func() {
@@ -240,10 +246,4 @@ func TestWarmBuildAllocations(t *testing.T) {
 	if got := testing.AllocsPerRun(20, run); got > bound {
 		t.Errorf("a warm Build+Refine+Extract allocates %v times, want at most %d", got, bound)
 	}
-	fresh := testing.AllocsPerRun(5, func() {
-		if _, err := TriangulateRefined(in, wsQuality()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("warm workspace vs fresh triangulation: %v vs %v allocations", testing.AllocsPerRun(5, run), fresh)
 }
