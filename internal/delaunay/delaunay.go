@@ -70,7 +70,7 @@ type Triangulation struct {
 	// never nest. The concurrent engine keeps one per stripe instead.
 	marks triMarks
 
-	// starStack is the star traversals' worklist.
+	// starStack is the star traversals' worklist, and Carve's flood's.
 	starStack []int32
 
 	// refSegs and refTris hold the refiner's worklists between Refine
