@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -433,8 +434,10 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request) {
 		m.Count("server.degraded", 1)
 	}
 
-	var buf bytes.Buffer
-	if err := out.Write(res.Mesh, &buf); err != nil {
+	// One allocation for the body: the writer appends into the buffer's
+	// free space, which the format's bound makes room for.
+	buf := bytes.NewBuffer(make([]byte, 0, out.MaxBytes(res.Mesh)))
+	if err := out.Write(res.Mesh, buf); err != nil {
 		s.httpError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -492,8 +495,8 @@ func (s *server) writeEntry(w http.ResponseWriter, e *cacheEntry, cache string) 
 	h := w.Header()
 	h.Set("Content-Type", e.contentType)
 	h.Set("X-Cache", cache)
-	h.Set("X-Mesh-Points", fmt.Sprint(e.points))
-	h.Set("X-Mesh-Triangles", fmt.Sprint(e.triangles))
+	h.Set("X-Mesh-Points", strconv.Itoa(e.points))
+	h.Set("X-Mesh-Triangles", strconv.Itoa(e.triangles))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(e.body)
 }

@@ -146,8 +146,22 @@ func TestRunTCPHandJoinedWorkers(t *testing.T) {
 }
 
 // handJoin runs a launcher with launcherArgs (which must say -spawn 0)
-// and one worker with workerArgs joining it by hand, on a reserved port.
+// and one worker with workerArgs joining it by hand, on a reserved port,
+// and fails unless both succeed.
 func handJoin(t *testing.T, launcherArgs, workerArgs []string) {
+	t.Helper()
+	launcherErr, workerErr := handJoinErrs(t, launcherArgs, workerArgs)
+	if workerErr != nil {
+		t.Fatalf("hand-joined worker: %v", workerErr)
+	}
+	if launcherErr != nil {
+		t.Fatalf("launcher: %v", launcherErr)
+	}
+}
+
+// handJoinErrs is handJoin returning the launcher's and the worker's
+// errors.
+func handJoinErrs(t *testing.T, launcherArgs, workerArgs []string) (launcherErr, workerErr error) {
 	t.Helper()
 	// Reserve a port for the launcher: listen, read the address, close.
 	// The window between Close and the launcher's Listen is racy in
@@ -159,31 +173,53 @@ func handJoin(t *testing.T, launcherArgs, workerArgs []string) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	launcherErr := make(chan error, 1)
+	launched := make(chan error, 1)
 	go func() {
 		var b bytes.Buffer
 		err := run(context.Background(), append(launcherArgs, "-listen", addr), &bytes.Buffer{}, &b)
 		if err != nil {
 			err = fmt.Errorf("%w\n%s", err, b.String())
 		}
-		launcherErr <- err
+		launched <- err
 	}()
 
 	// The worker dials once, so retry until the launcher is listening.
-	var werr error
 	for i := 0; i < 100; i++ {
-		werr = run(context.Background(), append(workerArgs, "-worker", "-join", addr),
+		workerErr = run(context.Background(), append(workerArgs, "-worker", "-join", addr),
 			&bytes.Buffer{}, &bytes.Buffer{})
-		if werr == nil || !strings.Contains(werr.Error(), "connection refused") {
+		if workerErr == nil || !strings.Contains(workerErr.Error(), "connection refused") {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if werr != nil {
-		t.Fatalf("hand-joined worker: %v", werr)
+	return <-launched, workerErr
+}
+
+// TestRunTCPHandJoinedWorkerWithOtherFlags: a hand-joined worker started
+// with another far field builds a task list of the launcher's length but
+// not its content. Both processes used to finish, and the launcher wrote
+// a mesh that differs from a consistent run's, unless a differing header
+// happened to be stolen. Now the launcher refuses the worker's list
+// digest and writes nothing, and the worker fails too: with the
+// launcher's verdict, or, when the launcher exits before the worker reads
+// it, with the launcher's departure.
+func TestRunTCPHandJoinedWorkerWithOtherFlags(t *testing.T) {
+	base := []string{
+		"-n", "24", "-ranks", "2",
+		"-h0", "0.08", "-hmax", "2", "-bl-h0", "3e-3", "-bl-layers", "8", "-q",
 	}
-	if err := <-launcherErr; err != nil {
-		t.Fatalf("launcher: %v", err)
+	out := filepath.Join(t.TempDir(), "mesh")
+	launcher := append(append([]string{}, base...), "-farfield", "6", "-transport", "tcp", "-spawn", "0", "-o", out)
+	worker := append(append([]string{}, base...), "-farfield", "12")
+	launcherErr, workerErr := handJoinErrs(t, launcher, worker)
+	if launcherErr == nil || !strings.Contains(launcherErr.Error(), "task lists differ") {
+		t.Errorf("launcher: %v, want a failure naming the differing task lists", launcherErr)
+	}
+	if workerErr == nil {
+		t.Error("the worker succeeded")
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the launcher wrote a mesh (%v)", err)
 	}
 }
 

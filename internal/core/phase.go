@@ -95,7 +95,7 @@ func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]subme
 	var te *loadbal.TaskError
 	if errors.As(err, &te) {
 		failed = &PhaseError{Stage: stage, Rank: te.Rank, Err: fmt.Errorf("task %d: %w", te.Task, te.Err)}
-		if te.Task < 0 { // the processes' task lists differ in length
+		if te.Task < 0 { // the processes' task lists differ
 			failed.Err = te.Err
 		}
 	} else if err != nil {

@@ -80,12 +80,13 @@ type Triangulation struct {
 	refTris []triRef
 	refEnc  [][2]int32
 
-	// binGrid, when non-nil, hashes points to cells and binSeed remembers
-	// the most recent vertex per cell; locate starts its walk from that
-	// vertex when it is closer to the query than the default seed. Bin
-	// seeding serves constrained inputs only: insertionOrder turns it on
-	// for the scattered queries of their segment recovery and refinement.
-	binGrid *geom.Grid
+	// binGrid hashes points to cells and binSeed remembers the most recent
+	// vertex per cell; locate starts its walk from that vertex when it is
+	// closer to the query than the default seed. Seeding is on while
+	// binSeed is non-empty. Bin seeding serves constrained inputs only:
+	// insertionOrder turns it on for the scattered queries of their
+	// segment recovery and refinement.
+	binGrid geom.Grid
 	binSeed []int32
 }
 
@@ -185,7 +186,7 @@ func (t *Triangulation) reset(bb geom.BBox, expectPoints int) {
 	t.pts, t.vtri = t.pts[:0], t.vtri[:0]
 	t.tris, t.free = t.tris[:0], t.free[:0]
 	t.last, t.carved = 0, false
-	t.binGrid = nil
+	t.binSeed = t.binSeed[:0]
 	if expectPoints > 0 {
 		if cap(t.pts) < expectPoints+4 {
 			t.pts = make([]geom.Point, 0, expectPoints+4)
@@ -240,7 +241,7 @@ func (t *Triangulation) addPoint(p geom.Point) int32 {
 	t.pts = appendDoubling(t.pts, p)
 	t.vtri = appendDoubling(t.vtri, invalid)
 	v := int32(len(t.pts) - 1)
-	if t.binGrid != nil {
+	if len(t.binSeed) > 0 {
 		t.binSeed[t.binGrid.Cell(p)] = v
 	}
 	return v
@@ -518,7 +519,7 @@ func (t *Triangulation) locateFrom(seed int32, p geom.Point) location {
 			return location{kind: locOutside}
 		}
 	}
-	if t.binGrid != nil {
+	if len(t.binSeed) > 0 {
 		if w := t.binSeed[t.binGrid.Cell(p)]; w != invalid {
 			if wt := t.vtri[w]; wt != invalid && !t.tris[wt].Dead {
 				if t.pts[w].Dist2(p) < t.pts[t.tris[ti].V[0]].Dist2(p) {

@@ -224,8 +224,8 @@ func resultTriangles(r *Result) [][3]int32 {
 // TestWarmBuildAllocations: a workspace that already built a region builds,
 // refines and extracts it again with no store, queue or scratch growth.
 // What remains per call is Extract's result (the remap, the Result and
-// its three arrays), Build's insertion order and vertex map, and the bin
-// seed grid; the bound is that count.
+// its three arrays) and Build's insertion order and vertex map; the bound
+// is that count.
 func TestWarmBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -242,7 +242,7 @@ func TestWarmBuildAllocations(t *testing.T) {
 		ws.Extract()
 	}
 	run()
-	const bound = 5 + 2 + 1
+	const bound = 5 + 2
 	if got := testing.AllocsPerRun(20, run); got > bound {
 		t.Errorf("a warm Build+Refine+Extract allocates %v times, want at most %d", got, bound)
 	}

@@ -15,8 +15,9 @@ type Grid struct {
 
 // NewGrid builds a grid over bb with approximately targetCells cells,
 // distributed across the two axes in proportion to the box's aspect ratio.
-// targetCells below 1 yields a single cell.
-func NewGrid(bb BBox, targetCells int) *Grid {
+// targetCells below 1 yields a single cell. The grid is a value, so a
+// holder can keep it in place without a heap allocation.
+func NewGrid(bb BBox, targetCells int) Grid {
 	if targetCells < 1 {
 		targetCells = 1
 	}
@@ -38,7 +39,7 @@ func NewGrid(bb BBox, targetCells int) *Grid {
 	if ny < 1 {
 		ny = 1
 	}
-	return &Grid{
+	return Grid{
 		bb:   bb,
 		nx:   nx,
 		ny:   ny,

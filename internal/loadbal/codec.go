@@ -21,8 +21,10 @@ const codecTask mpi.CodecID = 16
 // taskFrame is the length of a Task's frame.
 const taskFrame = 13
 
-func encodeTaskRef(ref any, dst []byte) []byte {
-	t := ref.(Task)
+func encodeTaskRef(ref any, dst []byte) []byte { return appendTask(dst, ref.(Task)) }
+
+// appendTask appends t's frame to dst.
+func appendTask(dst []byte, t Task) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.ID))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.Cost))
 	var flags byte
@@ -60,24 +62,45 @@ func init() {
 	mpi.RegisterCodec(codecTask, Task{}, encodeTaskRef, decodeTaskRef)
 }
 
-// countMsg is a tagCount payload: the worker's task count as one
-// little-endian int32, in a pooled buffer the root releases.
-func countMsg(tasks int) []byte {
-	b := mpi.GetBytes(4)
+// countMsg is a tagCount payload: the worker's task count as a
+// little-endian int32 and its list's digest as a little-endian uint64, in
+// a pooled buffer the root releases.
+func countMsg(tasks int, digest uint64) []byte {
+	b := mpi.GetBytes(countFrame)
 	binary.LittleEndian.PutUint32(b, uint32(tasks))
+	binary.LittleEndian.PutUint64(b[4:], digest)
 	return b
 }
 
+// countFrame is the length of a countMsg.
+const countFrame = 12
+
 // decodeCount parses a countMsg.
-func decodeCount(b []byte) (int, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("loadbal: task count of %d bytes, want 4", len(b))
+func decodeCount(b []byte) (tasks int, digest uint64, err error) {
+	if len(b) != countFrame {
+		return 0, 0, fmt.Errorf("loadbal: task count of %d bytes, want %d", len(b), countFrame)
 	}
 	n := int32(binary.LittleEndian.Uint32(b))
 	if n < 0 {
-		return 0, fmt.Errorf("loadbal: task count %d, want at least 0", n)
+		return 0, 0, fmt.Errorf("loadbal: task count %d, want at least 0", n)
 	}
-	return int(n), nil
+	return int(n), binary.LittleEndian.Uint64(b[4:]), nil
+}
+
+// listDigest is the 64-bit FNV-1a hash of the tasks' frames in list
+// order: ID, cost bits and flag of every header. Processes that built the
+// same list compute the same digest.
+func listDigest(tasks []Task) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	var frame [taskFrame]byte
+	for _, t := range tasks {
+		for _, c := range appendTask(frame[:0], t) {
+			h ^= uint64(c)
+			h *= prime
+		}
+	}
+	return h
 }
 
 // completeMsg is a tagComplete payload: the finished task's ID as one

@@ -78,6 +78,10 @@ type Options struct {
 	// granter died may run twice, which is safe because every task is
 	// deterministic and completions are de-duplicated by ID.
 	deal [][]Task
+	// digest is listDigest of the task list, set by Scatter on
+	// multi-process worlds: a worker sends it with its count, and the root
+	// fails the run on one that differs from its own.
+	digest uint64
 }
 
 // DefaultOptions returns the tuning used by the pipeline.
@@ -206,11 +210,12 @@ func (s *state) cancel() {
 // initial task list; process is invoked once per task, on exactly one
 // rank. Returns this rank's stats. The window must have one slot per rank.
 //
-// In a multi-process world every process must hold totalTasks tasks: each
-// worker sends its count to the root ahead of anything else, and the root
-// terminates the run only once every live worker's count arrived. A count
-// that differs from the root's ends the run at once: the root terminates
-// every live worker and returns a *LengthError.
+// In a multi-process world every process must hold the same task list:
+// each worker sends its count and list digest to the root ahead of
+// anything else, and the root terminates the run only once every live
+// worker's count arrived. A count or digest that differs from the root's
+// ends the run at once: the root terminates every live worker and returns
+// a *ListError.
 //
 // The run ends early when ctx is canceled or the world is torn down: the
 // task in flight completes, queued tasks are abandoned, both goroutines
@@ -232,7 +237,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	}
 	multi := c.World().MultiProcess()
 	if multi && c.Rank() != 0 {
-		msg := countMsg(totalTasks)
+		msg := countMsg(totalTasks, opt.digest)
 		if err := c.Send(0, tagCount, msg); err != nil {
 			mpi.PutBytes(msg)
 			return Stats{}, err
@@ -382,7 +387,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 				switch tag {
 				case tagCount:
 					b, _ := data.([]byte)
-					n, err := decodeCount(b)
+					n, digest, err := decodeCount(b)
 					mpi.PutBytes(b)
 					if err == nil && counted == nil {
 						err = errors.New("loadbal: a task count reached a rank that counts none")
@@ -392,7 +397,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 						return
 					}
 					counted[src] = true
-					if n != totalTasks {
+					if n != totalTasks || digest != opt.digest {
 						// Nothing the two lists share can be trusted: stop
 						// the workers now, and this rank with them.
 						for r := 1; r < c.Size(); r++ {
@@ -400,7 +405,7 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 								_ = c.Send(r, tagTerminate, nil)
 							}
 						}
-						abort(&LengthError{Rank: src, Tasks: n, RootTasks: totalTasks})
+						abort(&ListError{Rank: src, Tasks: n, RootTasks: totalTasks, Digest: digest, RootDigest: opt.digest})
 						return
 					}
 				case tagRequest:
@@ -599,16 +604,24 @@ func Run(ctx context.Context, c *mpi.Comm, win *mpi.Window, initial []Task, tota
 	return stats, runErr
 }
 
-// LengthError reports a worker of a multi-process run whose task list
-// differs in length from the root's: the processes built different lists.
-type LengthError struct {
-	Rank      int // the worker
-	Tasks     int // the worker's task count
-	RootTasks int // the root's
+// ListError reports a worker of a multi-process run whose task list
+// differs from the root's in length or in its digest: the processes built
+// different lists. A parameter that changes no task header (a quality
+// bound, say) goes unseen.
+type ListError struct {
+	Rank       int    // the worker
+	Tasks      int    // the worker's task count
+	RootTasks  int    // the root's
+	Digest     uint64 // the worker's list digest
+	RootDigest uint64 // the root's
 }
 
-func (e *LengthError) Error() string {
-	return fmt.Sprintf("rank %d holds %d tasks and the root %d: the processes' task lists differ", e.Rank, e.Tasks, e.RootTasks)
+func (e *ListError) Error() string {
+	if e.Tasks != e.RootTasks {
+		return fmt.Sprintf("rank %d holds %d tasks and the root %d: the processes' task lists differ", e.Rank, e.Tasks, e.RootTasks)
+	}
+	return fmt.Sprintf("rank %d's task headers digest to %016x and the root's to %016x: the processes' task lists differ",
+		e.Rank, e.Digest, e.RootDigest)
 }
 
 // countsIn reports that every live worker's task count arrived; always

@@ -34,9 +34,8 @@ type Result interface {
 
 // TaskError reports a task that produced no result — exec returned an
 // error or panicked — attributed to the rank that was executing it. A
-// phase whose processes hold task lists of different lengths fails as a
-// TaskError of task -1 whose Err is the *LengthError, attributed to the
-// worker.
+// phase whose processes hold different task lists fails as a TaskError of
+// task -1 whose Err is the *ListError, attributed to the worker.
 type TaskError struct {
 	Rank int
 	Task int32
@@ -69,9 +68,10 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 //
 // A stolen header comes from another process's list: one whose ID is out
 // of range or that differs from tasks[ID] fails as a *TaskError without
-// running (the processes' lists differ). Lists of different lengths fail
-// the phase at the root, before it could wait for tasks a worker does not
-// hold, as a *TaskError of task -1 wrapping Run's *LengthError.
+// running (the processes' lists differ). Lists of different lengths or
+// digests (listDigest) fail the phase at the root, before it could wait
+// for tasks a worker does not hold or merge results of other tasks, as a
+// *TaskError of task -1 wrapping Run's *ListError.
 //
 // The returned results are complete only in the process hosting rank 0;
 // the stats slice carries an entry for each rank this process hosts. The
@@ -98,6 +98,7 @@ func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 		// In-process worlds share fate across all ranks, so recovery stays
 		// off and the run carries no ownership maps.
 		opt.deal = initial
+		opt.digest = listDigest(tasks)
 	}
 
 	results := make([]Result, len(tasks))
@@ -132,10 +133,10 @@ func Scatter(ctx context.Context, world *mpi.World, tasks []Task, opt Options,
 		bs.Busy = busy
 		bs.Failed += failures
 		stats[rank] = bs
-		// Lists of different lengths fail the phase like a task: the
-		// world stays up for the exchange the caller pairs with the
-		// workers, which the root terminated.
-		var le *LengthError
+		// Different lists fail the phase like a task: the world stays up
+		// for the exchange the caller pairs with the workers, which the
+		// root terminated.
+		var le *ListError
 		if errors.As(err, &le) {
 			fail(le.Rank, -1, le)
 			return nil

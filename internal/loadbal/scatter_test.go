@@ -352,14 +352,15 @@ func TestScatterChecksItsPrecondition(t *testing.T) {
 	}
 }
 
-// TestScatterRefusesMismatchedLists: two processes whose task lists differ
-// in cost. Rank 1 runs its tasks at once and steals from the slow rank 0,
-// so a stolen header arrives that differs from the thief's own copy; that
-// task fails as a *TaskError naming the mismatch, and the thief never runs
-// it.
-func TestScatterRefusesMismatchedLists(t *testing.T) {
-	const ranks, n = 2, 16
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+// runPair runs Scatter on two loopback processes, the root holding
+// lists[0] and the worker lists[1], and fails unless both return well
+// inside a 5 s deadline with their worlds intact for the exchange that
+// follows. exec, when non-nil, sees each task run with the process's own
+// header for it.
+func runPair(t *testing.T, lists [2][]Task, exec func(rank int, own, ran Task)) [2]scatterOut {
+	t.Helper()
+	const ranks, deadline = 2, 5 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	clusters, err := mpi.LoopbackClusters(ctx, ranks)
 	if err != nil {
@@ -368,100 +369,138 @@ func TestScatterRefusesMismatchedLists(t *testing.T) {
 	for _, cl := range clusters {
 		defer cl.Close()
 	}
-	var executed sync.Map
-	outs := make([]scatterOut, ranks)
+	start := time.Now()
+	var outs [ranks]scatterOut
+	var worlds [ranks]*mpi.World
 	var wg sync.WaitGroup
 	for _, cl := range clusters {
 		wg.Add(1)
 		go func(cl *mpi.Cluster) {
 			defer wg.Done()
-			tasks := toyTasks(n)
-			for i := range tasks {
-				tasks[i].Cost += float64(cl.Rank()) // the lists differ in every cost
-			}
-			ok := toyExec(&executed)
-			o := &outs[cl.Rank()]
-			o.results, o.stats, o.err = Scatter(ctx, cl.NewWorld(), tasks, toyOptions(n, ranks),
+			r := cl.Rank()
+			tasks := lists[r]
+			worlds[r] = cl.NewWorld()
+			o := &outs[r]
+			o.results, o.stats, o.err = Scatter(ctx, worlds[r], tasks, toyOptions(len(tasks), ranks),
 				func(c *mpi.Comm, tk Task) (Result, error) {
-					if c.Rank() == 0 {
-						time.Sleep(5 * time.Millisecond)
+					if exec != nil {
+						exec(r, tasks[tk.ID], tk)
 					}
-					return ok(c, tk)
+					time.Sleep(200 * time.Microsecond)
+					return &toyResult{id: tk.ID}, nil
 				})
 		}(cl)
 	}
 	wg.Wait()
+	if took := time.Since(start); took > deadline/5 {
+		t.Errorf("the processes returned after %v", took)
+	}
+	for r, w := range worlds {
+		if err := w.Err(); err != nil {
+			t.Errorf("process %d's world is down: %v", r, err)
+		}
+	}
 	var te *TaskError
-	if !errors.As(outs[1].err, &te) || te.Rank != 1 || !strings.Contains(te.Error(), "task lists differ") {
-		t.Fatalf("the thief's process returned %v, want a rank-1 *TaskError naming the mismatch", outs[1].err)
+	if outs[1].err != nil && !errors.As(outs[1].err, &te) {
+		t.Errorf("the worker returned %v, want nothing or a *TaskError", outs[1].err)
 	}
-	if outs[1].stats[1].StealsGotten == 0 {
-		t.Fatal("rank 1 stole nothing; the mismatch is not exercised")
+	return outs
+}
+
+// listRefused returns the *ListError of a root that failed the phase as
+// a rank-1 *TaskError of task -1 wrapping one, naming the mismatch.
+func listRefused(t *testing.T, root scatterOut) *ListError {
+	t.Helper()
+	var te *TaskError
+	var le *ListError
+	if !errors.As(root.err, &te) || te.Rank != 1 || te.Task != -1 || !errors.As(te, &le) || le.Rank != 1 ||
+		!strings.Contains(te.Error(), "task lists differ") {
+		t.Fatalf("the root returned %v, want a rank-1 *TaskError of task -1 wrapping a *ListError", root.err)
 	}
-	if _, ran := executed.Load(te.Task); ran {
-		t.Errorf("task %d ran although its granted header differs", te.Task)
+	return le
+}
+
+// TestScatterRefusesMismatchedLists: two processes whose task lists differ
+// in every cost. The root refuses the worker's list digest before it
+// grants any steal, so no task runs on a header from the other list; a
+// stolen header that differs from the thief's own copy (lists whose
+// digests collide) fails without running.
+func TestScatterRefusesMismatchedLists(t *testing.T) {
+	const n = 16
+	var lists [2][]Task
+	for r := range lists {
+		lists[r] = toyTasks(n)
+		for i := range lists[r] {
+			lists[r][i].Cost += float64(r)
+		}
 	}
-	if outs[0].err == nil {
-		t.Error("the root collected every result although a task failed")
+	var foreign atomic.Int32
+	outs := runPair(t, lists, func(rank int, own, ran Task) {
+		if own != ran {
+			foreign.Add(1)
+		}
+	})
+	listRefused(t, outs[0])
+	if got := foreign.Load(); got > 0 {
+		t.Errorf("%d tasks ran on a header from the other process's list", got)
+	}
+	if outs[1].stats[1].StealsGotten != 0 {
+		t.Errorf("rank 1 stole %d tasks from a list the root refused", outs[1].stats[1].StealsGotten)
+	}
+
+	ran := false
+	exec := func(*mpi.Comm, Task) (Result, error) { ran = true; return nil, nil }
+	for _, stolen := range []Task{lists[1][3], {ID: n, Cost: 10}, {ID: -1, Cost: 10}} {
+		if _, err := protect(exec, nil, lists[0], stolen); err == nil || ran || !strings.Contains(err.Error(), "task lists differ") {
+			t.Errorf("stolen header %+v: ran %v, error %v", stolen, ran, err)
+		}
 	}
 }
 
 // TestScatterRefusesListsOfDifferentLengths: two processes whose task
 // lists differ in length, one way and the other. The root reads the
 // worker's count before it could wait for tasks the worker does not hold,
-// fails the phase as a rank-1 *TaskError wrapping a *LengthError that
-// names both lengths, and terminates the worker, so both processes return
-// well inside the deadline with the world intact for the exchange that
-// follows.
+// fails the phase as a rank-1 *TaskError wrapping a *ListError that
+// names both lengths, and terminates the worker.
 func TestScatterRefusesListsOfDifferentLengths(t *testing.T) {
 	for _, lens := range [][2]int{{16, 8}, {8, 16}} {
 		t.Run(fmt.Sprintf("root-%d-worker-%d", lens[0], lens[1]), func(t *testing.T) {
-			const ranks, deadline = 2, 5 * time.Second
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			clusters, err := mpi.LoopbackClusters(ctx, ranks)
-			if err != nil {
-				t.Fatalf("LoopbackClusters: %v", err)
-			}
-			for _, cl := range clusters {
-				defer cl.Close()
-			}
-			start := time.Now()
-			var executed sync.Map
-			outs := make([]scatterOut, ranks)
-			worlds := make([]*mpi.World, ranks)
-			var wg sync.WaitGroup
-			for _, cl := range clusters {
-				wg.Add(1)
-				go func(cl *mpi.Cluster) {
-					defer wg.Done()
-					n := lens[cl.Rank()]
-					o := &outs[cl.Rank()]
-					worlds[cl.Rank()] = cl.NewWorld()
-					o.results, o.stats, o.err = Scatter(ctx, worlds[cl.Rank()], toyTasks(n), toyOptions(n, ranks), toyExec(&executed))
-				}(cl)
-			}
-			wg.Wait()
-			if took := time.Since(start); took > deadline/5 {
-				t.Errorf("the processes returned after %v", took)
-			}
-			var te *TaskError
-			var le *LengthError
-			if !errors.As(outs[0].err, &te) || te.Rank != 1 || te.Task != -1 || !errors.As(te, &le) ||
-				le.Rank != 1 || le.Tasks != lens[1] || le.RootTasks != lens[0] {
-				t.Fatalf("the root returned %v, want a rank-1 *TaskError of task -1 wrapping a *LengthError", outs[0].err)
+			outs := runPair(t, [2][]Task{toyTasks(lens[0]), toyTasks(lens[1])}, nil)
+			le := listRefused(t, outs[0])
+			if le.Tasks != lens[1] || le.RootTasks != lens[0] {
+				t.Errorf("%+v, want the worker's %d tasks and the root's %d", le, lens[1], lens[0])
 			}
 			for _, n := range lens {
-				if !strings.Contains(te.Error(), fmt.Sprint(n)) {
-					t.Errorf("%q does not name the length %d", te.Error(), n)
+				if !strings.Contains(le.Error(), fmt.Sprint(n)) {
+					t.Errorf("%q does not name the length %d", le.Error(), n)
 				}
 			}
-			if outs[1].err != nil && !errors.As(outs[1].err, &te) {
-				t.Errorf("the worker returned %v, want nothing or a *TaskError", outs[1].err)
+		})
+	}
+}
+
+// TestScatterRefusesListsOfDifferentHeaders: lists of one length whose
+// headers differ in one cost or one flag merged silently unless the
+// differing header happened to be stolen. The root now compares the
+// worker's list digest with its own and fails the phase with a
+// *ListError that names both digests.
+func TestScatterRefusesListsOfDifferentHeaders(t *testing.T) {
+	const n = 16
+	for name, change := range map[string]func(*Task){
+		"one cost": func(t *Task) { t.Cost++ },
+		"one flag": func(t *Task) { t.BoundaryLayer = true },
+	} {
+		t.Run(name, func(t *testing.T) {
+			worker := toyTasks(n)
+			change(&worker[5])
+			outs := runPair(t, [2][]Task{toyTasks(n), worker}, nil)
+			le := listRefused(t, outs[0])
+			if le.Tasks != n || le.RootTasks != n || le.Digest != listDigest(worker) || le.RootDigest != listDigest(toyTasks(n)) {
+				t.Errorf("%+v, want %d tasks on both sides and the two lists' digests", le, n)
 			}
-			for r, w := range worlds {
-				if err := w.Err(); err != nil {
-					t.Errorf("process %d's world is down: %v", r, err)
+			for _, d := range []uint64{le.Digest, le.RootDigest} {
+				if !strings.Contains(le.Error(), fmt.Sprintf("%016x", d)) {
+					t.Errorf("%q does not name the digest %016x", le.Error(), d)
 				}
 			}
 		})

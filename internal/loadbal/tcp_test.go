@@ -71,16 +71,18 @@ func TestTaskCodecRejectsMalformed(t *testing.T) {
 
 // TestControlMessageRoundTrip: the task count, completion and
 // grant-acknowledgement payloads decode to what was encoded, at the range
-// bounds too, in pooled buffers of exactly 4, 4 and 8 bytes.
+// bounds too, in pooled buffers of exactly 12, 4 and 8 bytes.
 func TestControlMessageRoundTrip(t *testing.T) {
 	const tasks, ranks = 1000, 7
 	for _, n := range []int{0, 1, tasks, math.MaxInt32} {
-		b := countMsg(n)
-		got, err := decodeCount(b)
-		if err != nil || got != n || len(b) != 4 {
-			t.Errorf("count of %d: %d bytes decode to %d, %v", n, len(b), got, err)
+		for _, d := range []uint64{0, 1, math.MaxUint64, listDigest(nil)} {
+			b := countMsg(n, d)
+			got, gotD, err := decodeCount(b)
+			if err != nil || got != n || gotD != d || len(b) != 12 {
+				t.Errorf("count of %d, digest %x: %d bytes decode to %d, %x, %v", n, d, len(b), got, gotD, err)
+			}
+			mpi.PutBytes(b)
 		}
-		mpi.PutBytes(b)
 	}
 	for _, id := range []int32{0, 1, 517, tasks - 1} {
 		b := completeMsg(id)
@@ -124,12 +126,13 @@ func TestControlMessageRejectsMalformed(t *testing.T) {
 	}
 	count := map[string][]byte{
 		"empty":          nil,
-		"short":          le(1)[:3],
-		"long":           le(1, 0),
-		"negative count": le(-1),
+		"count alone":    le(1),
+		"short":          le(1, 2, 3)[:11],
+		"long":           le(1, 2, 3, 0),
+		"negative count": le(-1, 2, 3),
 	}
 	for name, b := range count {
-		if _, err := decodeCount(b); err == nil {
+		if _, _, err := decodeCount(b); err == nil {
 			t.Errorf("task count %s: decoder accepted %v", name, b)
 		}
 	}

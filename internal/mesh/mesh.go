@@ -290,16 +290,32 @@ func maxAngleDeg(a, b, c geom.Point) float64 {
 // section. This is the slow, portable output path the paper measured at 9
 // minutes for 172.8M triangles.
 func (m *Mesh) WriteASCII(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	fmt.Fprintf(bw, "%d 2 0 0\n", len(m.Points))
+	e := newEncoder(w, asciiBytes(m))
+	e.int(int64(len(m.Points)))
+	e.str(" 2 0 0")
+	e.line()
 	for i, p := range m.Points {
-		fmt.Fprintf(bw, "%d %.17g %.17g\n", i, p.X, p.Y)
+		e.int(int64(i))
+		e.sep()
+		e.float(p.X)
+		e.sep()
+		e.float(p.Y)
+		e.line()
 	}
-	fmt.Fprintf(bw, "%d 3 0\n", len(m.Triangles))
+	e.int(int64(len(m.Triangles)))
+	e.str(" 3 0")
+	e.line()
 	for i, t := range m.Triangles {
-		fmt.Fprintf(bw, "%d %d %d %d\n", i, t[0], t[1], t[2])
+		e.int(int64(i))
+		e.sep()
+		e.int(int64(t[0]))
+		e.sep()
+		e.int(int64(t[1]))
+		e.sep()
+		e.int(int64(t[2]))
+		e.line()
 	}
-	return bw.Flush()
+	return e.flush()
 }
 
 // binaryMagic identifies the binary mesh format.
@@ -309,26 +325,22 @@ const binaryMagic = uint32(0x504d3244) // "PM2D"
 // magic, counts, raw coordinate and index arrays. The fast output path for
 // flow solvers that accept binary input.
 func (m *Mesh) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint32{binaryMagic, uint32(len(m.Points)), uint32(len(m.Triangles))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	coords := make([]float64, 0, 2*len(m.Points))
+	e := newEncoder(w, binaryBytes(m))
+	e.u32(binaryMagic)
+	e.u32(uint32(len(m.Points)))
+	e.u32(uint32(len(m.Triangles)))
 	for _, p := range m.Points {
-		coords = append(coords, p.X, p.Y)
+		e.f64(p.X)
+		e.f64(p.Y)
+		e.record()
 	}
-	if err := binary.Write(bw, binary.LittleEndian, coords); err != nil {
-		return err
-	}
-	idx := make([]int32, 0, 3*len(m.Triangles))
 	for _, t := range m.Triangles {
-		idx = append(idx, t[0], t[1], t[2])
+		e.u32(uint32(t[0]))
+		e.u32(uint32(t[1]))
+		e.u32(uint32(t[2]))
+		e.record()
 	}
-	if err := binary.Write(bw, binary.LittleEndian, idx); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return e.flush()
 }
 
 // maxCount caps the point/triangle counts a reader accepts from a header;

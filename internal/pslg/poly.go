@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pamg2d/internal/geom"
@@ -18,48 +19,105 @@ const maxPrealloc = 4096
 // WritePoly writes the graph in Triangle's .poly format: a vertex section,
 // a segment section connecting each loop, and a hole section with one seed
 // inside each body. Mesh generators built on Triangle exchange geometry in
-// this format, so the push-button CLI reads and writes it.
+// this format, so the push-button CLI reads and writes it. Numbers are
+// appended with strconv into one reused chunk, byte for byte what fmt's %d
+// and %.17g print, and the first write error is returned.
 func (g *Graph) WritePoly(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	loops := make([]*Loop, 0, len(g.Surfaces)+1)
-	for i := range g.Surfaces {
-		loops = append(loops, &g.Surfaces[i])
-	}
+	// The far field, when present, is the last loop.
+	nloops := len(g.Surfaces)
 	if len(g.Farfield.Points) > 0 {
-		loops = append(loops, &g.Farfield)
+		nloops++
+	}
+	loop := func(li int) *Loop {
+		if li < len(g.Surfaces) {
+			return &g.Surfaces[li]
+		}
+		return &g.Farfield
 	}
 	total := 0
-	for _, l := range loops {
-		total += len(l.Points)
+	for li := range nloops {
+		total += len(loop(li).Points)
 	}
-	fmt.Fprintf(bw, "# pamg2d PSLG\n")
-	fmt.Fprintf(bw, "%d 2 0 1\n", total)
+	// A vertex line is at most 72 bytes, a segment line 44 and a hole
+	// line 61; the chunk holds a small graph whole.
+	buf := make([]byte, 0, max(min(polyChunk, 64+128*total+64*len(g.Surfaces)), 2*polySlack))
+	var err error
+	flush := func() {
+		if err == nil && len(buf) > 0 {
+			var n int
+			if n, err = w.Write(buf); err == nil && n < len(buf) {
+				err = io.ErrShortWrite
+			}
+		}
+		buf = buf[:0]
+	}
+	line := func() {
+		buf = append(buf, '\n')
+		if len(buf) > cap(buf)-polySlack {
+			flush()
+		}
+	}
+	num := func(v int) { buf = strconv.AppendInt(buf, int64(v), 10) }
+	coords := func(p geom.Point) {
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, p.X, 'g', 17, 64)
+		buf = append(buf, ' ')
+		buf = strconv.AppendFloat(buf, p.Y, 'g', 17, 64)
+	}
+
+	buf = append(buf, "# pamg2d PSLG\n"...)
+	num(total)
+	buf = append(buf, " 2 0 1"...)
+	line()
 	idx := 0
-	starts := make([]int, len(loops))
-	for li, l := range loops {
-		starts[li] = idx
-		for _, p := range l.Points {
+	for li := range nloops {
+		for _, p := range loop(li).Points {
 			// The boundary marker column carries the loop index + 1.
-			fmt.Fprintf(bw, "%d %.17g %.17g %d\n", idx, p.X, p.Y, li+1)
+			num(idx)
+			coords(p)
+			buf = append(buf, ' ')
+			num(li + 1)
+			line()
 			idx++
 		}
 	}
-	fmt.Fprintf(bw, "%d 1\n", total)
-	seg := 0
-	for li, l := range loops {
-		n := len(l.Points)
-		for k := 0; k < n; k++ {
-			fmt.Fprintf(bw, "%d %d %d %d\n", seg, starts[li]+k, starts[li]+(k+1)%n, li+1)
-			seg++
+	num(total)
+	buf = append(buf, " 1"...)
+	line()
+	// Segment start+k joins vertices start+k and the loop's next one, so a
+	// segment's number is its first vertex's.
+	start := 0
+	for li := range nloops {
+		n := len(loop(li).Points)
+		for k := range n {
+			num(start + k)
+			buf = append(buf, ' ')
+			num(start + k)
+			buf = append(buf, ' ')
+			num(start + (k+1)%n)
+			buf = append(buf, ' ')
+			num(li + 1)
+			line()
 		}
+		start += n
 	}
-	fmt.Fprintf(bw, "%d\n", len(g.Surfaces))
+	num(len(g.Surfaces))
+	line()
 	for i := range g.Surfaces {
-		h := InteriorPointOf(&g.Surfaces[i])
-		fmt.Fprintf(bw, "%d %.17g %.17g\n", i, h.X, h.Y)
+		num(i)
+		coords(InteriorPointOf(&g.Surfaces[i]))
+		line()
 	}
-	return bw.Flush()
+	flush()
+	return err
 }
+
+// polyChunk is WritePoly's largest chunk; polySlack is room past its
+// flush point for the widest line.
+const (
+	polyChunk = 64 << 10
+	polySlack = 128
+)
 
 // ReadPoly reads a .poly file written by WritePoly (or a compatible subset
 // of Triangle's format: vertices and segments with boundary markers that
@@ -71,8 +129,10 @@ func (g *Graph) WritePoly(w io.Writer) error {
 // back the same after WritePoly is refused too: a loop enclosing no area,
 // or two loops each enclosing all the others.
 func ReadPoly(r io.Reader) (*Graph, error) {
+	// The line buffer starts small and grows up to the 1 MiB cap on the
+	// longest line.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	fields := func() ([]string, error) {
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())

@@ -1,11 +1,13 @@
 package pslg
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -137,11 +139,31 @@ func TestReadPolyErrors(t *testing.T) {
 		{"double start", "3 2 0 0\n0 0 0\n1 1 0\n2 1 1\n2 1\n0 0 1 1\n1 0 2 1\n"},
 		{"loop enclosing no area", "2 2 0 0\n0 0 0\n1 1 0\n2 1\n0 0 1 1\n1 1 0 1\n"},
 		{"two loops each enclosing the other", crossingLoops},
+		{"line over the 1 MiB cap", paddedTriangle(1 << 20)},
 	}
 	for _, c := range cases {
 		if _, err := ReadPoly(strings.NewReader(c.data)); err == nil {
 			t.Errorf("%s: want error", c.name)
 		}
+	}
+}
+
+// paddedTriangle is a valid .poly triangle whose first vertex line is
+// padded with spaces to n bytes.
+func paddedTriangle(n int) string {
+	const first = "0 0 0"
+	return "3 2 0 0\n" + first + strings.Repeat(" ", n-len(first)) + "\n1 1 0\n2 0 1\n3 1\n0 0 1 1\n1 1 2 1\n2 2 0 1\n"
+}
+
+// TestReadPolyLineCap: the longest line ReadPoly accepts is one byte
+// short of 1 MiB, its newline filling the scanner's buffer; one byte more
+// fails with bufio.ErrTooLong.
+func TestReadPolyLineCap(t *testing.T) {
+	if _, err := ReadPoly(strings.NewReader(paddedTriangle(1<<20 - 1))); err != nil {
+		t.Errorf("a line of 1 MiB - 1 bytes: %v", err)
+	}
+	if _, err := ReadPoly(strings.NewReader(paddedTriangle(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a line of 1 MiB: %v, want bufio.ErrTooLong", err)
 	}
 }
 
@@ -318,5 +340,27 @@ func TestReadPolyComments(t *testing.T) {
 	}
 	if len(g.Surfaces) != 1 || len(g.Surfaces[0].Points) != 3 {
 		t.Fatalf("parsed %+v", g)
+	}
+}
+
+// TestReadPolyAllocatesWhatTheInputHolds: reading a small .poly costs
+// kilobytes, not the 1 MiB line cap.
+func TestReadPolyAllocatesWhatTheInputHolds(t *testing.T) {
+	var text bytes.Buffer
+	g := &Graph{Surfaces: []Loop{square(0, 0, 1, "a")}, Farfield: square(-10, -10, 25, "farfield")}
+	if err := g.WritePoly(&text); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reads = 10
+	for range reads {
+		if _, err := ReadPoly(strings.NewReader(text.String())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / reads; got > 64<<10 {
+		t.Errorf("reading %d bytes of .poly allocated %d bytes", text.Len(), got)
 	}
 }
