@@ -357,7 +357,7 @@ func TestScatterChecksItsPrecondition(t *testing.T) {
 // inside a 5 s deadline with their worlds intact for the exchange that
 // follows. exec, when non-nil, sees each task run with the process's own
 // header for it.
-func runPair(t *testing.T, lists [2][]Task, exec func(rank int, own, ran Task)) [2]scatterOut {
+func runPair(t *testing.T, lists [2][]Task, exec func(own, ran Task)) [2]scatterOut {
 	t.Helper()
 	const ranks, deadline = 2, 5 * time.Second
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
@@ -384,7 +384,7 @@ func runPair(t *testing.T, lists [2][]Task, exec func(rank int, own, ran Task)) 
 			o.results, o.stats, o.err = Scatter(ctx, worlds[r], tasks, toyOptions(len(tasks), ranks),
 				func(c *mpi.Comm, tk Task) (Result, error) {
 					if exec != nil {
-						exec(r, tasks[tk.ID], tk)
+						exec(tasks[tk.ID], tk)
 					}
 					time.Sleep(200 * time.Microsecond)
 					return &toyResult{id: tk.ID}, nil
@@ -435,7 +435,7 @@ func TestScatterRefusesMismatchedLists(t *testing.T) {
 		}
 	}
 	var foreign atomic.Int32
-	outs := runPair(t, lists, func(rank int, own, ran Task) {
+	outs := runPair(t, lists, func(own, ran Task) {
 		if own != ran {
 			foreign.Add(1)
 		}
