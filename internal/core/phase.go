@@ -28,6 +28,9 @@ const (
 	// tagResultSync carries the root's combined verdict + result payload
 	// back to each worker (the distribute leg).
 	tagResultSync
+	// tagVerdictAck carries a worker's acknowledgement of a failing
+	// verdict: the root keeps its links open until each has arrived.
+	tagVerdictAck
 )
 
 // runPhase runs one meshing stage's tasks under loadbal.Scatter on a fresh
@@ -177,7 +180,9 @@ func settlePhase(rc *RunCtx, world *mpi.World, stage string, failed *PhaseError,
 // counts, the leg included) and the failure's text, if any; the root
 // folds each record into bal and *msgs/*bytes. The root's leg carries the
 // failure's text on a failing verdict and its encoded results, which
-// replace collected, on a clean one. On return *msgs/*bytes are the
+// replace collected, on a clean one. A worker answers a failing verdict
+// with an empty leg of its own (tagVerdictAck), and the root returns only
+// once every live worker has. On return *msgs/*bytes are the
 // phase's send counts this process's Stats records: a worker's own, the
 // root's own plus every record that arrived. The returned rank and cause
 // are the agreed failure (-1 for a clean phase), identical on every
@@ -204,6 +209,9 @@ func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError, collected []loadbal.
 			return -1, "", fmt.Errorf("core: short agreement payload (%d bytes)", len(buf))
 		}
 		if verdict := agreementRank(buf); verdict >= 0 {
+			// A root already gone needs no acknowledgement: the verdict
+			// is read either way.
+			_ = sendAgreement(c, 0, tagVerdictAck, verdict, nil)
 			return verdict, string(buf[8:]), nil
 		}
 		list, err := decodeResultList(buf[8:])
@@ -265,6 +273,21 @@ func agreePhase(rc *RunCtx, c *mpi.Comm, local *PhaseError, collected []loadbal.
 				return -1, "", err
 			}
 		}
+	}
+	// After a failing verdict the processes return and tear their links
+	// down, which drops what is still queued on them: hold the root until
+	// every live worker has read the verdict, as meshgen's finalize
+	// release round does. A clean phase's workers go on to the next one.
+	for r := 1; r < c.Size() && fail >= 0; r++ {
+		if !c.Alive(r) {
+			continue
+		}
+		buf, _, _, err := c.Recv(rc.ctx, r, tagVerdictAck)
+		var de *mpi.RankDeadError
+		if err != nil && !errors.As(err, &de) {
+			return -1, "", err
+		}
+		mpi.PutBytes(buf)
 	}
 	st := c.World().Stats()
 	*msgs = st.Messages.Load() + workerMsgs

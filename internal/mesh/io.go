@@ -5,9 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
 
+	"pamg2d/internal/fileio"
 	"pamg2d/internal/geom"
 )
 
@@ -72,83 +71,10 @@ func digits(n int) int {
 	return d
 }
 
-// chunkSize is the encoder's buffer; chunkSlack is room past its flush
-// point for the widest record a writer appends: an ASCII point line of 10
-// index digits is 61 bytes, a triangle line of four out-of-range int32
-// indices 47.
-const (
-	chunkSize  = 64 << 10
-	chunkSlack = 128
-)
-
-// encoder appends a writer's fields into one reused chunk with strconv
-// and encoding/binary, byte for byte what fmt's %d and %.17g and
-// binary.Write produce, and hands each full chunk to w. A destination
-// that offers room for the whole output (a bytes.Buffer presized at
-// Format.MaxBytes) is appended to in place and written once at the end,
-// so rendering into it allocates nothing. The first write error sticks:
-// later chunks are dropped and flush returns it.
-type encoder struct {
-	w     io.Writer
-	buf   []byte
-	limit int // flush once buf is longer
-	err   error
-}
-
-// newEncoder starts an encoder for an output of at most size bytes.
-func newEncoder(w io.Writer, size int) encoder {
-	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
-		if b := ab.AvailableBuffer(); cap(b) >= size {
-			return encoder{w: w, buf: b, limit: math.MaxInt}
-		}
-	}
-	n := max(min(size, chunkSize), 2*chunkSlack)
-	return encoder{w: w, buf: make([]byte, 0, n), limit: n - chunkSlack}
-}
-
-func (e *encoder) str(s string) { e.buf = append(e.buf, s...) }
-func (e *encoder) sep()         { e.buf = append(e.buf, ' ') }
-func (e *encoder) int(v int64)  { e.buf = strconv.AppendInt(e.buf, v, 10) }
-
-// float appends x as %.17g, which reads back as x exactly.
-func (e *encoder) float(x float64) { e.buf = strconv.AppendFloat(e.buf, x, 'g', 17, 64) }
-
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) f64(x float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
-}
-
-// line ends a text record and flushes the chunk once the next record might
-// not fit.
-func (e *encoder) line() {
-	e.buf = append(e.buf, '\n')
-	e.record()
-}
-
-// record flushes the chunk once the next record might not fit.
-func (e *encoder) record() {
-	if len(e.buf) > e.limit {
-		e.flush()
-	}
-}
-
-// flush hands the chunk to w and returns the first write error.
-func (e *encoder) flush() error {
-	if e.err == nil && len(e.buf) > 0 {
-		n, err := e.w.Write(e.buf)
-		if err == nil && n < len(e.buf) {
-			err = io.ErrShortWrite
-		}
-		e.err = err
-	}
-	e.buf = e.buf[:0]
-	return e.err
-}
-
 // Read reads a mesh in either input format, WriteBinary's or WriteASCII's,
 // telling them apart by the binary magic: a binary file opens with it, an
-// ASCII file with a digit. It peeks at the first bytes and never seeks, so
-// pipes and /dev/stdin read like files.
+// ASCII file with a digit or a comment. It peeks at the first bytes and
+// never seeks, so pipes and /dev/stdin read like files.
 func Read(r io.Reader) (*Mesh, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	if head, err := br.Peek(4); err == nil && binary.LittleEndian.Uint32(head) == binaryMagic {
@@ -161,40 +87,30 @@ func Read(r io.Reader) (*Mesh, error) {
 // readable by ParaView/VisIt for inspecting boundary layers and subdomain
 // structure.
 func (m *Mesh) WriteVTK(w io.Writer) error {
-	e := newEncoder(w, vtkBytes(m))
-	e.str("# vtk DataFile Version 3.0\npamg2d mesh\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS ")
-	e.int(int64(len(m.Points)))
-	e.str(" double")
-	e.line()
+	e := fileio.NewEncoder(w, vtkBytes(m))
+	e.Str("# vtk DataFile Version 3.0\npamg2d mesh\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS")
+	e.Ints(len(m.Points))
+	e.Str(" double")
+	e.Line()
 	for _, p := range m.Points {
-		e.float(p.X)
-		e.sep()
-		e.float(p.Y)
-		e.str(" 0")
-		e.line()
+		e.Floats(p.X, p.Y, 0)
+		e.Line()
 	}
-	e.str("CELLS ")
-	e.int(int64(len(m.Triangles)))
-	e.sep()
-	e.int(4 * int64(len(m.Triangles)))
-	e.line()
+	e.Str("CELLS")
+	e.Ints(len(m.Triangles), 4*len(m.Triangles))
+	e.Line()
 	for _, t := range m.Triangles {
-		e.str("3 ")
-		e.int(int64(t[0]))
-		e.sep()
-		e.int(int64(t[1]))
-		e.sep()
-		e.int(int64(t[2]))
-		e.line()
+		e.Ints(3, int(t[0]), int(t[1]), int(t[2])) // a cell of 3 points
+		e.Line()
 	}
-	e.str("CELL_TYPES ")
-	e.int(int64(len(m.Triangles)))
-	e.line()
+	e.Str("CELL_TYPES")
+	e.Ints(len(m.Triangles))
+	e.Line()
 	for range m.Triangles {
-		e.str("5") // VTK_TRIANGLE
-		e.line()
+		e.Str("5") // VTK_TRIANGLE
+		e.Line()
 	}
-	return e.flush()
+	return e.Flush()
 }
 
 // ElemRefError reports an element referencing a vertex index outside the
@@ -203,7 +119,7 @@ func (m *Mesh) WriteVTK(w io.Writer) error {
 // an index panic in whatever consumes the mesh next.
 type ElemRefError struct {
 	Elem      int   // element (triangle) index
-	Vertex    int32 // the out-of-range vertex reference
+	Vertex    int64 // the out-of-range vertex reference
 	NumPoints int   // size of the point array it must index
 }
 
@@ -217,7 +133,7 @@ func validateTriangles(m *Mesh) error {
 	for i, t := range m.Triangles {
 		for _, v := range t {
 			if v < 0 || v >= np {
-				return &ElemRefError{Elem: i, Vertex: v, NumPoints: int(np)}
+				return &ElemRefError{Elem: i, Vertex: int64(v), NumPoints: int(np)}
 			}
 		}
 	}
@@ -225,13 +141,16 @@ func validateTriangles(m *Mesh) error {
 }
 
 // ReadASCII reads a mesh written by WriteASCII (Triangle's .node/.ele
-// sections concatenated). Records may come in any index order; a record
-// given twice keeps the later one, and an index never given reads as the
-// zero point or triangle.
+// sections concatenated), one record per line; blank lines and '#' lines
+// are skipped. Records may come in any index order; a record given twice
+// keeps the later one, and an index never given reads as the zero point or
+// triangle.
 func ReadASCII(r io.Reader) (*Mesh, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var np, dim, nattr, nmark int
-	if _, err := fmt.Fscan(br, &np, &dim, &nattr, &nmark); err != nil {
+	sc := fileio.NewScanner(r)
+	sc.Next(4, true)
+	// Attribute and boundary-marker counts are parsed, not kept.
+	np, dim, _, _ := int(sc.Int(0)), sc.Int(1), sc.Int(2), sc.Int(3)
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("mesh: reading node header: %w", err)
 	}
 	if dim != 2 {
@@ -240,22 +159,23 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 	if np < 0 || np > maxCount {
 		return nil, fmt.Errorf("mesh: node count %d out of range", np)
 	}
-	pts := make([]geom.Point, 0, min(np, readChunk))
-	ids := make([]int32, 0, min(np, readChunk))
+	pts := make([]geom.Point, 0, min(np, fileio.MaxPrealloc))
+	ids := make([]int32, 0, min(np, fileio.MaxPrealloc))
 	for i := 0; i < np; i++ {
-		var idx int
-		var x, y float64
-		if _, err := fmt.Fscan(br, &idx, &x, &y); err != nil {
+		sc.Next(3, true)
+		idx, x, y := sc.Int(0), sc.Float(1), sc.Float(2)
+		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("mesh: reading node %d: %w", i, err)
 		}
-		if idx < 0 || idx >= np {
+		if idx < 0 || idx >= int64(np) {
 			return nil, fmt.Errorf("mesh: node index %d out of range", idx)
 		}
 		pts = append(pts, geom.Pt(x, y))
 		ids = append(ids, int32(idx))
 	}
-	var nt, perTri, nattr2 int
-	if _, err := fmt.Fscan(br, &nt, &perTri, &nattr2); err != nil {
+	sc.Next(3, true)
+	nt, perTri, _ := int(sc.Int(0)), sc.Int(1), sc.Int(2)
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("mesh: reading element header: %w", err)
 	}
 	if perTri != 3 {
@@ -264,23 +184,23 @@ func ReadASCII(r io.Reader) (*Mesh, error) {
 	if nt < 0 || nt > maxCount {
 		return nil, fmt.Errorf("mesh: element count %d out of range", nt)
 	}
-	tris := make([][3]int32, 0, min(nt, readChunk))
-	tids := make([]int32, 0, min(nt, readChunk))
+	tris := make([][3]int32, 0, min(nt, fileio.MaxPrealloc))
+	tids := make([]int32, 0, min(nt, fileio.MaxPrealloc))
 	for i := 0; i < nt; i++ {
-		var idx int
-		var a, b, c int32
-		if _, err := fmt.Fscan(br, &idx, &a, &b, &c); err != nil {
+		sc.Next(4, true)
+		idx, t := sc.Int(0), [3]int64{sc.Int(1), sc.Int(2), sc.Int(3)}
+		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("mesh: reading element %d: %w", i, err)
 		}
-		if idx < 0 || idx >= nt {
+		if idx < 0 || idx >= int64(nt) {
 			return nil, fmt.Errorf("mesh: element index %d out of range", idx)
 		}
-		for _, v := range []int32{a, b, c} {
-			if v < 0 || int(v) >= np {
-				return nil, &ElemRefError{Elem: idx, Vertex: v, NumPoints: np}
+		for _, v := range t {
+			if v < 0 || v >= int64(np) {
+				return nil, &ElemRefError{Elem: int(idx), Vertex: v, NumPoints: np}
 			}
 		}
-		tris = append(tris, [3]int32{a, b, c})
+		tris = append(tris, [3]int32{int32(t[0]), int32(t[1]), int32(t[2])})
 		tids = append(tids, int32(idx))
 	}
 	return &Mesh{Points: byIndex(pts, ids), Triangles: byIndex(tris, tids)}, nil

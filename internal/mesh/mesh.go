@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 
+	"pamg2d/internal/fileio"
 	"pamg2d/internal/geom"
 )
 
@@ -290,32 +291,21 @@ func maxAngleDeg(a, b, c geom.Point) float64 {
 // section. This is the slow, portable output path the paper measured at 9
 // minutes for 172.8M triangles.
 func (m *Mesh) WriteASCII(w io.Writer) error {
-	e := newEncoder(w, asciiBytes(m))
-	e.int(int64(len(m.Points)))
-	e.str(" 2 0 0")
-	e.line()
+	e := fileio.NewEncoder(w, asciiBytes(m))
+	e.Ints(len(m.Points), 2, 0, 0)
+	e.Line()
 	for i, p := range m.Points {
-		e.int(int64(i))
-		e.sep()
-		e.float(p.X)
-		e.sep()
-		e.float(p.Y)
-		e.line()
+		e.Ints(i)
+		e.Floats(p.X, p.Y)
+		e.Line()
 	}
-	e.int(int64(len(m.Triangles)))
-	e.str(" 3 0")
-	e.line()
+	e.Ints(len(m.Triangles), 3, 0)
+	e.Line()
 	for i, t := range m.Triangles {
-		e.int(int64(i))
-		e.sep()
-		e.int(int64(t[0]))
-		e.sep()
-		e.int(int64(t[1]))
-		e.sep()
-		e.int(int64(t[2]))
-		e.line()
+		e.Ints(i, int(t[0]), int(t[1]), int(t[2]))
+		e.Line()
 	}
-	return e.flush()
+	return e.Flush()
 }
 
 // binaryMagic identifies the binary mesh format.
@@ -325,34 +315,20 @@ const binaryMagic = uint32(0x504d3244) // "PM2D"
 // magic, counts, raw coordinate and index arrays. The fast output path for
 // flow solvers that accept binary input.
 func (m *Mesh) WriteBinary(w io.Writer) error {
-	e := newEncoder(w, binaryBytes(m))
-	e.u32(binaryMagic)
-	e.u32(uint32(len(m.Points)))
-	e.u32(uint32(len(m.Triangles)))
+	e := fileio.NewEncoder(w, binaryBytes(m))
+	e.U32s(binaryMagic, uint32(len(m.Points)), uint32(len(m.Triangles)))
 	for _, p := range m.Points {
-		e.f64(p.X)
-		e.f64(p.Y)
-		e.record()
+		e.F64s(p.X, p.Y)
 	}
 	for _, t := range m.Triangles {
-		e.u32(uint32(t[0]))
-		e.u32(uint32(t[1]))
-		e.u32(uint32(t[2]))
-		e.record()
+		e.U32s(uint32(t[0]), uint32(t[1]), uint32(t[2]))
 	}
-	return e.flush()
+	return e.Flush()
 }
 
 // maxCount caps the point/triangle counts a reader accepts from a header;
 // int32 element indexing bounds the real range anyway.
 const maxCount = 1 << 30
-
-// readChunk bounds what a reader reserves on the word of a header count
-// alone: at most this many records before the input has shown it holds
-// them. Past it the slices grow by append as records arrive, so a header
-// claiming 10^9 points in a twelve-byte input costs kilobytes, not
-// gigabytes.
-const readChunk = 4096
 
 // ReadBinary reads a mesh written by WriteBinary, validating the header
 // counts and every element's vertex references (an out-of-range reference
@@ -372,13 +348,13 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 	}
 	np, nt := int(hdr[1]), int(hdr[2])
 	le := binary.LittleEndian
-	buf := make([]byte, 16*min(max(np, nt), readChunk))
+	buf := make([]byte, 16*min(max(np, nt), fileio.MaxPrealloc))
 	m := &Mesh{
-		Points:    make([]geom.Point, 0, min(np, readChunk)),
-		Triangles: make([][3]int32, 0, min(nt, readChunk)),
+		Points:    make([]geom.Point, 0, min(np, fileio.MaxPrealloc)),
+		Triangles: make([][3]int32, 0, min(nt, fileio.MaxPrealloc)),
 	}
 	for len(m.Points) < np {
-		b := buf[:16*min(np-len(m.Points), readChunk)]
+		b := buf[:16*min(np-len(m.Points), fileio.MaxPrealloc)]
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, err
 		}
@@ -387,7 +363,7 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 		}
 	}
 	for len(m.Triangles) < nt {
-		b := buf[:12*min(nt-len(m.Triangles), readChunk)]
+		b := buf[:12*min(nt-len(m.Triangles), fileio.MaxPrealloc)]
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, err
 		}

@@ -108,7 +108,7 @@ func randomMesh(n int) *Mesh {
 }
 
 // TestBinaryRoundTrip: 15,000 points and 5,000 triangles, so both arrays
-// are read in more than one chunk of readChunk records.
+// are read in more than one chunk of fileio.MaxPrealloc records.
 func TestBinaryRoundTrip(t *testing.T) {
 	m := randomMesh(5000)
 	var buf bytes.Buffer

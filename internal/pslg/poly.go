@@ -1,159 +1,89 @@
 package pslg
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
+	"pamg2d/internal/fileio"
 	"pamg2d/internal/geom"
 )
-
-// maxPrealloc caps the vertices ReadPoly reserves on the word of its header
-// count, which is a claim about the input, not a measurement of it; past
-// it vertices are appended as they arrive.
-const maxPrealloc = 4096
 
 // WritePoly writes the graph in Triangle's .poly format: a vertex section,
 // a segment section connecting each loop, and a hole section with one seed
 // inside each body. Mesh generators built on Triangle exchange geometry in
-// this format, so the push-button CLI reads and writes it. Numbers are
-// appended with strconv into one reused chunk, byte for byte what fmt's %d
-// and %.17g print, and the first write error is returned.
+// this format, so the push-button CLI reads and writes it. Numbers go
+// through fileio's encoder, byte for byte what fmt's %d and %.17g print,
+// and the first write error is returned.
 func (g *Graph) WritePoly(w io.Writer) error {
 	// The far field, when present, is the last loop.
-	nloops := len(g.Surfaces)
+	loops := g.Surfaces
 	if len(g.Farfield.Points) > 0 {
-		nloops++
-	}
-	loop := func(li int) *Loop {
-		if li < len(g.Surfaces) {
-			return &g.Surfaces[li]
-		}
-		return &g.Farfield
+		loops = append(loops[:len(loops):len(loops)], g.Farfield)
 	}
 	total := 0
-	for li := range nloops {
-		total += len(loop(li).Points)
+	for _, l := range loops {
+		total += len(l.Points)
 	}
 	// A vertex line is at most 72 bytes, a segment line 44 and a hole
-	// line 61; the chunk holds a small graph whole.
-	buf := make([]byte, 0, max(min(polyChunk, 64+128*total+64*len(g.Surfaces)), 2*polySlack))
-	var err error
-	flush := func() {
-		if err == nil && len(buf) > 0 {
-			var n int
-			if n, err = w.Write(buf); err == nil && n < len(buf) {
-				err = io.ErrShortWrite
-			}
-		}
-		buf = buf[:0]
-	}
-	line := func() {
-		buf = append(buf, '\n')
-		if len(buf) > cap(buf)-polySlack {
-			flush()
-		}
-	}
-	num := func(v int) { buf = strconv.AppendInt(buf, int64(v), 10) }
-	coords := func(p geom.Point) {
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, p.X, 'g', 17, 64)
-		buf = append(buf, ' ')
-		buf = strconv.AppendFloat(buf, p.Y, 'g', 17, 64)
-	}
-
-	buf = append(buf, "# pamg2d PSLG\n"...)
-	num(total)
-	buf = append(buf, " 2 0 1"...)
-	line()
+	// line 61.
+	e := fileio.NewEncoder(w, 64+128*total+64*len(g.Surfaces))
+	e.Str("# pamg2d PSLG\n")
+	e.Ints(total, 2, 0, 1)
+	e.Line()
 	idx := 0
-	for li := range nloops {
-		for _, p := range loop(li).Points {
+	for li, l := range loops {
+		for _, p := range l.Points {
 			// The boundary marker column carries the loop index + 1.
-			num(idx)
-			coords(p)
-			buf = append(buf, ' ')
-			num(li + 1)
-			line()
+			e.Ints(idx)
+			e.Floats(p.X, p.Y)
+			e.Ints(li + 1)
+			e.Line()
 			idx++
 		}
 	}
-	num(total)
-	buf = append(buf, " 1"...)
-	line()
+	e.Ints(total, 1)
+	e.Line()
 	// Segment start+k joins vertices start+k and the loop's next one, so a
 	// segment's number is its first vertex's.
 	start := 0
-	for li := range nloops {
-		n := len(loop(li).Points)
+	for li, l := range loops {
+		n := len(l.Points)
 		for k := range n {
-			num(start + k)
-			buf = append(buf, ' ')
-			num(start + k)
-			buf = append(buf, ' ')
-			num(start + (k+1)%n)
-			buf = append(buf, ' ')
-			num(li + 1)
-			line()
+			e.Ints(start+k, start+k, start+(k+1)%n, li+1)
+			e.Line()
 		}
 		start += n
 	}
-	num(len(g.Surfaces))
-	line()
+	e.Ints(len(g.Surfaces))
+	e.Line()
 	for i := range g.Surfaces {
-		num(i)
-		coords(InteriorPointOf(&g.Surfaces[i]))
-		line()
+		h := InteriorPointOf(&g.Surfaces[i])
+		e.Ints(i)
+		e.Floats(h.X, h.Y)
+		e.Line()
 	}
-	flush()
-	return err
+	return e.Flush()
 }
-
-// polyChunk is WritePoly's largest chunk; polySlack is room past its
-// flush point for the widest line.
-const (
-	polyChunk = 64 << 10
-	polySlack = 128
-)
 
 // ReadPoly reads a .poly file written by WritePoly (or a compatible subset
 // of Triangle's format: vertices and segments with boundary markers that
 // group segments into loops, where each marker's segments form one closed
-// loop). The loop that encloses every other loop becomes the far field;
-// otherwise all loops are surfaces. Loops are normalized to CCW. A vertex
-// coordinate that is NaN or infinite ("nan" and "inf" scan as numbers) is
-// refused with a *NonFiniteError naming the vertex. What would not read
-// back the same after WritePoly is refused too: a loop enclosing no area,
-// or two loops each enclosing all the others.
+// loop), one record per line; blank lines and '#' lines are skipped. The
+// loop that encloses every other loop becomes the far field; otherwise all
+// loops are surfaces. Loops are normalized to CCW. A vertex coordinate
+// that is NaN or infinite ("nan" and "inf" read as numbers) is refused
+// with a *NonFiniteError naming the vertex. What would not read back the
+// same after WritePoly is refused too: a loop enclosing no area, or two
+// loops each enclosing all the others.
 func ReadPoly(r io.Reader) (*Graph, error) {
-	// The line buffer starts small and grows up to the 1 MiB cap on the
-	// longest line.
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 1<<20)
-	fields := func() ([]string, error) {
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return strings.Fields(line), nil
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.ErrUnexpectedEOF
-	}
-
-	head, err := fields()
-	if err != nil {
+	sc := fileio.NewScanner(r)
+	sc.Next(4, false)
+	// Attribute and marker counts and segment numbers are parsed, not kept;
+	// fields past the ones read are skipped.
+	nv, dim, _, _ := int(sc.Int(0)), sc.Int(1), sc.Int(2), sc.Int(3)
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("pslg: reading vertex header: %w", err)
-	}
-	var nv, dim, nattr, nmark int
-	if _, err := fmt.Sscan(strings.Join(head, " "), &nv, &dim, &nattr, &nmark); err != nil {
-		return nil, fmt.Errorf("pslg: vertex header %q: %w", head, err)
 	}
 	if dim != 2 {
 		return nil, fmt.Errorf("pslg: dimension %d not supported", dim)
@@ -161,26 +91,13 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 	if nv < 0 {
 		return nil, fmt.Errorf("pslg: negative vertex count %d", nv)
 	}
-	pts := make([]geom.Point, 0, min(nv, maxPrealloc))
-	ids := make(map[int]int, min(nv, maxPrealloc))
+	pts := make([]geom.Point, 0, min(nv, fileio.MaxPrealloc))
+	ids := make(map[int]int, min(nv, fileio.MaxPrealloc))
 	for i := 0; i < nv; i++ {
-		f, err := fields()
-		if err != nil {
+		sc.Next(3, false)
+		id, x, y := int(sc.Int(0)), sc.Float(1), sc.Float(2)
+		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("pslg: reading vertex %d: %w", i, err)
-		}
-		if len(f) < 3 {
-			return nil, fmt.Errorf("pslg: vertex line %q too short", f)
-		}
-		var id int
-		var x, y float64
-		if _, err := fmt.Sscan(f[0], &id); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscan(f[1], &x); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscan(f[2], &y); err != nil {
-			return nil, err
 		}
 		if !finite(x) || !finite(y) {
 			return nil, &NonFiniteError{Where: fmt.Sprintf("vertex %d", id), P: geom.Pt(x, y)}
@@ -189,13 +106,10 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 		pts = append(pts, geom.Pt(x, y))
 	}
 
-	head, err = fields()
-	if err != nil {
+	sc.Next(2, false)
+	ns, _ := int(sc.Int(0)), sc.Int(1)
+	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("pslg: reading segment header: %w", err)
-	}
-	var ns, smark int
-	if _, err := fmt.Sscan(strings.Join(head, " "), &ns, &smark); err != nil {
-		return nil, fmt.Errorf("pslg: segment header %q: %w", head, err)
 	}
 	if ns < 0 {
 		return nil, fmt.Errorf("pslg: negative segment count %d", ns)
@@ -204,33 +118,20 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 	type seg struct{ a, b int }
 	byMarker := map[int][]seg{}
 	for i := 0; i < ns; i++ {
-		f, err := fields()
-		if err != nil {
+		n := sc.Next(3, false)
+		_, a, b, marker := sc.Int(0), int(sc.Int(1)), int(sc.Int(2)), 0
+		if n > 3 {
+			marker = int(sc.Int(3))
+		}
+		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("pslg: reading segment %d: %w", i, err)
 		}
-		if len(f) < 3 {
-			return nil, fmt.Errorf("pslg: segment line %q too short", f)
+		for _, v := range [2]int{a, b} {
+			if _, ok := ids[v]; !ok {
+				return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, v)
+			}
 		}
-		var id, a, b, marker int
-		fmt.Sscan(f[0], &id)
-		if _, err := fmt.Sscan(f[1], &a); err != nil {
-			return nil, err
-		}
-		if _, err := fmt.Sscan(f[2], &b); err != nil {
-			return nil, err
-		}
-		if len(f) > 3 {
-			fmt.Sscan(f[3], &marker)
-		}
-		ai, ok := ids[a]
-		if !ok {
-			return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, a)
-		}
-		bi, ok := ids[b]
-		if !ok {
-			return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, b)
-		}
-		byMarker[marker] = append(byMarker[marker], seg{ai, bi})
+		byMarker[marker] = append(byMarker[marker], seg{ids[a], ids[b]})
 	}
 
 	// Ascending marker order: the graph (and anything hashed from it) must
@@ -250,22 +151,17 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 			}
 			next[s.a] = s.b
 		}
-		start := segs[0].a
-		var loop []geom.Point
-		v := start
-		for {
+		loop := make([]geom.Point, 0, len(segs))
+		for v := segs[0].a; len(loop) == 0 || v != segs[0].a; {
+			if len(loop) == len(segs) {
+				return nil, fmt.Errorf("pslg: marker %d: chain does not close", marker)
+			}
 			loop = append(loop, pts[v])
 			nv, ok := next[v]
 			if !ok {
 				return nil, fmt.Errorf("pslg: marker %d: open chain at vertex %d", marker, v)
 			}
 			v = nv
-			if v == start {
-				break
-			}
-			if len(loop) > len(segs) {
-				return nil, fmt.Errorf("pslg: marker %d: chain does not close", marker)
-			}
 		}
 		if len(loop) != len(segs) {
 			return nil, fmt.Errorf("pslg: marker %d forms %d loops; one expected", marker, 1+len(segs)-len(loop))

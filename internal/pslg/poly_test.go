@@ -139,10 +139,14 @@ func TestReadPolyErrors(t *testing.T) {
 		{"loop enclosing no area", "2 2 0 0\n0 0 0\n1 1 0\n2 1\n0 0 1 1\n1 1 0 1\n"},
 		{"two loops each enclosing the other", crossingLoops},
 		{"line over the 1 MiB cap", paddedTriangle(1 << 20)},
+		{"bad segment number", "3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n3 1\nx 0 1 1\n1 1 2 1\n2 2 0 1\n"},
+		{"bad segment marker", "3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n3 1\n0 0 1 a\n1 1 2 a\n2 2 0 a\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadPoly(strings.NewReader(c.data)); err == nil {
 			t.Errorf("%s: want error", c.name)
+		} else if strings.HasPrefix(c.name, "bad segment") && !strings.Contains(err.Error(), "segment 0") {
+			t.Errorf("%s: %v, want an error naming segment 0", c.name, err)
 		}
 	}
 }
@@ -178,12 +182,15 @@ func TestReadPolyRejectsNegativeCounts(t *testing.T) {
 
 // FuzzReadPoly: ReadPoly never panics, and a graph it reads writes and
 // reads back to the same loops, point for point and bit for bit. Loop
-// names are not compared: the format carries markers, not names, and
-// WritePoly numbers its loops afresh.
+// names are not compared there: the format carries markers, not names,
+// and WritePoly numbers its loops afresh. A graph ReadPoly reads is also
+// the one the fmt reference reads, names included, from the same text
+// without its '#' lines.
 func FuzzReadPoly(f *testing.F) {
 	for _, g := range []*Graph{
 		{Surfaces: []Loop{square(1, 1, 1, "a"), square(4, 1, 1.5, "b")}, Farfield: square(-10, -10, 25, "farfield")},
 		{Surfaces: []Loop{square(0, 0, 1, "only")}},
+		{Surfaces: []Loop{circle(0, 0, 1e-300, 5), circle(3, 0, 0.5, 7)}, Farfield: circle(0, 0, 1e300, 4)},
 	} {
 		var buf bytes.Buffer
 		if err := g.WritePoly(&buf); err != nil {
@@ -195,10 +202,19 @@ func FuzzReadPoly(f *testing.F) {
 	f.Add("3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n-1 1\n")
 	f.Add("1000000000 2 0 0\n0 0 0\n")
 	f.Add(crossingLoops)
+	f.Add("3 2 0 0\n0 0x1p-2 0\n1 1 0\n2 0 1\n# c\n3 1\n0 0 1 +1\n1 1 2 1 9\n2 2 0 1\n")
+	f.Add("3 2 0 0\n0 1.5p3 0\n1 1 0\n2 0 1\n3 1\n0 0 1 01\n1 1 2 1\n2 2 0 1\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		g, err := ReadPoly(strings.NewReader(data))
 		if err != nil {
 			return
+		}
+		ref, err := referenceReadPoly(strings.NewReader(withoutComments(data)))
+		if err != nil {
+			t.Fatalf("ReadPoly reads %q, the fmt reference refuses it: %v", data, err)
+		}
+		if d := loopsDiff(g, ref); d != "" || !sameNames(g, ref) {
+			t.Fatalf("ReadPoly and the fmt reference read %q differently: %s", data, d)
 		}
 		var buf bytes.Buffer
 		if err := g.WritePoly(&buf); err != nil {
@@ -229,6 +245,19 @@ func loopsDiff(a, b *Graph) string {
 		return fmt.Sprintf("far field %v, then %v", a.Farfield.Points, b.Farfield.Points)
 	}
 	return ""
+}
+
+// sameNames reports whether two graphs name their loops alike.
+func sameNames(a, b *Graph) bool {
+	if a.Farfield.Name != b.Farfield.Name || len(a.Surfaces) != len(b.Surfaces) {
+		return false
+	}
+	for i := range a.Surfaces {
+		if a.Surfaces[i].Name != b.Surfaces[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // samePoints compares two point lists bit for bit.
@@ -358,5 +387,22 @@ func TestReadPolyAllocatesWhatTheInputHolds(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / reads; got > 64<<10 {
 		t.Errorf("reading %d bytes of .poly allocated %d bytes", text.Len(), got)
+	}
+	// A loop four times as long costs a few allocations more, not a few
+	// per vertex.
+	allocs := func(n int) float64 {
+		var buf bytes.Buffer
+		g := &Graph{Surfaces: []Loop{circle(0, 0, 1, n)}, Farfield: square(-10, -10, 25, "farfield")}
+		if err := g.WritePoly(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReadPoly(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(120), allocs(480); long > short+8 {
+		t.Errorf("%v allocations reading a loop of 120 vertices, %v reading 480", short, long)
 	}
 }
