@@ -140,9 +140,10 @@ func runPhase(rc *RunCtx, stage string, tasks []meshTask, tctx taskCtx) ([]subme
 
 // settlePhase runs this process's side of a multi-process phase's
 // agreement (agreePhase) on world and returns the phase's failure,
-// attributed to stage: the context's cause when canceled, the exchange's
-// error — a result list from the root that does not decode among them —
-// or the agreed task failure; nil for a clean phase.
+// attributed to stage: the context's cause when canceled, the agreed task
+// failure once its verdict arrived, the exchange's error — a result list
+// from the root that does not decode among them — or nil for a clean
+// phase.
 func settlePhase(rc *RunCtx, world *mpi.World, stage string, failed *PhaseError, collected []loadbal.Result,
 	bal []loadbal.Stats, msgs, bytes *int64) *PhaseError {
 	agreed, cause := -1, ""
@@ -154,7 +155,10 @@ func settlePhase(rc *RunCtx, world *mpi.World, stage string, failed *PhaseError,
 	if rc.ctx.Err() != nil {
 		return &PhaseError{Stage: stage, Rank: -1, Err: context.Cause(rc.ctx)}
 	}
-	if err != nil {
+	// A failing verdict read whole is the phase's outcome: the processes
+	// tear their links down right after it, and a world that saw that
+	// teardown before RunCtx returned reports it as its close cause.
+	if err != nil && agreed < 0 {
 		return phaseError(stage, err)
 	}
 	if agreed >= 0 && (failed == nil || failed.Rank != agreed) {

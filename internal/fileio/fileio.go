@@ -59,53 +59,40 @@ func NewEncoder(w io.Writer, size int) Encoder {
 func (e *Encoder) Str(s string) { e.buf = append(e.buf, s...) }
 
 // Ints appends each v as %d and Floats each x as %.17g, which reads back
-// as x exactly, a blank before each unless it opens the line.
+// as x exactly, each followed by a blank; Line turns the last blank of a
+// line into its newline.
 func (e *Encoder) Ints(vs ...int) {
 	for _, v := range vs {
-		e.sep()
-		e.buf = strconv.AppendInt(e.buf, int64(v), 10)
+		e.buf = append(strconv.AppendInt(e.buf, int64(v), 10), ' ')
 	}
 }
 
 func (e *Encoder) Floats(xs ...float64) {
 	for _, x := range xs {
-		e.sep()
-		e.buf = strconv.AppendFloat(e.buf, x, 'g', 17, 64)
+		e.buf = append(strconv.AppendFloat(e.buf, x, 'g', 17, 64), ' ')
 	}
 }
 
-// sep appends the blank between two fields of a line. A text writer
-// flushes only at line ends, so an empty chunk opens a line.
-func (e *Encoder) sep() {
-	if n := len(e.buf); n > 0 && e.buf[n-1] != '\n' {
-		e.buf = append(e.buf, ' ')
-	}
-}
-
-// U32s and F64s append a binary record of little-endian fields and
-// flush the chunk once the next might not fit.
-func (e *Encoder) U32s(vs ...uint32) {
-	for _, v := range vs {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-	}
-	e.record()
-}
-
-func (e *Encoder) F64s(xs ...float64) {
-	for _, x := range xs {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
-	}
-	e.record()
+// U32 and F64 append a little-endian binary field.
+func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) F64(x float64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(x))
 }
 
 // Line ends a text record and flushes the chunk once the next might not
 // fit.
 func (e *Encoder) Line() {
-	e.buf = append(e.buf, '\n')
-	e.record()
+	if n := len(e.buf); n > 0 && e.buf[n-1] == ' ' {
+		e.buf[n-1] = '\n'
+	} else {
+		e.buf = append(e.buf, '\n')
+	}
+	e.Record()
 }
 
-func (e *Encoder) record() {
+// Record ends a binary record and flushes the chunk once the next might
+// not fit.
+func (e *Encoder) Record() {
 	if len(e.buf) > e.limit {
 		e.Flush()
 	}

@@ -88,22 +88,22 @@ func Read(r io.Reader) (*Mesh, error) {
 // structure.
 func (m *Mesh) WriteVTK(w io.Writer) error {
 	e := fileio.NewEncoder(w, vtkBytes(m))
-	e.Str("# vtk DataFile Version 3.0\npamg2d mesh\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS")
+	e.Str("# vtk DataFile Version 3.0\npamg2d mesh\nASCII\nDATASET UNSTRUCTURED_GRID\nPOINTS ")
 	e.Ints(len(m.Points))
-	e.Str(" double")
+	e.Str("double")
 	e.Line()
 	for _, p := range m.Points {
 		e.Floats(p.X, p.Y, 0)
 		e.Line()
 	}
-	e.Str("CELLS")
+	e.Str("CELLS ")
 	e.Ints(len(m.Triangles), 4*len(m.Triangles))
 	e.Line()
 	for _, t := range m.Triangles {
 		e.Ints(3, int(t[0]), int(t[1]), int(t[2])) // a cell of 3 points
 		e.Line()
 	}
-	e.Str("CELL_TYPES")
+	e.Str("CELL_TYPES ")
 	e.Ints(len(m.Triangles))
 	e.Line()
 	for range m.Triangles {

@@ -316,12 +316,19 @@ const binaryMagic = uint32(0x504d3244) // "PM2D"
 // flow solvers that accept binary input.
 func (m *Mesh) WriteBinary(w io.Writer) error {
 	e := fileio.NewEncoder(w, binaryBytes(m))
-	e.U32s(binaryMagic, uint32(len(m.Points)), uint32(len(m.Triangles)))
+	e.U32(binaryMagic)
+	e.U32(uint32(len(m.Points)))
+	e.U32(uint32(len(m.Triangles)))
 	for _, p := range m.Points {
-		e.F64s(p.X, p.Y)
+		e.F64(p.X)
+		e.F64(p.Y)
+		e.Record()
 	}
 	for _, t := range m.Triangles {
-		e.U32s(uint32(t[0]), uint32(t[1]), uint32(t[2]))
+		e.U32(uint32(t[0]))
+		e.U32(uint32(t[1]))
+		e.U32(uint32(t[2]))
+		e.Record()
 	}
 	return e.Flush()
 }
