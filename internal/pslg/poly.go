@@ -126,12 +126,15 @@ func ReadPoly(r io.Reader) (*Graph, error) {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("pslg: reading segment %d: %w", i, err)
 		}
-		for _, v := range [2]int{a, b} {
-			if _, ok := ids[v]; !ok {
-				return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, v)
-			}
+		ai, ok := ids[a]
+		if !ok {
+			return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, a)
 		}
-		byMarker[marker] = append(byMarker[marker], seg{ids[a], ids[b]})
+		bi, ok := ids[b]
+		if !ok {
+			return nil, fmt.Errorf("pslg: segment %d references unknown vertex %d", i, b)
+		}
+		byMarker[marker] = append(byMarker[marker], seg{ai, bi})
 	}
 
 	// Ascending marker order: the graph (and anything hashed from it) must
