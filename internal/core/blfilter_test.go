@@ -36,19 +36,7 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 	tasks, dealt := blLeafTasks(leaves, len(pts))
 	tctx := taskCtx{frame: frame, annuli: layerAnnuli(layers, bl), dealt: dealt}
 
-	outers := make([]pslg.Loop, len(layers))
-	for i, l := range layers {
-		outers[i] = pslg.Loop{Points: l.OuterBorder(bl)}
-	}
-	keep := func(a, b, c geom.Point) bool {
-		ctr := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
-		for k := range layers {
-			if outers[k].Contains(ctr) && !layers[k].Surface.Contains(ctr) {
-				return true
-			}
-		}
-		return false
-	}
+	keep := linearAnnuli(layers, bl)
 
 	kept, dropped := 0, 0
 	ws := new(delaunay.Triangulation)
@@ -91,6 +79,72 @@ func TestBLLeafFilterMatchesLinearReference(t *testing.T) {
 	if kept == 0 || dropped == 0 {
 		t.Errorf("reference kept %d and dropped %d triangles; the filter is not exercised", kept, dropped)
 	}
+}
+
+// linearAnnuli is the reference boundary-layer filter: inAnnuli's
+// decision made with the linear pslg.Loop.Contains.
+func linearAnnuli(layers []*blayer.Layer, bl blayer.Params) func(a, b, c geom.Point) bool {
+	outers := make([]pslg.Loop, len(layers))
+	for i, l := range layers {
+		outers[i] = pslg.Loop{Points: l.OuterBorder(bl)}
+	}
+	return func(a, b, c geom.Point) bool {
+		ctr := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
+		for k := range layers {
+			if outers[k].Contains(ctr) && !layers[k].Surface.Contains(ctr) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// TestInAnnuliMatchesLinearReference: on the benchmark's three-element
+// resolution, whose main and flap outer borders reach 12 chords out at a
+// few ray ends (the index narrows their tables), inAnnuli decides every
+// triangle of every boundary-layer leaf, owned or not, as the linear
+// reference does.
+func TestInAnnuliMatchesLinearReference(t *testing.T) {
+	g, err := airfoil.ThreeElement(256).Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl := blayer.DefaultParams()
+	layers := blayer.Generate(g, bl)
+	var pts []geom.Point
+	for _, l := range layers {
+		pts = append(pts, l.AllPoints()...)
+	}
+	annuli := layerAnnuli(layers, bl)
+	keep := linearAnnuli(layers, bl)
+	leaves, _ := project.Decompose(project.New(pts), project.Options{MinVerts: 16, MaxDepth: 6})
+	kept, dropped := 0, 0
+	for li, leaf := range leaves {
+		lp := make([]geom.Point, len(leaf.XS))
+		for i, v := range leaf.XS {
+			lp[i] = v.P
+		}
+		res, err := delaunay.Triangulate(delaunay.Input{Points: lp, Frame: g.Farfield.BBox()})
+		if err != nil {
+			t.Fatalf("leaf %d: %v", li, err)
+		}
+		for k, tri := range res.Triangles {
+			a, b, c := res.Points[tri[0]], res.Points[tri[1]], res.Points[tri[2]]
+			want := keep(a, b, c)
+			if got := inAnnuli(annuli, a, b, c); got != want {
+				t.Fatalf("leaf %d triangle %d (%v, %v, %v): inAnnuli = %v, linear reference %v", li, k, a, b, c, got, want)
+			}
+			if want {
+				kept++
+			} else {
+				dropped++
+			}
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Errorf("reference kept %d and dropped %d triangles; the filter is not exercised", kept, dropped)
+	}
+	t.Logf("%d leaves, %d triangles kept, %d dropped", len(leaves), kept, dropped)
 }
 
 // TestBLLeafWithoutAnnuli: a boundary-layer leaf has no unfiltered mode.

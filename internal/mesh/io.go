@@ -74,9 +74,11 @@ func digits(n int) int {
 // Read reads a mesh in either input format, WriteBinary's or WriteASCII's,
 // telling them apart by the binary magic: a binary file opens with it, an
 // ASCII file with a digit or a comment. It peeks at the first bytes and
-// never seeks, so pipes and /dev/stdin read like files.
+// never seeks, so pipes and /dev/stdin read like files. Its reader holds
+// bufio's smallest buffer: the readers behind it fill their own buffers,
+// which bufio passes through once the peeked bytes are read.
 func Read(r io.Reader) (*Mesh, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 16)
 	if head, err := br.Peek(4); err == nil && binary.LittleEndian.Uint32(head) == binaryMagic {
 		return ReadBinary(br)
 	}

@@ -155,6 +155,36 @@ func TestReadersAllocateWhatTheInputHolds(t *testing.T) {
 			t.Errorf("%s: reading %d bytes allocated %d bytes", c.name, len(c.data), got)
 		}
 	}
+	// A small valid mesh costs kilobytes whichever reader takes it, and
+	// Read's format sniffing adds no buffer of its own.
+	small := gridMesh(2)
+	var sbin, sascii bytes.Buffer
+	if err := small.WriteBinary(&sbin); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.WriteASCII(&sascii); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		read func(io.Reader) (*Mesh, error)
+	}{
+		{"Read binary", sbin.Bytes(), Read},
+		{"Read ascii", sascii.Bytes(), Read},
+		{"ReadBinary", sbin.Bytes(), ReadBinary},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := c.read(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err != nil || !sameMesh(m, small) {
+			t.Errorf("%s: read %v, %v; want the mesh written", c.name, m, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("%s: reading a %d-byte mesh allocated %d bytes, want < 64 KiB", c.name, len(c.data), got)
+		}
+	}
 	// A valid mesh four times as long costs a few allocations more, not
 	// a few per record.
 	allocs := func(m *Mesh) float64 {

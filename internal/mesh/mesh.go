@@ -12,7 +12,6 @@
 package mesh
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -340,21 +339,23 @@ const maxCount = 1 << 30
 // ReadBinary reads a mesh written by WriteBinary, validating the header
 // counts and every element's vertex references (an out-of-range reference
 // returns an *ElemRefError) so a corrupted file fails the read instead of
-// panicking a consumer.
+// panicking a consumer. It reads the header and then whole chunks of at
+// most fileio.MaxPrealloc records with io.ReadFull, so it needs no
+// buffered reader of its own.
 func ReadBinary(r io.Reader) (*Mesh, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [3]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	var head [12]byte // magic, point count, triangle count
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, err
 	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("mesh: bad magic %#x", hdr[0])
-	}
-	if hdr[1] > maxCount || hdr[2] > maxCount {
-		return nil, fmt.Errorf("mesh: header counts %d points / %d triangles exceed the format limit", hdr[1], hdr[2])
-	}
-	np, nt := int(hdr[1]), int(hdr[2])
 	le := binary.LittleEndian
+	if magic := le.Uint32(head[:]); magic != binaryMagic {
+		return nil, fmt.Errorf("mesh: bad magic %#x", magic)
+	}
+	hp, ht := le.Uint32(head[4:]), le.Uint32(head[8:])
+	if hp > maxCount || ht > maxCount {
+		return nil, fmt.Errorf("mesh: header counts %d points / %d triangles exceed the format limit", hp, ht)
+	}
+	np, nt := int(hp), int(ht)
 	buf := make([]byte, 16*min(max(np, nt), fileio.MaxPrealloc))
 	m := &Mesh{
 		Points:    make([]geom.Point, 0, min(np, fileio.MaxPrealloc)),
@@ -362,7 +363,7 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 	}
 	for len(m.Points) < np {
 		b := buf[:16*min(np-len(m.Points), fileio.MaxPrealloc)]
-		if _, err := io.ReadFull(br, b); err != nil {
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
 		for ; len(b) > 0; b = b[16:] {
@@ -371,7 +372,7 @@ func ReadBinary(r io.Reader) (*Mesh, error) {
 	}
 	for len(m.Triangles) < nt {
 		b := buf[:12*min(nt-len(m.Triangles), fileio.MaxPrealloc)]
-		if _, err := io.ReadFull(br, b); err != nil {
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
 		for ; len(b) > 0; b = b[12:] {

@@ -7,6 +7,7 @@ package pslg_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -115,25 +116,67 @@ func rotatedRect(w, h, angle float64) pslg.Loop {
 	return pslg.Loop{Name: "rect", Points: pts}
 }
 
+// jagged returns a loop around the origin whose radius alternates
+// between 1 and 3 from vertex to vertex: its summed rise is many times its
+// height, so the registration estimate coarsens the table.
+func jagged(n int) pslg.Loop {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		r := 1.0 + 2*float64(i%2)
+		a := 2 * math.Pi * float64(i) / float64(n)
+		pts[i] = geom.Pt(r*math.Cos(a), r*math.Sin(a))
+	}
+	return pslg.Loop{Name: "jagged", Points: pts}
+}
+
+// spiked returns a circle of n vertices with one vertex pulled out to
+// height 200 above it and one to 150 below: the shape of a boundary-layer
+// outer border whose few ray ends reach far out, whose y-extent is a
+// hundred times the height the rest of the loop spans.
+func spiked(n int) pslg.Loop {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		pts[i] = geom.Pt(math.Cos(a), math.Sin(a))
+	}
+	pts[n/4] = geom.Pt(0.1, 200)
+	pts[3*n/4] = geom.Pt(-0.3, -150)
+	return pslg.Loop{Name: "spiked", Points: pts}
+}
+
+// airfoilLoops returns the surfaces and far field of cfg and the surface
+// and outer border of each of its boundary layers under bl.
+func airfoilLoops(t testing.TB, cfg airfoil.Config, bl blayer.Params) (loops, outers []pslg.Loop, layers []*blayer.Layer) {
+	t.Helper()
+	g, err := cfg.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loops = append(loops, g.Surfaces...)
+	loops = append(loops, g.Farfield)
+	layers = blayer.Generate(g, bl)
+	for _, l := range layers {
+		outer := pslg.Loop{Name: l.Surface.Name + "/outer", Points: l.OuterBorder(bl)}
+		loops = append(loops, l.Surface, outer)
+		outers = append(outers, outer)
+	}
+	return loops, outers, layers
+}
+
 func TestLoopIndexMatchesContains(t *testing.T) {
 	loops := []pslg.Loop{
-		star(7), star(64), comb(5), comb(300),
+		star(7), star(64), comb(5), comb(300), jagged(64), jagged(501), spiked(40), spiked(300),
 		rotatedRect(3, 1, 0), rotatedRect(3, 1, 0.3), rotatedRect(1e-3, 40, 1.1),
 		{Name: "L", Points: []geom.Point{
 			geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 2), geom.Pt(2, 2), geom.Pt(2, 4), geom.Pt(0, 4)}},
 	}
 	bl := blayer.DefaultParams()
-	for _, cfg := range []airfoil.Config{airfoil.Single(airfoil.NACA0012, 96, 20), airfoil.ThreeElement(48)} {
-		g, err := cfg.Graph()
-		if err != nil {
-			t.Fatal(err)
-		}
-		loops = append(loops, g.Surfaces...)
-		loops = append(loops, g.Farfield)
-		for _, l := range blayer.Generate(g, bl) {
-			loops = append(loops, l.Surface,
-				pslg.Loop{Name: l.Surface.Name + "/outer", Points: l.OuterBorder(bl)})
-		}
+	for _, cfg := range []airfoil.Config{
+		airfoil.Single(airfoil.NACA0012, 96, 20),
+		airfoil.ThreeElement(32), airfoil.ThreeElement(48), airfoil.ThreeElement(64), airfoil.ThreeElement(256),
+	} {
+		l, _, _ := airfoilLoops(t, cfg, bl)
+		loops = append(loops, l...)
 	}
 	for i := range loops {
 		l := &loops[i]
@@ -161,8 +204,11 @@ func TestLoopIndexDegenerate(t *testing.T) {
 		{Name: "inf-y", Points: []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(2, inf), geom.Pt(0, 2)}},
 		{Name: "neg-inf-y", Points: []geom.Point{geom.Pt(0, -inf), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}},
 		{Name: "nan-x", Points: []geom.Point{geom.Pt(nan, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}},
+		// (0, 0) is left of every vertex, yet the linear scan counts one
+		// crossing: the orientation of the vertical edge underflows to 0.
+		{Name: "underflow", Points: []geom.Point{geom.Pt(1e-170, 0), geom.Pt(1, 1), geom.Pt(1e-170, 1e-170)}},
 	}
-	extra := []geom.Point{geom.Pt(1, 1), geom.Pt(0.5, 0), geom.Pt(0.5, tiny), geom.Pt(0.5, 1e307), geom.Pt(1, 2), geom.Pt(1, nan), geom.Pt(nan, 1), geom.Pt(1, inf)}
+	extra := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0.5, 0), geom.Pt(0.5, tiny), geom.Pt(0.5, 1e307), geom.Pt(1, 2), geom.Pt(1, nan), geom.Pt(nan, 1), geom.Pt(1, inf)}
 	for i := range loops {
 		l := &loops[i]
 		queries := extra
@@ -202,7 +248,9 @@ func buildBytes(l *pslg.Loop) uint64 {
 // The slab count must coarsen so the index stays within a constant number
 // of bytes per edge, and the answers must still be the linear scan's.
 func TestLoopIndexCombStaysLinear(t *testing.T) {
-	const perEdge = 48 // 4 registrations + two offset tables of int32, with slack
+	// At most n+1 int32 offsets (4 bytes an edge) and 4 int32
+	// registrations an edge (16), with slack for the allocator's rounding.
+	const perEdge = 24
 	for _, teeth := range []int{4096, 8192} {
 		l := comb(teeth)
 		n := uint64(len(l.Points))
@@ -220,14 +268,81 @@ func TestLoopIndexCombStaysLinear(t *testing.T) {
 		}
 		checkIndex(t, l.Name, &l, queries)
 	}
-	// The well-behaved case pays the same bound.
+	// The well-behaved case pays the same bound, and so do the loops whose
+	// tables are narrowed or coarsened.
 	g, err := airfoil.Single(airfoil.NACA0012, 768, 20).Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := uint64(len(g.Surfaces[0].Points))
-	if got := buildBytes(&g.Surfaces[0]); got > perEdge*n {
-		t.Errorf("NACA surface of %d edges: index build allocated %d bytes, want <= %d", n, got, perEdge*n)
+	for _, l := range []pslg.Loop{g.Surfaces[0], spiked(6000), jagged(6001)} {
+		n := uint64(len(l.Points))
+		if got := buildBytes(&l); got > perEdge*n {
+			t.Errorf("%s of %d edges: index build allocated %d bytes, want <= %d", l.Name, n, got, perEdge*n)
+		}
+	}
+}
+
+// TestLoopIndexScanLength pins the edges a query scans on the loops the
+// boundary-layer filter indexes most: the outer borders of
+// ThreeElement(256)'s layers, queried at the layers' own points (the
+// vertices of the triangles whose centroids the filter tests). The main
+// element's and the flap's borders reach 12 chords up or down at a few ray
+// ends while their other vertices span 0.15 in y; a table over the whole
+// y-extent put those vertices in three or four slabs and scanned 96.5
+// edges a query here (70 a query in a highlift-tcp benchmark run).
+func TestLoopIndexScanLength(t *testing.T) {
+	const want = 7.0 // mean edges scanned per scanning query
+	_, outers, layers := airfoilLoops(t, airfoil.ThreeElement(256), blayer.DefaultParams())
+	var queries []geom.Point
+	for _, l := range layers {
+		queries = append(queries, l.AllPoints()...)
+	}
+	scanned, edges := 0, 0
+	for i := range outers {
+		ix := pslg.NewLoopIndex(&outers[i])
+		for _, q := range queries {
+			if e, ok := ix.Scan(q); ok {
+				scanned++
+				edges += e
+			}
+		}
+	}
+	mean := float64(edges) / float64(scanned)
+	t.Logf("%d queries scan %d of 3 outer borders, %.2f edges each", len(queries), scanned, mean)
+	if mean > want {
+		t.Errorf("%.2f edges scanned per query, want <= %.1f", mean, want)
+	}
+}
+
+// TestLoopIndexConcurrentQueries: one built index is read by every rank's
+// mesher goroutine at once; queries share no state.
+func TestLoopIndexConcurrentQueries(t *testing.T) {
+	_, outers, _ := airfoilLoops(t, airfoil.ThreeElement(64), blayer.DefaultParams())
+	l := &outers[1]
+	ix := pslg.NewLoopIndex(l)
+	queries := probes(l)
+	want := make([]bool, len(queries))
+	for i, q := range queries {
+		want[i] = l.Contains(q)
+	}
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			for k := range queries {
+				i := (k + g*len(queries)/goroutines) % len(queries)
+				if got := ix.Contains(queries[i]); got != want[i] {
+					errs <- fmt.Errorf("Contains(%v) = %v, Loop.Contains = %v", queries[i], got, want[i])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -244,29 +359,50 @@ func FuzzLoopIndexContains(f *testing.F) {
 		}
 		return b
 	}
+	// seed adds loop l followed by query points: its bounding box's centre
+	// and corners, and points just outside it on either side.
+	seed := func(l pslg.Loop) {
+		bb := l.BBox()
+		c := geom.Pt((bb.Min.X+bb.Max.X)/2, (bb.Min.Y+bb.Max.Y)/2)
+		w := bb.Width()
+		extra := []geom.Point{c, bb.Min, bb.Max, geom.Pt(bb.Min.X-w, c.Y), geom.Pt(bb.Max.X+w, c.Y),
+			geom.Pt(math.Nextafter(bb.Min.X, math.Inf(-1)), c.Y), geom.Pt(math.Nextafter(bb.Max.X, math.Inf(1)), c.Y)}
+		f.Add(uint16(len(l.Points)), encode(append(append([]geom.Point(nil), l.Points...), extra...)...))
+	}
 	s := star(5)
 	c := comb(6)
-	f.Add(uint8(10), encode(append(s.Points, geom.Pt(0.3, -0.2), geom.Pt(2, 0), geom.Pt(0.3, 0.8))...))
-	f.Add(uint8(14), encode(append(c.Points, geom.Pt(0.5, 0.5), geom.Pt(1.25, 0.5), geom.Pt(3, -0.5))...))
-	f.Add(uint8(3), encode(geom.Pt(0, 0), geom.Pt(1, math.NaN()), geom.Pt(0, 1), geom.Pt(0.2, 0.2)))
-	f.Add(uint8(2), encode(geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0.5, 0.5)))
-	f.Add(uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, nLoop uint8, data []byte) {
+	f.Add(uint16(10), encode(append(s.Points, geom.Pt(0.3, -0.2), geom.Pt(2, 0), geom.Pt(0.3, 0.8))...))
+	f.Add(uint16(14), encode(append(c.Points, geom.Pt(0.5, 0.5), geom.Pt(1.25, 0.5), geom.Pt(3, -0.5))...))
+	f.Add(uint16(3), encode(geom.Pt(0, 0), geom.Pt(1, math.NaN()), geom.Pt(0, 1), geom.Pt(0.2, 0.2)))
+	f.Add(uint16(2), encode(geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0.5, 0.5)))
+	f.Add(uint16(3), encode(geom.Pt(1e-170, 0), geom.Pt(1, 1), geom.Pt(1e-170, 1e-170), geom.Pt(0, 0)))
+	f.Add(uint16(0), []byte{})
+	seed(jagged(40))
+	seed(spiked(64))
+	bl := blayer.DefaultParams()
+	for _, n := range []int{32, 64, 256} {
+		loops, _, _ := airfoilLoops(f, airfoil.ThreeElement(n), bl)
+		for _, l := range loops {
+			seed(l)
+		}
+	}
+	f.Fuzz(func(t *testing.T, nLoop uint16, data []byte) {
 		pts := make([]geom.Point, 0, len(data)/16)
 		for ; len(data) >= 16; data = data[16:] {
 			pts = append(pts, geom.Pt(
 				math.Float64frombits(binary.LittleEndian.Uint64(data)),
 				math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))))
 		}
-		k := int(nLoop)
-		if k > len(pts) {
-			k = len(pts)
-		}
+		// The reference costs O(loop) a query: bound the loop, the points
+		// and the heights each extra point is tried at, so a mutated input
+		// of a megabyte costs a fraction of a second.
+		pts = pts[:min(len(pts), 2048)]
+		k := min(int(nLoop), len(pts), 1024)
 		l := pslg.Loop{Name: "fuzz", Points: pts[:k]}
 		ix := pslg.NewLoopIndex(&l)
 		queries := append([]geom.Point(nil), pts...) // the loop's own vertices are queries too
 		for _, p := range pts[:k] {
-			for _, q := range pts[k:] {
+			for _, q := range pts[k:min(len(pts), k+16)] {
 				queries = append(queries, geom.Pt(q.X, p.Y))
 			}
 		}

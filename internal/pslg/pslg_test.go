@@ -108,12 +108,24 @@ func TestRayCrosses(t *testing.T) {
 	}
 }
 
-// TestLoopIndexSlabCount: the slab-count estimate is taken, not the
-// one-slab fallback, on the loops it is derived for.
+// TestLoopIndexSlabCount: the slab-count rule is taken, not the one-slab
+// fallback, on the loops it is derived for, and a loop with a far spike
+// gets its slabs where its other vertices are.
 func TestLoopIndexSlabCount(t *testing.T) {
 	sq := square(0, 0, 2, "sq")
 	if ix := NewLoopIndex(&sq); ix.slabs != 4 {
 		t.Errorf("square: %d slabs, want one per edge", ix.slabs)
+	}
+	// A unit circle of 256 vertices, one of them pulled up to height 100:
+	// a table over the whole extent would give the circle 5 of its slabs.
+	circle := Loop{Name: "spike"}
+	for i := 0; i < 256; i++ {
+		a := 2 * math.Pi * float64(i) / 256
+		circle.Points = append(circle.Points, geom.Pt(math.Cos(a), math.Sin(a)))
+	}
+	circle.Points[64] = geom.Pt(0, 100)
+	if ix := NewLoopIndex(&circle); ix.slabs < 128 || float64(ix.slabs)/ix.scale > 2.5 {
+		t.Errorf("spike: %d slabs over a range of %.3g, want >= 128 over the circle's 2", ix.slabs, float64(ix.slabs)/ix.scale)
 	}
 	// 100 full-height teeth: rise ~ n*height/2 leaves a handful of slabs.
 	var pts []geom.Point
