@@ -18,7 +18,10 @@ import (
 
 // blayerCheck audits the generation-time boundary layers carried by the
 // snapshot. It needs the layers with their inserted points, so it only
-// applies to pipeline-integrated audits, not bare mesh files.
+// applies to pipeline-integrated audits, not bare mesh files; it reads
+// nothing else, so the pipeline starts it as soon as the layers are final.
+// It is a split check: begin checks every ray and builds the segment tree,
+// the parts test ranges of segments against it.
 type blayerCheck struct{}
 
 func (blayerCheck) Name() string { return "boundary-layer" }
@@ -27,12 +30,16 @@ func (blayerCheck) Applicable(s *Snapshot) bool { return len(s.Layers) > 0 }
 
 func (blayerCheck) Local() bool { return false }
 
-func (blayerCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
+func (blayerCheck) LayersOnly() {}
+
+func (c blayerCheck) Run(s *Snapshot, _, _ int, rep *Reporter) { runSplit(c, s, rep) }
+
+func (blayerCheck) begin(s *Snapshot, rep *Reporter) splitter {
 	for li, l := range s.Layers {
 		checkRayOrder(li, l, rep)
 		checkMonotone(li, l, rep)
 	}
-	checkChainCrossings(s, rep)
+	return newChainCrossings(s.Layers)
 }
 
 // checkRayOrder verifies rays reference surface vertices in loop order:
@@ -92,24 +99,38 @@ func checkMonotone(li int, l *blayer.Layer, rep *Reporter) {
 	}
 }
 
-// checkChainCrossings verifies intersection resolution: no extrusion chain
+// chainCrossings verifies intersection resolution: no extrusion chain
 // segment crosses (or collinearly overlaps) another chain segment or a
 // body surface segment, within a layer or across layers. Touching at a
 // shared endpoint is legal — consecutive chain segments share a point, fan
 // rays share their origin, and ray origins sit on the surface loops. An
 // alternating digital tree over segment boxes prunes the pair tests, the
-// exact segment predicate classifies the survivors.
-func checkChainCrossings(s *Snapshot, rep *Reporter) {
-	var segs []geom.Segment
+// exact segment predicate classifies the survivors; each segment is tested
+// against the higher-numbered ones, so the segments split into parts.
+type chainCrossings struct {
+	segs  []geom.Segment
+	boxes []geom.BBox
+	tree  *adt.Tree
+}
+
+func newChainCrossings(layers []*blayer.Layer) *chainCrossings {
+	n := 0
+	for _, l := range layers {
+		n += len(l.Surface.Points)
+		for _, chain := range l.Points[:min(len(l.Points), len(l.Rays))] {
+			n += len(chain)
+		}
+	}
+	c := &chainCrossings{segs: make([]geom.Segment, 0, n)}
 	box := geom.EmptyBBox()
 	add := func(a, b geom.Point) {
 		if a == b {
 			return
 		}
-		segs = append(segs, geom.Segment{A: a, B: b})
+		c.segs = append(c.segs, geom.Segment{A: a, B: b})
 		box = box.Extend(a).Extend(b)
 	}
-	for _, l := range s.Layers {
+	for _, l := range layers {
 		pts := l.Surface.Points
 		for i := range pts {
 			add(pts[i], pts[(i+1)%len(pts)])
@@ -125,20 +146,28 @@ func checkChainCrossings(s *Snapshot, rep *Reporter) {
 			}
 		}
 	}
-	if len(segs) < 2 {
-		return
+	if len(c.segs) < 2 {
+		c.segs = nil
+		return c
 	}
-	boxes := make([]geom.BBox, len(segs))
-	for i, sg := range segs {
-		boxes[i] = sg.BBox()
+	c.boxes = make([]geom.BBox, len(c.segs))
+	for i, sg := range c.segs {
+		c.boxes[i] = sg.BBox()
 	}
-	tree := adt.Build(box, boxes)
-	for i, sg := range segs {
-		tree.VisitOverlapping(boxes[i], func(j int) bool {
+	c.tree = adt.Build(box, c.boxes)
+	return c
+}
+
+func (c *chainCrossings) size() int { return len(c.segs) }
+
+func (c *chainCrossings) part(from, to int, rep *Reporter) {
+	for i := from; i < to; i++ {
+		sg := c.segs[i]
+		c.tree.VisitOverlapping(c.boxes[i], func(j int) bool {
 			if j <= i {
 				return true // each pair once
 			}
-			other := segs[j]
+			other := c.segs[j]
 			switch geom.SegmentsIntersect(sg, other) {
 			case geom.SegCross:
 				rep.Reportf(-1, "extrusion chain segments cross: %v-%v and %v-%v",
@@ -156,6 +185,8 @@ func checkChainCrossings(s *Snapshot, rep *Reporter) {
 		})
 	}
 }
+
+func (*chainCrossings) tail(*Reporter) {}
 
 func shareEndpoint(s, t geom.Segment) bool {
 	return s.A == t.A || s.A == t.B || s.B == t.A || s.B == t.B

@@ -10,6 +10,7 @@ package audit
 // triangle off the far-field border, means the two sectors sharing the
 // path disagree about it.
 
+// decoupleCheck is a split check over the path edges, with no tail.
 type decoupleCheck struct{}
 
 func (decoupleCheck) Name() string { return "decoupling" }
@@ -18,8 +19,19 @@ func (decoupleCheck) Applicable(s *Snapshot) bool { return len(s.Paths) > 0 }
 
 func (decoupleCheck) Local() bool { return false }
 
-func (decoupleCheck) Run(s *Snapshot, _, _ int, rep *Reporter) {
-	for _, pe := range s.Paths {
+func (c decoupleCheck) Run(s *Snapshot, _, _ int, rep *Reporter) { runSplit(c, s, rep) }
+
+func (decoupleCheck) begin(s *Snapshot, _ *Reporter) splitter { return pathEdges{s} }
+
+type pathEdges struct{ s *Snapshot }
+
+func (p pathEdges) size() int { return len(p.s.Paths) }
+
+func (pathEdges) tail(*Reporter) {}
+
+func (p pathEdges) part(from, to int, rep *Reporter) {
+	s := p.s
+	for _, pe := range s.Paths[from:to] {
 		a, b := pe[0], pe[1]
 		if a == b {
 			continue

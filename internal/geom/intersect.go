@@ -21,10 +21,16 @@ const (
 
 // SegmentsIntersect reports whether segments s and t share any point, and
 // classifies the intersection. The classification is exact (it uses the
-// robust orientation predicate).
+// robust orientation predicate). Most pairs it is asked about are apart,
+// and two orientations settle the usual one: when both ends of s lie
+// strictly on one side of t's line, so does every point of s, since the
+// orientation against a line is affine along a segment.
 func SegmentsIntersect(s, t Segment) SegIntersectKind {
 	d1 := Orient2DSign(t.A, t.B, s.A)
 	d2 := Orient2DSign(t.A, t.B, s.B)
+	if d1*d2 > 0 {
+		return SegDisjoint
+	}
 	d3 := Orient2DSign(s.A, s.B, t.A)
 	d4 := Orient2DSign(s.A, s.B, t.B)
 

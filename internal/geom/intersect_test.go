@@ -263,3 +263,67 @@ func TestRandomCrossingsAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// fourPredicateIntersect is SegmentsIntersect as it was before it returned
+// after two orientations: all four, always. FuzzSegmentsIntersect holds
+// the early return to it.
+func fourPredicateIntersect(s, t Segment) SegIntersectKind {
+	d1 := Orient2DSign(t.A, t.B, s.A)
+	d2 := Orient2DSign(t.A, t.B, s.B)
+	d3 := Orient2DSign(s.A, s.B, t.A)
+	d4 := Orient2DSign(s.A, s.B, t.B)
+	if d1*d2 < 0 && d3*d4 < 0 {
+		return SegCross
+	}
+	if d1 == 0 && d2 == 0 && d3 == 0 && d4 == 0 {
+		bb := s.BBox().Union(t.BBox())
+		useX := bb.Width() >= bb.Height()
+		lo1, hi1 := orderedRange(s, useX)
+		lo2, hi2 := orderedRange(t, useX)
+		if hi1 < lo2 || hi2 < lo1 {
+			return SegDisjoint
+		}
+		if hi1 == lo2 || hi2 == lo1 {
+			return SegTouch
+		}
+		return SegOverlap
+	}
+	onSeg := func(sign int, seg Segment, p Point) bool {
+		return sign == 0 && seg.BBox().Contains(p)
+	}
+	if onSeg(d1, t, s.A) || onSeg(d2, t, s.B) || onSeg(d3, s, t.A) || onSeg(d4, s, t.B) {
+		return SegTouch
+	}
+	return SegDisjoint
+}
+
+// FuzzSegmentsIntersect: the two-orientation early return classifies
+// every pair as the four-orientation version does, on raw bit patterns:
+// NaN, infinities, subnormal and huge coordinates, degenerate segments.
+func FuzzSegmentsIntersect(f *testing.F) {
+	nan, inf, tiny := math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64
+	for _, c := range [][2]Segment{
+		{seg(0, 0, 2, 2), seg(0, 2, 2, 0)},
+		{seg(0, 0, 1, 0), seg(2, 1, 3, -1)},
+		{seg(0, 0, 2, 0), seg(1, 0, 1, 1)},
+		{seg(0, 0, 2, 0), seg(1, 0, 3, 0)},
+		{seg(1, 1, 1, 1), seg(0, 0, 2, 2)},
+		{seg(1, 1, 1, 1), seg(1, 1, 1, 1)},
+		{seg(0, 0, 1, 1), seg(0, 1e-12, -1, 1)},
+		{seg(0, 0, tiny, tiny), seg(tiny, 0, 0, tiny)},
+		{seg(1e-170, 1e-170, 1e-170, 0), seg(0, 0, 1, 0)},
+		{seg(0, 0, nan, 1), seg(0, 1, 1, 0)},
+		{seg(0, -inf, 0, 0), seg(1, 1, -1, 2)},
+		{seg(-1e308, 0, 1e308, 0), seg(0, -1e308, 0, 1e308)},
+	} {
+		f.Add(c[0].A.X, c[0].A.Y, c[0].B.X, c[0].B.Y, c[1].A.X, c[1].A.Y, c[1].B.X, c[1].B.Y)
+	}
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
+		s, u := seg(ax, ay, bx, by), seg(cx, cy, dx, dy)
+		for _, p := range [][2]Segment{{s, u}, {u, s}} {
+			if got, want := SegmentsIntersect(p[0], p[1]), fourPredicateIntersect(p[0], p[1]); got != want {
+				t.Fatalf("SegmentsIntersect(%v, %v) = %v, four orientations say %v", p[0], p[1], got, want)
+			}
+		}
+	})
+}

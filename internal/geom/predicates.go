@@ -1,6 +1,9 @@
 package geom
 
-import "math"
+import (
+	"math"
+	"math/big"
+)
 
 // Error-bound coefficients for the floating-point filters, computed from the
 // machine epsilon of IEEE binary64 following Shewchuk. epsilon here is half
@@ -16,29 +19,61 @@ var (
 
 // Orient2D returns a positive value if the points a, b, c occur in
 // counter-clockwise order, a negative value if they occur in clockwise
-// order, and zero if they are collinear. The sign of the result is exact;
-// the magnitude is an approximation of twice the signed triangle area.
+// order, and zero if they are collinear. The sign of the result is exact
+// for every finite input; the magnitude is an approximation of twice the
+// signed triangle area.
 func Orient2D(a, b, c Point) float64 {
-	detLeft := (a.X - c.X) * (b.Y - c.Y)
-	detRight := (a.Y - c.Y) * (b.X - c.X)
+	acx, bcy := a.X-c.X, b.Y-c.Y
+	acy, bcx := a.Y-c.Y, b.X-c.X
+	detLeft := acx * bcy
+	detRight := acy * bcx
 	det := detLeft - detRight
 
+	// A product of two nonzero differences that reads 0 underflowed: its
+	// sign is lost, and so is the early answer's.
 	var detSum float64
 	if detLeft > 0 {
 		if detRight <= 0 {
+			if detRight == 0 && acy != 0 && bcx != 0 {
+				return orient2DUnderflow(a, b, c, det)
+			}
 			return det
 		}
 		detSum = detLeft + detRight
 	} else if detLeft < 0 {
 		if detRight >= 0 {
+			if detRight == 0 && acy != 0 && bcx != 0 {
+				return orient2DUnderflow(a, b, c, det)
+			}
 			return det
 		}
 		detSum = -detLeft - detRight
 	} else {
+		if detLeft == 0 && acx != 0 && bcy != 0 || detRight == 0 && acy != 0 && bcx != 0 {
+			return orient2DUnderflow(a, b, c, det)
+		}
 		return det
+	}
+	// The relative error bound holds only while nothing rounds in the
+	// subnormal range; below 2^-969 the absolute error of a subnormal
+	// product can outweigh it.
+	if detSum < 0x1p-969 {
+		return orient2DExact(a, b, c)
 	}
 	errBound := ccwErrBoundA * detSum
 	if det >= errBound || -det >= errBound {
+		return det
+	}
+	return orient2DExact(a, b, c)
+}
+
+// orient2DUnderflow decides an orientation whose filter lost a product to
+// underflow. A finite det means finite coordinates (every coordinate is
+// in one of the four differences), which the exact path decides; an
+// infinite one came from an overflowed product whose sign is the answer,
+// and a NaN from non-finite input, which has none.
+func orient2DUnderflow(a, b, c Point, det float64) float64 {
+	if math.IsNaN(det) || math.IsInf(det, 0) {
 		return det
 	}
 	return orient2DExact(a, b, c)
@@ -49,7 +84,16 @@ func Orient2D(a, b, c Point) float64 {
 //
 //	| ax-cx  ay-cy |   = ax*by - ax*cy - ay*bx + ay*cx + bx*cy - by*cx
 //	| bx-cx  by-cy |
+//
+// The expansion products are exact only while no product of two
+// coordinates overflows or loses its low half to underflow, which holds
+// for coordinates of magnitude in [2^-484, 2^500], or 0. Finite
+// coordinates outside that range take exact rational arithmetic instead;
+// non-finite ones have no orientation, and get the expansions' answer.
 func orient2DExact(a, b, c Point) float64 {
+	if !expansionRange(a, b, c) {
+		return orient2DRational(a, b, c)
+	}
 	ar := getArena()
 	axby := ar.twoTwoDiff(a.X, b.Y, a.X, c.Y) // ax*by - ax*cy
 	aybx := ar.twoTwoDiff(a.Y, c.X, a.Y, b.X) // ay*cx - ay*bx
@@ -58,6 +102,37 @@ func orient2DExact(a, b, c Point) float64 {
 	est := expEstimate(det)
 	putArena(ar)
 	return est
+}
+
+// expansionRange reports whether orient2DExact's expansions are exact on
+// the coordinates, or cannot be helped: it is false only for finite
+// coordinates of which one is nonzero with a magnitude outside
+// [2^-484, 2^500].
+func expansionRange(a, b, c Point) bool {
+	ok, finite := true, true
+	for _, v := range [6]float64{a.X, a.Y, b.X, b.Y, c.X, c.Y} {
+		m := abs(v)
+		ok = ok && (m == 0 || m >= 0x1p-484 && m <= 0x1p500)
+		finite = finite && m <= math.MaxFloat64
+	}
+	return ok || !finite
+}
+
+// orient2DRational is the orientation determinant in exact rational
+// arithmetic, rounded to a float64 that keeps its sign.
+func orient2DRational(a, b, c Point) float64 {
+	diff := func(p, q float64) *big.Rat {
+		d := new(big.Rat).SetFloat64(p)
+		return d.Sub(d, new(big.Rat).SetFloat64(q))
+	}
+	left := new(big.Rat).Mul(diff(a.X, c.X), diff(b.Y, c.Y))
+	right := new(big.Rat).Mul(diff(a.Y, c.Y), diff(b.X, c.X))
+	det := left.Sub(left, right)
+	f, _ := det.Float64()
+	if f == 0 && det.Sign() != 0 {
+		f = float64(det.Sign()) * math.SmallestNonzeroFloat64
+	}
+	return f
 }
 
 // Orient2DSign returns the sign of Orient2D as -1, 0, or +1.

@@ -79,6 +79,68 @@ func TestOrient2DMatchesRational(t *testing.T) {
 	}
 }
 
+// orientSeeds are triples whose orientation the filter alone cannot
+// decide: products that underflow to zero from nonzero differences (the
+// first is the vertical edge and query of the loop (1e-170, 0), (1, 1),
+// (1e-170, 1e-170) around (0, 0)), subnormal and overflowing determinant
+// sums, and coordinates whose expansion products under- or overflow
+// where the filter sends them to the exact path, within and beyond the
+// range a power-of-two rescale could bring them back into.
+func orientSeeds() [][3]Point {
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	return [][3]Point{
+		{{1e-170, 1e-170}, {1e-170, 0}, {0, 0}},
+		{{1e-170, 0}, {1, 1}, {1e-170, 1e-170}},
+		{{0, 0}, {1e-170, 1e-170}, {2e-170, 2e-170 + 1e-185}},
+		{{0, 0}, {tiny, 0}, {0, tiny}},
+		{{0, 0}, {3 * tiny, tiny}, {6 * tiny, 2 * tiny}},
+		{{1e-200, 2e-200}, {3e-200, 4e-200}, {1, 1}},
+		{{1e-300, 2e-300}, {3e-300, 4e-300}, {1e300, 1e300}},
+		{{1e300, 1e300}, {-1e300, -1e300}, {1e300, -1e300}},
+		{{huge, huge}, {-huge, -huge}, {huge, -huge}},
+		{{1e200, 1e200 + 2e184}, {2e200, 2e200 + 4e184}, {3e200, 3e200 + 6e184}},
+	}
+}
+
+// TestOrient2DUnderflow pins the orientation of the seeds to the rational
+// sign; the first is the loop whose scan counted a crossing that is not
+// there.
+func TestOrient2DUnderflow(t *testing.T) {
+	for i, s := range orientSeeds() {
+		for k := 0; k < 3; k++ { // every rotation
+			a, b, c := s[k], s[(k+1)%3], s[(k+2)%3]
+			if got, want := Orient2DSign(a, b, c), ratOrient2D(a, b, c); got != want {
+				t.Errorf("seed %d rotation %d: Orient2DSign(%v, %v, %v) = %d, rational %d", i, k, a, b, c, got, want)
+			}
+		}
+	}
+	if got := Orient2DSign(Pt(1e-170, 1e-170), Pt(1e-170, 0), Pt(0, 0)); got != -1 {
+		t.Errorf("(0, 0) reads %d against the edge down x = 1e-170, want -1: right of it", got)
+	}
+}
+
+// FuzzOrient2DSign: the orientation sign equals the rational sign for
+// every finite input, on raw bit patterns: subnormal and huge coordinates,
+// and mixtures of them no rescaling brings into one exponent window.
+func FuzzOrient2DSign(f *testing.F) {
+	for _, s := range orientSeeds() {
+		f.Add(s[0].X, s[0].Y, s[1].X, s[1].Y, s[2].X, s[2].Y)
+	}
+	f.Add(0.1, 0.2, 3.7, 1.9, 2.2, 8.1)
+	f.Add(12.0, 12.0, 24.0, math.Nextafter(24, 25), 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy float64) {
+		for _, v := range []float64{ax, ay, bx, by, cx, cy} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip() // no rational value
+			}
+		}
+		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)
+		if got, want := Orient2DSign(a, b, c), ratOrient2D(a, b, c); got != want {
+			t.Fatalf("Orient2DSign(%v, %v, %v) = %d, rational %d", a, b, c, got, want)
+		}
+	})
+}
+
 func TestOrient2DMatchesRationalNearDegenerate(t *testing.T) {
 	// Points perturbed by single ulps around a collinear configuration:
 	// the regime where naive floating-point evaluation fails.

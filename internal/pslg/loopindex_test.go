@@ -204,8 +204,9 @@ func TestLoopIndexDegenerate(t *testing.T) {
 		{Name: "inf-y", Points: []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(2, inf), geom.Pt(0, 2)}},
 		{Name: "neg-inf-y", Points: []geom.Point{geom.Pt(0, -inf), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}},
 		{Name: "nan-x", Points: []geom.Point{geom.Pt(nan, 0), geom.Pt(2, 0), geom.Pt(2, 2), geom.Pt(0, 2)}},
-		// (0, 0) is left of every vertex, yet the linear scan counts one
-		// crossing: the orientation of the vertical edge underflows to 0.
+		// (0, 0) is left of every vertex: the scan counts two crossings,
+		// one of them on the vertical edge, whose orientation takes a
+		// product that underflows to 0.
 		{Name: "underflow", Points: []geom.Point{geom.Pt(1e-170, 0), geom.Pt(1, 1), geom.Pt(1e-170, 1e-170)}},
 	}
 	extra := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1), geom.Pt(0.5, 0), geom.Pt(0.5, tiny), geom.Pt(0.5, 1e307), geom.Pt(1, 2), geom.Pt(1, nan), geom.Pt(nan, 1), geom.Pt(1, inf)}
@@ -216,6 +217,10 @@ func TestLoopIndexDegenerate(t *testing.T) {
 			queries = append(probes(l), extra...)
 		}
 		checkIndex(t, l.Name, l, queries)
+	}
+	under := pslg.Loop{Points: []geom.Point{geom.Pt(1e-170, 0), geom.Pt(1, 1), geom.Pt(1e-170, 1e-170)}}
+	if under.Contains(geom.Pt(0, 0)) || pslg.NewLoopIndex(&under).Contains(geom.Pt(0, 0)) {
+		t.Error("underflow: the loop contains (0, 0), left of every vertex")
 	}
 	for _, name := range []string{"empty", "one", "two", "flat", "repeated"} {
 		for i := range loops {

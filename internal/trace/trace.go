@@ -51,6 +51,10 @@ const (
 	// being handled to the degraded phase's termination, and the instant
 	// events of the dead rank's task re-queue.
 	CatRecover = "recover"
+	// CatAudit marks an audit check that runs beside the pipeline's stages
+	// rather than inside one: the boundary-layer check, started at the end
+	// of ray-insertion and collected by the audit stage.
+	CatAudit = "audit"
 )
 
 // Arg is one numeric key/value attached to an event (task cost, bytes on
