@@ -37,18 +37,17 @@ func (delaunayCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
 			continue // InCircle's sign convention assumes CCW; orientation reports this
 		}
 		for e := 0; e < 3; e++ {
-			u, v := t[e], t[(e+1)%3]
-			back := s.edges.Find(v, u)
-			if len(back) == 0 {
+			k := int(s.twin[3*i+e]) // the neighbor Mesh.Adjacency names
+			if k < 0 {
 				continue // boundary edge
 			}
-			k := back[len(back)-1] // the neighbor Mesh.Adjacency names
-			nb := k.Triangle()
+			u, v := t[e], t[(e+1)%3]
+			nb := k / 3
 			if nb < i || !s.StrictDelaunay && s.constrained(u, v) {
 				continue // audited from nb's side, or constrained: CDT makes no promise across it
 			}
 			// A corrupt neighbor that repeats u or v puts it here, on the circle.
-			opp := m.Triangles[nb][(k.Edge()+2)%3]
+			opp := m.Triangles[nb][(k%3+2)%3]
 			if geom.InCircleSign(a, b, c, m.Points[opp]) > 0 {
 				rep.Reportf(i, "edge (%d,%d): vertex %d of neighbor %d inside circumcircle of (%d,%d,%d)",
 					u, v, opp, nb, t[0], t[1], t[2])
