@@ -5,7 +5,8 @@ package trace
 // that chrome://tracing and Perfetto's legacy-JSON importer both load:
 // one "process" per rank (pid rank+1, pid 0 for root-side pipeline work),
 // two "threads" per process — mesher (execution) and comm (protocol) —
-// and flow events linking each steal's departure to its arrival.
+// an "audit" thread for the checks that run beside the stages, and flow
+// events linking each steal's departure to its arrival.
 //
 // WriteTrace must only be called after the traced run has quiesced; the
 // recorder's buffers are read without synchronization against writers.
@@ -14,15 +15,20 @@ import "io"
 
 // Display thread ids within each rank process.
 const (
-	tidMesher = 1 // stages, tasks, audit checks, idle waits
+	tidMesher = 1 // stages, tasks, idle waits
 	tidComm   = 2 // steal protocol, MPI sends, counters
+	tidAudit  = 4 // audit checks that overlap the stages
 )
 
-// tidFor maps an event category to its display thread.
+// tidFor maps an event category to its display thread. An audit check's
+// span overlaps the stage spans without nesting in them, and a viewer
+// expects the spans of one thread to nest, so it gets a thread of its own.
 func tidFor(cat string) int {
 	switch cat {
 	case CatSteal, CatMPI:
 		return tidComm
+	case CatAudit:
+		return tidAudit
 	}
 	return tidMesher
 }

@@ -4,7 +4,8 @@ package trace
 // snapshots of every process in a run into one Chrome trace-event file:
 // each worker rank's track lands in its own pid, worker-side stage spans
 // get a dedicated "stages" thread inside the rank's process (stage skew
-// across processes becomes visible), and every remote timestamp is
+// across processes becomes visible), audit checks that run beside the
+// stages keep their own "audit" thread, and every remote timestamp is
 // rebased into the launcher's clock with the per-rank offsets the
 // launcher measured in its finalize exchange. The offsets themselves are
 // recorded in the file's metadata object so a timeline can be audited
@@ -69,6 +70,7 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 	var evs []placedEvent
 	nranks := 0
 	stageRanks := make(map[int]bool) // worker hosts whose stage track survived
+	auditPIDs := make(map[int]bool)  // processes with an audit thread
 	for _, tel := range ordered {
 		if tel.Ranks > nranks {
 			nranks = tel.Ranks
@@ -93,8 +95,11 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 					e.TS = 0
 				}
 				tid := tidFor(e.Cat)
-				if rootTrack && tel.Rank != 0 {
+				if rootTrack && tel.Rank != 0 && tid != tidAudit {
 					tid = tidStages
+				}
+				if tid == tidAudit {
+					auditPIDs[pid] = true
 				}
 				evs = append(evs, placedEvent{e: e, pid: pid, tid: tid})
 			}
@@ -149,6 +154,9 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 	meta(0, "process_name", "root (pipeline)", 0)
 	sortIdx(0)
 	meta(0, "thread_name", "stages", tidMesher)
+	if auditPIDs[0] {
+		meta(0, "thread_name", "audit", tidAudit)
+	}
 	for r := 0; r < nranks; r++ {
 		pid := r + 1
 		meta(pid, "process_name", "rank "+strconv.Itoa(r), 0)
@@ -157,6 +165,9 @@ func WriteMergedTrace(w io.Writer, telems []*Telemetry, clocks []RankClock, tran
 		meta(pid, "thread_name", "comm", tidComm)
 		if stageRanks[r] {
 			meta(pid, "thread_name", "stages", tidStages)
+		}
+		if auditPIDs[pid] {
+			meta(pid, "thread_name", "audit", tidAudit)
 		}
 	}
 

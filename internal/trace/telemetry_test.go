@@ -269,6 +269,65 @@ func TestMergedTraceDropsUnpairedFlows(t *testing.T) {
 	}
 }
 
+// TestMergedTraceAuditThread: an audit check's span, which overlaps the
+// stage spans without nesting in them, lands on an "audit" thread of its
+// own in the host's process and in a worker's, never on a stage thread.
+func TestMergedTraceAuditThread(t *testing.T) {
+	var telems []*Telemetry
+	for rank := 0; rank < 2; rank++ {
+		tr := New(2)
+		st := tr.Begin(RootRank, CatStage, "ray-insertion")
+		a := tr.Begin(RootRank, CatAudit, "boundary-layer")
+		st.End()
+		next := tr.Begin(RootRank, CatStage, "bl-triangulation")
+		a.End()
+		next.End()
+		telems = append(telems, tr.Export(rank))
+	}
+	var buf bytes.Buffer
+	if err := WriteMergedTrace(&buf, telems, nil, "tcp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("merged trace invalid: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			TID  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	stageTID := map[int]int{0: tidMesher, 2: tidStages} // host, worker rank 1
+	named := map[int]bool{}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "thread_name" && e.Args["name"] == "audit":
+			if e.TID != tidAudit {
+				t.Errorf("audit thread named on tid %d, want %d", e.TID, tidAudit)
+			}
+			named[e.PID] = true
+		case e.Ph == "X" && e.Cat == CatAudit:
+			if e.TID != tidAudit {
+				t.Errorf("audit span on pid %d tid %d, want tid %d", e.PID, e.TID, tidAudit)
+			}
+		case e.Ph == "X" && e.Cat == CatStage:
+			if e.TID != stageTID[e.PID] {
+				t.Errorf("stage span %q on pid %d tid %d, want tid %d", e.Name, e.PID, e.TID, stageTID[e.PID])
+			}
+		}
+	}
+	if !named[0] || !named[2] || len(named) != 2 {
+		t.Errorf("audit thread named in processes %v, want 0 and 2", named)
+	}
+}
+
 // TestPrometheusExport: the registry's text exposition must carry the
 // pamg2d_ prefix, counter/_total and histogram conventions, and pass the
 // package's own linter.
