@@ -56,24 +56,26 @@ type Quality struct {
 	// triangles larger than the target are split. This is Triangle's
 	// user-defined area constraint used by the paper's sizing function.
 	// It must be a pure function of the point: the refiner evaluates it at
-	// most once per triangle, when it tests the triangle for the queue,
-	// and splits on that answer however much later the triangle's turn
-	// comes.
+	// most once each time it tests a triangle, which is when it seeds the
+	// queue and when it pops the triangle, and never for a triangle that
+	// was destroyed before its turn.
 	SizeAt func(geom.Point) float64
 
 	// SizeSlope, when positive, declares a slope L of SizeAt's square
 	// root: |√SizeAt(p) − √SizeAt(q)| ≤ L·|p − q| for all p and q, up to a
 	// relative rounding error of 2^-44 in each term wherever the targets
-	// lie between 2^-800 and 2^800. The refiner then asks SizeAt once at
-	// each vertex it inserts and settles the size test of the new
-	// triangles around it from that answer, asking at a centroid only
-	// when the bound cannot decide; the mesh is the one SizeAt alone
-	// gives. Zero declares nothing and asks at every centroid.
+	// lie between 2^-800 and 2^800. The refiner then settles a triangle's
+	// size test from SizeAt at the triangle's newest vertex, kept in a
+	// small cache of recent vertices, and asks at a centroid only when
+	// the bound cannot decide; the mesh is the one SizeAt alone gives.
+	// Zero declares nothing and asks at every centroid.
 	// sizing.Graded.Slope supplies it.
 	SizeSlope float64
 
-	// MaxPoints caps the total vertex count as a safety valve. Zero means
-	// no cap.
+	// MaxPoints caps the total vertex count as a safety valve: Refine
+	// returns an error when it is about to split with the cap reached. A
+	// run that reaches the cap with nothing left to split, its queued
+	// entries all gone or good, completes without one. Zero means no cap.
 	MaxPoints int
 
 	// NoSplitSegments prohibits inserting Steiner points on constrained

@@ -75,10 +75,12 @@ type Triangulation struct {
 
 	// refSegs and refTris hold the refiner's worklists between Refine
 	// calls so repeated refinement passes reuse their backing arrays;
-	// refEnc is insertCircumcenter's list of encroached segments.
-	refSegs []segRef
-	refTris []triRef
-	refEnc  [][2]int32
+	// refEnc is insertCircumcenter's list of encroached segments, and
+	// refRoots the size filter's anchor cache, emptied by each Refine.
+	refSegs  []segRef
+	refTris  []triRef
+	refEnc   [][2]int32
+	refRoots sizeRoots
 
 	// binGrid hashes points to cells and binSeed remembers the most recent
 	// vertex per cell; locate starts its walk from that vertex when it is

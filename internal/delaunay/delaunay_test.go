@@ -573,7 +573,7 @@ func TestWalkVisibleStepLimit(t *testing.T) {
 	if end, e, reached, inside := tri.walkVisible(0, cc); end != invalid || e != -1 || reached || inside {
 		t.Fatalf("walkVisible = %d, %d, %v, %v; want invalid, -1, false, false", end, e, reached, inside)
 	}
-	r := &refiner{t: tri, q: Quality{MaxRadiusEdgeRatio: math.Sqrt2}, minLen: 1e-9, star: invalid}
+	r := &refiner{t: tri, q: Quality{MaxRadiusEdgeRatio: math.Sqrt2}, minLen: 1e-9}
 	r.splitTri(0)
 	if len(tri.pts) != 3 || len(tri.tris) != 1 || len(r.segs) != 0 || len(r.tris) != 0 {
 		t.Errorf("splitTri changed the triangulation or queued work: %d points, %d triangles, %d segments, %d triangles queued",
@@ -582,18 +582,20 @@ func TestWalkVisibleStepLimit(t *testing.T) {
 }
 
 // TestRefineAsksSizeAtMostOncePerTestedTriangle pins how often refinement
-// asks the sizing function: at most once per triangle it tests for the
-// queue, plus once per inserted vertex when a slope is declared. A
-// triangle is tested when it is queued (considerTri) and split on that
-// answer when it is popped: its three points never move, so the pop checks
-// only that it still exists. The size test runs after the quality test,
-// so a triangle that fails the quality bound asks nothing; with the size
-// test first and a re-check at every pop the two regions below cost 2,446
-// and 3,026 calls, and with the size test first alone 2,048 and 2,635.
-// A declared slope lets the star of each new
-// vertex be settled from one query at the vertex. A changed call pattern
-// fails on the count; a changed mesh fails on the sizes, and on the
-// comparison across counted, uncounted, slope-free and sloped runs.
+// tests a triangle and asks the sizing function. Refine tests every
+// interior triangle once when it seeds the queue, and after that a
+// triangle only when it is popped live (neither gone nor its slot reused):
+// the count of tests is exactly the seeded triangles plus the live pops.
+// A test asks SizeAt at most once, at the centroid, after the quality
+// test, so a triangle that fails the quality bound asks nothing; with a
+// declared slope it asks once per anchor vertex instead (the triangle's
+// newest, cached per pass) and at a centroid only when the bound cannot
+// decide. Testing at push, every star triangle of every new vertex, the
+// two regions below cost 1,993 and 1,998 calls, 841 and 688 with the
+// slope; with the size test first and a re-check at every pop, 2,446 and
+// 3,026. A changed call pattern fails on the counts; a changed mesh fails
+// on the sizes, and on the comparison across counted, uncounted,
+// slope-free and sloped runs.
 func TestRefineAsksSizeAtMostOncePerTestedTriangle(t *testing.T) {
 	// √size = 0.1·√(0.2 + d²) has slope 0.1 in d = |p|, hence in p.
 	size := func(p geom.Point) float64 {
@@ -625,8 +627,8 @@ func TestRefineAsksSizeAtMostOncePerTestedTriangle(t *testing.T) {
 		calls, slopeCalls int
 		points, triangles int
 	}{
-		{"segments split", coarse, false, 1993, 841, 402, 725},
-		{"segments kept (-Y)", marched, true, 1998, 688, 497, 864},
+		{"segments split", coarse, false, 1283, 664, 402, 725},
+		{"segments kept (-Y)", marched, true, 1423, 624, 497, 864},
 	} {
 		plain := Quality{MaxRadiusEdgeRatio: math.Sqrt2, NoSplitSegments: c.noSplit, SizeAt: size}
 		want, err := TriangulateRefined(c.in, plain)
@@ -638,10 +640,20 @@ func TestRefineAsksSizeAtMostOncePerTestedTriangle(t *testing.T) {
 			counted := plain
 			counted.SizeAt = func(p geom.Point) float64 { calls++; return size(p) }
 			counted.SizeSlope = s
-			got, err := TriangulateRefined(c.in, counted)
-			if err != nil {
+			var tri Triangulation
+			if err := tri.Build(c.in); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
+			seeded := tri.InteriorTriangles()
+			r := tri.newRefiner(counted)
+			if err := r.refine(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if r.tested != seeded+r.live {
+				t.Errorf("%s, slope %v: %d triangle tests for %d seeded triangles and %d live pops; want one each",
+					c.name, s, r.tested, seeded, r.live)
+			}
+			got := tri.Extract()
 			wantCalls := c.calls
 			if s > 0 {
 				wantCalls = c.slopeCalls

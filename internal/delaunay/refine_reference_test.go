@@ -2,8 +2,11 @@ package delaunay
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"pamg2d/internal/geom"
@@ -43,7 +46,7 @@ func (r *refiner) isBadReference(ti int32) bool {
 	return false
 }
 
-// badCase is one triangle test: the triangle abc, the star vertex the size
+// badCase is one triangle test: the triangle abc, the anchor the size
 // filter starts from, the quality and minLen.
 type badCase struct {
 	a, b, c, star geom.Point
@@ -51,22 +54,28 @@ type badCase struct {
 	minLen        float64
 }
 
-// check compares the filtered isBad, inside and outside a star, with the
-// reference on a one-triangle triangulation holding the star vertex apart.
+// check compares the filtered test, anchored at the triangle's newest
+// vertex c and at the star point, each asked twice so the second answer
+// comes from the anchor cache, with the reference on a one-triangle
+// triangulation holding the star point apart.
 func (bc badCase) check(t *testing.T, name string) {
 	t.Helper()
 	tri := &Triangulation{
-		pts:  []geom.Point{bc.a, bc.b, bc.c, bc.star},
-		tris: []Tri{{V: [3]int32{0, 1, 2}, N: [3]int32{invalid, invalid, invalid}}},
+		pts:    []geom.Point{bc.a, bc.b, bc.c, bc.star},
+		tris:   []Tri{{V: [3]int32{0, 1, 2}, N: [3]int32{invalid, invalid, invalid}}},
+		carved: true,
 	}
-	r := &refiner{t: tri, q: bc.q, minLen: bc.minLen, star: invalid}
+	r := tri.newRefiner(bc.q)
+	r.minLen = bc.minLen
 	want := r.isBadReference(0)
-	if got := r.isBad(0); got != want {
-		t.Fatalf("%s: isBad outside a star = %v, reference %v (%+v)", name, got, want, bc)
-	}
-	r.star, r.starAsked = 3, false
-	if got := r.isBad(0); got != want {
-		t.Fatalf("%s: isBad in the star of %v = %v, reference %v (%+v)", name, bc.star, got, want, bc)
+	v := tri.tris[0].V
+	for range 2 {
+		if got := r.isBad(v); got != want {
+			t.Fatalf("%s: isBad = %v, reference %v (%+v)", name, got, want, bc)
+		}
+		if got := r.isBadFrom(v, 3); got != want {
+			t.Fatalf("%s: isBad anchored at %v = %v, reference %v (%+v)", name, bc.star, got, want, bc)
+		}
 	}
 }
 
@@ -286,5 +295,371 @@ func FuzzIsBadMatchesReference(f *testing.F) {
 		}
 		q := Quality{MaxRadiusEdgeRatio: ratio, SizeAt: g.Area, SizeSlope: g.Slope()}
 		badCase{a: a, b: b, c: c, star: star, q: q, minLen: minLen}.check(t, "fuzz")
+	})
+}
+
+// eagerRefiner is the refinement loop as it ran before the quality test
+// moved to the pop: considerTri tests a triangle when it queues it, with
+// the unfiltered isBadReference, and run splits every queued triangle that
+// is still live on that answer, checking MaxPoints at every pop. It shares
+// the refiner's segment tests and insertion helpers, which did not change.
+// TestRefineMatchesEager and FuzzRefineMatchesEager hold Refine to it.
+type eagerRefiner struct{ *refiner }
+
+// refineEager is Refine with the eager loop.
+func (t *Triangulation) refineEager(q Quality) error {
+	r0 := t.newRefiner(q)
+	r := eagerRefiner{&r0}
+	for i := range t.tris {
+		tr := t.tris[i]
+		if tr.Dead || tr.Outside {
+			continue
+		}
+		r.considerTri(int32(i))
+		for e := int32(0); e < 3; e++ {
+			if tr.C[e] {
+				r.considerSeg(int32(i), e)
+			}
+		}
+	}
+	return r.run()
+}
+
+func (r eagerRefiner) considerTri(ti int32) {
+	if r.isBadReference(ti) {
+		r.tris = append(r.tris, triRef{ti, r.t.tris[ti].V})
+	}
+}
+
+func (r eagerRefiner) run() error {
+	t := r.t
+	for len(r.segs) > 0 || len(r.tris) > 0 {
+		if r.q.MaxPoints > 0 && len(t.pts) >= r.q.MaxPoints {
+			return fmt.Errorf("delaunay: refinement exceeded MaxPoints=%d", r.q.MaxPoints)
+		}
+		if len(r.segs) > 0 {
+			sr := r.segs[len(r.segs)-1]
+			r.segs = r.segs[:len(r.segs)-1]
+			r.splitSegIfNeeded(sr)
+			continue
+		}
+		tr := r.tris[len(r.tris)-1]
+		r.tris = r.tris[:len(r.tris)-1]
+		if tr.ti >= int32(len(t.tris)) || t.tris[tr.ti].Dead || t.tris[tr.ti].V != tr.v {
+			continue
+		}
+		r.splitTri(tr.ti)
+	}
+	return nil
+}
+
+func (r eagerRefiner) splitSegIfNeeded(sr segRef) {
+	if r.q.NoSplitSegments {
+		return
+	}
+	t := r.t
+	ti, e := t.findEdge(sr.a, sr.b)
+	if ti == invalid || !t.tris[ti].C[e] {
+		return
+	}
+	if sr.force {
+		s := geom.Segment{A: t.pts[sr.a], B: t.pts[sr.b]}
+		if s.Len() > 2*r.minLen {
+			r.splitSeg(ti, e)
+		}
+		return
+	}
+	if r.segEncroached(ti, e) {
+		r.splitSeg(ti, e)
+	}
+}
+
+func (r eagerRefiner) splitSeg(ti, e int32) {
+	t := r.t
+	a := t.tris[ti].V[e]
+	b := t.tris[ti].V[(e+1)%3]
+	v, err := t.insertOnConstraint(t.pts[a].Mid(t.pts[b]), location{kind: locEdge, t: ti, e: e})
+	if err != nil {
+		return
+	}
+	r.requeueAround(v)
+}
+
+func (r eagerRefiner) requeueAround(v int32) {
+	t := r.t
+	t.visitStar(v, func(ti int32) bool {
+		if t.tris[ti].Outside {
+			return true
+		}
+		r.considerTri(ti)
+		tr := t.tris[ti]
+		for e := int32(0); e < 3; e++ {
+			if tr.C[e] {
+				r.considerSeg(ti, e)
+			}
+		}
+		return true
+	})
+}
+
+func (r eagerRefiner) splitTri(ti int32) {
+	t := r.t
+	tr := t.tris[ti]
+	a, b, c := t.pts[tr.V[0]], t.pts[tr.V[1]], t.pts[tr.V[2]]
+	cc := geom.Circumcenter(a, b, c)
+	if math.IsNaN(cc.X) || math.IsInf(cc.X, 0) || math.IsNaN(cc.Y) || math.IsInf(cc.Y, 0) {
+		return
+	}
+	end, blockE, reached, inside := t.walkVisible(ti, cc)
+	if !reached {
+		if end != invalid {
+			aa := t.tris[end].V[blockE]
+			bb := t.tris[end].V[(blockE+1)%3]
+			s := geom.Segment{A: t.pts[aa], B: t.pts[bb]}
+			if !r.q.NoSplitSegments && s.Len() > 2*r.minLen {
+				r.segs = append(r.segs, segRef{a: aa, b: bb, force: true})
+				r.considerTri(ti)
+			}
+		}
+		return
+	}
+	loc := location{kind: locInside, t: end}
+	if inside {
+		t.last = end
+	} else {
+		loc = t.locate(cc)
+	}
+	v, encroached, err := t.insertCircumcenter(cc, loc, r.minLen)
+	if err != nil {
+		return
+	}
+	if len(encroached) > 0 {
+		if r.q.NoSplitSegments {
+			if r.isAreaBad(ti) {
+				r.insertCentroid(ti)
+			}
+			return
+		}
+		for _, seg := range encroached {
+			s := geom.Segment{A: t.pts[seg[0]], B: t.pts[seg[1]]}
+			if s.Len() > 2*r.minLen {
+				r.segs = append(r.segs, segRef{a: seg[0], b: seg[1], force: true})
+			}
+		}
+		r.considerTri(ti)
+		return
+	}
+	r.requeueAround(v)
+}
+
+func (r eagerRefiner) insertCentroid(ti int32) {
+	t := r.t
+	tr := t.tris[ti]
+	a, b, c := t.pts[tr.V[0]], t.pts[tr.V[1]], t.pts[tr.V[2]]
+	cen := geom.Pt((a.X+b.X+c.X)/3, (a.Y+b.Y+c.Y)/3)
+	if cen.Dist(a) < r.minLen || cen.Dist(b) < r.minLen || cen.Dist(c) < r.minLen {
+		return
+	}
+	loc := t.locate(cen)
+	if loc.kind != locInside && loc.kind != locEdge {
+		return
+	}
+	if loc.kind == locEdge && t.tris[loc.t].C[loc.e] {
+		return
+	}
+	v, err := t.InsertPoint(cen)
+	if err != nil {
+		return
+	}
+	r.requeueAround(v)
+}
+
+// latticeInput decodes a PSLG on an integer lattice scaled by unit: the
+// convex hull of the decoded points, each hull edge cut at the lattice
+// points it passes through, and the decoded points inside it free. Lattice
+// points make exact ties common: cocircular squares, collinear boundary
+// vertices, circumcenters on constraints.
+func latticeInput(coords []uint8, unit float64) (Input, bool) {
+	var pts []geom.Point
+	seen := map[[2]int]bool{}
+	var cells [][2]int
+	for i := 0; i+1 < len(coords); i += 2 {
+		c := [2]int{int(coords[i] % 16), int(coords[i+1] % 16)}
+		if !seen[c] {
+			seen[c] = true
+			cells = append(cells, c)
+		}
+	}
+	hull := latticeHull(cells)
+	if len(hull) < 3 {
+		return Input{}, false
+	}
+	onHull := map[[2]int]bool{}
+	var in Input
+	for i, p := range hull {
+		q := hull[(i+1)%len(hull)]
+		dx, dy := q[0]-p[0], q[1]-p[1]
+		g := gcd(abs(dx), abs(dy))
+		for k := 0; k < g; k++ {
+			c := [2]int{p[0] + k*dx/g, p[1] + k*dy/g}
+			onHull[c] = true
+			pts = append(pts, geom.Pt(float64(c[0])*unit, float64(c[1])*unit))
+		}
+	}
+	for i := range pts {
+		in.Segments = append(in.Segments, [2]int32{int32(i), int32((i + 1) % len(pts))})
+	}
+	for _, c := range cells {
+		if !onHull[c] {
+			pts = append(pts, geom.Pt(float64(c[0])*unit, float64(c[1])*unit))
+		}
+	}
+	in.Points = pts
+	return in, true
+}
+
+// latticeHull is the convex hull of lattice cells, counter-clockwise,
+// without collinear vertices (Andrew's monotone chain).
+func latticeHull(cells [][2]int) [][2]int {
+	if len(cells) < 3 {
+		return nil
+	}
+	ps := slices.Clone(cells)
+	slices.SortFunc(ps, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
+	cross := func(o, a, b [2]int) int {
+		return (a[0]-o[0])*(b[1]-o[1]) - (a[1]-o[1])*(b[0]-o[0])
+	}
+	var h [][2]int
+	for pass := 0; pass < 2; pass++ {
+		start := len(h)
+		for _, p := range ps {
+			for len(h) >= start+2 && cross(h[len(h)-2], h[len(h)-1], p) <= 0 {
+				h = h[:len(h)-1]
+			}
+			h = append(h, p)
+		}
+		h = h[:len(h)-1]
+		slices.Reverse(ps)
+	}
+	return h
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// eagerQualities are the refinement bounds the differential tests run:
+// an area bound, the √2 ratio, a graded field from the boundary without
+// and with its slope, the same under NoSplitSegments, and a vertex cap
+// low enough to stop most runs.
+func eagerQualities(in Input, unit float64) []Quality {
+	bb := geom.BBoxOf(in.Points)
+	span := bb.Width() + bb.Height()
+	var surface []geom.Point
+	for _, s := range in.Segments {
+		surface = append(surface, in.Points[s[0]])
+	}
+	g := sizing.NewGraded(surface, span/40, 0.15, span/6)
+	ratio := math.Sqrt2
+	return []Quality{
+		{MaxArea: span * span / 1000},
+		{MaxRadiusEdgeRatio: ratio},
+		{MaxRadiusEdgeRatio: ratio, SizeAt: g.Area},
+		{MaxRadiusEdgeRatio: ratio, SizeAt: g.Area, SizeSlope: g.Slope()},
+		{MaxRadiusEdgeRatio: ratio, SizeAt: g.Area, SizeSlope: g.Slope(), NoSplitSegments: true},
+		{MaxArea: unit * unit / 8, NoSplitSegments: true},
+		{MaxRadiusEdgeRatio: ratio, SizeAt: g.Area, SizeSlope: g.Slope(), MaxPoints: len(in.Points) + 24},
+	}
+}
+
+// checkMatchesEager refines in with Refine and with the eager reference
+// and requires the same points and triangles, and the same error, except
+// that Refine may finish where the eager loop stopped at MaxPoints with
+// only stale entries queued. Every run is capped at maxPoints vertices.
+func checkMatchesEager(t *testing.T, name string, in Input, q Quality, maxPoints int) {
+	t.Helper()
+	if q.MaxPoints == 0 {
+		q.MaxPoints = maxPoints
+	}
+	var lazy, eager Triangulation
+	if err := lazy.Build(in); err != nil {
+		return // not a valid PSLG; the two loops never see it
+	}
+	if err := eager.Build(in); err != nil {
+		t.Fatalf("%s: second Build: %v", name, err)
+	}
+	lerr, eerr := lazy.Refine(q), eager.refineEager(q)
+	if lerr != nil && eerr == nil || lerr != nil && lerr.Error() != eerr.Error() {
+		t.Fatalf("%s: Refine error %v, eager %v", name, lerr, eerr)
+	}
+	if lerr == nil && eerr != nil && !strings.Contains(eerr.Error(), "MaxPoints") {
+		t.Fatalf("%s: Refine finished, eager stopped with %v", name, eerr)
+	}
+	lr, er := lazy.Extract(), eager.Extract()
+	if !slices.Equal(lr.Points, er.Points) || !slices.Equal(lr.Triangles, er.Triangles) {
+		t.Fatalf("%s: Refine gives %d points, %d triangles; eager %d, %d, or the same counts listed differently",
+			name, len(lr.Points), len(lr.Triangles), len(er.Points), len(er.Triangles))
+	}
+}
+
+// TestRefineMatchesEager holds Refine, which tests a triangle when it
+// pops it, to the eager loop that tested it when it queued it, on random
+// lattice PSLGs at three scales under every bound of eagerQualities.
+func TestRefineMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	cases := 0
+	for trial := 0; trial < 60; trial++ {
+		coords := make([]uint8, 2*(4+rng.Intn(12)))
+		for i := range coords {
+			coords[i] = uint8(rng.Intn(16))
+		}
+		unit := []float64{1, 0.125, 1e-3}[trial%3]
+		in, ok := latticeInput(coords, unit)
+		if !ok {
+			continue
+		}
+		for k, q := range eagerQualities(in, unit) {
+			checkMatchesEager(t, fmt.Sprintf("trial %d, quality %d", trial, k), in, q, 4000)
+			cases++
+		}
+	}
+	if cases < 200 {
+		t.Fatalf("only %d cases ran", cases)
+	}
+}
+
+// FuzzRefineMatchesEager is TestRefineMatchesEager on fuzzed lattice
+// points, scale and bound.
+func FuzzRefineMatchesEager(f *testing.F) {
+	f.Add([]byte{0, 0, 15, 0, 15, 15, 0, 15, 7, 7, 3, 9}, uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 8, 0, 8, 8, 0, 8, 4, 4, 2, 2, 6, 6}, uint8(1), uint8(3))
+	f.Add([]byte{1, 0, 14, 2, 9, 13, 3, 11, 6, 6}, uint8(2), uint8(4))
+	f.Add([]byte{0, 0, 12, 3, 3, 12, 5, 5, 4, 4}, uint8(0), uint8(6))
+	f.Fuzz(func(t *testing.T, coords []byte, scale, quality uint8) {
+		if len(coords) > 64 {
+			return
+		}
+		unit := []float64{1, 0.125, 1e-3}[scale%3]
+		in, ok := latticeInput(coords, unit)
+		if !ok {
+			return
+		}
+		qs := eagerQualities(in, unit)
+		checkMatchesEager(t, "fuzz", in, qs[int(quality)%len(qs)], 2000)
 	})
 }

@@ -85,6 +85,8 @@ func inCircleSeeds() []quad {
 		}
 		seeds = append(seeds, q)
 	}
+	seeds = append(seeds, underflowQuads()...)
+	seeds = append(seeds, hugeLiftQuad())
 	seeds = append(seeds,
 		quad{{0, 0}, {1, 0}, {0, 1}, {1, 1}},
 		quad{{0, 0}, {1, 0}, {0, 1}, {1 + 0x1p-52, 1}},
@@ -94,8 +96,52 @@ func inCircleSeeds() []quad {
 	return seeds
 }
 
+// underflowQuads are the triangle (0, 0), (s, 0), (0, s) with a fourth
+// point inside, outside and on its circle, at scales where products of
+// four coordinates underflow (s = 1e-100, 1e-78) or overflow (1e77,
+// 1e80), and at the edges of inCircleRange.
+func underflowQuads() []quad {
+	var qs []quad
+	for _, s := range []float64{1e-100, 1e-78, 1e77, 1e80, 0x1p-216, 0x1p-217, 0x1p250, 0x1p251, 4 * math.SmallestNonzeroFloat64, math.MaxFloat64 / 4} {
+		for _, d := range []Point{{s / 4, s / 4}, {2 * s, 2 * s}, {s, s}, {s, 0}} {
+			qs = append(qs, quad{{0, 0}, {s, 0}, {0, s}, d})
+		}
+	}
+	return qs
+}
+
+// TestInCircleUnderflow pins the signs that were lost when products of
+// four coordinates under- or overflowed: an inside point reads +1, an
+// outside point -1, a cocircular point and a repeated corner 0.
+func TestInCircleUnderflow(t *testing.T) {
+	qs := underflowQuads()
+	for i, q := range qs {
+		want := [4]int{1, -1, 0, 0}[i%4]
+		if got := InCircleSign(q[0], q[1], q[2], q[3]); got != want {
+			t.Errorf("InCircleSign%v = %d, want %d", q, got, want)
+		}
+		if got := ratInCircle(q[0], q[1], q[2], q[3]); got != want {
+			t.Errorf("ratInCircle%v = %d, want %d", q, got, want)
+		}
+	}
+	// A huge lift on a minor whose products underflow: the plain
+	// determinant reads about -2^-920 and clears stage A's relative bound,
+	// while the lost term alift·bdx·cdy = 2^-100 decides the sign.
+	q := hugeLiftQuad()
+	if got := InCircleSign(q[0], q[1], q[2], q[3]); got != 1 {
+		t.Errorf("InCircleSign%v = %d, want 1", q, got)
+	}
+}
+
+// hugeLiftQuad is TestInCircleUnderflow's huge lift: translated by d =
+// (0, 0), adx = 2^500, bdx·cdy = 2^-1100 and cdx = 0.
+func hugeLiftQuad() quad {
+	return quad{{0x1p500, 0}, {0x1p-600, 0x1p-460}, {0, 0x1p-500}, {0, 0}}
+}
+
 // checkInCircle holds the staged predicate's sign to both oracles and
-// returns the stage that decided.
+// returns the stage that decided; inCircleExact is held to them only on
+// coordinates in its exact range.
 func checkInCircle(t *testing.T, q quad) icStage {
 	t.Helper()
 	det, stage := inCircleStaged(q[0], q[1], q[2], q[3])
@@ -105,6 +151,9 @@ func checkInCircle(t *testing.T, q quad) icStage {
 	want := ratInCircle(q[0], q[1], q[2], q[3])
 	if got := sign(det); got != want {
 		t.Fatalf("staged sign %d (stage %d, value %v), rational %d for %v", got, stage, det, want, q)
+	}
+	if !inCircleRange(q[0], q[1], q[2], q[3]) {
+		return stage
 	}
 	if got := sign(inCircleExact(q[0], q[1], q[2], q[3])); got != want {
 		t.Fatalf("inCircleExact sign %d, rational %d for %v", got, want, q)
@@ -122,7 +171,7 @@ func TestInCircleStagesReached(t *testing.T) {
 	for _, s := range []struct {
 		stage icStage
 		name  string
-	}{{icStageA, "A"}, {icStageB, "B"}, {icStageBExact, "B, tails zero"}, {icStageC, "C"}, {icStageD, "D"}} {
+	}{{icStageA, "A"}, {icStageB, "B"}, {icStageBExact, "B, tails zero"}, {icStageC, "C"}, {icStageD, "D"}, {icStageRational, "rational"}} {
 		if reached[s.stage] == 0 {
 			t.Errorf("no seed input is decided by stage %s", s.name)
 		}
@@ -145,18 +194,19 @@ func TestInCircleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzInCircleSign: the staged sign equals the rational sign equals the
-// full-expansion sign. Coordinates are kept where no product of four of
-// them (or of their one-ulp differences) overflows or underflows, the
-// precondition of every expansion routine in this package.
+// FuzzInCircleSign: the staged sign equals the rational sign for every
+// finite input, on raw bit patterns: subnormal and huge coordinates, and
+// mixtures of them whose products of four leave the exact range of the
+// expansions. Inside inCircleRange the full-expansion sign equals them
+// too.
 func FuzzInCircleSign(f *testing.F) {
 	for _, q := range inCircleSeeds() {
 		f.Add(q[0].X, q[0].Y, q[1].X, q[1].Y, q[2].X, q[2].Y, q[3].X, q[3].Y)
 	}
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy, dx, dy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy, dx, dy} {
-			if v != 0 && !(math.Abs(v) >= 0x1p-100 && math.Abs(v) <= 0x1p100) {
-				t.Skip()
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip() // no rational value
 			}
 		}
 		checkInCircle(t, quad{{ax, ay}, {bx, by}, {cx, cy}, {dx, dy}})

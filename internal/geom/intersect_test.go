@@ -251,7 +251,7 @@ func TestRandomCrossingsAgainstBruteForce(t *testing.T) {
 		d4 := Orient2D(s.A, s.B, u.B)
 		// Only check clearly crossing / clearly disjoint configurations.
 		const margin = 1e-9
-		if abs(d1) < margin || abs(d2) < margin || abs(d3) < margin || abs(d4) < margin {
+		if math.Abs(d1) < margin || math.Abs(d2) < margin || math.Abs(d3) < margin || math.Abs(d4) < margin {
 			continue
 		}
 		want := SegDisjoint

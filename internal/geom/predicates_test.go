@@ -154,7 +154,7 @@ func TestInCircleExactMatchesFastOnEasyCases(t *testing.T) {
 		}
 		fast := InCircle(a, b, c, d)
 		exact := inCircleExact(a, b, c, d)
-		if sign(fast) != sign(exact) && abs(fast) > 1e-6 {
+		if sign(fast) != sign(exact) && math.Abs(fast) > 1e-6 {
 			t.Fatalf("fast %v and exact %v disagree for %v %v %v %v", fast, exact, a, b, c, d)
 		}
 	}
