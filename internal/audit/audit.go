@@ -13,11 +13,12 @@
 // Checks audit a Snapshot — the final mesh plus whatever generation context
 // is available (boundary layers, decoupling paths) — through the mesh's
 // half-edge table, and through its points sorted by coordinates where a
-// check is about coordinates. Run and RunContext are the one executor:
-// element-local checks audit index subranges independently, so PlanJobs
-// chunks them, every job runs on a pool of goroutines in this process, and
-// the findings fold in plan order — the report is the sequential loop's,
-// whatever the scheduling. The pipeline's audit stage, cmd/meshcheck,
+// check is about coordinates. Every check has one shape: a begin, parts
+// over ranges of its elements that audit independently, and a tail. Run
+// and RunContext are the one executor: the parts run in chunks on a pool
+// of goroutines in this process, and the findings fold in check order and
+// then element order — the report is the sequential loop's, whatever the
+// scheduling. The pipeline's audit stage, cmd/meshcheck,
 // adaptation and bench/ all call it; the mesh it audits is one every
 // process already holds, so it needs no fabric.
 package audit
@@ -62,11 +63,11 @@ func (v Violation) String() string {
 }
 
 // CheckStat is one check's execution record: wall time, heap allocation
-// delta, elements covered, and how many violations it found. For chunked
-// checks the wall time is the sum over all chunks (CPU time, which can
-// exceed the audit's wall clock) and the allocation count is a best-effort
-// sum measured per chunk on a process-wide heap counter, so concurrent
-// jobs bleed into each other's numbers.
+// delta, elements covered, and how many violations it found. The wall time
+// is the sum over the check's jobs (CPU time, which can exceed the audit's
+// wall clock) and the allocation count is a best-effort sum measured per
+// job on a process-wide heap counter, so concurrent jobs bleed into each
+// other's numbers.
 type CheckStat struct {
 	Name       string        `json:"name"`
 	Wall       time.Duration `json:"wall_ns"`
@@ -166,20 +167,44 @@ func (r *Reporter) Count() int { return r.count }
 // Violations returns the recorded violations.
 func (r *Reporter) Violations() []Violation { return r.out }
 
-// Check is one pluggable mesh invariant verification.
+// Check is one pluggable mesh invariant verification. Begin runs once and
+// returns the parts, which audit ranges of the check's own elements (the
+// triangles, the points, the path edges, ...) independently of each
+// other; the tail runs once every part is done and audits what needs them
+// all. The findings list as Begin's, then the parts' in element order,
+// then the tail's: the order of one pass that calls Begin, Part over
+// every element and Tail.
 type Check interface {
 	// Name identifies the check in reports and CLI selection.
 	Name() string
 	// Applicable reports whether the snapshot carries the inputs the check
 	// needs (e.g. boundary-layer checks need the generation-time layers).
 	Applicable(s *Snapshot) bool
-	// Local reports whether Run may be called on element subranges
-	// independently; global checks are always run as [0, NumTriangles).
-	Local() bool
-	// Run audits elements [from, to) of the snapshot's mesh for local
-	// checks; global checks ignore the range and audit everything.
-	Run(s *Snapshot, from, to int, rep *Reporter)
+	// Begin starts one execution of the check on s.
+	Begin(s *Snapshot, rep *Reporter) Parts
 }
+
+// Parts is one execution of a check, after its Begin.
+type Parts interface {
+	// Size is the number of elements the parts cover.
+	Size() int
+	// Part audits elements [from, to); parts may run concurrently.
+	Part(from, to int, rep *Reporter)
+	// Tail runs after every part.
+	Tail(rep *Reporter)
+}
+
+// elementParts are the parts of a check on s with no state to share and
+// no tail: part audits elements [from, to) of n.
+type elementParts struct {
+	s    *Snapshot
+	n    int
+	part func(s *Snapshot, from, to int, rep *Reporter)
+}
+
+func (p elementParts) Size() int                        { return p.n }
+func (p elementParts) Part(from, to int, rep *Reporter) { p.part(p.s, from, to, rep) }
+func (elementParts) Tail(*Reporter)                     {}
 
 // All returns the full check registry in execution order.
 func All() []Check {
@@ -508,82 +533,21 @@ func (s *Snapshot) onFarfieldBorder(a, b geom.Point) bool {
 	return on(a) && on(b)
 }
 
-// Job is one schedulable audit unit: a check over an element range (the
-// whole mesh for global checks).
-type Job struct {
-	Check    Check
-	From, To int
-}
-
-// PlanJobs splits the applicable checks into jobs: local checks are chunked
-// into ranges of at most chunk elements, global checks become one job each.
-// Inapplicable checks are returned separately so reports can list them as
-// skipped. With no mesh yet (a snapshot holding only layers) every range is
-// empty. RunContext runs every check that is not split in these jobs.
-func PlanJobs(s *Snapshot, checks []Check, chunk int) (jobs []Job, skipped []Check) {
-	n := 0
-	if s.Mesh != nil {
-		n = s.Mesh.NumTriangles()
-	}
-	for _, c := range checks {
-		if !c.Applicable(s) {
-			skipped = append(skipped, c)
-			continue
-		}
-		if !c.Local() {
-			jobs = append(jobs, Job{Check: c, From: 0, To: n})
-			continue
-		}
-		for _, rg := range chunks(n, max(chunk, 1)) {
-			jobs = append(jobs, Job{Check: c, From: rg[0], To: rg[1]})
-		}
-	}
-	return jobs, skipped
-}
-
-// jobChunk is the element range of one local-check job: a few hundred
+// jobChunk is the element range of one part job: a few hundred
 // microseconds of work, so the bench's meshes give every goroutine dozens
 // of jobs while the per-job bookkeeping stays negligible.
 const jobChunk = 2048
 
-// chunks splits [0, n) into ranges of at most chunk elements, in order;
-// [0, n) itself when n <= chunk, so even an empty range is one job.
+// chunks splits [0, n) into ranges of at most chunk elements, in order.
 func chunks(n, chunk int) [][2]int {
-	if n <= chunk {
-		return [][2]int{{0, n}}
+	if n == 0 {
+		return nil
 	}
 	out := make([][2]int, 0, (n+chunk-1)/chunk)
 	for from := 0; from < n; from += chunk {
 		out = append(out, [2]int{from, min(from+chunk, n)})
 	}
 	return out
-}
-
-// A splitCheck is a global check whose work is mostly element-local, so
-// that no single job bounds the audit. begin runs once and returns the
-// state its parts share; the parts audit ranges of that state's own
-// elements independently, as a Local check's Run audits triangle ranges;
-// the tail runs once every part is done and audits what needs them all.
-// The findings list as begin's, then the parts' in element order, then
-// the tail's: the order of Run's single pass, runSplit.
-type splitCheck interface {
-	Check
-	begin(s *Snapshot, rep *Reporter) splitter
-}
-
-// splitter is one execution of a split check.
-type splitter interface {
-	size() int                        // the elements the parts cover
-	part(from, to int, rep *Reporter) // audit elements [from, to)
-	tail(rep *Reporter)
-}
-
-// runSplit is a split check's Run: begin, one part over every element,
-// the tail.
-func runSplit(c splitCheck, s *Snapshot, rep *Reporter) {
-	sp := c.begin(s, rep)
-	sp.part(0, sp.size(), rep)
-	sp.tail(rep)
 }
 
 // A LayerCheck is a check that reads only a snapshot's boundary layers
@@ -606,15 +570,14 @@ func Run(s *Snapshot, checks []Check) *Report {
 }
 
 // RunContext executes the checks against the snapshot and returns the full
-// report. Local checks run in PlanJobs' chunks, split checks as their
-// begin, parts and tail (execute), all on up to GOMAXPROCS goroutines, and
-// the findings fold in check order and, within a check, in job order, so
-// the report is the sequential loop's: exact per-check counts and, per
-// check, the first violations in element order. A check Start began on s
-// is not run again: its findings are collected in its place. Cancelling
-// ctx stops handing out jobs, and RunContext then returns the context's
-// cause; a check that panics stops the audit the same way and comes back
-// as an error naming the check.
+// report. Every check runs as its begin, parts and tail (execute) on up to
+// GOMAXPROCS goroutines, and the findings fold in check order and, within
+// a check, in job order, so the report is the sequential loop's: exact
+// per-check counts and, per check, the first violations in element order.
+// A check Start began on s is not run again: its findings are collected in
+// its place. Cancelling ctx stops handing out jobs, and RunContext then
+// returns the context's cause; a check that panics stops the audit the
+// same way and comes back as an error naming the check.
 func RunContext(ctx context.Context, s *Snapshot, checks []Check) (*Report, error) {
 	s.Prepare()
 	runs := make([]*checkRun, len(checks))
@@ -663,11 +626,11 @@ func RunContext(ctx context.Context, s *Snapshot, checks []Check) (*Report, erro
 	return rep, nil
 }
 
-// checkRun is one check's execution: its jobs' results in fold order and,
-// for a split check, the state its parts share.
+// checkRun is one check's execution: its parts and its jobs' results in
+// fold order.
 type checkRun struct {
 	check   Check
-	split   splitter
+	parts   Parts
 	results []jobResult
 }
 
@@ -678,31 +641,18 @@ type job struct {
 	out   *jobResult
 }
 
-// execute runs the checks on up to workers goroutines in two rounds: the
-// split checks' begins and every other check's jobs, as PlanJobs plans
-// them, then the split checks' parts in chunks of jobChunk of their
-// elements. The tails follow on the calling goroutine, in check order. A
-// job that panics cancels the rest, and execute returns the context's
+// execute runs the checks on up to workers goroutines in two rounds:
+// every check's Begin, then every check's parts in chunks of jobChunk of
+// its elements. The tails follow on the calling goroutine, in check order.
+// A job that panics cancels the rest, and execute returns the context's
 // cause. s.Mesh may be nil when every check is a LayerCheck.
 func execute(ctx context.Context, s *Snapshot, runs []*checkRun, workers int) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	var jobs []job
-	for _, r := range runs {
-		if sc, ok := r.check.(splitCheck); ok {
-			r.results = make([]jobResult, 1)
-			jobs = append(jobs, job{sc.Name(), func(rep *Reporter) { r.split = sc.begin(s, rep) }, &r.results[0]})
-		}
-	}
-	for _, r := range runs {
-		if _, ok := r.check.(splitCheck); ok {
-			continue
-		}
-		planned, _ := PlanJobs(s, []Check{r.check}, jobChunk)
-		r.results = make([]jobResult, len(planned))
-		for k, j := range planned {
-			jobs = append(jobs, job{j.Check.Name(), func(rep *Reporter) { j.Check.Run(s, j.From, j.To, rep) }, &r.results[k]})
-		}
+	jobs := make([]job, len(runs))
+	for i, r := range runs {
+		r.results = make([]jobResult, 1)
+		jobs[i] = job{r.check.Name(), func(rep *Reporter) { r.parts = r.check.Begin(s, rep) }, &r.results[0]}
 	}
 	runJobs(ctx, cancel, jobs, workers)
 	if err := context.Cause(ctx); err != nil {
@@ -711,19 +661,16 @@ func execute(ctx context.Context, s *Snapshot, runs []*checkRun, workers int) er
 
 	jobs = jobs[:0]
 	for _, r := range runs {
-		if r.split == nil {
-			continue
-		}
-		ranges := chunks(r.split.size(), jobChunk)
+		ranges := chunks(r.parts.Size(), jobChunk)
 		r.results = append(r.results, make([]jobResult, len(ranges)+1)...) // the parts, the tail
 		for k, rg := range ranges {
-			jobs = append(jobs, job{r.check.Name(), func(rep *Reporter) { r.split.part(rg[0], rg[1], rep) }, &r.results[1+k]})
+			jobs = append(jobs, job{r.check.Name(), func(rep *Reporter) { r.parts.Part(rg[0], rg[1], rep) }, &r.results[1+k]})
 		}
 	}
 	runJobs(ctx, cancel, jobs, workers)
 	for _, r := range runs {
-		if r.split != nil && ctx.Err() == nil {
-			r.results[len(r.results)-1] = runJob(job{check: r.check.Name(), run: r.split.tail}, cancel)
+		if ctx.Err() == nil {
+			r.results[len(r.results)-1] = runJob(job{check: r.check.Name(), run: r.parts.Tail}, cancel)
 		}
 	}
 	return context.Cause(ctx)

@@ -399,67 +399,13 @@ func sequentialRun(s *Snapshot, checks []Check) *Report {
 			continue
 		}
 		r := NewReporter(c.Name())
-		c.Run(s, 0, s.Mesh.NumTriangles(), r)
+		p := c.Begin(s, r)
+		p.Part(0, p.Size(), r)
+		p.Tail(r)
 		rep.Checks = append(rep.Checks, CheckStat{Name: c.Name(), Elements: s.Mesh.NumTriangles(), Violations: r.Count()})
 		rep.Violations = append(rep.Violations, r.Violations()...)
 	}
 	return rep
-}
-
-// TestPlanJobsMatchesSequential verifies chunked local execution finds
-// exactly what a sequential run finds, and that Run's parallel fold is the
-// sequential loop's report: the same counts and, past the recording cap,
-// the same first violations in element order.
-func TestPlanJobsMatchesSequential(t *testing.T) {
-	m := triangulate(t, gridPoints(7))
-	// Flip two triangles far apart.
-	for _, i := range []int{1, m.NumTriangles() - 2} {
-		m.Triangles[i][0], m.Triangles[i][1] = m.Triangles[i][1], m.Triangles[i][0]
-	}
-	s := &Snapshot{Mesh: m}
-	s.Prepare()
-	checks := []Check{orientationCheck{}, conformityCheck{}}
-	jobs, skipped := PlanJobs(s, checks, 10)
-	if len(skipped) != 0 {
-		t.Fatalf("unexpected skips: %v", skipped)
-	}
-	if len(jobs) < 3 {
-		t.Fatalf("chunking produced only %d jobs", len(jobs))
-	}
-	var got []Violation
-	for _, j := range jobs {
-		r := NewReporter(j.Check.Name())
-		j.Check.Run(s, j.From, j.To, r)
-		got = append(got, r.Violations()...)
-	}
-	want := Run(&Snapshot{Mesh: m}, checks).Violations
-	if len(got) != len(want) {
-		t.Fatalf("chunked run found %d violations, sequential %d", len(got), len(want))
-	}
-
-	// Every fifth triangle of a mesh several chunks long flipped: well over
-	// maxRecorded orientation violations, in every chunk.
-	big := triangulate(t, gridPoints(60))
-	if big.NumTriangles() < 3*jobChunk {
-		t.Fatalf("%d triangles make fewer than three chunks of %d", big.NumTriangles(), jobChunk)
-	}
-	for i := 0; i < big.NumTriangles(); i += 5 {
-		big.Triangles[i][0], big.Triangles[i][1] = big.Triangles[i][1], big.Triangles[i][0]
-	}
-	rep := Run(&Snapshot{Mesh: big}, All())
-	ref := sequentialRun(&Snapshot{Mesh: big}, All())
-	if o := findCheck(ref, "orientation"); o.Violations <= maxRecorded {
-		t.Fatalf("only %d orientation violations, want more than %d", o.Violations, maxRecorded)
-	}
-	for i := range rep.Checks {
-		rep.Checks[i].Wall, rep.Checks[i].Allocs = 0, 0
-	}
-	if !reflect.DeepEqual(rep.Checks, ref.Checks) {
-		t.Errorf("checks\n got %+v\nwant %+v", rep.Checks, ref.Checks)
-	}
-	if !reflect.DeepEqual(rep.Violations, ref.Violations) {
-		t.Errorf("Run recorded %d violations, the sequential loop %d, or in another order", len(rep.Violations), len(ref.Violations))
-	}
 }
 
 // TestReportIsDeterministic: the same corrupted mesh gives the same report
@@ -564,13 +510,19 @@ func TestViolationMessages(t *testing.T) {
 	}
 }
 
+// done is the parts of a check whose Begin did all its work.
+type done struct{}
+
+func (done) Size() int                { return 0 }
+func (done) Part(int, int, *Reporter) {}
+func (done) Tail(*Reporter)           {}
+
 // panicCheck is a check with a bug.
 type panicCheck struct{}
 
-func (panicCheck) Name() string                       { return "panics" }
-func (panicCheck) Applicable(*Snapshot) bool          { return true }
-func (panicCheck) Local() bool                        { return false }
-func (panicCheck) Run(*Snapshot, int, int, *Reporter) { panic("boom") }
+func (panicCheck) Name() string                     { return "panics" }
+func (panicCheck) Applicable(*Snapshot) bool        { return true }
+func (panicCheck) Begin(*Snapshot, *Reporter) Parts { panic("boom") }
 
 // TestCheckPanic: a panicking check is an error naming it from RunContext,
 // and a panic with the original value from Run, on the caller's goroutine.
@@ -588,8 +540,8 @@ func TestCheckPanic(t *testing.T) {
 	Run(&Snapshot{Mesh: goodQuadMesh()}, checks)
 }
 
-// cancelCheck cancels the audit from its first job; every other job waits
-// for that, so each goroutine runs at most one job.
+// cancelCheck cancels the audit from its first part; every other part
+// waits for that, so each goroutine runs at most one part job.
 type cancelCheck struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -598,8 +550,18 @@ type cancelCheck struct {
 
 func (cancelCheck) Name() string              { return "cancels" }
 func (cancelCheck) Applicable(*Snapshot) bool { return true }
-func (cancelCheck) Local() bool               { return true }
-func (c cancelCheck) Run(*Snapshot, int, int, *Reporter) {
+func (c cancelCheck) Begin(s *Snapshot, _ *Reporter) Parts {
+	return cancelParts{c, s.Mesh.NumTriangles()}
+}
+
+type cancelParts struct {
+	cancelCheck
+	n int
+}
+
+func (p cancelParts) Size() int    { return p.n }
+func (cancelParts) Tail(*Reporter) {}
+func (c cancelParts) Part(int, int, *Reporter) {
 	if c.ran.Add(1) == 1 {
 		c.cancel(errStop)
 	}
@@ -609,10 +571,10 @@ func (c cancelCheck) Run(*Snapshot, int, int, *Reporter) {
 var errStop = errors.New("stop the audit")
 
 // TestCancelStopsHandingOutJobs: canceling the context returns its cause
-// before every job has run, and a context canceled up front runs none.
+// before every part job has run, and a context canceled up front runs none.
 func TestCancelStopsHandingOutJobs(t *testing.T) {
 	// Triangles of no point: Prepare skips them, and cancelCheck reads
-	// nothing. One job more than goroutines, whatever GOMAXPROCS is.
+	// nothing. One part job more than goroutines, whatever GOMAXPROCS is.
 	jobs := runtime.GOMAXPROCS(0) + 1
 	s := &Snapshot{Mesh: &mesh.Mesh{Triangles: make([][3]int32, jobs*jobChunk)}}
 	for _, upFront := range []bool{false, true} {

@@ -20,21 +20,17 @@ import (
 // snapshot. It needs the layers with their inserted points, so it only
 // applies to pipeline-integrated audits, not bare mesh files; it reads
 // nothing else, so the pipeline starts it as soon as the layers are final.
-// It is a split check: begin checks every ray and builds the segment tree,
-// the parts test ranges of segments against it.
+// Begin checks every ray and builds the segment tree, the parts test
+// ranges of segments against it.
 type blayerCheck struct{}
 
 func (blayerCheck) Name() string { return "boundary-layer" }
 
 func (blayerCheck) Applicable(s *Snapshot) bool { return len(s.Layers) > 0 }
 
-func (blayerCheck) Local() bool { return false }
-
 func (blayerCheck) LayersOnly() {}
 
-func (c blayerCheck) Run(s *Snapshot, _, _ int, rep *Reporter) { runSplit(c, s, rep) }
-
-func (blayerCheck) begin(s *Snapshot, rep *Reporter) splitter {
+func (blayerCheck) Begin(s *Snapshot, rep *Reporter) Parts {
 	for li, l := range s.Layers {
 		checkRayOrder(li, l, rep)
 		checkMonotone(li, l, rep)
@@ -158,9 +154,9 @@ func newChainCrossings(layers []*blayer.Layer) *chainCrossings {
 	return c
 }
 
-func (c *chainCrossings) size() int { return len(c.segs) }
+func (c *chainCrossings) Size() int { return len(c.segs) }
 
-func (c *chainCrossings) part(from, to int, rep *Reporter) {
+func (c *chainCrossings) Part(from, to int, rep *Reporter) {
 	for i := from; i < to; i++ {
 		sg := c.segs[i]
 		c.tree.VisitOverlapping(c.boxes[i], func(j int) bool {
@@ -186,7 +182,7 @@ func (c *chainCrossings) part(from, to int, rep *Reporter) {
 	}
 }
 
-func (*chainCrossings) tail(*Reporter) {}
+func (*chainCrossings) Tail(*Reporter) {}
 
 func shareEndpoint(s, t geom.Segment) bool {
 	return s.A == t.A || s.A == t.B || s.B == t.A || s.B == t.B

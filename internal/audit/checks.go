@@ -22,9 +22,13 @@ type orientationCheck struct{}
 
 func (orientationCheck) Name() string                { return "orientation" }
 func (orientationCheck) Applicable(s *Snapshot) bool { return true }
-func (orientationCheck) Local() bool                 { return true }
 
-func (orientationCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
+// Begin returns the triangles, each audited alone.
+func (orientationCheck) Begin(s *Snapshot, _ *Reporter) Parts {
+	return elementParts{s, s.Mesh.NumTriangles(), orientation}
+}
+
+func orientation(s *Snapshot, from, to int, rep *Reporter) {
 	m := s.Mesh
 	for i := from; i < to; i++ {
 		t := m.Triangles[i]
@@ -49,19 +53,15 @@ func (orientationCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
 // its indexed vertices: every directed edge used at most once (no
 // overlapping elements), every undirected edge shared by at most two
 // triangles, no duplicate elements, no duplicate point coordinates, and no
-// orphan points unreferenced by any triangle. It is a split check over the
+// orphan points unreferenced by any triangle. Its parts cover the
 // triangles and then the points: a triangle's findings are its own, a
 // point's edges and its use are read off the table, and the tail lists
 // the edges shared too often, the duplicate points and the orphans.
 type conformityCheck struct{}
 
-func (conformityCheck) Name() string                { return "conformity" }
-func (conformityCheck) Applicable(s *Snapshot) bool { return true }
-func (conformityCheck) Local() bool                 { return false }
-
-func (c conformityCheck) Run(s *Snapshot, _, _ int, rep *Reporter) { runSplit(c, s, rep) }
-
-func (conformityCheck) begin(s *Snapshot, _ *Reporter) splitter { return &conformityRun{s: s} }
+func (conformityCheck) Name() string                         { return "conformity" }
+func (conformityCheck) Applicable(s *Snapshot) bool          { return true }
+func (conformityCheck) Begin(s *Snapshot, _ *Reporter) Parts { return &conformityRun{s: s} }
 
 // conformityRun is one conformity check: the parts' point findings,
 // gathered for the tail in whatever order the parts finish.
@@ -72,10 +72,10 @@ type conformityRun struct {
 	orphans []int32
 }
 
-// size covers the triangles, then the points.
-func (r *conformityRun) size() int { return len(r.s.Mesh.Triangles) + len(r.s.Mesh.Points) }
+// Size covers the triangles, then the points.
+func (r *conformityRun) Size() int { return len(r.s.Mesh.Triangles) + len(r.s.Mesh.Points) }
 
-func (r *conformityRun) part(from, to int, rep *Reporter) {
+func (r *conformityRun) Part(from, to int, rep *Reporter) {
 	s, m := r.s, r.s.Mesh
 	nt := len(m.Triangles)
 	for i := from; i < min(to, nt); i++ {
@@ -131,7 +131,7 @@ func (r *conformityRun) part(from, to int, rep *Reporter) {
 	}
 }
 
-func (r *conformityRun) tail(rep *Reporter) {
+func (r *conformityRun) Tail(rep *Reporter) {
 	s, m := r.s, r.s.Mesh
 	slices.Sort(r.suspect)
 	for _, key := range slices.Compact(r.suspect) {
@@ -191,18 +191,15 @@ func (s *Snapshot) orig(i int) int {
 // mesh, so losing a segment means a leak into the body. In StrictDelaunay
 // mode the boundary must be a single loop (an unconstrained Delaunay
 // triangulation's boundary is its point set's convex hull), which catches
-// deleted elements that tear an interior hole. It is a split check: the
-// parts count the boundary edges of ranges of triangles at both ends;
-// the tail checks the counts, the loops and the surfaces.
+// deleted elements that tear an interior hole. The parts count the
+// boundary edges of ranges of triangles at both ends; the tail checks the
+// counts, the loops and the surfaces.
 type boundaryCheck struct{}
 
 func (boundaryCheck) Name() string                { return "boundary" }
 func (boundaryCheck) Applicable(s *Snapshot) bool { return true }
-func (boundaryCheck) Local() bool                 { return false }
 
-func (c boundaryCheck) Run(s *Snapshot, _, _ int, rep *Reporter) { runSplit(c, s, rep) }
-
-func (boundaryCheck) begin(s *Snapshot, _ *Reporter) splitter {
+func (boundaryCheck) Begin(s *Snapshot, _ *Reporter) Parts {
 	np := len(s.Mesh.Points)
 	r := &boundaryRun{s: s, out: make([]atomic.Int32, np), in: make([]atomic.Int32, np)}
 	if s.StrictDelaunay {
@@ -220,10 +217,10 @@ type boundaryRun struct {
 	succ    [][]int32 // successors; StrictDelaunay only
 }
 
-func (r *boundaryRun) size() int { return len(r.s.Mesh.Triangles) }
+func (r *boundaryRun) Size() int { return len(r.s.Mesh.Triangles) }
 
-// part counts the boundary edges of triangles [from, to) at both ends.
-func (r *boundaryRun) part(from, to int, _ *Reporter) {
+// Part counts the boundary edges of triangles [from, to) at both ends.
+func (r *boundaryRun) Part(from, to int, _ *Reporter) {
 	s := r.s
 	for i := from; i < to; i++ {
 		t := s.Mesh.Triangles[i]
@@ -246,14 +243,14 @@ func (r *boundaryRun) part(from, to int, _ *Reporter) {
 	}
 }
 
-// tail checks the degrees. Any conforming oriented triangle complex has in
+// Tail checks the degrees. Any conforming oriented triangle complex has in
 // == out at every boundary vertex (each triangle fan incident to the
 // vertex contributes one incoming and one outgoing boundary edge); a
 // mismatch means the boundary is torn. Degree above 1 is a pinch — two
 // fans meeting at a point — which valid kernel output can produce for
 // degenerate inputs (dropped convex-hull slivers), so it is only an error
 // in strict mode.
-func (r *boundaryRun) tail(rep *Reporter) {
+func (r *boundaryRun) Tail(rep *Reporter) {
 	s := r.s
 	for v := range r.out {
 		n, in := r.out[v].Load(), r.in[v].Load()

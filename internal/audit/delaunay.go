@@ -23,9 +23,12 @@ func (delaunayCheck) Name() string { return "delaunay" }
 
 func (delaunayCheck) Applicable(s *Snapshot) bool { return true }
 
-func (delaunayCheck) Local() bool { return true }
+// Begin returns the triangles, each audited against its neighbours.
+func (delaunayCheck) Begin(s *Snapshot, _ *Reporter) Parts {
+	return elementParts{s, s.Mesh.NumTriangles(), emptyCircles}
+}
 
-func (delaunayCheck) Run(s *Snapshot, from, to int, rep *Reporter) {
+func emptyCircles(s *Snapshot, from, to int, rep *Reporter) {
 	m := s.Mesh
 	for i := from; i < to; i++ {
 		t := m.Triangles[i]

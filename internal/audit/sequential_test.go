@@ -8,15 +8,14 @@ import (
 	"pamg2d/internal/mesh"
 )
 
-// The checks as one global job each: conformity, boundary, the
-// boundary-layer chain loop and decoupling each ran in a single pass over
-// the whole snapshot before they were split into parts and a tail. With
-// sequentialRun they are the reference the split checks and the executor
-// are held to, violation for violation and in the same order.
+// The checks in one pass each: conformity, boundary, the boundary-layer
+// chain loop and decoupling each ran in a single pass over the whole
+// snapshot before they were split into parts and a tail. With
+// sequentialRun they are the reference the checks and the executor are
+// held to, violation for violation and in the same order.
 
-// whole names a single-pass check after the check it stands in for. It
-// carries none of that check's other methods, so the executor runs it as
-// one global job.
+// whole names a single-pass check after the check it stands in for. Its
+// Begin makes the pass and returns no parts.
 type whole struct {
 	name       string
 	applicable func(*Snapshot) bool
@@ -24,9 +23,10 @@ type whole struct {
 
 func (w whole) Name() string                { return w.name }
 func (w whole) Applicable(s *Snapshot) bool { return w.applicable(s) }
-func (whole) Local() bool                   { return false }
 
-// sequentialChecks is All with the split checks in their single-pass form.
+// sequentialChecks is All with the checks that share state between their
+// parts in their single-pass form; orientation and delaunay, whose parts
+// share none, run as one part under sequentialRun.
 func sequentialChecks() []Check {
 	return []Check{
 		orientationCheck{},
@@ -40,7 +40,7 @@ func sequentialChecks() []Check {
 
 type wholeConformity struct{ whole }
 
-func (wholeConformity) Run(s *Snapshot, _, _ int, rep *Reporter) {
+func (wholeConformity) Begin(s *Snapshot, rep *Reporter) Parts {
 	m := s.Mesh
 	orig := make([]int, len(m.Triangles))
 	for i, t := range m.Triangles {
@@ -101,11 +101,12 @@ func (wholeConformity) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			rep.Reportf(-1, "orphan point %d at %v referenced by no triangle", u, m.Points[u])
 		}
 	}
+	return done{}
 }
 
 type wholeBoundary struct{ whole }
 
-func (wholeBoundary) Run(s *Snapshot, _, _ int, rep *Reporter) {
+func (wholeBoundary) Begin(s *Snapshot, rep *Reporter) Parts {
 	out := make([][]int32, len(s.Mesh.Points))
 	in := make([]int, len(s.Mesh.Points))
 	for u := range out {
@@ -169,11 +170,12 @@ func (wholeBoundary) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			}
 		}
 	}
+	return done{}
 }
 
 type wholeBlayer struct{ whole }
 
-func (wholeBlayer) Run(s *Snapshot, _, _ int, rep *Reporter) {
+func (wholeBlayer) Begin(s *Snapshot, rep *Reporter) Parts {
 	for li, l := range s.Layers {
 		checkRayOrder(li, l, rep)
 		checkMonotone(li, l, rep)
@@ -204,7 +206,7 @@ func (wholeBlayer) Run(s *Snapshot, _, _ int, rep *Reporter) {
 		}
 	}
 	if len(segs) < 2 {
-		return
+		return done{}
 	}
 	boxes := make([]geom.BBox, len(segs))
 	for i, sg := range segs {
@@ -233,11 +235,12 @@ func (wholeBlayer) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			return true
 		})
 	}
+	return done{}
 }
 
 type wholeDecoupling struct{ whole }
 
-func (wholeDecoupling) Run(s *Snapshot, _, _ int, rep *Reporter) {
+func (wholeDecoupling) Begin(s *Snapshot, rep *Reporter) Parts {
 	for _, pe := range s.Paths {
 		a, b := pe[0], pe[1]
 		if a == b {
@@ -260,4 +263,5 @@ func (wholeDecoupling) Run(s *Snapshot, _, _ int, rep *Reporter) {
 			rep.Reportf(-1, "path edge %v-%v shared by %d triangles", a, b, n)
 		}
 	}
+	return done{}
 }

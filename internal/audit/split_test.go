@@ -3,16 +3,19 @@ package audit
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/blayer"
 	"pamg2d/internal/geom"
+	"pamg2d/internal/mesh"
 )
 
 // matchSequential holds the executor's report on a copy of s — the split
@@ -56,12 +59,14 @@ func highliftLayers(t *testing.T, nHalf int) Snapshot {
 	return Snapshot{Mesh: triangulate(t, pts), Layers: layers, BL: p}
 }
 
-// TestSplitChecksMatchSequential: the split checks report exactly what
-// they did as single global jobs, on meshes large enough for several parts
+// TestSplitChecksMatchSequential: every check reports in parts exactly
+// what it does in one pass, on meshes large enough for several parts
 // each: every grid corruption, with and without context, strict and not;
 // the high-lift boundary layers, before and after their chains are made
-// to cross; and a mesh whose conformity check alone reports many times
-// maxRecorded violations, in every part.
+// to cross; a mesh whose conformity check alone reports many times
+// maxRecorded violations, in every part; one with more than maxRecorded
+// orientation violations in every part; and a Delaunay violation on an
+// edge between two parts.
 func TestSplitChecksMatchSequential(t *testing.T) {
 	const n = 60 // 7200 triangles and 3721 points: several parts per check
 	if gridMesh(n).NumTriangles() < 3*jobChunk {
@@ -103,6 +108,59 @@ func TestSplitChecksMatchSequential(t *testing.T) {
 	if c := findCheck(rep, "conformity"); c.Violations < 10*maxRecorded {
 		t.Errorf("every triangle twice: %d conformity violations, want at least %d", c.Violations, 10*maxRecorded)
 	}
+
+	// Every fifth triangle flipped: well over maxRecorded orientation
+	// violations in every part.
+	m = triangulate(t, gridPoints(n))
+	for i := 0; i < m.NumTriangles(); i += 5 {
+		m.Triangles[i][0], m.Triangles[i][1] = m.Triangles[i][1], m.Triangles[i][0]
+	}
+	rep = matchSequential(t, "every fifth triangle flipped", Snapshot{Mesh: m})
+	if o := findCheck(rep, "orientation"); o.Violations < m.NumTriangles()/5 || jobChunk/5 <= maxRecorded {
+		t.Errorf("every fifth triangle flipped: %d orientation violations, want %d, more than %d a part",
+			o.Violations, m.NumTriangles()/5, maxRecorded)
+	}
+
+	// The Delaunay diagonal of a convex pair of triangles, one in the first
+	// part and one in the second, flipped: the violation straddles the parts.
+	m = triangulate(t, gridPoints(n))
+	i, nb := straddlingFlip(t, m, jobChunk)
+	rep = matchSequential(t, "a flip across a part edge", Snapshot{Mesh: m})
+	want := fmt.Sprintf("of neighbor %d inside circumcircle", nb)
+	if !slices.ContainsFunc(rep.Violations, func(v Violation) bool {
+		return v.Check == "delaunay" && v.Element == i && strings.Contains(v.Detail, want)
+	}) {
+		t.Errorf("a flip across a part edge: no delaunay violation of triangle %d against %d in %v", i, nb, rep.Violations)
+	}
+}
+
+// straddlingFlip flips the shared edge of the first triangle i < edge
+// whose neighbour nb >= edge makes a convex quadrilateral with it, keeping
+// both triangles' indices, and returns the two.
+func straddlingFlip(t *testing.T, m *mesh.Mesh, edge int) (i, nb int) {
+	t.Helper()
+	adj := m.Adjacency()
+	for i := range edge {
+		for e, nb := range adj[i] {
+			if nb < int32(edge) {
+				continue
+			}
+			a, b, c := m.Triangles[i][e], m.Triangles[i][(e+1)%3], m.Triangles[i][(e+2)%3]
+			var d int32
+			for _, v := range m.Triangles[nb] {
+				if v != a && v != b {
+					d = v
+				}
+			}
+			p := m.Points
+			if geom.Orient2DSign(p[a], p[d], p[c]) > 0 && geom.Orient2DSign(p[d], p[b], p[c]) > 0 {
+				m.Triangles[i], m.Triangles[nb] = [3]int32{a, d, c}, [3]int32{d, b, c}
+				return i, int(nb)
+			}
+		}
+	}
+	t.Fatalf("no convex pair of triangles across %d", edge)
+	return 0, 0
 }
 
 // TestStartedCheckCollected: a check Start began on the layers alone is
@@ -140,11 +198,13 @@ func (panicLayers) LayersOnly() {}
 // layer does.
 type slowLayers struct{}
 
-func (slowLayers) Name() string                       { return "slow" }
-func (slowLayers) Applicable(*Snapshot) bool          { return true }
-func (slowLayers) Local() bool                        { return false }
-func (slowLayers) LayersOnly()                        {}
-func (slowLayers) Run(*Snapshot, int, int, *Reporter) { time.Sleep(20 * time.Millisecond) }
+func (slowLayers) Name() string              { return "slow" }
+func (slowLayers) Applicable(*Snapshot) bool { return true }
+func (slowLayers) LayersOnly()               {}
+func (slowLayers) Begin(*Snapshot, *Reporter) Parts {
+	time.Sleep(20 * time.Millisecond)
+	return done{}
+}
 
 // TestStartedCheckFailures: a started check that panics comes back from
 // RunContext as the error naming it, as an inline one does, and from Run

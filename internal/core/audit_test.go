@@ -346,7 +346,14 @@ func TestAuditedRunMatchesRun(t *testing.T) {
 	}
 }
 
-// slowLayers is a layer check that holds its job until stop is closed,
+// noParts is the parts of a check whose Begin did all its work.
+type noParts struct{}
+
+func (noParts) Size() int                      { return 0 }
+func (noParts) Part(int, int, *audit.Reporter) {}
+func (noParts) Tail(*audit.Reporter)           {}
+
+// slowLayers is a layer check that holds its Begin until stop is closed,
 // then takes a while longer, as a large boundary layer would; ended says
 // that it returned.
 type slowLayers struct {
@@ -356,13 +363,13 @@ type slowLayers struct {
 
 func (slowLayers) Name() string                      { return "slow-layers" }
 func (slowLayers) Applicable(s *audit.Snapshot) bool { return len(s.Layers) > 0 }
-func (slowLayers) Local() bool                       { return false }
 func (slowLayers) LayersOnly()                       {}
-func (c slowLayers) Run(*audit.Snapshot, int, int, *audit.Reporter) {
+func (c slowLayers) Begin(*audit.Snapshot, *audit.Reporter) audit.Parts {
 	close(c.began)
 	<-c.stop
 	time.Sleep(10 * time.Millisecond) // a run that did not join would return meanwhile
 	c.ended.Store(true)
+	return noParts{}
 }
 
 // TestCancelDuringBLTriangulationJoinsAudit: a run cancelled while
@@ -406,11 +413,10 @@ func TestCancelDuringBLTriangulationJoinsAudit(t *testing.T) {
 // place.
 type panicLayers struct{}
 
-func (panicLayers) Name() string                                   { return "boundary-layer" }
-func (panicLayers) Applicable(s *audit.Snapshot) bool              { return len(s.Layers) > 0 }
-func (panicLayers) Local() bool                                    { return false }
-func (panicLayers) LayersOnly()                                    {}
-func (panicLayers) Run(*audit.Snapshot, int, int, *audit.Reporter) { panic("boom") }
+func (panicLayers) Name() string                                       { return "boundary-layer" }
+func (panicLayers) Applicable(s *audit.Snapshot) bool                  { return len(s.Layers) > 0 }
+func (panicLayers) LayersOnly()                                        {}
+func (panicLayers) Begin(*audit.Snapshot, *audit.Reporter) audit.Parts { panic("boom") }
 
 // TestAuditStartedCheckPanic: a check started beside the mesher that panics
 // fails the run in the audit stage with the error audit.RunContext gives

@@ -51,18 +51,17 @@ func dotSeeds() [][3]Point {
 	return seeds
 }
 
-// FuzzDotSign: the filtered sign and the expansion sign both equal the
-// rational sign. Coordinates are kept where no product of two of them (or
-// of their one-ulp differences) overflows or underflows, the precondition
-// of the expansion routines.
+// FuzzDotSign: the filtered sign and the exact sign both equal the
+// rational sign for every finite input, on raw bit patterns: subnormal
+// and huge coordinates, whose products under- and overflow.
 func FuzzDotSign(f *testing.F) {
 	for _, s := range dotSeeds() {
 		f.Add(s[0].X, s[0].Y, s[1].X, s[1].Y, s[2].X, s[2].Y)
 	}
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy} {
-			if v != 0 && !(math.Abs(v) >= 0x1p-200 && math.Abs(v) <= 0x1p200) {
-				t.Skip()
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip() // no rational value
 			}
 		}
 		a, b, c := Pt(ax, ay), Pt(bx, by), Pt(cx, cy)
@@ -89,5 +88,19 @@ func TestDotSignSeedsReachTheExactPath(t *testing.T) {
 	}
 	if exact == 0 {
 		t.Error("no seed falls behind the filter")
+	}
+}
+
+// TestDotSignUnderflow: products of differences that under- or overflow
+// do not decide the sign. At a = (0, 0), b = c = (s, 0) the dot product
+// is s², and at b = (s, s), c = (-s, 2s) it is -s² + 2s² = s²: acute
+// both times, at scales whose squares leave the float64 range.
+func TestDotSignUnderflow(t *testing.T) {
+	for _, s := range []float64{1e-200, 1e-170, 1e160, 1e200} {
+		for _, bc := range [][2]Point{{{s, 0}, {s, 0}}, {{s, s}, {-s, 2 * s}}} {
+			if got := DotSign(Point{}, bc[0], bc[1]); got != 1 {
+				t.Errorf("DotSign(0, %v, %v) = %d, want 1", bc[0], bc[1], got)
+			}
+		}
 	}
 }

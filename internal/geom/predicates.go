@@ -129,15 +129,17 @@ func exactRange(lo, hi float64, vs [8]float64) bool {
 	return ok || !finite
 }
 
+// ratDiff is p - q in exact rational arithmetic.
+func ratDiff(p, q float64) *big.Rat {
+	d := new(big.Rat).SetFloat64(p)
+	return d.Sub(d, new(big.Rat).SetFloat64(q))
+}
+
 // orient2DRational is the orientation determinant in exact rational
 // arithmetic, rounded to a float64 that keeps its sign.
 func orient2DRational(a, b, c Point) float64 {
-	diff := func(p, q float64) *big.Rat {
-		d := new(big.Rat).SetFloat64(p)
-		return d.Sub(d, new(big.Rat).SetFloat64(q))
-	}
-	left := new(big.Rat).Mul(diff(a.X, c.X), diff(b.Y, c.Y))
-	right := new(big.Rat).Mul(diff(a.Y, c.Y), diff(b.X, c.X))
+	left := new(big.Rat).Mul(ratDiff(a.X, c.X), ratDiff(b.Y, c.Y))
+	right := new(big.Rat).Mul(ratDiff(a.Y, c.Y), ratDiff(b.X, c.X))
 	det := left.Sub(left, right)
 	f, _ := det.Float64()
 	if f == 0 && det.Sign() != 0 {
@@ -162,19 +164,22 @@ func Orient2DSign(a, b, c Point) int {
 // the angle at a is acute, 0 when it is right (or b or c equals a), -1
 // when it is obtuse. The plain floating-point value decides under the
 // same forward error bound as Orient2D (a sum of two products of
-// differences, where Orient2D has their difference); the rest, exact
-// zeros included, falls back to expansion arithmetic on the raw
-// coordinates.
+// differences, where Orient2D has their difference), while the products'
+// magnitudes sum to at least 2^-969, as in Orient2D; the rest, exact
+// zeros, underflows and overflows included, falls back to the exact
+// evaluation on the raw coordinates.
 func DotSign(a, b, c Point) int {
 	dx := (b.X - a.X) * (c.X - a.X)
 	dy := (b.Y - a.Y) * (c.Y - a.Y)
 	dot := dx + dy
-	errBound := ccwErrBoundA * (math.Abs(dx) + math.Abs(dy))
-	if dot > errBound {
-		return 1
-	}
-	if -dot > errBound {
-		return -1
+	if sum := math.Abs(dx) + math.Abs(dy); sum >= 0x1p-969 {
+		errBound := ccwErrBoundA * sum
+		if dot > errBound {
+			return 1
+		}
+		if -dot > errBound {
+			return -1
+		}
 	}
 	return dotSignExact(a, b, c)
 }
@@ -182,7 +187,16 @@ func DotSign(a, b, c Point) int {
 // dotSignExact evaluates (b-a)·(c-a) exactly on the original coordinates:
 //
 //	(bx*cx - ax*bx) + (ax*ax - ax*cx) + (by*cy - ay*by) + (ay*ay - ay*cy)
+//
+// Its products are of two coordinates, as orient2DExact's are, so the
+// expansions are exact in expansionRange; finite coordinates outside it
+// take exact rational arithmetic instead.
 func dotSignExact(a, b, c Point) int {
+	if !expansionRange(a, b, c) {
+		x := new(big.Rat).Mul(ratDiff(b.X, a.X), ratDiff(c.X, a.X))
+		y := new(big.Rat).Mul(ratDiff(b.Y, a.Y), ratDiff(c.Y, a.Y))
+		return x.Add(x, y).Sign()
+	}
 	ar := getArena()
 	x := ar.sum(ar.twoTwoDiff(b.X, c.X, a.X, b.X), ar.twoTwoDiff(a.X, a.X, a.X, c.X))
 	y := ar.sum(ar.twoTwoDiff(b.Y, c.Y, a.Y, b.Y), ar.twoTwoDiff(a.Y, a.Y, a.Y, c.Y))
