@@ -551,21 +551,12 @@ type cancelCheck struct {
 func (cancelCheck) Name() string              { return "cancels" }
 func (cancelCheck) Applicable(*Snapshot) bool { return true }
 func (c cancelCheck) Begin(s *Snapshot, _ *Reporter) Parts {
-	return cancelParts{c, s.Mesh.NumTriangles()}
-}
-
-type cancelParts struct {
-	cancelCheck
-	n int
-}
-
-func (p cancelParts) Size() int    { return p.n }
-func (cancelParts) Tail(*Reporter) {}
-func (c cancelParts) Part(int, int, *Reporter) {
-	if c.ran.Add(1) == 1 {
-		c.cancel(errStop)
-	}
-	<-c.ctx.Done()
+	return elementParts{s, s.Mesh.NumTriangles(), func(*Snapshot, int, int, *Reporter) {
+		if c.ran.Add(1) == 1 {
+			c.cancel(errStop)
+		}
+		<-c.ctx.Done()
+	}}
 }
 
 var errStop = errors.New("stop the audit")
