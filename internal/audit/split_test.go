@@ -18,8 +18,8 @@ import (
 	"pamg2d/internal/mesh"
 )
 
-// matchSequential holds the executor's report on a copy of s — the split
-// checks in parts and a tail, on every CPU — to sequentialRun's with the
+// matchSequential holds the executor's report on a copy of s — every
+// check in parts and a tail, on every CPU — to sequentialRun's with the
 // single-pass checks on another copy: the same per-check counts and the
 // same violations in the same order. It returns the report.
 func matchSequential(t *testing.T, name string, s Snapshot) *Report {
