@@ -24,11 +24,9 @@
 package audit
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -347,7 +345,7 @@ func (s *Snapshot) Prepare() {
 		wg.Wait()
 		close(built)
 	}()
-	s.order = pointOrder(pts)
+	s.order = geom.OrderXY(pts)
 	s.first = make([]int32, len(pts))
 	for k, i := range s.order {
 		s.first[i] = i
@@ -400,83 +398,6 @@ func (s *Snapshot) pairEdges(from, to int32) {
 	}
 }
 
-// pointOrder returns the point indices sorted by (X, Y, index), the order
-// comparePoints and then the index give, without a comparison that reaches
-// back into pts: records of each point's coordinates as order-preserving
-// integer keys and its index go through a stable radix sort on the X key,
-// 11 bits a pass, which leaves each run of one X in index order, and a
-// run of more than one point is sorted by its Y keys.
-func pointOrder(pts []geom.Point) []int32 {
-	type record struct {
-		x, y uint64
-		i    int32
-	}
-	const bits, digits = 11, 6 // 66 bits cover the key
-	n := len(pts)
-	recs, spare := make([]record, n), make([]record, n)
-	var counts [digits][1 << bits]int32
-	for i, p := range pts {
-		r := record{orderKey(p.X), orderKey(p.Y), int32(i)}
-		recs[i] = r
-		for d := range counts {
-			counts[d][r.x>>(bits*d)&(1<<bits-1)]++
-		}
-	}
-	for d := range counts {
-		c := &counts[d]
-		if n == 0 || c[recs[0].x>>(bits*d)&(1<<bits-1)] == int32(n) {
-			continue // one digit throughout: the pass would keep the order
-		}
-		sum := int32(0)
-		for b, k := range c {
-			c[b] = sum
-			sum += k
-		}
-		for _, r := range recs {
-			b := r.x >> (bits * d) & (1<<bits - 1)
-			spare[c[b]] = r
-			c[b]++
-		}
-		recs, spare = spare, recs
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && recs[hi].x == recs[lo].x {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortStableFunc(recs[lo:hi], func(a, b record) int { return cmp.Compare(a.y, b.y) })
-		}
-		lo = hi
-	}
-	order := make([]int32, n)
-	for k, r := range recs {
-		order[k] = r.i
-	}
-	return order
-}
-
-// orderKey maps a float64 to a uint64 that sorts as cmp.Compare sorts the
-// floats: every NaN first and equal to each other, then -Inf up to +Inf,
-// with -0 equal to +0.
-func orderKey(v float64) uint64 {
-	switch {
-	case v != v:
-		return 0
-	case v == 0:
-		v = 0 // -0 takes +0's key
-	}
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-func comparePoints(p, q geom.Point) int {
-	return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
-}
-
 // pairKey is an undirected index pair as one sortable key.
 func pairKey(a, b int32) uint64 {
 	return uint64(uint32(min(a, b)))<<32 | uint64(uint32(max(a, b)))
@@ -486,7 +407,7 @@ func pairKey(a, b int32) uint64 {
 // a mesh point (a coordinate with a NaN never is, as it equals nothing).
 func (s *Snapshot) at(p geom.Point) []int32 {
 	pts := s.Mesh.Points
-	lo, _ := slices.BinarySearchFunc(s.order, p, func(i int32, p geom.Point) int { return comparePoints(pts[i], p) })
+	lo, _ := slices.BinarySearchFunc(s.order, p, func(i int32, p geom.Point) int { return geom.Compare(pts[i], p) })
 	hi := lo
 	for hi < len(s.order) && pts[s.order[hi]] == p {
 		hi++

@@ -137,7 +137,7 @@ func (r *conformityRun) Tail(rep *Reporter) {
 	for _, key := range slices.Compact(r.suspect) {
 		p, q := m.Points[key>>32], m.Points[uint32(key)]
 		if n := s.uses(p, q); n > 2 {
-			if comparePoints(q, p) < 0 { // the ends in (X, Y) order
+			if geom.Compare(q, p) < 0 { // the ends in (X, Y) order
 				p, q = q, p
 			}
 			rep.Reportf(-1, "edge %v-%v shared by %d triangles", p, q, n)

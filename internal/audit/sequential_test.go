@@ -85,7 +85,7 @@ func (wholeConformity) Begin(s *Snapshot, rep *Reporter) Parts {
 	for _, key := range slices.Compact(suspect) {
 		p, q := m.Points[key>>32], m.Points[uint32(key)]
 		if n := s.uses(p, q); n > 2 {
-			if comparePoints(q, p) < 0 {
+			if geom.Compare(q, p) < 0 {
 				p, q = q, p
 			}
 			rep.Reportf(-1, "edge %v-%v shared by %d triangles", p, q, n)

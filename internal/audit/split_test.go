@@ -1,10 +1,8 @@
 package audit
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -233,38 +231,5 @@ func TestStartedCheckFailures(t *testing.T) {
 	s.Mesh = goodQuadMesh()
 	if _, err := RunContext(context.Background(), s, []Check{slowLayers{}}); err != errStopped {
 		t.Errorf("RunContext after Stop returned %v, want %v", err, errStopped)
-	}
-}
-
-// TestPointOrder: the radix order is the comparator order, (X, Y) by
-// cmp.Compare and then the index, on points with repeated coordinates,
-// long runs of one X, both zeros, infinities and NaNs.
-func TestPointOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, -1e300, 3}
-	for _, n := range []int{0, 1, 7, 5000} {
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			coord := func() float64 {
-				switch rng.Intn(4) {
-				case 0:
-					return special[rng.Intn(len(special))]
-				case 1:
-					return float64(rng.Intn(5)) // runs of one X
-				}
-				return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
-			}
-			pts[i] = geom.Pt(coord(), coord())
-		}
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
-		}
-		slices.SortFunc(want, func(a, b int32) int {
-			return cmp.Or(comparePoints(pts[a], pts[b]), cmp.Compare(a, b))
-		})
-		if got := pointOrder(pts); !slices.Equal(got, want) {
-			t.Errorf("%d points: the radix order differs from the comparator's", n)
-		}
 	}
 }

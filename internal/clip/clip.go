@@ -101,16 +101,3 @@ func ClipSegment(s geom.Segment, b geom.BBox) (p0, p1 geom.Point, ok bool) {
 		}
 	}
 }
-
-// PruneByBox returns the indices of the segments that intersect box b.
-// This is the paper's first-stage candidate-ray pruning for multi-element
-// boundary-layer intersection checks.
-func PruneByBox(segs []geom.Segment, b geom.BBox) []int {
-	var out []int
-	for i, s := range segs {
-		if SegmentIntersectsBox(s, b) {
-			out = append(out, i)
-		}
-	}
-	return out
-}

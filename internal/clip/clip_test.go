@@ -148,19 +148,6 @@ func exactSegBox(s geom.Segment, b geom.BBox) bool {
 	return false
 }
 
-func TestPruneByBox(t *testing.T) {
-	segs := []geom.Segment{
-		{A: geom.Pt(1, 1), B: geom.Pt(2, 2)},     // inside
-		{A: geom.Pt(-5, -5), B: geom.Pt(-1, -1)}, // outside
-		{A: geom.Pt(-5, 5), B: geom.Pt(15, 5)},   // crossing
-		{A: geom.Pt(20, 20), B: geom.Pt(30, 30)}, // outside
-	}
-	got := PruneByBox(segs, box)
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("PruneByBox = %v, want [0 2]", got)
-	}
-}
-
 func BenchmarkClipSegment(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	segs := make([]geom.Segment, 1024)

@@ -35,20 +35,7 @@ func insertionOrder(in Input, t *Triangulation) []int32 {
 		order[i] = int32(i)
 	}
 	pts := in.Points
-	slices.SortFunc(order, func(i, j int32) int {
-		a, b := pts[i], pts[j]
-		switch {
-		case a.X < b.X:
-			return -1
-		case a.X > b.X:
-			return 1
-		case a.Y < b.Y:
-			return -1
-		case a.Y > b.Y:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(order, func(i, j int32) int { return geom.Compare(pts[i], pts[j]) })
 	t.enableBinSeeding(geom.BBoxOf(in.Points), len(in.Points))
 	return order
 }

@@ -13,11 +13,8 @@ func ExampleGeometric() {
 	for _, i := range []int{0, 5, 10} {
 		fmt.Printf("layer %2d: offset %.5f spacing %.5f\n", i, g.Offset(i), g.Spacing(i))
 	}
-	n := growth.LayersUntil(g, 0.002, 100)
-	fmt.Println("layers until 0.002 spacing:", n)
 	// Output:
 	// layer  0: offset 0.00010 spacing 0.00010
 	// layer  5: offset 0.00113 spacing 0.00031
 	// layer 10: offset 0.00426 spacing 0.00093
-	// layers until 0.002 spacing: 15
 }

@@ -86,17 +86,3 @@ func offsetBefore(f Function, i int) float64 {
 	}
 	return f.Offset(i - 1)
 }
-
-// LayersUntil returns the number of layers needed for the spacing to reach
-// the target value (the paper's transition to isotropy: points are
-// inserted until the resulting triangles would be isotropic, i.e. the
-// normal spacing matches the local tangential spacing). The count is
-// capped at maxLayers.
-func LayersUntil(f Function, targetSpacing float64, maxLayers int) int {
-	for i := 0; i < maxLayers; i++ {
-		if f.Spacing(i) >= targetSpacing {
-			return i + 1
-		}
-	}
-	return maxLayers
-}

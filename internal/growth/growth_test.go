@@ -91,25 +91,3 @@ func TestMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLayersUntil(t *testing.T) {
-	g := Geometric{H0: 1e-4, Ratio: 1.2}
-	// Spacing reaches 1e-3 when 1.2^i >= 10: i >= 12.6 -> layer 13 (index
-	// 12), so the count is 13.
-	n := LayersUntil(g, 1e-3, 100)
-	if n != 14 && n != 13 {
-		t.Errorf("LayersUntil = %d, want 13 or 14", n)
-	}
-	if got := g.Spacing(n - 1); got < 1e-3 {
-		t.Errorf("final spacing %v below target", got)
-	}
-	if n >= 2 {
-		if got := g.Spacing(n - 2); got >= 1e-3 {
-			t.Errorf("previous spacing %v already met the target", got)
-		}
-	}
-	// Cap respected.
-	if n := LayersUntil(g, 1e9, 25); n != 25 {
-		t.Errorf("cap: got %d, want 25", n)
-	}
-}

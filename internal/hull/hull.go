@@ -6,7 +6,7 @@
 package hull
 
 import (
-	"sort"
+	"slices"
 
 	"pamg2d/internal/geom"
 )
@@ -64,12 +64,7 @@ func Convex(pts []geom.Point) []geom.Point {
 	}
 	sorted := make([]geom.Point, len(pts))
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
+	slices.SortFunc(sorted, geom.Compare)
 	// Deduplicate.
 	uniq := sorted[:1]
 	for _, p := range sorted[1:] {

@@ -17,13 +17,16 @@ import (
 // The comparator-sort decomposition the radix root and the one-pass split
 // replaced, kept as the reference for their leaves and paths bit for bit.
 
+func refCmpX(a, b Vertex) int { return geom.Compare(a.P, b.P) }
+func refCmpY(a, b Vertex) int { return geom.CompareYX(a.P, b.P) }
+
 func refNew(pts []geom.Point) *Subdomain {
 	s := &Subdomain{Region: WholePlane()}
 	s.XS = make([]Vertex, len(pts))
 	for i, p := range pts {
 		s.XS[i] = Vertex{P: p, ID: int32(i)}
 	}
-	slices.SortFunc(s.XS, cmpX)
+	slices.SortFunc(s.XS, refCmpX)
 	uniq := s.XS[:0]
 	for _, v := range s.XS {
 		if len(uniq) == 0 || uniq[len(uniq)-1].P != v.P {
@@ -33,7 +36,7 @@ func refNew(pts []geom.Point) *Subdomain {
 	s.XS = uniq
 	s.YS = make([]Vertex, len(s.XS))
 	copy(s.YS, s.XS)
-	slices.SortFunc(s.YS, cmpY)
+	slices.SortFunc(s.YS, refCmpY)
 	return s
 }
 
@@ -75,9 +78,9 @@ func refSplitAxis(s *Subdomain, vertical bool) (left, right *Subdomain, path []P
 	}
 	isLeft := func(v Vertex) bool {
 		if vertical {
-			return lessX(v, median)
+			return geom.Compare(v.P, median.P) < 0
 		}
-		return lessY(v, median)
+		return geom.CompareYX(v.P, median.P) < 0
 	}
 	leftPrimary := primary[:m]
 	rightPrimary := primary[m:]
@@ -105,18 +108,18 @@ func refSplitAxis(s *Subdomain, vertical bool) (left, right *Subdomain, path []P
 		cut := median.P.X
 		left.Region.MaxX = math.Min(left.Region.MaxX, cut)
 		right.Region.MinX = math.Max(right.Region.MinX, cut)
-		left.XS = refMergeSorted(leftPrimary, addLeft, cmpX)
-		right.XS = refMergeSorted(rightPrimary, addRight, cmpX)
-		left.YS = refMergeSorted(leftSecondary, addLeft, cmpY)
-		right.YS = refMergeSorted(rightSecondary, addRight, cmpY)
+		left.XS = refMergeSorted(leftPrimary, addLeft, refCmpX)
+		right.XS = refMergeSorted(rightPrimary, addRight, refCmpX)
+		left.YS = refMergeSorted(leftSecondary, addLeft, refCmpY)
+		right.YS = refMergeSorted(rightSecondary, addRight, refCmpY)
 	} else {
 		cut := median.P.Y
 		left.Region.MaxY = math.Min(left.Region.MaxY, cut)
 		right.Region.MinY = math.Max(right.Region.MinY, cut)
-		left.YS = refMergeSorted(leftPrimary, addLeft, cmpY)
-		right.YS = refMergeSorted(rightPrimary, addRight, cmpY)
-		left.XS = refMergeSorted(leftSecondary, addLeft, cmpX)
-		right.XS = refMergeSorted(rightSecondary, addRight, cmpX)
+		left.YS = refMergeSorted(leftPrimary, addLeft, refCmpY)
+		right.YS = refMergeSorted(rightPrimary, addRight, refCmpY)
+		left.XS = refMergeSorted(leftSecondary, addLeft, refCmpX)
+		right.XS = refMergeSorted(rightSecondary, addRight, refCmpX)
 	}
 	return left, right, path
 }
@@ -352,13 +355,13 @@ func TestDecomposeForkedPanic(t *testing.T) {
 		cut := s.XS[len(s.XS)/2]
 		var right []int
 		for i, v := range s.YS {
-			if !lessX(v, cut) {
+			if geom.Compare(v.P, cut.P) >= 0 {
 				right = append(right, i)
 			}
 		}
 		ys := make([]Vertex, 0, len(s.YS))
 		for i, v := range s.YS {
-			if lessX(v, cut) || i == right[0] || i == right[len(right)-1] {
+			if geom.Compare(v.P, cut.P) < 0 || i == right[0] || i == right[len(right)-1] {
 				ys = append(ys, v)
 			}
 		}

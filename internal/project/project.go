@@ -17,7 +17,6 @@
 package project
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"runtime"
@@ -68,158 +67,31 @@ func (r Rect) Contains(p geom.Point) bool {
 // input order. Duplicate points are dropped (keeping the first), since the
 // comparison-free median split requires distinct vertices.
 //
-// The two orders are built concurrently, each straight from the input:
-// a stable LSD radix sort on order-preserving keys of the major
-// coordinate, runs of equal major key settled stably by the minor one,
-// and later duplicates dropped. Both keep the lowest-index point of a
-// duplicate group, so XS and YS hold the same vertices.
+// The two orders are geom's point orders, built concurrently; both list a
+// duplicate group's lowest index first, so XS and YS hold the same
+// vertices.
 func New(pts []geom.Point) *Subdomain {
 	var ys []Vertex
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ys = sortedVertices(pts, false)
+		ys = distinct(pts, geom.OrderYX(pts))
 	}()
-	xs := sortedVertices(pts, true)
+	xs := distinct(pts, geom.OrderXY(pts))
 	<-done
 	return &Subdomain{XS: xs, YS: ys, Region: WholePlane()}
 }
 
-// sortedVertices returns the distinct points in (X, Y) order when byX,
-// else in (Y, X) order, each with the index of its first occurrence.
-func sortedVertices(pts []geom.Point, byX bool) []Vertex {
-	n := len(pts)
-	buf := make([]keyed, 2*n)
-	order := buf[:n]
-	for i, p := range pts {
-		major, _ := axes(p, byX)
-		order[i] = keyed{coordKey(major), int32(i)}
-	}
-	order = radixSort(order, buf[n:])
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && order[j].key == order[i].key {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortStableFunc(order[i:j], func(a, b keyed) int {
-				_, ma := axes(pts[a.i], byX)
-				_, mb := axes(pts[b.i], byX)
-				return cmp.Compare(ma, mb)
-			})
-		}
-		i = j
-	}
-	out := make([]Vertex, 0, n)
-	for _, e := range order {
-		if p := pts[e.i]; len(out) == 0 || out[len(out)-1].P != p {
-			out = append(out, Vertex{P: p, ID: e.i})
+// distinct returns the points of pts in the given order, each with its
+// index, dropping every point equal to the one before it.
+func distinct(pts []geom.Point, order []int32) []Vertex {
+	out := make([]Vertex, 0, len(order))
+	for _, i := range order {
+		if p := pts[i]; len(out) == 0 || out[len(out)-1].P != p {
+			out = append(out, Vertex{P: p, ID: i})
 		}
 	}
 	return out
-}
-
-// axes returns p's major and minor coordinates: (X, Y) when byX, else
-// (Y, X).
-func axes(p geom.Point, byX bool) (major, minor float64) {
-	if byX {
-		return p.X, p.Y
-	}
-	return p.Y, p.X
-}
-
-// keyed is one radix-sort element: a coordinate's key and the index of
-// its point.
-type keyed struct {
-	key uint64
-	i   int32
-}
-
-// coordKey maps a coordinate to a key whose unsigned order is the float
-// order, -0 and +0 sharing one key as they compare equal.
-func coordKey(v float64) uint64 {
-	if v == 0 {
-		v = 0
-	}
-	b := math.Float64bits(v)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-// radixSort sorts a by key, stably, one byte per pass, using tmp (as long
-// as a) as the other buffer, and returns the buffer that holds the result.
-// A pass whose byte is the same in every element moves nothing and is
-// skipped.
-func radixSort(a, tmp []keyed) []keyed {
-	var count [8][256]int32
-	for _, e := range a {
-		for pass := range count {
-			count[pass][uint8(e.key>>(8*pass))]++
-		}
-	}
-	src, dst := a, tmp
-	for pass := range count {
-		shift := 8 * pass
-		c := &count[pass]
-		if len(src) == 0 || int(c[uint8(src[0].key>>shift)]) == len(src) {
-			continue
-		}
-		var sum int32
-		for i, k := range c {
-			c[i], sum = sum, sum+k
-		}
-		for _, e := range src {
-			b := uint8(e.key >> shift)
-			dst[c[b]] = e
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-func cmpX(a, b Vertex) int {
-	switch {
-	case a.P.X < b.P.X:
-		return -1
-	case a.P.X > b.P.X:
-		return 1
-	case a.P.Y < b.P.Y:
-		return -1
-	case a.P.Y > b.P.Y:
-		return 1
-	}
-	return 0
-}
-
-func cmpY(a, b Vertex) int {
-	switch {
-	case a.P.Y < b.P.Y:
-		return -1
-	case a.P.Y > b.P.Y:
-		return 1
-	case a.P.X < b.P.X:
-		return -1
-	case a.P.X > b.P.X:
-		return 1
-	}
-	return 0
-}
-
-func lessX(a, b Vertex) bool {
-	if a.P.X != b.P.X {
-		return a.P.X < b.P.X
-	}
-	return a.P.Y < b.P.Y
-}
-
-func lessY(a, b Vertex) bool {
-	if a.P.Y != b.P.Y {
-		return a.P.Y < b.P.Y
-	}
-	return a.P.X < b.P.X
 }
 
 // Len returns the number of vertices.
@@ -381,19 +253,20 @@ func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, 
 	return left, right, path
 }
 
-// before is lessX when byX, else lessY.
+// before reports whether a comes before b in geom's (X, Y) order when
+// byX, else in its (Y, X) order.
 func before(a, b *Vertex, byX bool) bool {
 	if byX {
-		return lessX(*a, *b)
+		return geom.Compare(a.P, b.P) < 0
 	}
-	return lessY(*a, *b)
+	return geom.CompareYX(a.P, b.P) < 0
 }
 
 func sortVertices(v []Vertex, byX bool) {
 	if byX {
-		slices.SortFunc(v, cmpX)
+		slices.SortFunc(v, func(a, b Vertex) int { return geom.Compare(a.P, b.P) })
 	} else {
-		slices.SortFunc(v, cmpY)
+		slices.SortFunc(v, func(a, b Vertex) int { return geom.CompareYX(a.P, b.P) })
 	}
 }
 
@@ -461,8 +334,9 @@ func mergeSorted(base, extras []Vertex, byX bool) []Vertex {
 	return out
 }
 
-// Points returns the subdomain's points in x-sorted order, ready for the
-// kernel's sorted fast path.
+// Points returns the subdomain's points in x-sorted order. The kernel
+// takes them in any order: it inserts a point cloud along its Hilbert
+// curve.
 func (s *Subdomain) Points() []geom.Point {
 	out := make([]geom.Point, len(s.XS))
 	for i, v := range s.XS {

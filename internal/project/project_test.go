@@ -23,12 +23,12 @@ func randPts(seed int64, n int) []geom.Point {
 func TestNewSortedInvariants(t *testing.T) {
 	s := New(randPts(1, 200))
 	for i := 1; i < len(s.XS); i++ {
-		if lessX(s.XS[i], s.XS[i-1]) {
+		if geom.Compare(s.XS[i].P, s.XS[i-1].P) < 0 {
 			t.Fatal("XS not sorted")
 		}
 	}
 	for i := 1; i < len(s.YS); i++ {
-		if lessY(s.YS[i], s.YS[i-1]) {
+		if geom.CompareYX(s.YS[i].P, s.YS[i-1].P) < 0 {
 			t.Fatal("YS not sorted")
 		}
 	}
@@ -124,12 +124,12 @@ func TestSplitPreservesMultiset(t *testing.T) {
 	// Sorted invariants hold in both halves.
 	for _, sd := range []*Subdomain{l, r} {
 		for i := 1; i < len(sd.XS); i++ {
-			if lessX(sd.XS[i], sd.XS[i-1]) {
+			if geom.Compare(sd.XS[i].P, sd.XS[i-1].P) < 0 {
 				t.Fatal("child XS not sorted")
 			}
 		}
 		for i := 1; i < len(sd.YS); i++ {
-			if lessY(sd.YS[i], sd.YS[i-1]) {
+			if geom.CompareYX(sd.YS[i].P, sd.YS[i-1].P) < 0 {
 				t.Fatal("child YS not sorted")
 			}
 		}
