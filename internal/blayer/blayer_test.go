@@ -3,15 +3,42 @@ package blayer
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/growth"
-	"pamg2d/internal/hull"
 	"pamg2d/internal/pslg"
 )
+
+// convexHull returns the convex hull of pts counter-clockwise from its
+// least point in geom.Compare order, without repeated or collinear
+// points (Andrew's monotone chain: the lower chain left to right, then
+// the upper right to left). Fewer than three distinct points come back
+// sorted.
+func convexHull(pts []geom.Point) []geom.Point {
+	s := slices.Clone(pts)
+	slices.SortFunc(s, geom.Compare)
+	s = slices.Compact(s)
+	if len(s) < 3 {
+		return s
+	}
+	h := make([]geom.Point, 0, 2*len(s))
+	for range 2 {
+		start := len(h)
+		for _, p := range s {
+			for len(h) >= start+2 && geom.Orient2DSign(h[len(h)-2], h[len(h)-1], p) <= 0 {
+				h = h[:len(h)-1]
+			}
+			h = append(h, p)
+		}
+		h = h[:len(h)-1]
+		slices.Reverse(s)
+	}
+	return h
+}
 
 // ccwSquare is a CCW unit square.
 func ccwSquare() []geom.Point {
@@ -398,7 +425,7 @@ func TestConvexBodyProperty(t *testing.T) {
 			r := 1 + 0.3*rng.Float64()
 			cand = append(cand, geom.Pt(r*math.Cos(th), r*math.Sin(th)))
 		}
-		pts := hull.Convex(cand)
+		pts := convexHull(cand)
 		if len(pts) < 5 {
 			return true
 		}

@@ -11,7 +11,6 @@ import (
 	"pamg2d/internal/airfoil"
 	"pamg2d/internal/geom"
 	"pamg2d/internal/growth"
-	"pamg2d/internal/hull"
 	"pamg2d/internal/pslg"
 )
 
@@ -160,7 +159,7 @@ func fuzzLoops(t *testing.T, shape uint8, seed int64, n int) [][]geom.Point {
 		for i := range cand {
 			cand[i] = geom.Pt(rng.NormFloat64(), rng.NormFloat64()*(0.1+rng.Float64()))
 		}
-		return [][]geom.Point{hull.Convex(cand)}
+		return [][]geom.Point{convexHull(cand)}
 	case shapeNotched:
 		return [][]geom.Point{star(6+n%120, func(int) float64 { return 0.5 + rng.Float64() })}
 	case shapeCusps:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"pamg2d/internal/delaunay"
@@ -160,8 +159,8 @@ func regionSubmesh(pts []geom.Point, tris [][3]int32, input []geom.Point) submes
 // the leaf owning its circumcenter, so a point can be a corner in a
 // neighbouring leaf's result only if the decomposition dealt it to that
 // leaf as well. delaunay.Extract numbers points by first appearance, not
-// in input order, so each kept point is looked up among the path points
-// (onPath).
+// in input order, so each kept point is looked up among the path points,
+// which are in the leaf's x-store order (geom.Compare).
 func blSubmesh(res *delaunay.Result, nb [][3]int32, path []geom.Point, keep func(a, b, c geom.Point) bool) submesh {
 	// A result point's index in s.pts, then a result triangle's in s.tris,
 	// -1 while not kept; then whether a kept result point is a path point.
@@ -184,7 +183,7 @@ func blSubmesh(res *delaunay.Result, nb [][3]int32, path []geom.Point, keep func
 			if remap[v] < 0 {
 				remap[v] = int32(len(s.pts))
 				p := res.Points[v]
-				if onPath(path, p) {
+				if _, on := slices.BinarySearchFunc(path, p, geom.Compare); on {
 					isPath[v] = 1
 					s.shared = append(s.shared, remap[v])
 				}
@@ -230,18 +229,4 @@ func blSubmesh(res *delaunay.Result, nb [][3]int32, path []geom.Point, keep func
 		}
 	}
 	return s
-}
-
-// onPath reports whether p is one of path's points, which are in a leaf's
-// x-sorted order: X never decreases, but points of equal X can come in any
-// order (the projection's tie fix-up reorders such runs by their lift), so
-// a binary search finds the run of p's X and a scan of that run finds p.
-func onPath(path []geom.Point, p geom.Point) bool {
-	i, _ := slices.BinarySearchFunc(path, p.X, func(q geom.Point, x float64) int { return cmp.Compare(q.X, x) })
-	for ; i < len(path) && path[i].X == p.X; i++ {
-		if path[i] == p {
-			return true
-		}
-	}
-	return false
 }

@@ -9,34 +9,41 @@ import (
 // The lexicographic point order: the projection decomposition keeps every
 // subdomain's vertices in (X, Y) and in (Y, X) order, the audit maps
 // coordinates to mesh indices through the (X, Y) order, the kernel
-// inserts constrained inputs in it, and the convex hull scans it.
+// inserts constrained inputs in it.
 
 // Compare orders p and q by X, then by Y, each as cmp.Compare orders
 // floats: every NaN first and equal to each other, -0 equal to +0.
 func Compare(p, q Point) int {
 	switch {
-	case p.X < q.X || p.X == q.X && p.Y < q.Y:
+	case p.X < q.X:
 		return -1
-	case p.X > q.X || p.X == q.X && p.Y > q.Y:
+	case p.X > q.X:
 		return 1
-	case p.X == q.X && p.Y == q.Y:
-		return 0
 	}
-	// Only a NaN comes here: cmp.Compare puts it first.
-	return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y))
+	return p.tie(q, true)
 }
 
 // CompareYX is Compare with the axes exchanged: by Y, then by X.
 func CompareYX(p, q Point) int {
 	switch {
-	case p.Y < q.Y || p.Y == q.Y && p.X < q.X:
+	case p.Y < q.Y:
 		return -1
-	case p.Y > q.Y || p.Y == q.Y && p.X > q.X:
+	case p.Y > q.Y:
 		return 1
-	case p.Y == q.Y && p.X == q.X:
-		return 0
 	}
-	return cmp.Or(cmp.Compare(p.Y, q.Y), cmp.Compare(p.X, q.X))
+	return p.tie(q, false)
+}
+
+// tie orders p and q, whose major coordinates are equal or NaN, by
+// cmp.Compare on the major and then the minor coordinates: (X, Y) when
+// byX, else (Y, X). It stays out of line so that Compare and CompareYX
+// inline.
+//
+//go:noinline
+func (p Point) tie(q Point, byX bool) int {
+	pm, pn := axes(p, byX)
+	qm, qn := axes(q, byX)
+	return cmp.Or(cmp.Compare(pm, qm), cmp.Compare(pn, qn))
 }
 
 // OrderXY returns the indices of pts sorted by Compare, ties in index

@@ -1,6 +1,7 @@
 package project
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -11,11 +12,12 @@ import (
 	"testing"
 
 	"pamg2d/internal/geom"
-	"pamg2d/internal/hull"
 )
 
 // The comparator-sort decomposition the radix root and the one-pass split
 // replaced, kept as the reference for their leaves and paths bit for bit.
+// Its lower chain reads the flattened points sorted by (abscissa, lift),
+// ties in store order: the tie order the split builds run by run.
 
 func refCmpX(a, b Vertex) int { return geom.Compare(a.P, b.P) }
 func refCmpY(a, b Vertex) int { return geom.CompareYX(a.P, b.P) }
@@ -54,6 +56,7 @@ func refSplitAxis(s *Subdomain, vertical bool) (left, right *Subdomain, path []P
 	m := n / 2
 	median := primary[m]
 	flat := make([]geom.Point, len(secondary))
+	order := make([]int32, len(secondary))
 	for i, v := range secondary {
 		dx := v.P.X - median.P.X
 		dy := v.P.Y - median.P.Y
@@ -63,9 +66,12 @@ func refSplitAxis(s *Subdomain, vertical bool) (left, right *Subdomain, path []P
 		} else {
 			flat[i] = geom.Pt(v.P.X, lift)
 		}
+		order[i] = int32(i)
 	}
-	fixTies(flat, secondary)
-	hullIdx := hull.LowerSorted(flat)
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(flat[a].X, flat[b].X), cmp.Compare(flat[a].Y, flat[b].Y))
+	})
+	hullIdx := lowerSorted(flat, order, nil)
 	hullVerts := make([]Vertex, len(hullIdx))
 	for i, hi := range hullIdx {
 		hullVerts[i] = secondary[hi]
@@ -202,14 +208,7 @@ func decompose(f func(*Subdomain, Options) ([]*Subdomain, []PathEdge), root *Sub
 
 // checkDecompose compares New+Decompose with the reference on pts, which
 // must hold no two points equal under ==: the reference's comparator sort
-// keeps an arbitrary one of a duplicate group.
-//
-// Both may panic. fixTies reorders a run of equal abscissa in the
-// secondary array by the lift, so that array is no longer sorted for the
-// splits below it; on lattice clouds a later split then cuts its two
-// arrays into different vertex sets, and one of them can run short of the
-// median index. That defect is the reference's, kept bit for bit: the
-// two must then fail alike.
+// keeps an arbitrary one of a duplicate group. Neither may panic.
 func checkDecompose(t *testing.T, pts []geom.Point, opt Options) {
 	t.Helper()
 	root, refRoot := New(pts), refNew(pts)
@@ -218,7 +217,7 @@ func checkDecompose(t *testing.T, pts []geom.Point, opt Options) {
 	}
 	leaves, paths, failed := decompose(Decompose, root, opt)
 	refLeaves, refPaths, refFailed := decompose(refDecompose, refRoot, opt)
-	if failed != refFailed {
+	if failed != "" || refFailed != "" {
 		t.Fatalf("%d points, %+v: panic %q, reference panic %q", len(pts), opt, failed, refFailed)
 	}
 	if !reflect.DeepEqual(values(leaves), values(refLeaves)) {
@@ -304,9 +303,34 @@ func FuzzDecompose(f *testing.F) {
 	})
 }
 
-// TestDecomposeIndependentOfGOMAXPROCS: the leaves, the paths and any
-// panic are the same whether no subtree, the root's two or eight are
-// split concurrently, on uniform and lattice clouds.
+// TestDecomposeKeepsStoresSorted: at every depth a leaf's x-store is in
+// geom.Compare order, its y-store in geom.CompareYX order, and the two
+// hold the same vertices, on lattice clouds with ties and signed zeros.
+func TestDecomposeKeepsStoresSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		pts := tieCloud(rng, 20+rng.Intn(800), 6+rng.Intn(30))
+		opt := Options{MinVerts: 2 + rng.Intn(16), MaxDepth: rng.Intn(9), ForceVertical: trial%4 == 0}
+		leaves, _, failed := decompose(Decompose, New(pts), opt)
+		if failed != "" {
+			t.Fatalf("trial %d, %d points, %+v: panic %q", trial, len(pts), opt, failed)
+		}
+		for k, l := range leaves {
+			if !slices.IsSortedFunc(l.XS, refCmpX) || !slices.IsSortedFunc(l.YS, refCmpY) {
+				t.Fatalf("trial %d, %+v: leaf %d (depth %d) has a store out of order", trial, opt, k, l.Depth)
+			}
+			ys := slices.Clone(l.YS)
+			slices.SortFunc(ys, refCmpX)
+			if !reflect.DeepEqual(ys, l.XS) {
+				t.Fatalf("trial %d, %+v: leaf %d's stores hold different vertices", trial, opt, k)
+			}
+		}
+	}
+}
+
+// TestDecomposeIndependentOfGOMAXPROCS: the leaves and the paths are the
+// same, and nothing panics, whether no subtree, the root's two or eight
+// are split concurrently, on uniform and lattice clouds.
 func TestDecomposeIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(5))
@@ -315,16 +339,15 @@ func TestDecomposeIndependentOfGOMAXPROCS(t *testing.T) {
 		for _, opt := range []Options{{MinVerts: 16, MaxDepth: 6}, {MinVerts: 2}, {MinVerts: 8, ForceVertical: true}} {
 			var want []subdomainValue
 			var wantPaths []PathEdge
-			var wantPanic string
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
 				leaves, paths, failed := decompose(Decompose, New(pts), opt)
-				if procs == 1 {
-					want, wantPaths, wantPanic = values(leaves), paths, failed
-					continue
+				if failed != "" {
+					t.Fatalf("cloud %d, %+v, GOMAXPROCS %d: panic %q", i, opt, procs, failed)
 				}
-				if failed != wantPanic {
-					t.Fatalf("cloud %d, %+v, GOMAXPROCS %d: panic %q, at 1: %q", i, opt, procs, failed, wantPanic)
+				if procs == 1 {
+					want, wantPaths = values(leaves), paths
+					continue
 				}
 				if !reflect.DeepEqual(values(leaves), want) || !reflect.DeepEqual(paths, wantPaths) {
 					t.Fatalf("cloud %d, %+v, GOMAXPROCS %d: leaves or paths differ from GOMAXPROCS 1", i, opt, procs)

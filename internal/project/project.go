@@ -17,13 +17,13 @@
 package project
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"runtime"
 	"slices"
 
 	"pamg2d/internal/geom"
-	"pamg2d/internal/hull"
 )
 
 // Vertex is a point with its global id. The paraboloid lift a split
@@ -133,9 +133,12 @@ func (s *Subdomain) Split() (left, right *Subdomain, path []PathEdge) {
 	return sp.split(s, s.CutVertical())
 }
 
-// splitter carries the projection scratch from one split to the next.
+// splitter carries the projection scratch from one split to the next:
+// the flattened points, the order the lower chain reads them in, and the
+// chain.
 type splitter struct {
-	flat []geom.Point
+	flat        []geom.Point
+	order, hull []int32
 }
 
 func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, path []PathEdge) {
@@ -157,11 +160,15 @@ func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, 
 	// vertex and flatten onto the plane perpendicular to the cut axis.
 	// The flattened abscissa is the coordinate along the median line; the
 	// ordinate is the lift. The secondary array is already sorted by the
-	// abscissa, so the monotone chain below runs in linear time.
+	// abscissa, so the lower chain runs in linear time over an order that
+	// is the identity except in runs of equal abscissa (rare), which it
+	// lists by the lift. The stores themselves stay sorted.
 	if cap(sp.flat) < len(secondary) {
 		sp.flat = make([]geom.Point, len(secondary))
+		sp.order = make([]int32, len(secondary))
+		sp.hull = make([]int32, 0, len(secondary))
 	}
-	flat := sp.flat[:len(secondary)]
+	flat, order := sp.flat[:len(secondary)], sp.order[:len(secondary)]
 	for i := range secondary {
 		v := &secondary[i]
 		dx := v.P.X - median.P.X
@@ -172,11 +179,19 @@ func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, 
 		} else {
 			flat[i] = geom.Pt(v.P.X, lift)
 		}
+		order[i] = int32(i)
 	}
-	// Ties in the abscissa must be ordered by the lift for the chain to be
-	// a valid lexicographic order; fix up runs of equal abscissa (rare).
-	fixTies(flat, secondary)
-	hullIdx := hull.LowerSorted(flat)
+	for i := 0; i < len(flat); {
+		j := i + 1
+		for j < len(flat) && flat[j].X == flat[i].X {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(order[i:j], func(a, b int32) int { return cmp.Compare(flat[a].Y, flat[b].Y) })
+		}
+		i = j
+	}
+	hullIdx := lowerSorted(flat, order, sp.hull[:0])
 
 	// Duplicate hull vertices into the half they are missing from: the
 	// left extras fill the buffer from the front, the right from the back.
@@ -218,9 +233,8 @@ func (sp *splitter) split(s *Subdomain, vertical bool) (left, right *Subdomain, 
 	rp := mergeSorted(primary[m:], addRight, vertical)
 
 	// The secondary array is partitioned against the median vertex and
-	// each half merged with its extras in the same pass. Its halves hold
-	// the primary halves' vertices unless fixTies has reordered a run of
-	// ties in an earlier split, so their sizes are only a capacity hint.
+	// each half merged with its extras in the same pass; its halves hold
+	// the primary halves' vertices.
 	sortVertices(addLeft, !vertical)
 	sortVertices(addRight, !vertical)
 	ls := make([]Vertex, 0, len(lp))
@@ -270,40 +284,21 @@ func sortVertices(v []Vertex, byX bool) {
 	}
 }
 
-// fixTies restores lexicographic (abscissa, ordinate) order within runs of
-// equal abscissa, keeping the paired vertex array aligned.
-func fixTies(flat []geom.Point, verts []Vertex) {
-	i := 0
-	for i < len(flat) {
-		j := i + 1
-		for j < len(flat) && flat[j].X == flat[i].X {
-			j++
+// lowerSorted appends to h the indices of the points on the lower convex
+// hull of pts, read in the given order, which must list them
+// lexicographically by (X, Y): Andrew's monotone chain, linear on sorted
+// input. The hull runs left to right and includes both extreme points;
+// collinear points on it are left out.
+func lowerSorted(pts []geom.Point, order []int32, h []int32) []int32 {
+	for _, i := range order {
+		// Pop while the last two hull points and pts[i] do not make a
+		// strict left turn: the middle point is not on the lower hull.
+		for len(h) >= 2 && geom.Orient2DSign(pts[h[len(h)-2]], pts[h[len(h)-1]], pts[i]) <= 0 {
+			h = h[:len(h)-1]
 		}
-		if j-i > 1 {
-			idx := make([]int, j-i)
-			for k := range idx {
-				idx[k] = i + k
-			}
-			slices.SortFunc(idx, func(a, b int) int {
-				switch {
-				case flat[a].Y < flat[b].Y:
-					return -1
-				case flat[a].Y > flat[b].Y:
-					return 1
-				}
-				return 0
-			})
-			tmpF := make([]geom.Point, j-i)
-			tmpV := make([]Vertex, j-i)
-			for k, id := range idx {
-				tmpF[k] = flat[id]
-				tmpV[k] = verts[id]
-			}
-			copy(flat[i:j], tmpF)
-			copy(verts[i:j], tmpV)
-		}
-		i = j
+		h = append(h, i)
 	}
+	return h
 }
 
 // mergeSorted merges a base slice sorted by x (byX) or y with a small
